@@ -12,10 +12,11 @@
 //!    (every request opens a fresh connection). The gate requires
 //!    keep-alive to beat the baseline by `--min-speedup` (default 10×).
 //! 3. **Publish cost** — µs/tick the tick thread spends publishing
-//!    snapshots at 400 vs 4000 machines, full-every-tick vs delta
-//!    (`full_every` 64). The gate requires delta publishing at 4000
-//!    machines to cost at most half of full republish — tick cost must
-//!    scale with churn, not fleet size.
+//!    snapshots at 400 vs 4000 machines, every machine rebuilt every
+//!    tick (`full_every` 1) vs the exact refresh striped over 64 ticks
+//!    (`full_every` 64; the `delta` keys). The gate requires the latter
+//!    at 4000 machines to cost at most half of the former — tick cost
+//!    must scale with churn, not fleet size.
 //!
 //! Hard gates (always on): zero 5xx, zero handler panics, all
 //! `--connections` clients simultaneously connected at peak. With
@@ -42,7 +43,7 @@ use cpi2_serve::ServerConfig;
 
 /// Boots a resident fleet, serves it, and drives `cfg` against it while
 /// the harness keeps ticking (100 ms pace) — the server is measured
-/// live, with delta publishing and snapshot churn underneath.
+/// live, with per-tick publishing and snapshot churn underneath.
 fn run_against_live_harness(machines: u32, seed: u64, cfg: LoadConfig) -> (LoadReport, bool) {
     let mut sh = build_serve_fleet(machines, seed);
     sh.run_for(cpi2::sim::SimDuration::from_mins(1));

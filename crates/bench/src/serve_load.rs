@@ -26,8 +26,8 @@
 //!
 //! This module also measures the *tick-thread publish cost* of
 //! [`ServeHarness`](cpi2_serve::ServeHarness) (µs per tick spent
-//! building/publishing snapshots) under full-every-tick vs delta
-//! publishing — the second half of the `serve_bench` gate.
+//! building/publishing snapshots) with every machine rebuilt every tick
+//! vs the striped refresh — the second half of the `serve_bench` gate.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -336,8 +336,8 @@ pub fn build_serve_fleet(machines: u32, seed: u64) -> ServeHarness {
 }
 
 /// Mean tick-thread publish cost, µs/tick, for a `machines`-sized fleet
-/// publishing with the given full-base period (`full_every` 1 = the
-/// legacy full-snapshot-every-tick mode) over `ticks` ticks.
+/// publishing with the given exact-refresh period (`full_every` 1 =
+/// every machine rebuilt every tick) over `ticks` ticks.
 pub fn measure_publish_cost(machines: u32, full_every: u32, ticks: u32, seed: u64) -> f64 {
     let mut sh = build_serve_fleet(machines, seed);
     sh.set_full_snapshot_every(full_every);

@@ -151,16 +151,28 @@ impl TraceSpan {
 /// Insertion order drives eviction (oldest trace dropped once `cap`
 /// distinct traces are held), so the retained set is identical for
 /// identical span streams regardless of wall-clock timing.
+///
+/// A consumer that mirrors the log (the serving snapshot) follows it
+/// through a bounded change feed instead of rescanning every retained
+/// trace: it keeps the [`recorded`](Self::recorded) count it last saw and
+/// asks [`touched_since`](Self::touched_since) which traces grew.
 #[derive(Debug, Clone)]
 pub struct TraceLog {
     spans: BTreeMap<TraceId, Vec<TraceSpan>>,
     order: VecDeque<TraceId>,
     cap: usize,
     evicted: u64,
+    /// Trace of each of the last [`CHANGE_FEED_CAPACITY`] recorded spans.
+    touched: VecDeque<TraceId>,
+    recorded: u64,
 }
 
 /// Default maximum number of distinct traces a [`TraceLog`] retains.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
+
+/// Recorded spans the change feed reaches back over; a consumer further
+/// behind rescans the log.
+const CHANGE_FEED_CAPACITY: usize = 1024;
 
 impl Default for TraceLog {
     fn default() -> Self {
@@ -176,6 +188,8 @@ impl TraceLog {
             order: VecDeque::new(),
             cap: cap.max(1),
             evicted: 0,
+            touched: VecDeque::new(),
+            recorded: 0,
         }
     }
 
@@ -194,6 +208,27 @@ impl TraceLog {
             self.order.push_back(id);
         }
         self.spans.entry(id).or_default().push(span);
+        if self.touched.len() == CHANGE_FEED_CAPACITY {
+            self.touched.pop_front();
+        }
+        self.touched.push_back(id);
+        self.recorded += 1;
+    }
+
+    /// Spans recorded so far: the watermark
+    /// [`touched_since`](Self::touched_since) takes.
+    pub fn recorded(&self) -> u64 {
+        self.recorded
+    }
+
+    /// The trace of every span recorded since the log's
+    /// [`recorded`](Self::recorded) count read `mark`, in arrival order
+    /// (a trace repeats once per span; evicted ones are included). `None`
+    /// when the feed no longer reaches back that far.
+    pub fn touched_since(&self, mark: u64) -> Option<impl Iterator<Item = TraceId> + '_> {
+        let behind = usize::try_from(self.recorded.checked_sub(mark)?).ok()?;
+        let start = self.touched.len().checked_sub(behind)?;
+        Some(self.touched.range(start..).copied())
     }
 
     /// The span chain for a trace, in causal order.
@@ -272,6 +307,36 @@ mod tests {
         assert_eq!(log.get(t3).unwrap().len(), 1);
         let ids: Vec<TraceId> = log.ids().collect();
         assert_eq!(ids, vec![t2, t3]);
+    }
+
+    #[test]
+    fn change_feed_names_touched_traces_until_it_overflows() {
+        let mut log = TraceLog::with_capacity(2);
+        fn since(log: &TraceLog, mark: u64) -> Option<Vec<TraceId>> {
+            log.touched_since(mark).map(Iterator::collect)
+        }
+        assert_eq!(since(&log, 0), Some(vec![]));
+        log.record(span(TraceId(1), TraceStage::SampleWindow, 0));
+        let mark = log.recorded();
+        log.record(span(TraceId(2), TraceStage::SampleWindow, 1));
+        log.record(span(TraceId(1), TraceStage::Violation, 2));
+        log.record(span(TraceId(3), TraceStage::SampleWindow, 3));
+        assert_eq!(
+            since(&log, mark),
+            Some(vec![TraceId(2), TraceId(1), TraceId(3)]),
+            "arrival order, evicted trace 1 included"
+        );
+        assert_eq!(since(&log, log.recorded()), Some(vec![]));
+        assert!(log.touched_since(log.recorded() + 1).is_none(), "future");
+        for i in 0..CHANGE_FEED_CAPACITY as i64 {
+            log.record(span(TraceId(9), TraceStage::Recovery, i));
+        }
+        assert!(log.touched_since(mark).is_none(), "fell behind the feed");
+        let recent = log.recorded() - CHANGE_FEED_CAPACITY as u64;
+        assert_eq!(
+            log.touched_since(recent).map(Iterator::count),
+            Some(CHANGE_FEED_CAPACITY)
+        );
     }
 
     #[test]

@@ -27,5 +27,5 @@ pub use aggregator::Aggregator;
 pub use collector::{AgentMessage, Collector, CollectorHandle, RetryPolicy, RetryQueue};
 pub use filelog::FileLog;
 pub use log::LogTable;
-pub use query::{Dataset, QueryError, QueryResult, Table, Value};
+pub use query::{Dataset, Query, QueryError, QueryResult, Table, Value};
 pub use specstore::{SpecSnapshot, SpecStore};

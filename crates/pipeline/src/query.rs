@@ -116,9 +116,8 @@ impl Table {
     ) -> Result<Self, serde_json::Error> {
         let mut rows = Vec::with_capacity(records.len());
         for r in records {
-            let v = serde_json::to_value(r)?;
             let mut row = Row::new();
-            flatten("", &v, &mut row);
+            flatten(String::new(), serde_json::to_value(r)?, &mut row);
             rows.push(row);
         }
         Ok(Table {
@@ -128,36 +127,38 @@ impl Table {
     }
 }
 
-fn flatten(prefix: &str, v: &serde_json::Value, out: &mut Row) {
+/// Moves `v`'s scalars into `out` under dotted column names; keys and
+/// strings are moved, not copied.
+fn flatten(prefix: String, v: serde_json::Value, out: &mut Row) {
     match v {
         serde_json::Value::Object(map) => {
             for (k, v) in map {
                 let key = if prefix.is_empty() {
-                    k.clone()
+                    k
                 } else {
                     format!("{prefix}.{k}")
                 };
-                flatten(&key, v, out);
+                flatten(key, v, out);
             }
         }
         serde_json::Value::Array(items) => {
             out.insert(format!("{prefix}.len"), Value::Num(items.len() as f64));
             // Index the first few elements (suspect lists etc.).
-            for (i, item) in items.iter().take(5).enumerate() {
-                flatten(&format!("{prefix}.{i}"), item, out);
+            for (i, item) in items.into_iter().take(5).enumerate() {
+                flatten(format!("{prefix}.{i}"), item, out);
             }
         }
         serde_json::Value::Null => {
-            out.insert(prefix.to_string(), Value::Null);
+            out.insert(prefix, Value::Null);
         }
         serde_json::Value::Bool(b) => {
-            out.insert(prefix.to_string(), Value::Bool(*b));
+            out.insert(prefix, Value::Bool(b));
         }
         serde_json::Value::Number(n) => {
-            out.insert(prefix.to_string(), Value::Num(n.as_f64().unwrap_or(0.0)));
+            out.insert(prefix, Value::Num(n.as_f64().unwrap_or(0.0)));
         }
         serde_json::Value::String(s) => {
-            out.insert(prefix.to_string(), Value::Str(s.clone()));
+            out.insert(prefix, Value::Str(s));
         }
     }
 }
@@ -317,14 +318,34 @@ enum Expr {
     Or(Box<Expr>, Box<Expr>),
 }
 
+/// A parsed statement. Parsing first tells a caller which table the
+/// `FROM` reads ([`Query::table`]), so it can materialise that one alone
+/// before [`Dataset::run`].
 #[derive(Debug, Clone, PartialEq)]
-struct Query {
+pub struct Query {
     select: Vec<SelectItem>,
     from: String,
     filter: Option<Expr>,
     group_by: Vec<String>,
     order_by: Vec<(String, bool)>, // (key, descending)
     limit: Option<usize>,
+}
+
+impl Query {
+    /// Parses one statement of the module's grammar.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError::Parse`] on lexical or syntax errors.
+    pub fn parse(sql: &str) -> Result<Query, QueryError> {
+        let toks = lex(sql)?;
+        Parser { toks, pos: 0 }.query()
+    }
+
+    /// The table the `FROM` clause names.
+    pub fn table(&self) -> &str {
+        &self.from
+    }
 }
 
 // ---------------------------------------------------------------- parser --
@@ -763,8 +784,15 @@ impl Dataset {
     ///
     /// Returns [`QueryError`] on syntax errors or unknown tables.
     pub fn query(&self, sql: &str) -> Result<QueryResult, QueryError> {
-        let toks = lex(sql)?;
-        let q = Parser { toks, pos: 0 }.query()?;
+        self.run(&Query::parse(sql)?)
+    }
+
+    /// Executes a parsed query.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError::UnknownTable`] if its table is not registered.
+    pub fn run(&self, q: &Query) -> Result<QueryResult, QueryError> {
         let table = self
             .tables
             .get(&q.from)
@@ -785,9 +813,9 @@ impl Dataset {
             .any(|s| matches!(s, SelectItem::Aggregate(_)));
 
         let (columns, mut rows) = if !q.group_by.is_empty() || has_agg {
-            self.grouped(&q, &filtered)
+            self.grouped(q, &filtered)
         } else {
-            self.plain(&q, table, &filtered)
+            self.plain(q, table, &filtered)
         };
 
         // ORDER BY over output columns.
@@ -1026,6 +1054,19 @@ mod tests {
             return Err("sum(correlation) should be numeric".into());
         };
         assert!((s - 1.98).abs() < 1e-12);
+        Ok(())
+    }
+
+    #[test]
+    fn parse_names_the_table_before_any_is_built() -> TestResult {
+        let q = Query::parse("select count(*) from samples where cpi > 2")?;
+        assert_eq!(q.table(), "samples");
+        assert_eq!(
+            Dataset::new().run(&q),
+            Err(QueryError::UnknownTable("samples".into()))
+        );
+        let q = Query::parse("SELECT * FROM incidents")?;
+        assert_eq!(sample_dataset()?.run(&q)?.rows.len(), 5);
         Ok(())
     }
 

@@ -9,74 +9,90 @@
 //! to the same seed with no server at all; the determinism suite proves
 //! it under 32 concurrent clients.
 //!
-//! # Delta publishing
+//! # Publishing
 //!
-//! Publishing a full [`LiveSnapshot`] every tick costs O(fleet), which
-//! walls off big fleets (ROADMAP item 2). Instead the harness publishes
-//! a [`DeltaSnapshot`] per tick — machines whose *fingerprint* changed,
-//! appended incidents/samples, spec bumps, grown traces — over a full
-//! base republished every [`full_snapshot_every`](Self::set_full_snapshot_every)
-//! ticks (1 = the legacy full-every-tick mode). Fingerprints quantize
-//! the jittery fields (utilization to 1/8, thread counts and
-//! throttle-event totals to powers of two) so ordinary load noise does
-//! not re-publish the whole fleet; the merged view may lag those by one
-//! quantum for up to one full-snapshot period, while everything
-//! discrete — incidents, caps, specs, task placement, tick counters —
-//! is exact every tick. Readers reconstruct lazily in
-//! [`LiveState`](crate::state::LiveState); the tick thread pays for
-//! churn, not fleet size.
+//! The harness owns the one persistent [`LiveSnapshot`]. After every
+//! tick it edits the elements that tick changed — machines whose
+//! *fingerprint* moved, appended incidents and samples, republished
+//! specs, traces the [`TraceLog`] change feed names — and publishes a
+//! clone, which is five reference-count bumps: everything unchanged is
+//! shared with the snapshots readers still hold (see
+//! [`state`](crate::state)). Readers never rebuild anything, so this is
+//! all the work there is, and it scales with churn, not fleet size.
+//!
+//! Fingerprints quantize the jittery machine fields (utilization to 1/8,
+//! thread counts and throttle-event totals to powers of two) so ordinary
+//! load noise does not re-publish the whole fleet. To bound how far
+//! those fields lag, every machine is also rebuilt exactly once per
+//! [`full_snapshot_every`](ServeHarness::set_full_snapshot_every) ticks,
+//! a stripe of the fleet each tick (1 = every machine every tick), so a
+//! served machine view is never older than that period and there is no
+//! periodic whole-fleet rebuild. Everything discrete — incidents, caps,
+//! specs, task placement, traces, tick counters — is exact every tick.
 //!
 //! This module (with [`server`](crate::server) and
 //! [`eventloop`](crate::eventloop)) is the crate's only sanctioned home
 //! for wall clocks and `thread::spawn` — wall time here only *paces*
 //! ticks and *measures* publish cost, it never feeds sim state.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cpi2::core::{CpiSample, IncidentAction, TraceId};
+use cpi2::core::{CpiSample, CpiSpec, TraceLog};
 use cpi2::harness::Cpi2Harness;
 use cpi2::sim::{JobId, Machine, SimDuration, TaskId};
-use cpi2::telemetry::Histo;
+use cpi2::telemetry::{Counter, Gauge, Histo};
 
 use crate::routes::Router;
 use crate::server::{self, Handler, ServerConfig, ServerHandle};
 use crate::state::{
-    DeltaSnapshot, IncidentView, LiveSnapshot, MachineView, OperatorAction, SharedState, SpanView,
-    SuspectView, TaskView, TraceView, INCIDENT_TAIL, SAMPLE_TAIL,
+    EncodedIncident, IncidentView, LiveSnapshot, MachineView, OperatorAction, Shared, SharedState,
+    TraceView, INCIDENT_TAIL, SAMPLE_TAIL,
 };
 
-/// Default full-base republish period, ticks.
+/// Default exact-refresh period of the machine views, ticks.
 const DEFAULT_FULL_EVERY: u32 = 64;
+
+/// What the publisher remembers of one machine between ticks.
+#[derive(Debug, Clone, Copy, Default)]
+struct MachineMark {
+    /// Quantized fingerprint of the published view.
+    fingerprint: u64,
+    /// Tick the published view was built at.
+    built_at: u64,
+}
+
+/// The kinds `cpi_serve_publish_changed_total` is labelled with, in the
+/// order [`ServeHarness::publish`] counts them.
+const CHANGED_KINDS: [&str; 5] = ["machines", "incidents", "samples", "specs", "traces"];
 
 /// The resident CPI² deployment: harness + snapshot publisher + action
 /// sink + (optionally) an attached HTTP server.
 pub struct ServeHarness {
     inner: Cpi2Harness,
     state: Arc<SharedState>,
-    sample_tail: VecDeque<CpiSample>,
     ticks: u64,
     server: Option<ServerHandle>,
-    /// Full-base republish period; 1 = full snapshot every tick.
+    /// Ticks between exact refreshes of a machine view; 1 = every tick.
     full_every: u32,
-    /// Ticks since the last full base.
-    since_full: u32,
-    /// Per-machine quantized fingerprints as of the last publish,
-    /// indexed like `cluster.machines()`.
-    machine_fps: Vec<u64>,
+    /// The snapshot as last published; each tick edits what changed.
+    view: LiveSnapshot,
+    /// Per machine, indexed like `cluster.machines()`.
+    machine_marks: Vec<MachineMark>,
     /// Incidents already published (watermark into `inner.incidents()`).
     incidents_seen: usize,
-    /// Spec store version already published.
-    spec_version_seen: u64,
-    /// Span count per trace as of the last publish.
-    trace_sizes: BTreeMap<TraceId, usize>,
+    /// `TraceLog::recorded()` and `evicted()` as of the last publish.
+    trace_cursor: TraceCursor,
     /// Publish cost distribution, µs (wall time; measurement only).
     publish_histo: Histo,
     publish_count: u64,
     publish_us_total: u64,
+    /// Elements replaced or appended, per [`CHANGED_KINDS`] entry.
+    changed: [Counter; 5],
+    /// Ticks since the stalest served machine view was built.
+    snapshot_age: Gauge,
 }
 
 impl ServeHarness {
@@ -84,30 +100,31 @@ impl ServeHarness {
     /// carry a recent-sample tail.
     pub fn new(mut inner: Cpi2Harness) -> ServeHarness {
         inner.record_samples = true;
-        let state = SharedState::new(inner.telemetry().clone());
-        let publish_histo = inner.telemetry().histogram("cpi_serve_publish_us", &[]);
+        let telemetry = inner.telemetry().clone();
         let mut sh = ServeHarness {
+            state: SharedState::new(telemetry.clone()),
             inner,
-            state,
-            sample_tail: VecDeque::with_capacity(SAMPLE_TAIL),
             ticks: 0,
             server: None,
             full_every: DEFAULT_FULL_EVERY,
-            since_full: 0,
-            machine_fps: Vec::new(),
+            view: LiveSnapshot::default(),
+            machine_marks: Vec::new(),
             incidents_seen: 0,
-            spec_version_seen: 0,
-            trace_sizes: BTreeMap::new(),
-            publish_histo,
+            trace_cursor: TraceCursor::default(),
+            publish_histo: telemetry.histogram("cpi_serve_publish_us", &[]),
             publish_count: 0,
             publish_us_total: 0,
+            changed: CHANGED_KINDS.map(|kind| {
+                telemetry.counter("cpi_serve_publish_changed_total", &[("kind", kind)])
+            }),
+            snapshot_age: telemetry.gauge("cpi_serve_snapshot_age_ticks", &[]),
         };
-        sh.publish_full();
+        sh.publish(Vec::new());
         sh
     }
 
-    /// Sets the full-base republish period (clamped to ≥ 1; 1 publishes
-    /// a full snapshot every tick, the pre-delta behaviour).
+    /// Sets how many ticks may pass between exact refreshes of a machine
+    /// view (clamped to ≥ 1; 1 rebuilds every machine every tick).
     pub fn set_full_snapshot_every(&mut self, ticks: u32) {
         self.full_every = ticks.max(1);
     }
@@ -143,26 +160,14 @@ impl ServeHarness {
         self.inner
     }
 
-    /// One tick: apply queued operator actions, step the system, publish
-    /// the delta (or periodic full base).
+    /// One tick: apply queued operator actions, step the system, publish.
     pub fn tick(&mut self) {
         self.apply_actions();
         self.inner.step();
         self.ticks += 1;
         let fresh: Vec<CpiSample> = std::mem::take(&mut self.inner.samples);
-        for s in &fresh {
-            if self.sample_tail.len() == SAMPLE_TAIL {
-                self.sample_tail.pop_front();
-            }
-            self.sample_tail.push_back(s.clone());
-        }
         let started = Instant::now();
-        if self.since_full + 1 >= self.full_every {
-            self.publish_full();
-        } else {
-            self.publish_delta(fresh);
-            self.since_full += 1;
-        }
+        self.publish(fresh);
         let spent_us = started.elapsed().as_micros() as u64;
         self.publish_histo.record(spent_us as f64);
         self.publish_count += 1;
@@ -285,213 +290,174 @@ impl ServeHarness {
         }
     }
 
-    fn build_machine_view(m: &Machine) -> MachineView {
-        MachineView {
-            id: m.id.0,
-            tasks: m.task_count(),
-            threads: m.thread_count(),
-            utilization: m.utilization(),
-            throttle_events: m.throttle_events(),
-            task_list: m
-                .tasks()
-                .map(|t| TaskView {
-                    job: t.id.job.0,
-                    index: t.id.index,
-                    job_name: t.job_name.clone(),
-                    class: format!("{:?}", t.class),
-                    threads: t.threads(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Incident views appended since the `seen` watermark (bounded by
-    /// the serving tail).
-    fn build_new_incidents(&self, seen: usize) -> Vec<IncidentView> {
-        let all = self.inner.incidents();
-        let start = seen.max(all.len().saturating_sub(INCIDENT_TAIL));
-        all[start..]
-            .iter()
-            .map(|mi| {
-                let inc = &mi.incident;
-                let (action, target_job, cpu_rate, reason) = match &inc.action {
-                    IncidentAction::HardCap {
-                        target_job,
-                        cpu_rate,
-                        ..
-                    } => ("hard_cap", target_job.clone(), *cpu_rate, String::new()),
-                    IncidentAction::None { reason } => ("none", String::new(), 0.0, reason.clone()),
-                };
-                IncidentView {
-                    trace: inc.trace_id.to_string(),
-                    at_us: inc.at,
-                    machine: mi.machine.0,
-                    victim_job: inc.victim_job.clone(),
-                    victim_task: inc.victim.0,
-                    victim_cpi: inc.victim_cpi,
-                    cthreshold: inc.cthreshold,
-                    action: action.to_string(),
-                    target_job,
-                    cpu_rate,
-                    reason,
-                    suspects: inc
-                        .suspects
-                        .iter()
-                        .map(|s| SuspectView {
-                            jobname: s.jobname.clone(),
-                            correlation: s.correlation,
-                        })
-                        .collect(),
-                }
-            })
-            .collect()
-    }
-
-    fn build_trace_view(&self, id: TraceId) -> TraceView {
-        TraceView {
-            trace: id.to_string(),
-            spans: self
-                .inner
-                .trace_log()
-                .get(id)
+    /// Brings the persistent snapshot up to this tick and publishes it.
+    fn publish(&mut self, fresh_samples: Vec<CpiSample>) {
+        let machines = self.sync_machines();
+        let specs = self.sync_specs();
+        let logged = self.inner.incidents();
+        let unseen = self
+            .incidents_seen
+            .max(logged.len().saturating_sub(INCIDENT_TAIL));
+        let incidents = push_tail(
+            &mut self.view.incidents,
+            logged
+                .get(unseen..)
                 .unwrap_or(&[])
                 .iter()
-                .map(|sp| SpanView {
-                    stage: sp.stage.name().to_string(),
-                    start_us: sp.start_us,
-                    end_us: sp.end_us,
-                    detail: sp.detail.clone(),
-                })
-                .collect(),
+                .map(|mi| EncodedIncident::new(IncidentView::of(mi))),
+            INCIDENT_TAIL,
+        );
+        self.incidents_seen = logged.len();
+        let samples = push_tail(
+            &mut self.view.samples,
+            fresh_samples.into_iter(),
+            SAMPLE_TAIL,
+        );
+        let traces = sync_traces(
+            &mut self.view.traces,
+            self.inner.trace_log(),
+            &mut self.trace_cursor,
+        );
+        let changed = [machines, incidents, samples, specs, traces];
+        for (counter, n) in self.changed.iter().zip(changed) {
+            counter.add(n as u64);
+        }
+        let cluster = &self.inner.cluster;
+        self.view.now_us = cluster.now().as_us();
+        self.view.tick_us = cluster.tick_len().as_us();
+        self.view.ticks = self.ticks;
+        self.view.protection_enabled = self.inner.protection_enabled();
+        self.view.caps_applied = self.inner.caps_applied();
+        self.view.collector_dropped = self.inner.collector_dropped();
+        self.state.live.publish(self.view.clone());
+    }
+
+    /// Rebuilds the machines whose fingerprint moved and this tick's
+    /// stripe of the exact refresh; returns how many.
+    fn sync_machines(&mut self) -> usize {
+        let machines = self.inner.cluster.machines();
+        let period = u64::from(self.full_every);
+        let stripe = self.ticks % period;
+        self.machine_marks
+            .resize(machines.len(), MachineMark::default());
+        let mut rebuilt = 0;
+        let mut oldest = self.ticks;
+        for (i, (m, mark)) in machines.iter().zip(&mut self.machine_marks).enumerate() {
+            let fingerprint = machine_fingerprint(m);
+            let held = self.view.machines.len();
+            if mark.fingerprint != fingerprint || i as u64 % period == stripe || i >= held {
+                *mark = MachineMark {
+                    fingerprint,
+                    built_at: self.ticks,
+                };
+                // Copies the pointer vector on this tick's first rebuild
+                // (published snapshots share it); free after that.
+                let views = Arc::make_mut(&mut self.view.machines);
+                let view = Arc::new(MachineView::of(m));
+                match views.get_mut(i) {
+                    Some(slot) => *slot = view,
+                    None => views.push(view),
+                }
+                rebuilt += 1;
+            }
+            oldest = oldest.min(mark.built_at);
+        }
+        self.snapshot_age.set((self.ticks - oldest) as f64);
+        rebuilt
+    }
+
+    /// Merges specs republished since the last publish into the
+    /// (job, platform)-ordered set; returns how many.
+    fn sync_specs(&mut self) -> usize {
+        let store = self.inner.spec_store.snapshot();
+        if store.version() == self.view.spec_version {
+            return 0;
+        }
+        let republished = store.changed_since_with_age(self.view.spec_version);
+        self.view.spec_version = store.version();
+        let specs = Arc::make_mut(&mut self.view.specs);
+        let n = republished.len();
+        for (spec, _published_at) in republished {
+            match specs.binary_search_by(|held| spec_key(held).cmp(&spec_key(&spec))) {
+                Ok(i) => {
+                    if let Some(slot) = specs.get_mut(i) {
+                        *slot = Arc::new(spec);
+                    }
+                }
+                Err(i) => specs.insert(i, Arc::new(spec)),
+            }
+        }
+        n
+    }
+}
+
+/// The spec store's order: (job, platform).
+fn spec_key(s: &CpiSpec) -> (&str, &str) {
+    (&s.jobname, &s.platforminfo)
+}
+
+/// Appends `new` to a bounded shared tail, dropping the oldest beyond
+/// `cap`; returns how many were appended. With nothing to append the
+/// tail is not touched and stays shared with every published snapshot.
+fn push_tail<T>(tail: &mut Shared<T>, new: impl ExactSizeIterator<Item = T>, cap: usize) -> usize {
+    let n = new.len();
+    if n > 0 {
+        let tail = Arc::make_mut(tail);
+        tail.extend(new.skip(n.saturating_sub(cap)).map(Arc::new));
+        let excess = tail.len().saturating_sub(cap);
+        tail.drain(..excess);
+    }
+    n
+}
+
+/// Where the publisher last left a [`TraceLog`].
+#[derive(Debug, Clone, Copy, Default)]
+struct TraceCursor {
+    recorded: u64,
+    evicted: u64,
+}
+
+/// Makes `traces` mirror `log` — the retained traces, `log.ids()` order —
+/// given that it did when `cursor` was taken; returns how many views
+/// were built. The log evicts from the front and inserts at the back, so
+/// the evicted count says how many to drop, the tail of `log.ids()` is
+/// what is new, and the change feed names the survivors that grew. Only
+/// a consumer that fell behind the feed rebuilds every view.
+fn sync_traces(traces: &mut Shared<TraceView>, log: &TraceLog, cursor: &mut TraceCursor) -> usize {
+    let since = std::mem::replace(
+        cursor,
+        TraceCursor {
+            recorded: log.recorded(),
+            evicted: log.evicted(),
+        },
+    );
+    if since.recorded == cursor.recorded {
+        return 0;
+    }
+    let view = |id| Arc::new(TraceView::of(id, log.get(id).unwrap_or(&[])));
+    let traces = Arc::make_mut(traces);
+    let evicted = usize::try_from(cursor.evicted - since.evicted).unwrap_or(usize::MAX);
+    let mut built = 0;
+    match log.touched_since(since.recorded) {
+        Some(touched) => {
+            traces.drain(..evicted.min(traces.len()));
+            let kept = traces.len();
+            for id in touched {
+                let at = log.ids().take(kept).position(|held| held == id);
+                if let Some(slot) = at.and_then(|i| traces.get_mut(i)) {
+                    *slot = view(id);
+                    built += 1;
+                }
+            }
+            traces.extend(log.ids().skip(kept).map(view));
+            built += traces.len() - kept;
+        }
+        None => {
+            *traces = log.ids().map(view).collect();
+            built = traces.len();
         }
     }
-
-    /// Publishes a full base snapshot and resets every delta watermark.
-    fn publish_full(&mut self) {
-        let machines: Vec<MachineView> = self
-            .inner
-            .cluster
-            .machines()
-            .iter()
-            .map(Self::build_machine_view)
-            .collect();
-        self.machine_fps = self
-            .inner
-            .cluster
-            .machines()
-            .iter()
-            .map(machine_fingerprint)
-            .collect();
-
-        let incidents = self.build_new_incidents(0);
-        self.incidents_seen = self.inner.incidents().len();
-
-        let spec_snap = self.inner.spec_store.snapshot();
-        let specs: Vec<_> = spec_snap
-            .changed_since_with_age(0)
-            .into_iter()
-            .map(|(spec, _published_at)| spec)
-            .collect();
-        self.spec_version_seen = spec_snap.version();
-
-        let trace_log = self.inner.trace_log();
-        self.trace_sizes = trace_log
-            .ids()
-            .map(|id| (id, trace_log.get(id).map(|s| s.len()).unwrap_or(0)))
-            .collect();
-        let traces: Vec<TraceView> = trace_log
-            .ids()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|id| self.build_trace_view(id))
-            .collect();
-
-        let cluster = &self.inner.cluster;
-        self.state.live.publish(LiveSnapshot {
-            now_us: cluster.now().as_us(),
-            tick_us: cluster.tick_len().as_us(),
-            ticks: self.ticks,
-            spec_version: self.spec_version_seen,
-            protection_enabled: self.inner.protection_enabled(),
-            caps_applied: self.inner.caps_applied(),
-            collector_dropped: self.inner.collector_dropped(),
-            machines,
-            incidents,
-            specs,
-            samples: self.sample_tail.iter().cloned().collect(),
-            traces,
-        });
-        self.since_full = 0;
-    }
-
-    /// Publishes one tick's delta: changed machines (by quantized
-    /// fingerprint), appended incidents/samples, spec bumps, grown
-    /// traces. Cost scales with churn, not fleet size.
-    fn publish_delta(&mut self, fresh_samples: Vec<CpiSample>) {
-        let machines: Vec<MachineView> = {
-            let cluster_machines = self.inner.cluster.machines();
-            self.machine_fps.resize(cluster_machines.len(), 0);
-            cluster_machines
-                .iter()
-                .enumerate()
-                .filter_map(|(i, m)| {
-                    let fp = machine_fingerprint(m);
-                    if self.machine_fps[i] == fp {
-                        None
-                    } else {
-                        self.machine_fps[i] = fp;
-                        Some(Self::build_machine_view(m))
-                    }
-                })
-                .collect()
-        };
-
-        let new_incidents = self.build_new_incidents(self.incidents_seen);
-        self.incidents_seen = self.inner.incidents().len();
-
-        let spec_snap = self.inner.spec_store.snapshot();
-        let changed_specs: Vec<_> = spec_snap
-            .changed_since_with_age(self.spec_version_seen)
-            .into_iter()
-            .map(|(spec, _published_at)| spec)
-            .collect();
-        self.spec_version_seen = spec_snap.version();
-
-        let changed_ids: Vec<TraceId> = {
-            let trace_log = self.inner.trace_log();
-            trace_log
-                .ids()
-                .filter(|id| {
-                    let len = trace_log.get(*id).map(|s| s.len()).unwrap_or(0);
-                    self.trace_sizes.get(id) != Some(&len)
-                })
-                .collect()
-        };
-        let changed_traces: Vec<TraceView> = changed_ids
-            .into_iter()
-            .map(|id| {
-                let view = self.build_trace_view(id);
-                self.trace_sizes.insert(id, view.spans.len());
-                view
-            })
-            .collect();
-
-        let cluster = &self.inner.cluster;
-        self.state.live.publish_delta(DeltaSnapshot {
-            now_us: cluster.now().as_us(),
-            tick_us: cluster.tick_len().as_us(),
-            ticks: self.ticks,
-            spec_version: self.spec_version_seen,
-            protection_enabled: self.inner.protection_enabled(),
-            caps_applied: self.inner.caps_applied(),
-            collector_dropped: self.inner.collector_dropped(),
-            machines,
-            new_incidents,
-            new_samples: fresh_samples,
-            changed_specs,
-            changed_traces,
-        });
-    }
+    built
 }
 
 /// Hash of a machine's *quantized* serving-relevant state. Task
@@ -500,7 +466,7 @@ impl ServeHarness {
 /// totals to powers of two — so steady-state load noise (a heavily
 /// shared machine throttles on most ticks) does not re-publish the
 /// whole fleet every tick. Staleness is bounded by one bucket for at
-/// most one full-snapshot period; the periodic full base restores
+/// most one refresh period; the striped exact refresh restores
 /// exactness. This scan runs over every machine every tick, so the mix
 /// is one multiply/rotate per field, not a byte-wise FNV.
 fn machine_fingerprint(m: &Machine) -> u64 {
@@ -519,4 +485,93 @@ fn machine_fingerprint(m: &Machine) -> u64 {
         mix(u64::from(t.threads()).next_power_of_two());
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpi2::core::{TraceId, TraceSpan, TraceStage};
+
+    /// `(trace id, span count)` of every served trace, served order.
+    fn served(traces: &Shared<TraceView>) -> Vec<(String, usize)> {
+        traces
+            .iter()
+            .map(|t| (t.trace.clone(), t.spans.len()))
+            .collect()
+    }
+
+    /// The same of every trace the log retains, `ids()` order.
+    fn logged(log: &TraceLog) -> Vec<(String, usize)> {
+        log.ids()
+            .map(|id| (id.to_string(), log.get(id).map_or(0, <[_]>::len)))
+            .collect()
+    }
+
+    /// The served traces follow the log's evictions, not only its growth:
+    /// otherwise `/incidents/{id}/trace` answers for traces the log has
+    /// dropped and the served set outgrows the log's capacity.
+    #[test]
+    fn served_traces_mirror_a_log_that_overflows() {
+        let mut log = TraceLog::with_capacity(4);
+        let mut traces = Shared::<TraceView>::default();
+        let mut cursor = TraceCursor::default();
+        let mut newest = 0u64;
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        // Bursts between syncs: none, a few spans, more traces than the
+        // log holds, and more spans than the change feed holds.
+        for (step, burst) in [0usize, 1, 2, 3, 9, 1, 2000, 5, 0, 40]
+            .into_iter()
+            .cycle()
+            .take(300)
+            .enumerate()
+        {
+            for _ in 0..burst {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Mostly recent traces (new, retained, or just evicted and
+                // so recorded afresh at the back), sometimes a new one.
+                let id = match (lcg >> 33) % 8 {
+                    0..=2 => {
+                        newest += 1;
+                        newest
+                    }
+                    back => newest.saturating_sub(back).max(1),
+                };
+                log.record(TraceSpan {
+                    trace: TraceId(id),
+                    stage: TraceStage::Recovery,
+                    start_us: step as i64,
+                    end_us: step as i64,
+                    detail: String::new(),
+                });
+            }
+            let before = Arc::clone(&traces);
+            let built = sync_traces(&mut traces, &log, &mut cursor);
+            assert_eq!(served(&traces), logged(&log), "step {step}, burst {burst}");
+            assert!(traces.len() <= 4);
+            if burst == 0 {
+                assert_eq!(built, 0);
+                assert!(Arc::ptr_eq(&before, &traces), "untouched stays shared");
+            }
+        }
+        assert!(log.evicted() > 100, "the log never overflowed");
+    }
+
+    #[test]
+    fn tails_stay_bounded_and_shared_when_idle() {
+        let mut tail = Shared::<u32>::default();
+        assert_eq!(push_tail(&mut tail, 0..3, 4), 3);
+        let before = Arc::clone(&tail);
+        assert_eq!(push_tail(&mut tail, 0..0, 4), 0);
+        assert!(Arc::ptr_eq(&before, &tail));
+        assert_eq!(push_tail(&mut tail, 3..6, 4), 3);
+        assert_eq!(tail.iter().map(|x| **x).collect::<Vec<_>>(), [2, 3, 4, 5]);
+        assert_eq!(push_tail(&mut tail, 10..20, 4), 10, "longer than the tail");
+        assert_eq!(
+            tail.iter().map(|x| **x).collect::<Vec<_>>(),
+            [16, 17, 18, 19]
+        );
+        assert_eq!(before.len(), 3, "a held tail is never written");
+    }
 }

@@ -11,8 +11,8 @@
 //! tick loop to roughly real time for demos; 0 free-runs.
 //! `--auth-token` (or the `CPI2_AUTH_TOKEN` env var) gates the mutating
 //! endpoints (`POST /actions/*`, `POST /query`) behind a shared secret;
-//! `--full-every` sets the full-snapshot republish period (1 = full
-//! every tick). All timing lives in the harness/server modules — this
+//! `--full-every` sets the ticks between exact refreshes of a machine
+//! view (1 = every tick). All timing lives in the harness/server modules — this
 //! file stays clock-free.
 
 use cpi2::core::Cpi2Config;

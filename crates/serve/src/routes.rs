@@ -1,10 +1,11 @@
 //! HTTP routes over the live snapshot: metrics, incidents, traces,
 //! specs, machines, ad-hoc SQL, and operator actions.
 //!
-//! Every GET handler reads one [`LiveSnapshot`](crate::state::LiveSnapshot)
-//! `Arc` and never touches the harness; every operator POST enqueues into
-//! the [`ActionQueue`](crate::state::ActionQueue) for deterministic
-//! application at the next tick boundary. Handlers therefore cannot
+//! Every GET handler clones one [`LiveSnapshot`](crate::state::LiveSnapshot)
+//! `Arc` — the publisher has already applied every tick, so no handler
+//! rebuilds state — and never touches the harness; every operator POST
+//! enqueues into the [`ActionQueue`](crate::state::ActionQueue) for
+//! deterministic application at the next tick boundary. Handlers therefore cannot
 //! perturb tick ordering no matter how hard they are driven.
 //!
 //! The unbounded-cardinality endpoints (`/incidents`, `/debug/events`,
@@ -24,7 +25,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cpi2::core::TraceId;
-use cpi2::pipeline::query::{Dataset, QueryResult, Value};
+use cpi2::pipeline::query::{Dataset, Query, QueryResult, Value};
 use cpi2::telemetry::Event;
 use serde_json;
 
@@ -140,9 +141,10 @@ impl Router {
     fn incidents(&self) -> Response {
         let snap = self.state.live.snapshot();
         let n = snap.incidents.len();
-        stream_json_array((0..n).map(move |i| {
-            serde_json::to_string(&snap.incidents[i]).unwrap_or_else(|_| "null".into())
-        }))
+        // Each incident's JSON was rendered when it was published.
+        stream_json_array(
+            (0..n).filter_map(move |i| snap.incidents.get(i).map(|inc| inc.json.clone())),
+        )
     }
 
     fn incident_trace(&self, id: &str) -> Response {
@@ -181,7 +183,8 @@ impl Router {
             return Response::error(400, "machine id must be an integer");
         };
         let snap = self.state.live.snapshot();
-        match snap.machines.iter().find(|m| m.id == id) {
+        let found = snap.machines.binary_search_by_key(&id, |m| m.id);
+        match found.ok().and_then(|i| snap.machines.get(i)) {
             Some(m) => match serde_json::to_string(m) {
                 Ok(json) => Response::json(json),
                 Err(_) => Response::error(500, "serialization failed"),
@@ -202,17 +205,24 @@ impl Router {
         if sql.trim().is_empty() {
             return Response::error(400, "empty query");
         }
+        // Parse first: only the table the FROM names is materialised.
+        let query = match Query::parse(sql) {
+            Ok(query) => query,
+            Err(e) => return Response::error(400, &format!("{e:?}")),
+        };
         let snap = self.state.live.snapshot();
         let mut ds = Dataset::new();
-        let loaded = ds
-            .insert_records("incidents", &snap.incidents)
-            .and_then(|()| ds.insert_records("machines", &snap.machines))
-            .and_then(|()| ds.insert_records("specs", &snap.specs))
-            .and_then(|()| ds.insert_records("samples", &snap.samples));
+        let loaded = match query.table() {
+            "incidents" => ds.insert_records("incidents", &snap.incidents),
+            "machines" => ds.insert_records("machines", &snap.machines),
+            "specs" => ds.insert_records("specs", &snap.specs),
+            "samples" => ds.insert_records("samples", &snap.samples),
+            _ => Ok(()),
+        };
         if loaded.is_err() {
             return Response::error(500, "failed to build query tables");
         }
-        match ds.query(sql) {
+        match ds.run(&query) {
             Ok(result) => stream_query_result(result),
             Err(e) => Response::error(400, &format!("{e:?}")),
         }
@@ -413,14 +423,14 @@ mod tests {
         state.live.publish(LiveSnapshot {
             ticks: 3,
             now_us: 60_000_000,
-            machines: vec![MachineView {
+            machines: Arc::new(vec![Arc::new(MachineView {
                 id: 0,
                 tasks: 2,
                 threads: 4,
                 utilization: 0.5,
                 throttle_events: 0,
                 task_list: Vec::new(),
-            }],
+            })]),
             ..LiveSnapshot::default()
         });
         Router::new(state)

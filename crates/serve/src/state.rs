@@ -1,32 +1,35 @@
 //! Shared state between the ticking harness and the request handlers.
 //!
 //! The contract mirrors the spec store's snapshot-swap pattern: the
-//! harness thread publishes immutable state after every tick and swaps
-//! it in under a short mutex; request handlers clone `Arc`s out and
-//! read without ever blocking the tick loop or observing a torn view.
-//! Operator actions flow the other way through the [`ActionQueue`] and
-//! are applied only at the next tick boundary, so a resident server
-//! perturbs neither tick ordering nor determinism.
+//! harness thread is the only writer. It keeps one persistent
+//! [`LiveSnapshot`], edits the elements a tick changed, and swaps the
+//! result in under a mutex held for a pointer store; request handlers
+//! clone one `Arc` out and read without ever blocking the tick loop,
+//! observing a torn view, or rebuilding anything. Operator actions flow
+//! the other way through the [`ActionQueue`] and are applied only at the
+//! next tick boundary, so a resident server perturbs neither tick
+//! ordering nor determinism.
 //!
-//! At fleet scale the per-tick publish is a [`DeltaSnapshot`] — only
-//! the machines whose fingerprint changed, appended incidents/samples,
-//! spec bumps, and grown traces — layered over a periodic full
-//! [`LiveSnapshot`] base, so the tick thread pays for churn, not fleet
-//! size. Handlers reconstruct the merged view lazily ([`LiveState::snapshot`]);
-//! the merge runs at most once per publish (cached) and happens on a
-//! request thread, never the tick thread.
+//! Sharing is structural: every collection is an `Arc<Vec<Arc<T>>>`
+//! ([`Shared`]). A collection no tick touched is the same allocation in
+//! every snapshot since; one that changed is a new vector of pointers
+//! whose untouched elements are still the old ones. A reader holding a
+//! snapshot from two hundred ticks ago keeps exactly the elements that
+//! have since been replaced alive, and nothing it holds is ever written.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cpi2::core::{CpiSample, CpiSpec};
+use cpi2::core::{CpiSample, CpiSpec, IncidentAction, TraceId, TraceSpan};
+use cpi2::harness::MachineIncident;
+use cpi2::sim::Machine;
 use cpi2::telemetry::Telemetry;
 use parking_lot::Mutex;
 use serde::Serialize;
 
 /// One resident task, as seen on a machine page.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TaskView {
     /// Owning job id.
     pub job: u32,
@@ -41,7 +44,7 @@ pub struct TaskView {
 }
 
 /// One machine's live summary.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MachineView {
     /// Machine id.
     pub id: u32,
@@ -58,7 +61,7 @@ pub struct MachineView {
 }
 
 /// One ranked suspect of an incident.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SuspectView {
     /// Suspect job name.
     pub jobname: String,
@@ -67,7 +70,7 @@ pub struct SuspectView {
 }
 
 /// One incident, flattened for serving and querying.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IncidentView {
     /// End-to-end trace id, 16 hex digits.
     pub trace: String,
@@ -96,7 +99,7 @@ pub struct IncidentView {
 }
 
 /// One span of an incident trace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanView {
     /// Lifecycle stage name (`sample_window` … `recovery`).
     pub stage: String,
@@ -109,7 +112,7 @@ pub struct SpanView {
 }
 
 /// One complete incident trace: the span chain in causal order.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceView {
     /// Trace id, 16 hex digits.
     pub trace: String,
@@ -117,13 +120,121 @@ pub struct TraceView {
     pub spans: Vec<SpanView>,
 }
 
-/// Incidents retained per merged snapshot (oldest dropped beyond it).
+impl MachineView {
+    /// The machine as of now (exact, not quantised).
+    pub fn of(m: &Machine) -> MachineView {
+        MachineView {
+            id: m.id.0,
+            tasks: m.task_count(),
+            threads: m.thread_count(),
+            utilization: m.utilization(),
+            throttle_events: m.throttle_events(),
+            task_list: m
+                .tasks()
+                .map(|t| TaskView {
+                    job: t.id.job.0,
+                    index: t.id.index,
+                    job_name: t.job_name.clone(),
+                    class: format!("{:?}", t.class),
+                    threads: t.threads(),
+                })
+                .collect(),
+        }
+    }
+}
+
+impl IncidentView {
+    /// Flattens one logged incident.
+    pub fn of(mi: &MachineIncident) -> IncidentView {
+        let inc = &mi.incident;
+        let (action, target_job, cpu_rate, reason) = match &inc.action {
+            IncidentAction::HardCap {
+                target_job,
+                cpu_rate,
+                ..
+            } => ("hard_cap", target_job.clone(), *cpu_rate, String::new()),
+            IncidentAction::None { reason } => ("none", String::new(), 0.0, reason.clone()),
+        };
+        IncidentView {
+            trace: inc.trace_id.to_string(),
+            at_us: inc.at,
+            machine: mi.machine.0,
+            victim_job: inc.victim_job.clone(),
+            victim_task: inc.victim.0,
+            victim_cpi: inc.victim_cpi,
+            cthreshold: inc.cthreshold,
+            action: action.to_string(),
+            target_job,
+            cpu_rate,
+            reason,
+            suspects: inc
+                .suspects
+                .iter()
+                .map(|s| SuspectView {
+                    jobname: s.jobname.clone(),
+                    correlation: s.correlation,
+                })
+                .collect(),
+        }
+    }
+}
+
+impl TraceView {
+    /// One trace's span chain as recorded so far.
+    pub fn of(id: TraceId, spans: &[TraceSpan]) -> TraceView {
+        TraceView {
+            trace: id.to_string(),
+            spans: spans
+                .iter()
+                .map(|sp| SpanView {
+                    stage: sp.stage.name().to_string(),
+                    start_us: sp.start_us,
+                    end_us: sp.end_us,
+                    detail: sp.detail.clone(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// An incident as served: the view, and its JSON rendered once when the
+/// publisher appends it. An incident never changes afterwards, so
+/// `/incidents` copies these bytes out instead of re-encoding 256
+/// incidents per request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EncodedIncident {
+    /// The incident (what `POST /query` reads).
+    pub view: IncidentView,
+    /// `serde_json::to_string(&view)`.
+    pub json: String,
+}
+
+impl EncodedIncident {
+    /// Renders `view` once.
+    pub fn new(view: IncidentView) -> EncodedIncident {
+        let json = serde_json::to_string(&view).unwrap_or_else(|_| "null".into());
+        EncodedIncident { view, json }
+    }
+}
+
+impl Serialize for EncodedIncident {
+    fn to_value(&self) -> serde_json::Value {
+        self.view.to_value()
+    }
+}
+
+/// Incidents retained per snapshot (oldest dropped beyond it).
 pub const INCIDENT_TAIL: usize = 256;
-/// CPI samples retained per merged snapshot.
+/// CPI samples retained per snapshot.
 pub const SAMPLE_TAIL: usize = 512;
 
-/// Immutable per-tick snapshot of everything the server reads.
-#[derive(Debug, Clone, Default)]
+/// A structurally shared collection: cloning it is one reference-count
+/// bump, and two snapshots share every element neither replaced.
+pub type Shared<T> = Arc<Vec<Arc<T>>>;
+
+/// Everything the server reads, as of one tick. Immutable once
+/// published; the next tick's snapshot shares what did not change.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LiveSnapshot {
     /// Sim time of the snapshot, µs.
     pub now_us: i64,
@@ -140,162 +251,42 @@ pub struct LiveSnapshot {
     /// Sample batches lost to collector back-pressure.
     pub collector_dropped: u64,
     /// Per-machine summaries, machine-id order.
-    pub machines: Vec<MachineView>,
+    pub machines: Shared<MachineView>,
     /// Recent incidents, oldest first (bounded tail).
-    pub incidents: Vec<IncidentView>,
-    /// Every published CPI spec.
-    pub specs: Vec<CpiSpec>,
-    /// Recent CPI samples (bounded tail).
-    pub samples: Vec<CpiSample>,
+    pub incidents: Shared<EncodedIncident>,
+    /// Every published CPI spec, (job, platform) order.
+    pub specs: Shared<CpiSpec>,
+    /// Recent CPI samples, oldest first (bounded tail).
+    pub samples: Shared<CpiSample>,
     /// Retained incident traces, oldest first.
-    pub traces: Vec<TraceView>,
+    pub traces: Shared<TraceView>,
 }
 
-/// One tick's diff over the current full base: replaced machine views,
-/// appended incidents/samples, changed specs, and grown traces, plus
-/// the always-cheap scalar header. Built by the harness when only part
-/// of the fleet changed; empty collections mean "scalars only".
-#[derive(Debug, Clone, Default)]
-pub struct DeltaSnapshot {
-    /// Sim time of the delta, µs.
-    pub now_us: i64,
-    /// Tick length, µs.
-    pub tick_us: i64,
-    /// Ticks the harness has executed.
-    pub ticks: u64,
-    /// Spec store version.
-    pub spec_version: u64,
-    /// Whether cluster-wide CPI protection is on.
-    pub protection_enabled: bool,
-    /// Hard caps applied so far.
-    pub caps_applied: u64,
-    /// Sample batches lost to collector back-pressure.
-    pub collector_dropped: u64,
-    /// Machines whose fingerprint changed (full replacement views).
-    pub machines: Vec<MachineView>,
-    /// Incidents appended since the previous publish.
-    pub new_incidents: Vec<IncidentView>,
-    /// Samples appended since the previous publish.
-    pub new_samples: Vec<CpiSample>,
-    /// Specs republished since the previous publish (replace by job).
-    pub changed_specs: Vec<CpiSpec>,
-    /// Traces added or extended since the previous publish (replace by
-    /// trace id).
-    pub changed_traces: Vec<TraceView>,
-}
-
-/// Replays `deltas` (oldest first) over `base` into one merged view.
-fn merge(base: &LiveSnapshot, deltas: &[Arc<DeltaSnapshot>]) -> LiveSnapshot {
-    let mut out = base.clone();
-    for d in deltas {
-        out.now_us = d.now_us;
-        out.tick_us = d.tick_us;
-        out.ticks = d.ticks;
-        out.spec_version = d.spec_version;
-        out.protection_enabled = d.protection_enabled;
-        out.caps_applied = d.caps_applied;
-        out.collector_dropped = d.collector_dropped;
-        for m in &d.machines {
-            // `machines` is id-ordered in every snapshot; replacement
-            // keeps it so (and `/machines/{id}` lookups keep working).
-            match out.machines.binary_search_by_key(&m.id, |x| x.id) {
-                Ok(i) => {
-                    if let Some(slot) = out.machines.get_mut(i) {
-                        *slot = m.clone();
-                    }
-                }
-                Err(i) => out.machines.insert(i, m.clone()),
-            }
-        }
-        out.incidents.extend(d.new_incidents.iter().cloned());
-        out.samples.extend(d.new_samples.iter().cloned());
-        for spec in &d.changed_specs {
-            match out.specs.iter_mut().find(|s| s.jobname == spec.jobname) {
-                Some(slot) => *slot = spec.clone(),
-                None => out.specs.push(spec.clone()),
-            }
-        }
-        for trace in &d.changed_traces {
-            match out.traces.iter_mut().find(|t| t.trace == trace.trace) {
-                Some(slot) => *slot = trace.clone(),
-                None => out.traces.push(trace.clone()),
-            }
-        }
-    }
-    if out.incidents.len() > INCIDENT_TAIL {
-        let excess = out.incidents.len() - INCIDENT_TAIL;
-        out.incidents.drain(..excess);
-    }
-    if out.samples.len() > SAMPLE_TAIL {
-        let excess = out.samples.len() - SAMPLE_TAIL;
-        out.samples.drain(..excess);
-    }
-    out
-}
-
-#[derive(Debug, Default)]
-struct LiveCell {
-    base: Arc<LiveSnapshot>,
-    deltas: Vec<Arc<DeltaSnapshot>>,
-    /// Cached merge of `base` + `deltas`; invalidated by any publish.
-    merged: Option<Arc<LiveSnapshot>>,
-    /// Bumped by every publish, so a merge computed outside the lock is
-    /// installed only if nothing was published meanwhile.
-    generation: u64,
-}
-
-/// Snapshot-swap cell: the tick thread publishes a full base or a
-/// per-tick delta; readers get the merged view. Merging happens lazily
-/// on the first reader after a publish (cached afterwards), outside the
-/// lock, so neither the tick thread nor other readers wait on it.
+/// Snapshot-swap cell. The tick thread stores a pointer; a reader clones
+/// it. Neither holds the lock for longer than that, and the snapshot the
+/// swap displaces is dropped after the lock is released.
 #[derive(Debug, Default)]
 pub struct LiveState {
-    cell: Mutex<LiveCell>,
+    current: Mutex<Arc<LiveSnapshot>>,
 }
 
 impl LiveState {
-    /// Atomically replaces the current base snapshot, discarding any
-    /// layered deltas (a *full* publish).
+    /// Makes `snap` what every later [`snapshot`](Self::snapshot) returns.
     pub fn publish(&self, snap: LiveSnapshot) {
-        let mut c = self.cell.lock();
-        c.base = Arc::new(snap);
-        c.deltas.clear();
-        c.merged = None;
-        c.generation += 1;
+        let next = Arc::new(snap);
+        let _displaced = std::mem::replace(&mut *self.current.lock(), next);
     }
 
-    /// Layers one per-tick delta over the current base.
-    pub fn publish_delta(&self, delta: DeltaSnapshot) {
-        let mut c = self.cell.lock();
-        c.deltas.push(Arc::new(delta));
-        c.merged = None;
-        c.generation += 1;
-    }
-
-    /// The current merged snapshot (clone-cheap once merged; the merge
-    /// itself runs at most once per publish).
+    /// The current snapshot: one `Arc` clone, whatever the tick rate.
     pub fn snapshot(&self) -> Arc<LiveSnapshot> {
-        let (base, deltas, generation) = {
-            let c = self.cell.lock();
-            if let Some(m) = &c.merged {
-                return Arc::clone(m);
-            }
-            if c.deltas.is_empty() {
-                return Arc::clone(&c.base);
-            }
-            (Arc::clone(&c.base), c.deltas.clone(), c.generation)
-        };
-        let merged = Arc::new(merge(&base, &deltas));
-        let mut c = self.cell.lock();
-        if c.generation == generation {
-            c.merged = Some(Arc::clone(&merged));
-        }
-        merged
+        Arc::clone(&self.current.lock())
     }
 
-    /// Deltas currently layered over the base (tests and diagnostics).
+    /// Publishes a reader would have to replay to reach the current
+    /// state: always 0, since the publisher applies every tick itself.
+    /// Kept because the benchmark's `serve.delta_depth.mean` reads it.
     pub fn delta_depth(&self) -> usize {
-        self.cell.lock().deltas.len()
+        0
     }
 }
 
@@ -403,121 +394,12 @@ mod tests {
             ..LiveSnapshot::default()
         });
         // The old snapshot a reader holds is unchanged; new readers see
-        // the new one.
+        // the new one, and the same one until the next publish.
         assert_eq!(held.ticks, 0);
         assert_eq!(state.snapshot().ticks, 7);
         assert_eq!(state.snapshot().now_us, 42);
-    }
-
-    fn machine(id: u32, utilization: f64) -> MachineView {
-        MachineView {
-            id,
-            tasks: 1,
-            threads: 2,
-            utilization,
-            throttle_events: 0,
-            task_list: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn deltas_merge_lazily_and_cache() {
-        let state = LiveState::default();
-        state.publish(LiveSnapshot {
-            ticks: 1,
-            machines: vec![machine(0, 0.1), machine(2, 0.2)],
-            ..LiveSnapshot::default()
-        });
-        state.publish_delta(DeltaSnapshot {
-            ticks: 2,
-            now_us: 99,
-            machines: vec![machine(2, 0.9), machine(1, 0.5)],
-            ..DeltaSnapshot::default()
-        });
-        assert_eq!(state.delta_depth(), 1);
-        let merged = state.snapshot();
-        assert_eq!(merged.ticks, 2);
-        assert_eq!(merged.now_us, 99);
-        // Replacement by id keeps id order; unknown ids insert in place.
-        let ids: Vec<u32> = merged.machines.iter().map(|m| m.id).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        assert!((merged.machines[2].utilization - 0.9).abs() < 1e-12);
-        // A second read returns the cached merge (same Arc).
-        assert!(Arc::ptr_eq(&merged, &state.snapshot()));
-        // A full publish discards the layered deltas.
-        state.publish(LiveSnapshot::default());
+        assert!(Arc::ptr_eq(&state.snapshot(), &state.snapshot()));
         assert_eq!(state.delta_depth(), 0);
-        assert_eq!(state.snapshot().machines.len(), 0);
-    }
-
-    #[test]
-    fn merged_tails_stay_bounded() {
-        fn incident(n: usize) -> IncidentView {
-            IncidentView {
-                trace: format!("{n:016x}"),
-                at_us: n as i64,
-                machine: 0,
-                victim_job: "v".into(),
-                victim_task: 0,
-                victim_cpi: 1.0,
-                cthreshold: 2.0,
-                action: "none".into(),
-                target_job: String::new(),
-                cpu_rate: 0.0,
-                reason: "test".into(),
-                suspects: Vec::new(),
-            }
-        }
-        let state = LiveState::default();
-        state.publish(LiveSnapshot {
-            incidents: (0..INCIDENT_TAIL).map(incident).collect(),
-            ..LiveSnapshot::default()
-        });
-        state.publish_delta(DeltaSnapshot {
-            new_incidents: vec![incident(INCIDENT_TAIL), incident(INCIDENT_TAIL + 1)],
-            ..DeltaSnapshot::default()
-        });
-        let merged = state.snapshot();
-        assert_eq!(merged.incidents.len(), INCIDENT_TAIL);
-        // Oldest dropped, newest retained.
-        assert_eq!(merged.incidents[0].at_us, 2);
-        assert_eq!(
-            merged.incidents.last().unwrap().at_us,
-            (INCIDENT_TAIL + 1) as i64
-        );
-    }
-
-    #[test]
-    fn delta_traces_replace_by_id() {
-        let state = LiveState::default();
-        state.publish(LiveSnapshot {
-            traces: vec![TraceView {
-                trace: "00000000000000aa".into(),
-                spans: Vec::new(),
-            }],
-            ..LiveSnapshot::default()
-        });
-        state.publish_delta(DeltaSnapshot {
-            changed_traces: vec![
-                TraceView {
-                    trace: "00000000000000aa".into(),
-                    spans: vec![SpanView {
-                        stage: "recovery".into(),
-                        start_us: 1,
-                        end_us: 2,
-                        detail: String::new(),
-                    }],
-                },
-                TraceView {
-                    trace: "00000000000000bb".into(),
-                    spans: Vec::new(),
-                },
-            ],
-            ..DeltaSnapshot::default()
-        });
-        let merged = state.snapshot();
-        assert_eq!(merged.traces.len(), 2);
-        assert_eq!(merged.traces[0].spans.len(), 1, "extended in place");
     }
 
     #[test]

@@ -1,0 +1,463 @@
+//! The read path serves what a from-scratch rebuild would, byte for byte.
+//!
+//! The publisher maintains one persistent snapshot incrementally and
+//! `/incidents` streams JSON rendered once per incident; both are only
+//! worth having if nobody can tell. The oracle here is a twin harness on
+//! the same seed, stepped in lockstep and given the same operator actions
+//! at the same tick boundaries, from which every tick's snapshot is
+//! rebuilt from nothing — no watermarks, no fingerprints, no sharing.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use cpi2::core::{Cpi2Config, CpiSample};
+use cpi2::harness::Cpi2Harness;
+use cpi2::pipeline::query::Dataset;
+use cpi2::sim::{
+    Cluster, ClusterConfig, JobId, JobSpec, Platform, ResourceProfile, SimDuration, TaskId,
+};
+use cpi2::telemetry::Telemetry;
+use cpi2::workloads::{CacheThrasher, LsService};
+use cpi2_serve::http::{self, Body, Framing, ScannedResponse};
+use cpi2_serve::state::{
+    EncodedIncident, IncidentView, LiveSnapshot, MachineView, TraceView, INCIDENT_TAIL, SAMPLE_TAIL,
+};
+use cpi2_serve::{OperatorAction, Request, Response, Router, ServeHarness};
+
+const SEED: u64 = 0x5EED_0012;
+const MACHINES: u32 = 12;
+const CLEAN_TICKS: u64 = 1500;
+const PLANTED_TICKS: u64 = 2700;
+
+/// Victims spread over the fleet plus a batch tenant, telemetry on.
+fn fleet() -> Cpi2Harness {
+    let mut cluster = Cluster::new(ClusterConfig {
+        seed: SEED,
+        telemetry: Telemetry::enabled(),
+        ..ClusterConfig::default()
+    });
+    cluster.add_machines(&Platform::westmere(), MACHINES);
+    cluster
+        .submit_job(
+            JobSpec::latency_sensitive("frontend", MACHINES, 1.0),
+            true,
+            Box::new(|i| {
+                Box::new(LsService::new(
+                    ResourceProfile::cache_heavy(),
+                    1.0,
+                    12,
+                    SEED ^ u64::from(i),
+                ))
+            }),
+        )
+        .expect("placement");
+    cpi2::workloads::submit_typical_mix(&mut cluster, 1, SEED);
+    let config = Cpi2Config {
+        min_samples_per_task: 5,
+        incident_cooldown_s: 60,
+        ..Cpi2Config::default()
+    };
+    let mut system = Cpi2Harness::new(cluster, config);
+    system.record_samples = true;
+    system
+}
+
+/// Publishes the learned specs and lands a thrasher on half of the fleet.
+fn plant(system: &mut Cpi2Harness) {
+    system.force_spec_refresh();
+    system
+        .cluster
+        .submit_job(
+            JobSpec::batch("thrasher", MACHINES / 2, 4.0),
+            true,
+            Box::new(|i| {
+                Box::new(CacheThrasher::new(8.0, 240, 240, 99 + u64::from(i)).with_footprint(32.0))
+            }),
+        )
+        .expect("placement");
+}
+
+/// The operator's script: what is posted before tick `t` (planted phase).
+fn script(system: &Cpi2Harness, t: u64) -> Option<OperatorAction> {
+    let thrasher = system
+        .cluster
+        .machines()
+        .iter()
+        .flat_map(|m| m.tasks())
+        .find(|task| task.job_name == "thrasher")
+        .map(|task| (task.id.job.0, task.id.index));
+    let (job, index) = thrasher?;
+    match t % 240 {
+        30 => Some(OperatorAction::SetProtection(false)),
+        60 => Some(OperatorAction::Cap {
+            job,
+            index,
+            rate: 0.1,
+            duration_us: 45_000_000,
+        }),
+        90 => Some(OperatorAction::Uncap { job, index }),
+        120 => Some(OperatorAction::SetProtection(true)),
+        200 => Some(OperatorAction::KillRestart { job, index }),
+        _ => None,
+    }
+}
+
+/// What `ServeHarness::apply_actions` does, applied to the bare twin.
+fn apply(system: &mut Cpi2Harness, action: &OperatorAction) {
+    let task = |job: u32, index: u32| TaskId {
+        job: JobId(job),
+        index,
+    };
+    match *action {
+        OperatorAction::Cap {
+            job,
+            index,
+            rate,
+            duration_us,
+        } => {
+            system.operator_cap(task(job, index), rate, SimDuration(duration_us));
+        }
+        OperatorAction::Uncap { job, index } => {
+            system.cluster.remove_hard_cap(task(job, index));
+        }
+        OperatorAction::KillRestart { job, index } => {
+            system.operator_migrate(task(job, index));
+        }
+        OperatorAction::SetProtection(on) => system.set_protection_enabled(on),
+    }
+}
+
+fn shared<T>(items: impl Iterator<Item = T>) -> Arc<Vec<Arc<T>>> {
+    Arc::new(items.map(Arc::new).collect())
+}
+
+fn tail<T>(all: &[T], cap: usize) -> &[T] {
+    &all[all.len().saturating_sub(cap)..]
+}
+
+/// The snapshot built from nothing but the twin's current state.
+fn rebuild(twin: &Cpi2Harness, samples: &[CpiSample], ticks: u64) -> LiveSnapshot {
+    let log = twin.trace_log();
+    LiveSnapshot {
+        now_us: twin.cluster.now().as_us(),
+        tick_us: twin.cluster.tick_len().as_us(),
+        ticks,
+        spec_version: twin.spec_store.version(),
+        protection_enabled: twin.protection_enabled(),
+        caps_applied: twin.caps_applied(),
+        collector_dropped: twin.collector_dropped(),
+        machines: shared(twin.cluster.machines().iter().map(MachineView::of)),
+        incidents: shared(
+            tail(twin.incidents(), INCIDENT_TAIL)
+                .iter()
+                .map(|mi| EncodedIncident::new(IncidentView::of(mi))),
+        ),
+        specs: shared(twin.spec_store.changed_since(0).into_iter()),
+        samples: shared(tail(samples, SAMPLE_TAIL).iter().cloned()),
+        traces: shared(
+            log.ids()
+                .map(|id| TraceView::of(id, log.get(id).expect("retained id has spans"))),
+        ),
+    }
+}
+
+fn placement(m: &MachineView) -> Vec<(u32, u32)> {
+    m.task_list.iter().map(|t| (t.job, t.index)).collect()
+}
+
+/// Ticks a served harness and its bare twin through the clean and the
+/// planted phase, checking after every tick that the published snapshot
+/// is the rebuilt one; returns the served harness for further probing.
+fn run_against_oracle(full_every: u32) -> ServeHarness {
+    let mut twin = fleet();
+    let mut sh = ServeHarness::new(fleet());
+    sh.set_full_snapshot_every(full_every);
+    let state = sh.state();
+    let mut samples: Vec<CpiSample> = Vec::new();
+    // Exact machine views of the last `full_every` ticks, newest last.
+    let mut recent: VecDeque<Vec<MachineView>> = VecDeque::new();
+    let mut held: Option<(u64, Arc<LiveSnapshot>, String)> = None;
+    let mut previous = state.live.snapshot();
+    let (mut shared_specs, mut shared_incidents, mut shared_machines) = (0u64, 0u64, 0u64);
+
+    for t in 1..=CLEAN_TICKS + PLANTED_TICKS {
+        if t == CLEAN_TICKS + 1 {
+            plant(&mut twin);
+            plant(sh.inner_mut());
+        }
+        if let Some(action) = script(&twin, t).filter(|_| t > CLEAN_TICKS) {
+            apply(&mut twin, &action);
+            state.actions.push(action);
+        }
+        twin.step();
+        samples.append(&mut twin.samples);
+        sh.tick();
+
+        let exact = rebuild(&twin, &samples, t);
+        let published = state.live.snapshot();
+        assert_eq!(
+            (published.now_us, published.tick_us, published.ticks),
+            (exact.now_us, exact.tick_us, exact.ticks),
+            "clock at tick {t}"
+        );
+        assert_eq!(published.spec_version, exact.spec_version, "tick {t}");
+        assert_eq!(
+            published.protection_enabled, exact.protection_enabled,
+            "tick {t}"
+        );
+        assert_eq!(published.caps_applied, exact.caps_applied, "tick {t}");
+        assert_eq!(
+            published.collector_dropped, exact.collector_dropped,
+            "tick {t}"
+        );
+        assert_eq!(published.incidents, exact.incidents, "incidents, tick {t}");
+        assert_eq!(published.samples, exact.samples, "samples, tick {t}");
+        assert_eq!(published.specs, exact.specs, "specs, tick {t}");
+        assert_eq!(published.traces, exact.traces, "traces, tick {t}");
+
+        // Machines: placement exact now; every field exact as of some
+        // tick inside the refresh period.
+        recent.push_back(exact.machines.iter().map(|m| (**m).clone()).collect());
+        if recent.len() > full_every as usize {
+            recent.pop_front();
+        }
+        assert_eq!(published.machines.len(), exact.machines.len(), "tick {t}");
+        for (i, (served, now)) in published.machines.iter().zip(&*exact.machines).enumerate() {
+            assert_eq!(
+                (served.id, served.tasks, placement(served)),
+                (now.id, now.tasks, placement(now)),
+                "placement of machine {i}, tick {t}"
+            );
+            assert!(
+                recent.iter().any(|views| views[i] == **served),
+                "machine {i} at tick {t} matches no exact view of the last {full_every} ticks: {served:?}"
+            );
+        }
+
+        // Structural sharing: what no tick touched is the same allocation.
+        if published.spec_version == previous.spec_version {
+            assert!(Arc::ptr_eq(&published.specs, &previous.specs), "tick {t}");
+            shared_specs += 1;
+        }
+        if published.incidents.last() == previous.incidents.last() {
+            assert!(
+                Arc::ptr_eq(&published.incidents, &previous.incidents),
+                "tick {t}"
+            );
+            shared_incidents += 1;
+        }
+        shared_machines += published
+            .machines
+            .iter()
+            .zip(&*previous.machines)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count() as u64;
+        previous = Arc::clone(&published);
+
+        // A reader that keeps a snapshot for 200 ticks finds it untouched.
+        if t == CLEAN_TICKS + 100 {
+            let rendered = format!("{published:?}");
+            held = Some((t, published, rendered));
+        }
+        if let Some((since, snap, rendered)) = &held {
+            if t == since + 200 {
+                assert_eq!(snap.ticks, *since);
+                assert_eq!(&format!("{snap:?}"), rendered, "held snapshot changed");
+                assert_ne!(state.live.snapshot().ticks, snap.ticks);
+            }
+        }
+    }
+
+    // The run exercised what it claims to.
+    assert!(twin.incidents().len() >= 10, "{}", twin.incidents().len());
+    assert!(twin.caps_applied() >= 5, "{}", twin.caps_applied());
+    assert!(twin.trace_log().len() >= 10);
+    assert!(samples.len() > SAMPLE_TAIL, "sample tail never wrapped");
+    assert!(shared_specs > 1000 && shared_incidents > 1000);
+    if full_every > 1 {
+        assert!(shared_machines > 1000, "no machine view ever shared");
+    }
+    sh
+}
+
+#[test]
+fn incremental_snapshot_equals_rebuild_every_tick() {
+    // 16 > 12 machines: some ticks' stripe is empty, and the period wraps.
+    run_against_oracle(16);
+}
+
+#[test]
+fn full_every_one_keeps_machines_exact() {
+    // Period 1: `recent` holds the current tick only, so the oracle
+    // demands every machine field exact on every tick.
+    run_against_oracle(1);
+}
+
+fn get(router: &Router, path: &str) -> Response {
+    router.handle(&Request {
+        method: "GET".into(),
+        path: path.into(),
+        ..Request::default()
+    })
+}
+
+fn query(router: &Router, sql: &str) -> Response {
+    router.handle(&Request {
+        method: "POST".into(),
+        path: "/query".into(),
+        body: sql.as_bytes().to_vec(),
+        ..Request::default()
+    })
+}
+
+/// The body the serde path renders for a streamed JSON array.
+fn json_array<T: serde::Serialize>(items: &[T]) -> String {
+    serde_json::to_string(&items).expect("serialize")
+}
+
+/// Frames a response as the event loop does and checks the wire form
+/// with the robustness suite's scanner; returns status and body.
+fn over_the_wire(response: Response) -> (u16, Vec<u8>) {
+    let (status, content_type) = (response.status, response.content_type);
+    let mut wire = Vec::new();
+    let mut body = Vec::new();
+    match response.body {
+        Body::Full(bytes) => {
+            http::encode_head(
+                &mut wire,
+                status,
+                content_type,
+                Framing::Length(bytes.len()),
+                true,
+            );
+            wire.extend_from_slice(&bytes);
+            body = bytes;
+        }
+        Body::Chunks(chunks) => {
+            http::encode_head(&mut wire, status, content_type, Framing::Chunked, true);
+            for chunk in chunks {
+                assert!(!chunk.is_empty(), "an empty chunk would end the body early");
+                http::encode_chunk(&mut wire, &chunk);
+                body.extend_from_slice(&chunk);
+            }
+            http::encode_last_chunk(&mut wire);
+        }
+    }
+    match http::scan_response(&wire) {
+        ScannedResponse::Complete {
+            status: scanned,
+            consumed,
+        } => {
+            assert_eq!(scanned, status);
+            assert_eq!(consumed, wire.len(), "scanner and encoder disagree");
+        }
+        other => panic!("response does not scan: {other:?}"),
+    }
+    (status, body)
+}
+
+#[test]
+fn bodies_are_byte_identical_to_the_serde_path() {
+    let sh = run_against_oracle(64);
+    let state = sh.state();
+    let router = Router::new(Arc::clone(&state));
+    let snap = state.live.snapshot();
+    assert!(!snap.incidents.is_empty() && !snap.traces.is_empty() && !snap.specs.is_empty());
+
+    let views: Vec<&IncidentView> = snap.incidents.iter().map(|i| &i.view).collect();
+    let (status, body) = over_the_wire(get(&router, "/incidents"));
+    assert_eq!(status, 200);
+    assert_eq!(String::from_utf8(body).unwrap(), json_array(&views));
+
+    for trace in snap.traces.iter() {
+        let (status, body) =
+            over_the_wire(get(&router, &format!("/incidents/{}/trace", trace.trace)));
+        assert_eq!(status, 200);
+        assert_eq!(
+            String::from_utf8(body).unwrap(),
+            serde_json::to_string(&**trace).unwrap()
+        );
+    }
+    for m in snap.machines.iter() {
+        let (status, body) = over_the_wire(get(&router, &format!("/machines/{}", m.id)));
+        assert_eq!(status, 200);
+        assert_eq!(
+            String::from_utf8(body).unwrap(),
+            serde_json::to_string(&**m).unwrap()
+        );
+    }
+    for spec in snap.specs.iter() {
+        let of_job: Vec<_> = snap
+            .specs
+            .iter()
+            .filter(|s| s.jobname == spec.jobname)
+            .collect();
+        let (status, body) = over_the_wire(get(&router, &format!("/specs/{}", spec.jobname)));
+        assert_eq!(status, 200);
+        assert_eq!(String::from_utf8(body).unwrap(), json_array(&of_job));
+    }
+
+    // POST /query: the one-table dataset answers as the all-tables one.
+    let mut all = Dataset::new();
+    all.insert_records("incidents", &views).unwrap();
+    all.insert_records("machines", &snap.machines).unwrap();
+    all.insert_records("specs", &snap.specs).unwrap();
+    all.insert_records("samples", &snap.samples).unwrap();
+    let reference = |sql: &str| -> (u16, String) {
+        // `routes::stream_query_result`'s format, spelled out.
+        match all.query(sql) {
+            Ok(r) => {
+                let columns: Vec<String> = r
+                    .columns
+                    .iter()
+                    .map(|c| serde_json::to_string(c).unwrap())
+                    .collect();
+                let rows: Vec<String> = r
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        let cells: Vec<String> = row
+                            .iter()
+                            .map(|v| match v {
+                                cpi2::pipeline::Value::Null => "null".into(),
+                                cpi2::pipeline::Value::Bool(b) => b.to_string(),
+                                cpi2::pipeline::Value::Num(n) if n.is_finite() => n.to_string(),
+                                cpi2::pipeline::Value::Num(_) => "null".into(),
+                                cpi2::pipeline::Value::Str(s) => serde_json::to_string(s).unwrap(),
+                            })
+                            .collect();
+                        format!("[{}]", cells.join(","))
+                    })
+                    .collect();
+                (
+                    200,
+                    format!(
+                        "{{\"columns\":[{}],\"rows\":[{}]}}",
+                        columns.join(","),
+                        rows.join(",")
+                    ),
+                )
+            }
+            Err(e) => {
+                let quoted = format!("{e:?}").replace('"', "\\\"");
+                (400, format!("{{\"error\":\"{quoted}\"}}"))
+            }
+        }
+    };
+    for sql in [
+        "SELECT * FROM incidents ORDER BY at_us DESC LIMIT 5",
+        "SELECT victim_job, count(*) FROM incidents GROUP BY victim_job",
+        "SELECT id, tasks, utilization FROM machines WHERE tasks > 0",
+        "SELECT jobname, platforminfo, cpi_mean FROM specs ORDER BY jobname",
+        "SELECT count(*), avg(cpi) FROM samples",
+        "SELECT jobname, max(cpi) FROM samples GROUP BY jobname ORDER BY jobname",
+        "SELECT * FROM nowhere",
+        "SELEKT nope",
+        "SELECT id FROM machines LIMIT",
+    ] {
+        let (status, body) = over_the_wire(query(&router, sql));
+        let (want_status, want_body) = reference(sql);
+        assert_eq!(status, want_status, "{sql}");
+        assert_eq!(String::from_utf8(body).unwrap(), want_body, "{sql}");
+    }
+}

@@ -93,9 +93,8 @@ fn tick_stream_is_bit_identical_with_server_attached() {
     let bare_caps = bare.caps_applied();
 
     // Same seed, but resident: 32 concurrent clients scrape and query
-    // while the fleet ticks at full rate, with delta-snapshot
-    // publishing on (the default; restated here because bit-identity
-    // under deltas is exactly what this test certifies).
+    // while the fleet ticks at full rate and the publisher maintains
+    // the served snapshot (default refresh period, restated).
     let mut sh = ServeHarness::new(build_system());
     sh.set_full_snapshot_every(64);
     let addr = sh
