@@ -4,9 +4,10 @@
 //! the bandwidth fixed point at 1 vs 3 vs 6 iterations, quantifying what
 //! the default (3) buys.
 
-use cpi2::sim::interference::{self, TaskLoad};
+use cpi2::sim::interference::compute_cols;
 use cpi2::sim::{
-    Cluster, ClusterConfig, InterferenceParams, JobSpec, Platform, ResourceProfile, SimDuration,
+    Cluster, ClusterConfig, InterferenceParams, JobSpec, Platform, ProfileColumns, ResourceProfile,
+    SimDuration,
 };
 use cpi2::workloads;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -77,52 +78,61 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 
     // Ablation: interference fixed-point iteration count.
-    let loads: Vec<TaskLoad> = (0..30)
-        .map(|i| TaskLoad {
-            activity: 0.5 + (i % 5) as f64,
-            profile: if i % 3 == 0 {
-                ResourceProfile::streaming()
-            } else {
-                ResourceProfile::cache_heavy()
-            },
-        })
-        .collect();
+    let activity: Vec<f64> = (0..30).map(|i| 0.5 + (i % 5) as f64).collect();
+    let mut profiles = ProfileColumns::default();
+    for i in 0..30 {
+        profiles.push(&if i % 3 == 0 {
+            ResourceProfile::streaming()
+        } else {
+            ResourceProfile::cache_heavy()
+        });
+    }
     let platform = Platform::westmere();
+    let with_iterations = |iterations: u32| InterferenceParams {
+        iterations,
+        ..InterferenceParams::default()
+    };
     let mut g = c.benchmark_group("interference_fixed_point");
     for iters in [1u32, 3, 6] {
-        let params = InterferenceParams {
-            iterations: iters,
-            ..InterferenceParams::default()
-        };
+        let params = with_iterations(iters);
         g.bench_function(format!("{iters} iterations / 30 tasks"), |b| {
-            b.iter(|| interference::compute(black_box(&platform), black_box(&loads), &params))
+            let (mut cpi, mut mpki) = (Vec::new(), Vec::new());
+            b.iter(|| {
+                compute_cols(
+                    black_box(&platform),
+                    black_box(&activity),
+                    &profiles,
+                    &params,
+                    &mut cpi,
+                    &mut mpki,
+                )
+            })
         });
     }
     g.finish();
 
     // Report the accuracy side of the ablation once (printed, not timed).
-    let one = InterferenceParams {
-        iterations: 1,
-        ..InterferenceParams::default()
+    let cpi_at = |iterations: u32| {
+        let (mut cpi, mut mpki) = (Vec::new(), Vec::new());
+        compute_cols(
+            &platform,
+            &activity,
+            &profiles,
+            &with_iterations(iterations),
+            &mut cpi,
+            &mut mpki,
+        );
+        cpi
     };
-    let six = InterferenceParams {
-        iterations: 6,
-        ..InterferenceParams::default()
+    let v6 = cpi_at(6);
+    let max_rel_err = |v: &[f64]| {
+        v.iter()
+            .zip(&v6)
+            .map(|(a, b)| (a - b).abs() / b)
+            .fold(0.0f64, f64::max)
     };
-    let (v1, _) = interference::compute(&platform, &loads, &one);
-    let (v6, _) = interference::compute(&platform, &loads, &six);
-    let max_err = v1
-        .iter()
-        .zip(&v6)
-        .map(|(a, b)| (a.cpi - b.cpi).abs() / b.cpi)
-        .fold(0.0f64, f64::max);
-    let three = InterferenceParams::default();
-    let (v3, _) = interference::compute(&platform, &loads, &three);
-    let err3 = v3
-        .iter()
-        .zip(&v6)
-        .map(|(a, b)| (a.cpi - b.cpi).abs() / b.cpi)
-        .fold(0.0f64, f64::max);
+    let max_err = max_rel_err(&cpi_at(1));
+    let err3 = max_rel_err(&cpi_at(3));
     println!("ablation: CPI error vs 6 iterations — 1 iter: {max_err:.4}, 3 iters: {err3:.6}");
 
     // The JobSpec import is used by workloads::submit_typical_mix's

@@ -1,8 +1,8 @@
 //! Statistical fleet mode: fleet-level figures from a stratified sample.
 //!
-//! Exhaustive simulation tops out around BENCH_5.json's ~1.5M
-//! machine-ticks/s — three orders of magnitude short of a 10⁶-machine
-//! fleet. This bin runs the two-phase stratified sampler (DESIGN.md §12)
+//! Exhaustive simulation tops out around 1.5M machine-ticks/s (the
+//! benchmark's `fleet_sparse` `work_per_s`) — three orders of magnitude
+//! short of a 10⁶-machine fleet. This bin runs the two-phase stratified sampler (DESIGN.md §12)
 //! over a seeded fleet description instead: partition by platform × load
 //! band × tenancy, pilot each stratum, spend the remaining budget
 //! Neyman-style, and extrapolate fleet incident/throttle/cap totals and
@@ -11,8 +11,8 @@
 //! Results are written to `--out` (default `BENCH_9.json`), including the
 //! *effective* fleet machine-ticks/s — fleet machines × per-cell ticks /
 //! wall — which is what the sampling buys over exhaustive simulation.
-//! With `--baseline <file>` the run gates on that number (same
-//! generous-threshold philosophy as `perf_gate`).
+//! With `--baseline <file>` the run gates on that number, with a
+//! threshold generous enough to catch order-of-magnitude mistakes only.
 //!
 //! Run: `cargo run -p cpi2-bench --release --bin sampled_fleet -- \
 //!           [--fleet-machines N] [--budget B] [--seed SEED] \

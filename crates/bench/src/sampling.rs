@@ -1,10 +1,10 @@
 //! Statistical fleet mode: two-phase stratified sampling with
 //! finite-population-corrected confidence intervals (DESIGN.md §12).
 //!
-//! BENCH_5.json pins exhaustive simulation at ~1.5M machine-ticks/s —
-//! three orders of magnitude short of a 10⁶-machine fleet. This module
-//! gets fleet-level figures without exhaustive simulation: a
-//! [`Stratifier`] partitions the fleet description by platform × load
+//! Exhaustive simulation runs at ~1.5M machine-ticks/s (the benchmark's
+//! `fleet_sparse` `work_per_s`, `benchmark/README.md`) — three orders of
+//! magnitude short of a 10⁶-machine fleet. This module gets fleet-level
+//! figures without exhaustive simulation: a [`Stratifier`] partitions the fleet description by platform × load
 //! band × tenancy, a two-phase allocator spends a machine budget (pilot
 //! phase measures per-stratum variance, the second phase allocates the
 //! remainder Neyman-style), and a [`FleetEstimator`] extrapolates

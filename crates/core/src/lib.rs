@@ -36,7 +36,6 @@ pub mod incident;
 pub mod outlier;
 pub mod panda;
 pub mod sample;
-pub mod sharded;
 pub mod spec;
 pub mod specbuilder;
 pub mod trace;
@@ -50,7 +49,6 @@ pub use incident::{Incident, IncidentAction};
 pub use outlier::{OutlierDetector, Verdict};
 pub use panda::{EvidenceBook, IdentifierKind, PandaParams};
 pub use sample::{CpiSample, JobKey, TaskClass, TaskHandle};
-pub use sharded::{ShardedSpecBuilder, DEFAULT_SPEC_SHARDS};
 pub use spec::CpiSpec;
 pub use specbuilder::SpecBuilder;
 pub use trace::{TraceId, TraceLog, TraceSpan, TraceStage, DEFAULT_TRACE_CAPACITY};

@@ -134,9 +134,11 @@ impl SpecBuilder {
     }
 
     /// Current spec set from history (only eligible keys).
+    ///
+    /// Sorted by (job, platform): that is [`JobKey`]'s `Ord`, so the
+    /// history map already iterates in output order.
     pub fn specs(&self) -> Vec<CpiSpec> {
-        let mut out: Vec<CpiSpec> = self
-            .history
+        self.history
             .iter()
             .filter(|(_, h)| h.eligible && !h.cpi.is_empty())
             .map(|(k, h)| CpiSpec {
@@ -147,12 +149,7 @@ impl SpecBuilder {
                 cpi_mean: h.cpi.mean(),
                 cpi_stddev: h.cpi.stddev(),
             })
-            .collect();
-        out.sort_by(|a, b| {
-            (a.jobname.clone(), a.platforminfo.clone())
-                .cmp(&(b.jobname.clone(), b.platforminfo.clone()))
-        });
-        out
+            .collect()
     }
 }
 
@@ -248,6 +245,43 @@ mod tests {
         let platforms: Vec<_> = specs.iter().map(|s| s.platforminfo.as_str()).collect();
         assert!(platforms.contains(&"westmere"));
         assert!(platforms.contains(&"sandybridge"));
+    }
+
+    #[test]
+    fn specs_come_out_sorted_by_job_then_platform() {
+        let cfg = Cpi2Config {
+            min_tasks: 1,
+            min_samples_per_task: 1,
+            ..Cpi2Config::default()
+        };
+        let mut b = SpecBuilder::new(cfg);
+        // Reverse and interleaved insertion over two platforms, plus the
+        // pair whose concatenations collide ("ab"+"c" vs "a"+"bc").
+        let keys = [
+            ("zeta", "westmere"),
+            ("ab", "c"),
+            ("maps", "westmere"),
+            ("zeta", "sandybridge"),
+            ("a", "bc"),
+            ("maps", "sandybridge"),
+            ("ab", "b"),
+        ];
+        for (job, platform) in keys {
+            let mut s = sample(job, 0, 1.5);
+            s.platforminfo = platform.into();
+            b.add_sample(&s);
+        }
+        let got: Vec<(String, String)> = b
+            .roll_period()
+            .into_iter()
+            .map(|s| (s.jobname, s.platforminfo))
+            .collect();
+        let mut want: Vec<(String, String)> = keys
+            .iter()
+            .map(|&(j, p)| (j.to_string(), p.to_string()))
+            .collect();
+        want.sort();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -207,70 +207,3 @@ proptest! {
         prop_assert!((s.outlier_threshold(k) - cpi).abs() < 1e-9);
     }
 }
-
-fn stream_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8, f64)>> {
-    // (job idx, platform idx, task idx, cpi) — small alphabets so keys
-    // collide across shards and tasks repeat within a key.
-    prop::collection::vec((0..5u8, 0..3u8, 0..8u8, 0.05..8.0f64), 0..300)
-}
-
-proptest! {
-    #[test]
-    fn sharded_builder_matches_unsharded(
-        stream in stream_strategy(),
-        shards in 1..7usize,
-        periods in 1..4usize,
-    ) {
-        // The tentpole invariant: partitioning the builder by key hash
-        // must not change any published spec, across multiple refresh
-        // periods (history folding included).
-        let config = Cpi2Config {
-            min_tasks: 2,
-            min_samples_per_task: 3,
-            ..Cpi2Config::default()
-        };
-        let mut plain = SpecBuilder::new(config.clone());
-        let sharded = cpi2_core::ShardedSpecBuilder::new(config, shards);
-        let chunk = stream.len() / periods + 1;
-        for (p, window) in stream.chunks(chunk.max(1)).enumerate() {
-            for (i, &(j, pl, t, cpi)) in window.iter().enumerate() {
-                let mut s = sample(t as u64, (p * chunk + i) as i64, cpi, 1.0);
-                s.jobname = format!("job{j}");
-                s.platforminfo = format!("plat{pl}");
-                plain.add_sample(&s);
-                sharded.add_sample(&s);
-            }
-            prop_assert_eq!(plain.roll_period(), sharded.roll_period());
-        }
-        prop_assert_eq!(plain.specs(), sharded.specs());
-    }
-
-    #[test]
-    fn sharded_batch_ingest_matches_loop(
-        stream in stream_strategy(),
-        shards in 1..7usize,
-    ) {
-        let config = Cpi2Config {
-            min_tasks: 2,
-            min_samples_per_task: 3,
-            ..Cpi2Config::default()
-        };
-        let batch: Vec<CpiSample> = stream
-            .iter()
-            .enumerate()
-            .map(|(i, &(j, pl, t, cpi))| {
-                let mut s = sample(t as u64, i as i64, cpi, 1.0);
-                s.jobname = format!("job{j}");
-                s.platforminfo = format!("plat{pl}");
-                s
-            })
-            .collect();
-        let one_by_one = cpi2_core::ShardedSpecBuilder::new(config.clone(), shards);
-        let batched = cpi2_core::ShardedSpecBuilder::new(config, shards);
-        for s in &batch {
-            one_by_one.add_sample(s);
-        }
-        batched.ingest_batch(&batch);
-        prop_assert_eq!(one_by_one.roll_period(), batched.roll_period());
-    }
-}

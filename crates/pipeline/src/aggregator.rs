@@ -6,18 +6,18 @@
 //! [`crate::specstore::SpecStore`].
 
 use crate::specstore::SpecStore;
-use cpi2_core::{Cpi2Config, CpiSample, CpiSpec, ShardedSpecBuilder, DEFAULT_SPEC_SHARDS};
+use cpi2_core::{Cpi2Config, CpiSample, CpiSpec, SpecBuilder};
 use cpi2_telemetry::{Counter, Histo, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Spec aggregation with periodic refresh.
 ///
-/// Sample ingest goes through a [`ShardedSpecBuilder`], so heavy batches
-/// only contend per (job, platform) shard rather than on one builder-wide
-/// lock; the merged output is identical to an unsharded builder's.
+/// Owns its [`SpecBuilder`] by value: every ingest and refresh takes
+/// `&mut self`, so there is no lock to contend on. Published specs reach
+/// other threads through the [`SpecStore`].
 #[derive(Debug)]
 pub struct Aggregator {
-    builder: ShardedSpecBuilder,
+    builder: SpecBuilder,
     refresh_period_us: i64,
     next_roll: i64,
     samples_seen: u64,
@@ -58,17 +58,12 @@ impl AggregatorMetrics {
 }
 
 impl Aggregator {
-    /// Creates an aggregator with [`DEFAULT_SPEC_SHARDS`] builder shards;
-    /// the first refresh happens one period after `start_us`.
+    /// Creates an aggregator; the first refresh happens one period after
+    /// `start_us`.
     pub fn new(config: Cpi2Config, start_us: i64) -> Self {
-        Aggregator::with_shards(config, start_us, DEFAULT_SPEC_SHARDS)
-    }
-
-    /// Creates an aggregator with an explicit builder shard count.
-    pub fn with_shards(config: Cpi2Config, start_us: i64, shards: usize) -> Self {
         let refresh_period_us = config.spec_refresh_hours * 3_600 * 1_000_000;
         Aggregator {
-            builder: ShardedSpecBuilder::new(config, shards),
+            builder: SpecBuilder::new(config),
             refresh_period_us,
             next_roll: start_us + refresh_period_us,
             samples_seen: 0,
@@ -95,17 +90,14 @@ impl Aggregator {
         }
     }
 
-    /// Attaches telemetry to the aggregator and its sharded builder:
-    /// ingest batch sizes, whole-refresh and per-shard spec-build
-    /// durations, and published-spec counts.
+    /// Attaches telemetry: ingest batch sizes, spec-build duration and
+    /// published-spec counts.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.metrics = AggregatorMetrics::new(telemetry);
-        self.builder.set_telemetry(telemetry);
     }
 
-    /// Feeds a batch of samples (one lock acquisition per touched shard).
-    /// With a dedup horizon set, already-seen `(task, timestamp)` pairs
-    /// are skipped.
+    /// Feeds a batch of samples. With a dedup horizon set, already-seen
+    /// `(task, timestamp)` pairs are skipped.
     pub fn ingest(&mut self, samples: &[CpiSample]) {
         if self.dedup_horizon_us.is_none() {
             self.ingest_unchecked(samples);
@@ -150,7 +142,9 @@ impl Aggregator {
     }
 
     fn ingest_unchecked(&mut self, samples: &[CpiSample]) {
-        self.builder.ingest_batch(samples);
+        for s in samples {
+            self.builder.add_sample(s);
+        }
         self.samples_seen += samples.len() as u64;
         self.metrics.batch_size.record(samples.len() as f64);
         self.metrics.samples_total.add(samples.len() as u64);
@@ -159,11 +153,6 @@ impl Aggregator {
     /// Duplicated samples skipped by idempotent ingest.
     pub fn duplicates_dropped(&self) -> u64 {
         self.duplicates_dropped
-    }
-
-    /// The sharded builder, for ingesting from multiple threads at once.
-    pub fn builder(&self) -> &ShardedSpecBuilder {
-        &self.builder
     }
 
     /// Rolls the period if `now_us` passed the refresh boundary; publishes
@@ -203,11 +192,11 @@ impl Aggregator {
         self.samples_seen
     }
 
-    /// Builder-shard rebuilds skipped across refreshes because the shard
-    /// ingested nothing since its last roll (the incremental-refresh fast
-    /// path; also exported as `cpi_spec_shards_skipped_total`).
+    /// Always 0: the builder has no shards. Kept only because
+    /// `benchmark/` reads it for its `pipeline.shards_skipped` metric;
+    /// delete it together with that metric.
     pub fn shards_skipped(&self) -> u64 {
-        self.builder.shards_skipped()
+        0
     }
 }
 
@@ -327,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_refresh_skips_all_shards_and_republishes_same_specs() {
+    fn idle_refresh_republishes_identical_specs() {
         let store = SpecStore::new();
         let mut agg = Aggregator::new(mk_config(), 0);
         for t in 0..6u64 {
@@ -336,20 +325,15 @@ mod tests {
             }
         }
         let first = agg.refresh_at(&store, 1_000_000);
-        let shards = agg.builder().num_shards() as u64;
-        let before = agg.shards_skipped();
-        // No ingest between refreshes: every shard rebuild is skipped and
-        // the published spec set is identical.
+        assert_eq!(first.len(), 1);
+        // No ingest between refreshes: rolling an empty period leaves
+        // history untouched, so the same specs go out under the new stamp.
         let second = agg.refresh_at(&store, 2_000_000);
         assert_eq!(first, second);
-        assert_eq!(agg.shards_skipped() - before, shards);
-        // New samples make the next refresh rebuild the touched shard.
-        for t in 0..6u64 {
-            agg.ingest(&[sample(t, 100 + t as i64, 1.7)]);
-        }
-        let before = agg.shards_skipped();
-        agg.refresh_at(&store, 3_000_000);
-        assert_eq!(agg.shards_skipped() - before, shards - 1);
+        assert_eq!(
+            store.changed_since_with_age(0),
+            vec![(first[0].clone(), 2_000_000)]
+        );
     }
 
     #[test]

@@ -337,8 +337,7 @@ impl Collector {
     /// Drains queued sample batches straight into `agg`, bypassing the
     /// internal sample buffer; incidents still land in the incident
     /// buffer. Each queued batch reaches the aggregator as one
-    /// [`Aggregator::ingest`] call, so the sharded builder locks each
-    /// shard at most once per batch. Returns the number of samples
+    /// [`Aggregator::ingest`] call. Returns the number of samples
     /// ingested.
     /// Like [`drain`](Self::drain), respects the drain budget: at most
     /// `budget` queued *messages* are processed per call.

@@ -102,20 +102,15 @@ impl SpecSnapshot {
 
     /// All specs changed after `since_version` in this snapshot, each with
     /// its publish time (µs; `i64::MAX` when the publisher attached none).
-    /// Sorted by (jobname, platforminfo) so sync order is deterministic.
+    /// Sorted by (jobname, platforminfo) — the spec map's key order — so
+    /// sync order is deterministic.
     pub fn changed_since_with_age(&self, since_version: u64) -> Vec<(CpiSpec, i64)> {
-        let mut out: Vec<(CpiSpec, i64)> = self
-            .inner
+        self.inner
             .specs
             .values()
             .filter(|e| e.version > since_version)
             .map(|e| (e.spec.clone(), e.published_at_us))
-            .collect();
-        out.sort_by(|(a, _), (b, _)| {
-            (a.jobname.as_str(), a.platforminfo.as_str())
-                .cmp(&(b.jobname.as_str(), b.platforminfo.as_str()))
-        });
-        out
+            .collect()
     }
 }
 
@@ -297,6 +292,43 @@ mod tests {
         assert_eq!(delta[0].jobname, "b");
         assert_eq!(delta[0].cpi_mean, 2.5);
         assert!(store.changed_since(store.version()).is_empty());
+    }
+
+    #[test]
+    fn changed_since_is_sorted_by_job_then_platform() {
+        let on = |job: &str, platform: &str| CpiSpec {
+            platforminfo: platform.into(),
+            ..spec(job, 1.0)
+        };
+        let store = SpecStore::new();
+        // Two publishes, keys reversed and interleaved over two platforms,
+        // plus the pair whose concatenations collide ("ab"+"c" vs "a"+"bc").
+        let v1 = store.publish(vec![
+            on("zeta", "westmere"),
+            on("ab", "c"),
+            on("maps", "westmere"),
+        ]);
+        store.publish(vec![
+            on("zeta", "sandybridge"),
+            on("a", "bc"),
+            on("maps", "sandybridge"),
+            on("maps", "westmere"),
+        ]);
+        let keys = |since: u64| -> Vec<(String, String)> {
+            store
+                .changed_since_with_age(since)
+                .into_iter()
+                .map(|(s, _)| (s.jobname, s.platforminfo))
+                .collect()
+        };
+        for since in [0, v1] {
+            let got = keys(since);
+            let mut want = got.clone();
+            want.sort();
+            assert_eq!(got, want, "since version {since}");
+        }
+        assert_eq!(keys(0).len(), 6);
+        assert_eq!(keys(v1).len(), 4);
     }
 
     #[test]

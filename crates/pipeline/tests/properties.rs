@@ -1,7 +1,8 @@
 //! Property-based tests for the pipeline: log encoding and query engine.
 
+use cpi2_core::{Cpi2Config, CpiSample, TaskClass, TaskHandle};
 use cpi2_pipeline::query::{Row, Value};
-use cpi2_pipeline::{Dataset, LogTable, Table};
+use cpi2_pipeline::{Aggregator, Dataset, LogTable, SpecStore, Table};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -125,5 +126,97 @@ proptest! {
         let s = r.rows[0][0].as_num().unwrap();
         let expect: f64 = vals.iter().sum();
         prop_assert!((s - expect).abs() < 1e-6 * (1.0 + expect.abs()));
+    }
+}
+
+/// One generated sample: (job idx, platform idx, task idx, cpi, replay) —
+/// small alphabets so keys and tasks repeat; `replay == 0` re-sends the
+/// previous sample, as a retrying transport would.
+type StreamItem = (u8, u8, u8, f64, u8);
+
+fn stream_strategy() -> impl Strategy<Value = Vec<StreamItem>> {
+    prop::collection::vec((0..5u8, 0..3u8, 0..8u8, 0.05..8.0f64, 0..6u8), 0..300)
+}
+
+fn to_samples(stream: &[StreamItem]) -> Vec<CpiSample> {
+    let mut out: Vec<CpiSample> = Vec::with_capacity(stream.len());
+    for (i, &(job, platform, task, cpi, replay)) in stream.iter().enumerate() {
+        match out.last() {
+            Some(prev) if replay == 0 => out.push(prev.clone()),
+            _ => out.push(CpiSample {
+                task: TaskHandle(u64::from(task)),
+                jobname: format!("job{job}"),
+                platforminfo: format!("plat{platform}"),
+                timestamp: i as i64 * 60_000_000,
+                cpu_usage: 1.0,
+                cpi,
+                l3_mpki: 0.0,
+                class: TaskClass::latency_sensitive(),
+            }),
+        }
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn aggregator_output_is_invariant_to_batching(
+        stream in stream_strategy(),
+        batch_sizes in prop::collection::vec(1..8usize, 1..12),
+        periods in 1..4usize,
+    ) {
+        // How the collector happens to cut the stream into `ingest` calls
+        // (one shipment, per-machine batches, sample by sample) must not
+        // change any published spec, across refresh periods and with
+        // idempotent ingest on.
+        let config = Cpi2Config {
+            min_tasks: 2,
+            min_samples_per_task: 3,
+            ..Cpi2Config::default()
+        };
+        let samples = to_samples(&stream);
+        // Covers the whole stream: eviction runs per `ingest` call, so a
+        // replay older than the horizon would be caught or not depending
+        // on where the call boundaries fall.
+        let horizon_us = Some(samples.len() as i64 * 60_000_000 + 1);
+        let mut aggs: Vec<(Aggregator, SpecStore)> = (0..3)
+            .map(|_| {
+                let mut agg = Aggregator::new(config.clone(), 0);
+                agg.set_dedup_horizon(horizon_us);
+                (agg, SpecStore::new())
+            })
+            .collect();
+        let chunk = samples.len() / periods + 1;
+        for (p, window) in samples.chunks(chunk).enumerate() {
+            aggs[0].0.ingest(window);
+            let mut rest = window;
+            for &n in batch_sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, tail) = rest.split_at(n.min(rest.len()));
+                aggs[1].0.ingest(batch);
+                rest = tail;
+            }
+            for s in window {
+                aggs[2].0.ingest(std::slice::from_ref(s));
+            }
+            let now_us = (p as i64 + 1) * 3_600_000_000;
+            let published: Vec<_> = aggs
+                .iter_mut()
+                .map(|(agg, store)| {
+                    let returned = agg.refresh_at(store, now_us);
+                    (returned, store.changed_since_with_age(0))
+                })
+                .collect();
+            prop_assert_eq!(&published[0], &published[1]);
+            prop_assert_eq!(&published[0], &published[2]);
+        }
+        let counts: Vec<_> = aggs
+            .iter()
+            .map(|(agg, _)| (agg.samples_seen(), agg.duplicates_dropped()))
+            .collect();
+        prop_assert_eq!(counts[0], counts[1]);
+        prop_assert_eq!(counts[0], counts[2]);
     }
 }

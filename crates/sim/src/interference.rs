@@ -21,26 +21,6 @@
 use crate::platform::Platform;
 use crate::task::ResourceProfile;
 
-/// Per-task input to the interference model for one tick.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskLoad {
-    /// CPU actively consumed this tick, in cores.
-    pub activity: f64,
-    /// Microarchitectural profile.
-    pub profile: ResourceProfile,
-}
-
-/// Per-task output of the interference model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskInterference {
-    /// Effective cycles per instruction (before noise).
-    pub cpi: f64,
-    /// Effective L3 misses per kilo-instruction.
-    pub mpki: f64,
-    /// Fraction of the task's hot working set still resident (0–1].
-    pub cache_retained: f64,
-}
-
 /// Machine-level summary of the contention state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionSummary {
@@ -82,8 +62,8 @@ impl Default for InterferenceParams {
 /// Struct-of-arrays view of the per-task [`ResourceProfile`] fields the
 /// interference model reads: one contiguous column per field, indexed in
 /// task order. The fixed point streams these columns instead of hopping
-/// across an array of profile structs, and callers (the machine tick)
-/// fill them once per tick without materializing `TaskLoad`s.
+/// across an array of profile structs; callers (the machine tick) fill
+/// them once per tick.
 #[derive(Debug, Default)]
 pub struct ProfileColumns {
     /// Hot working-set size per task, MB.
@@ -122,82 +102,6 @@ impl ProfileColumns {
     pub fn is_empty(&self) -> bool {
         self.base_cpi.is_empty()
     }
-}
-
-/// Reusable intermediate buffers for [`compute_into`], so the per-tick
-/// fixed point runs without allocating. One instance per machine lives in
-/// its tick scratch and is reused across ticks.
-#[derive(Debug, Default)]
-pub struct ComputeScratch {
-    /// Profile fields split into columns.
-    cols: ProfileColumns,
-    /// Per-task activity column.
-    activity: Vec<f64>,
-    /// Per-task effective MPKI after cache loss.
-    mpki: Vec<f64>,
-    /// Per-task CPI estimate, refined by the bandwidth fixed point.
-    cpi: Vec<f64>,
-}
-
-/// Computes per-task CPI and miss rates for one tick.
-///
-/// Returns one [`TaskInterference`] per input (same order) plus a machine
-/// summary. Tasks with zero activity get their solo numbers.
-///
-/// Allocating convenience wrapper around [`compute_into`]; hot paths hold
-/// a [`ComputeScratch`] and call `compute_into` directly.
-pub fn compute(
-    platform: &Platform,
-    loads: &[TaskLoad],
-    params: &InterferenceParams,
-) -> (Vec<TaskInterference>, ContentionSummary) {
-    let mut out = Vec::with_capacity(loads.len());
-    let mut scratch = ComputeScratch::default();
-    let summary = compute_into(platform, loads, params, &mut out, &mut scratch);
-    (out, summary)
-}
-
-/// [`compute`], but writing into caller-owned buffers: `out` is cleared
-/// and filled with one [`TaskInterference`] per input (same order), and
-/// `scratch` provides the fixed point's intermediate storage. In steady
-/// state (capacities warmed up) this performs no heap allocation.
-///
-/// Bit-identical to [`compute`] for every input: the arithmetic and its
-/// evaluation order are unchanged, only the storage is caller-owned
-/// (property-tested against a pinned reference implementation). This is
-/// now a thin array-of-structs adapter over [`compute_cols`]: it splits
-/// the loads into columns, runs the columnar kernel, and reassembles
-/// per-task structs.
-// lint: hot-path
-pub fn compute_into(
-    platform: &Platform,
-    loads: &[TaskLoad],
-    params: &InterferenceParams,
-    out: &mut Vec<TaskInterference>,
-    scratch: &mut ComputeScratch,
-) -> ContentionSummary {
-    out.clear();
-    let ComputeScratch {
-        cols,
-        activity,
-        mpki,
-        cpi,
-    } = scratch;
-    cols.clear();
-    activity.clear();
-    for l in loads {
-        activity.push(l.activity);
-        cols.push(&l.profile);
-    }
-    let (summary, retained) = compute_cols(platform, activity, cols, params, cpi, mpki);
-    for (&c, &m) in cpi.iter().zip(mpki.iter()) {
-        out.push(TaskInterference {
-            cpi: c,
-            mpki: m,
-            cache_retained: retained,
-        });
-    }
-    summary
 }
 
 /// The columnar interference kernel: per-task CPI and MPKI for one tick,
@@ -323,53 +227,76 @@ pub fn compute_cols(
 mod tests {
     use super::*;
 
-    fn solo(profile: ResourceProfile, activity: f64) -> TaskInterference {
-        let p = Platform::westmere();
-        let (v, _) = compute(
-            &p,
-            &[TaskLoad { activity, profile }],
+    /// Kernel outputs for one call, per task in input order.
+    struct Solved {
+        cpi: Vec<f64>,
+        mpki: Vec<f64>,
+        cache_retained: f64,
+        summary: ContentionSummary,
+    }
+
+    /// Splits `(activity, profile)` pairs into columns and runs the kernel.
+    fn solve(
+        platform: &Platform,
+        loads: &[(f64, ResourceProfile)],
+        params: &InterferenceParams,
+    ) -> Solved {
+        let mut profiles = ProfileColumns::default();
+        let mut activity = Vec::new();
+        for (a, p) in loads {
+            activity.push(*a);
+            profiles.push(p);
+        }
+        let (mut cpi, mut mpki) = (Vec::new(), Vec::new());
+        let (summary, cache_retained) =
+            compute_cols(platform, &activity, &profiles, params, &mut cpi, &mut mpki);
+        Solved {
+            cpi,
+            mpki,
+            cache_retained,
+            summary,
+        }
+    }
+
+    fn solo(profile: ResourceProfile, activity: f64) -> Solved {
+        solve(
+            &Platform::westmere(),
+            &[(activity, profile)],
             &InterferenceParams::default(),
-        );
-        v[0]
+        )
     }
 
     #[test]
     fn solo_task_sees_base_cpi() {
         let t = solo(ResourceProfile::compute_bound(), 1.0);
-        assert!((t.cpi - 0.9).abs() < 0.02, "cpi={}", t.cpi);
+        assert!((t.cpi[0] - 0.9).abs() < 0.02, "cpi={}", t.cpi[0]);
         assert_eq!(t.cache_retained, 1.0);
-        assert!((t.mpki - 0.3).abs() < 1e-9);
+        assert!((t.mpki[0] - 0.3).abs() < 1e-9);
     }
 
     #[test]
     fn idle_task_unperturbed() {
         let t = solo(ResourceProfile::cache_heavy(), 0.0);
-        assert!((t.mpki - 2.0).abs() < 1e-9);
+        assert!((t.mpki[0] - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn antagonist_inflates_victim_cpi() {
         let p = Platform::westmere();
-        let victim = TaskLoad {
-            activity: 2.0,
-            profile: ResourceProfile::cache_heavy(),
-        };
-        let antagonist = TaskLoad {
-            activity: 6.0,
-            profile: ResourceProfile::streaming(),
-        };
+        let victim = (2.0, ResourceProfile::cache_heavy());
+        let antagonist = (6.0, ResourceProfile::streaming());
         let params = InterferenceParams::default();
-        let (alone, _) = compute(&p, &[victim], &params);
-        let (together, summary) = compute(&p, &[victim, antagonist], &params);
+        let alone = solve(&p, &[victim], &params);
+        let together = solve(&p, &[victim, antagonist], &params);
         assert!(
-            together[0].cpi > alone[0].cpi * 1.3,
+            together.cpi[0] > alone.cpi[0] * 1.3,
             "alone={} together={}",
-            alone[0].cpi,
-            together[0].cpi
+            alone.cpi[0],
+            together.cpi[0]
         );
-        assert!(together[0].mpki > alone[0].mpki);
-        assert!(summary.cache_demand_mb > p.l3_mb);
-        assert!(summary.mem_utilization > 0.1);
+        assert!(together.mpki[0] > alone.mpki[0]);
+        assert!(together.summary.cache_demand_mb > p.l3_mb);
+        assert!(together.summary.mem_utilization > 0.1);
     }
 
     #[test]
@@ -378,23 +305,17 @@ mod tests {
         // §4.2 correlation score relies on.
         let p = Platform::westmere();
         let params = InterferenceParams::default();
-        let victim = TaskLoad {
-            activity: 2.0,
-            profile: ResourceProfile::cache_heavy(),
-        };
+        let victim = (2.0, ResourceProfile::cache_heavy());
         let mut last = 0.0;
         for a in [0.0, 1.0, 2.0, 4.0, 8.0] {
-            let antagonist = TaskLoad {
-                activity: a,
-                profile: ResourceProfile::streaming(),
-            };
-            let (v, _) = compute(&p, &[victim, antagonist], &params);
+            let antagonist = (a, ResourceProfile::streaming());
+            let v = solve(&p, &[victim, antagonist], &params);
             assert!(
-                v[0].cpi >= last - 1e-9,
+                v.cpi[0] >= last - 1e-9,
                 "activity={a}: cpi={} < last={last}",
-                v[0].cpi
+                v.cpi[0]
             );
-            last = v[0].cpi;
+            last = v.cpi[0];
         }
         assert!(last > 1.5, "max victim cpi={last}");
     }
@@ -406,37 +327,23 @@ mod tests {
         let mut insensitive = ResourceProfile::compute_bound();
         insensitive.cache_sensitivity = 0.0;
         insensitive.mpki_solo = 0.1;
-        let victim = TaskLoad {
-            activity: 1.0,
-            profile: insensitive,
-        };
-        let antagonist = TaskLoad {
-            activity: 8.0,
-            profile: ResourceProfile::streaming(),
-        };
-        let (v, _) = compute(&p, &[victim, antagonist], &params);
+        let victim = (1.0, insensitive);
+        let antagonist = (8.0, ResourceProfile::streaming());
+        let v = solve(&p, &[victim, antagonist], &params);
         let base = insensitive.base_cpi * p.cpi_factor;
-        assert!(v[0].cpi < base * 1.15, "cpi={} base={base}", v[0].cpi);
+        assert!(v.cpi[0] < base * 1.15, "cpi={} base={base}", v.cpi[0]);
     }
 
     #[test]
     fn bigger_cache_platform_suffers_less() {
         let params = InterferenceParams::default();
-        let tasks = [
-            TaskLoad {
-                activity: 2.0,
-                profile: ResourceProfile::cache_heavy(),
-            },
-            TaskLoad {
-                activity: 4.0,
-                profile: ResourceProfile::streaming(),
-            },
-        ];
-        let (w, _) = compute(&Platform::westmere(), &tasks, &params);
-        let (s, _) = compute(&Platform::sandy_bridge(), &tasks, &params);
+        let victim = ResourceProfile::cache_heavy();
+        let tasks = [(2.0, victim), (4.0, ResourceProfile::streaming())];
+        let w = solve(&Platform::westmere(), &tasks, &params);
+        let s = solve(&Platform::sandy_bridge(), &tasks, &params);
         // Normalize out the per-platform base factor before comparing.
-        let w_rel = w[0].cpi / (tasks[0].profile.base_cpi * Platform::westmere().cpi_factor);
-        let s_rel = s[0].cpi / (tasks[0].profile.base_cpi * Platform::sandy_bridge().cpi_factor);
+        let w_rel = w.cpi[0] / (victim.base_cpi * Platform::westmere().cpi_factor);
+        let s_rel = s.cpi[0] / (victim.base_cpi * Platform::sandy_bridge().cpi_factor);
         assert!(s_rel < w_rel, "sandy={s_rel} westmere={w_rel}");
     }
 
@@ -444,21 +351,16 @@ mod tests {
     fn utilization_clamped() {
         let p = Platform::westmere();
         let params = InterferenceParams::default();
-        let hogs: Vec<TaskLoad> = (0..20)
-            .map(|_| TaskLoad {
-                activity: 4.0,
-                profile: ResourceProfile::streaming(),
-            })
-            .collect();
-        let (v, summary) = compute(&p, &hogs, &params);
-        assert!(summary.mem_utilization <= params.rho_max + 1e-12);
-        assert!(v.iter().all(|t| t.cpi.is_finite() && t.cpi > 0.0));
+        let hogs = [(4.0, ResourceProfile::streaming()); 20];
+        let v = solve(&p, &hogs, &params);
+        assert!(v.summary.mem_utilization <= params.rho_max + 1e-12);
+        assert!(v.cpi.iter().all(|c| c.is_finite() && *c > 0.0));
     }
 
     #[test]
     fn empty_input_ok() {
-        let (v, s) = compute(&Platform::westmere(), &[], &InterferenceParams::default());
-        assert!(v.is_empty());
-        assert_eq!(s.cache_demand_mb, 0.0);
+        let v = solve(&Platform::westmere(), &[], &InterferenceParams::default());
+        assert!(v.cpi.is_empty());
+        assert_eq!(v.summary.cache_demand_mb, 0.0);
     }
 }

@@ -37,7 +37,7 @@ pub mod trace;
 pub use cgroup::{Cgroup, CounterBlock, HardCap};
 pub use cluster::{default_parallelism, Cluster, ClusterConfig, ModelFactory};
 pub use fault::{FaultPlan, FaultProfile, ShipmentFate};
-pub use interference::{InterferenceParams, ProfileColumns, TaskLoad};
+pub use interference::{InterferenceParams, ProfileColumns};
 pub use job::{JobId, JobSpec, Priority, SchedClass, TaskId};
 pub use machine::{Machine, MachineId, ResidentTask, TaskExit, TaskView};
 pub use platform::Platform;

@@ -1,8 +1,6 @@
 //! Property-based tests for the cluster simulator's invariants.
 
-use cpi2_sim::interference::{
-    self, ComputeScratch, ContentionSummary, InterferenceParams, TaskInterference, TaskLoad,
-};
+use cpi2_sim::interference::{compute_cols, ContentionSummary, InterferenceParams, ProfileColumns};
 use cpi2_sim::{
     Cgroup, ConstantLoad, JobId, Machine, MachineId, Platform, Priority, ResourceProfile,
     SchedClass, Scheduler, SimDuration, SimTime, TaskId, TaskInstance,
@@ -21,6 +19,62 @@ fn profile_strategy() -> impl Strategy<Value = ResourceProfile> {
     )
 }
 
+/// One task's input to the interference model for one tick.
+#[derive(Debug, Clone, Copy)]
+struct TaskLoad {
+    activity: f64,
+    profile: ResourceProfile,
+}
+
+/// Per-task kernel outputs in input order, plus the machine-wide ones.
+struct Solved {
+    cpi: Vec<f64>,
+    mpki: Vec<f64>,
+    cache_retained: f64,
+    summary: ContentionSummary,
+}
+
+/// Column and output buffers for [`compute_cols`], reused across calls the
+/// way a machine's tick scratch is.
+#[derive(Default)]
+struct Kernel {
+    activity: Vec<f64>,
+    profiles: ProfileColumns,
+    cpi: Vec<f64>,
+    mpki: Vec<f64>,
+}
+
+impl Kernel {
+    /// Splits `loads` into columns and runs the kernel over them.
+    fn run(
+        &mut self,
+        platform: &Platform,
+        loads: &[TaskLoad],
+        params: &InterferenceParams,
+    ) -> Solved {
+        self.activity.clear();
+        self.profiles.clear();
+        for l in loads {
+            self.activity.push(l.activity);
+            self.profiles.push(&l.profile);
+        }
+        let (summary, cache_retained) = compute_cols(
+            platform,
+            &self.activity,
+            &self.profiles,
+            params,
+            &mut self.cpi,
+            &mut self.mpki,
+        );
+        Solved {
+            cpi: self.cpi.clone(),
+            mpki: self.mpki.clone(),
+            cache_retained,
+            summary,
+        }
+    }
+}
+
 fn loads_strategy(n: usize) -> impl Strategy<Value = Vec<TaskLoad>> {
     prop::collection::vec(
         (0.0..8.0f64, profile_strategy())
@@ -33,31 +87,32 @@ proptest! {
     #[test]
     fn interference_cpi_never_below_base(loads in loads_strategy(12)) {
         let platform = Platform::westmere();
-        let (effects, summary) =
-            interference::compute(&platform, &loads, &InterferenceParams::default());
-        for (l, e) in loads.iter().zip(&effects) {
+        let got = Kernel::default().run(&platform, &loads, &InterferenceParams::default());
+        prop_assert_eq!(got.cpi.len(), loads.len());
+        prop_assert_eq!(got.mpki.len(), loads.len());
+        for ((l, &cpi), &mpki) in loads.iter().zip(&got.cpi).zip(&got.mpki) {
             let base = l.profile.base_cpi * platform.cpi_factor;
-            prop_assert!(e.cpi >= base - 1e-9, "cpi {} below base {base}", e.cpi);
-            prop_assert!(e.cpi.is_finite());
-            prop_assert!(e.mpki >= l.profile.mpki_solo - 1e-9);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&e.cache_retained));
+            prop_assert!(cpi >= base - 1e-9, "cpi {cpi} below base {base}");
+            prop_assert!(cpi.is_finite());
+            prop_assert!(mpki >= l.profile.mpki_solo - 1e-9);
         }
-        prop_assert!((0.0..=0.95 + 1e-9).contains(&summary.mem_utilization));
+        prop_assert!((0.0..=1.0 + 1e-9).contains(&got.cache_retained));
+        prop_assert!((0.0..=0.95 + 1e-9).contains(&got.summary.mem_utilization));
     }
 
     #[test]
     fn interference_adding_antagonist_never_helps(loads in loads_strategy(8)) {
         let platform = Platform::westmere();
         let params = InterferenceParams::default();
-        let (before, _) = interference::compute(&platform, &loads, &params);
+        let before = Kernel::default().run(&platform, &loads, &params);
         let mut with_extra = loads.clone();
         with_extra.push(TaskLoad {
             activity: 6.0,
             profile: ResourceProfile::streaming(),
         });
-        let (after, _) = interference::compute(&platform, &with_extra, &params);
-        for (b, a) in before.iter().zip(&after) {
-            prop_assert!(a.cpi >= b.cpi - 1e-9, "antagonist lowered CPI {} -> {}", b.cpi, a.cpi);
+        let after = Kernel::default().run(&platform, &with_extra, &params);
+        for (&b, &a) in before.cpi.iter().zip(&after.cpi) {
+            prop_assert!(a >= b - 1e-9, "antagonist lowered CPI {b} -> {a}");
         }
     }
 
@@ -261,16 +316,17 @@ proptest! {
     }
 }
 
-// --- compute_into vs the pre-scratch reference ---------------------------
+// --- compute_cols vs the pre-refactor reference --------------------------
 
-/// The interference model as it was before the allocation-free refactor,
-/// pinned verbatim: per-call `Vec` storage, identical arithmetic. The
-/// refactored `compute_into` must match it bit for bit.
+/// The interference model as it was before the allocation-free and
+/// struct-of-arrays refactors, pinned verbatim: per-call `Vec` storage
+/// over an array of per-task structs, identical arithmetic. The column
+/// kernel must match it bit for bit.
 fn reference_compute(
     platform: &Platform,
     loads: &[TaskLoad],
     params: &InterferenceParams,
-) -> (Vec<TaskInterference>, ContentionSummary) {
+) -> Solved {
     let hot: Vec<f64> = loads
         .iter()
         .map(|l| l.profile.cache_mb * (1.0 - (-l.activity).exp()))
@@ -318,57 +374,45 @@ fn reference_compute(
         }
     }
 
-    let out = loads
-        .iter()
-        .zip(&cpi)
-        .zip(&mpki)
-        .map(|((_, &c), &m)| TaskInterference {
-            cpi: c,
-            mpki: m,
-            cache_retained: retained_global,
-        })
-        .collect();
-    (
-        out,
-        ContentionSummary {
+    Solved {
+        cpi,
+        mpki,
+        cache_retained: retained_global,
+        summary: ContentionSummary {
             cache_demand_mb: demand,
             mem_utilization: rho,
         },
-    )
+    }
 }
 
 fn assert_bits_equal(
-    got: &[TaskInterference],
-    got_sum: &ContentionSummary,
-    want: &[TaskInterference],
-    want_sum: &ContentionSummary,
+    got: &Solved,
+    want: &Solved,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    prop_assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(want) {
-        prop_assert_eq!(
-            g.cpi.to_bits(),
-            w.cpi.to_bits(),
-            "cpi {} vs {}",
-            g.cpi,
-            w.cpi
-        );
-        prop_assert_eq!(g.mpki.to_bits(), w.mpki.to_bits());
-        prop_assert_eq!(g.cache_retained.to_bits(), w.cache_retained.to_bits());
-    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     prop_assert_eq!(
-        got_sum.cache_demand_mb.to_bits(),
-        want_sum.cache_demand_mb.to_bits()
+        bits(&got.cpi),
+        bits(&want.cpi),
+        "cpi {:?} vs {:?}",
+        got.cpi,
+        want.cpi
+    );
+    prop_assert_eq!(bits(&got.mpki), bits(&want.mpki));
+    prop_assert_eq!(got.cache_retained.to_bits(), want.cache_retained.to_bits());
+    prop_assert_eq!(
+        got.summary.cache_demand_mb.to_bits(),
+        want.summary.cache_demand_mb.to_bits()
     );
     prop_assert_eq!(
-        got_sum.mem_utilization.to_bits(),
-        want_sum.mem_utilization.to_bits()
+        got.summary.mem_utilization.to_bits(),
+        want.summary.mem_utilization.to_bits()
     );
     Ok(())
 }
 
 proptest! {
     #[test]
-    fn compute_into_bit_identical_to_reference(
+    fn compute_cols_bit_identical_to_reference(
         loads in loads_strategy(16),
         idle_flag in 0..2u8,
     ) {
@@ -381,24 +425,21 @@ proptest! {
         }
         let params = InterferenceParams::default();
         for platform in [Platform::westmere(), Platform::sandy_bridge()] {
-            let (want, want_sum) = reference_compute(&platform, &loads, &params);
+            let want = reference_compute(&platform, &loads, &params);
 
-            // Allocating wrapper.
-            let (got, got_sum) = interference::compute(&platform, &loads, &params);
-            assert_bits_equal(&got, &got_sum, &want, &want_sum)?;
+            // Fresh buffers.
+            let mut kernel = Kernel::default();
+            assert_bits_equal(&kernel.run(&platform, &loads, &params), &want)?;
 
-            // Caller-owned buffers, deliberately dirtied by a different
-            // prior computation: reuse must not leak state between calls.
-            let mut out = Vec::new();
-            let mut scratch = ComputeScratch::default();
+            // Buffers deliberately dirtied by a different prior
+            // computation: reuse must not leak state between calls.
             let decoys = [
                 TaskLoad { activity: 6.0, profile: ResourceProfile::streaming() },
                 TaskLoad { activity: 3.0, profile: ResourceProfile::cache_heavy() },
             ];
-            interference::compute_into(&platform, &decoys, &params, &mut out, &mut scratch);
-            let got_sum2 =
-                interference::compute_into(&platform, &loads, &params, &mut out, &mut scratch);
-            assert_bits_equal(&out, &got_sum2, &want, &want_sum)?;
+            kernel.run(&platform, &decoys, &params);
+            let got = kernel.run(&platform, &loads, &params);
+            assert_bits_equal(&got, &want)?;
         }
     }
 }

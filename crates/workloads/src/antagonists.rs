@@ -396,30 +396,37 @@ mod tests {
 #[cfg(test)]
 mod membw_tests {
     use super::*;
-    use cpi2_sim::interference::{self, InterferenceParams, TaskLoad};
+    use cpi2_sim::interference::{compute_cols, InterferenceParams, ProfileColumns};
     use cpi2_sim::Platform;
 
     #[test]
     fn hurts_through_bandwidth_not_cache() {
         let platform = Platform::westmere();
         let params = InterferenceParams::default();
-        let victim = TaskLoad {
-            activity: 2.0,
-            profile: ResourceProfile::cache_heavy(),
-        };
-        let hog_profile = MemoryBandwidthHog::new(8.0, 1).profile();
-        let hog = TaskLoad {
-            activity: 8.0,
-            profile: hog_profile,
-        };
-        let (alone, _) = interference::compute(&platform, &[victim], &params);
-        let (together, summary) = interference::compute(&platform, &[victim, hog], &params);
-        // The victim's cache is essentially intact (hog footprint 0.5 MB)...
-        assert!(
-            together[0].cache_retained > 0.95,
-            "retained {}",
-            together[0].cache_retained
+        // Task 0 is the victim at 2 cores, task 1 the hog at 8.
+        let activity = [2.0, 8.0];
+        let mut profiles = ProfileColumns::default();
+        profiles.push(&ResourceProfile::cache_heavy());
+        let (mut alone, mut together, mut mpki) = (Vec::new(), Vec::new(), Vec::new());
+        compute_cols(
+            &platform,
+            &activity[..1],
+            &profiles,
+            &params,
+            &mut alone,
+            &mut mpki,
         );
+        profiles.push(&MemoryBandwidthHog::new(8.0, 1).profile());
+        let (summary, cache_retained) = compute_cols(
+            &platform,
+            &activity,
+            &profiles,
+            &params,
+            &mut together,
+            &mut mpki,
+        );
+        // The victim's cache is essentially intact (hog footprint 0.5 MB)...
+        assert!(cache_retained > 0.95, "retained {cache_retained}");
         // ...but the memory channel saturates, inflating victim CPI.
         // (The equilibrium rho is self-limiting: queueing slows the hog
         // itself, so utilization settles well below saturation.)
@@ -429,10 +436,10 @@ mod membw_tests {
             summary.mem_utilization
         );
         assert!(
-            together[0].cpi > alone[0].cpi * 1.05,
+            together[0] > alone[0] * 1.05,
             "bandwidth channel: {} -> {}",
-            alone[0].cpi,
-            together[0].cpi
+            alone[0],
+            together[0]
         );
     }
 
