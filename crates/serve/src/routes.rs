@@ -26,7 +26,6 @@ use std::sync::Arc;
 
 use cpi2::core::TraceId;
 use cpi2::pipeline::query::{Dataset, Query, QueryResult, Value};
-use cpi2::telemetry::Event;
 use serde_json;
 
 use crate::server::{Request, Response};
@@ -56,22 +55,27 @@ impl Router {
 
     /// Dispatches one request.
     pub fn handle(&self, req: &Request) -> Response {
-        let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-        match (req.method.as_str(), segs.as_slice()) {
-            ("GET", []) => self.index(),
-            ("GET", ["healthz"]) => Response::text(200, "ok\n"),
-            ("GET", ["version"]) => self.version(),
-            ("GET", ["metrics"]) => self.metrics_text(),
-            ("GET", ["metrics.json"]) => self.metrics_json(),
-            ("GET", ["incidents"]) => self.incidents(),
-            ("GET", ["incidents", id, "trace"]) => self.incident_trace(id),
-            ("GET", ["specs", job]) => self.specs(job),
-            ("GET", ["machines", id]) => self.machine(id),
-            ("GET", ["debug", "events"]) => self.events(),
-            ("POST", ["query"]) if !self.authorized(req) => unauthorized(),
-            ("POST", ["actions", _]) if !self.authorized(req) => unauthorized(),
-            ("POST", ["query"]) => self.query(req),
-            ("POST", ["actions", action]) => self.action(action, req),
+        // Every route has at most three segments; a fourth is a 404.
+        let mut segs = req.path.split('/').filter(|s| !s.is_empty());
+        let segs = (segs.next(), segs.next(), segs.next(), segs.next());
+        match (req.method.as_str(), segs) {
+            ("GET", (None, ..)) => self.index(),
+            ("GET", (Some("healthz"), None, ..)) => Response::text(200, "ok\n"),
+            ("GET", (Some("version"), None, ..)) => self.version(),
+            ("GET", (Some("metrics"), None, ..)) => self.metrics_text(),
+            ("GET", (Some("metrics.json"), None, ..)) => self.metrics_json(),
+            ("GET", (Some("incidents"), None, ..)) => self.incidents(),
+            ("GET", (Some("incidents"), Some(id), Some("trace"), None)) => self.incident_trace(id),
+            ("GET", (Some("specs"), Some(job), None, _)) => self.specs(job),
+            ("GET", (Some("machines"), Some(id), None, _)) => self.machine(id),
+            ("GET", (Some("debug"), Some("events"), None, _)) => self.events(),
+            ("POST", (Some("query"), None, ..) | (Some("actions"), Some(_), None, _))
+                if !self.authorized(req) =>
+            {
+                unauthorized()
+            }
+            ("POST", (Some("query"), None, ..)) => self.query(req),
+            ("POST", (Some("actions"), Some(action), None, _)) => self.action(action, req),
             ("POST", _) => Response::error(404, "unknown route"),
             ("GET", _) => Response::error(404, "unknown route"),
             _ => Response::error(405, "method not allowed"),
@@ -143,7 +147,8 @@ impl Router {
         let n = snap.incidents.len();
         // Each incident's JSON was rendered when it was published.
         stream_json_array(
-            (0..n).filter_map(move |i| snap.incidents.get(i).map(|inc| inc.json.clone())),
+            (0..n).filter_map(move |i| snap.incidents.get(i).cloned()),
+            |inc| &inc.json,
         )
     }
 
@@ -194,8 +199,9 @@ impl Router {
     }
 
     fn events(&self) -> Response {
-        let events = self.state.telemetry.recent_events();
-        stream_json_array(events.into_iter().map(|e| event_json(&e)))
+        // The ring rendered each event's JSON when it was pushed.
+        let events = self.state.telemetry.recent_events_json();
+        stream_json_array(events.into_iter(), |e| e)
     }
 
     fn query(&self, req: &Request) -> Response {
@@ -294,38 +300,28 @@ fn unauthorized() -> Response {
 }
 
 /// A chunked `200` JSON array: `[` + comma-joined items + `]`, one
-/// chunk per item, pulled as the client's socket drains.
-fn stream_json_array<I>(items: I) -> Response
+/// chunk per item, pulled as the client's socket drains. Items are
+/// shared elements encoded earlier; `json` borrows each one's text, so a
+/// chunk is the only copy made.
+fn stream_json_array<T: 'static, I>(items: I, json: fn(&T) -> &str) -> Response
 where
-    I: Iterator<Item = String> + Send + 'static,
+    I: Iterator<Item = T> + Send + 'static,
 {
     let mut first = true;
     let body = std::iter::once(b"[".to_vec())
         .chain(items.map(move |item| {
-            let mut chunk = Vec::with_capacity(item.len() + 1);
+            let json = json(&item);
+            let mut chunk = Vec::with_capacity(json.len() + 1);
             if first {
                 first = false;
             } else {
                 chunk.push(b',');
             }
-            chunk.extend_from_slice(item.as_bytes());
+            chunk.extend_from_slice(json.as_bytes());
             chunk
         }))
         .chain(std::iter::once(b"]".to_vec()));
     Response::chunked("application/json", Box::new(body))
-}
-
-/// One `/debug/events` element.
-fn event_json(e: &Event) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"at_us\":{},\"kind\":{},\"detail\":{}}}",
-        e.at_us,
-        jstr(&e.kind),
-        jstr(&e.detail)
-    );
-    out
 }
 
 /// Streams a query result as `{"columns": [...], "rows": [[...]]}`,
@@ -459,6 +455,11 @@ mod tests {
         assert_eq!(get(&r, "/nope").status, 404);
         assert_eq!(get(&r, "/incidents/zzz/trace").status, 400);
         assert_eq!(get(&r, "/incidents/00000000000000ab/trace").status, 404);
+        // Segment counts are exact; empty segments do not count.
+        assert_eq!(get(&r, "//healthz/").status, 200);
+        assert_eq!(get(&r, "/healthz/x").status, 404);
+        assert_eq!(get(&r, "/machines/0/x").status, 404);
+        assert_eq!(get(&r, "/incidents/00000000000000ab/trace/x").status, 404);
     }
 
     #[test]
@@ -503,6 +504,70 @@ mod tests {
         assert_eq!(resp.status, 200);
         let body = String::from_utf8(resp.into_body_bytes()).unwrap();
         assert!(body.starts_with('[') && body.ends_with(']'), "{body}");
+    }
+
+    #[test]
+    fn metrics_json_and_debug_events_share_one_encoding() {
+        let r = router();
+        for i in 0..5 {
+            r.state
+                .telemetry
+                .event("in\"cident", || format!("victim\t{i}\n\u{1} capped — ü"));
+        }
+        let tel = &r.state.telemetry;
+        tel.counter("cpi_t_total", &[("job", "we\"ird\\")]).add(7);
+        tel.gauge("cpi_t", &[]).set(f64::NAN);
+        tel.histogram("cpi_t_us", &[]).record(3.0);
+        tel.histogram("cpi_t_idle_us", &[]);
+        let body = |path| String::from_utf8(get(&r, path).into_body_bytes()).unwrap();
+        let events = body("/debug/events");
+        let metrics = body("/metrics.json");
+        let (_, tail) = metrics.split_once(",\"events\":").expect("events member");
+        assert_eq!(tail, format!("{events},\"events_total\":5}}"));
+
+        // Both parse with the vendored parser, and say the same thing.
+        #[derive(serde::Deserialize, Debug, PartialEq)]
+        struct Event {
+            at_us: u64,
+            kind: String,
+            detail: String,
+        }
+        #[derive(serde::Deserialize)]
+        struct Summary {
+            count: u64,
+            sum: f64,
+            p50: Option<f64>,
+            p95: Option<f64>,
+            p99: Option<f64>,
+        }
+        #[derive(serde::Deserialize)]
+        struct Metrics {
+            elapsed_us: u64,
+            counters: std::collections::BTreeMap<String, u64>,
+            gauges: std::collections::BTreeMap<String, Option<f64>>,
+            histograms: std::collections::BTreeMap<String, Summary>,
+            events: Vec<Event>,
+            events_total: u64,
+        }
+        let events: Vec<Event> = serde_json::from_str(&events).expect("/debug/events parses");
+        let metrics: Metrics = serde_json::from_str(&metrics).expect("/metrics.json parses");
+        assert_eq!(events.len(), 5);
+        assert_eq!(events[4].kind, "in\"cident");
+        assert_eq!(events[4].detail, "victim\t4\n\u{1} capped — ü");
+        assert_eq!(metrics.events, events);
+        assert_eq!(metrics.events_total, 5);
+        assert!(metrics.elapsed_us >= events[4].at_us);
+        // Keys carry the Prometheus-escaped label block, JSON-escaped.
+        assert_eq!(metrics.counters[r#"cpi_t_total{job="we\"ird\\"}"#], 7);
+        assert_eq!(metrics.gauges["cpi_t"], None, "NaN renders as null");
+        let (busy, idle) = (
+            &metrics.histograms["cpi_t_us"],
+            &metrics.histograms["cpi_t_idle_us"],
+        );
+        assert_eq!((busy.count, busy.sum), (1, 3.0));
+        assert!(busy.p50.is_some() && busy.p50 <= busy.p95 && busy.p95 <= busy.p99);
+        assert_eq!((idle.count, idle.sum), (0, 0.0));
+        assert_eq!((idle.p50, idle.p95, idle.p99), (None, None, None));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! oldest beyond that, so a long run cannot grow memory without bound.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -32,7 +33,9 @@ pub(crate) struct EventRing {
 
 #[derive(Debug)]
 struct RingState {
-    buf: VecDeque<Event>,
+    /// Each event beside its JSON object, rendered once at `push` and
+    /// evicted with it: scrapes copy these bytes instead of re-encoding.
+    buf: VecDeque<(Event, Arc<str>)>,
     capacity: usize,
     /// Total events ever pushed, including ones the ring has dropped.
     total: u64,
@@ -40,27 +43,51 @@ struct RingState {
 
 impl EventRing {
     pub(crate) fn new(capacity: usize) -> EventRing {
+        let capacity = capacity.max(1);
         EventRing {
             inner: Mutex::new(RingState {
-                buf: VecDeque::with_capacity(capacity.min(64)),
-                capacity: capacity.max(1),
+                buf: VecDeque::with_capacity(capacity),
+                capacity,
                 total: 0,
             }),
         }
     }
 
     pub(crate) fn push(&self, event: Event) {
+        // Encoded before the lock is taken: a scraper waits for a push of
+        // two pointers, not for an escaper.
+        let json = crate::export::event_json(&event);
         let mut state = self.inner.lock();
         if state.buf.len() == state.capacity {
             state.buf.pop_front();
         }
-        state.buf.push_back(event);
+        state.buf.push_back((event, json));
         state.total += 1;
     }
 
     /// Snapshot of retained events, oldest first.
     pub(crate) fn snapshot(&self) -> Vec<Event> {
-        self.inner.lock().buf.iter().cloned().collect()
+        let state = self.inner.lock();
+        state.buf.iter().map(|(e, _)| e.clone()).collect()
+    }
+
+    /// The retained events' JSON objects, oldest first (shared, not copied).
+    pub(crate) fn snapshot_json(&self) -> Vec<Arc<str>> {
+        let state = self.inner.lock();
+        state.buf.iter().map(|(_, json)| Arc::clone(json)).collect()
+    }
+
+    /// Appends the retained events' JSON objects, comma-joined, to `out`
+    /// and returns [`EventRing::total`] as of the same instant.
+    pub(crate) fn write_json_elements(&self, out: &mut String) -> u64 {
+        let state = self.inner.lock();
+        for (i, (_, json)) in state.buf.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(json);
+        }
+        state.total
     }
 
     /// Total events ever recorded (including evicted ones).
@@ -95,9 +122,32 @@ mod tests {
     }
 
     #[test]
+    fn encoded_bytes_are_evicted_with_their_event() {
+        let ring = EventRing::new(3);
+        ring.push(ev("t", 0));
+        let first = ring.snapshot_json().remove(0);
+        assert_eq!(&*first, r#"{"at_us":0,"kind":"t","detail":"event 0"}"#);
+        for i in 1..10 {
+            ring.push(ev("t", i));
+        }
+        assert_eq!(Arc::strong_count(&first), 1, "the ring let go of it");
+        let encoded = ring.snapshot_json();
+        assert_eq!(encoded.len(), 3);
+        for (json, event) in encoded.iter().zip(ring.snapshot()) {
+            assert_eq!(*json, crate::export::event_json(&event));
+        }
+        let mut joined = String::new();
+        assert_eq!(ring.write_json_elements(&mut joined), 10);
+        assert_eq!(joined, encoded.join(","));
+        assert_eq!(ring.snapshot()[0].at_us, 7);
+        assert_eq!(ring.total(), 10);
+    }
+
+    #[test]
     fn empty_ring_snapshots_empty() {
         let ring = EventRing::new(8);
         assert!(ring.snapshot().is_empty());
+        assert!(ring.snapshot_json().is_empty());
         assert_eq!(ring.total(), 0);
     }
 }

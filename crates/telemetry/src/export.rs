@@ -8,21 +8,36 @@
 //! `^# |^[a-z_]+(\{[^}]*\})? [0-9.eE+-]+$`, which the CI smoke job
 //! enforces; in particular metric names contain no digits and values are
 //! never NaN/inf (non-finite sums are clamped to 0).
+//!
+//! Each thing is encoded once: a series' names when it is registered
+//! ([`prom_head`], [`json_key`]), an event when it is pushed
+//! ([`event_json`]). A scrape is one pass that copies those bytes and
+//! formats the current values into a single buffer; it builds no
+//! intermediate tree and allocates nothing per series.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use serde::{Number, Value};
+use serde::Number;
 
-use crate::registry::{Registry, SeriesKey};
+use crate::events::Event;
+use crate::metrics::{CounterCell, GaugeCell, HistoCell};
+use crate::registry::{Family, Labels, Registry, Series};
 
 /// Quantiles reported for every histogram.
 pub const EXPORT_QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
 
-/// Escapes a label value per the Prometheus text exposition format:
+/// JSON member heads of [`EXPORT_QUANTILES`] inside a histogram object.
+const JSON_QUANTILE_KEYS: [&str; 3] = [",\"p50\":", ",\"p95\":", ",\"p99\":"];
+
+/// Sample lines per histogram: one per quantile, then `_sum`, `_count`.
+pub(crate) const HISTO_LINES: usize = EXPORT_QUANTILES.len() + 2;
+
+/// Appends `v` escaped per the Prometheus text exposition format:
 /// backslash, double-quote and newline must be escaped inside the quoted
 /// value (an unescaped `"` in a job-name label corrupts the scrape).
-fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+fn write_label_value(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -31,22 +46,63 @@ fn escape_label_value(v: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// A series' exported name, `name suffix {k="v",…}`, with the optional
+/// `quantile` label last. Rendered at registration, never per scrape.
+fn series_name(name: &str, suffix: &str, labels: &Labels, q: Option<&str>) -> String {
+    let mut out = format!("{name}{suffix}");
+    let pairs = labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .chain(q.map(|q| ("quantile", q)));
+    let mut sep = '{';
+    for (k, v) in pairs {
+        out.push(sep);
+        sep = ',';
+        out.push_str(k);
+        out.push_str("=\"");
+        write_label_value(&mut out, v);
+        out.push('"');
+    }
+    if sep == ',' {
+        out.push('}');
+    }
     out
 }
 
-fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        pairs.push(format!("{k}=\"{}\"", escape_label_value(v)));
-    }
-    if pairs.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", pairs.join(","))
-    }
+/// The head of one Prometheus sample line: the series name and the
+/// space before the value.
+pub(crate) fn prom_head(name: &str, suffix: &str, labels: &Labels, q: Option<&str>) -> String {
+    let mut head = series_name(name, suffix, labels, q);
+    head.push(' ');
+    head
+}
+
+/// A histogram's [`HISTO_LINES`] heads: the quantiles, `_sum`, `_count`.
+pub(crate) fn histo_heads(name: &str, labels: &Labels) -> [String; HISTO_LINES] {
+    let [a, b, c] = EXPORT_QUANTILES.map(|q| prom_head(name, "", labels, Some(&format!("{q}"))));
+    let sum = prom_head(name, "_sum", labels, None);
+    [a, b, c, sum, prom_head(name, "_count", labels, None)]
+}
+
+/// The head of a series' JSON member: its escaped key and the colon.
+pub(crate) fn json_key(name: &str, labels: &Labels) -> String {
+    let mut out = String::new();
+    write_json_string(&mut out, &series_name(name, "", labels, None));
+    out.push(':');
+    out
+}
+
+/// One event as a JSON object: the element both `/metrics.json`'s
+/// `events` array and `/debug/events` serve.
+pub(crate) fn event_json(e: &Event) -> Arc<str> {
+    let mut out = format!("{{\"at_us\":{},\"kind\":", e.at_us);
+    write_json_string(&mut out, &e.kind);
+    out.push_str(",\"detail\":");
+    write_json_string(&mut out, &e.detail);
+    out.push('}');
+    out.into()
 }
 
 fn finite(v: f64) -> f64 {
@@ -57,191 +113,145 @@ fn finite(v: f64) -> f64 {
     }
 }
 
+/// Runs `write` on a buffer sized from the previous export of the same
+/// kind (`last_len`), and remembers this one's length for the next.
+fn export(last_len: &AtomicUsize, write: impl FnOnce(&mut String)) -> String {
+    let mut out = String::with_capacity(last_len.load(Ordering::Relaxed) + 64);
+    write(&mut out);
+    last_len.store(out.len(), Ordering::Relaxed);
+    out
+}
+
 /// Renders the full registry as Prometheus text exposition format.
 pub(crate) fn prometheus_text(reg: &Registry) -> String {
-    fn header(out: &mut String, last_family: &mut String, name: &str, kind: &str) {
-        if last_family != name {
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            name.clone_into(last_family);
+    export(&reg.prom_len, |out| {
+        prom_family(out, &reg.counters, "counter", prom_counter);
+        prom_family(out, &reg.gauges, "gauge", prom_gauge);
+        prom_family(out, &reg.histograms, "summary", prom_histogram);
+    })
+}
+
+/// One metric kind's families: a `# TYPE` header where the name changes
+/// (series of one name are adjacent in key order), then each series.
+fn prom_family<C, const H: usize>(
+    out: &mut String,
+    family: &Family<C, H>,
+    kind: &str,
+    series_lines: fn(&mut String, &Series<C, H>),
+) {
+    let family = family.lock();
+    let mut last_name = "";
+    for ((name, _), series) in family.iter() {
+        if last_name != name {
+            out.push_str("# TYPE ");
+            out.push_str(name);
+            out.push(' ');
+            out.push_str(kind);
+            out.push('\n');
+            last_name = name;
+        }
+        series_lines(out, series);
+    }
+}
+
+// lint: hot-path
+fn prom_counter(out: &mut String, s: &Series<CounterCell, 1>) {
+    let [head] = &s.prom;
+    out.push_str(head);
+    let _ = writeln!(out, "{}", s.cell.get());
+}
+
+// lint: hot-path
+fn prom_gauge(out: &mut String, s: &Series<GaugeCell, 1>) {
+    let [head] = &s.prom;
+    out.push_str(head);
+    let _ = writeln!(out, "{}", finite(s.cell.get()));
+}
+
+// lint: hot-path
+fn prom_histogram(out: &mut String, s: &Series<HistoCell, HISTO_LINES>) {
+    let (count, quantiles) = s.cell.quantiles(&EXPORT_QUANTILES);
+    let [heads @ .., sum_head, count_head] = &s.prom;
+    for (head, v) in heads.iter().zip(quantiles) {
+        if let Some(v) = v {
+            out.push_str(head);
+            let _ = writeln!(out, "{}", finite(v));
         }
     }
+    out.push_str(sum_head);
+    let _ = writeln!(out, "{}", finite(s.cell.sum()));
+    out.push_str(count_head);
+    let _ = writeln!(out, "{count}");
+}
 
-    let mut out = String::new();
-    let mut last_family = String::new();
-    for ((name, labels), cell) in reg.counters.lock().iter() {
-        header(&mut out, &mut last_family, name, "counter");
-        let _ = writeln!(out, "{name}{} {}", label_block(labels, None), cell.get());
-    }
-    last_family.clear();
-    for ((name, labels), cell) in reg.gauges.lock().iter() {
-        header(&mut out, &mut last_family, name, "gauge");
-        let _ = writeln!(
-            out,
-            "{name}{} {}",
-            label_block(labels, None),
-            finite(cell.get())
-        );
-    }
-    last_family.clear();
-    for ((name, labels), cell) in reg.histograms.lock().iter() {
-        header(&mut out, &mut last_family, name, "summary");
-        if cell.count() > 0 {
-            for q in EXPORT_QUANTILES {
-                if let Some(v) = cell.quantile(q) {
-                    let _ = writeln!(
-                        out,
-                        "{name}{} {}",
-                        label_block(labels, Some(("quantile", &format!("{q}")))),
-                        finite(v)
-                    );
-                }
-            }
+/// Renders the full registry (metrics + recent events) as compact JSON.
+pub(crate) fn json_snapshot(reg: &Registry) -> String {
+    export(&reg.json_len, |out| {
+        let _ = write!(out, "{{\"elapsed_us\":{}", reg.elapsed_us());
+        out.push_str(",\"counters\":{");
+        json_family(out, &reg.counters, json_counter);
+        out.push_str("},\"gauges\":{");
+        json_family(out, &reg.gauges, json_gauge);
+        out.push_str("},\"histograms\":{");
+        json_family(out, &reg.histograms, json_histogram);
+        out.push_str("},\"events\":[");
+        let events_total = reg.events.write_json_elements(out);
+        let _ = write!(out, "],\"events_total\":{events_total}}}");
+    })
+}
+
+/// One metric kind's members, comma-joined: `"name{labels}":value`.
+fn json_family<C, const H: usize>(
+    out: &mut String,
+    family: &Family<C, H>,
+    value: fn(&mut String, &C),
+) {
+    for (i, series) in family.lock().values().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        let _ = writeln!(
-            out,
-            "{name}_sum{} {}",
-            label_block(labels, None),
-            finite(cell.sum())
-        );
-        let _ = writeln!(
-            out,
-            "{name}_count{} {}",
-            label_block(labels, None),
-            cell.count()
-        );
+        out.push_str(&series.json_key);
+        value(out, &series.cell);
     }
-    out
 }
 
-fn series_name(key: &SeriesKey) -> String {
-    let (name, labels) = key;
-    format!("{name}{}", label_block(labels, None))
+// lint: hot-path
+fn json_counter(out: &mut String, cell: &CounterCell) {
+    let _ = write!(out, "{}", cell.get());
 }
 
-/// Renders the full registry (metrics + recent events) as a JSON
-/// [`Value`] tree suitable for `serde_json::to_string`.
-pub(crate) fn json_snapshot(reg: &Registry) -> Value {
-    let counters: Vec<(String, Value)> = reg
-        .counters
-        .lock()
-        .iter()
-        .map(|(key, cell)| {
-            (
-                series_name(key),
-                Value::Number(Number::from_u64(cell.get())),
-            )
-        })
-        .collect();
-    let gauges: Vec<(String, Value)> = reg
-        .gauges
-        .lock()
-        .iter()
-        .map(|(key, cell)| (series_name(key), json_f64(cell.get())))
-        .collect();
-    let histograms: Vec<(String, Value)> = reg
-        .histograms
-        .lock()
-        .iter()
-        .map(|(key, cell)| {
-            let mut fields = vec![
-                (
-                    "count".to_string(),
-                    Value::Number(Number::from_u64(cell.count())),
-                ),
-                ("sum".to_string(), json_f64(cell.sum())),
-            ];
-            for q in EXPORT_QUANTILES {
-                let label = format!("p{}", (q * 100.0).round() as u64);
-                let v = cell.quantile(q).map(json_f64).unwrap_or(Value::Null);
-                fields.push((label, v));
-            }
-            (series_name(key), Value::Object(fields))
-        })
-        .collect();
-    let events: Vec<Value> = reg
-        .events
-        .snapshot()
-        .into_iter()
-        .map(|e| {
-            Value::Object(vec![
-                (
-                    "at_us".to_string(),
-                    Value::Number(Number::from_u64(e.at_us)),
-                ),
-                ("kind".to_string(), Value::String(e.kind)),
-                ("detail".to_string(), Value::String(e.detail)),
-            ])
-        })
-        .collect();
-
-    Value::Object(vec![
-        (
-            "elapsed_us".to_string(),
-            Value::Number(Number::from_u64(reg.elapsed_us())),
-        ),
-        ("counters".to_string(), Value::Object(counters)),
-        ("gauges".to_string(), Value::Object(gauges)),
-        ("histograms".to_string(), Value::Object(histograms)),
-        ("events".to_string(), Value::Array(events)),
-        (
-            "events_total".to_string(),
-            Value::Number(Number::from_u64(reg.events.total())),
-        ),
-    ])
+// lint: hot-path
+fn json_gauge(out: &mut String, cell: &GaugeCell) {
+    write_json_f64(out, cell.get());
 }
 
-fn json_f64(v: f64) -> Value {
-    Number::from_f64(v)
-        .map(Value::Number)
-        .unwrap_or(Value::Null)
+// lint: hot-path
+fn json_histogram(out: &mut String, cell: &HistoCell) {
+    let (count, quantiles) = cell.quantiles(&EXPORT_QUANTILES);
+    let _ = write!(out, "{{\"count\":{count},\"sum\":");
+    write_json_f64(out, cell.sum());
+    for (key, v) in JSON_QUANTILE_KEYS.iter().zip(quantiles) {
+        out.push_str(key);
+        // An empty histogram has no quantiles: NaN renders as `null`.
+        write_json_f64(out, v.unwrap_or(f64::NAN));
+    }
+    out.push('}');
 }
 
-/// Renders a [`Value`] tree as compact JSON text.
-///
-/// The vendored `serde_json::to_string` is generic over `Serialize`,
-/// which `Value` itself does not implement, so the exporter renders its
-/// already-assembled tree directly.
-pub(crate) fn render_json(v: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, v);
-    out
-}
-
-fn write_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => {
+/// A JSON number in the vendored `serde`'s float notation (integral
+/// values keep a `.0` marker); `null` for NaN and ±inf.
+// lint: hot-path
+fn write_json_f64(out: &mut String, v: f64) {
+    match Number::from_f64(v) {
+        Some(n) => {
             let _ = write!(out, "{n}");
         }
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(out, k);
-                out.push(':');
-                write_value(out, item);
-            }
-            out.push('}');
-        }
+        None => out.push_str("null"),
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal.
+fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

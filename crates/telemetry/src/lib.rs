@@ -48,6 +48,8 @@
 mod events;
 mod export;
 mod metrics;
+#[cfg(test)]
+mod oracle;
 mod registry;
 
 use std::sync::Arc;
@@ -132,6 +134,16 @@ impl Telemetry {
         }
     }
 
+    /// The retained events as JSON objects, oldest first — the same bytes
+    /// [`Telemetry::json_snapshot`] puts in its `events` array, rendered
+    /// once when each event was recorded (empty when disabled).
+    pub fn recent_events_json(&self) -> Vec<Arc<str>> {
+        match &self.0 {
+            Some(reg) => reg.events.snapshot_json(),
+            None => Vec::new(),
+        }
+    }
+
     /// Total events ever recorded, including those evicted from the ring.
     pub fn events_total(&self) -> u64 {
         self.0.as_ref().map_or(0, |reg| reg.events.total())
@@ -151,9 +163,7 @@ impl Telemetry {
     /// Renders metrics plus recent events as a JSON string. `None` when
     /// disabled.
     pub fn json_snapshot(&self) -> Option<String> {
-        self.0
-            .as_ref()
-            .map(|reg| export::render_json(&export::json_snapshot(reg)))
+        self.0.as_ref().map(|reg| export::json_snapshot(reg))
     }
 }
 
@@ -235,7 +245,7 @@ mod tests {
     }
 
     /// Mirror of the CI regex `^[a-z_]+(\{[^}]*\})? [0-9.eE+-]+$`.
-    fn sample_line_ok(line: &str) -> bool {
+    pub(crate) fn sample_line_ok(line: &str) -> bool {
         let (name_part, value) = match line.rsplit_once(' ') {
             Some(pair) => pair,
             None => return false,
@@ -292,6 +302,82 @@ mod tests {
         assert!(json.contains("\"kind\":\"incident\""), "{json}");
         assert!(json.contains("\"detail\":\"detail\""), "{json}");
         assert!(json.contains("\"events_total\":1"), "{json}");
+    }
+
+    #[test]
+    fn events_are_encoded_once_for_both_consumers() {
+        let tel = Telemetry::enabled();
+        tel.event("incident", || {
+            "victim \"job\"\t3\n\u{1} capped — ü".to_string()
+        });
+        tel.event("spec_refresh", String::new);
+        let elements = tel.recent_events_json();
+        let json = tel.json_snapshot().unwrap();
+        let array = format!("\"events\":[{}],\"events_total\":2}}", elements.join(","));
+        assert!(json.ends_with(&array), "{json}");
+        // The vendored parser reads each element back as the event.
+        #[derive(serde::Deserialize)]
+        struct Parsed {
+            at_us: u64,
+            kind: String,
+            detail: String,
+        }
+        for (element, event) in elements.iter().zip(tel.recent_events()) {
+            let p: Parsed = serde_json::from_str(element).expect("valid JSON");
+            assert_eq!(
+                (p.at_us, p.kind, p.detail),
+                (event.at_us, event.kind, event.detail)
+            );
+        }
+        assert_eq!(tel.events_total(), 2);
+        assert!(Telemetry::disabled().recent_events_json().is_empty());
+    }
+
+    /// Regression: each quantile used to be its own read of the buckets,
+    /// guarded by a fourth read of the count, so a scrape racing a
+    /// recorder could print p95 < p50, or quantiles beside `_count 0`.
+    #[test]
+    fn quantiles_of_one_scrape_come_from_one_bucket_read() {
+        let tel = Telemetry::enabled();
+        let h = tel.histogram("cpi_race_us", &[]);
+        let start = std::sync::Barrier::new(2);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let sample = |text: &str, head: &str| -> Option<f64> {
+            let line = text.lines().find(|l| l.starts_with(head))?;
+            Some(line[head.len()..].parse().expect("a number"))
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                // Growing values, octave by octave, over and over.
+                for i in 0u64.. {
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
+                    h.record(2f64.powi((i / 64 % 40) as i32));
+                }
+            });
+            start.wait();
+            for _ in 0..2000 {
+                let text = tel.prometheus_text().unwrap();
+                let count = sample(&text, "cpi_race_us_count ").expect("_count line");
+                let qs = ["0.5", "0.95", "0.99"]
+                    .map(|q| sample(&text, &format!("cpi_race_us{{quantile=\"{q}\"}} ")));
+                match qs {
+                    [Some(p50), Some(p95), Some(p99)] => {
+                        assert!(count > 0.0, "quantiles beside _count 0:\n{text}");
+                        assert!(p50 <= p95 && p95 <= p99, "torn quantiles:\n{text}");
+                    }
+                    [None, None, None] => assert_eq!(count, 0.0, "{text}"),
+                    _ => panic!("some quantile lines missing:\n{text}"),
+                }
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        let (count, [p50, p95]) = h.0.as_ref().unwrap().quantiles(&[0.5, 0.95]);
+        assert_eq!(count, h.count());
+        assert!(p50 <= p95);
+        assert_eq!(h.quantile(0.5), p50);
     }
 
     #[test]

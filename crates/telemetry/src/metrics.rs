@@ -75,15 +75,6 @@ fn bucket_index(v: f64) -> usize {
     ((v.log2().floor() as usize) + 1).min(HIST_BUCKETS - 1)
 }
 
-/// `[lo, hi)` edges of bucket `i`.
-pub(crate) fn bucket_edges(i: usize) -> (f64, f64) {
-    if i == 0 {
-        (0.0, 1.0)
-    } else {
-        (2f64.powi(i as i32 - 1), 2f64.powi(i as i32))
-    }
-}
-
 impl HistoCell {
     pub(crate) fn record(&self, v: f64) {
         // `bucket_index` clamps to the last bucket, but prove it locally:
@@ -116,19 +107,31 @@ impl HistoCell {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
-    /// `(lo, hi, count)` rows for [`cpi2_stats::histogram::bucket_quantile`].
-    pub(crate) fn bucket_rows(&self) -> Vec<(f64, f64, u64)> {
-        (0..HIST_BUCKETS)
-            .map(|i| {
-                let (lo, hi) = bucket_edges(i);
-                (lo, hi, self.buckets[i].load(Ordering::Relaxed))
-            })
-            .collect()
-    }
-
     /// Quantile readout over the log buckets; `None` while empty.
     pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
-        cpi2_stats::histogram::bucket_quantile(&self.bucket_rows(), q)
+        let (_, [v]) = self.quantiles(&[q]);
+        v
+    }
+
+    /// `(observations, quantiles)` from one read of the buckets, so one
+    /// scrape's figures agree under a concurrent `record`: p50 ≤ p95 ≤
+    /// p99, and — the count being the buckets' total — "no quantiles" ⇔
+    /// "count 0".
+    // lint: hot-path
+    pub(crate) fn quantiles<const N: usize>(&self, qs: &[f64; N]) -> (u64, [Option<f64>; N]) {
+        // `(lo, hi, count)` rows for `bucket_quantile`: bucket 0 is
+        // `[0, 1)`, bucket `i ≥ 1` is `[2^(i-1), 2^i)`.
+        let mut rows = [(0.0, 1.0, 0u64); HIST_BUCKETS];
+        let mut total = 0u64;
+        let (mut lo, mut hi) = (0.0, 1.0);
+        for (row, bucket) in rows.iter_mut().zip(&self.buckets) {
+            let n = bucket.load(Ordering::Relaxed);
+            *row = (lo, hi, n);
+            (lo, hi) = (hi, hi * 2.0);
+            total += n;
+        }
+        let quantiles = qs.map(|q| cpi2_stats::histogram::bucket_quantile(&rows, q));
+        (total, quantiles)
     }
 }
 
