@@ -14,13 +14,17 @@ use crate::correlation::antagonist_correlation;
 use crate::incident::{Incident, IncidentAction};
 use crate::outlier::{OutlierDetector, Verdict};
 use crate::panda::EvidenceBook;
-use crate::sample::{CpiSample, JobKey, TaskClass, TaskHandle};
+use crate::sample::{CpiSample, JobKey, KeyView, TaskClass, TaskHandle};
 use crate::spec::CpiSpec;
 use crate::trace::{TraceId, TraceSpan, TraceStage};
 use cpi2_stats::timeseries::TimeSeries;
 use cpi2_telemetry::{Counter, Histo, Telemetry};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod oracle;
 
 /// Serializes `BTreeMap`s with non-string keys as vectors of pairs
 /// (JSON requires string map keys). Ordered maps also make checkpoint
@@ -126,16 +130,132 @@ pub enum AgentCommand {
     },
 }
 
+/// A cached spec and when the pipeline published it.
+#[derive(Debug, Serialize, Deserialize)]
+struct SpecEntry {
+    spec: CpiSpec,
+    /// Publish time (µs); `i64::MAX` means "never stale" (untimestamped
+    /// install). Pipeline publish time — not install time — so
+    /// re-installing the same old spec after an agent restart does not
+    /// reset its staleness clock.
+    published_at: i64,
+}
+
+/// The numbers detection reads from a task's job × platform spec.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct DetectSpec {
+    cpi_mean: f64,
+    cpi_stddev: f64,
+    published_at: i64,
+}
+
+impl DetectSpec {
+    /// What detection may use of a spec-table entry: `None` when there is
+    /// no spec, or it is not statistically usable.
+    fn of(entry: Option<&SpecEntry>) -> Option<DetectSpec> {
+        let SpecEntry { spec, published_at } = entry?;
+        (spec.robust() && spec.cpi_stddev > 0.0).then_some(DetectSpec {
+            cpi_mean: spec.cpi_mean,
+            cpi_stddev: spec.cpi_stddev,
+            published_at: *published_at,
+        })
+    }
+
+    /// Same expression as [`CpiSpec::outlier_threshold`].
+    fn outlier_threshold(&self, sigma: f64) -> f64 {
+        self.cpi_mean + sigma * self.cpi_stddev
+    }
+}
+
+/// One sample's verdict, with the sigma and threshold it was judged at.
+struct Judged {
+    verdict: Verdict,
+    sigma: f64,
+    threshold: f64,
+}
+
 /// Per-task state the agent keeps.
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct TaskState {
     jobname: String,
     platform: String,
     class: TaskClass,
+    /// The spec table's entry for (`jobname`, `platform`), resolved: always
+    /// equal to `DetectSpec::of(specs.get(key))`. Maintained by the only
+    /// two events that can change that value — [`TaskState::bind`] and
+    /// [`Agent::install_spec_at`] — so the detection pass reads it with no
+    /// lookup.
+    detect_spec: Option<DetectSpec>,
     detector: OutlierDetector,
     cpi: TimeSeries,
     usage: TimeSeries,
     last_seen: i64,
+}
+
+impl TaskState {
+    /// Points the task at `s`'s job × platform (it just appeared, or its
+    /// handle was reused) and resolves that key's spec.
+    fn bind(&mut self, s: &CpiSample, specs: &BTreeMap<JobKey, SpecEntry>) {
+        self.jobname.clone_from(&s.jobname);
+        self.platform.clone_from(&s.platforminfo);
+        self.detect_spec = DetectSpec::of(specs.get(&s.key_view() as &dyn KeyView));
+    }
+
+    /// Appends `s` to the task's histories, bounded to `horizon_us`.
+    /// `false` when `s` did not advance them (a replayed sample).
+    // lint: hot-path
+    fn record(&mut self, s: &CpiSample, horizon_us: i64) -> bool {
+        self.class = s.class;
+        self.last_seen = s.timestamp;
+        // Monotonicity guard: a restarted collector may replay.
+        let advances = match self.cpi.points().last() {
+            Some(&(t, _)) => t < s.timestamp,
+            None => true,
+        };
+        if advances {
+            self.cpi.push(s.timestamp, s.cpi);
+            self.usage.push(s.timestamp, s.cpu_usage);
+        }
+        self.cpi.evict_before(s.timestamp - horizon_us);
+        self.usage.evict_before(s.timestamp - horizon_us);
+        advances
+    }
+
+    /// Judges `s` against the task's resolved spec; `None` when there is
+    /// nothing to judge it against.
+    // lint: hot-path
+    fn judge(
+        &mut self,
+        s: &CpiSample,
+        config: &Cpi2Config,
+        ttl_us: i64,
+        metrics: &AgentMetrics,
+    ) -> Option<Judged> {
+        let spec = self.detect_spec?;
+        // Degraded mode: a spec published longer ago than the TTL only
+        // supports conservative detection — the workload may have
+        // drifted, so require a wider deviation before flagging.
+        let stale = ttl_us > 0 && s.timestamp.saturating_sub(spec.published_at) > ttl_us;
+        let sigma = if stale {
+            metrics.degraded_stale_spec.inc();
+            // Clamp: ablation configs sweep outlier_sigma above the
+            // stale default; degraded mode must never be *less*
+            // conservative than normal mode.
+            config.stale_outlier_sigma.max(config.outlier_sigma)
+        } else {
+            config.outlier_sigma
+        };
+        let threshold = spec.outlier_threshold(sigma);
+        let verdict = self.detector.observe_against(s, threshold, config);
+        if matches!(verdict, Verdict::Flagged | Verdict::Anomalous) {
+            metrics.violations.inc();
+        }
+        Some(Judged {
+            verdict,
+            sigma,
+            threshold,
+        })
+    }
 }
 
 /// The per-machine management agent.
@@ -147,13 +267,7 @@ struct TaskState {
 pub struct Agent {
     config: Cpi2Config,
     #[serde(with = "pairs")]
-    specs: BTreeMap<JobKey, CpiSpec>,
-    /// Publish time (µs) of each cached spec; `i64::MAX` means "never
-    /// stale" (untimestamped install). Keyed by pipeline publish time —
-    /// not install time — so re-installing the same old spec after an
-    /// agent restart does not reset its staleness clock.
-    #[serde(with = "pairs")]
-    spec_published_at: BTreeMap<JobKey, i64>,
+    specs: BTreeMap<JobKey, SpecEntry>,
     // BTreeMap: the correlation pass iterates co-resident tasks, and the
     // suspect ranking it feeds must not depend on hash order.
     #[serde(with = "pairs")]
@@ -198,7 +312,6 @@ impl Agent {
         Agent {
             config,
             specs: BTreeMap::new(),
-            spec_published_at: BTreeMap::new(),
             tasks: BTreeMap::new(),
             last_analysis: i64::MIN / 2,
             active_caps: BTreeMap::new(),
@@ -236,19 +349,30 @@ impl Agent {
     /// [`Cpi2Config::stale_outlier_sigma`] threshold and each such
     /// decision is counted in telemetry.
     pub fn install_spec_at(&mut self, spec: CpiSpec, published_at_us: i64) {
-        self.spec_published_at.insert(spec.key(), published_at_us);
-        self.specs.insert(spec.key(), spec);
+        let entry = SpecEntry {
+            spec,
+            published_at: published_at_us,
+        };
+        // Resident tasks of this job × platform see the new numbers at
+        // their next sample (the write half of `TaskState::detect_spec`).
+        let resolved = DetectSpec::of(Some(&entry));
+        for st in self.tasks.values_mut() {
+            if st.jobname == entry.spec.jobname && st.platform == entry.spec.platforminfo {
+                st.detect_spec = resolved;
+            }
+        }
+        self.specs.insert(entry.spec.key(), entry);
     }
 
     /// The spec for a job × platform key, if any.
     pub fn spec(&self, key: &JobKey) -> Option<&CpiSpec> {
-        self.specs.get(key)
+        self.specs.get(key).map(|e| &e.spec)
     }
 
     /// Publish time (µs) of the cached spec for a key: `i64::MAX` for
     /// untimestamped installs, `None` when no spec is cached.
     pub fn spec_published_at(&self, key: &JobKey) -> Option<i64> {
-        self.spec_published_at.get(key).copied()
+        self.specs.get(key).map(|e| e.published_at)
     }
 
     /// All incidents the agent has reported, oldest first.
@@ -292,26 +416,33 @@ impl Agent {
     pub fn ingest(&mut self, samples: &[CpiSample]) -> Vec<AgentCommand> {
         let mut commands = Vec::new();
         let window_us = self.config.correlation_window_s * 1_000_000;
+        let cooldown_us = self.config.incident_cooldown_s * 1_000_000;
+        let analysis_interval_us = self.config.analysis_interval_s * 1_000_000;
+        let ttl_us = self.config.spec_ttl_hours * 3_600 * 1_000_000;
         self.metrics.samples.add(samples.len() as u64);
 
         // Record histories first so the analysis sees this batch.
-        for s in samples {
-            let st = self.tasks.entry(s.task).or_default();
-            st.jobname = s.jobname.clone();
-            st.platform = s.platforminfo.clone();
-            st.class = s.class;
-            st.last_seen = s.timestamp;
-            // Monotonicity guard: a restarted collector may replay.
-            let advances = match st.cpi.points().last() {
-                Some(&(t, _)) => t < s.timestamp,
-                None => true,
+        // Indices of samples that did not advance their task's history
+        // (ascending; empty on a fresh stream).
+        let mut replayed = Vec::new();
+        for (i, s) in samples.iter().enumerate() {
+            let st = match self.tasks.entry(s.task) {
+                Entry::Occupied(e) => {
+                    let st = e.into_mut();
+                    if st.jobname != s.jobname || st.platform != s.platforminfo {
+                        st.bind(s, &self.specs);
+                    }
+                    st
+                }
+                Entry::Vacant(e) => {
+                    let mut st = TaskState::default();
+                    st.bind(s, &self.specs);
+                    e.insert(st)
+                }
             };
-            if advances {
-                st.cpi.push(s.timestamp, s.cpi);
-                st.usage.push(s.timestamp, s.cpu_usage);
+            if !st.record(s, 2 * window_us) {
+                replayed.push(i);
             }
-            st.cpi.evict_before(s.timestamp - 2 * window_us);
-            st.usage.evict_before(s.timestamp - 2 * window_us);
         }
 
         // Evict tasks not seen for two windows (they left the machine).
@@ -323,53 +454,26 @@ impl Agent {
             // trace open-ended (the chain simply has no recovery span).
             self.open_traces.retain(|t, _| tasks.contains_key(t));
             self.active_caps.retain(|_, &mut until| until > newest);
-            let cooldown_us = self.config.incident_cooldown_s * 1_000_000;
             self.last_incident
                 .retain(|_, &mut t| t > newest - 2 * cooldown_us);
         }
 
         // Detection pass.
-        for s in samples {
-            let Some(spec) = self.specs.get(&s.key()) else {
-                continue;
-            };
-            if !spec.robust() || spec.cpi_stddev <= 0.0 {
+        for (i, s) in samples.iter().enumerate() {
+            // A replayed sample was already judged when it first arrived:
+            // judging it again would count one violation twice.
+            if replayed.binary_search(&i).is_ok() {
                 continue;
             }
-            let spec = spec.clone();
-            // Degraded mode: a spec published longer ago than the TTL only
-            // supports conservative detection — the workload may have
-            // drifted, so require a wider deviation before flagging.
-            let ttl_us = self.config.spec_ttl_hours * 3_600 * 1_000_000;
-            let published_at = self
-                .spec_published_at
-                .get(&s.key())
-                .copied()
-                .unwrap_or(i64::MAX);
-            let stale = ttl_us > 0 && s.timestamp.saturating_sub(published_at) > ttl_us;
-            let sigma = if stale {
-                self.metrics.degraded_stale_spec.inc();
-                // Clamp: ablation configs sweep outlier_sigma above the
-                // stale default; degraded mode must never be *less*
-                // conservative than normal mode.
-                self.config
-                    .stale_outlier_sigma
-                    .max(self.config.outlier_sigma)
-            } else {
-                self.config.outlier_sigma
-            };
             let Some(st) = self.tasks.get_mut(&s.task) else {
                 continue;
             };
-            let verdict = st
-                .detector
-                .observe_with_sigma(s, &spec, &self.config, sigma);
-            if matches!(verdict, Verdict::Flagged | Verdict::Anomalous) {
-                self.metrics.violations.inc();
-            }
+            let Some(judged) = st.judge(s, &self.config, ttl_us, &self.metrics) else {
+                continue;
+            };
             // Close an open incident trace at the victim's first sample
             // that is back within spec (recovery).
-            if verdict == Verdict::Normal {
+            if judged.verdict == Verdict::Normal {
                 if let Some(trace) = self.open_traces.remove(&s.task) {
                     let span = TraceSpan {
                         trace,
@@ -378,10 +482,7 @@ impl Agent {
                         end_us: s.timestamp,
                         detail: format!(
                             "victim={} job={} cpi={:.3} back under threshold={:.3}",
-                            s.task.0,
-                            s.jobname,
-                            s.cpi,
-                            spec.outlier_threshold(sigma)
+                            s.task.0, s.jobname, s.cpi, judged.threshold
                         ),
                     };
                     // Field-disjoint push (`st` is still borrowed below).
@@ -392,18 +493,18 @@ impl Agent {
             // When this flag entered the live violation window: the start
             // of the streak that may become an incident below.
             let window_entry = st.detector.first_flag_at();
-            if verdict != Verdict::Anomalous {
+            if judged.verdict != Verdict::Anomalous {
                 continue;
             }
             // Per-victim deduplication: a chronically anomalous task is
             // reported once per cooldown, not once per sample.
             if let Some(&last) = self.last_incident.get(&s.task) {
-                if s.timestamp - last < self.config.incident_cooldown_s * 1_000_000 {
+                if s.timestamp - last < cooldown_us {
                     continue;
                 }
             }
             // Rate-limit analyses (§4.2: at most one per second).
-            if s.timestamp - self.last_analysis < self.config.analysis_interval_s * 1_000_000 {
+            if s.timestamp - self.last_analysis < analysis_interval_us {
                 continue;
             }
             self.last_analysis = s.timestamp;
@@ -413,7 +514,9 @@ impl Agent {
                     .detection_latency_us
                     .record((s.timestamp - entry) as f64);
             }
-            if let Some(cmd) = self.analyze(s, &spec, window_us, sigma, window_entry) {
+            if let Some(cmd) =
+                self.analyze(s, judged.threshold, window_us, judged.sigma, window_entry)
+            {
                 commands.push(cmd);
             }
         }
@@ -425,13 +528,12 @@ impl Agent {
     fn analyze(
         &mut self,
         victim: &CpiSample,
-        spec: &CpiSpec,
+        cthreshold: f64,
         window_us: i64,
         sigma: f64,
         window_entry: Option<i64>,
     ) -> Option<AgentCommand> {
         self.metrics.correlation_runs.inc();
-        let cthreshold = spec.outlier_threshold(sigma);
         let victim_state = self.tasks.get(&victim.task)?;
         let window_flags = victim_state.detector.flag_count();
         let victim_cpi = victim_state
@@ -1013,6 +1115,38 @@ mod tests {
         }
         assert!(agent2.incidents().is_empty(), "age survives the restart");
         let _ = agent;
+    }
+
+    #[test]
+    fn replayed_batch_counts_its_violation_once() {
+        // A restarted collector re-ships minute 0 twice more. One real
+        // over-threshold minute is one violation, not three: no incident
+        // before the third *distinct* violating minute (§4.1).
+        let minute = |m: i64| {
+            vec![
+                sample(1, "victim", m, 3.0, 1.0, TaskClass::latency_sensitive()),
+                sample(2, "hog", m, 1.8, 6.0, TaskClass::batch()),
+            ]
+        };
+        let mut replayed = Agent::new(Cpi2Config::default());
+        replayed.install_spec(spec("victim", 1.0, 0.1));
+        let mut clean = Agent::new(Cpi2Config::default());
+        clean.install_spec(spec("victim", 1.0, 0.1));
+
+        assert!(clean.ingest(&minute(0)).is_empty());
+        for _ in 0..3 {
+            assert!(replayed.ingest(&minute(0)).is_empty());
+        }
+        assert_eq!(replayed.tasks[&TaskHandle(1)].detector.flag_count(), 1);
+        assert!(replayed.incidents().is_empty());
+
+        // From here on the replayed agent is indistinguishable from one
+        // that saw each minute once: the incident fires at minute 2.
+        for m in 1..4 {
+            assert_eq!(replayed.ingest(&minute(m)), clean.ingest(&minute(m)));
+            assert_eq!(replayed.incidents(), clean.incidents());
+            assert_eq!(replayed.incidents().is_empty(), m < 2, "minute {m}");
+        }
     }
 
     #[test]

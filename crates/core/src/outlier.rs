@@ -78,6 +78,18 @@ impl OutlierDetector {
         config: &Cpi2Config,
         sigma: f64,
     ) -> Verdict {
+        self.observe_against(sample, spec.outlier_threshold(sigma), config)
+    }
+
+    /// The window machinery itself, against an already-computed outlier
+    /// threshold (the agent keeps a task's spec numbers resolved, so it
+    /// never holds a [`CpiSpec`] on this path).
+    pub(crate) fn observe_against(
+        &mut self,
+        sample: &CpiSample,
+        threshold: f64,
+        config: &Cpi2Config,
+    ) -> Verdict {
         // Evict flags that left the violation window.
         let window_us = config.violation_window_s * 1_000_000;
         while let Some(&t) = self.flags.front() {
@@ -91,7 +103,6 @@ impl OutlierDetector {
         if sample.cpu_usage < config.min_cpu_usage {
             return Verdict::SkippedLowUsage;
         }
-        let threshold = spec.outlier_threshold(sigma);
         if sample.cpi <= threshold {
             return Verdict::Normal;
         }

@@ -11,6 +11,8 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 
 /// Opaque per-machine task handle (unique while the task is resident).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -45,6 +47,55 @@ impl JobKey {
 impl std::fmt::Display for JobKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}@{}", self.job, self.platform)
+    }
+}
+
+/// A (job, platform) pair seen through borrowed strings, so a
+/// [`JobKey`]-keyed `BTreeMap` can be probed without allocating a key:
+/// `map.get(&(job, platform) as &dyn KeyView)`.
+///
+/// The `dyn KeyView` ordering below compares (job, platform) exactly as
+/// `JobKey`'s derived `Ord` does — the agreement `Borrow` requires.
+pub(crate) trait KeyView {
+    /// The (job, platform) strings.
+    fn parts(&self) -> (&str, &str);
+}
+
+impl KeyView for JobKey {
+    fn parts(&self) -> (&str, &str) {
+        (&self.job, &self.platform)
+    }
+}
+
+impl KeyView for (&str, &str) {
+    fn parts(&self) -> (&str, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for JobKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts().cmp(&other.parts())
     }
 }
 
@@ -130,6 +181,11 @@ impl CpiSample {
     pub fn key(&self) -> JobKey {
         JobKey::new(self.jobname.clone(), self.platforminfo.clone())
     }
+
+    /// The same key as borrowed strings, for allocation-free map probes.
+    pub(crate) fn key_view(&self) -> (&str, &str) {
+        (&self.jobname, &self.platforminfo)
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +207,34 @@ mod tests {
         let k = s.key();
         assert_eq!(k, JobKey::new("websearch", "westmere"));
         assert_eq!(k.to_string(), "websearch@westmere");
+    }
+
+    #[test]
+    fn borrowed_probe_agrees_with_owned_keys() {
+        // Includes the pair whose concatenations collide ("ab"+"c" vs
+        // "a"+"bc") and a job that is a prefix of another.
+        let names = ["", "a", "ab", "abc", "b", "bc", "c", "zeta"];
+        let mut map = std::collections::BTreeMap::new();
+        for (i, job) in names.iter().enumerate() {
+            for (j, platform) in names.iter().enumerate() {
+                if (i + j) % 3 != 0 {
+                    map.insert(JobKey::new(*job, *platform), (i, j));
+                }
+            }
+        }
+        for (i, job) in names.iter().enumerate() {
+            for (j, platform) in names.iter().enumerate() {
+                let owned = map.get(&JobKey::new(*job, *platform));
+                let borrowed = map.get(&(*job, *platform) as &dyn KeyView);
+                assert_eq!(owned, borrowed, "{job}@{platform}");
+                assert_eq!(borrowed.is_some(), (i + j) % 3 != 0);
+            }
+        }
+        let keys: Vec<&JobKey> = map.keys().collect();
+        for pair in keys.windows(2) {
+            let (a, b): (&dyn KeyView, &dyn KeyView) = (pair[0], pair[1]);
+            assert_eq!(a.cmp(b), pair[0].cmp(pair[1]));
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! 100 samples per task.
 
 use crate::config::Cpi2Config;
-use crate::sample::{CpiSample, JobKey, TaskHandle};
+use crate::sample::{CpiSample, JobKey, KeyView, TaskHandle};
 use crate::spec::CpiSpec;
 use cpi2_stats::ewma::AgeWeighted;
 use cpi2_stats::summary::RunningStats;
@@ -18,6 +18,14 @@ struct PeriodAccum {
     cpi: RunningStats,
     cpu: RunningStats,
     tasks: HashSet<TaskHandle>,
+}
+
+impl PeriodAccum {
+    fn add(&mut self, sample: &CpiSample) {
+        self.cpi.push(sample.cpi);
+        self.cpu.push(sample.cpu_usage);
+        self.tasks.insert(sample.task);
+    }
 }
 
 /// Long-lived per-key state across periods.
@@ -90,10 +98,25 @@ impl SpecBuilder {
         if !sample.cpi.is_finite() || sample.cpi <= 0.0 {
             return;
         }
-        let acc = self.current.entry(sample.key()).or_default();
-        acc.cpi.push(sample.cpi);
-        acc.cpu.push(sample.cpu_usage);
-        acc.tasks.insert(sample.task);
+        if !Self::add_to_known_key(&mut self.current, sample) {
+            // First sample of this key this period: the one place that
+            // builds an owned key.
+            self.current.entry(sample.key()).or_default().add(sample);
+        }
+    }
+
+    /// The hit path of [`add_sample`](SpecBuilder::add_sample): one map
+    /// walk with a borrowed key, no allocation. `false` when the period
+    /// has not seen the sample's key yet.
+    // lint: hot-path
+    fn add_to_known_key(current: &mut BTreeMap<JobKey, PeriodAccum>, sample: &CpiSample) -> bool {
+        match current.get_mut(&sample.key_view() as &dyn KeyView) {
+            Some(acc) => {
+                acc.add(sample);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Number of samples accumulated in the current period for a key.

@@ -23,6 +23,14 @@
 //! This keeps `sum_bits.load(Ordering::Relaxed)` from resolving to a
 //! two-argument `FileLog::load`.
 //!
+//! Finally by crate: a call in `crates/a/` cannot land on an inherent
+//! method or free fn of `crates/b/` unless that fn is plain `pub` and
+//! `a` can name `b` — its sources mention `cpi2_b`, or mention a crate
+//! that can (`CrateScope`). Trait-impl methods stay reachable from
+//! anywhere: `a` may define the trait and call `b`'s impl through it.
+//! Without this, `series.push(t, v)` in `cpi2-core` fans out to the
+//! control plane's `PollSet::push`.
+//!
 //! `#[cfg(test)]` fns are excluded from the candidate index, so live
 //! code never resolves into test helpers. Unresolvable calls (std,
 //! vendored deps) produce no edge — the passes are whole-*workspace*,
@@ -69,6 +77,83 @@ fn arity_ok(args: Option<usize>, want: usize) -> bool {
     }
 }
 
+/// The workspace crate a path belongs to: `x` for `crates/x/…`, `None`
+/// for anything else (the root package, fixtures).
+fn crate_of(path: &str) -> Option<&str> {
+    path.strip_prefix("crates/")?.split('/').next()
+}
+
+/// Which workspace crates each crate's code can reach into, read off the
+/// sources themselves: a crate names its direct dependencies as
+/// `cpi2_<dir>` path segments, and reaches theirs through them. A crate
+/// that names the root facade `cpi2` (which re-exports everything) is
+/// not narrowed at all.
+struct CrateScope {
+    /// Crate → crates it can name, transitively; `None` = all of them.
+    sees: BTreeMap<String, Option<BTreeSet<String>>>,
+}
+
+impl CrateScope {
+    fn build(files: &[AnalyzedFile]) -> CrateScope {
+        let mut sees: BTreeMap<String, Option<BTreeSet<String>>> = BTreeMap::new();
+        for file in files {
+            let Some(krate) = crate_of(&file.path) else {
+                continue;
+            };
+            let entry = sees
+                .entry(krate.to_string())
+                .or_insert_with(|| Some(BTreeSet::new()));
+            for t in &file.model.toks {
+                if t.is_ident("cpi2") {
+                    *entry = None;
+                } else if let (Some(deps), Some(dep)) =
+                    (entry.as_mut(), t.text.strip_prefix("cpi2_"))
+                {
+                    deps.insert(dep.to_string());
+                }
+            }
+        }
+        // Transitive closure, to a fixpoint; depending on a crate that
+        // sees everything is seeing everything.
+        loop {
+            let before = sees.clone();
+            for reach in sees.values_mut() {
+                let Some(deps) = reach else { continue };
+                let mut all = false;
+                for dep in deps.clone() {
+                    match before.get(&dep) {
+                        Some(Some(theirs)) => deps.extend(theirs.iter().cloned()),
+                        Some(None) => all = true,
+                        // Not a crate of this file set.
+                        None => {}
+                    }
+                }
+                if all {
+                    *reach = None;
+                }
+            }
+            if sees == before {
+                break;
+            }
+        }
+        CrateScope { sees }
+    }
+
+    /// Whether code in file `caller` can reach a non-trait fn in file
+    /// `callee` of the given visibility.
+    fn allows(&self, caller: &str, callee: &str, callee_is_pub: bool) -> bool {
+        let (Some(a), Some(b)) = (crate_of(caller), crate_of(callee)) else {
+            return true;
+        };
+        a == b
+            || callee_is_pub
+                && match self.sees.get(a) {
+                    Some(Some(deps)) => deps.contains(b),
+                    Some(None) | None => true,
+                }
+    }
+}
+
 /// The workspace call graph.
 pub struct CallGraph {
     /// Outgoing edges per fn, sorted and deduplicated (first call site
@@ -102,6 +187,7 @@ impl CallGraph {
             }
         }
         let impl_types: BTreeSet<&String> = impl_fns.keys().map(|(t, _)| t).collect();
+        let scope = CrateScope::build(files);
 
         let mut edges: BTreeMap<FnId, Vec<Edge>> = BTreeMap::new();
         for (fi, file) in files.iter().enumerate() {
@@ -155,6 +241,11 @@ impl CallGraph {
                         CallKind::Free => !callee.has_self && arity_ok(call.args, callee.params),
                     };
                     if !shape_ok {
+                        continue;
+                    }
+                    if !callee.in_trait_impl
+                        && !scope.allows(&file.path, &files[to.0].path, callee.is_pub)
+                    {
                         continue;
                     }
                     edges.entry(caller).or_default().push(Edge {
@@ -291,6 +382,48 @@ mod tests {
             format_chain(&files, &chain, leaf.0, 3),
             "a.rs:3 → b.rs:2 → b.rs:3"
         );
+    }
+
+    #[test]
+    fn calls_do_not_land_in_crates_the_caller_cannot_name() {
+        let core = analyze(
+            "crates/core/src/agent.rs",
+            "use cpi2_stats::TimeSeries;\n\
+             impl Agent { fn record(&mut self) { self.cpi.push(1, 2.0); self.sink.emit(3); } }",
+        );
+        let stats = analyze(
+            "crates/stats/src/timeseries.rs",
+            "impl TimeSeries { pub fn push(&mut self, t: i64, v: f64) {} \
+             pub(crate) fn emit(&self, n: u32) {} }",
+        );
+        let serve = analyze(
+            "crates/serve/src/poll.rs",
+            "use cpi2_core::Agent;\n\
+             impl PollSet { pub fn push(&mut self, fd: i32, events: i16) {} }\n\
+             impl Sink for Wire { fn emit(&self, n: u32) {} }",
+        );
+        let files = vec![core, stats, serve];
+        let g = CallGraph::build(&files);
+        let callees: Vec<String> = g.edges[&fn_id(&files, "record")]
+            .iter()
+            .map(|e| {
+                let f = &files[e.to.0].parsed.fns[e.to.1];
+                format!("{}::{}", f.impl_type.as_deref().unwrap_or(""), f.name)
+            })
+            .collect();
+        // `TimeSeries::push`: a dependency's `pub fn`. Not `PollSet::push`
+        // (core cannot name serve), not `TimeSeries::emit` (crate-private
+        // there), but `Wire::emit` — a trait impl is reachable through the
+        // trait from anywhere.
+        assert_eq!(callees, ["TimeSeries::push", "Wire::emit"]);
+
+        // The other way round is visible: serve names core, and through it
+        // core's own dependencies.
+        let scope = CrateScope::build(&files);
+        assert!(scope.allows("crates/serve/src/x.rs", "crates/stats/src/y.rs", true));
+        assert!(!scope.allows("crates/stats/src/y.rs", "crates/core/src/z.rs", true));
+        // Paths outside `crates/` are never narrowed.
+        assert!(scope.allows("src/harness.rs", "crates/serve/src/x.rs", false));
     }
 
     #[test]

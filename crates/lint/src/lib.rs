@@ -15,8 +15,10 @@
 //! - **T — telemetry hygiene**: metric names must be string literals.
 //! - **P — hot-path allocation**: fns annotated `// lint: hot-path`
 //!   must not allocate per call (`Vec::new`, `with_capacity`,
-//!   `.collect()`, `vec!`) — they write into caller-owned scratch
-//!   buffers instead.
+//!   `.collect()`, `vec!`) or make owned copies (`.clone()`,
+//!   `.to_string()`, `.to_owned()`, `.to_vec()`, `format!`) — they write
+//!   into caller-owned scratch buffers and compare through borrows
+//!   instead.
 //!
 //! On top of the per-file rules, four **whole-program passes** run over
 //! a workspace call graph (lightweight item/fn parser, name-based

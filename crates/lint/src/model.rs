@@ -120,18 +120,23 @@ fn brace_depths(toks: &[Tok]) -> Vec<usize> {
 /// An annotated item extends to the end of its balanced `{ … }` block, or
 /// to the first `;` for brace-less items (`use`, type aliases). Any
 /// `cfg(...)` whose argument list mentions the bare word `test`
-/// (`cfg(test)`, `cfg(all(test, …))`) counts.
+/// (`cfg(test)`, `cfg(all(test, …))`) counts. The inner form
+/// `#![cfg(test)]` — a file that is a test-only module, declared
+/// `#[cfg(test)] mod x;` by its parent — covers everything after it up to
+/// the end of the enclosing block (the end of the file, at file level).
 fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0;
-    while i + 3 < toks.len() {
+    while i + 4 < toks.len() {
+        let inner = toks[i + 1].is_punct('!');
+        let at = i + 1 + usize::from(inner);
         if toks[i].is_punct('#')
-            && toks[i + 1].is_punct('[')
-            && toks[i + 2].is_ident("cfg")
-            && toks[i + 3].is_punct('(')
+            && toks[at].is_punct('[')
+            && toks[at + 1].is_ident("cfg")
+            && toks[at + 2].is_punct('(')
         {
             // Scan the attribute argument list for the ident `test`.
-            let mut j = i + 4;
+            let mut j = at + 3;
             let mut parens = 1usize;
             let mut is_test = false;
             while j < toks.len() && parens > 0 {
@@ -150,7 +155,11 @@ fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
             }
             j += 1;
             if is_test {
-                let end = item_end(toks, j);
+                let end = if inner {
+                    enclosing_block_end(toks, j)
+                } else {
+                    item_end(toks, j)
+                };
                 out.push((i, end));
                 i = end;
                 continue;
@@ -159,6 +168,23 @@ fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
         i += 1;
     }
     out
+}
+
+/// End (exclusive token index) of the block `start` sits in: its unmatched
+/// `}`, or the end of the file.
+fn enclosing_block_end(toks: &[Tok], start: usize) -> usize {
+    let mut braces = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(start) {
+        if t.is_punct('{') {
+            braces += 1;
+        } else if t.is_punct('}') {
+            if braces == 0 {
+                return j;
+            }
+            braces -= 1;
+        }
+    }
+    toks.len()
 }
 
 /// End (exclusive token index) of the item starting at `start`: past the
@@ -308,6 +334,25 @@ mod tests {
         let src = "#[cfg(all(test, feature = \"x\"))]\nmod t { fn f() {} }";
         let m = FileModel::build(src);
         assert_eq!(m.test_regions.len(), 1);
+    }
+
+    #[test]
+    fn inner_cfg_test_covers_the_rest_of_its_block() {
+        let src = "#![cfg(test)]\nuse x::y;\nfn t() { a.unwrap(); }\nmod m { fn u() {} }";
+        let m = FileModel::build(src);
+        assert_eq!(m.test_regions, vec![(0, m.toks.len())]);
+
+        let src =
+            "mod m {\n #![cfg(test)]\n fn t() { a.unwrap(); }\n}\nfn live() { b.expect(\"\"); }";
+        let m = FileModel::build(src);
+        let idx = |name: &str| {
+            m.toks
+                .iter()
+                .position(|t| t.is_ident(name))
+                .expect("token present")
+        };
+        assert!(m.in_test(idx("unwrap")));
+        assert!(!m.in_test(idx("expect")));
     }
 
     #[test]

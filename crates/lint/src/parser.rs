@@ -41,6 +41,13 @@ pub struct FnDef {
     pub has_self: bool,
     /// Number of non-`self` parameters.
     pub params: usize,
+    /// True if the enclosing `impl` block implements a trait
+    /// (`impl Trait for Foo`): callers may reach the fn through the
+    /// trait without being able to name `Foo`.
+    pub in_trait_impl: bool,
+    /// True for a plain `pub fn` — the only visibility another crate can
+    /// call (`pub(crate)`, `pub(super)` and private fns stay home).
+    pub is_pub: bool,
     /// True if the fn sits inside a `#[cfg(test)]` region.
     pub is_test: bool,
     /// True if a `// lint: hot-path` marker annotates this fn.
@@ -170,15 +177,16 @@ pub fn parse(model: &FileModel) -> ParsedFile {
             };
             if name_tok.kind == TokKind::Ident {
                 let body = fn_body(toks, i);
-                let impl_type = impls
+                let enclosing = impls
                     .iter()
-                    .filter(|(_, (s, e))| i >= *s && i < *e)
-                    .min_by_key(|(_, (s, e))| e - s)
-                    .map(|(ty, _)| ty.clone());
+                    .filter(|b| i >= b.body.0 && i < b.body.1)
+                    .min_by_key(|b| b.body.1 - b.body.0);
                 let (has_self, params) = fn_params(toks, i);
                 out.fns.push(FnDef {
                     name: name_tok.text.clone(),
-                    impl_type,
+                    impl_type: enclosing.map(|b| b.self_type.clone()),
+                    in_trait_impl: enclosing.is_some_and(|b| b.for_trait),
+                    is_pub: is_plain_pub(toks, i),
                     line: toks[i].line,
                     fn_tok: i,
                     body,
@@ -242,6 +250,20 @@ pub fn parse(model: &FileModel) -> ParsedFile {
         });
     }
     out
+}
+
+/// Whether the `fn` keyword at `i` is introduced by an unrestricted `pub`,
+/// looking back through `const` / `async` / `unsafe` / `extern "abi"`.
+fn is_plain_pub(toks: &[Tok], i: usize) -> bool {
+    let qualifier = |t: &Tok| {
+        t.kind == TokKind::Str
+            || ["const", "async", "unsafe", "extern"]
+                .iter()
+                .any(|q| t.is_ident(q))
+    };
+    toks.get(..i)
+        .and_then(|before| before.iter().rev().find(|t| !qualifier(t)))
+        .is_some_and(|t| t.is_ident("pub"))
 }
 
 /// Given `<` at index `open`, returns the index just past the matching
@@ -392,8 +414,18 @@ fn classify_call(toks: &[Tok], i: usize) -> (CallKind, Option<String>) {
     (CallKind::Free, None)
 }
 
-/// Finds `impl` blocks: (self type name, body token range).
-fn impl_blocks(toks: &[Tok]) -> Vec<(String, (usize, usize))> {
+/// One `impl` block.
+struct ImplBlock {
+    /// Last path segment of the self type.
+    self_type: String,
+    /// `impl Trait for Type` rather than an inherent `impl Type`.
+    for_trait: bool,
+    /// Body token range.
+    body: (usize, usize),
+}
+
+/// Finds `impl` blocks.
+fn impl_blocks(toks: &[Tok]) -> Vec<ImplBlock> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -430,8 +462,12 @@ fn impl_blocks(toks: &[Tok]) -> Vec<(String, (usize, usize))> {
             }
             k += 1;
         }
-        if let Some(ty) = ty {
-            out.push((ty, (start, k.saturating_sub(1))));
+        if let Some(self_type) = ty {
+            out.push(ImplBlock {
+                self_type,
+                for_trait: header.iter().any(|&t| toks[t].is_ident("for")),
+                body: (start, k.saturating_sub(1)),
+            });
         }
         i = start;
     }
@@ -514,6 +550,31 @@ mod tests {
 
     fn parse_src(src: &str) -> ParsedFile {
         parse(&FileModel::build(src))
+    }
+
+    #[test]
+    fn visibility_and_trait_impls() {
+        let p = parse_src(
+            "impl Foo { pub fn a(&self) {} pub(crate) fn b(&self) {} fn c(&self) {} \
+             pub const unsafe fn d() {} pub extern \"C\" fn e() {} }\n\
+             impl Display for Foo { fn fmt(&self) {} }",
+        );
+        let seen: Vec<(&str, bool, bool)> = p
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_pub, f.in_trait_impl))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                ("a", true, false),
+                ("b", false, false),
+                ("c", false, false),
+                ("d", true, false),
+                ("e", true, false),
+                ("fmt", false, true),
+            ]
+        );
     }
 
     #[test]

@@ -363,7 +363,8 @@ mod tests {
     fn determinism_taint_honors_sinks() {
         let a = analyze(
             "crates/sim/src/cluster.rs",
-            "impl Cluster { fn step(&mut self) { observe_tick(); } }",
+            "use cpi2_telemetry::observe_tick;\n\
+             impl Cluster { fn step(&mut self) { observe_tick(); } }",
             RuleSet::default(),
         );
         let b = analyze(

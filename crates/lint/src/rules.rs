@@ -832,6 +832,22 @@ fn alloc_rule(model: &FileModel, out: &mut Raw) {
             Some("`.collect()`")
         } else if t.is_ident("vec") && toks.get(i + 1).is_some_and(|p| p.is_punct('!')) {
             Some("`vec!`")
+        } else if t.is_ident("format") && toks.get(i + 1).is_some_and(|p| p.is_punct('!')) {
+            Some("`format!`")
+        } else if i >= 1
+            && toks[i - 1].is_punct('.')
+            && toks.get(i + 1).is_some_and(|p| p.is_punct('('))
+        {
+            // Owned copies of a borrowed value. Token-level, so a `Copy`
+            // or `Arc` `.clone()` is flagged too: write `*x` for the
+            // first, waive the second with its reason.
+            match t.text.as_str() {
+                "clone" => Some("`.clone()`"),
+                "to_string" => Some("`.to_string()`"),
+                "to_owned" => Some("`.to_owned()`"),
+                "to_vec" => Some("`.to_vec()`"),
+                _ => None,
+            }
         } else {
             None
         };

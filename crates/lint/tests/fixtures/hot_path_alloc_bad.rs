@@ -11,3 +11,13 @@ fn tick_all(machines: &mut [Machine], out: &mut Vec<Exit>) {
     }
     out.push(Exit::from(scratch.len() + wants.len()));
 }
+
+// lint: hot-path
+fn ingest_one(state: &mut TaskState, sample: &Sample, specs: &Specs) {
+    state.job = sample.job.clone();
+    let key = format!("{}@{}", sample.job, sample.platform);
+    let spec = specs.get(&key).map(|s| s.to_owned());
+    state.label = sample.platform.to_string();
+    state.history = sample.window.to_vec();
+    state.spec = spec;
+}

@@ -28,3 +28,13 @@ fn drain_exits(pending: &mut Vec<Exit>, out: &mut Vec<Exit>) {
         out.push(e);
     }
 }
+
+// lint: hot-path
+fn ingest_one(state: &mut TaskState, sample: &Sample) {
+    // Borrowed compares and in-place reuse: no owned copy per sample.
+    if state.job != sample.job {
+        state.job.clone_from(&sample.job);
+    }
+    state.class = sample.class;
+    state.cloned_at = sample.timestamp;
+}

@@ -107,19 +107,30 @@ impl Aggregator {
         // slice directly with no allocation.
         let mut kept: Option<Vec<CpiSample>> = None;
         let mut dups = 0u64;
-        for (i, s) in samples.iter().enumerate() {
-            let fresh = self.seen.entry(s.timestamp).or_default().insert(s.task.0);
-            if fresh {
-                if let Some(k) = kept.as_mut() {
-                    k.push(s.clone());
-                }
-            } else {
-                dups += 1;
-                if kept.is_none() {
-                    kept = Some(samples[..i].to_vec());
+        // A batch is one machine's samples at one instant: look the
+        // timestamp's task set up once per run of equal timestamps.
+        let mut start = 0;
+        while let Some(first) = samples.get(start) {
+            let ts = first.timestamp;
+            let len = samples[start..]
+                .iter()
+                .take_while(|s| s.timestamp == ts)
+                .count();
+            let seen = self.seen.entry(ts).or_default();
+            for (i, s) in samples.iter().enumerate().skip(start).take(len) {
+                if seen.insert(s.task.0) {
+                    if let Some(k) = kept.as_mut() {
+                        k.push(s.clone());
+                    }
+                } else {
+                    dups += 1;
+                    if kept.is_none() {
+                        kept = Some(samples[..i].to_vec());
+                    }
                 }
             }
-            self.seen_watermark = self.seen_watermark.max(s.timestamp);
+            self.seen_watermark = self.seen_watermark.max(ts);
+            start += len;
         }
         if dups > 0 {
             self.duplicates_dropped += dups;

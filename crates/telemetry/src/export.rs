@@ -97,6 +97,9 @@ pub(crate) fn json_key(name: &str, labels: &Labels) -> String {
 /// One event as a JSON object: the element both `/metrics.json`'s
 /// `events` array and `/debug/events` serve.
 pub(crate) fn event_json(e: &Event) -> Arc<str> {
+    // lint: allow(transitive-alloc) — runs once per pushed event, never
+    // per scrape; the export writers "reach" it only because their
+    // `String::push` resolves by name to `EventRing::push`.
     let mut out = format!("{{\"at_us\":{},\"kind\":", e.at_us);
     write_json_string(&mut out, &e.kind);
     out.push_str(",\"detail\":");
