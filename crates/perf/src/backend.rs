@@ -32,8 +32,18 @@ pub trait CounterSource {
     /// switch, in microseconds.
     fn counter_switch_us(&self) -> f64;
 
-    /// Snapshot of every resident task's counters.
+    /// Snapshot of every resident task's counters (each task once).
     fn snapshot(&self) -> Vec<TaskCounters>;
+
+    /// Visits every resident task — id, owning job's name, counters — in
+    /// [`CounterSource::snapshot`]'s order. This is what the sampler calls
+    /// at a window edge; a backend that can lend these overrides it so an
+    /// edge builds no owned snapshot it would only read and drop.
+    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &str, &CounterBlock)) {
+        for tc in self.snapshot() {
+            visit(tc.task, &tc.job_name, &tc.counters);
+        }
+    }
 }
 
 impl CounterSource for Machine {
@@ -57,6 +67,12 @@ impl CounterSource for Machine {
                 counters: *t.cgroup.counters(),
             })
             .collect()
+    }
+
+    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &str, &CounterBlock)) {
+        for t in self.tasks() {
+            visit(t.id, &t.job_name, t.cgroup.counters());
+        }
     }
 }
 

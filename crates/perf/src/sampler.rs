@@ -12,7 +12,9 @@ use crate::backend::CounterSource;
 use crate::reading::CounterReading;
 use cpi2_sim::{CounterBlock, SimDuration, SimTime, TaskId};
 use cpi2_telemetry::{Counter, Gauge, Histo, Telemetry};
-use std::collections::HashMap;
+
+#[cfg(test)]
+mod oracle;
 
 /// Sampling schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,13 +52,23 @@ impl SamplerConfig {
             "window+phase must fit in period"
         );
     }
-}
 
-/// In-flight counting window.
-#[derive(Debug)]
-struct OpenWindow {
-    started: SimTime,
-    baseline: HashMap<TaskId, CounterBlock>,
+    /// Whether `now` falls inside the counting window of its period, and
+    /// the first later time at which that answer flips.
+    fn window_at(&self, now: SimTime) -> (bool, SimTime) {
+        let period = self.period.as_us();
+        let pos = now.as_us().rem_euclid(period);
+        let start = self.phase.as_us();
+        let end = start + self.window.as_us();
+        let (inside, to_edge) = if pos < start {
+            (false, start - pos)
+        } else if pos < end {
+            (true, end - pos)
+        } else {
+            (false, period - pos + start)
+        };
+        (inside, SimTime(now.as_us().saturating_add(to_edge)))
+    }
 }
 
 /// Cached telemetry handles for duty-cycle samplers.
@@ -89,7 +101,18 @@ impl SamplerMetrics {
 #[derive(Debug)]
 pub struct MachineSampler {
     config: SamplerConfig,
-    open: Option<OpenWindow>,
+    /// When the in-flight counting window opened, if one is open.
+    open: Option<SimTime>,
+    /// Each task's counters at that open, in the source's visiting order.
+    /// Cleared and refilled per window, so it allocates only while warming
+    /// up to the machine's task count.
+    baseline: Vec<(TaskId, CounterBlock)>,
+    /// `[from, until)`: the span in which a poll can neither open nor
+    /// close a window. `from` is the last poll that evaluated the
+    /// schedule — which left `open` agreeing with "inside the window at
+    /// `from`" — and `until` is the first time after it at which "inside
+    /// the window" flips. Empty until the first poll.
+    quiet: (SimTime, SimTime),
     metrics: SamplerMetrics,
 }
 
@@ -105,15 +128,10 @@ impl MachineSampler {
         MachineSampler {
             config,
             open: None,
+            baseline: Vec::new(),
+            quiet: (SimTime::ZERO, SimTime::ZERO),
             metrics: SamplerMetrics::new(telemetry),
         }
-    }
-
-    /// True if `now` falls inside the counting window of its period.
-    fn in_window(&self, now: SimTime) -> bool {
-        let pos = now.as_us().rem_euclid(self.config.period.as_us());
-        let start = self.config.phase.as_us();
-        pos >= start && pos < start + self.config.window.as_us()
     }
 
     /// Polls the sampler. Call once per simulation tick, *after* the
@@ -121,63 +139,43 @@ impl MachineSampler {
     /// schedule says so, and on window close returns one reading per task
     /// that was present at both edges.
     pub fn poll(&mut self, source: &dyn CounterSource, now: SimTime) -> Vec<CounterReading> {
-        match (self.open.take(), self.in_window(now)) {
+        if self.is_quiet(now) {
+            return Vec::new();
+        }
+        self.poll_edge(source, now)
+    }
+
+    /// The sampler counts 10 s of every minute; this is the other 50, and
+    /// the nine ticks between a window's two edges. A `now` earlier than
+    /// the last evaluated poll is not covered and re-evaluates.
+    // lint: hot-path
+    fn is_quiet(&self, now: SimTime) -> bool {
+        let (from, until) = self.quiet;
+        from <= now && now < until
+    }
+
+    /// Evaluates the schedule at `now`: opens a window, closes one, or
+    /// finds nothing to do, and records how long that stays true.
+    fn poll_edge(&mut self, source: &dyn CounterSource, now: SimTime) -> Vec<CounterReading> {
+        let (inside, next_edge) = self.config.window_at(now);
+        self.quiet = (now, next_edge);
+        match (self.open, inside) {
             (None, true) => {
                 // Window opens: snapshot baselines.
-                let baseline = source
-                    .snapshot()
-                    .into_iter()
-                    .map(|tc| (tc.task, tc.counters))
-                    .collect();
-                self.open = Some(OpenWindow {
-                    started: now,
-                    baseline,
-                });
+                self.open = Some(now);
+                let baseline = &mut self.baseline;
+                baseline.clear();
+                source.visit_counters(&mut |task, _, counters| baseline.push((task, *counters)));
                 Vec::new()
             }
-            (Some(w), false) => {
+            (Some(started), false) => {
                 // Window closes: produce deltas.
-                let window = now - w.started;
+                self.open = None;
+                let window = now - started;
                 if window.as_us() <= 0 {
                     return Vec::new();
                 }
-                let mut out = Vec::new();
-                for tc in source.snapshot() {
-                    let Some(base) = w.baseline.get(&tc.task) else {
-                        continue; // Task arrived mid-window.
-                    };
-                    let d = tc.counters.delta(base);
-                    if d.cpu_time_us < 0.0 {
-                        continue; // Counter reset (task restarted in place).
-                    }
-                    let kinstr = d.instructions / 1000.0;
-                    out.push(CounterReading {
-                        task: tc.task,
-                        job_name: tc.job_name,
-                        platform: source.platform_name().to_string(),
-                        timestamp: now,
-                        window,
-                        cpu_usage: d.cpu_time_us / window.as_us() as f64,
-                        cpi: d.cpi(),
-                        instructions: d.instructions,
-                        l3_mpki: if kinstr > 0.0 {
-                            d.l3_misses / kinstr
-                        } else {
-                            0.0
-                        },
-                        l2_mpki: if kinstr > 0.0 {
-                            d.l2_misses / kinstr
-                        } else {
-                            0.0
-                        },
-                        mem_lines_per_cycle: if d.cycles > 0.0 {
-                            d.mem_lines / d.cycles
-                        } else {
-                            0.0
-                        },
-                        overhead_us: d.context_switches as f64 * source.counter_switch_us(),
-                    });
-                }
+                let out = self.close(source, now, window);
                 self.metrics.windows_total.inc();
                 self.metrics.readings_total.add(out.len() as u64);
                 self.metrics
@@ -186,12 +184,73 @@ impl MachineSampler {
                 self.metrics.multiplex_occupancy.record(out.len() as f64);
                 out
             }
-            (open, _) => {
-                // Mid-window or idle between windows: keep state as-is.
-                self.open = open;
-                Vec::new()
-            }
+            // Mid-window or idle between windows: keep state as-is.
+            _ => Vec::new(),
         }
+    }
+
+    /// One reading per task the source holds now that was also there at
+    /// the window's open, as deltas against its baseline.
+    fn close(
+        &self,
+        source: &dyn CounterSource,
+        now: SimTime,
+        window: SimDuration,
+    ) -> Vec<CounterReading> {
+        let baseline = &self.baseline;
+        let platform = source.platform_name();
+        let switch_us = source.counter_switch_us();
+        let mut out = Vec::with_capacity(baseline.len());
+        // Tasks mostly sit where they sat at the open, so the baseline is
+        // matched by position; a task that is not next in line (its
+        // neighbours left, or it restarted and was re-added) is searched
+        // for, and the walk resumes after wherever it was found.
+        let mut next = 0;
+        source.visit_counters(&mut |task, job_name, counters| {
+            let found = match baseline.get(next) {
+                Some((id, base)) if *id == task => Some((next, base)),
+                _ => baseline
+                    .iter()
+                    .enumerate()
+                    .find_map(|(i, (id, base))| (*id == task).then_some((i, base))),
+            };
+            let Some((at, base)) = found else {
+                return; // Task arrived mid-window.
+            };
+            next = at + 1;
+            let d = counters.delta(base);
+            if d.cpu_time_us < 0.0 {
+                return; // Counter reset (task restarted in place).
+            }
+            let kinstr = d.instructions / 1000.0;
+            out.push(CounterReading {
+                task,
+                job_name: job_name.to_string(),
+                platform: platform.to_string(),
+                timestamp: now,
+                window,
+                cpu_usage: d.cpu_time_us / window.as_us() as f64,
+                cpi: d.cpi(),
+                instructions: d.instructions,
+                l3_mpki: if kinstr > 0.0 {
+                    d.l3_misses / kinstr
+                } else {
+                    0.0
+                },
+                l2_mpki: if kinstr > 0.0 {
+                    d.l2_misses / kinstr
+                } else {
+                    0.0
+                },
+                mem_lines_per_cycle: if d.cycles > 0.0 {
+                    d.mem_lines / d.cycles
+                } else {
+                    0.0
+                },
+                overhead_us: d.context_switches as f64 * switch_us,
+            });
+        });
+        out
     }
 }
 
@@ -199,7 +258,9 @@ impl MachineSampler {
 /// derived from the machine id, staggering collection across the fleet.
 #[derive(Debug, Default)]
 pub struct ClusterSampler {
-    samplers: HashMap<u32, MachineSampler>,
+    /// Indexed by [`CounterSource::source_id`] — a cluster numbers its
+    /// machines `0..n`, and the hardware backend's one source is id 0.
+    samplers: Vec<MachineSampler>,
     telemetry: Telemetry,
 }
 
@@ -215,7 +276,7 @@ impl ClusterSampler {
     /// reports into a shared monitoring system.
     pub fn with_telemetry(telemetry: &Telemetry) -> Self {
         ClusterSampler {
-            samplers: HashMap::new(),
+            samplers: Vec::new(),
             telemetry: telemetry.clone(),
         }
     }
@@ -223,16 +284,22 @@ impl ClusterSampler {
     /// Polls one counter source, lazily creating its sampler with a
     /// staggered phase.
     pub fn poll(&mut self, source: &dyn CounterSource, now: SimTime) -> Vec<CounterReading> {
-        let telemetry = &self.telemetry;
-        let sampler = self.samplers.entry(source.source_id()).or_insert_with(|| {
+        let slot = source.source_id() as usize;
+        // First sight of this id: samplers up to and including it.
+        while self.samplers.len() <= slot {
             let base = SamplerConfig::default();
             let slots = ((base.period.as_us() - base.window.as_us()) / cpi2_sim::time::US_PER_SEC)
                 as u64
                 + 1;
-            let phase = SimDuration::from_secs((source.source_id() as u64 % slots) as i64);
-            MachineSampler::with_telemetry(SamplerConfig { phase, ..base }, telemetry)
-        });
-        sampler.poll(source, now)
+            let phase = SimDuration::from_secs((self.samplers.len() as u64 % slots) as i64);
+            self.samplers.push(MachineSampler::with_telemetry(
+                SamplerConfig { phase, ..base },
+                &self.telemetry,
+            ));
+        }
+        self.samplers
+            .get_mut(slot)
+            .map_or_else(Vec::new, |sampler| sampler.poll(source, now))
     }
 }
 

@@ -104,6 +104,67 @@ impl ProfileColumns {
     }
 }
 
+/// Tasks per stack chunk of the traffic sum: four SSE2 `f64` pairs. The
+/// dense fleet's 25 tasks are three chunks and a tail of one.
+const LANES: usize = 8;
+
+/// One task's miss traffic in giga-lines/sec at CPI estimate `c`.
+#[inline(always)]
+fn traffic(activity: f64, clock_hz: f64, c: f64, mpki: f64) -> f64 {
+    let instr_per_sec = activity * clock_hz / c;
+    instr_per_sec * mpki / 1000.0 / 1e9
+}
+
+/// The machine's miss traffic: [`traffic`] summed over the columns in
+/// task order, stopping at the shortest column as a zip of them would.
+///
+/// A fixed-point pass is bound by its divides — three per task here, one
+/// in the update — and they cannot vectorise while they sit inside an
+/// ordered `f64` sum. So each full chunk's terms go to a stack array
+/// first (independent lanes, packed divides; IEEE division rounds each
+/// lane exactly as the scalar instruction does) and are then added to the
+/// running sum in task order: same per-element roundings, same addition
+/// order, same bits as the one-loop sum. The sum starts from −0.0, the
+/// identity of IEEE addition (`−0.0 + x` is `x` for every `x`; it is
+/// where `Iterator::sum` starts too since Rust 1.83), so the first add is
+/// exact and costs nothing on the dependency chain.
+// lint: hot-path
+#[inline]
+fn miss_traffic(activity: &[f64], cpi: &[f64], mpki: &[f64], clock_hz: f64) -> f64 {
+    // Cut to the shortest column first, so the three walk in step and
+    // their tails line up.
+    let n = activity.len().min(cpi.len()).min(mpki.len());
+    let (activity, cpi, mpki) = (
+        activity.get(..n).unwrap_or_default(),
+        cpi.get(..n).unwrap_or_default(),
+        mpki.get(..n).unwrap_or_default(),
+    );
+    let mut glines = -0.0f64;
+    let (a_chunks, c_chunks, m_chunks) = (
+        activity.chunks_exact(LANES),
+        cpi.chunks_exact(LANES),
+        mpki.chunks_exact(LANES),
+    );
+    let tail = a_chunks
+        .remainder()
+        .iter()
+        .zip(c_chunks.remainder())
+        .zip(m_chunks.remainder());
+    for ((a, c), m) in a_chunks.zip(c_chunks).zip(m_chunks) {
+        let mut terms = [0.0f64; LANES];
+        for (((t, &a), &c), &m) in terms.iter_mut().zip(a).zip(c).zip(m) {
+            *t = traffic(a, clock_hz, c, m);
+        }
+        for t in terms {
+            glines += t;
+        }
+    }
+    for ((&a, &c), &m) in tail {
+        glines += traffic(a, clock_hz, c, m);
+    }
+    glines
+}
+
 /// The columnar interference kernel: per-task CPI and MPKI for one tick,
 /// streamed over struct-of-arrays inputs. `activity` and `profiles` are
 /// parallel columns in task order; `cpi` and `mpki` are cleared and
@@ -184,15 +245,7 @@ pub fn compute_cols(
     let mut rho = 0.0;
     for _ in 0..params.iterations {
         // Miss traffic in giga-lines/sec at current CPI estimates.
-        let glines: f64 = activity
-            .iter()
-            .zip(cpi.iter())
-            .zip(mpki.iter())
-            .map(|((&a, &c), &m)| {
-                let instr_per_sec = a * platform.clock_hz / c;
-                instr_per_sec * m / 1000.0 / 1e9
-            })
-            .sum();
+        let glines = miss_traffic(activity, cpi, mpki, platform.clock_hz);
         rho = (glines / platform.mem_bw_glines).min(params.rho_max);
         let queue_mult = 1.0 + params.queue_beta * rho / (1.0 - rho);
         let eff_penalty = platform.miss_penalty_cycles * queue_mult;
@@ -355,6 +408,32 @@ mod tests {
         let v = solve(&p, &hogs, &params);
         assert!(v.summary.mem_utilization <= params.rho_max + 1e-12);
         assert!(v.cpi.iter().all(|c| c.is_finite() && *c > 0.0));
+    }
+
+    #[test]
+    fn traffic_sum_stops_at_the_shortest_column() {
+        // Columns of unequal length (the fields are public): the chunked
+        // sum pairs index with index and ends where a zip would, wherever
+        // the shortest column ends relative to a chunk boundary.
+        let col = |n: usize, k: f64| (0..n).map(|i| k + i as f64 * 0.37).collect::<Vec<f64>>();
+        for (a_len, c_len, m_len) in [
+            (17, 9, 17),
+            (9, 8, 9),
+            (8, 9, 9),
+            (12, 10, 16),
+            (25, 25, 24),
+            (16, 16, 16),
+            (3, 0, 3),
+        ] {
+            let (a, c, m) = (col(a_len, 0.5), col(c_len, 1.1), col(m_len, 0.2));
+            let want = a
+                .iter()
+                .zip(&c)
+                .zip(&m)
+                .fold(-0.0, |sum, ((&a, &c), &m)| sum + traffic(a, 2.6e9, c, m));
+            let got = miss_traffic(&a, &c, &m, 2.6e9);
+            assert_eq!(got.to_bits(), want.to_bits(), "{a_len}/{c_len}/{m_len}");
+        }
     }
 
     #[test]

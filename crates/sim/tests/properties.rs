@@ -75,17 +75,17 @@ impl Kernel {
     }
 }
 
-fn loads_strategy(n: usize) -> impl Strategy<Value = Vec<TaskLoad>> {
+fn loads_strategy(tasks: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TaskLoad>> {
     prop::collection::vec(
         (0.0..8.0f64, profile_strategy())
             .prop_map(|(activity, profile)| TaskLoad { activity, profile }),
-        1..n,
+        tasks,
     )
 }
 
 proptest! {
     #[test]
-    fn interference_cpi_never_below_base(loads in loads_strategy(12)) {
+    fn interference_cpi_never_below_base(loads in loads_strategy(1..12)) {
         let platform = Platform::westmere();
         let got = Kernel::default().run(&platform, &loads, &InterferenceParams::default());
         prop_assert_eq!(got.cpi.len(), loads.len());
@@ -101,7 +101,7 @@ proptest! {
     }
 
     #[test]
-    fn interference_adding_antagonist_never_helps(loads in loads_strategy(8)) {
+    fn interference_adding_antagonist_never_helps(loads in loads_strategy(1..8)) {
         let platform = Platform::westmere();
         let params = InterferenceParams::default();
         let before = Kernel::default().run(&platform, &loads, &params);
@@ -410,36 +410,107 @@ fn assert_bits_equal(
     Ok(())
 }
 
+/// Which tasks of a column are forced idle.
+#[derive(Debug, Clone, Copy)]
+enum Idle {
+    /// None: the column as drawn.
+    AsDrawn,
+    /// Every task: the zero-total-activity fast path.
+    All,
+    /// Every other task: idle lanes inside busy chunks.
+    Alternate,
+}
+
+/// Runs the kernel over `loads` on both platforms — into fresh buffers,
+/// and into buffers a different-sized prior solve left dirty — and holds
+/// every output to the pinned reference bit for bit.
+fn check_against_reference(
+    loads: &[TaskLoad],
+    idle: Idle,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut loads = loads.to_vec();
+    for (i, l) in loads.iter_mut().enumerate() {
+        match idle {
+            Idle::AsDrawn => {}
+            Idle::All => l.activity = 0.0,
+            Idle::Alternate => {
+                if i % 2 == 0 {
+                    l.activity = 0.0;
+                }
+            }
+        }
+    }
+    let params = InterferenceParams::default();
+    for platform in [Platform::westmere(), Platform::sandy_bridge()] {
+        let mut want = reference_compute(&platform, &loads, &params);
+        if loads.is_empty() {
+            // The reference's machine totals over no tasks are
+            // `Iterator::sum` of nothing, whose sign of zero is the
+            // toolchain's (+0.0 before Rust 1.83, −0.0 since); the
+            // kernel's have always been +0.0.
+            want.summary.cache_demand_mb += 0.0;
+            want.summary.mem_utilization += 0.0;
+        }
+
+        // Fresh buffers.
+        let mut kernel = Kernel::default();
+        assert_bits_equal(&kernel.run(&platform, &loads, &params), &want)?;
+
+        // Buffers deliberately dirtied by a different prior
+        // computation: reuse must not leak state between calls.
+        let decoys = [
+            TaskLoad {
+                activity: 6.0,
+                profile: ResourceProfile::streaming(),
+            },
+            TaskLoad {
+                activity: 3.0,
+                profile: ResourceProfile::cache_heavy(),
+            },
+        ];
+        kernel.run(&platform, &decoys, &params);
+        let got = kernel.run(&platform, &loads, &params);
+        assert_bits_equal(&got, &want)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn compute_cols_bit_identical_to_reference(
-        loads in loads_strategy(16),
-        idle_flag in 0..2u8,
+        // 0..=40 tasks: past the dense fleet's 25 and into a fifth chunk.
+        loads in loads_strategy(0..41),
+        idle in 0..3u8,
     ) {
-        let mut loads = loads;
-        // Half the cases exercise the zero-total-activity fast path.
-        if idle_flag == 1 {
-            for l in &mut loads {
-                l.activity = 0.0;
-            }
-        }
-        let params = InterferenceParams::default();
-        for platform in [Platform::westmere(), Platform::sandy_bridge()] {
-            let want = reference_compute(&platform, &loads, &params);
+        let idle = [Idle::AsDrawn, Idle::All, Idle::Alternate][idle as usize];
+        check_against_reference(&loads, idle)?;
+    }
+}
 
-            // Fresh buffers.
-            let mut kernel = Kernel::default();
-            assert_bits_equal(&kernel.run(&platform, &loads, &params), &want)?;
-
-            // Buffers deliberately dirtied by a different prior
-            // computation: reuse must not leak state between calls.
-            let decoys = [
-                TaskLoad { activity: 6.0, profile: ResourceProfile::streaming() },
-                TaskLoad { activity: 3.0, profile: ResourceProfile::cache_heavy() },
-            ];
-            kernel.run(&platform, &decoys, &params);
-            let got = kernel.run(&platform, &loads, &params);
-            assert_bits_equal(&got, &want)?;
+/// Every column length from 0 through 40, which for the kernel's chunk
+/// width W = 8 (or any width up to 19) includes 0, 1, W−1, W, W+1, 2W and
+/// 2W+1, and the dense fleet's 25 — each as drawn, all idle and
+/// mixed-idle.
+#[test]
+fn compute_cols_bit_identical_at_every_chunk_boundary() {
+    // A fixed stream of plausible, all-different values.
+    let mut rng = cpi2_stats::rng::SimRng::new(17);
+    for n in 0..=40usize {
+        let loads: Vec<TaskLoad> = (0..n)
+            .map(|_| TaskLoad {
+                activity: rng.range_f64(0.01, 6.0),
+                profile: ResourceProfile {
+                    base_cpi: rng.range_f64(0.5, 3.0),
+                    cache_mb: rng.range_f64(0.1, 30.0),
+                    mpki_solo: rng.range_f64(0.0, 15.0),
+                    cache_sensitivity: rng.range_f64(0.0, 2.0),
+                    cpi_noise: 0.0,
+                },
+            })
+            .collect();
+        for idle in [Idle::AsDrawn, Idle::All, Idle::Alternate] {
+            check_against_reference(&loads, idle)
+                .unwrap_or_else(|e| panic!("{n} tasks, {idle:?}: {e:?}"));
         }
     }
 }

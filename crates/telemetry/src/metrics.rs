@@ -67,12 +67,14 @@ impl Default for HistoCell {
     }
 }
 
-/// Index of the log bucket holding `v` (negatives and NaN land in 0).
+/// Index of the log bucket holding `v` (negatives and NaN land in 0,
+/// `+∞` in the last bucket).
 fn bucket_index(v: f64) -> usize {
     if v.is_nan() || v < 1.0 {
         return 0;
     }
-    ((v.log2().floor() as usize) + 1).min(HIST_BUCKETS - 1)
+    // `log2(+∞) as usize` saturates at `usize::MAX`: clamp before the add.
+    (v.log2().floor() as usize).min(HIST_BUCKETS - 2) + 1
 }
 
 impl HistoCell {
@@ -291,6 +293,21 @@ mod tests {
         assert_eq!(bucket_index(1e300), HIST_BUCKETS - 1);
         assert_eq!(bucket_index(-5.0), 0);
         assert_eq!(bucket_index(f64::NAN), 0);
+        assert_eq!(bucket_index(f64::INFINITY), HIST_BUCKETS - 1);
+        assert_eq!(bucket_index(f64::NEG_INFINITY), 0);
+    }
+
+    #[test]
+    fn infinite_observation_saturates_without_moving_the_sum() {
+        let cell = HistoCell::default();
+        cell.record(3.0);
+        cell.record(f64::INFINITY);
+        assert_eq!(cell.count(), 2);
+        assert_eq!(cell.sum().to_bits(), 3.0f64.to_bits());
+        let (total, [p99]) = cell.quantiles(&[0.99]);
+        assert_eq!(total, 2);
+        // Filed at the top, not under `< 1`: the tail quantile moves up.
+        assert!(p99.unwrap() > 4.0, "p99={p99:?}");
     }
 
     #[test]

@@ -18,32 +18,41 @@ fn outcome(granted: f64, capped: bool) -> TickOutcome {
     }
 }
 
-/// Drives any model for `ticks` and checks universal invariants:
-/// non-negative finite demand, valid profile, sane thread counts.
-fn check_model_invariants(model: &mut dyn TaskModel, ticks: i64, grant: f64) -> bool {
-    let mut rng = SimRng::new(0);
-    for i in 0..ticks {
-        let now = SimTime::from_secs(i);
-        let d = model.demand(now, SimDuration::from_secs(1), &mut rng);
-        assert!(
-            d.cpu_want.is_finite() && d.cpu_want >= 0.0,
-            "demand {}",
-            d.cpu_want
-        );
-        assert!(d.threads <= 10_000, "threads {}", d.threads);
-        model.profile().validate().expect("valid profile");
-        let o = outcome(d.cpu_want.min(grant), false);
-        if model.observe(now, &o) == TaskAction::Exit {
-            return false;
-        }
-        if let Some(t) = model.transactions(&o, SimDuration::from_secs(1)) {
-            assert!(t.is_finite() && t >= 0.0);
-        }
-        if let Some(l) = model.request_latency_ms(&o) {
-            assert!(l.is_finite() && l >= 0.0);
-        }
+/// One tick of any model, checking universal invariants: non-negative
+/// finite demand, valid profile, sane thread counts. Returns the demand
+/// (`cpu_want` by bit pattern), or `None` once the model exits.
+fn tick_checked(
+    model: &mut dyn TaskModel,
+    rng: &mut SimRng,
+    tick: i64,
+    grant: f64,
+) -> Option<(u64, u32)> {
+    let now = SimTime::from_secs(tick);
+    let d = model.demand(now, SimDuration::from_secs(1), rng);
+    assert!(
+        d.cpu_want.is_finite() && d.cpu_want >= 0.0,
+        "demand {}",
+        d.cpu_want
+    );
+    assert!(d.threads <= 10_000, "threads {}", d.threads);
+    model.profile().validate().expect("valid profile");
+    let o = outcome(d.cpu_want.min(grant), false);
+    if model.observe(now, &o) == TaskAction::Exit {
+        return None;
     }
-    true
+    if let Some(t) = model.transactions(&o, SimDuration::from_secs(1)) {
+        assert!(t.is_finite() && t >= 0.0);
+    }
+    if let Some(l) = model.request_latency_ms(&o) {
+        assert!(l.is_finite() && l >= 0.0);
+    }
+    Some((d.cpu_want.to_bits(), d.threads))
+}
+
+/// Pushes this thread's last [`DiurnalPattern::level`] answer out of its
+/// one-entry memo, with a key no model asks for.
+fn evict_level_memo() {
+    DiurnalPattern::flat(-1.0).level(SimTime(i64::MIN));
 }
 
 proptest! {
@@ -51,7 +60,7 @@ proptest! {
 
     #[test]
     fn catalog_models_satisfy_invariants(seed in any::<u64>(), grant in 0.0..8.0f64) {
-        for name in [
+        const NAMES: [&str; 10] = [
             "websearch-leaf",
             "websearch-intermediate",
             "websearch-root",
@@ -62,11 +71,37 @@ proptest! {
             "bimodal-frontend",
             "bigtable-tablet",
             "storage-server",
-        ] {
-            let mut f = factory(name, seed);
-            let mut m = f(0);
-            check_model_invariants(m.as_mut(), 200, grant);
+        ];
+        const TICKS: i64 = 200;
+        let build = || NAMES.map(|name| (factory(name, seed)(0), SimRng::new(0)));
+
+        // Each model alone, with the time-of-day memo emptied before every
+        // tick: each lookup is answered by the curve's formula.
+        let alone: Vec<Vec<_>> = build()
+            .into_iter()
+            .map(|(mut m, mut rng)| {
+                (0..TICKS)
+                    .map_while(|i| {
+                        evict_level_memo();
+                        tick_checked(m.as_mut(), &mut rng, i, grant)
+                    })
+                    .collect()
+            })
+            .collect();
+
+        // The same models as one machine's residents — all asked at one
+        // `now` per tick, so all but the first lookup is the memo's
+        // answer. Each demand stream must not move by a bit.
+        let mut together = build();
+        let mut streams = vec![Vec::new(); NAMES.len()];
+        for i in 0..TICKS {
+            for ((m, rng), stream) in together.iter_mut().zip(&mut streams) {
+                if stream.len() as i64 == i {
+                    stream.extend(tick_checked(m.as_mut(), rng, i, grant));
+                }
+            }
         }
+        prop_assert_eq!(streams, alone);
     }
 
     #[test]
