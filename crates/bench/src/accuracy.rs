@@ -4,7 +4,7 @@
 //! this module measures whether the identifier *blamed the right job*,
 //! which only the simulator can score exactly: a known antagonist is
 //! planted next to an instrumented victim, so every incident has ground
-//! truth. The `accuracy_leaderboard` binary sweeps every
+//! truth. The `accuracy_leaderboard` experiment sweeps every
 //! [`IdentifierKind`] backend over seeds × fault profiles and scores
 //! precision, recall and mean reciprocal rank (MRR) per backend — the
 //! evidence for (or against) the PANDA-style noise-resilient backend and
@@ -22,10 +22,10 @@ use cpi2::sim::{
 };
 use cpi2::workloads::{CacheThrasher, LsService};
 use cpi2_stats::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Committed floor on the paper backend's clean-profile precision: the
-/// CI `accuracy` job fails if a change drags identification below this.
+/// `accuracy_leaderboard` entry fails if a change drags identification
+/// below this.
 /// (Observed: 0.867 over seeds 1,2,3 — the scenario is deterministic, so
 /// the floor sits just under the measured value.)
 pub const PAPER_CLEAN_PRECISION_FLOOR: f64 = 0.85;
@@ -47,7 +47,7 @@ pub struct AccuracyCase {
 }
 
 /// The scored outcome of one [`AccuracyCase`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CaseScore {
     /// Backend name ([`IdentifierKind::name`]).
     pub identifier: String,
@@ -98,7 +98,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// One leaderboard row: a backend × fault profile, pooled across seeds
 /// (micro-averaged: counts are summed before dividing, so seeds with more
 /// incidents weigh more).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LeaderboardRow {
     /// Backend name.
     pub identifier: String,
@@ -119,7 +119,7 @@ pub struct LeaderboardRow {
 }
 
 /// One pass/fail criterion of the accuracy gate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GateCheck {
     /// What the criterion asserts.
     pub name: String,
@@ -272,9 +272,6 @@ pub fn run_case(case: &AccuracyCase) -> Result<CaseScore, String> {
     // Clean warm-up: learn the victim's spec before any noise.
     system.run_for(SimDuration::from_mins(25));
     let specs = system.force_spec_refresh();
-    if std::env::var("ACC_DEBUG").is_ok() {
-        eprintln!("DBG specs: {specs:?}");
-    }
     if !specs.iter().any(|s| s.jobname == "victim") {
         return Err("warm-up produced no victim spec".into());
     }
@@ -315,19 +312,6 @@ pub fn run_case(case: &AccuracyCase) -> Result<CaseScore, String> {
         while incident_idx < system.incidents().len() {
             let mi = &system.incidents()[incident_idx];
             incident_idx += 1;
-            if std::env::var("ACC_DEBUG").is_ok() {
-                eprintln!(
-                    "DBG incident machine={:?} ant_machine={:?} victim_job={} suspects={:?}",
-                    mi.machine,
-                    ant_machine,
-                    mi.incident.victim_job,
-                    mi.incident
-                        .suspects
-                        .iter()
-                        .map(|s| (s.jobname.clone(), s.correlation, s.confidence))
-                        .collect::<Vec<_>>()
-                );
-            }
             if mi.incident.victim_job != "victim" || Some(mi.machine) != ant_machine {
                 continue;
             }
@@ -404,7 +388,7 @@ fn row<'a>(
         .find(|r| r.identifier == identifier && r.fault == fault)
 }
 
-/// The accuracy gate CI enforces:
+/// The accuracy gate the `accuracy_leaderboard` entry asserts:
 ///
 /// 1. every backend × profile saw incidents (nothing below is vacuous);
 /// 2. the paper backend's clean-profile precision and recall hold the
@@ -413,7 +397,7 @@ fn row<'a>(
 ///    profile;
 /// 4. PANDA's recall is strictly higher than the paper backend's on the
 ///    degraded (`lossy`, `heavy`) profiles — the reason it exists.
-pub fn gate(rows: &[LeaderboardRow], faults: &[String]) -> Vec<GateCheck> {
+pub fn gate(rows: &[LeaderboardRow], faults: &[&str]) -> Vec<GateCheck> {
     let mut checks = Vec::new();
     for r in rows {
         checks.push(GateCheck {
@@ -450,7 +434,7 @@ pub fn gate(rows: &[LeaderboardRow], faults: &[String]) -> Vec<GateCheck> {
             passed: panda.precision >= paper.precision - 1e-9,
             detail: format!("{:.3} vs {:.3}", panda.precision, paper.precision),
         });
-        if fault == "lossy" || fault == "heavy" {
+        if *fault == "lossy" || *fault == "heavy" {
             checks.push(GateCheck {
                 name: format!("panda/{fault}: recall > paper"),
                 passed: panda.recall > paper.recall,
@@ -504,7 +488,7 @@ mod tests {
 
     #[test]
     fn gate_requires_panda_to_beat_paper_when_degraded() {
-        let faults = vec!["none".to_string(), "lossy".to_string()];
+        let faults = ["none", "lossy"];
         let good = aggregate(&[
             score("paper", "none", 10, 10, 10),
             score("paper", "lossy", 10, 8, 5),
@@ -531,7 +515,7 @@ mod tests {
     #[test]
     fn gate_flags_vacuous_rows_and_missing_paper() {
         let rows = aggregate(&[score("panda", "lossy", 0, 0, 0)]);
-        let checks = gate(&rows, &["lossy".to_string()]);
+        let checks = gate(&rows, &["lossy"]);
         assert!(checks
             .iter()
             .any(|c| !c.passed && c.name.contains("incidents")));
@@ -542,8 +526,8 @@ mod tests {
 
     /// The real thing, once, at the cheapest point: clean profile, the
     /// paper backend — a planted thrasher must be found with solid
-    /// precision. (The full sweep is the `accuracy_leaderboard` binary,
-    /// gated in CI.)
+    /// precision. (The full sweep is the `accuracy_leaderboard` entry,
+    /// run by `repro check` in CI.)
     #[test]
     fn clean_paper_case_identifies_the_thrasher() {
         let s = run_case(&AccuracyCase {

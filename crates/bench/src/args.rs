@@ -1,99 +1,107 @@
-//! Tiny `--key value` / `--flag` parser shared by the experiment
-//! binaries (mirrors the root `cpi2` CLI's parser, without a dependency
-//! on that binary crate).
+//! Tiny `--key value` parser for the two wall-clock gates
+//! (`sampled_fleet`, `serve_bench`). A key the binary does not declare or
+//! a value that does not parse is an error naming it — a typo must not
+//! quietly run the default and pass a CI gate.
 
-/// Parsed command-line items.
+use std::str::FromStr;
+
+/// Parsed command-line items: `--key value` pairs only.
 #[derive(Debug)]
 pub struct Args {
-    items: Vec<String>,
+    pairs: Vec<(String, String)>,
 }
 
 impl Args {
-    /// Captures the process arguments (program name excluded).
-    pub fn new() -> Self {
-        Args {
-            items: std::env::args().skip(1).collect(),
-        }
+    /// Parses the process arguments against the `keys` the binary
+    /// accepts; on an error prints it to stderr and exits 2.
+    pub fn from_env(keys: &[&str]) -> Self {
+        let items: Vec<String> = std::env::args().skip(1).collect();
+        let items: Vec<&str> = items.iter().map(String::as_str).collect();
+        or_exit(Args::from_items(&items, keys))
     }
 
-    /// Builds from explicit items (tests).
-    pub fn from_items(items: &[&str]) -> Self {
-        Args {
-            items: items.iter().map(|s| s.to_string()).collect(),
+    /// Parses explicit items: every item must be one of `keys` followed
+    /// by its value.
+    pub fn from_items(items: &[&str], keys: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut items = items.iter();
+        while let Some(&key) = items.next() {
+            if !keys.contains(&key) {
+                return Err(format!(
+                    "unknown argument {key:?} (accepted: {})",
+                    keys.join(" ")
+                ));
+            }
+            let value = items.next().ok_or_else(|| format!("{key} takes a value"))?;
+            pairs.push((key.to_string(), value.to_string()));
         }
+        Ok(Args { pairs })
     }
 
     /// The raw value following `--key`, if present.
     pub fn value(&self, key: &str) -> Option<&str> {
-        self.items
+        self.pairs
             .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.items.get(i + 1))
-            .map(String::as_str)
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
-    /// The value following `--key` parsed as `T`, or `default` when the
-    /// key is absent or unparsable.
-    pub fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.value(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Whether the boolean `--key` appears.
-    pub fn flag(&self, key: &str) -> bool {
-        self.items.iter().any(|a| a == key)
-    }
-
-    /// First positional item parsed as `T` — the legacy interface of
-    /// binaries that predate keyed flags. A token is positional when
-    /// neither it nor the token before it starts with `--` (so keyed
-    /// values like the `60` in `--seconds 60` don't count; nor does
-    /// anything after a boolean flag, an ambiguity the keyed form
-    /// avoids).
-    pub fn positional<T: std::str::FromStr>(&self) -> Option<T> {
-        self.items
-            .iter()
-            .enumerate()
-            .find(|(i, a)| {
-                !a.starts_with("--") && (*i == 0 || !self.items[i - 1].starts_with("--"))
-            })
-            .and_then(|(_, a)| a.parse().ok())
+    /// The value following `--key` parsed as `T`, `default` when the key
+    /// is absent, an error naming key and value when it does not parse.
+    pub fn parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.value(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("{key}: cannot parse {v:?}")),
+        }
     }
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args::new()
-    }
+/// Unwraps a parse result; on an error prints it to stderr and exits 2.
+pub fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const KEYS: [&str; 2] = ["--budget", "--baseline"];
+
     #[test]
     fn keyed_lookup() {
-        let a = Args::from_items(&["--machines", "8", "--quick"]);
-        assert_eq!(a.parsed("--machines", 0u32), 8);
-        assert_eq!(a.parsed("--seconds", 60i64), 60);
-        assert!(a.flag("--quick"));
-        assert!(!a.flag("--slow"));
-        assert_eq!(a.value("--machines"), Some("8"));
+        let a = Args::from_items(&["--budget", "8", "--baseline", "B.json"], &KEYS).unwrap();
+        assert_eq!(a.parsed("--budget", 0u32), Ok(8));
+        assert_eq!(a.parsed("--max-regress", 0.3f64), Ok(0.3));
+        assert_eq!(a.value("--baseline"), Some("B.json"));
+        assert_eq!(a.value("--out"), None);
     }
 
     #[test]
-    fn bare_positional() {
-        let a = Args::from_items(&["150"]);
-        assert_eq!(a.positional::<u32>(), Some(150));
-        let b = Args::from_items(&["150", "--quick"]);
-        assert_eq!(b.positional::<u32>(), Some(150));
+    fn unparsable_value_is_an_error_naming_it() {
+        // `sampled_fleet --budget abc` used to run the default 240 cells.
+        let a = Args::from_items(&["--budget", "abc"], &KEYS).unwrap();
+        let message = a.parsed("--budget", 240u32).unwrap_err();
+        assert!(
+            message.contains("--budget") && message.contains("abc"),
+            "{message}"
+        );
     }
 
     #[test]
-    fn keyed_values_are_not_positional() {
-        // `fleet_rate --seconds 60` must not read 60 as a machine count.
-        let a = Args::from_items(&["--seconds", "60"]);
-        assert_eq!(a.positional::<u32>(), None);
+    fn unknown_key_is_an_error_naming_it() {
+        // `--baselin BENCH_9.json` used to print "gate not applied", exit 0.
+        let message = Args::from_items(&["--baselin", "BENCH_9.json"], &KEYS).unwrap_err();
+        assert!(message.contains("--baselin\""), "{message}");
+        // A stray positional is no better.
+        assert!(Args::from_items(&["240"], &KEYS).is_err());
+    }
+
+    #[test]
+    fn key_without_value_is_an_error() {
+        let message = Args::from_items(&["--budget"], &KEYS).unwrap_err();
+        assert!(message.contains("--budget takes a value"), "{message}");
     }
 }

@@ -20,7 +20,7 @@
 //!           [--out FILE] [--baseline FILE] [--max-regress F]`
 
 use cpi2::sim::SimDuration;
-use cpi2_bench::args::Args;
+use cpi2_bench::args::{or_exit, Args};
 use cpi2_bench::plot;
 use cpi2_bench::sampling::{run_sampled, simulate_cell, FleetModel, SamplingConfig, METRIC_NAMES};
 use std::time::Instant;
@@ -38,15 +38,24 @@ fn json_f64(text: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args = Args::new();
-    let fleet_machines: u32 = args.parsed("--fleet-machines", 1_000_000);
-    let budget: u32 = args.parsed("--budget", 240);
-    let seed: u64 = args.parsed("--seed", 0x5AFE);
-    let warmup_mins: i64 = args.parsed("--warmup-mins", 60);
-    let measure_mins: i64 = args.parsed("--measure-mins", 120);
+    let args = Args::from_env(&[
+        "--fleet-machines",
+        "--budget",
+        "--seed",
+        "--warmup-mins",
+        "--measure-mins",
+        "--out",
+        "--baseline",
+        "--max-regress",
+    ]);
+    let fleet_machines: u32 = or_exit(args.parsed("--fleet-machines", 1_000_000));
+    let budget: u32 = or_exit(args.parsed("--budget", 240));
+    let seed: u64 = or_exit(args.parsed("--seed", 0x5AFE));
+    let warmup_mins: i64 = or_exit(args.parsed("--warmup-mins", 60));
+    let measure_mins: i64 = or_exit(args.parsed("--measure-mins", 120));
     let out_path = args.value("--out").unwrap_or("BENCH_9.json").to_string();
     let baseline = args.value("--baseline").map(str::to_string);
-    let max_regress: f64 = args.parsed("--max-regress", 0.30);
+    let max_regress: f64 = or_exit(args.parsed("--max-regress", 0.30));
 
     let model = FleetModel {
         machines: fleet_machines,

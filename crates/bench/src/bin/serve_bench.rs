@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cpi2_bench::args::Args;
+use cpi2_bench::args::{or_exit, Args};
 use cpi2_bench::serve_load::{
     build_serve_fleet, measure_publish_cost, run_load, LoadConfig, LoadReport,
 };
@@ -85,17 +85,28 @@ fn json_f64(text: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args = Args::new();
-    let connections: usize = args.parsed("--connections", 512);
-    let seconds: f64 = args.parsed("--seconds", 3.0);
-    let pipeline: usize = args.parsed("--pipeline", 8);
-    let machines: u32 = args.parsed("--machines", 400);
-    let big: u32 = args.parsed("--publish-machines-big", 4000);
-    let seed: u64 = args.parsed("--seed", 0x5E4E);
-    let min_speedup: f64 = args.parsed("--min-speedup", 10.0);
+    let args = Args::from_env(&[
+        "--connections",
+        "--seconds",
+        "--pipeline",
+        "--machines",
+        "--publish-machines-big",
+        "--seed",
+        "--min-speedup",
+        "--out",
+        "--baseline",
+        "--max-regress",
+    ]);
+    let connections: usize = or_exit(args.parsed("--connections", 512));
+    let seconds: f64 = or_exit(args.parsed("--seconds", 3.0));
+    let pipeline: usize = or_exit(args.parsed("--pipeline", 8));
+    let machines: u32 = or_exit(args.parsed("--machines", 400));
+    let big: u32 = or_exit(args.parsed("--publish-machines-big", 4000));
+    let seed: u64 = or_exit(args.parsed("--seed", 0x5E4E));
+    let min_speedup: f64 = or_exit(args.parsed("--min-speedup", 10.0));
     let out_path = args.value("--out").unwrap_or("BENCH_10.json").to_string();
     let baseline = args.value("--baseline").map(str::to_string);
-    let max_regress: f64 = args.parsed("--max-regress", 0.30);
+    let max_regress: f64 = or_exit(args.parsed("--max-regress", 0.30));
 
     let granted = raise_nofile_limit((connections * 4 + 256) as u64);
     println!(

@@ -1,9 +1,22 @@
 //! Terminal rendering of the paper's tables and figures.
 //!
-//! Every experiment binary prints its series/rows through these helpers so
-//! the output can be compared side-by-side with the paper's artwork.
-//! When the `CPI2_SVG_DIR` environment variable is set, every plot is
-//! additionally written there as an SVG file (named from its title).
+//! Every experiment prints its series/rows through these helpers so the
+//! output can be compared side-by-side with the paper's artwork. After
+//! [`write_svgs_to`], every plot is additionally written there as an SVG
+//! file (named from its title).
+
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+static SVG_DIR: OnceLock<PathBuf> = OnceLock::new();
+
+/// Makes every later plot of this process also write an SVG under `dir`.
+/// `repro` calls it once, before the entry runs, when recording.
+pub fn write_svgs_to(dir: PathBuf) {
+    SVG_DIR
+        .set(dir)
+        .expect("the SVG directory is set once per process");
+}
 
 /// Prints a fixed-width table with a header row.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -53,7 +66,7 @@ pub fn multi_series(title: &str, xlabel: &str, ylabel: &str, series: &[(&str, &[
     maybe_svg(title, xlabel, ylabel, series, false);
 }
 
-/// Writes the plot to `$CPI2_SVG_DIR/<slug>.svg` when that variable is set.
+/// Writes the plot to `<svg dir>/<slug>.svg` once [`write_svgs_to`] ran.
 fn maybe_svg(
     title: &str,
     xlabel: &str,
@@ -61,7 +74,7 @@ fn maybe_svg(
     series: &[(&str, &[(f64, f64)])],
     lines: bool,
 ) {
-    let Ok(dir) = std::env::var("CPI2_SVG_DIR") else {
+    let Some(dir) = SVG_DIR.get() else {
         return;
     };
     let slug: String = title
@@ -78,10 +91,11 @@ fn maybe_svg(
         .filter(|s| !s.is_empty())
         .collect::<Vec<_>>()
         .join("_");
-    let path = std::path::Path::new(&dir).join(format!("{slug}.svg"));
-    if let Err(e) = crate::svg::save(&path, title, xlabel, ylabel, series, lines) {
-        eprintln!("svg: could not write {}: {e}", path.display());
-    }
+    let path = dir.join(format!("{slug}.svg"));
+    // A lost figure is a failed entry, not a warning scrolling past on
+    // stderr: a partial `repro check` would not notice it missing.
+    crate::svg::save(&path, title, xlabel, ylabel, series, lines)
+        .unwrap_or_else(|e| panic!("svg: could not write {}: {e}", path.display()));
 }
 
 const GLYPHS: [char; 6] = ['*', 'o', '+', 'x', '#', '@'];

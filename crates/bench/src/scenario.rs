@@ -135,6 +135,20 @@ pub fn build_case(
     })
 }
 
+/// The first seed in `seeds` whose placement co-locates victim and
+/// antagonist: `build` is [`build_case`] closed over the case's own
+/// tenancy and antagonist. Panics when no seed in the range does — the
+/// ranges are pinned, so that is a scheduler change, not bad luck.
+pub fn first_colocated(
+    seeds: std::ops::Range<u64>,
+    build: impl Fn(u64) -> Option<CaseScenario>,
+) -> CaseScenario {
+    seeds
+        .clone()
+        .find_map(build)
+        .unwrap_or_else(|| panic!("no seed in {seeds:?} co-locates victim and antagonist"))
+}
+
 /// A per-bucket timeline of the principals.
 #[derive(Debug, Default, Clone)]
 pub struct Timeline {

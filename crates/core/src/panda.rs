@@ -79,7 +79,7 @@ impl IdentifierKind {
     ];
 
     /// Stable machine-readable name (CLI flags, telemetry labels,
-    /// `LEADERBOARD.json` keys).
+    /// leaderboard rows).
     pub fn name(self) -> &'static str {
         match self {
             IdentifierKind::Paper => "paper",

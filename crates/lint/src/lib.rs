@@ -155,6 +155,17 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
         // no env randomness, no map-iteration order, no threads.
         determinism(&mut rs);
         rs.metric_name = true;
+    } else if rel.starts_with("crates/bench/src/experiments/") {
+        // `repro check` compares every entry's output byte for byte, so
+        // an entry is a function of the code alone: no environment, no
+        // clock, no map-iteration order, no threads.
+        determinism(&mut rs);
+        rs.metric_name = true;
+        if rel.ends_with("/correlation_cost.rs") {
+            // The one entry about wall time: it asserts §4.2's 100 µs
+            // budget and prints no measurement.
+            rs.clock_line_allow = vec!["Instant::now()", "use std::time::Instant"];
+        }
     } else if rel.starts_with("crates/workloads/")
         || rel.starts_with("crates/bench/")
         || rel.starts_with("src/")
@@ -485,6 +496,17 @@ mod tests {
         assert!(sampling.metric_name && !sampling.panics);
         let bench = ruleset_for("crates/bench/src/bin/sampled_fleet.rs").expect("bench in scope");
         assert!(!bench.clock && !bench.env_random && bench.metric_name);
+        // So is every `repro` entry: its output is compared byte for
+        // byte. Only the §4.2 cost entry may read a clock, and `repro`
+        // itself (which spawns and compares) is outside the set.
+        let entry = ruleset_for("crates/bench/src/experiments/fig04_tiers.rs").expect("in scope");
+        assert!(entry.clock && entry.env_random && entry.map_iter && entry.spawn);
+        assert!(entry.clock_line_allow.is_empty());
+        let cost =
+            ruleset_for("crates/bench/src/experiments/correlation_cost.rs").expect("in scope");
+        assert!(cost.clock && !cost.clock_line_allow.is_empty());
+        let repro = ruleset_for("crates/bench/src/repro.rs").expect("bench in scope");
+        assert!(!repro.clock && !repro.spawn && !repro.env_random);
     }
 
     #[test]

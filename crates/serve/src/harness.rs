@@ -222,8 +222,7 @@ impl ServeHarness {
     /// Resident mode: tick forever (or for `total` sim time when given),
     /// pacing each tick by `pace_ms` of wall time (0 = free-running).
     /// Wall time only paces the loop — it never feeds sim state. Used by
-    /// the `cpi2-serve` binary and `fleet_rate --serve` after
-    /// [`serve`](Self::serve).
+    /// the `cpi2-serve` binary after [`serve`](Self::serve).
     pub fn run_paced(&mut self, pace_ms: u64, total: Option<SimDuration>) {
         let end = total.map(|d| self.inner.cluster.now() + d);
         loop {

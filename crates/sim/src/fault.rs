@@ -111,7 +111,7 @@ impl FaultProfile {
     }
 
     /// Looks up a named profile (`none`, `lossy`, `heavy`) — the
-    /// vocabulary of `fleet_rate --faults`.
+    /// vocabulary of the accuracy leaderboard's fault axis.
     pub fn named(name: &str) -> Option<FaultProfile> {
         match name {
             "none" => Some(FaultProfile::none()),

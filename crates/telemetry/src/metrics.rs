@@ -48,12 +48,13 @@ impl GaugeCell {
 
 /// Backing cell of a log-bucketed histogram.
 ///
-/// Updates are lock-free: one atomic add on the bucket, one on the count,
-/// and a CAS loop folding the observation into the running sum.
+/// Updates are lock-free: one atomic add on the bucket and a CAS loop
+/// folding the observation into the running sum. The observation count is
+/// the buckets' total — the one number [`Histo::count`], the quantiles and
+/// both exporters report.
 #[derive(Debug)]
 pub(crate) struct HistoCell {
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum_bits: AtomicU64,
 }
 
@@ -61,7 +62,6 @@ impl Default for HistoCell {
     fn default() -> Self {
         HistoCell {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
@@ -84,7 +84,6 @@ impl HistoCell {
         if let Some(b) = self.buckets.get(bucket_index(v)) {
             b.fetch_add(1, Ordering::Relaxed);
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
         let add = if v.is_finite() { v } else { 0.0 };
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
@@ -102,7 +101,7 @@ impl HistoCell {
     }
 
     pub(crate) fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     pub(crate) fn sum(&self) -> f64 {

@@ -73,9 +73,9 @@ fn usage() {
          \x20     (--log-dir) or one produced by a fresh run.\n\n\
          \x20 cpi2 table2\n\
          \x20     Print the paper's Table 2 parameter defaults.\n\n\
-         Every table/figure of the paper has a dedicated experiment binary:\n\
-         \x20 cargo run -p cpi2-bench --release --bin fig01_tenancy   (... fig16, tab01/02,\n\
-         \x20 case1..case6, ablation_params, motivation_quality)"
+         Every table/figure of the paper is an entry of the repro binary:\n\
+         \x20 cargo run -p cpi2-bench --release --bin repro -- run fig01_tenancy\n\
+         \x20 (no arguments lists the entries; `check` compares all with results/)"
     );
 }
 

@@ -23,14 +23,23 @@ fn build_system(parallelism: usize) -> Cpi2Harness {
 }
 
 fn build_system_with(parallelism: usize, identifier: IdentifierKind) -> Cpi2Harness {
+    build_fleet(MACHINES, SEED, parallelism, identifier)
+}
+
+fn build_fleet(
+    machines: u32,
+    seed: u64,
+    parallelism: usize,
+    identifier: IdentifierKind,
+) -> Cpi2Harness {
     let mut cluster = Cluster::new(ClusterConfig {
-        seed: SEED,
+        seed,
         overcommit: 2.0,
         parallelism,
         telemetry: Telemetry::enabled(),
         ..ClusterConfig::default()
     });
-    cluster.add_machines(&Platform::westmere(), MACHINES);
+    cluster.add_machines(&Platform::westmere(), machines);
     workloads::submit_typical_mix(&mut cluster, 1, 5);
     let config = Cpi2Config {
         // Hourly refresh so the pipeline publishes several times within a
@@ -91,12 +100,29 @@ fn parallelism_beyond_machine_count_is_identical_too() {
     assert_eq!(s1, s2);
 }
 
-/// A full faulty run: trace, published specs, incident stream and fault
-/// counters, for one parallelism level.
-fn run_faulty(parallelism: usize) -> (Vec<TraceEntry>, Vec<CpiSpec>, Vec<String>, [u64; 3]) {
-    let mut system = build_system(parallelism);
-    system.set_fault_plan(Some(FaultPlan::new(SEED, FaultProfile::heavy())));
-    system.run_for(SimDuration::from_mins(135));
+/// Everything a faulty run produces: trace, published specs, incident
+/// stream and fault counters.
+type FaultyRun = (Vec<TraceEntry>, Vec<CpiSpec>, Vec<String>, [u64; 3]);
+
+/// A full faulty run for one parallelism level.
+fn run_faulty(parallelism: usize) -> FaultyRun {
+    let system = build_system(parallelism);
+    run_under(
+        system,
+        SEED,
+        FaultProfile::heavy(),
+        SimDuration::from_mins(135),
+    )
+}
+
+fn run_under(
+    mut system: Cpi2Harness,
+    fault_seed: u64,
+    profile: FaultProfile,
+    duration: SimDuration,
+) -> FaultyRun {
+    system.set_fault_plan(Some(FaultPlan::new(fault_seed, profile)));
+    system.run_for(duration);
     (
         system.cluster.trace().entries().cloned().collect(),
         system.spec_store.changed_since(0),
@@ -222,4 +248,31 @@ fn faulty_run_is_bit_identical_across_parallelism() {
     assert_eq!(incidents_1, incidents_64);
     assert_eq!(counts_1, counts_4);
     assert_eq!(counts_1, counts_64);
+
+    // The cells of the retired CI `faults` matrix: a small fleet run just
+    // long enough (1200 s) for the heavy profile's 10-minute agent
+    // restarts to fire, each fault seed reseeding fleet and plan alike.
+    for seed in [1, 2, 3] {
+        for profile in [FaultProfile::none(), FaultProfile::heavy()] {
+            let cell = |parallelism| {
+                run_under(
+                    build_fleet(8, seed, parallelism, IdentifierKind::Paper),
+                    seed,
+                    profile.clone(),
+                    SimDuration::from_secs(1200),
+                )
+            };
+            let (serial, sharded) = (cell(1), cell(4));
+            assert_eq!(
+                serial, sharded,
+                "seed {seed}, {profile:?}: parallelism 1 and 4 diverged"
+            );
+            let fired: u64 = serial.3.iter().sum();
+            assert_eq!(
+                fired > 0,
+                !profile.is_noop(),
+                "seed {seed}, {profile:?}: {fired} faults fired"
+            );
+        }
+    }
 }
