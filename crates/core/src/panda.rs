@@ -90,11 +90,6 @@ impl IdentifierKind {
         }
     }
 
-    /// Parses a [`IdentifierKind::name`] back into a kind.
-    pub fn named(name: &str) -> Option<IdentifierKind> {
-        IdentifierKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
     /// The PANDA parameters for this backend, or `None` for the paper
     /// correlator.
     pub fn panda_params(self) -> Option<PandaParams> {
@@ -533,11 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_round_trip() {
-        for k in IdentifierKind::ALL {
-            assert_eq!(IdentifierKind::named(k.name()), Some(k));
-        }
-        assert_eq!(IdentifierKind::named("nonsense"), None);
+    fn default_kind_is_the_paper_correlator() {
         assert_eq!(IdentifierKind::default(), IdentifierKind::Paper);
         assert!(IdentifierKind::Paper.panda_params().is_none());
         assert!(IdentifierKind::Panda.panda_params().is_some());

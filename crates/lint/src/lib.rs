@@ -36,10 +36,8 @@
 //! Findings are waivable inline with
 //! `// lint: allow(<rule>) — <reason>`; a waiver without a reason is
 //! itself a finding, as is a waiver that suppresses nothing (workspace
-//! runs only — dead waivers rot). Audited legacy findings can live in a
-//! baseline file ([`baseline`]) so new findings gate without churn.
+//! runs only — dead waivers rot).
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod lockorder;
@@ -47,12 +45,10 @@ pub mod model;
 pub mod parser;
 pub mod reach;
 pub mod rules;
-pub mod sarif;
 
 pub use callgraph::{AnalyzedFile, CallGraph};
 pub use reach::{EntrySpec, ProgramConfig};
 pub use rules::{check_file, Finding, Rule, RuleSet};
-pub use sarif::render_sarif;
 
 use model::FileModel;
 use std::collections::BTreeSet;
@@ -364,56 +360,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(lint_program(&files, &workspace_program_config()))
 }
 
-/// Restricts `findings` to those touching `paths` (the changed set plus
-/// its reverse-dependency closure): a finding survives if its own path
-/// is in the set or its message's call chain names one.
-pub fn filter_to_paths(findings: Vec<Finding>, paths: &BTreeSet<String>) -> Vec<Finding> {
-    findings
-        .into_iter()
-        .filter(|f| paths.contains(&f.path) || paths.iter().any(|p| f.message.contains(p.as_str())))
-        .collect()
-}
-
-/// The reverse-dependency closure of `changed` (workspace-relative
-/// paths): every file containing a fn from which a changed file's fn is
-/// reachable, fixpointed. Used by `--changed` to lint exactly the blast
-/// radius of a diff.
-pub fn reverse_dependency_closure(
-    files: &[AnalyzedFile],
-    changed: &BTreeSet<String>,
-) -> BTreeSet<String> {
-    let graph = CallGraph::build(files);
-    // file → set of files it calls into (via any fn edge).
-    let mut calls_into: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); files.len()];
-    for (&(caller_file, _), outs) in &graph.edges {
-        for e in outs {
-            calls_into[caller_file].insert(e.to.0);
-        }
-    }
-    let mut in_closure: Vec<bool> = files.iter().map(|f| changed.contains(&f.path)).collect();
-    loop {
-        let mut grew = false;
-        for fi in 0..files.len() {
-            if in_closure[fi] {
-                continue;
-            }
-            if calls_into[fi].iter().any(|&t| in_closure[t]) {
-                in_closure[fi] = true;
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    files
-        .iter()
-        .zip(&in_closure)
-        .filter(|(_, &inc)| inc)
-        .map(|(f, _)| f.path.clone())
-        .collect()
-}
-
 /// Renders findings one per line as `path:line: rule: message`.
 pub fn render_text(findings: &[Finding]) -> String {
     let mut s = String::new();
@@ -422,50 +368,6 @@ pub fn render_text(findings: &[Finding]) -> String {
         s.push('\n');
     }
     s
-}
-
-/// Renders findings as a JSON array (hand-rolled: the linter takes no
-/// dependencies, vendored or otherwise).
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut s = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n  {{\"path\":{},\"line\":{},\"rule\":{},\"message\":{}}}",
-            json_str(&f.path),
-            f.line,
-            json_str(f.rule.name()),
-            json_str(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("]\n");
-    s
-}
-
-/// Escapes `s` as a JSON string literal: backslashes, quotes, and all
-/// control characters (so Windows-style paths and messages containing
-/// `"` cannot break the output).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -541,35 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_specials() {
-        let f = Finding {
-            path: "a.rs".into(),
-            line: 3,
-            rule: Rule::Panic,
-            message: "say \"hi\"\\\n".into(),
-        };
-        let j = render_json(std::slice::from_ref(&f));
-        assert!(j.contains(r#""message":"say \"hi\"\\\n""#));
-        assert!(render_json(&[]).trim() == "[]");
-    }
-
-    #[test]
-    fn json_escapes_windows_paths_and_control_chars() {
-        let f = Finding {
-            path: "crates\\sim\\src\\machine.rs".into(),
-            line: 1,
-            rule: Rule::Clock,
-            message: "bell \u{7} and del \u{1f}".into(),
-        };
-        let j = render_json(std::slice::from_ref(&f));
-        assert!(j.contains(r#""path":"crates\\sim\\src\\machine.rs""#));
-        assert!(j.contains(r#"bell \u0007 and del \u001f"#), "{j}");
-        // The output must be structurally valid: balanced quotes around
-        // every value, no raw control bytes.
-        assert!(!j.chars().any(|c| (c as u32) < 0x20 && c != '\n'));
-    }
-
-    #[test]
     fn unused_waiver_is_a_finding_in_program_runs() {
         let src = "// lint: allow(panic) — stale: nothing here panics\n\
                    pub fn quiet() -> u32 { 1 }\n";
@@ -597,18 +470,5 @@ mod tests {
         )];
         let findings = lint_program(&files, &ProgramConfig::default());
         assert!(findings.is_empty(), "{findings:#?}");
-    }
-
-    #[test]
-    fn reverse_closure_pulls_in_callers() {
-        let a = analyze_file("a.rs", "pub fn top() { mid(); }", RuleSet::default());
-        let b = analyze_file("b.rs", "pub fn mid() { leaf(); }", RuleSet::default());
-        let c = analyze_file("c.rs", "pub fn leaf() {}", RuleSet::default());
-        let d = analyze_file("d.rs", "pub fn unrelated() {}", RuleSet::default());
-        let files = vec![a, b, c, d];
-        let changed: BTreeSet<String> = ["c.rs".to_string()].into();
-        let closure = reverse_dependency_closure(&files, &changed);
-        assert!(closure.contains("a.rs") && closure.contains("b.rs") && closure.contains("c.rs"));
-        assert!(!closure.contains("d.rs"));
     }
 }

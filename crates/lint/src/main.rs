@@ -1,201 +1,49 @@
-//! CLI entry point: `cargo run -p cpi2-lint -- --workspace [--format json]`.
+//! CLI entry point: `cargo run -p cpi2-lint`.
 
-use cpi2_lint::{
-    baseline, filter_to_paths, lint_program, load_workspace, render_json, render_sarif,
-    render_text, reverse_dependency_closure, workspace_program_config,
-};
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use cpi2_lint::{lint_workspace, render_text};
+use std::path::PathBuf;
+use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cpi2-lint --workspace [--format text|json|sarif] [--root <dir>]\n\
-         \x20                [--baseline <file>] [--write-baseline <file>] [--changed]\n\
+        "usage: cpi2-lint [--root <dir>]\n\
          \n\
          Lints the cpi2 workspace for determinism, panic-freedom, lock\n\
          discipline and telemetry hygiene: per-file rules plus whole-program\n\
          passes (transitive hot-path allocation, panic/determinism\n\
-         reachability, lock-order cycles). Exits non-zero when any unwaived,\n\
-         non-baseline finding remains.\n\
-         \n\
-         --baseline <file>        suppress findings listed in <file>; stale\n\
-         \x20                        entries are reported on stderr\n\
-         --write-baseline <file>  write current findings as a new baseline\n\
-         --changed                restrict to git-dirty files plus their\n\
-         \x20                        reverse-dependency closure"
+         reachability, lock-order cycles). Prints one\n\
+         `path:line: rule: message` per unwaived finding and exits non-zero\n\
+         when there is any."
     );
     ExitCode::from(2)
 }
 
-/// Workspace-relative paths of files changed per git (staged, unstaged,
-/// untracked, and committed-but-diverged from HEAD).
-fn git_changed_paths(root: &Path) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let porcelain = Command::new("git")
-        .args(["status", "--porcelain"])
-        .current_dir(root)
-        .output();
-    if let Ok(o) = porcelain {
-        for line in String::from_utf8_lossy(&o.stdout).lines() {
-            // Format: `XY <path>` (or `XY <from> -> <to>` for renames).
-            let path = line.get(3..).unwrap_or("");
-            let path = path.rsplit(" -> ").next().unwrap_or(path).trim();
-            if !path.is_empty() {
-                out.insert(path.to_string());
-            }
-        }
-    }
-    let diff = Command::new("git")
-        .args(["diff", "--name-only", "HEAD"])
-        .current_dir(root)
-        .output();
-    if let Ok(o) = diff {
-        for line in String::from_utf8_lossy(&o.stdout).lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                out.insert(line.to_string());
-            }
-        }
-    }
-    out
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workspace = false;
-    let mut changed = false;
-    let mut format = "text".to_string();
-    let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workspace" => workspace = true,
-            "--changed" => changed = true,
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some(f @ ("text" | "json" | "sarif")) => format = f.to_string(),
-                    _ => return usage(),
-                }
-            }
-            "--root" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => root = Some(PathBuf::from(dir)),
-                    None => return usage(),
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline_path = Some(PathBuf::from(p)),
-                    None => return usage(),
-                }
-            }
-            "--write-baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => write_baseline = Some(PathBuf::from(p)),
-                    None => return usage(),
-                }
-            }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            _ => return usage(),
-        }
-        i += 1;
-    }
-    // --changed implies the workspace scan: the reverse-dependency
-    // closure is only meaningful against the full file set.
-    if !workspace && !changed {
-        return usage();
-    }
-
-    // Default root: the workspace containing this crate
-    // (crates/lint/../..), so the binary works from any cwd under
-    // `cargo run -p cpi2-lint`.
-    let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+    let root = match args.as_slice() {
+        // Default root: the workspace containing this crate
+        // (crates/lint/../..), so the binary works from any cwd under
+        // `cargo run -p cpi2-lint`.
+        [] => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("..")
-            .join("..")
-    });
+            .join(".."),
+        [flag, dir] if flag == "--root" => PathBuf::from(dir),
+        _ => return usage(),
+    };
 
-    let files = match load_workspace(&root) {
+    let findings = match lint_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("cpi2-lint: failed to scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    let mut findings = lint_program(&files, &workspace_program_config());
-
-    if changed {
-        let dirty = git_changed_paths(&root);
-        let scope = reverse_dependency_closure(&files, &dirty);
-        eprintln!(
-            "cpi2-lint: --changed: {} dirty file(s), {} in closure",
-            dirty.len(),
-            scope.len()
-        );
-        findings = filter_to_paths(findings, &scope);
-    }
-
-    if let Some(p) = write_baseline {
-        let text = baseline::render(&findings);
-        if let Err(e) = std::fs::write(&p, text) {
-            eprintln!("cpi2-lint: failed to write {}: {e}", p.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "cpi2-lint: wrote baseline with {} entr{} to {}",
-            findings.len(),
-            if findings.len() == 1 { "y" } else { "ies" },
-            p.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut stale_count = 0;
-    if let Some(p) = &baseline_path {
-        let text = match std::fs::read_to_string(p) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cpi2-lint: failed to read baseline {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        };
-        let base = baseline::parse(&text);
-        let (fresh, stale) = baseline::diff(&findings, &base);
-        for s in &stale {
-            eprintln!("cpi2-lint: stale baseline entry (fixed? remove it): {s}");
-        }
-        // Stale entries fail the run too: the baseline may only shrink,
-        // never sit around able to re-absorb a regression with the same
-        // key (same contract as tests/workspace_clean.rs).
-        stale_count = stale.len();
-        findings = fresh;
-    }
-
-    match format.as_str() {
-        "json" => print!("{}", render_json(&findings)),
-        "sarif" => print!("{}", render_sarif(&findings)),
-        _ => {
-            print!("{}", render_text(&findings));
-            if findings.is_empty() {
-                eprintln!("cpi2-lint: workspace clean");
-            } else {
-                eprintln!("cpi2-lint: {} finding(s)", findings.len());
-            }
-        }
-    }
-    if findings.is_empty() && stale_count == 0 {
+    print!("{}", render_text(&findings));
+    if findings.is_empty() {
+        eprintln!("cpi2-lint: workspace clean");
         ExitCode::SUCCESS
     } else {
+        eprintln!("cpi2-lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

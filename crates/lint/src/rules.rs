@@ -94,26 +94,6 @@ impl Rule {
             "lock-cycle",
         ]
     }
-
-    /// One-line description, used by the SARIF rule catalog.
-    pub fn description(self) -> &'static str {
-        match self {
-            Rule::Clock => "wall-clock read in a determinism-critical crate",
-            Rule::ThreadSpawn => "thread spawn outside the worker pool",
-            Rule::MapIter => "iteration over a hash-ordered map",
-            Rule::EnvRandom => "environment/randomness feeding committed sim state",
-            Rule::Panic => "panic site in a hot path",
-            Rule::SliceIndex => "panicking slice index in a hot path",
-            Rule::NestedLock => "lock acquired while a prior guard is live",
-            Rule::MetricName => "dynamic metric name",
-            Rule::HotPathAlloc => "per-call allocation in a hot-path fn",
-            Rule::TransitiveAlloc => "allocation reachable from a hot-path fn",
-            Rule::PanicReach => "panic site reachable from a core entry point",
-            Rule::DeterminismTaint => "determinism hazard reachable from Cluster::step",
-            Rule::LockCycle => "cycle in the interprocedural lock-order graph",
-            Rule::Waiver => "waiver-syntax problem",
-        }
-    }
 }
 
 impl fmt::Display for Rule {

@@ -1,14 +1,12 @@
-//! Tier-1 gate: the workspace must be free of unwaived, non-baseline
-//! lint findings.
+//! Tier-1 gate: the workspace must be free of unwaived lint findings.
 //!
-//! This is the same check `cargo run -p cpi2-lint -- --workspace
-//! --baseline crates/lint/baseline.txt` performs, wired into
+//! This is the same check `cargo run -p cpi2-lint` performs, wired into
 //! `cargo test` so a banned pattern (an unwaived `Instant::now()` in the
 //! simulator, a `HashMap` iteration in the scheduler, an `.unwrap()`
 //! reachable from `Agent::ingest`, a lock-order cycle, …) fails CI with
 //! a `path:line` diagnostic and its offending call path.
 
-use cpi2_lint::{baseline, lint_workspace, render_text};
+use cpi2_lint::{lint_workspace, render_text};
 use std::path::PathBuf;
 
 #[test]
@@ -17,25 +15,10 @@ fn workspace_has_no_unwaived_findings() {
         .join("..")
         .join("..");
     let findings = lint_workspace(&root).expect("workspace scan");
-
-    let base_path = root.join("crates/lint/baseline.txt");
-    let base_text = std::fs::read_to_string(&base_path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", base_path.display()));
-    let base = baseline::parse(&base_text);
-    let (fresh, stale) = baseline::diff(&findings, &base);
-
     assert!(
-        fresh.is_empty(),
-        "cpi2-lint found {} non-baseline finding(s):\n{}",
-        fresh.len(),
-        render_text(&fresh)
-    );
-    // Stale entries mean debt was paid down: shrink the baseline so it
-    // cannot silently re-absorb a regression with the same key.
-    assert!(
-        stale.is_empty(),
-        "baseline entries no longer match any finding — remove them from \
-         crates/lint/baseline.txt:\n{}",
-        stale.join("\n")
+        findings.is_empty(),
+        "cpi2-lint found {} finding(s):\n{}",
+        findings.len(),
+        render_text(&findings)
     );
 }

@@ -1,14 +1,15 @@
 //! Cluster-wide sample collection (the left half of Fig. 6).
 //!
 //! Per-machine agents push CPI sample batches into a per-cluster
-//! collector over a channel; the collector fans them into the aggregation
-//! service and the forensics log. Channels are `crossbeam` MPMC so a
-//! threaded deployment can run many agent threads against one collector.
+//! collector over a bounded queue; the collector fans them into the
+//! aggregation service and the forensics log. The queue is shared behind
+//! a lock so a threaded deployment can run many agent threads against one
+//! collector.
 
 use crate::aggregator::Aggregator;
 use cpi2_core::{CpiSample, Incident};
 use cpi2_telemetry::{Counter, Gauge, Telemetry};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,10 +23,39 @@ pub enum AgentMessage {
     Incidents(Vec<Incident>),
 }
 
+/// The bounded FIFO between the agents' handles and the collector. Never
+/// blocks: a push at capacity hands the message back.
+#[derive(Debug, Clone)]
+struct Queue {
+    items: Arc<Mutex<VecDeque<AgentMessage>>>,
+    capacity: usize,
+}
+
+impl Queue {
+    fn try_push(&self, msg: AgentMessage) -> Result<(), AgentMessage> {
+        let mut items = self.items.lock();
+        if items.len() >= self.capacity {
+            return Err(msg);
+        }
+        items.push_back(msg);
+        Ok(())
+    }
+
+    /// The lock is released on return, so a drain never holds it while
+    /// the aggregator ingests.
+    fn pop(&self) -> Option<AgentMessage> {
+        self.items.lock().pop_front()
+    }
+
+    fn depth(&self) -> usize {
+        self.items.lock().len()
+    }
+}
+
 /// Sending side handed to each machine agent.
 #[derive(Debug, Clone)]
 pub struct CollectorHandle {
-    tx: Sender<AgentMessage>,
+    queue: Queue,
     dropped: Arc<AtomicU64>,
     metrics: CollectorMetrics,
 }
@@ -41,7 +71,6 @@ struct CollectorMetrics {
     samples_total: Counter,
     dropped_total: Counter,
     queue_depth: Gauge,
-    drain_deferred_total: Counter,
 }
 
 impl CollectorMetrics {
@@ -51,7 +80,6 @@ impl CollectorMetrics {
             samples_total: telemetry.counter("cpi_collector_samples_total", &[]),
             dropped_total: telemetry.counter("cpi_collector_dropped_total", &[]),
             queue_depth: telemetry.gauge("cpi_collector_queue_depth", &[]),
-            drain_deferred_total: telemetry.counter("cpi_collector_drain_deferred_total", &[]),
         }
     }
 }
@@ -65,13 +93,13 @@ impl CollectorHandle {
             AgentMessage::Samples(s) => s.len() as u64,
             AgentMessage::Incidents(_) => 0,
         };
-        match self.tx.try_send(msg) {
+        match self.queue.try_push(msg) {
             Ok(()) => {
                 self.metrics.messages_total.inc();
                 self.metrics.samples_total.add(samples);
                 true
             }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
+            Err(_) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 self.metrics.dropped_total.inc();
                 false
@@ -95,17 +123,16 @@ impl CollectorHandle {
     /// counted as dropped) so a [`RetryQueue`] can try again later.
     pub fn offer_samples(&self, samples: Vec<CpiSample>) -> Result<(), Vec<CpiSample>> {
         let count = samples.len() as u64;
-        match self.tx.try_send(AgentMessage::Samples(samples)) {
+        match self.queue.try_push(AgentMessage::Samples(samples)) {
             Ok(()) => {
                 self.metrics.messages_total.inc();
                 self.metrics.samples_total.add(count);
                 Ok(())
             }
-            Err(TrySendError::Full(AgentMessage::Samples(s)))
-            | Err(TrySendError::Disconnected(AgentMessage::Samples(s))) => Err(s),
-            // try_send returns the message we passed in, which is always
+            Err(AgentMessage::Samples(s)) => Err(s),
+            // try_push returns the message we passed in, which is always
             // AgentMessage::Samples here.
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => Ok(()),
+            Err(AgentMessage::Incidents(_)) => Ok(()),
         }
     }
 }
@@ -239,19 +266,16 @@ impl RetryQueue {
 /// sinks.
 #[derive(Debug)]
 pub struct Collector {
-    tx: Sender<AgentMessage>,
-    rx: Receiver<AgentMessage>,
+    queue: Queue,
     samples: Vec<CpiSample>,
     incidents: Vec<Incident>,
     dropped: Arc<AtomicU64>,
-    drain_budget: Option<usize>,
-    deferred: u64,
     metrics: CollectorMetrics,
 }
 
 impl Collector {
-    /// Creates a collector with the given channel capacity (telemetry
-    /// disabled; see [`Collector::with_telemetry`]).
+    /// Creates a collector whose queue holds `capacity` messages
+    /// (telemetry disabled; see [`Collector::with_telemetry`]).
     pub fn new(capacity: usize) -> Self {
         Collector::with_telemetry(capacity, &Telemetry::disabled())
     }
@@ -259,78 +283,44 @@ impl Collector {
     /// Creates a collector whose handles report ingest/drop counters to
     /// `telemetry`.
     pub fn with_telemetry(capacity: usize, telemetry: &Telemetry) -> Self {
-        let (tx, rx) = bounded(capacity);
         Collector {
-            tx,
-            rx,
+            queue: Queue {
+                items: Arc::default(),
+                capacity,
+            },
             samples: Vec::new(),
             incidents: Vec::new(),
             dropped: Arc::new(AtomicU64::new(0)),
-            drain_budget: None,
-            deferred: 0,
             metrics: CollectorMetrics::new(telemetry),
         }
     }
 
-    /// Caps how many queued messages a single [`drain`](Self::drain) or
-    /// [`drain_into`](Self::drain_into) call may process. `None` (the
-    /// default) drains everything — the behaviour every existing caller
-    /// and golden trace assumes. A resident deployment (the serve
-    /// harness) sets a budget so one flooded tick cannot stall the loop;
-    /// messages left queued are counted as *deferred*, not lost — the
-    /// next drain picks them up.
-    pub fn set_drain_budget(&mut self, budget: Option<usize>) {
-        self.drain_budget = budget;
-    }
-
     /// Messages currently queued and awaiting a drain.
     pub fn queue_depth(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// Messages that hit a drain-budget ceiling and were left queued for
-    /// a later drain (cumulative; each deferral of the same message
-    /// counts once per drain call that skipped it).
-    pub fn deferred(&self) -> u64 {
-        self.deferred
-    }
-
-    /// Refreshes the queue-depth gauge and, when `deferred > 0`, the
-    /// deferred counter. Called at the end of every drain.
-    fn note_drain_end(&mut self, deferred: u64) {
-        if deferred > 0 {
-            self.deferred += deferred;
-            self.metrics.drain_deferred_total.add(deferred);
-        }
-        self.metrics.queue_depth.set(self.rx.len() as f64);
+        self.queue.depth()
     }
 
     /// A handle for an agent to send through.
     pub fn handle(&self) -> CollectorHandle {
         CollectorHandle {
-            tx: self.tx.clone(),
+            queue: self.queue.clone(),
             dropped: Arc::clone(&self.dropped),
             metrics: self.metrics.clone(),
         }
     }
 
-    /// Drains queued messages into the internal buffers, up to the drain
-    /// budget (all of them when unbudgeted). Returns how many messages
-    /// were processed.
+    /// Drains every queued message into the internal buffers. Returns how
+    /// many messages were processed.
     pub fn drain(&mut self) -> usize {
-        let budget = self.drain_budget.unwrap_or(usize::MAX);
         let mut n = 0;
-        while n < budget {
-            let Ok(msg) = self.rx.try_recv() else {
-                break;
-            };
+        while let Some(msg) = self.queue.pop() {
             match msg {
                 AgentMessage::Samples(s) => self.samples.extend(s),
                 AgentMessage::Incidents(i) => self.incidents.extend(i),
             }
             n += 1;
         }
-        self.note_drain_end(self.rx.len() as u64);
+        self.metrics.queue_depth.set(self.queue.depth() as f64);
         n
     }
 
@@ -339,16 +329,9 @@ impl Collector {
     /// buffer. Each queued batch reaches the aggregator as one
     /// [`Aggregator::ingest`] call. Returns the number of samples
     /// ingested.
-    /// Like [`drain`](Self::drain), respects the drain budget: at most
-    /// `budget` queued *messages* are processed per call.
     pub fn drain_into(&mut self, agg: &mut Aggregator) -> usize {
-        let budget = self.drain_budget.unwrap_or(usize::MAX);
-        let mut msgs = 0;
         let mut n = 0;
-        while msgs < budget {
-            let Ok(msg) = self.rx.try_recv() else {
-                break;
-            };
+        while let Some(msg) = self.queue.pop() {
             match msg {
                 AgentMessage::Samples(s) => {
                     n += s.len();
@@ -356,9 +339,8 @@ impl Collector {
                 }
                 AgentMessage::Incidents(i) => self.incidents.extend(i),
             }
-            msgs += 1;
         }
-        self.note_drain_end(self.rx.len() as u64);
+        self.metrics.queue_depth.set(self.queue.depth() as f64);
         n
     }
 
@@ -417,6 +399,20 @@ mod tests {
         assert!(!h.send(AgentMessage::Samples(vec![sample(2)])));
         assert!(!h.send_samples(vec![sample(3)]));
         assert_eq!(c.dropped(), 2);
+
+        // Capacity 2: the third message is refused and counted, the two
+        // that fit stay queued and drain in arrival order.
+        let mut c = Collector::new(2);
+        let h = c.handle();
+        assert!(h.send_samples(vec![sample(1)]));
+        assert!(h.send_samples(vec![sample(2)]));
+        assert!(!h.send_samples(vec![sample(3)]));
+        assert_eq!(c.dropped(), 1);
+        assert_eq!(c.queue_depth(), 2);
+        assert_eq!(c.drain(), 2);
+        assert_eq!(c.queue_depth(), 0);
+        let tasks: Vec<u64> = c.take_samples().iter().map(|s| s.task.0).collect();
+        assert_eq!(tasks, [1, 2]);
     }
 
     #[test]
@@ -506,73 +502,27 @@ mod tests {
     #[test]
     fn telemetry_counts_ingest_and_drops() {
         let tel = Telemetry::enabled();
-        let c = Collector::with_telemetry(1, &tel);
+        let mut c = Collector::with_telemetry(1, &tel);
         let h = c.handle();
         assert!(h.send_samples(vec![sample(1), sample(2)]));
         assert!(!h.send_samples(vec![sample(3)]));
         assert!(!h.send_incidents(Vec::new()));
+        c.drain();
         let text = tel.prometheus_text().unwrap();
         assert!(text.contains("cpi_collector_messages_total 1"), "{text}");
         assert!(text.contains("cpi_collector_samples_total 2"), "{text}");
         assert!(text.contains("cpi_collector_dropped_total 2"), "{text}");
+        // A drain leaves the depth it found behind it in the gauge.
+        assert!(text.contains("cpi_collector_queue_depth 0"), "{text}");
         // The registry mirrors the message-level accessor.
         assert_eq!(c.dropped(), 2);
     }
 
     #[test]
-    fn drain_budget_defers_excess_messages() {
-        let tel = Telemetry::enabled();
-        let mut c = Collector::with_telemetry(64, &tel);
-        let h = c.handle();
-        for t in 0..10u64 {
-            assert!(h.send_samples(vec![sample(t)]));
-        }
-        assert_eq!(c.queue_depth(), 10);
-        c.set_drain_budget(Some(4));
-        assert_eq!(c.drain(), 4);
-        assert_eq!(c.queue_depth(), 6);
-        assert_eq!(c.deferred(), 6);
-        let text = tel.prometheus_text().unwrap();
-        assert!(text.contains("cpi_collector_queue_depth 6"), "{text}");
-        assert!(
-            text.contains("cpi_collector_drain_deferred_total 6"),
-            "{text}"
-        );
-        // Deferred messages are not lost: later drains pick them up.
-        assert_eq!(c.drain(), 4);
-        assert_eq!(c.drain(), 2);
-        assert_eq!(c.take_samples().len(), 10);
-        assert_eq!(c.queue_depth(), 0);
-        let text = tel.prometheus_text().unwrap();
-        assert!(text.contains("cpi_collector_queue_depth 0"), "{text}");
-    }
-
-    #[test]
-    fn drain_into_respects_budget() {
-        use cpi2_core::Cpi2Config;
-
-        let mut c = Collector::new(64);
-        let h = c.handle();
-        for t in 0..8u64 {
-            assert!(h.send_samples(vec![sample(t), sample(t + 100)]));
-        }
-        c.set_drain_budget(Some(3));
-        let mut agg = Aggregator::new(Cpi2Config::default(), 0);
-        // 3 messages x 2 samples per call.
-        assert_eq!(c.drain_into(&mut agg), 6);
-        assert_eq!(c.drain_into(&mut agg), 6);
-        assert_eq!(c.drain_into(&mut agg), 4);
-        assert_eq!(agg.samples_seen(), 16);
-        // Unbudgeted (default) drains everything in one call.
-        c.set_drain_budget(None);
-        for t in 0..8u64 {
-            assert!(h.send_samples(vec![sample(t)]));
-        }
-        assert_eq!(c.drain_into(&mut agg), 8);
-    }
-
-    #[test]
     fn threaded_agents() {
+        fn assert_shareable<T: Clone + Send + Sync>() {}
+        assert_shareable::<CollectorHandle>();
+
         let mut c = Collector::new(1024);
         let handles: Vec<_> = (0..4)
             .map(|t| {

@@ -5,12 +5,11 @@
 //! The per-job, per-platform aggregated CPI values are then sent back to
 //! each machine that is running a task from that job."
 //!
-//! * [`collector`] — machine agents → cluster collector (crossbeam
-//!   channels; lossy under back-pressure by design).
+//! * [`collector`] — machine agents → cluster collector (a bounded
+//!   queue; lossy under back-pressure by design).
 //! * [`aggregator`] — the spec aggregation service on its refresh cadence.
 //! * [`specstore`] — versioned spec storage + delta distribution back to
 //!   agents.
-//! * [`log`] — append-only typed tables with a JSONL wire format.
 //! * [`query`] — the Dremel-like SQL engine for performance forensics
 //!   (§5's "most aggressive antagonists for a job" queries).
 
@@ -19,13 +18,11 @@
 pub mod aggregator;
 pub mod collector;
 pub mod filelog;
-pub mod log;
 pub mod query;
 pub mod specstore;
 
 pub use aggregator::Aggregator;
 pub use collector::{AgentMessage, Collector, CollectorHandle, RetryPolicy, RetryQueue};
 pub use filelog::FileLog;
-pub use log::LogTable;
 pub use query::{Dataset, Query, QueryError, QueryResult, Table, Value};
 pub use specstore::{SpecSnapshot, SpecStore};

@@ -773,11 +773,6 @@ impl Dataset {
         Ok(())
     }
 
-    /// Table names.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
     /// Executes a query.
     ///
     /// # Errors

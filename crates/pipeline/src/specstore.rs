@@ -5,15 +5,14 @@
 //! store versions every update so per-machine agents can pull just what
 //! changed since their last sync.
 //!
-//! Publication is a single atomic snapshot swap: [`SpecStore::publish`]
-//! builds the next immutable [`SpecSnapshot`] off to the side and installs
-//! it with one pointer store. Readers grab the current `Arc` and then read
-//! entirely lock-free — an agent mid-pull never blocks on (or observes a
-//! half-applied) refresh.
+//! Publication is one snapshot install: [`SpecStore::publish`] builds the
+//! next immutable [`SpecSnapshot`] and installs it under the store's one
+//! lock. Readers take that lock only to clone an `Arc` and then read
+//! without it — an agent mid-pull never observes a half-applied refresh.
 
 use cpi2_core::{CpiSpec, JobKey};
 use cpi2_telemetry::{Counter, Histo, Telemetry};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -24,20 +23,23 @@ const SNAPSHOT_HISTORY: usize = 8;
 /// A thread-safe, versioned store of CPI specs.
 #[derive(Debug, Default)]
 pub struct SpecStore {
-    /// The current snapshot; held only long enough to clone the `Arc`.
-    current: RwLock<Arc<Inner>>,
-    /// Serializes publishers so snapshot construction happens outside any
-    /// lock readers touch.
-    publish_lock: Mutex<()>,
-    /// The last [`SNAPSHOT_HISTORY`] installed snapshots, newest last —
-    /// the stale views [`SpecStore::lagged_snapshot`] serves. Touched only
-    /// under `publish_lock` (writes) or alone (reads).
-    history: Mutex<VecDeque<Arc<Inner>>>,
+    /// Held by readers only long enough to clone an `Arc`, by the
+    /// publisher while it builds and installs the next snapshot (one
+    /// publish per refresh period).
+    state: Mutex<Versions>,
     /// Snapshot swaps performed by [`SpecStore::publish`].
     swaps_total: Counter,
     /// Version lag observed by [`SpecStore::changed_since`] callers: how
     /// many publishes a reader was behind when it synced.
     reader_staleness: Histo,
+}
+
+#[derive(Debug, Default)]
+struct Versions {
+    current: Arc<Inner>,
+    /// The last [`SNAPSHOT_HISTORY`] installed snapshots, newest last —
+    /// the stale views [`SpecStore::lagged_snapshot`] serves.
+    history: VecDeque<Arc<Inner>>,
 }
 
 /// One stored spec with its distribution metadata.
@@ -129,16 +131,15 @@ impl SpecStore {
     /// The current snapshot, for lock-free reading.
     pub fn snapshot(&self) -> SpecSnapshot {
         SpecSnapshot {
-            inner: Arc::clone(&self.current.read()),
+            inner: Arc::clone(&self.state.lock().current),
         }
     }
 
     /// Installs a batch of refreshed specs with no publish timestamp
     /// (entries never look stale to agents). Returns the new version.
     ///
-    /// The new spec set becomes visible to readers all at once: the next
-    /// snapshot is assembled while readers continue against the old one,
-    /// then swapped in with a single pointer store.
+    /// The new spec set becomes visible to readers all at once: snapshots
+    /// already handed out keep answering from the old one.
     pub fn publish(&self, specs: Vec<CpiSpec>) -> u64 {
         self.publish_at(specs, i64::MAX)
     }
@@ -148,13 +149,10 @@ impl SpecStore {
     /// stamp to age their cached copies ([`SpecSnapshot::changed_since_with_age`]).
     /// Returns the new version.
     pub fn publish_at(&self, specs: Vec<CpiSpec>, now_us: i64) -> u64 {
-        let _publishing = self.publish_lock.lock();
-        // lint: allow(nested-lock) — read guard is a temporary dropped at
-        // statement end; publishers serialize on publish_lock by design.
-        let cur = Arc::clone(&self.current.read());
+        let mut state = self.state.lock();
         let mut next = Inner {
-            version: cur.version + 1,
-            specs: cur.specs.clone(),
+            version: state.current.version + 1,
+            specs: state.current.specs.clone(),
         };
         let v = next.version;
         for s in specs {
@@ -168,18 +166,11 @@ impl SpecStore {
             );
         }
         let next = Arc::new(next);
-        // lint: allow(nested-lock) — history is only ever locked alone or
-        // under publish_lock, never while holding `current`.
-        let mut history = self.history.lock();
-        if history.len() == SNAPSHOT_HISTORY {
-            history.pop_front();
+        if state.history.len() == SNAPSHOT_HISTORY {
+            state.history.pop_front();
         }
-        history.push_back(Arc::clone(&next));
-        drop(history);
-        // lint: allow(nested-lock) — the single-pointer swap under the
-        // publish lock IS the snapshot-swap protocol; writers never block
-        // readers for longer than the store.
-        *self.current.write() = next;
+        state.history.push_back(Arc::clone(&next));
+        state.current = next;
         self.swaps_total.inc();
         v
     }
@@ -216,23 +207,13 @@ impl SpecStore {
     /// injection uses this to model a distribution replica serving stale
     /// state; the returned snapshot is internally coherent either way.
     pub fn lagged_snapshot(&self, lag: usize) -> SpecSnapshot {
-        if lag == 0 {
-            return self.snapshot();
-        }
-        let history = self.history.lock();
-        match history.len().checked_sub(lag + 1) {
-            Some(idx) => SpecSnapshot {
-                inner: Arc::clone(&history[idx]),
-            },
-            None => match history.front() {
-                Some(oldest) => SpecSnapshot {
-                    inner: Arc::clone(oldest),
-                },
-                None => {
-                    drop(history);
-                    self.snapshot()
-                }
-            },
+        let state = self.state.lock();
+        let inner = match state.history.len().checked_sub(lag + 1) {
+            Some(idx) => &state.history[idx],
+            None => state.history.front().unwrap_or(&state.current),
+        };
+        SpecSnapshot {
+            inner: Arc::clone(inner),
         }
     }
 
@@ -333,6 +314,9 @@ mod tests {
 
     #[test]
     fn concurrent_readers() {
+        fn assert_shareable<T: Send + Sync>() {}
+        assert_shareable::<SpecStore>();
+
         let store = Arc::new(SpecStore::new());
         store.publish((0..100).map(|i| spec(&format!("j{i}"), 1.0)).collect());
         let handles: Vec<_> = (0..4)

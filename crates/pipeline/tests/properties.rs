@@ -1,8 +1,8 @@
-//! Property-based tests for the pipeline: log encoding and query engine.
+//! Property-based tests for the pipeline: query engine and aggregator.
 
 use cpi2_core::{Cpi2Config, CpiSample, TaskClass, TaskHandle};
 use cpi2_pipeline::query::{Row, Value};
-use cpi2_pipeline::{Aggregator, Dataset, LogTable, SpecStore, Table};
+use cpi2_pipeline::{Aggregator, Dataset, SpecStore, Table};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -28,15 +28,6 @@ fn table(recs: &[Rec]) -> Dataset {
 }
 
 proptest! {
-    #[test]
-    fn jsonl_roundtrip(recs in prop::collection::vec(rec_strategy(), 0..50)) {
-        let mut t = LogTable::new("t");
-        t.extend(recs.clone());
-        let bytes = t.to_jsonl().unwrap();
-        let back: LogTable<Rec> = LogTable::from_jsonl("t", &bytes).unwrap();
-        prop_assert_eq!(back.rows(), t.rows());
-    }
-
     #[test]
     fn select_star_returns_all_rows(recs in prop::collection::vec(rec_strategy(), 0..30)) {
         let ds = table(&recs);

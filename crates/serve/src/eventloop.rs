@@ -20,7 +20,7 @@
 //!   backpressures the producer instead of ballooning memory.
 //! - **deadlines**: a partially-read request must complete within
 //!   `read_timeout_ms` (else `408` + close), a stalled write dies after
-//!   `write_timeout_ms`, and an idle keep-alive connection is reaped
+//!   `WRITE_TIMEOUT`, and an idle keep-alive connection is reaped
 //!   after `keep_alive_idle_ms`. A connection is retired after
 //!   `max_requests_per_conn` responses (`Connection: close` on the
 //!   last).
@@ -53,6 +53,14 @@ const WRITE_HIGH_WATER: usize = 64 * 1024;
 const READ_HIGH_WATER: usize = 256 * 1024;
 /// Bound on bytes drained during a lingering close.
 const LINGER_DRAIN_MAX: usize = 256 * 1024;
+/// A response write may stall (client not draining) at most this long.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Request ceilings: line + headers (`431` beyond) and body (`413`
+/// beyond), sized for an operator console.
+const REQUEST_LIMITS: http::ParseLimits = http::ParseLimits {
+    max_header_bytes: 8 * 1024,
+    max_body_bytes: 64 * 1024,
+};
 
 /// Why a connection ended (metrics disposition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,10 +332,6 @@ fn advance(
     cfg: &ServerConfig,
     now: Instant,
 ) {
-    let limits = http::ParseLimits {
-        max_header_bytes: cfg.max_header_bytes,
-        max_body_bytes: cfg.max_body_bytes,
-    };
     while conn.fate == Fate::Alive
         && !conn.close_after_flush
         && conn.streaming.is_none()
@@ -337,7 +341,7 @@ fn advance(
             conn.request_started = None;
             break;
         }
-        match http::parse_request(&conn.read_buf[conn.read_pos..], limits) {
+        match http::parse_request(&conn.read_buf[conn.read_pos..], REQUEST_LIMITS) {
             Parsed::Partial => {
                 if conn.request_started.is_none() {
                     conn.request_started = Some(now);
@@ -531,9 +535,8 @@ fn enforce_deadlines(
 ) {
     let since_activity = now.saturating_duration_since(conn.last_activity);
 
-    // A stalled write (client not draining) dies after write_timeout.
     if conn.wants_write() {
-        if since_activity > Duration::from_millis(cfg.write_timeout_ms.max(1)) {
+        if since_activity > WRITE_TIMEOUT {
             conn.fate = Fate::Done;
         }
         return;

@@ -147,7 +147,7 @@ impl Response {
     }
 }
 
-/// Parser size ceilings (mirrors the server config).
+/// Parser size ceilings.
 #[derive(Debug, Clone, Copy)]
 pub struct ParseLimits {
     /// Request line + headers ceiling, bytes (`431` beyond).

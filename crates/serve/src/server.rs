@@ -46,17 +46,11 @@ pub struct ServerConfig {
     /// A partially-received request must complete within this, ms
     /// (`408` beyond). Also bounds connections that never send a byte.
     pub read_timeout_ms: u64,
-    /// A response write may stall (client not draining) at most this, ms.
-    pub write_timeout_ms: u64,
     /// Idle keep-alive connections are reaped after this, ms.
     pub keep_alive_idle_ms: u64,
     /// Requests served per connection before it is retired with
     /// `Connection: close`.
     pub max_requests_per_conn: u32,
-    /// Request line + headers ceiling, bytes (`431` beyond).
-    pub max_header_bytes: usize,
-    /// Body ceiling, bytes (`413` beyond).
-    pub max_body_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -65,11 +59,8 @@ impl Default for ServerConfig {
             shards: 4,
             max_connections: 1024,
             read_timeout_ms: 5_000,
-            write_timeout_ms: 5_000,
             keep_alive_idle_ms: 30_000,
             max_requests_per_conn: 1024,
-            max_header_bytes: 8 * 1024,
-            max_body_bytes: 64 * 1024,
         }
     }
 }

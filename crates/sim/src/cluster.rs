@@ -43,7 +43,8 @@ pub struct ClusterConfig {
     /// legacy serial path; higher values shard machines across a
     /// persistent worker pool by [`MachineId`] range. Traces and counters
     /// are bit-identical across any setting (see `Cluster::step`).
-    /// Defaults to [`std::thread::available_parallelism`].
+    /// Defaults to `1`: the pool has not measured a speedup at any fleet
+    /// size the benchmark runs.
     pub parallelism: usize,
     /// Telemetry sink for simulator metrics (tick counts, per-phase
     /// durations, CFS throttle events, worker-pool utilization). The
@@ -60,7 +61,7 @@ impl Default for ClusterConfig {
             overcommit: 1.5,
             trace_capacity: 100_000,
             preempt_starved_batch_after: None,
-            parallelism: default_parallelism(),
+            parallelism: 1,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -98,13 +99,6 @@ impl SimMetrics {
     fn enabled(&self) -> bool {
         self.ticks.enabled()
     }
-}
-
-/// The machine's available hardware parallelism (≥ 1).
-pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 struct JobInfo {
@@ -342,11 +336,6 @@ impl Cluster {
             .get(&task.job)
             .and_then(|j| j.placements.get(&task.index))
             .map(|&(m, _)| m)
-    }
-
-    /// The spec of a job.
-    pub fn job_spec(&self, job: JobId) -> Option<&JobSpec> {
-        self.jobs.get(&job).map(|j| &j.spec)
     }
 
     /// Iterates `(JobId, &JobSpec)` for all submitted jobs.

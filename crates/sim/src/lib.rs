@@ -35,7 +35,7 @@ pub mod time;
 pub mod trace;
 
 pub use cgroup::{Cgroup, CounterBlock, HardCap};
-pub use cluster::{default_parallelism, Cluster, ClusterConfig, ModelFactory};
+pub use cluster::{Cluster, ClusterConfig, ModelFactory};
 pub use fault::{FaultPlan, FaultProfile, ShipmentFate};
 pub use interference::{InterferenceParams, ProfileColumns};
 pub use job::{JobId, JobSpec, Priority, SchedClass, TaskId};

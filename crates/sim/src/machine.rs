@@ -224,11 +224,6 @@ impl Machine {
         self.throttle_events
     }
 
-    /// Overrides the interference model parameters (for ablations).
-    pub fn set_interference_params(&mut self, params: InterferenceParams) {
-        self.params = params;
-    }
-
     /// Places a task on this machine.
     ///
     /// `job_name`, `class` and `priority` come from the job spec;

@@ -12,7 +12,7 @@
 use crate::machine::{Machine, MachineId, TaskExit};
 use crate::time::{SimDuration, SimTime};
 use cpi2_telemetry::{Gauge, Histo, Telemetry};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -76,11 +76,11 @@ pub(crate) struct TickPool {
 impl TickPool {
     /// Spawns `workers` (≥ 1) long-lived worker threads.
     pub(crate) fn new(workers: usize) -> Self {
-        let (res_tx, rx) = unbounded::<(usize, ShardOutcome)>();
+        let (res_tx, rx) = channel::<(usize, ShardOutcome)>();
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for idx in 0..workers.max(1) {
-            let (tx, job_rx) = unbounded::<ShardJob>();
+            let (tx, job_rx) = channel::<ShardJob>();
             let res_tx = res_tx.clone();
             handles.push(std::thread::spawn(move || {
                 // Per-worker exit staging buffer, reused across machines

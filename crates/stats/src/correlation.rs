@@ -40,68 +40,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     Some(sxy / (sxx.sqrt() * syy.sqrt()))
 }
 
-/// Spearman rank correlation (Pearson on ranks, average ranks for ties).
-pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
-    if x.len() != y.len() || x.len() < 2 {
-        return None;
-    }
-    let rx = ranks(x);
-    let ry = ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Assigns fractional ranks (1-based, ties get the average rank).
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values"));
-    let mut out = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg_rank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// Result of an ordinary-least-squares line fit `y = slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
-    /// Fitted slope.
-    pub slope: f64,
-    /// Fitted intercept.
-    pub intercept: f64,
-    /// Pearson correlation between x and y.
-    pub r: f64,
-}
-
-/// Ordinary least squares fit of `y` on `x`.
-///
-/// Returns `None` under the same conditions as [`pearson`].
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
-    let r = pearson(x, y)?;
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let (mut sxy, mut sxx) = (0.0, 0.0);
-    for (&a, &b) in x.iter().zip(y) {
-        sxy += (a - mx) * (b - my);
-        sxx += (a - mx) * (a - mx);
-    }
-    let slope = sxy / sxx;
-    Some(LinearFit {
-        slope,
-        intercept: my - slope * mx,
-        r,
-    })
-}
-
 /// Autocorrelation of a series at the given lag.
 ///
 /// Returns `None` if the series is shorter than `lag + 2` or has zero
@@ -154,35 +92,6 @@ mod tests {
         let y = [1.0, -1.0, 1.0, -1.0];
         let r = pearson(&x, &y).unwrap();
         assert!(r.abs() < 0.5, "r={r}");
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear() {
-        let x: Vec<f64> = (1..20).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| v.exp()).collect();
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [1.0, 2.0, 2.0, 3.0];
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_average_ties() {
-        assert_eq!(ranks(&[10.0, 20.0, 20.0, 30.0]), vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let x: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| 2.5 * v - 4.0).collect();
-        let f = linear_fit(&x, &y).unwrap();
-        assert!((f.slope - 2.5).abs() < 1e-10);
-        assert!((f.intercept + 4.0).abs() < 1e-8);
-        assert!((f.r - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,52 +2,9 @@
 //!
 //! CPI² incorporates prior runs of a job by "multiplying the CPI value from
 //! the previous day by about 0.9 before averaging it with the most recent
-//! day's data" (§3.1). [`AgeWeighted`] implements exactly that fold, and
-//! [`Ewma`] is the continuous analogue used for smoothed gauges.
+//! day's data" (§3.1). [`AgeWeighted`] implements exactly that fold.
 
 use serde::{Deserialize, Serialize};
-
-/// Classic exponentially weighted moving average.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha ∈ (0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "Ewma: alpha={alpha} must be in (0,1]"
-        );
-        Ewma { alpha, value: None }
-    }
-
-    /// Folds in one observation and returns the new smoothed value.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current smoothed value, if any observation has been seen.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Resets to the unseeded state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
 
 /// Day-over-day age-weighted aggregate of a (mean, stddev, weight) spec.
 ///
@@ -117,43 +74,6 @@ impl AgeWeighted {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewma_first_value_passthrough() {
-        let mut e = Ewma::new(0.3);
-        assert_eq!(e.update(5.0), 5.0);
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut e = Ewma::new(0.5);
-        for _ in 0..50 {
-            e.update(2.0);
-        }
-        assert!((e.value().unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_alpha_one_tracks_exactly() {
-        let mut e = Ewma::new(1.0);
-        e.update(1.0);
-        assert_eq!(e.update(9.0), 9.0);
-    }
-
-    #[test]
-    fn ewma_reset() {
-        let mut e = Ewma::new(0.2);
-        e.update(3.0);
-        e.reset();
-        assert!(e.value().is_none());
-        assert_eq!(e.update(7.0), 7.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ewma_rejects_zero_alpha() {
-        Ewma::new(0.0);
-    }
 
     #[test]
     fn age_weighted_single_day_identity() {

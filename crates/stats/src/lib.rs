@@ -2,12 +2,12 @@
 //!
 //! Everything statistical the paper relies on, implemented from scratch:
 //!
-//! * [`summary`] — streaming mean/σ (Welford) with parallel merge, the
-//!   machinery behind per-job CPI specs.
+//! * [`summary`] — streaming mean/σ (Welford), the machinery behind
+//!   per-job CPI specs.
 //! * [`histogram`] — histograms, empirical CDFs and quantiles for the
 //!   paper's CDF figures.
-//! * [`correlation`] — Pearson/Spearman/OLS/autocorrelation for the
-//!   motivation figures (TPS↔IPS, latency↔CPI, L3↔CPI).
+//! * [`correlation`] — Pearson and autocorrelation for the motivation
+//!   figures (TPS↔IPS, latency↔CPI, L3↔CPI).
 //! * [`distribution`] / [`fit`] — normal, log-normal, Gamma and GEV with
 //!   fitting and goodness-of-fit ranking (Fig. 7 model selection).
 //! * [`ewma`] — the 0.9/day age weighting of historical CPI specs.
@@ -29,14 +29,14 @@ pub mod special;
 pub mod summary;
 pub mod timeseries;
 
-pub use correlation::{linear_fit, pearson, spearman};
+pub use correlation::pearson;
 pub use distribution::{ContinuousDist, Gamma, Gev, LogNormal, Normal};
-pub use ewma::{AgeWeighted, Ewma};
+pub use ewma::AgeWeighted;
 pub use fit::{
     compare_fits, fit_gamma, fit_gev, fit_gev_mle, fit_lognormal, fit_normal, ks_p_value,
 };
 pub use histogram::{Ecdf, Histogram};
 pub use optimize::nelder_mead;
-pub use rng::{SimRng, Zipf};
-pub use summary::{RunningStats, WeightedStats};
+pub use rng::SimRng;
+pub use summary::RunningStats;
 pub use timeseries::TimeSeries;

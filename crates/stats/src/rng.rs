@@ -209,46 +209,6 @@ impl SimRng {
         }
     }
 
-    /// Poisson variate with mean `lambda`.
-    ///
-    /// Knuth's product method for small means; normal approximation with
-    /// rounding for `lambda > 30` (adequate for workload arrival counts).
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        assert!(lambda >= 0.0, "poisson: lambda must be non-negative");
-        if lambda == 0.0 {
-            return 0;
-        }
-        if lambda > 30.0 {
-            let x = self.normal_with(lambda, lambda.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
-    /// Pareto variate with scale `xm` and tail index `alpha`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(
-            xm > 0.0 && alpha > 0.0,
-            "pareto: parameters must be positive"
-        );
-        let u = loop {
-            let u = self.f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        xm / u.powf(1.0 / alpha)
-    }
-
     /// Picks one index in `[0, weights.len())` proportionally to `weights`.
     ///
     /// # Panics
@@ -276,50 +236,6 @@ impl SimRng {
             let j = self.below(i as u64 + 1) as usize;
             items.swap(i, j);
         }
-    }
-}
-
-/// Exact finite Zipf sampler over ranks `[1, n]` with exponent `s`.
-///
-/// Precomputes the cumulative mass once (O(n) memory) and samples by
-/// binary search (O(log n) per draw) — exact for any `s > 0`.
-///
-/// # Examples
-///
-/// ```
-/// use cpi2_stats::rng::{SimRng, Zipf};
-/// let z = Zipf::new(100, 1.2);
-/// let mut r = SimRng::new(1);
-/// let rank = z.sample(&mut r);
-/// assert!((1..=100).contains(&rank));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cum: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds the sampler for ranks `1..=n` with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s <= 0`.
-    pub fn new(n: u64, s: f64) -> Self {
-        assert!(n > 0 && s > 0.0, "Zipf: invalid parameters n={n} s={s}");
-        let mut cum = Vec::with_capacity(n as usize);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += (k as f64).powf(-s);
-            cum.push(acc);
-        }
-        Zipf { cum }
-    }
-
-    /// Draws one rank in `[1, n]`.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        let total = *self.cum.last().expect("non-empty by construction");
-        let u = rng.f64() * total;
-        (self.cum.partition_point(|&c| c <= u) + 1) as u64
     }
 }
 
@@ -430,57 +346,6 @@ mod tests {
             (median - expect).abs() < 0.02,
             "median={median} expect={expect}"
         );
-    }
-
-    #[test]
-    fn poisson_small_and_large() {
-        let mut r = SimRng::new(10);
-        let n = 50_000;
-        let mean_small: f64 = (0..n).map(|_| r.poisson(3.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean_small - 3.0).abs() < 0.05, "mean={mean_small}");
-        let mean_large: f64 = (0..n).map(|_| r.poisson(100.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean_large - 100.0).abs() < 0.5, "mean={mean_large}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = SimRng::new(11);
-        for _ in 0..10_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
-    fn zipf_in_range_and_skewed() {
-        let z = Zipf::new(100, 1.2);
-        let mut r = SimRng::new(12);
-        let mut count_one = 0;
-        for _ in 0..10_000 {
-            let x = z.sample(&mut r);
-            assert!((1..=100).contains(&x));
-            if x == 1 {
-                count_one += 1;
-            }
-        }
-        // Rank 1 should dominate for s > 1.
-        assert!(count_one > 1_000, "count_one={count_one}");
-    }
-
-    #[test]
-    fn zipf_rank_ratio_matches_mass() {
-        // P(1)/P(2) = 2^s.
-        let z = Zipf::new(10, 1.0);
-        let mut r = SimRng::new(15);
-        let mut c = [0u32; 2];
-        for _ in 0..100_000 {
-            match z.sample(&mut r) {
-                1 => c[0] += 1,
-                2 => c[1] += 1,
-                _ => {}
-            }
-        }
-        let ratio = c[0] as f64 / c[1] as f64;
-        assert!((ratio - 2.0).abs() < 0.15, "ratio={ratio}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Streaming summary statistics (Welford's algorithm) with merging.
+//! Streaming summary statistics (Welford's algorithm).
 //!
 //! The CPI² aggregator computes per-job mean/σ over tens of thousands of
 //! samples arriving over hours; Welford's online update keeps that numerically
-//! stable in a single pass, and the parallel-merge rule lets per-machine
-//! partial aggregates be combined at the cluster level.
+//! stable in a single pass.
 
 use serde::{Deserialize, Serialize};
 
@@ -58,26 +57,6 @@ impl RunningStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator into this one (Chan's parallel rule).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -142,79 +121,6 @@ impl RunningStats {
     }
 }
 
-/// Weighted mean / variance accumulator (for age-weighted history).
-///
-/// CPI² folds the previous day's spec into the new one with weight ≈ 0.9;
-/// this accumulator supports arbitrary non-negative weights.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct WeightedStats {
-    wsum: f64,
-    mean: f64,
-    s: f64,
-    n: u64,
-}
-
-impl WeightedStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        WeightedStats::default()
-    }
-
-    /// Adds one observation with the given weight.
-    ///
-    /// Observations with weight `0` are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is negative or non-finite.
-    pub fn push(&mut self, x: f64, w: f64) {
-        assert!(w.is_finite() && w >= 0.0, "weight must be non-negative");
-        if w == 0.0 {
-            return;
-        }
-        self.n += 1;
-        let wsum_new = self.wsum + w;
-        let delta = x - self.mean;
-        let r = delta * w / wsum_new;
-        self.mean += r;
-        self.s += self.wsum * delta * r;
-        self.wsum = wsum_new;
-    }
-
-    /// Weighted mean; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.wsum == 0.0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Weighted (frequency-style) variance.
-    pub fn variance(&self) -> f64 {
-        if self.wsum == 0.0 {
-            0.0
-        } else {
-            self.s / self.wsum
-        }
-    }
-
-    /// Weighted standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Total weight accumulated.
-    pub fn weight(&self) -> f64 {
-        self.wsum
-    }
-
-    /// Number of (non-zero-weight) observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,63 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..1000)
-            .map(|i| (i as f64 * 0.37).sin() * 5.0 + 3.0)
-            .collect();
-        let whole = RunningStats::from_slice(&xs);
-        let mut a = RunningStats::from_slice(&xs[..337]);
-        let b = RunningStats::from_slice(&xs[337..]);
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::from_slice(&[1.0, 2.0]);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
     fn cv_matches_definition() {
         let s = RunningStats::from_slice(&[9.0, 10.0, 11.0]);
         assert!((s.cv() - s.stddev() / 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_equal_weights_match_unweighted() {
-        let xs = [1.0, 5.0, 2.0, 8.0];
-        let mut w = WeightedStats::new();
-        for &x in &xs {
-            w.push(x, 2.5);
-        }
-        let u = RunningStats::from_slice(&xs);
-        assert!((w.mean() - u.mean()).abs() < 1e-12);
-        assert!((w.variance() - u.variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_weight_dominance() {
-        let mut w = WeightedStats::new();
-        w.push(0.0, 1.0);
-        w.push(10.0, 9.0);
-        assert!((w.mean() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_zero_weight_ignored() {
-        let mut w = WeightedStats::new();
-        w.push(100.0, 0.0);
-        assert_eq!(w.count(), 0);
-        assert_eq!(w.mean(), 0.0);
     }
 }

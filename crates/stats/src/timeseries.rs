@@ -103,26 +103,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Resamples into fixed buckets of `step_us`, averaging values per
-    /// bucket; empty buckets are skipped.
-    pub fn resample(&self, step_us: i64) -> TimeSeries {
-        assert!(step_us > 0, "resample: step must be positive");
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < self.points.len() {
-            let bucket = self.points[i].0.div_euclid(step_us);
-            let mut sum = 0.0;
-            let mut n = 0u32;
-            while i < self.points.len() && self.points[i].0.div_euclid(step_us) == bucket {
-                sum += self.points[i].1;
-                n += 1;
-                i += 1;
-            }
-            out.push((bucket * step_us + step_us / 2, sum / n as f64));
-        }
-        TimeSeries { points: out }
-    }
 }
 
 #[cfg(test)]
@@ -184,21 +164,5 @@ mod tests {
         let a = TimeSeries::from_points(vec![(0, 1.0)]);
         let b = TimeSeries::from_points(vec![(100, 9.0)]);
         assert!(a.align(&b, 10).is_empty());
-    }
-
-    #[test]
-    fn resample_averages_buckets() {
-        let s = TimeSeries::from_points(vec![(0, 1.0), (10, 3.0), (100, 5.0)]);
-        let r = s.resample(60);
-        assert_eq!(r.len(), 2);
-        assert!((r.points()[0].1 - 2.0).abs() < 1e-12);
-        assert!((r.points()[1].1 - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_negative_timestamps() {
-        let s = TimeSeries::from_points(vec![(-70, 1.0), (-10, 3.0)]);
-        let r = s.resample(60);
-        assert_eq!(r.len(), 2);
     }
 }

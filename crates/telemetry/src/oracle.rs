@@ -197,7 +197,7 @@ fn json_f64(v: f64) -> Value {
 /// The vendored `serde_json::to_string` is generic over `Serialize`,
 /// which `Value` itself does not implement, so the exporter renders its
 /// already-assembled tree directly.
-fn render_json(v: &Value) -> String {
+fn render_value(v: &Value) -> String {
     let mut out = String::new();
     write_value(&mut out, v);
     out
@@ -258,7 +258,7 @@ fn write_string(out: &mut String, s: &str) {
 mod tests {
     use proptest::prelude::*;
 
-    use super::{json_snapshot, prometheus_text, render_json};
+    use super::{json_snapshot, prometheus_text, render_value};
     use crate::tests::sample_line_ok;
     use crate::{Telemetry, DEFAULT_EVENT_CAPACITY};
 
@@ -397,7 +397,7 @@ mod tests {
             }
 
             let json = tel.json_snapshot().expect("enabled");
-            let reference = render_json(&json_snapshot(reg));
+            let reference = render_value(&json_snapshot(reg));
             let diff = first_difference(after_elapsed(&json), after_elapsed(&reference));
             prop_assert!(diff.is_none(), "/metrics.json {}", diff.unwrap_or_default());
         }

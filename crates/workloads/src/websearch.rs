@@ -111,12 +111,6 @@ impl WebSearchTask {
         }
     }
 
-    /// Overrides the diurnal pattern (tests and experiments).
-    pub fn with_pattern(mut self, pattern: DiurnalPattern) -> Self {
-        self.pattern = pattern;
-        self
-    }
-
     /// The tier this task serves.
     pub fn tier(&self) -> Tier {
         self.tier

@@ -15,45 +15,124 @@ use cpi2::sim::{Cluster, ClusterConfig, JobSpec, Platform, SimDuration};
 use cpi2::workloads::{self, CacheThrasher};
 use std::process::ExitCode;
 
-/// Minimal flag parser: `--key value` and boolean `--key` pairs.
+/// One subcommand: the `--key value` options and boolean `--key` flags it
+/// accepts, and what runs it. `Err` is a usage error (exit status 2).
+struct Subcommand {
+    name: &'static str,
+    options: &'static [&'static str],
+    flags: &'static [&'static str],
+    run: fn(&Args) -> Result<ExitCode, String>,
+}
+
+/// The flags `build_system` reads.
+const SYSTEM_FLAGS: &[&str] = &[
+    "--no-protection",
+    "--placement-feedback",
+    "--no-victim-migration",
+];
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "simulate",
+        options: &[
+            "--machines",
+            "--minutes",
+            "--seed",
+            "--thrashers",
+            "--log-dir",
+        ],
+        flags: SYSTEM_FLAGS,
+        run: cmd_simulate,
+    },
+    Subcommand {
+        name: "replay",
+        options: &["--trace", "--machines", "--minutes", "--seed"],
+        flags: &[],
+        run: cmd_replay,
+    },
+    Subcommand {
+        name: "forensics",
+        options: &[
+            "--machines",
+            "--minutes",
+            "--seed",
+            "--thrashers",
+            "--query",
+            "--log-dir",
+        ],
+        flags: SYSTEM_FLAGS,
+        run: cmd_forensics,
+    },
+    Subcommand {
+        name: "table2",
+        options: &[],
+        flags: &[],
+        run: cmd_table2,
+    },
+    Subcommand {
+        name: "help",
+        options: &[],
+        flags: &[],
+        run: cmd_help,
+    },
+];
+
+fn subcommand(name: &str) -> Option<&'static Subcommand> {
+    SUBCOMMANDS.iter().find(|c| c.name == name)
+}
+
+/// A subcommand's parsed arguments. Anything the subcommand does not
+/// accept is an error naming it — a typo must not quietly run the
+/// defaults.
+#[derive(Debug)]
 struct Args {
-    items: Vec<String>,
+    options: Vec<(String, String)>,
+    flags: Vec<String>,
 }
 
 impl Args {
-    fn new() -> Self {
-        Args {
-            items: std::env::args().skip(1).collect(),
+    fn parse(items: &[String], accepted: &Subcommand) -> Result<Self, String> {
+        let mut args = Args {
+            options: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut items = items.iter();
+        while let Some(key) = items.next() {
+            if accepted.flags.contains(&key.as_str()) {
+                args.flags.push(key.clone());
+            } else if accepted.options.contains(&key.as_str()) {
+                let value = items.next().ok_or_else(|| format!("{key} takes a value"))?;
+                args.options.push((key.clone(), value.clone()));
+            } else {
+                let known = [accepted.options, accepted.flags].concat();
+                return Err(if known.is_empty() {
+                    format!("{} takes no arguments, got {key:?}", accepted.name)
+                } else {
+                    format!("unknown argument {key:?} (accepted: {})", known.join(" "))
+                });
+            }
         }
-    }
-
-    #[cfg(test)]
-    fn from(items: &[&str]) -> Self {
-        Args {
-            items: items.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-
-    fn command(&self) -> Option<&str> {
-        self.items.first().map(String::as_str)
+        Ok(args)
     }
 
     fn value(&self, key: &str) -> Option<&str> {
-        self.items
+        self.options
             .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.items.get(i + 1))
-            .map(String::as_str)
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
-    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.value(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The value following `key` parsed as `T`, `default` when the key is
+    /// absent, an error naming key and value when it does not parse.
+    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.value(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("{key}: cannot parse {v:?}")),
+        }
     }
 
     fn flag(&self, key: &str) -> bool {
-        self.items.iter().any(|a| a == key)
+        self.flags.iter().any(|f| f == key)
     }
 }
 
@@ -63,49 +142,53 @@ fn usage() {
          (reproduction of Zhang et al., EuroSys 2013)\n\n\
          USAGE:\n\
          \x20 cpi2 simulate [--machines N] [--minutes M] [--seed S] [--thrashers T]\n\
-         \x20               [--no-protection] [--placement-feedback] [--log-dir DIR]\n\
+         \x20               [--no-protection] [--placement-feedback]\n\
+         \x20               [--no-victim-migration] [--log-dir DIR]\n\
          \x20     Run a mixed cluster under CPI² and report incidents & caps;\n\
          \x20     --log-dir persists the incident log as rotated JSONL.\n\n\
          \x20 cpi2 replay --trace FILE [--machines N] [--minutes M] [--seed S]\n\
          \x20     Replay a JSONL job trace (see traces/sample.jsonl) under CPI².\n\n\
          \x20 cpi2 forensics [--minutes M] [--seed S] [--query SQL] [--log-dir DIR]\n\
          \x20     Answer SQL over an incident log — a persisted one\n\
-         \x20     (--log-dir) or one produced by a fresh run.\n\n\
+         \x20     (--log-dir) or one produced by a fresh run, which takes\n\
+         \x20     simulate's other arguments.\n\n\
          \x20 cpi2 table2\n\
          \x20     Print the paper's Table 2 parameter defaults.\n\n\
+         An argument a subcommand does not take, or a value that does not\n\
+         parse, is an error (exit status 2).\n\n\
          Every table/figure of the paper is an entry of the repro binary:\n\
          \x20 cargo run -p cpi2-bench --release --bin repro -- run fig01_tenancy\n\
          \x20 (no arguments lists the entries; `check` compares all with results/)"
     );
 }
 
-fn cmd_replay(args: &Args) -> ExitCode {
+fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
     let Some(path) = args.value("--trace") else {
         eprintln!("replay requires --trace FILE");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let jobs = match workloads::parse_trace(&text) {
         Ok(j) => j,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    let machines: u32 = args.parsed("--machines", 20);
-    let seed: u64 = args.parsed("--seed", 1);
+    let machines: u32 = args.parsed("--machines", 20)?;
+    let seed: u64 = args.parsed("--seed", 1)?;
     let horizon_s = jobs
         .iter()
         .map(|j| j.at_s + j.duration_s.unwrap_or(0))
         .max()
         .unwrap_or(0);
-    let minutes: i64 = args.parsed("--minutes", horizon_s / 60 + 30);
+    let minutes: i64 = args.parsed("--minutes", horizon_s / 60 + 30)?;
 
     let mut cluster = Cluster::new(ClusterConfig {
         seed,
@@ -145,12 +228,12 @@ fn cmd_replay(args: &Args) -> ExitCode {
     for (job, n, corr) in system.top_antagonists(5) {
         println!("  antagonist {job:<20} capped {n}x (max correlation {corr:.2})");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn build_system(args: &Args) -> Cpi2Harness {
-    let machines: u32 = args.parsed("--machines", 40);
-    let seed: u64 = args.parsed("--seed", 1);
+fn build_system(args: &Args) -> Result<Cpi2Harness, String> {
+    let machines: u32 = args.parsed("--machines", 40)?;
+    let seed: u64 = args.parsed("--seed", 1)?;
     let mut cluster = Cluster::new(ClusterConfig {
         seed,
         overcommit: 2.0,
@@ -174,15 +257,15 @@ fn build_system(args: &Args) -> Cpi2Harness {
         // victims with no cappable antagonist move to fresh machines.
         system.migrate_chronic_victims_after = Some(3);
     }
-    system
+    Ok(system)
 }
 
 /// Warm up, learn specs, then let the antagonists land (specs must reflect
 /// normal behaviour — the paper's fleet learns from days of mostly-clean
 /// samples before any given interference episode).
-fn warm_up_and_inject(system: &mut Cpi2Harness, args: &Args) {
-    let seed: u64 = args.parsed("--seed", 1);
-    let thrashers: u32 = args.parsed("--thrashers", 6);
+fn warm_up_and_inject(system: &mut Cpi2Harness, args: &Args) -> Result<(), String> {
+    let seed: u64 = args.parsed("--seed", 1)?;
+    let thrashers: u32 = args.parsed("--thrashers", 6)?;
     // A full day of warm-up, as the paper's 24-hour spec refresh: the spec
     // σ must absorb the diurnal CPI swing (Fig. 5) or afternoon load peaks
     // masquerade as incidents.
@@ -203,16 +286,17 @@ fn warm_up_and_inject(system: &mut Cpi2Harness, args: &Args) {
             .ok();
         println!("{thrashers} thrasher task(s) landed on the cluster");
     }
+    Ok(())
 }
 
-fn cmd_simulate(args: &Args) -> ExitCode {
-    let minutes: i64 = args.parsed("--minutes", 120);
-    let mut system = build_system(args);
+fn cmd_simulate(args: &Args) -> Result<ExitCode, String> {
+    let minutes: i64 = args.parsed("--minutes", 120)?;
+    let mut system = build_system(args)?;
     println!(
         "simulating {} machines for {minutes} min (24h spec warm-up first)...",
         system.cluster.machines().len()
     );
-    warm_up_and_inject(&mut system, args);
+    warm_up_and_inject(&mut system, args)?;
     system.run_for(SimDuration::from_mins(minutes));
 
     println!("\nresults after {minutes} simulated minutes:");
@@ -252,7 +336,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
             Err(e) => eprintln!("  could not persist incidents: {e}"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn persist_incidents(system: &Cpi2Harness, dir: &str) -> std::io::Result<usize> {
@@ -264,8 +348,8 @@ fn persist_incidents(system: &Cpi2Harness, dir: &str) -> std::io::Result<usize> 
     Ok(system.incidents().len())
 }
 
-fn cmd_forensics(args: &Args) -> ExitCode {
-    let minutes: i64 = args.parsed("--minutes", 120);
+fn cmd_forensics(args: &Args) -> Result<ExitCode, String> {
+    let minutes: i64 = args.parsed("--minutes", 120)?;
     let default_query = "SELECT victim_job, count(*) FROM incidents \
                          GROUP BY victim_job ORDER BY count(*) DESC LIMIT 10";
     let query = args.value("--query").unwrap_or(default_query);
@@ -274,12 +358,12 @@ fn cmd_forensics(args: &Args) -> ExitCode {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("cannot load incident log from {dir}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     } else {
-        let mut system = build_system(args);
-        warm_up_and_inject(&mut system, args);
+        let mut system = build_system(args)?;
+        warm_up_and_inject(&mut system, args)?;
         system.run_for(SimDuration::from_mins(minutes));
         system
             .incidents()
@@ -294,9 +378,9 @@ fn cmd_forensics(args: &Args) -> ExitCode {
     let mut ds = Dataset::new();
     if let Err(e) = ds.insert_records("incidents", &incidents) {
         eprintln!("failed to load incidents: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    match ds.query(query) {
+    Ok(match ds.query(query) {
         Ok(result) => {
             println!("{result}");
             ExitCode::SUCCESS
@@ -305,67 +389,94 @@ fn cmd_forensics(args: &Args) -> ExitCode {
             eprintln!("query error: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn cmd_table2() -> ExitCode {
+fn cmd_table2(_: &Args) -> Result<ExitCode, String> {
     println!("Table 2: CPI2 parameters and their default values\n");
     for (k, v) in Cpi2Config::default().table2_rows() {
         println!("  {k:<34} {v}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_help(_: &Args) -> Result<ExitCode, String> {
+    usage();
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let args = Args::new();
-    match args.command() {
-        Some("simulate") => cmd_simulate(&args),
-        Some("replay") => cmd_replay(&args),
-        Some("forensics") => cmd_forensics(&args),
-        Some("table2") => cmd_table2(),
-        Some("help") | None => {
-            usage();
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
-            eprintln!("unknown command '{other}'\n");
-            usage();
-            ExitCode::FAILURE
-        }
-    }
+    let items: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = items.split_first() else {
+        usage();
+        return ExitCode::SUCCESS;
+    };
+    let Some(command) = subcommand(name) else {
+        eprintln!("unknown command '{name}'\n");
+        usage();
+        return ExitCode::FAILURE;
+    };
+    Args::parse(rest, command)
+        .and_then(|args| (command.run)(&args))
+        .unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            ExitCode::from(2)
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn args_command_and_values() {
-        let a = Args::from(&["simulate", "--machines", "40", "--no-protection"]);
-        assert_eq!(a.command(), Some("simulate"));
-        assert_eq!(a.value("--machines"), Some("40"));
-        assert_eq!(a.parsed("--machines", 0u32), 40);
-        assert!(a.flag("--no-protection"));
-        assert!(!a.flag("--placement-feedback"));
-        assert_eq!(a.parsed("--minutes", 120i64), 120);
+    fn parse(items: &[&str]) -> Result<Args, String> {
+        let (name, rest) = items.split_first().expect("a subcommand");
+        let rest: Vec<String> = rest.iter().map(|s| s.to_string()).collect();
+        Args::parse(&rest, subcommand(name).expect("a known subcommand"))
     }
 
     #[test]
-    fn args_bad_value_falls_back_to_default() {
-        let a = Args::from(&["simulate", "--machines", "lots"]);
-        assert_eq!(a.parsed("--machines", 7u32), 7);
+    fn args_command_and_values() {
+        let a = parse(&["simulate", "--machines", "40", "--no-protection"]).unwrap();
+        assert_eq!(a.value("--machines"), Some("40"));
+        assert_eq!(a.parsed("--machines", 0u32), Ok(40));
+        assert!(a.flag("--no-protection"));
+        assert!(!a.flag("--placement-feedback"));
+        assert_eq!(a.parsed("--minutes", 120i64), Ok(120));
+        assert!(subcommand("simulat").is_none());
+    }
+
+    #[test]
+    fn args_bad_value_is_an_error_naming_it() {
+        // `cpi2 simulate --minutes abc` used to run the default 120.
+        let a = parse(&["simulate", "--minutes", "abc"]).unwrap();
+        let message = a.parsed("--minutes", 120i64).unwrap_err();
+        assert!(
+            message.contains("--minutes") && message.contains("abc"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn args_unknown_key_is_an_error_naming_it() {
+        // `cpi2 simulate --machnies 4` used to simulate the default 40.
+        let message = parse(&["simulate", "--machnies", "4"]).unwrap_err();
+        assert!(message.contains("--machnies\""), "{message}");
+        // Keys are per subcommand: `replay` builds no thrashers.
+        assert!(parse(&["replay", "--thrashers", "2"]).is_err());
+        // A stray positional is no better.
+        assert!(parse(&["table2", "40"]).is_err());
     }
 
     #[test]
     fn args_empty() {
-        let a = Args::from(&[]);
-        assert_eq!(a.command(), None);
-        assert_eq!(a.value("--x"), None);
+        let a = parse(&["simulate"]).unwrap();
+        assert_eq!(a.value("--machines"), None);
+        assert!(!a.flag("--no-protection"));
     }
 
     #[test]
     fn args_value_at_end_without_operand() {
-        let a = Args::from(&["forensics", "--query"]);
-        assert_eq!(a.value("--query"), None);
+        let message = parse(&["forensics", "--query"]).unwrap_err();
+        assert!(message.contains("--query takes a value"), "{message}");
     }
 }
