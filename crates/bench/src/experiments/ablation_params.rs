@@ -257,7 +257,7 @@ pub(crate) fn run() {
     // use the counters"). Shorter windows are noisier per reading; longer
     // ones monopolize the counters. We measure per-reading CPI dispersion
     // on a steady task.
-    use cpi2::perf::{MachineSampler, SamplerConfig};
+    use cpi2::perf::ClusterSampler;
     use cpi2::sim::{
         ConstantLoad, JobId as SimJobId, Machine, MachineId, Priority, SchedClass, SimTime,
         TaskId as SimTaskId, TaskInstance,
@@ -281,11 +281,12 @@ pub(crate) fn run() {
             Priority::Production,
             None,
         );
-        let mut sampler = MachineSampler::new(SamplerConfig {
-            window: SimDuration::from_secs(window_s),
-            period: SimDuration::from_secs(60),
-            phase: SimDuration::from_secs(0),
-        });
+        // Machine 0's stagger is phase 0.
+        let mut sampler = ClusterSampler::with_schedule(
+            SimDuration::from_secs(window_s),
+            SimDuration::from_secs(60),
+            &cpi2::telemetry::Telemetry::disabled(),
+        );
         let mut cpis = RunningStats::new();
         let dt = SimDuration::from_secs(1);
         for i in 0..(600 * 60) {

@@ -46,7 +46,7 @@ pub(crate) fn run() {
             .cluster
             .machine(sc.machine)
             .and_then(|m| m.task(sc.antagonist))
-            .and_then(|t| t.task().last_outcome())
+            .and_then(|t| t.last_outcome())
             .map(|o| o.cpu_granted < 0.2)
             .unwrap_or(false);
         if idle_now {
@@ -74,7 +74,7 @@ pub(crate) fn run() {
             .cluster
             .machine(sc.machine)
             .and_then(|m| m.task(sc.antagonist))
-            .and_then(|t| t.task().last_outcome())
+            .and_then(|t| t.last_outcome())
             .map(|o| o.cpu_granted > 2.0)
             .unwrap_or(false);
         if busy {

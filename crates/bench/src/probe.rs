@@ -62,7 +62,7 @@ fn victim_cpi_over(system: &mut Cpi2Harness, machine: MachineId, victim: TaskId,
             .cluster
             .machine(machine)
             .and_then(|m| m.task(victim))
-            .and_then(|t| t.task().last_outcome())
+            .and_then(|t| t.last_outcome())
         {
             stats.push(o.cpi);
         }

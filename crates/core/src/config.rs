@@ -157,6 +157,9 @@ impl Cpi2Config {
 
     /// Sanity-checks parameter ranges.
     pub fn validate(&self) -> Result<(), String> {
+        if self.sampling_duration_s <= 0 || self.sampling_duration_s > self.sampling_period_s {
+            return Err("sampling_duration_s must be positive and fit in sampling_period_s".into());
+        }
         if self.outlier_sigma <= 0.0 {
             return Err("outlier_sigma must be positive".into());
         }
@@ -244,6 +247,18 @@ mod tests {
         assert!(c.validate().is_err());
         let c = Cpi2Config {
             stale_outlier_sigma: 0.0,
+            ..Cpi2Config::default()
+        };
+        assert!(c.validate().is_err());
+        // A counting window longer than its period, or none at all.
+        let c = Cpi2Config {
+            sampling_duration_s: 120,
+            sampling_period_s: 30,
+            ..Cpi2Config::default()
+        };
+        assert!(c.validate().is_err());
+        let c = Cpi2Config {
+            sampling_duration_s: 0,
             ..Cpi2Config::default()
         };
         assert!(c.validate().is_err());

@@ -261,6 +261,8 @@ pub struct ClusterSampler {
     /// Indexed by [`CounterSource::source_id`] — a cluster numbers its
     /// machines `0..n`, and the hardware backend's one source is id 0.
     samplers: Vec<MachineSampler>,
+    /// The schedule every machine follows, before its phase is staggered.
+    schedule: SamplerConfig,
     telemetry: Telemetry,
 }
 
@@ -270,14 +272,35 @@ impl ClusterSampler {
         ClusterSampler::default()
     }
 
-    /// Creates a cluster sampler whose lazily created per-machine
-    /// samplers all report to `telemetry`. The per-machine handles share
-    /// one fleet-wide series per metric, matching how the paper's daemon
-    /// reports into a shared monitoring system.
+    /// Creates a cluster sampler on the paper's schedule (10 s of every
+    /// minute) whose lazily created per-machine samplers all report to
+    /// `telemetry`. The per-machine handles share one fleet-wide series
+    /// per metric, matching how the paper's daemon reports into a shared
+    /// monitoring system.
     pub fn with_telemetry(telemetry: &Telemetry) -> Self {
         ClusterSampler {
-            samplers: Vec::new(),
             telemetry: telemetry.clone(),
+            ..ClusterSampler::default()
+        }
+    }
+
+    /// As [`ClusterSampler::with_telemetry`], counting `window` of every
+    /// `period` (Table 2's sampling duration and frequency).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not fit in the period or either span is
+    /// non-positive ([`SamplerConfig::validate`]).
+    pub fn with_schedule(window: SimDuration, period: SimDuration, telemetry: &Telemetry) -> Self {
+        let schedule = SamplerConfig {
+            window,
+            period,
+            phase: SimDuration::ZERO,
+        };
+        schedule.validate();
+        ClusterSampler {
+            schedule,
+            ..ClusterSampler::with_telemetry(telemetry)
         }
     }
 
@@ -287,7 +310,7 @@ impl ClusterSampler {
         let slot = source.source_id() as usize;
         // First sight of this id: samplers up to and including it.
         while self.samplers.len() <= slot {
-            let base = SamplerConfig::default();
+            let base = self.schedule;
             let slots = ((base.period.as_us() - base.window.as_us()) / cpi2_sim::time::US_PER_SEC)
                 as u64
                 + 1;

@@ -137,26 +137,13 @@ impl CollectorHandle {
     }
 }
 
-/// Bounded-retry parameters for [`RetryQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total send attempts per batch (first try included) before the
-    /// batch is abandoned. The pipeline stays lossy by design — §4.1
-    /// detection runs locally — retries just shrink the loss window.
-    pub max_attempts: u32,
-    /// Backoff before attempt `n + 1`, doubling each retry:
-    /// `base_backoff_us << (n - 1)` µs after the `n`-th failure.
-    pub base_backoff_us: i64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_us: 2_000_000,
-        }
-    }
-}
+/// Total send attempts per batch (first try included) before the batch
+/// is abandoned. The pipeline stays lossy by design — §4.1 detection runs
+/// locally — retries just shrink the loss window.
+const MAX_ATTEMPTS: u32 = 3;
+/// Backoff before attempt `n + 1`, doubling each retry:
+/// `BASE_BACKOFF_US << (n - 1)` µs after the `n`-th failure.
+const BASE_BACKOFF_US: i64 = 2_000_000;
 
 /// One sample batch awaiting re-send.
 #[derive(Debug)]
@@ -170,13 +157,12 @@ struct PendingBatch {
 ///
 /// Wraps [`CollectorHandle::offer_samples`]: a batch the collector can't
 /// take right now is parked and re-offered on later [`RetryQueue::flush`]
-/// calls with exponential backoff, until [`RetryPolicy::max_attempts`] is
+/// calls with exponential backoff, until its three attempts are
 /// exhausted — then it is abandoned and counted, never silently lost.
 /// Purely deterministic: ordering is FIFO and timing comes from the
 /// caller's clock.
 #[derive(Debug, Default)]
 pub struct RetryQueue {
-    policy: RetryPolicy,
     pending: VecDeque<PendingBatch>,
     abandoned_batches: u64,
     retries_total: Counter,
@@ -184,14 +170,6 @@ pub struct RetryQueue {
 }
 
 impl RetryQueue {
-    /// Creates a queue with the given policy (telemetry disabled).
-    pub fn new(policy: RetryPolicy) -> Self {
-        RetryQueue {
-            policy,
-            ..RetryQueue::default()
-        }
-    }
-
     /// Attaches telemetry: retry attempts and abandoned batches.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.retries_total = telemetry.counter("cpi_collector_retries_total", &[]);
@@ -238,12 +216,12 @@ impl RetryQueue {
     }
 
     fn park(&mut self, samples: Vec<CpiSample>, attempts: u32, now_us: i64) {
-        if attempts >= self.policy.max_attempts {
+        if attempts >= MAX_ATTEMPTS {
             self.abandoned_batches += 1;
             self.abandoned_total.inc();
             return;
         }
-        let backoff = self.policy.base_backoff_us << (attempts - 1).min(32);
+        let backoff = BASE_BACKOFF_US << (attempts - 1).min(32);
         self.pending.push_back(PendingBatch {
             samples,
             attempts,
@@ -457,19 +435,17 @@ mod tests {
     fn retry_queue_delivers_after_backoff() {
         let mut c = Collector::new(1);
         let h = c.handle();
-        let mut q = RetryQueue::new(RetryPolicy {
-            max_attempts: 5,
-            base_backoff_us: 1_000,
-        });
+        let mut q = RetryQueue::default();
         assert!(q.send_or_queue(&h, vec![sample(1)], 0));
         assert!(!q.send_or_queue(&h, vec![sample(2)], 0));
         assert_eq!(q.pending(), 1);
-        // Backoff not elapsed: the parked batch is not retried yet.
+        // Backoff (2 s after the first failure) not elapsed: the parked
+        // batch is not retried yet.
         c.drain();
-        assert_eq!(q.flush(&h, 500), 0);
+        assert_eq!(q.flush(&h, 1_999_999), 0);
         assert_eq!(q.pending(), 1);
         // Once due (and with channel space) the retry delivers.
-        assert_eq!(q.flush(&h, 1_000), 1);
+        assert_eq!(q.flush(&h, 2_000_000), 1);
         assert_eq!(q.pending(), 0);
         c.drain();
         assert_eq!(c.take_samples().len(), 2);
@@ -481,18 +457,19 @@ mod tests {
         let tel = Telemetry::enabled();
         let c = Collector::new(1);
         let h = c.handle();
-        let mut q = RetryQueue::new(RetryPolicy {
-            max_attempts: 2,
-            base_backoff_us: 10,
-        });
+        let mut q = RetryQueue::default();
         q.set_telemetry(&tel);
         assert!(q.send_or_queue(&h, vec![sample(1)], 0)); // fills the channel
         assert!(!q.send_or_queue(&h, vec![sample(2)], 0)); // attempt 1 parked
-        assert_eq!(q.flush(&h, 100), 0); // attempt 2 fails → abandoned
+        assert_eq!(q.flush(&h, 2_000_000), 0); // attempt 2 fails → parked, backoff doubled
+        assert_eq!(q.pending(), 1);
+        assert_eq!(q.flush(&h, 5_999_999), 0); // 2 s + 4 s not yet elapsed
+        assert_eq!(q.abandoned_batches(), 0);
+        assert_eq!(q.flush(&h, 6_000_000), 0); // attempt 3 fails → abandoned
         assert_eq!(q.pending(), 0);
         assert_eq!(q.abandoned_batches(), 1);
         let text = tel.prometheus_text().unwrap();
-        assert!(text.contains("cpi_collector_retries_total 1"), "{text}");
+        assert!(text.contains("cpi_collector_retries_total 2"), "{text}");
         assert!(
             text.contains("cpi_collector_retry_abandoned_total 1"),
             "{text}"

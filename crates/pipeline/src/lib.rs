@@ -22,7 +22,7 @@ pub mod query;
 pub mod specstore;
 
 pub use aggregator::Aggregator;
-pub use collector::{AgentMessage, Collector, CollectorHandle, RetryPolicy, RetryQueue};
+pub use collector::{AgentMessage, Collector, CollectorHandle, RetryQueue};
 pub use filelog::FileLog;
 pub use query::{Dataset, Query, QueryError, QueryResult, Table, Value};
 pub use specstore::{SpecSnapshot, SpecStore};

@@ -81,7 +81,8 @@ pub struct ServeHarness {
     view: LiveSnapshot,
     /// Per machine, indexed like `cluster.machines()`.
     machine_marks: Vec<MachineMark>,
-    /// Incidents already published (watermark into `inner.incidents()`).
+    /// Incidents already published (watermark into `inner.incidents()`,
+    /// which holds nothing older than the last publish's tail).
     incidents_seen: usize,
     /// `TraceLog::recorded()` and `evicted()` as of the last publish.
     trace_cursor: TraceCursor,
@@ -306,7 +307,10 @@ impl ServeHarness {
                 .map(|mi| EncodedIncident::new(IncidentView::of(mi))),
             INCIDENT_TAIL,
         );
-        self.incidents_seen = logged.len();
+        // Nothing serves an incident older than the tail, so the wrapped
+        // log keeps no more: a daemon's memory does not grow with uptime.
+        self.inner.forget_incidents_beyond(INCIDENT_TAIL);
+        self.incidents_seen = self.inner.incidents().len();
         let samples = push_tail(
             &mut self.view.samples,
             fresh_samples.into_iter(),

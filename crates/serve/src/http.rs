@@ -104,20 +104,12 @@ impl Response {
 
     /// A JSON error `{"error": ...}` with the given status.
     pub fn error(status: u16, message: &str) -> Response {
-        let mut body = String::from("{\"error\":\"");
-        for c in message.chars() {
-            match c {
-                '"' => body.push_str("\\\""),
-                '\\' => body.push_str("\\\\"),
-                '\n' => body.push_str("\\n"),
-                c => body.push(c),
-            }
-        }
-        body.push_str("\"}");
+        // A string always serialises; `null` would keep the body JSON.
+        let message = serde_json::to_string(&message).unwrap_or_else(|_| "null".into());
         Response {
             status,
             content_type: "application/json",
-            body: Body::Full(body.into_bytes()),
+            body: Body::Full(format!("{{\"error\":{message}}}").into_bytes()),
         }
     }
 
@@ -472,11 +464,19 @@ mod tests {
 
     #[test]
     fn error_body_is_json_escaped() {
-        let r = Response::error(400, "bad \"thing\"\n");
-        assert_eq!(
-            String::from_utf8(r.into_body_bytes()).unwrap(),
-            "{\"error\":\"bad \\\"thing\\\"\\n\"}"
-        );
+        #[derive(serde::Deserialize)]
+        struct ErrorBody {
+            error: String,
+        }
+        for (message, body) in [
+            ("bad \"thing\"\n", "{\"error\":\"bad \\\"thing\\\"\\n\"}"),
+            ("a\r\t\u{1}b", "{\"error\":\"a\\r\\t\\u0001b\"}"),
+        ] {
+            let got = String::from_utf8(Response::error(400, message).into_body_bytes()).unwrap();
+            assert_eq!(got, body);
+            let parsed: ErrorBody = serde_json::from_str(&got).expect("error body parses");
+            assert_eq!(parsed.error, message);
+        }
     }
 
     #[test]

@@ -327,14 +327,10 @@ where
 /// Streams a query result as `{"columns": [...], "rows": [[...]]}`,
 /// one chunk per row.
 fn stream_query_result(r: QueryResult) -> Response {
-    let mut head = String::from("{\"columns\":[");
-    for (i, c) in r.columns.iter().enumerate() {
-        if i > 0 {
-            head.push(',');
-        }
-        head.push_str(&jstr(c));
-    }
-    head.push_str("],\"rows\":[");
+    let Ok(columns) = serde_json::to_string(&r.columns) else {
+        return Response::error(500, "serialization failed");
+    };
+    let head = format!("{{\"columns\":{columns},\"rows\":[");
     let mut first = true;
     let body = std::iter::once(head.into_bytes())
         .chain(r.rows.into_iter().map(move |row| {
@@ -367,7 +363,8 @@ fn render_value(out: &mut String, v: &Value) {
             let _ = write!(out, "{n}");
         }
         Value::Num(_) => out.push_str("null"),
-        Value::Str(s) => out.push_str(&jstr(s)),
+        // A string always serialises; `null` would keep the row JSON.
+        Value::Str(s) => out.push_str(&serde_json::to_string(s).unwrap_or_else(|_| "null".into())),
     }
 }
 
@@ -387,46 +384,55 @@ fn constant_time_eq(presented: &[u8], expected: &[u8]) -> bool {
     diff == 0
 }
 
-/// JSON string literal with escaping.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::{LiveSnapshot, MachineView};
     use cpi2::telemetry::Telemetry;
 
+    /// Three machines whose task lists give `/query` every cell kind a
+    /// string escaper meets — a quote, a backslash, control bytes, a
+    /// missing column — beside whole and fractional numbers.
     fn router() -> Router {
+        use crate::state::TaskView;
+
+        let task = |job: u32, job_name: &str, class: &str, threads: u32| TaskView {
+            job,
+            index: 0,
+            job_name: job_name.into(),
+            class: class.into(),
+            threads,
+        };
+        let machine = |id: u32, utilization: f64, task_list: Vec<TaskView>| {
+            Arc::new(MachineView {
+                id,
+                tasks: task_list.len(),
+                threads: task_list.iter().map(|t| u64::from(t.threads)).sum(),
+                utilization,
+                throttle_events: 0,
+                task_list,
+            })
+        };
         let state = SharedState::new(Telemetry::enabled());
         state.live.publish(LiveSnapshot {
             ticks: 3,
             now_us: 60_000_000,
-            machines: Arc::new(vec![Arc::new(MachineView {
-                id: 0,
-                tasks: 2,
-                threads: 4,
-                utilization: 0.5,
-                throttle_events: 0,
-                task_list: Vec::new(),
-            })]),
+            machines: Arc::new(vec![
+                machine(
+                    0,
+                    0.5,
+                    vec![
+                        task(1, "web\"search", "LatencySensitive", 3),
+                        task(2, "back\\slash", "Batch", 1),
+                    ],
+                ),
+                machine(
+                    1,
+                    0.875,
+                    vec![task(3, "ctl\u{1}\tbyte\r\n\u{1f}end", "BestEffort", 8)],
+                ),
+                machine(2, 1.0 / 3.0, Vec::new()),
+            ]),
             ..LiveSnapshot::default()
         });
         Router::new(state)
@@ -462,34 +468,48 @@ mod tests {
         assert_eq!(get(&r, "/incidents/00000000000000ab/trace/x").status, 404);
     }
 
+    /// `(statement, status, body)` over [`router`]'s snapshot, recorded at
+    /// the commit before the router's own JSON string escaper was
+    /// replaced by `serde_json`'s.
+    const RECORDED_QUERIES: &[(&str, u16, &str)] = &[
+        ("SELECT id, utilization FROM machines", 200, "{\"columns\":[\"id\",\"utilization\"],\"rows\":[[0,0.5],[1,0.875],[2,0.3333333333333333]]}"),
+        ("SELECT * FROM machines", 200, "{\"columns\":[\"id\",\"task_list.0.class\",\"task_list.0.index\",\"task_list.0.job\",\"task_list.0.job_name\",\"task_list.0.threads\",\"task_list.1.class\",\"task_list.1.index\",\"task_list.1.job\",\"task_list.1.job_name\",\"task_list.1.threads\",\"task_list.len\",\"tasks\",\"threads\",\"throttle_events\",\"utilization\"],\"rows\":[[0,\"LatencySensitive\",0,1,\"web\\\"search\",3,\"Batch\",0,2,\"back\\\\slash\",1,2,2,4,0,0.5],[1,\"BestEffort\",0,3,\"ctl\\u0001\\tbyte\\r\\n\\u001fend\",8,null,null,null,null,null,1,1,8,0,0.875],[2,null,null,null,null,null,null,null,null,null,null,0,0,0,0,0.3333333333333333]]}"),
+        ("SELECT id, task_list.len, task_list.0.job_name, task_list.1.job_name FROM machines ORDER BY id DESC LIMIT 2", 200, "{\"columns\":[\"id\",\"task_list.len\",\"task_list.0.job_name\",\"task_list.1.job_name\"],\"rows\":[[2,0,null,null],[1,1,\"ctl\\u0001\\tbyte\\r\\n\\u001fend\",null]]}"),
+        ("SELECT tasks, COUNT(*), MAX(utilization), AVG(threads) FROM machines GROUP BY tasks ORDER BY tasks DESC", 200, "{\"columns\":[\"tasks\",\"count(*)\",\"max(utilization)\",\"avg(threads)\"],\"rows\":[[2,1,0.5,4],[1,1,0.875,8],[0,1,0.3333333333333333,0]]}"),
+        ("SELECT id, task_list.0.threads FROM machines WHERE task_list.0.job_name LIKE 'web%'", 200, "{\"columns\":[\"id\",\"task_list.0.threads\"],\"rows\":[[0,3]]}"),
+        ("SELECT id FROM machines WHERE utilization BETWEEN 0.4 AND 0.9", 200, "{\"columns\":[\"id\"],\"rows\":[[0],[1]]}"),
+        ("SELECT x FROM nowhere", 400, "{\"error\":\"UnknownTable(\\\"nowhere\\\")\"}"),
+        ("SELECT id FROM machines WHERE job = \"x\\y\"", 400, "{\"error\":\"Parse(\\\"unexpected char '\\\\\\\"'\\\")\"}"),
+    ];
+
     #[test]
     fn query_endpoint_runs_sql() {
+        /// Either kind of body: a result names its columns, a refusal
+        /// says why.
+        #[derive(serde::Deserialize)]
+        struct Reply {
+            columns: Option<Vec<String>>,
+            error: Option<String>,
+        }
         let r = router();
-        let resp = r.handle(&Request {
-            method: "POST".into(),
-            path: "/query".into(),
-            body: b"SELECT id, utilization FROM machines".to_vec(),
-            ..Request::default()
-        });
-        assert_eq!(resp.status, 200);
-        assert!(
-            matches!(resp.body, crate::http::Body::Chunks(_)),
-            "query results stream"
-        );
-        let body = String::from_utf8(resp.into_body_bytes()).unwrap();
-        assert!(
-            body.contains("\"columns\":[\"id\",\"utilization\"]"),
-            "{body}"
-        );
-        assert!(body.contains("[0,0.5]"), "{body}");
-        // Bad SQL is a client error, not a panic.
-        let resp = r.handle(&Request {
-            method: "POST".into(),
-            path: "/query".into(),
-            body: b"SELEKT nope".to_vec(),
-            ..Request::default()
-        });
-        assert_eq!(resp.status, 400);
+        for &(sql, status, body) in RECORDED_QUERIES {
+            let resp = r.handle(&Request {
+                method: "POST".into(),
+                path: "/query".into(),
+                body: sql.as_bytes().to_vec(),
+                ..Request::default()
+            });
+            assert_eq!(resp.status, status, "{sql}");
+            // Results stream; bad SQL is a client error, not a panic.
+            let streams = matches!(resp.body, crate::http::Body::Chunks(_));
+            assert_eq!(streams, status == 200, "{sql}");
+            let got = String::from_utf8(resp.into_body_bytes()).unwrap();
+            assert_eq!(got, body, "{sql}");
+            let reply: Reply =
+                serde_json::from_str(&got).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+            assert_eq!(reply.columns.is_some(), status == 200, "{sql}");
+            assert_eq!(reply.error.is_some(), status != 200, "{sql}");
+        }
     }
 
     #[test]

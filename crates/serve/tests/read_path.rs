@@ -10,14 +10,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use cpi2::core::{Cpi2Config, CpiSample};
+mod common;
+
+use cpi2::core::CpiSample;
 use cpi2::harness::Cpi2Harness;
 use cpi2::pipeline::query::Dataset;
-use cpi2::sim::{
-    Cluster, ClusterConfig, JobId, JobSpec, Platform, ResourceProfile, SimDuration, TaskId,
-};
-use cpi2::telemetry::Telemetry;
-use cpi2::workloads::{CacheThrasher, LsService};
+use cpi2::sim::{JobId, SimDuration, TaskId};
 use cpi2_serve::http::{self, Body, Framing, ScannedResponse};
 use cpi2_serve::state::{
     EncodedIncident, IncidentView, LiveSnapshot, MachineView, TraceView, INCIDENT_TAIL, SAMPLE_TAIL,
@@ -29,52 +27,11 @@ const MACHINES: u32 = 12;
 const CLEAN_TICKS: u64 = 1500;
 const PLANTED_TICKS: u64 = 2700;
 
-/// Victims spread over the fleet plus a batch tenant, telemetry on.
+/// The shared fleet, keeping its samples for the oracle.
 fn fleet() -> Cpi2Harness {
-    let mut cluster = Cluster::new(ClusterConfig {
-        seed: SEED,
-        telemetry: Telemetry::enabled(),
-        ..ClusterConfig::default()
-    });
-    cluster.add_machines(&Platform::westmere(), MACHINES);
-    cluster
-        .submit_job(
-            JobSpec::latency_sensitive("frontend", MACHINES, 1.0),
-            true,
-            Box::new(|i| {
-                Box::new(LsService::new(
-                    ResourceProfile::cache_heavy(),
-                    1.0,
-                    12,
-                    SEED ^ u64::from(i),
-                ))
-            }),
-        )
-        .expect("placement");
-    cpi2::workloads::submit_typical_mix(&mut cluster, 1, SEED);
-    let config = Cpi2Config {
-        min_samples_per_task: 5,
-        incident_cooldown_s: 60,
-        ..Cpi2Config::default()
-    };
-    let mut system = Cpi2Harness::new(cluster, config);
+    let mut system = common::fleet(SEED, MACHINES);
     system.record_samples = true;
     system
-}
-
-/// Publishes the learned specs and lands a thrasher on half of the fleet.
-fn plant(system: &mut Cpi2Harness) {
-    system.force_spec_refresh();
-    system
-        .cluster
-        .submit_job(
-            JobSpec::batch("thrasher", MACHINES / 2, 4.0),
-            true,
-            Box::new(|i| {
-                Box::new(CacheThrasher::new(8.0, 240, 240, 99 + u64::from(i)).with_footprint(32.0))
-            }),
-        )
-        .expect("placement");
 }
 
 /// The operator's script: what is posted before tick `t` (planted phase).
@@ -182,8 +139,8 @@ fn run_against_oracle(full_every: u32) -> ServeHarness {
 
     for t in 1..=CLEAN_TICKS + PLANTED_TICKS {
         if t == CLEAN_TICKS + 1 {
-            plant(&mut twin);
-            plant(sh.inner_mut());
+            common::plant(&mut twin, MACHINES);
+            common::plant(sh.inner_mut(), MACHINES);
         }
         if let Some(action) = script(&twin, t).filter(|_| t > CLEAN_TICKS) {
             apply(&mut twin, &action);

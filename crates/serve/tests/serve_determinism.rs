@@ -8,31 +8,25 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
 
-use cpi2::core::Cpi2Config;
+mod common;
+
 use cpi2::harness::Cpi2Harness;
-use cpi2::sim::{Cluster, ClusterConfig, Platform, SimDuration};
-use cpi2::telemetry::Telemetry;
+use cpi2::sim::SimDuration;
+use cpi2_serve::state::INCIDENT_TAIL;
 use cpi2_serve::{ServeHarness, ServerConfig};
 
 const SEED: u64 = 0x0DE7_E121;
 const CLIENTS: usize = 32;
 const REQUESTS_PER_CLIENT: usize = 8;
+const MACHINES: u32 = 32;
 
+/// The shared fleet after a clean half hour of learning, thrashers
+/// planted.
 fn build_system() -> Cpi2Harness {
-    let telemetry = Telemetry::enabled();
-    let mut cluster = Cluster::new(ClusterConfig {
-        seed: SEED,
-        telemetry: telemetry.clone(),
-        ..ClusterConfig::default()
-    });
-    cluster.add_machines(&Platform::westmere(), 8);
-    cpi2::workloads::submit_typical_mix(&mut cluster, 1, SEED);
-    let config = Cpi2Config {
-        spec_refresh_hours: 1,
-        min_samples_per_task: 5,
-        ..Cpi2Config::default()
-    };
-    Cpi2Harness::new(cluster, config)
+    let mut system = common::fleet(SEED, MACHINES);
+    system.run_for(SimDuration::from_mins(30));
+    common::plant(&mut system, MACHINES);
+    system
 }
 
 fn client(addr: std::net::SocketAddr, i: usize) -> (usize, usize) {
@@ -81,6 +75,16 @@ fn client(addr: std::net::SocketAddr, i: usize) -> (usize, usize) {
     (ok, server_errors)
 }
 
+/// `cpi_incidents_total` summed over its action labels.
+fn incidents_total(system: &Cpi2Harness) -> u64 {
+    let text = system.telemetry().prometheus_text().expect("telemetry on");
+    text.lines()
+        .filter(|l| l.starts_with("cpi_incidents_total{"))
+        .map(|l| l.rsplit(' ').next().and_then(|n| n.parse::<u64>().ok()))
+        .sum::<Option<u64>>()
+        .expect("counter lines end in a count")
+}
+
 #[test]
 fn tick_stream_is_bit_identical_with_server_attached() {
     let run = SimDuration::from_mins(90);
@@ -91,6 +95,13 @@ fn tick_stream_is_bit_identical_with_server_attached() {
     let bare_lines = bare.incident_lines();
     let bare_now = bare.cluster.now();
     let bare_caps = bare.caps_applied();
+    assert!(bare_caps > 0, "the fleet never capped anything");
+    assert!(
+        bare_lines.len() > INCIDENT_TAIL,
+        "{} incidents do not overflow the served tail",
+        bare_lines.len()
+    );
+    assert_eq!(incidents_total(&bare), bare_lines.len() as u64);
 
     // Same seed, but resident: 32 concurrent clients scrape and query
     // while the fleet ticks at full rate and the publisher maintains
@@ -103,7 +114,12 @@ fn tick_stream_is_bit_identical_with_server_attached() {
     let clients: Vec<_> = (0..CLIENTS)
         .map(|i| thread::spawn(move || client(addr, i)))
         .collect();
-    sh.run_for(run);
+    let end = sh.inner().cluster.now() + run;
+    while sh.inner().cluster.now() < end {
+        sh.tick();
+        // A resident harness keeps what it serves and no more.
+        assert!(sh.inner().incidents().len() <= INCIDENT_TAIL);
+    }
     let mut ok_total = 0;
     let mut err_total = 0;
     for c in clients {
@@ -126,13 +142,15 @@ fn tick_stream_is_bit_identical_with_server_attached() {
         "handler panicked:\n{text}"
     );
 
-    // Bit-identical simulation: same clock, same caps, same incident
-    // stream, line for line.
+    // Bit-identical simulation: same clock, same caps, as many incidents,
+    // and the served log is the bare log's newest `INCIDENT_TAIL`, line
+    // for line.
     assert_eq!(served.cluster.now(), bare_now, "sim clocks diverged");
     assert_eq!(served.caps_applied(), bare_caps, "cap counts diverged");
-    let served_lines = served.incident_lines();
+    assert_eq!(incidents_total(&served), bare_lines.len() as u64);
     assert_eq!(
-        served_lines, bare_lines,
+        served.incident_lines(),
+        bare_lines[bare_lines.len() - INCIDENT_TAIL..],
         "incident streams diverged between served and bare runs"
     );
 }

@@ -43,8 +43,10 @@ fn planted_antagonist_system(seed: u64) -> Cpi2Harness {
 
 fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
-    s.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-        .expect("write");
+    // `Connection: close` so the keep-alive server ends the exchange and
+    // `read_to_string` sees EOF instead of waiting out the idle reap.
+    let request = format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    s.write_all(request.as_bytes()).expect("write");
     let mut out = String::new();
     s.read_to_string(&mut out).expect("read");
     let status: u16 = out

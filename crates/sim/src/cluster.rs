@@ -23,6 +23,9 @@ use std::time::Instant;
 /// or migrated.
 pub type ModelFactory = Box<dyn FnMut(u32) -> Box<dyn TaskModel>>;
 
+/// Event-trace retention: the newest entries a cluster keeps.
+const TRACE_CAPACITY: usize = 100_000;
+
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -32,8 +35,6 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Batch overcommit factor for the scheduler.
     pub overcommit: f64,
-    /// Event-trace retention.
-    pub trace_capacity: usize,
     /// §2's speculative-overcommit correction: when a batch task has been
     /// starved by machine pressure for this many consecutive ticks, the
     /// scheduler preempts it and restarts it on another machine. `None`
@@ -59,7 +60,6 @@ impl Default for ClusterConfig {
             tick: SimDuration::from_secs(1),
             seed: 0,
             overcommit: 1.5,
-            trace_capacity: 100_000,
             preempt_starved_batch_after: None,
             parallelism: 1,
             telemetry: Telemetry::disabled(),
@@ -160,7 +160,7 @@ impl Cluster {
     /// Creates an empty cluster.
     pub fn new(config: ClusterConfig) -> Self {
         let scheduler = Scheduler::new(config.overcommit, config.seed);
-        let trace = Trace::new(config.trace_capacity);
+        let trace = Trace::new(TRACE_CAPACITY);
         let metrics = SimMetrics::new(&config.telemetry);
         Cluster {
             config,
@@ -843,7 +843,6 @@ mod tests {
             .unwrap()
             .task(id)
             .unwrap()
-            .task()
             .last_outcome()
             .unwrap();
         assert!(out.capped);

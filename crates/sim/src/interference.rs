@@ -195,31 +195,8 @@ pub fn compute_cols(
     // approach their full footprint. Accumulated in input order, exactly
     // as summing a per-task vector would.
     let mut demand = 0.0f64;
-    let mut total_activity = 0.0f64;
     for (&cache_mb, &a) in profiles.cache_mb.iter().zip(activity.iter()) {
         demand += cache_mb * (1.0 - (-a).exp());
-        total_activity += a;
-    }
-
-    // Fast path: a machine with zero total activity perturbs nothing.
-    // Proof of bit-identity with the general path: every activity is 0
-    // (grants are non-negative), so each hot-set term is cache_mb·(1−e⁰)
-    // = 0 and demand = 0 ⇒ retained = 1 ⇒ loss = 0 ⇒ mpki = mpki_solo
-    // exactly; the miss traffic is 0 ⇒ ρ = 0 ⇒ queue_mult = 1 ⇒
-    // extra = 0 ⇒ every fixed-point target equals the initial CPI, and
-    // the damped update `c += damping·(target − c)` adds exactly 0.0.
-    if total_activity == 0.0 {
-        for (&base, &solo) in profiles.base_cpi.iter().zip(profiles.mpki_solo.iter()) {
-            cpi.push(base * platform.cpi_factor);
-            mpki.push(solo);
-        }
-        return (
-            ContentionSummary {
-                cache_demand_mb: demand,
-                mem_utilization: 0.0,
-            },
-            1.0,
-        );
     }
 
     let retained_global = if demand <= platform.l3_mb || demand == 0.0 {
@@ -270,7 +247,9 @@ pub fn compute_cols(
     (
         ContentionSummary {
             cache_demand_mb: demand,
-            mem_utilization: rho,
+            // An empty column's traffic sum is its −0.0 start; −0.0 + 0.0
+            // is +0.0 and every other value is unchanged.
+            mem_utilization: rho + 0.0,
         },
         retained_global,
     )

@@ -39,7 +39,7 @@ pub use cluster::{Cluster, ClusterConfig, ModelFactory};
 pub use fault::{FaultPlan, FaultProfile, ShipmentFate};
 pub use interference::{InterferenceParams, ProfileColumns};
 pub use job::{JobId, JobSpec, Priority, SchedClass, TaskId};
-pub use machine::{Machine, MachineId, ResidentTask, TaskExit, TaskView};
+pub use machine::{Machine, MachineId, ResidentTask, TaskExit};
 pub use platform::Platform;
 pub use schedule::{ClusterEvent, EventQueue};
 pub use scheduler::{PlacementError, PlacementPolicy, Scheduler};

@@ -31,11 +31,6 @@ impl fmt::Display for MachineId {
 const CTX_SWITCHES_PER_THREAD_SEC: f64 = 20.0;
 
 /// One task resident on a machine.
-///
-/// Per-tick scheduler state that the hot loop reads and writes every tick
-/// (runnable threads, starvation streak) lives in the machine's
-/// [`TaskColumns`], not here — [`Machine::tasks`] hands out [`TaskView`]s
-/// that rejoin the two.
 pub struct ResidentTask {
     /// Task identity.
     pub id: TaskId,
@@ -49,6 +44,11 @@ pub struct ResidentTask {
     pub cgroup: Cgroup,
     model: Box<dyn TaskModel>,
     last_outcome: Option<TickOutcome>,
+    /// Runnable thread count (as of the last tick's demand).
+    threads: u32,
+    /// Consecutive ticks the task wanted CPU but machine pressure (not a
+    /// cap) starved it — the scheduler's batch-preemption signal (§2).
+    starved: u32,
 }
 
 impl ResidentTask {
@@ -60,57 +60,6 @@ impl ResidentTask {
     /// Immutable access to the behaviour model (for workload metrics).
     pub fn model(&self) -> &dyn TaskModel {
         self.model.as_ref()
-    }
-}
-
-/// Struct-of-arrays columns of per-task scheduler state, index-parallel to
-/// `Machine::tasks`. The tick loop streams these contiguously instead of
-/// chasing them through per-task structs; membership changes (add, remove,
-/// exit, crash) compact them in lockstep with the task vector.
-#[derive(Debug, Default)]
-struct TaskColumns {
-    /// Runnable thread count per task (as of the last tick's demand).
-    threads: Vec<u32>,
-    /// Consecutive ticks each task wanted CPU but machine pressure (not a
-    /// cap) starved it — the scheduler's batch-preemption signal (§2).
-    starved: Vec<u32>,
-}
-
-impl TaskColumns {
-    fn push_new(&mut self) {
-        self.threads.push(0);
-        self.starved.push(0);
-    }
-
-    fn remove(&mut self, index: usize) {
-        self.threads.remove(index);
-        self.starved.remove(index);
-    }
-}
-
-/// A resident task joined with its scheduler-state columns: everything the
-/// array-of-structs `ResidentTask` used to expose, from the columnar
-/// layout. Dereferences to the task itself, so field access and the
-/// struct's own methods work unchanged.
-#[derive(Clone, Copy, Debug)]
-pub struct TaskView<'a> {
-    task: &'a ResidentTask,
-    threads: u32,
-    starved: u32,
-}
-
-impl<'a> std::ops::Deref for TaskView<'a> {
-    type Target = ResidentTask;
-
-    fn deref(&self) -> &ResidentTask {
-        self.task
-    }
-}
-
-impl<'a> TaskView<'a> {
-    /// The underlying resident task.
-    pub fn task(&self) -> &'a ResidentTask {
-        self.task
     }
 
     /// Current runnable thread count (as of the last tick's demand).
@@ -174,15 +123,6 @@ struct TickScratch {
     mpki: Vec<f64>,
 }
 
-/// Front-to-back lockstep retain: keeps element `i` of `v` exactly when
-/// `keep[i]` is true, preserving order. Used to compact the task vector
-/// and every parallel column with one shared flag column. Extra elements
-/// beyond `keep.len()` are retained (never happens for in-sync columns).
-fn retain_by_flags<T>(v: &mut Vec<T>, keep: &[bool]) {
-    let mut flags = keep.iter();
-    v.retain(|_| *flags.next().unwrap_or(&true));
-}
-
 /// A machine hosting tasks from many jobs.
 pub struct Machine {
     /// Machine identity.
@@ -190,9 +130,6 @@ pub struct Machine {
     /// Hardware platform.
     pub platform: Platform,
     tasks: Vec<ResidentTask>,
-    /// Per-task scheduler state, index-parallel to `tasks`.
-    cols: TaskColumns,
-    params: InterferenceParams,
     rng: SimRng,
     last_utilization: f64,
     /// Cumulative count of task-ticks where the CFS bandwidth model
@@ -209,8 +146,6 @@ impl Machine {
             id,
             platform,
             tasks: Vec::new(),
-            cols: TaskColumns::default(),
-            params: InterferenceParams::default(),
             rng: SimRng::derive(seed, id.0 as u64),
             last_utilization: 0.0,
             throttle_events: 0,
@@ -244,8 +179,9 @@ impl Machine {
             cgroup: Cgroup::new(cpu_limit),
             model: instance.model,
             last_outcome: None,
+            threads: 0,
+            starved: 0,
         });
-        self.cols.push_new();
     }
 
     /// Removes a task (kill / migrate away). Returns `true` if it was here.
@@ -253,7 +189,6 @@ impl Machine {
         match self.tasks.iter().position(|t| t.id == id) {
             Some(index) => {
                 self.tasks.remove(index);
-                self.cols.remove(index);
                 true
             }
             None => false,
@@ -267,24 +202,17 @@ impl Machine {
 
     /// Total runnable threads across tasks (Fig. 1b statistic).
     pub fn thread_count(&self) -> u64 {
-        self.cols.threads.iter().map(|&t| t as u64).sum()
+        self.tasks.iter().map(|t| t.threads as u64).sum()
     }
 
-    /// Iterates resident tasks joined with their scheduler-state columns.
-    pub fn tasks(&self) -> impl Iterator<Item = TaskView<'_>> {
-        self.tasks
-            .iter()
-            .zip(self.cols.threads.iter().zip(self.cols.starved.iter()))
-            .map(|(task, (&threads, &starved))| TaskView {
-                task,
-                threads,
-                starved,
-            })
+    /// Iterates resident tasks.
+    pub fn tasks(&self) -> impl Iterator<Item = &ResidentTask> {
+        self.tasks.iter()
     }
 
     /// Looks up a resident task.
-    pub fn task(&self, id: TaskId) -> Option<TaskView<'_>> {
-        self.tasks().find(|t| t.id == id)
+    pub fn task(&self, id: TaskId) -> Option<&ResidentTask> {
+        self.tasks.iter().find(|t| t.id == id)
     }
 
     /// Mutable lookup (used by agents to apply hard caps).
@@ -336,8 +264,6 @@ impl Machine {
         let Machine {
             platform,
             tasks,
-            cols,
-            params,
             rng,
             last_utilization,
             throttle_events,
@@ -361,11 +287,10 @@ impl Machine {
         exited.clear();
         profiles.clear();
 
-        // 1. Collect demands, clamped by bandwidth control. Thread counts
-        //    land in their column, everything else in scratch columns.
-        for (t, threads) in tasks.iter_mut().zip(cols.threads.iter_mut()) {
+        // 1. Collect demands, clamped by bandwidth control.
+        for t in tasks.iter_mut() {
             let d = t.model.demand(now, dt, rng);
-            *threads = d.threads;
+            t.threads = d.threads;
             let want = d.cpu_want.max(0.0);
             let allowed = t.cgroup.clamp_cpu(want, now, dt);
             let was_capped = allowed < want - 1e-12;
@@ -415,8 +340,9 @@ impl Machine {
             profiles.push(&p);
             noise.push(p.cpi_noise);
         }
+        let params = InterferenceParams::default();
         let (_summary, _retained) =
-            interference::compute_cols(platform, granted, profiles, params, cpi, mpki);
+            interference::compute_cols(platform, granted, profiles, &params, cpi, mpki);
 
         // 4. Account counters and let models observe. The scratch columns
         //    are parallel to `tasks` (one push per task above), so lockstep
@@ -424,21 +350,16 @@ impl Machine {
         let first_exit = exits.len();
         let rows = tasks
             .iter_mut()
-            .zip(cols.threads.iter().zip(cols.starved.iter_mut()))
             .zip(granted.iter().zip(capped.iter()))
             .zip(wants.iter().zip(noise.iter()))
             .zip(cpi.iter().zip(mpki.iter()));
-        for (
-            (((t, (&threads, starved)), (&g, &was_capped)), (&want, &sigma)),
-            (&eff_cpi, &eff_mpki),
-        ) in rows
-        {
+        for (((t, (&g, &was_capped)), (&want, &sigma)), (&eff_cpi, &eff_mpki)) in rows {
             // Starvation: the task wanted meaningful CPU, was not capped,
             // yet machine pressure squeezed it to a trickle.
             if !was_capped && want > 0.25 && g < 0.1 * want {
-                *starved += 1;
+                t.starved += 1;
             } else {
-                *starved = 0;
+                t.starved = 0;
             }
             let noise_mult = if sigma > 0.0 {
                 rng.lognormal(0.0, sigma)
@@ -455,7 +376,7 @@ impl Machine {
                 l2_misses: l3 * 2.5,
                 l3_misses: l3,
                 mem_lines: l3 * 1.1,
-                context_switches: (threads as f64
+                context_switches: (t.threads as f64
                     * CTX_SWITCHES_PER_THREAD_SEC
                     * dt_sec
                     * g.clamp(0.05, 1.0)) as u64,
@@ -480,16 +401,10 @@ impl Machine {
                 });
             }
         }
-        // Compact the task vector and every column in lockstep against the
-        // shared exit-flag column.
+        // Drop the tasks whose model chose to exit, keeping the rest in order.
         if exits.len() > first_exit {
-            let keep: &mut Vec<bool> = exited;
-            for flag in keep.iter_mut() {
-                *flag = !*flag;
-            }
-            retain_by_flags(tasks, keep);
-            retain_by_flags(&mut cols.threads, keep);
-            retain_by_flags(&mut cols.starved, keep);
+            let mut gone = exited.iter();
+            tasks.retain(|_| !*gone.next().unwrap_or(&false));
         }
     }
 }
@@ -682,7 +597,7 @@ mod tests {
                 &mut Vec::new(),
             );
         }
-        let c = m.task(tid(1, 0)).unwrap().task().cgroup.counters();
+        let c = m.task(tid(1, 0)).unwrap().cgroup.counters();
         // 10 s at 1 core of a 2.6 GHz machine.
         assert!((c.cycles - 2.6e10).abs() / 2.6e10 < 1e-6);
         assert!(c.instructions > 0.0);
@@ -845,12 +760,33 @@ mod tests {
             }
         }
         let mut m = Machine::new(MachineId(0), Platform::westmere(), 8);
+        // The quitter sits between a latency-sensitive hog that fills all
+        // 12 cores (4 threads, never starved) and a batch task that
+        // therefore starves every tick (7 threads).
+        add_constant(
+            &mut m,
+            tid(2, 0),
+            "hog",
+            SchedClass::LatencySensitive,
+            12.0,
+            ResourceProfile::compute_bound(),
+        );
         m.add_task(
             TaskInstance {
                 id: tid(1, 0),
                 model: Box::new(ExitAfter { ticks: 2 }),
             },
             "quitter",
+            SchedClass::Batch,
+            Priority::NonProduction,
+            None,
+        );
+        m.add_task(
+            TaskInstance {
+                id: tid(3, 0),
+                model: Box::new(ConstantLoad::new(1.0, 7, ResourceProfile::compute_bound())),
+            },
+            "starved",
             SchedClass::Batch,
             Priority::NonProduction,
             None,
@@ -865,6 +801,12 @@ mod tests {
         }
         assert_eq!(exited.len(), 1);
         assert_eq!(exited[0].id, tid(1, 0));
-        assert_eq!(m.task_count(), 0);
+        assert_eq!(m.task_count(), 2);
+        assert!(m.task(tid(1, 0)).is_none());
+        // Each survivor keeps its own scheduler state across the exit.
+        let (hog, starved) = (m.task(tid(2, 0)).unwrap(), m.task(tid(3, 0)).unwrap());
+        assert_eq!((hog.threads(), hog.starved_ticks()), (4, 0));
+        assert_eq!((starved.threads(), starved.starved_ticks()), (7, 5));
+        assert_eq!(m.thread_count(), 11);
     }
 }

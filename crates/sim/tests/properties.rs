@@ -157,7 +157,7 @@ proptest! {
         m.tick(SimTime::ZERO, SimDuration::from_secs(1), &mut Vec::new());
         let granted: f64 = m
             .tasks()
-            .map(|t| t.task().last_outcome().map(|o| o.cpu_granted).unwrap_or(0.0))
+            .map(|t| t.last_outcome().map(|o| o.cpu_granted).unwrap_or(0.0))
             .sum();
         prop_assert!(granted <= cores + 1e-6, "granted {granted} > cores {cores}");
         prop_assert!((0.0..=1.0 + 1e-9).contains(&m.utilization()));
@@ -415,8 +415,12 @@ fn assert_bits_equal(
 enum Idle {
     /// None: the column as drawn.
     AsDrawn,
-    /// Every task: the zero-total-activity fast path.
+    /// Every task: zero total activity. The kernel has no branch for it,
+    /// so the general path must leave every CPI at its base and every
+    /// MPKI at its solo value, to the bit, as the reference does.
     All,
+    /// Every task but the first: a single non-zero entry.
+    AllButFirst,
     /// Every other task: idle lanes inside busy chunks.
     Alternate,
 }
@@ -433,6 +437,11 @@ fn check_against_reference(
         match idle {
             Idle::AsDrawn => {}
             Idle::All => l.activity = 0.0,
+            Idle::AllButFirst => {
+                if i != 0 {
+                    l.activity = 0.0;
+                }
+            }
             Idle::Alternate => {
                 if i % 2 == 0 {
                     l.activity = 0.0;
@@ -480,17 +489,17 @@ proptest! {
     fn compute_cols_bit_identical_to_reference(
         // 0..=40 tasks: past the dense fleet's 25 and into a fifth chunk.
         loads in loads_strategy(0..41),
-        idle in 0..3u8,
+        idle in 0..4u8,
     ) {
-        let idle = [Idle::AsDrawn, Idle::All, Idle::Alternate][idle as usize];
+        let idle = [Idle::AsDrawn, Idle::All, Idle::AllButFirst, Idle::Alternate][idle as usize];
         check_against_reference(&loads, idle)?;
     }
 }
 
 /// Every column length from 0 through 40, which for the kernel's chunk
 /// width W = 8 (or any width up to 19) includes 0, 1, W−1, W, W+1, 2W and
-/// 2W+1, and the dense fleet's 25 — each as drawn, all idle and
-/// mixed-idle.
+/// 2W+1, and the dense fleet's 25 — each as drawn, all idle, all idle but
+/// one and mixed-idle.
 #[test]
 fn compute_cols_bit_identical_at_every_chunk_boundary() {
     // A fixed stream of plausible, all-different values.
@@ -508,7 +517,7 @@ fn compute_cols_bit_identical_at_every_chunk_boundary() {
                 },
             })
             .collect();
-        for idle in [Idle::AsDrawn, Idle::All, Idle::Alternate] {
+        for idle in [Idle::AsDrawn, Idle::All, Idle::AllButFirst, Idle::Alternate] {
             check_against_reference(&loads, idle)
                 .unwrap_or_else(|e| panic!("{n} tasks, {idle:?}: {e:?}"));
         }

@@ -79,8 +79,8 @@ pub struct Cpi2Harness {
     pub cluster: Cluster,
     config: Cpi2Config,
     sampler: ClusterSampler,
-    agents: HashMap<MachineId, Agent>,
-    agent_versions: HashMap<MachineId, u64>,
+    /// Each machine's agent with the spec-store version it has synced to.
+    agents: HashMap<MachineId, (Agent, u64)>,
     /// The spec aggregation service.
     pub aggregator: Aggregator,
     /// The versioned spec store.
@@ -141,7 +141,12 @@ impl Cpi2Harness {
     /// the cluster's telemetry handle
     /// ([`cpi2_sim::ClusterConfig::telemetry`]), so enabling telemetry
     /// there instruments the whole stack — samplers, agents, collector,
-    /// aggregator and spec store included.
+    /// aggregator and spec store included. Samplers count
+    /// `config.sampling_duration_s` of every `config.sampling_period_s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sampling schedule [`Cpi2Config::validate`] rejects.
     pub fn new(cluster: Cluster, config: Cpi2Config) -> Self {
         let start = cluster.now().as_us();
         let telemetry = cluster.telemetry().clone();
@@ -159,12 +164,16 @@ impl Cpi2Harness {
         let mut retry_queue = RetryQueue::default();
         retry_queue.set_telemetry(&telemetry);
         let fault_metrics = FaultMetrics::new(&telemetry);
+        let sampler = ClusterSampler::with_schedule(
+            SimDuration::from_secs(config.sampling_duration_s),
+            SimDuration::from_secs(config.sampling_period_s),
+            &telemetry,
+        );
         Cpi2Harness {
             cluster,
             config,
-            sampler: ClusterSampler::with_telemetry(&telemetry),
+            sampler,
             agents: HashMap::new(),
-            agent_versions: HashMap::new(),
             aggregator,
             spec_store,
             telemetry,
@@ -280,9 +289,21 @@ impl Cpi2Harness {
         self.collector.dropped()
     }
 
-    /// All incidents reported so far (across machines).
+    /// All incidents reported so far (across machines), oldest first —
+    /// less whatever [`Cpi2Harness::forget_incidents_beyond`] dropped.
     pub fn incidents(&self) -> &[MachineIncident] {
         &self.incidents
+    }
+
+    /// Forgets all but the newest `keep` incidents. Nothing calls this on
+    /// a bare harness, whose log is the whole run; a resident deployment
+    /// calls it every tick so the log cannot grow for as long as the
+    /// daemon lives. [`Cpi2Harness::incidents`],
+    /// [`Cpi2Harness::top_antagonists`] and
+    /// [`Cpi2Harness::incident_lines`] then cover what is kept.
+    pub fn forget_incidents_beyond(&mut self, keep: usize) {
+        let excess = self.incidents.len().saturating_sub(keep);
+        self.incidents.drain(..excess);
     }
 
     /// Total hard caps the system has applied.
@@ -293,7 +314,7 @@ impl Cpi2Harness {
     /// The agent on a machine, if one has been instantiated (agents are
     /// created lazily at a machine's first sample).
     pub fn agent(&self, machine: MachineId) -> Option<&Agent> {
-        self.agents.get(&machine)
+        self.agents.get(&machine).map(|(agent, _)| agent)
     }
 
     /// Advances the system by one cluster tick: machines run, samplers
@@ -317,12 +338,10 @@ impl Cpi2Harness {
                 if plan.machine_crash_due(machine_id, prev, now) {
                     self.cluster.crash_machine(machine_id);
                     self.agents.remove(&machine_id);
-                    self.agent_versions.remove(&machine_id);
                     self.machine_crashes += 1;
                     self.fault_metrics.machine_crashes.inc();
                 } else if plan.agent_restart_due(machine_id, prev, now) {
                     self.agents.remove(&machine_id);
-                    self.agent_versions.remove(&machine_id);
                     self.agent_restarts += 1;
                     self.fault_metrics.agent_restarts.inc();
                 }
@@ -353,12 +372,11 @@ impl Cpi2Harness {
             }
 
             // Sync specs down to the agent, then let it analyze.
-            let agent = self.agents.entry(machine_id).or_insert_with(|| {
+            let (agent, since) = self.agents.entry(machine_id).or_insert_with(|| {
                 let mut a = Agent::new(self.config.clone());
                 a.set_telemetry(&self.telemetry);
-                a
+                (a, 0)
             });
-            let since = self.agent_versions.entry(machine_id).or_insert(0);
             // Spec sync, possibly through a stale replica: a faulted sync
             // serves this machine an older store snapshot. Specs carry
             // their pipeline publish time so the agent's staleness TTL
@@ -598,7 +616,7 @@ impl Cpi2Harness {
     /// The spec-store version a machine's agent has synced up to (`None`
     /// if the machine has no live agent yet).
     pub fn agent_spec_version(&self, machine: MachineId) -> Option<u64> {
-        self.agent_versions.get(&machine).copied()
+        self.agents.get(&machine).map(|&(_, version)| version)
     }
 
     /// Renders every incident as one stable text line (victim, CPI,
@@ -706,5 +724,36 @@ mod tests {
             assert!(text.contains(metric), "missing {metric} in:\n{text}");
         }
         assert_eq!(system.collector_dropped(), 0);
+    }
+
+    #[test]
+    fn sampling_schedule_follows_config() {
+        use cpi2_sim::{JobSpec, Platform};
+
+        // One task, two hours: a reading per period.
+        let readings = |config: Cpi2Config| {
+            let mut cluster = Cluster::new(cpi2_sim::ClusterConfig::default());
+            cluster.add_machines(&Platform::westmere(), 1);
+            cluster
+                .submit_job(
+                    JobSpec::latency_sensitive("svc", 1, 1.0),
+                    true,
+                    cpi2_workloads::factory("websearch-leaf", 42),
+                )
+                .unwrap();
+            let mut system = Cpi2Harness::new(cluster, config);
+            system.record_samples = true;
+            system.run_for(SimDuration::from_hours(2));
+            system.samples.len()
+        };
+        assert_eq!(readings(Cpi2Config::default()), 120);
+        assert_eq!(
+            readings(Cpi2Config {
+                sampling_duration_s: 30,
+                sampling_period_s: 120,
+                ..Cpi2Config::default()
+            }),
+            60
+        );
     }
 }
