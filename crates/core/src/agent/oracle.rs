@@ -31,7 +31,7 @@ impl Agent {
 
         let mut advanced = Vec::with_capacity(samples.len());
         for s in samples {
-            let st = self.tasks.entry(s.task).or_default();
+            let (st, _) = self.tasks.get_or_default(s.task).unwrap();
             st.jobname = s.jobname.clone();
             st.platform = s.platforminfo.clone();
             st.class = s.class;
@@ -142,7 +142,7 @@ impl Agent {
     /// The invariant the live path rests on: every resident task's
     /// resolved numbers equal a fresh keyed lookup.
     fn assert_detect_specs_resolved(&self) {
-        for (handle, st) in &self.tasks {
+        for (handle, st) in self.tasks.iter() {
             let key = JobKey::new(st.jobname.clone(), st.platform.clone());
             assert_eq!(
                 st.detect_spec,

@@ -207,7 +207,12 @@ impl TraceLog {
             }
             self.order.push_back(id);
         }
-        self.spans.entry(id).or_default().push(span);
+        // A chain gets a handful of spans in its life and a thousand are
+        // kept: grown a span at a time it holds no spare slots, where
+        // doubling keeps eight for a complete chain's six.
+        let chain = self.spans.entry(id).or_default();
+        chain.reserve_exact(1);
+        chain.push(span);
         if self.touched.len() == CHANGE_FEED_CAPACITY {
             self.touched.pop_front();
         }

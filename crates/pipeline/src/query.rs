@@ -21,8 +21,8 @@
 //! ```
 
 use serde::Serialize;
-use std::collections::BTreeMap;
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
 
 /// A scalar cell value.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,22 +144,52 @@ fn flatten(prefix: String, v: serde_json::Value, out: &mut Row) {
         serde_json::Value::Array(items) => {
             out.insert(format!("{prefix}.len"), Value::Num(items.len() as f64));
             // Index the first few elements (suspect lists etc.).
-            for (i, item) in items.into_iter().take(5).enumerate() {
+            for (i, item) in ARRAY_COLUMNS.iter().zip(items) {
                 flatten(format!("{prefix}.{i}"), item, out);
             }
         }
-        serde_json::Value::Null => {
-            out.insert(prefix, Value::Null);
+        v => {
+            out.insert(prefix, scalar(v));
         }
-        serde_json::Value::Bool(b) => {
-            out.insert(prefix, Value::Bool(b));
+    }
+}
+
+/// The array elements that get a column (`suspects.0` … `suspects.4`).
+const ARRAY_COLUMNS: [&str; 5] = ["0", "1", "2", "3", "4"];
+
+/// A JSON scalar as a cell.
+fn scalar(v: serde_json::Value) -> Value {
+    match v {
+        serde_json::Value::Bool(b) => Value::Bool(b),
+        serde_json::Value::Number(n) => Value::Num(n.as_f64().unwrap_or(0.0)),
+        serde_json::Value::String(s) => Value::Str(s),
+        _ => Value::Null,
+    }
+}
+
+/// The cell [`flatten`] files under a column below `v`, where `rest` is
+/// what is left of the column's dotted name. The name is followed down
+/// the record: no key is built and no other cell is copied.
+fn cell_at(v: &serde_json::Value, rest: &str, at_root: bool) -> Option<Value> {
+    // What `key` leaves of the name; no dot follows an empty prefix.
+    let after = |dot: bool, key: &str| {
+        let rest = if dot { rest.strip_prefix('.')? } else { rest };
+        rest.strip_prefix(key)
+    };
+    match v {
+        // Of two paths that spell one name `flatten` keeps the later.
+        serde_json::Value::Object(map) => {
+            let mut keys = map.iter().rev();
+            keys.find_map(|(k, v)| cell_at(v, after(!at_root, k)?, at_root && k.is_empty()))
         }
-        serde_json::Value::Number(n) => {
-            out.insert(prefix, Value::Num(n.as_f64().unwrap_or(0.0)));
+        serde_json::Value::Array(items) => {
+            if after(true, "len") == Some("") {
+                return Some(Value::Num(items.len() as f64));
+            }
+            let mut indexed = ARRAY_COLUMNS.iter().zip(items);
+            indexed.find_map(|(i, item)| cell_at(item, after(true, i)?, false))
         }
-        serde_json::Value::String(s) => {
-            out.insert(prefix, Value::Str(s));
-        }
+        v => rest.is_empty().then(|| scalar(v.clone())),
     }
 }
 
@@ -312,23 +342,23 @@ enum Term {
 #[derive(Debug, Clone, PartialEq)]
 enum Expr {
     Cmp(Term, String, Term),
-    Between(Term, Term, Term),
     Like(Term, String),
     And(Box<Expr>, Box<Expr>),
     Or(Box<Expr>, Box<Expr>),
 }
 
-/// A parsed statement. Parsing first tells a caller which table the
-/// `FROM` reads ([`Query::table`]), so it can materialise that one alone
-/// before [`Dataset::run`].
+/// A parsed statement. Parsing comes first: the statement says which
+/// table ([`Query::table`]) and which columns [`Query::scan`] reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     select: Vec<SelectItem>,
     from: String,
     filter: Option<Expr>,
     group_by: Vec<String>,
-    order_by: Vec<(String, bool)>, // (key, descending)
+    order_by: Vec<(String, bool)>, // (output column, descending)
     limit: Option<usize>,
+    /// Every column named (select, aggregates, WHERE, GROUP BY), sorted.
+    reads: Vec<String>,
 }
 
 impl Query {
@@ -336,15 +366,69 @@ impl Query {
     ///
     /// # Errors
     ///
-    /// Returns [`QueryError::Parse`] on lexical or syntax errors.
+    /// Returns [`QueryError::Parse`] on lexical or syntax errors, for a
+    /// `*` beside an aggregate or GROUP BY, and for an ORDER BY key that
+    /// is not an output column.
     pub fn parse(sql: &str) -> Result<Query, QueryError> {
-        let toks = lex(sql)?;
-        Parser { toks, pos: 0 }.query()
+        let mut parser = Parser {
+            toks: lex(sql)?,
+            pos: 0,
+            reads: Vec::new(),
+        };
+        let q = parser.query()?;
+        q.refuse_wrong_answers()?;
+        Ok(q)
+    }
+
+    /// A group has no `*` to show, and a sort on a column the output
+    /// lacks would be dropped (under `*` one no row has sorts nothing).
+    fn refuse_wrong_answers(&self) -> Result<(), QueryError> {
+        if self.selects_all() {
+            if self.is_grouped() {
+                return Err(QueryError::Parse(
+                    "cannot select * beside an aggregate or GROUP BY".into(),
+                ));
+            }
+            return Ok(());
+        }
+        let columns = self.columns(&[]);
+        match self.order_by.iter().find(|(k, _)| !columns.contains(k)) {
+            Some((key, _)) => Err(QueryError::Parse(format!(
+                "ORDER BY {key}: not an output column"
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// The table the `FROM` clause names.
     pub fn table(&self) -> &str {
         &self.from
+    }
+
+    fn selects_all(&self) -> bool {
+        self.select.contains(&SelectItem::AllColumns)
+    }
+
+    /// Whether the output is a row per group rather than per input row.
+    fn is_grouped(&self) -> bool {
+        let has_agg = self
+            .select
+            .iter()
+            .any(|s| matches!(s, SelectItem::Aggregate(_)));
+        !self.group_by.is_empty() || has_agg
+    }
+
+    /// The output columns; `star` is what `*` expands to.
+    fn columns(&self, star: &[String]) -> Vec<String> {
+        let mut columns = Vec::new();
+        for item in &self.select {
+            match item {
+                SelectItem::AllColumns => columns.extend_from_slice(star),
+                SelectItem::Column(c) => columns.push(c.clone()),
+                SelectItem::Aggregate(a) => columns.push(agg_name(a)),
+            }
+        }
+        columns
     }
 }
 
@@ -353,6 +437,8 @@ impl Query {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Every column name met so far.
+    reads: Vec<String>,
 }
 
 impl Parser {
@@ -395,6 +481,13 @@ impl Parser {
         }
     }
 
+    /// An identifier that names a column.
+    fn column(&mut self) -> Result<String, QueryError> {
+        let name = self.ident()?;
+        self.reads.push(name.clone());
+        Ok(name)
+    }
+
     fn select_item(&mut self) -> Result<SelectItem, QueryError> {
         if matches!(self.peek(), Some(Tok::Star)) {
             self.pos += 1;
@@ -408,7 +501,7 @@ impl Parser {
                 self.pos += 1;
                 String::new()
             } else {
-                self.ident()?
+                self.column()?
             };
             match self.next() {
                 Some(Tok::RParen) => {}
@@ -426,6 +519,7 @@ impl Parser {
             };
             Ok(SelectItem::Aggregate(agg))
         } else {
+            self.reads.push(name.clone());
             Ok(SelectItem::Column(name))
         }
     }
@@ -438,7 +532,10 @@ impl Parser {
             Some(Tok::Ident(w)) if w.eq_ignore_ascii_case("false") => {
                 Ok(Term::Lit(Value::Bool(false)))
             }
-            Some(Tok::Ident(w)) => Ok(Term::Column(w)),
+            Some(Tok::Ident(w)) => {
+                self.reads.push(w.clone());
+                Ok(Term::Column(w))
+            }
             Some(Tok::Num(n)) => Ok(Term::Lit(Value::Num(n))),
             Some(Tok::Str(s)) => Ok(Term::Lit(Value::Str(s))),
             other => Err(QueryError::Parse(format!("expected term, got {other:?}"))),
@@ -451,7 +548,11 @@ impl Parser {
             let lo = self.term()?;
             self.expect_keyword("and")?;
             let hi = self.term()?;
-            return Ok(Expr::Between(lhs, lo, hi));
+            // `t BETWEEN lo AND hi` is `t >= lo AND t <= hi`, nulls included.
+            return Ok(Expr::And(
+                Box::new(Expr::Cmp(lhs.clone(), ">=".into(), lo)),
+                Box::new(Expr::Cmp(lhs, "<=".into(), hi)),
+            ));
         }
         if self.keyword("like") {
             match self.next() {
@@ -510,10 +611,10 @@ impl Parser {
         let mut group_by = Vec::new();
         if self.keyword("group") {
             self.expect_keyword("by")?;
-            group_by.push(self.ident()?);
+            group_by.push(self.column()?);
             while matches!(self.peek(), Some(Tok::Comma)) {
                 self.pos += 1;
-                group_by.push(self.ident()?);
+                group_by.push(self.column()?);
             }
         }
         let mut order_by = Vec::new();
@@ -557,6 +658,8 @@ impl Parser {
                 self.pos
             )));
         }
+        self.reads.sort_unstable();
+        self.reads.dedup();
         Ok(Query {
             select,
             from,
@@ -564,6 +667,7 @@ impl Parser {
             group_by,
             order_by,
             limit,
+            reads: std::mem::take(&mut self.reads),
         })
     }
 }
@@ -606,64 +710,73 @@ impl fmt::Display for QueryResult {
     }
 }
 
-fn eval_term(term: &Term, row: &Row) -> Value {
-    match term {
-        Term::Column(c) => row.get(c).cloned().unwrap_or(Value::Null),
-        Term::Lit(v) => v.clone(),
+/// How the executor reads a row: a cell by name, null if the row lacks it.
+trait Cells {
+    fn cell(&self, column: &str) -> &Value;
+}
+
+impl Cells for &Row {
+    fn cell(&self, column: &str) -> &Value {
+        self.get(column).unwrap_or(&Value::Null)
     }
 }
 
-/// `%`-wildcard matcher: exact dynamic program over bytes, O(n·m).
+/// The columns a statement reads, and one record's cells in that order.
+impl Cells for (&[String], Vec<Value>) {
+    fn cell(&self, column: &str) -> &Value {
+        let slot = self.0.iter().position(|c| c == column);
+        slot.map_or(&Value::Null, |i| &self.1[i])
+    }
+}
+
+fn eval_term<'a>(term: &'a Term, row: &'a impl Cells) -> &'a Value {
+    match term {
+        Term::Column(c) => row.cell(c),
+        Term::Lit(v) => v,
+    }
+}
+
+/// `%`-wildcard matcher over bytes: a literal advances both sides, and a
+/// mismatch falls back to the last `%`, which absorbs one byte more.
+/// Exact (a run fitted at its leftmost place loses nothing: the next `%`
+/// absorbs what a later fit would skip), O(n·m) at worst, no allocation.
 fn like_match(text: &str, pattern: &str) -> bool {
-    let t = text.as_bytes();
-    let n = t.len();
-    // dp[j] = pattern-so-far matches t[..j].
-    let mut dp = vec![false; n + 1];
-    dp[0] = true;
-    for &pc in pattern.as_bytes() {
-        if pc == b'%' {
-            // '%' absorbs any suffix extension: prefix-or over dp.
-            let mut any = false;
-            for slot in dp.iter_mut() {
-                any = any || *slot;
-                *slot = any;
-            }
+    let (t, p) = (text.as_bytes(), pattern.as_bytes());
+    let (mut i, mut j) = (0, 0);
+    // (pattern position after the last `%`, text position it absorbs to)
+    let mut retry: Option<(usize, usize)> = None;
+    while i < t.len() {
+        if p.get(j) == Some(&b'%') {
+            j += 1;
+            retry = Some((j, i));
+        } else if p.get(j) == Some(&t[i]) {
+            i += 1;
+            j += 1;
+        } else if let Some((after, absorbed)) = retry {
+            (i, j) = (absorbed + 1, after);
+            retry = Some((after, absorbed + 1));
         } else {
-            let mut next = vec![false; n + 1];
-            for j in 1..=n {
-                next[j] = dp[j - 1] && t[j - 1] == pc;
-            }
-            dp = next;
+            return false;
         }
     }
-    dp[n]
+    p[j..].iter().all(|&c| c == b'%')
 }
 
-fn eval_expr(expr: &Expr, row: &Row) -> bool {
+fn eval_expr(expr: &Expr, row: &impl Cells) -> bool {
     match expr {
         Expr::And(a, b) => eval_expr(a, row) && eval_expr(b, row),
         Expr::Or(a, b) => eval_expr(a, row) || eval_expr(b, row),
-        Expr::Between(t, lo, hi) => {
-            let v = eval_term(t, row);
-            let lo = eval_term(lo, row);
-            let hi = eval_term(hi, row);
-            if v == Value::Null || lo == Value::Null || hi == Value::Null {
-                return false;
-            }
-            v.cmp_total(&lo) != std::cmp::Ordering::Less
-                && v.cmp_total(&hi) != std::cmp::Ordering::Greater
-        }
         Expr::Like(t, pattern) => match eval_term(t, row) {
-            Value::Str(s) => like_match(&s, pattern),
+            Value::Str(s) => like_match(s, pattern),
             _ => false,
         },
         Expr::Cmp(l, op, r) => {
             let lv = eval_term(l, row);
             let rv = eval_term(r, row);
-            if lv == Value::Null || rv == Value::Null {
+            if *lv == Value::Null || *rv == Value::Null {
                 return false;
             }
-            let ord = lv.cmp_total(&rv);
+            let ord = lv.cmp_total(rv);
             match op.as_str() {
                 "=" => ord == std::cmp::Ordering::Equal,
                 "!=" => ord != std::cmp::Ordering::Equal,
@@ -688,36 +801,166 @@ fn agg_name(a: &Agg) -> String {
     }
 }
 
-fn compute_agg(a: &Agg, rows: &[&Row]) -> Value {
-    let nums = |col: &str| -> Vec<f64> {
-        rows.iter()
-            .filter_map(|r| r.get(col).and_then(Value::as_num))
-            .collect()
-    };
-    match a {
-        Agg::CountStar => Value::Num(rows.len() as f64),
-        Agg::Count(c) => Value::Num(
-            rows.iter()
-                .filter(|r| !matches!(r.get(c.as_str()), None | Some(Value::Null)))
-                .count() as f64,
-        ),
-        Agg::Sum(c) => Value::Num(nums(c).iter().sum()),
-        Agg::Avg(c) => {
-            let v = nums(c);
-            if v.is_empty() {
-                Value::Null
-            } else {
-                Value::Num(v.iter().sum::<f64>() / v.len() as f64)
+/// What one select item keeps of its group's rows, folded in row order.
+#[derive(Debug, Clone)]
+struct Acc {
+    /// Rows for `count(*)`, non-null cells for `count(c)`, else numeric cells.
+    count: usize,
+    sum: f64,
+    min: Option<f64>,
+    max: Option<f64>,
+    /// A bare column shows its group's first row.
+    first: Option<Value>,
+}
+
+impl Acc {
+    fn new() -> Acc {
+        Acc {
+            count: 0,
+            // `Iterator::sum` of nothing, whose sign differs between
+            // toolchains: `sum(c)` is the standard library's sum of the
+            // cells, to the bit.
+            sum: std::iter::empty::<f64>().sum(),
+            min: None,
+            max: None,
+            first: None,
+        }
+    }
+
+    fn fold(&mut self, item: &SelectItem, row: &impl Cells) {
+        match item {
+            SelectItem::Column(c) if self.first.is_none() => {
+                self.first = Some(row.cell(c).clone());
+            }
+            // Parsing refuses `*` in a grouped statement.
+            SelectItem::Column(_) | SelectItem::AllColumns => {}
+            SelectItem::Aggregate(Agg::CountStar) => self.count += 1,
+            SelectItem::Aggregate(Agg::Count(c)) => {
+                if *row.cell(c) != Value::Null {
+                    self.count += 1;
+                }
+            }
+            SelectItem::Aggregate(Agg::Sum(c) | Agg::Avg(c) | Agg::Min(c) | Agg::Max(c)) => {
+                if let Some(x) = row.cell(c).as_num() {
+                    self.count += 1;
+                    self.sum += x;
+                    self.min = Some(self.min.map_or(x, |m| m.min(x)));
+                    self.max = Some(self.max.map_or(x, |m| m.max(x)));
+                }
             }
         }
-        Agg::Min(c) => nums(c)
-            .into_iter()
-            .fold(None::<f64>, |m, x| Some(m.map_or(x, |m| m.min(x))))
-            .map_or(Value::Null, Value::Num),
-        Agg::Max(c) => nums(c)
-            .into_iter()
-            .fold(None::<f64>, |m, x| Some(m.map_or(x, |m| m.max(x))))
-            .map_or(Value::Null, Value::Num),
+    }
+
+    fn finish(self, item: &SelectItem) -> Value {
+        match item {
+            SelectItem::Column(_) | SelectItem::AllColumns => self.first.unwrap_or(Value::Null),
+            SelectItem::Aggregate(Agg::CountStar | Agg::Count(_)) => Value::Num(self.count as f64),
+            SelectItem::Aggregate(Agg::Sum(_)) => Value::Num(self.sum),
+            SelectItem::Aggregate(Agg::Avg(_)) if self.count == 0 => Value::Null,
+            SelectItem::Aggregate(Agg::Avg(_)) => Value::Num(self.sum / self.count as f64),
+            SelectItem::Aggregate(Agg::Min(_)) => self.min.map_or(Value::Null, Value::Num),
+            SelectItem::Aggregate(Agg::Max(_)) => self.max.map_or(Value::Null, Value::Num),
+        }
+    }
+}
+
+impl Query {
+    /// Answers the statement in one pass over `records`, keeping of each
+    /// the columns it names. A record is serialised whole (the vendored
+    /// serde has no field-selective path) — but not if no column is named,
+    /// nor once `LIMIT` is met with no ORDER BY to wait for.
+    pub fn scan<T: Serialize>(&self, records: &[T]) -> QueryResult {
+        if self.selects_all() {
+            let mut rows = vec![Row::new(); records.len()];
+            for (r, row) in records.iter().zip(&mut rows) {
+                flatten(String::new(), r.to_value(), row);
+            }
+            return self.over(&rows);
+        }
+        let pruned = |r: &T| {
+            let record = (!self.reads.is_empty()).then(|| r.to_value());
+            let cell = |col: &String| cell_at(record.as_ref()?, col, true);
+            let cells = self.reads.iter().map(|c| cell(c).unwrap_or(Value::Null));
+            (self.reads.as_slice(), cells.collect::<Vec<_>>())
+        };
+        self.execute(&[], records.iter().map(pruned))
+    }
+
+    /// Answers the statement over rows that hold every column.
+    fn over(&self, rows: &[Row]) -> QueryResult {
+        // `*` is the union of keys across all rows, sorted.
+        let mut star = BTreeSet::new();
+        if self.selects_all() {
+            star.extend(rows.iter().flat_map(Row::keys).cloned());
+        }
+        self.execute(&star.into_iter().collect::<Vec<_>>(), rows.iter())
+    }
+
+    /// The one executor: WHERE, a fold into per-group accumulators or a
+    /// projection, ORDER BY, LIMIT. `star` is what `*` expands to.
+    fn execute<R: Cells>(&self, star: &[String], mut rows: impl Iterator<Item = R>) -> QueryResult {
+        let (columns, grouped) = (self.columns(star), self.is_grouped());
+        let accs = vec![Acc::new(); self.select.len()];
+        // Groups are keyed by their GROUP BY cells as displayed; without
+        // GROUP BY the input is one group, there even if no row survives.
+        let mut groups: BTreeMap<String, Vec<Acc>> = BTreeMap::new();
+        let (mut whole, mut key) = (accs.clone(), String::new());
+        let mut out: Vec<Vec<Value>> = Vec::new();
+        // With nothing to fold or sort, the first LIMIT survivors answer.
+        let waits = grouped || !self.order_by.is_empty();
+        let enough = self.limit.filter(|_| !waits).unwrap_or(usize::MAX);
+        while out.len() < enough {
+            let Some(row) = rows.next() else { break };
+            if self.filter.as_ref().is_some_and(|e| !eval_expr(e, &row)) {
+                continue;
+            }
+            if !grouped {
+                out.push(columns.iter().map(|c| row.cell(c).clone()).collect());
+                continue;
+            }
+            key.clear();
+            for (i, c) in self.group_by.iter().enumerate() {
+                let sep = if i > 0 { "\u{1f}" } else { "" };
+                let _ = write!(key, "{sep}{}", row.cell(c));
+            }
+            if !self.group_by.is_empty() && !groups.contains_key(&key) {
+                groups.insert(key.clone(), accs.clone());
+            }
+            let group = groups.get_mut(&key).unwrap_or(&mut whole);
+            for (acc, item) in group.iter_mut().zip(&self.select) {
+                acc.fold(item, &row);
+            }
+        }
+        if grouped && self.group_by.is_empty() {
+            groups.insert(key, whole);
+        }
+        out.extend(groups.into_values().map(|group| {
+            let cells = group.into_iter().zip(&self.select);
+            cells.map(|(acc, item)| acc.finish(item)).collect()
+        }));
+
+        // ORDER BY over output columns (under `*`, a key no row has sorts
+        // nothing).
+        if !self.order_by.is_empty() {
+            let keys: Vec<(usize, bool)> = self
+                .order_by
+                .iter()
+                .filter_map(|(k, desc)| columns.iter().position(|c| c == k).map(|i| (i, *desc)))
+                .collect();
+            out.sort_by(|a, b| {
+                for &(i, desc) in &keys {
+                    let ord = a[i].cmp_total(&b[i]);
+                    if ord != std::cmp::Ordering::Equal {
+                        return if desc { ord.reverse() } else { ord };
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+        if let Some(n) = self.limit {
+            out.truncate(n);
+        }
+        QueryResult { columns, rows: out }
     }
 }
 
@@ -782,7 +1025,8 @@ impl Dataset {
         self.run(&Query::parse(sql)?)
     }
 
-    /// Executes a parsed query.
+    /// Executes a parsed query over the stored table its `FROM` names:
+    /// many statements to one set of records ([`Query::scan`] answers one).
     ///
     /// # Errors
     ///
@@ -792,122 +1036,7 @@ impl Dataset {
             .tables
             .get(&q.from)
             .ok_or_else(|| QueryError::UnknownTable(q.from.clone()))?;
-
-        let filtered: Vec<&Row> = table
-            .rows
-            .iter()
-            .filter(|r| match q.filter.as_ref() {
-                Some(e) => eval_expr(e, r),
-                None => true,
-            })
-            .collect();
-
-        let has_agg = q
-            .select
-            .iter()
-            .any(|s| matches!(s, SelectItem::Aggregate(_)));
-
-        let (columns, mut rows) = if !q.group_by.is_empty() || has_agg {
-            self.grouped(q, &filtered)
-        } else {
-            self.plain(q, table, &filtered)
-        };
-
-        // ORDER BY over output columns.
-        if !q.order_by.is_empty() {
-            let keys: Vec<(usize, bool)> = q
-                .order_by
-                .iter()
-                .filter_map(|(k, desc)| columns.iter().position(|c| c == k).map(|i| (i, *desc)))
-                .collect();
-            rows.sort_by(|a, b| {
-                for &(i, desc) in &keys {
-                    let ord = a[i].cmp_total(&b[i]);
-                    if ord != std::cmp::Ordering::Equal {
-                        return if desc { ord.reverse() } else { ord };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(n) = q.limit {
-            rows.truncate(n);
-        }
-        Ok(QueryResult { columns, rows })
-    }
-
-    fn plain(&self, q: &Query, table: &Table, filtered: &[&Row]) -> (Vec<String>, Vec<Vec<Value>>) {
-        let mut columns = Vec::new();
-        for item in &q.select {
-            match item {
-                SelectItem::AllColumns => {
-                    // Union of keys across all rows, sorted.
-                    let mut keys: Vec<String> =
-                        table.rows.iter().flat_map(|r| r.keys().cloned()).collect();
-                    keys.sort();
-                    keys.dedup();
-                    columns.extend(keys);
-                }
-                SelectItem::Column(c) => columns.push(c.clone()),
-                // `execute` routes any aggregate select to `grouped()`;
-                // if one slips through, name the column like `grouped()`
-                // would rather than crash the query engine.
-                SelectItem::Aggregate(a) => columns.push(agg_name(a)),
-            }
-        }
-        let rows = filtered
-            .iter()
-            .map(|r| {
-                columns
-                    .iter()
-                    .map(|c| r.get(c).cloned().unwrap_or(Value::Null))
-                    .collect()
-            })
-            .collect();
-        (columns, rows)
-    }
-
-    fn grouped(&self, q: &Query, filtered: &[&Row]) -> (Vec<String>, Vec<Vec<Value>>) {
-        let mut columns = Vec::new();
-        for item in &q.select {
-            match item {
-                SelectItem::Column(c) => columns.push(c.clone()),
-                SelectItem::Aggregate(a) => columns.push(agg_name(a)),
-                SelectItem::AllColumns => columns.push("*".into()),
-            }
-        }
-        // Group rows by the GROUP BY key tuple (whole input = one group if
-        // no GROUP BY).
-        let mut groups: BTreeMap<String, Vec<&Row>> = BTreeMap::new();
-        for r in filtered {
-            let key = q
-                .group_by
-                .iter()
-                .map(|c| r.get(c).cloned().unwrap_or(Value::Null).to_string())
-                .collect::<Vec<_>>()
-                .join("\u{1f}");
-            groups.entry(key).or_default().push(r);
-        }
-        if groups.is_empty() && q.group_by.is_empty() {
-            groups.insert(String::new(), Vec::new());
-        }
-        let rows = groups
-            .values()
-            .map(|members| {
-                q.select
-                    .iter()
-                    .map(|item| match item {
-                        SelectItem::Column(c) => members
-                            .first()
-                            .and_then(|r| r.get(c).cloned())
-                            .unwrap_or(Value::Null),
-                        SelectItem::Aggregate(a) => compute_agg(a, members),
-                        SelectItem::AllColumns => Value::Null,
-                    })
-                    .collect()
-            })
-            .collect();
-        (columns, rows)
+        Ok(q.over(&table.rows))
     }
 }
 
@@ -1148,6 +1277,162 @@ mod tests {
     fn lexer_rejects_garbage() {
         assert!(lex("SELECT # FROM t").is_err());
         assert!(lex("SELECT 'unterminated").is_err());
+    }
+
+    /// Both used to answer 200: the first with its rows unsorted (the
+    /// unresolvable key was dropped), the second with a column named `*`
+    /// full of nulls.
+    #[test]
+    fn statements_once_answered_wrongly_are_refused() -> TestResult {
+        let ds = sample_dataset()?;
+        for (sql, names) in [
+            (
+                "SELECT job FROM incidents ORDER BY correlation DESC",
+                "correlation",
+            ),
+            (
+                "SELECT job, count(*) FROM incidents GROUP BY job ORDER BY avg(correlation)",
+                "avg(correlation)",
+            ),
+            ("SELECT *, count(*) FROM incidents", "*"),
+            ("SELECT * FROM incidents GROUP BY job", "*"),
+        ] {
+            match ds.query(sql) {
+                Err(QueryError::Parse(message)) => assert!(message.contains(names), "{message}"),
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+        // Under `*` any column is an output column; one that no row has
+        // leaves the order alone.
+        let sorted = ds.query("SELECT * FROM incidents ORDER BY correlation DESC")?;
+        assert_eq!(
+            sorted.rows[0],
+            ds.query("SELECT * FROM incidents WHERE correlation > 0.5")?
+                .rows[0]
+        );
+        let untouched = ds.query("SELECT * FROM incidents ORDER BY nowhere DESC")?;
+        assert_eq!(untouched, ds.query("SELECT * FROM incidents")?);
+        Ok(())
+    }
+
+    /// A sample-shaped record that counts how often it is serialised.
+    struct Counted<'a> {
+        calls: &'a std::cell::Cell<usize>,
+        i: usize,
+    }
+
+    impl Serialize for Counted<'_> {
+        fn to_value(&self) -> serde_json::Value {
+            #[derive(Serialize)]
+            struct Sample {
+                jobname: String,
+                platforminfo: &'static str,
+                timestamp: usize,
+                cpu_usage: f64,
+                cpi: f64,
+                task: (u32, u32),
+            }
+            self.calls.set(self.calls.get() + 1);
+            let sample = Sample {
+                jobname: format!("job-{}", self.i % 7),
+                platforminfo: "westmere",
+                timestamp: self.i,
+                cpu_usage: 0.25,
+                cpi: 1.0 + (self.i % 4) as f64,
+                task: (self.i as u32, 0),
+            };
+            sample.to_value()
+        }
+    }
+
+    /// What a statement costs, as counts: records serialised, and cells
+    /// kept of each (a pruned row holds the statement's columns alone).
+    #[test]
+    fn a_statement_serialises_and_keeps_only_what_it_names() -> TestResult {
+        let calls = std::cell::Cell::new(0);
+        let records: Vec<Counted> = (0..512).map(|i| Counted { calls: &calls, i }).collect();
+        let mut ds = Dataset::new();
+        ds.insert_records("samples", &records)?;
+        for (sql, serialised, kept) in [
+            ("SELECT count(*) FROM samples", 0, vec![]),
+            (
+                "SELECT count(*) FROM samples WHERE cpi > 2",
+                512,
+                vec!["cpi"],
+            ),
+            (
+                "SELECT jobname, count(*), avg(cpi) FROM samples WHERE cpi > 1.5 \
+                 GROUP BY jobname ORDER BY count(*) DESC LIMIT 10",
+                512,
+                vec!["cpi", "jobname"],
+            ),
+            (
+                "SELECT cpi, task.0 FROM samples LIMIT 5",
+                5,
+                vec!["cpi", "task.0"],
+            ),
+            ("SELECT cpi FROM samples LIMIT 0", 0, vec!["cpi"]),
+            (
+                "SELECT cpi FROM samples ORDER BY cpi LIMIT 5",
+                512,
+                vec!["cpi"],
+            ),
+        ] {
+            let q = Query::parse(sql)?;
+            calls.set(0);
+            let scanned = q.scan(&records);
+            assert_eq!(calls.get(), serialised, "{sql}");
+            assert_eq!(q.reads, kept, "{sql}");
+            assert_eq!(scanned, ds.run(&q)?, "{sql}");
+        }
+        // `*` reads every cell of every record, as it always did.
+        let q = Query::parse("SELECT * FROM samples WHERE cpi > 100")?;
+        calls.set(0);
+        let all = q.scan(&records);
+        assert_eq!((calls.get(), all.rows.len()), (512, 0));
+        assert_eq!(all.columns.len(), 8, "{:?}", all.columns);
+        Ok(())
+    }
+
+    /// Groups come out in the order of their key cells as displayed and
+    /// joined by U+001F: a separator after the last cell would put `x\u{1}`
+    /// before `x`.
+    #[test]
+    fn groups_order_by_their_displayed_key() -> TestResult {
+        #[derive(Serialize)]
+        struct R {
+            name: &'static str,
+            v: f64,
+        }
+        let r = |name, v| R { name, v };
+        let mut ds = Dataset::new();
+        ds.insert_records(
+            "t",
+            &[r("x\u{1}", 1.0), r("x", 10.0), r("x", 2.5), r("w", 0.5)],
+        )?;
+        let by_one = ds.query("SELECT name, count(*) FROM t GROUP BY name")?;
+        let names: Vec<String> = by_one.rows.iter().map(|r| r[0].to_string()).collect();
+        assert_eq!(names, ["w", "x", "x\u{1}"]);
+        // With a second cell the separator does follow `x`, and sorts after
+        // U+0001; numbers key as displayed: "10" sorts before "2.5000".
+        let by_two = ds.query("SELECT name, v FROM t GROUP BY name, v")?;
+        let key = |r: &Vec<Value>| format!("{}|{}", r[0], r[1]);
+        let keys: Vec<String> = by_two.rows.iter().map(key).collect();
+        assert_eq!(keys, ["w|0.5000", "x\u{1}|1", "x|10", "x|2.5000"]);
+        Ok(())
+    }
+
+    /// The sums the accumulators replaced were `Iterator::sum`s, whose empty
+    /// value is the toolchain's (`+0.0` before Rust 1.83, `-0.0` since).
+    #[test]
+    fn an_empty_sum_keeps_its_sign() -> TestResult {
+        let r = sample_dataset()?
+            .query("SELECT sum(correlation), sum(nowhere) FROM incidents WHERE correlation > 9")?;
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        for cell in &r.rows[0] {
+            assert_eq!(cell.as_num().map(f64::to_bits), Some(empty.to_bits()));
+        }
+        Ok(())
     }
 }
 

@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cpi2::core::TraceId;
-use cpi2::pipeline::query::{Dataset, Query, QueryResult, Value};
+use cpi2::pipeline::query::{Query, QueryError, QueryResult, Value};
 use serde_json;
 
 use crate::server::{Request, Response};
@@ -211,27 +211,23 @@ impl Router {
         if sql.trim().is_empty() {
             return Response::error(400, "empty query");
         }
-        // Parse first: only the table the FROM names is materialised.
+        // Parse first: the statement names the table and the columns the
+        // one pass over the snapshot's records reads.
         let query = match Query::parse(sql) {
             Ok(query) => query,
             Err(e) => return Response::error(400, &format!("{e:?}")),
         };
         let snap = self.state.live.snapshot();
-        let mut ds = Dataset::new();
-        let loaded = match query.table() {
-            "incidents" => ds.insert_records("incidents", &snap.incidents),
-            "machines" => ds.insert_records("machines", &snap.machines),
-            "specs" => ds.insert_records("specs", &snap.specs),
-            "samples" => ds.insert_records("samples", &snap.samples),
-            _ => Ok(()),
-        };
-        if loaded.is_err() {
-            return Response::error(500, "failed to build query tables");
-        }
-        match ds.run(&query) {
-            Ok(result) => stream_query_result(result),
-            Err(e) => Response::error(400, &format!("{e:?}")),
-        }
+        stream_query_result(match query.table() {
+            "incidents" => query.scan(&snap.incidents),
+            "machines" => query.scan(&snap.machines),
+            "specs" => query.scan(&snap.specs),
+            "samples" => query.scan(&snap.samples),
+            other => {
+                let e = QueryError::UnknownTable(other.into());
+                return Response::error(400, &format!("{e:?}"));
+            }
+        })
     }
 
     fn action(&self, action: &str, req: &Request) -> Response {
@@ -395,12 +391,13 @@ mod tests {
     /// missing column — beside whole and fractional numbers.
     fn router() -> Router {
         use crate::state::TaskView;
+        use cpi2::sim::SchedClass;
 
-        let task = |job: u32, job_name: &str, class: &str, threads: u32| TaskView {
+        let task = |job: u32, job_name: &str, class: SchedClass, threads: u32| TaskView {
             job,
             index: 0,
             job_name: job_name.into(),
-            class: class.into(),
+            class,
             threads,
         };
         let machine = |id: u32, utilization: f64, task_list: Vec<TaskView>| {
@@ -422,14 +419,19 @@ mod tests {
                     0,
                     0.5,
                     vec![
-                        task(1, "web\"search", "LatencySensitive", 3),
-                        task(2, "back\\slash", "Batch", 1),
+                        task(1, "web\"search", SchedClass::LatencySensitive, 3),
+                        task(2, "back\\slash", SchedClass::Batch, 1),
                     ],
                 ),
                 machine(
                     1,
                     0.875,
-                    vec![task(3, "ctl\u{1}\tbyte\r\n\u{1f}end", "BestEffort", 8)],
+                    vec![task(
+                        3,
+                        "ctl\u{1}\tbyte\r\n\u{1f}end",
+                        SchedClass::BestEffort,
+                        8,
+                    )],
                 ),
                 machine(2, 1.0 / 3.0, Vec::new()),
             ]),
@@ -509,6 +511,32 @@ mod tests {
                 serde_json::from_str(&got).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
             assert_eq!(reply.columns.is_some(), status == 200, "{sql}");
             assert_eq!(reply.error.is_some(), status != 200, "{sql}");
+        }
+    }
+
+    /// Both were 200s: the first with its rows unsorted, the second with
+    /// a column named `*` full of nulls.
+    #[test]
+    fn statements_once_answered_wrongly_are_400s() {
+        let r = router();
+        for (sql, names) in [
+            (
+                "SELECT id FROM machines ORDER BY utilization",
+                "utilization",
+            ),
+            ("SELECT *, count(*) FROM machines", "*"),
+        ] {
+            let resp = r.handle(&Request {
+                method: "POST".into(),
+                path: "/query".into(),
+                body: sql.as_bytes().to_vec(),
+                ..Request::default()
+            });
+            assert_eq!(resp.status, 400, "{sql}");
+            let body = String::from_utf8(resp.into_body_bytes()).unwrap();
+            let error: std::collections::BTreeMap<String, String> =
+                serde_json::from_str(&body).unwrap_or_else(|e| panic!("{body}: {e:?}"));
+            assert!(error["error"].contains(names), "{body}");
         }
     }
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use cpi2::core::{CpiSample, CpiSpec, IncidentAction, TraceId, TraceSpan};
 use cpi2::harness::MachineIncident;
-use cpi2::sim::Machine;
+use cpi2::sim::{Machine, SchedClass};
 use cpi2::telemetry::Telemetry;
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -38,7 +38,7 @@ pub struct TaskView {
     /// Job name (the `jobname` of CPI records).
     pub job_name: String,
     /// Scheduling class (`LatencySensitive` / `Batch` / `BestEffort`).
-    pub class: String,
+    pub class: SchedClass,
     /// Runnable threads as of the last tick.
     pub threads: u32,
 }
@@ -102,7 +102,7 @@ pub struct IncidentView {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanView {
     /// Lifecycle stage name (`sample_window` … `recovery`).
-    pub stage: String,
+    pub stage: &'static str,
     /// Span start, sim µs.
     pub start_us: i64,
     /// Span end, sim µs.
@@ -135,7 +135,7 @@ impl MachineView {
                     job: t.id.job.0,
                     index: t.id.index,
                     job_name: t.job_name.clone(),
-                    class: format!("{:?}", t.class),
+                    class: t.class,
                     threads: t.threads(),
                 })
                 .collect(),
@@ -187,7 +187,7 @@ impl TraceView {
             spans: spans
                 .iter()
                 .map(|sp| SpanView {
-                    stage: sp.stage.name().to_string(),
+                    stage: sp.stage.name(),
                     start_us: sp.start_us,
                     end_us: sp.end_us,
                     detail: sp.detail.clone(),

@@ -354,7 +354,8 @@ fn bodies_are_byte_identical_to_the_serde_path() {
         assert_eq!(String::from_utf8(body).unwrap(), json_array(&of_job));
     }
 
-    // POST /query: the one-table dataset answers as the all-tables one.
+    // POST /query: one pass over the snapshot's records, reading what the
+    // statement names, answers as a `Dataset` holding every table whole.
     let mut all = Dataset::new();
     all.insert_records("incidents", &views).unwrap();
     all.insert_records("machines", &snap.machines).unwrap();
@@ -408,9 +409,19 @@ fn bodies_are_byte_identical_to_the_serde_path() {
         "SELECT jobname, platforminfo, cpi_mean FROM specs ORDER BY jobname",
         "SELECT count(*), avg(cpi) FROM samples",
         "SELECT jobname, max(cpi) FROM samples GROUP BY jobname ORDER BY jobname",
+        "SELECT trace, suspects.0.jobname, suspects.4.correlation FROM incidents WHERE suspects.0.correlation > 0.2",
+        "SELECT suspects.len, count(*), min(suspects.0.correlation) FROM incidents GROUP BY suspects.len",
+        "SELECT task_list.len, task_list.0.job_name FROM machines WHERE task_list.2.threads >= 1 LIMIT 9",
+        "SELECT jobname, count(*), avg(cpi) FROM samples WHERE jobname LIKE '%e%' GROUP BY jobname ORDER BY count(*) DESC LIMIT 3",
+        "SELECT id, utilization FROM machines WHERE utilization BETWEEN 0.05 AND 0.6 OR tasks = 0",
+        "SELECT jobname, cpi FROM samples LIMIT 7",
+        "SELECT cpi FROM samples LIMIT 0",
         "SELECT * FROM nowhere",
         "SELEKT nope",
         "SELECT id FROM machines LIMIT",
+        // Once 200s with wrong bodies: rows unsorted; a column named `*`.
+        "SELECT jobname FROM samples ORDER BY cpi DESC",
+        "SELECT *, count(*) FROM machines",
     ] {
         let (status, body) = over_the_wire(query(&router, sql));
         let (want_status, want_body) = reference(sql);
