@@ -30,6 +30,7 @@ mod fig14_load;
 mod fig15_accuracy;
 mod fig16_production;
 mod fleet_rate;
+mod fleet_sampled;
 mod motivation_quality;
 mod tab01_specs;
 mod tab02_params;
@@ -93,6 +94,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         about: "§7's fleet day under the lossy fault plan",
         run: fleet_rate::run_lossy,
     },
+    entry!(fleet_sampled, "§7 at 10⁶ machines, from 240 sampled cells"),
     entry!(motivation_quality, "§2: discarded replies under a deadline"),
     entry!(ablation_params, "Ablation: Table 2's detection parameters"),
     entry!(ablation_placement, "Ablation: cache-aware placement"),

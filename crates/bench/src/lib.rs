@@ -10,14 +10,10 @@
 //! * [`trials`] — the §7 large-scale trial protocol with ground truth
 //!   (used by the Fig. 14–16 experiments).
 //! * [`accuracy`] — planted-antagonist scoring of the identifier backends.
-//!
-//! [`sampling`] and [`serve_load`] back the two remaining wall-clock
-//! binaries, `sampled_fleet` and `serve_bench`.
 
 #![warn(missing_docs)]
 
 pub mod accuracy;
-pub mod args;
 pub mod experiments;
 pub mod metrics;
 pub mod plot;
@@ -25,6 +21,5 @@ pub mod probe;
 pub mod repro;
 pub mod sampling;
 pub mod scenario;
-pub mod serve_load;
 pub mod svg;
 pub mod trials;

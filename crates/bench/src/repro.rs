@@ -5,7 +5,7 @@
 //! * `repro run <name>…|all` prints the named entries, one after another.
 //! * `repro record [<name>…]` (none: all) rewrites `results/<name>.txt`
 //!   — the entry's stdout; progress stays on stderr — and its figures
-//!   under `results/svg/`.
+//!   under `results/svg/`. An entry that fails keeps its old record.
 //! * `repro check [<name>…]` records into a temporary directory instead
 //!   and compares it byte for byte with `results/`: it fails with the
 //!   file and first differing line, on a failed shape assertion, and on a
@@ -92,11 +92,24 @@ fn run(entries: &[&'static Experiment], dir: Option<&Path>) -> io::Result<Vec<St
     let run_one = |e: &Experiment| -> io::Result<bool> {
         let mut child = Command::new(&exe);
         child.arg("entry").arg(e.name).stdin(Stdio::null());
-        if let Some(dir) = dir {
-            child.arg(dir.join("svg"));
-            child.stdout(File::create(dir.join(format!("{}.txt", e.name)))?);
-        }
-        let ok = child.status()?.success();
+        let ok = match dir {
+            None => child.status()?.success(),
+            Some(dir) => {
+                // Stdout goes to a sibling path that takes the record's
+                // place only on success: a failed entry leaves what
+                // `<name>.txt` held as it was.
+                let record = dir.join(format!("{}.txt", e.name));
+                let partial = record.with_extension("txt.partial");
+                child.arg(dir.join("svg")).stdout(File::create(&partial)?);
+                let ok = child.status()?.success();
+                if ok {
+                    fs::rename(&partial, &record)?;
+                } else {
+                    fs::remove_file(&partial)?;
+                }
+                ok
+            }
+        };
         eprintln!("repro: {} {}", e.name, if ok { "done" } else { "FAILED" });
         Ok(ok)
     };

@@ -181,12 +181,6 @@ impl FleetModel {
             measure: SimDuration::from_hours(2),
         }
     }
-
-    /// Simulated machine-ticks one cell costs (warm-up + measure).
-    pub fn ticks_per_cell(&self) -> u64 {
-        let tick = ClusterConfig::default().tick.as_secs_f64();
-        (((self.warmup.as_secs_f64() + self.measure.as_secs_f64()) / tick).round()) as u64
-    }
 }
 
 /// One stratum of the partition: its key and every member machine index.

@@ -47,10 +47,19 @@ fn a_failed_entry_fails_the_run() {
     // its SVG, panics, and `record` must say so rather than exit 0.
     let cwd = std::env::temp_dir().join(format!("cpi2-repro-failing-{}", std::process::id()));
     std::fs::create_dir_all(cwd.join("results/svg/fig_1a_tasks_per_machine_cdf.svg")).unwrap();
+    // What the last good run recorded must survive the failed one whole.
+    let record = cwd.join("results/fig01_tenancy.txt");
+    std::fs::write(&record, "the last good record\n").unwrap();
     let out = repro_in(&cwd, &["record", "fig01_tenancy"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("repro FAIL: fig01_tenancy"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&record).unwrap(),
+        b"the last good record\n",
+        "a failed entry overwrote its committed record"
+    );
+    assert!(!record.with_extension("txt.partial").exists());
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 

@@ -396,7 +396,7 @@ mod tests {
         let sampling = ruleset_for("crates/bench/src/sampling.rs").expect("sampling in scope");
         assert!(sampling.clock && sampling.env_random && sampling.map_iter && sampling.spawn);
         assert!(sampling.metric_name && !sampling.panics);
-        let bench = ruleset_for("crates/bench/src/bin/sampled_fleet.rs").expect("bench in scope");
+        let bench = ruleset_for("crates/bench/src/bin/repro.rs").expect("bench in scope");
         assert!(!bench.clock && !bench.env_random && bench.metric_name);
         // So is every `repro` entry: its output is compared byte for
         // byte. Only the §4.2 cost entry may read a clock, and `repro`

@@ -4,16 +4,15 @@
 //! ```text
 //! cpi2-serve [--addr 127.0.0.1:8900] [--machines 16] [--scale 1]
 //!            [--seed 233811181] [--mins N] [--pace-ms 0]
-//!            [--auth-token SECRET] [--full-every 64]
+//!            [--auth-token SECRET]
 //! ```
 //!
 //! `--mins 0` (the default) runs until killed. `--pace-ms` slows the
 //! tick loop to roughly real time for demos; 0 free-runs.
 //! `--auth-token` (or the `CPI2_AUTH_TOKEN` env var) gates the mutating
-//! endpoints (`POST /actions/*`, `POST /query`) behind a shared secret;
-//! `--full-every` sets the ticks between exact refreshes of a machine
-//! view (1 = every tick). All timing lives in the harness/server modules — this
-//! file stays clock-free.
+//! endpoints (`POST /actions/*`, `POST /query`) behind a shared secret.
+//! All timing lives in the harness/server modules — this file stays
+//! clock-free.
 
 use cpi2::core::Cpi2Config;
 use cpi2::harness::Cpi2Harness;
@@ -29,7 +28,6 @@ struct Args {
     mins: i64,
     pace_ms: u64,
     auth_token: Option<String>,
-    full_every: u32,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -43,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         auth_token: std::env::var("CPI2_AUTH_TOKEN")
             .ok()
             .filter(|t| !t.is_empty()),
-        full_every: 64,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -63,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
             "--mins" => args.mins = parse(flag, value)?,
             "--pace-ms" => args.pace_ms = parse(flag, value)?,
             "--auth-token" => args.auth_token = Some(value.clone()),
-            "--full-every" => args.full_every = parse(flag, value)?,
             _ => return Err(format!("unknown flag {flag}\n{USAGE}")),
         }
         i += 2;
@@ -78,7 +74,7 @@ fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
 }
 
 const USAGE: &str = "usage: cpi2-serve [--addr HOST:PORT] [--machines N] [--scale N] \
-[--seed N] [--mins N] [--pace-ms N] [--auth-token SECRET] [--full-every N]";
+[--seed N] [--mins N] [--pace-ms N] [--auth-token SECRET]";
 
 fn main() {
     let args = match parse_args() {
@@ -99,7 +95,6 @@ fn main() {
     cpi2::workloads::submit_typical_mix(&mut cluster, args.scale, args.seed);
     let system = Cpi2Harness::new(cluster, Cpi2Config::default());
     let mut sh = ServeHarness::new(system);
-    sh.set_full_snapshot_every(args.full_every);
 
     let total = if args.mins > 0 {
         Some(SimDuration::from_mins(args.mins))
