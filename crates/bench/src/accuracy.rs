@@ -321,13 +321,13 @@ pub fn run_case(case: &AccuracyCase) -> Result<CaseScore, String> {
                 .suspects
                 .iter()
                 .filter(|s| s.class.throttle_eligible())
-                .position(|s| s.jobname == "antagonist")
+                .position(|s| &*s.jobname == "antagonist")
             {
                 score.rr_sum += 1.0 / (pos + 1) as f64;
             }
             if let Some(target) = select_target(&mi.incident.suspects, threshold) {
                 score.identified += 1;
-                if target.jobname == "antagonist" {
+                if &*target.jobname == "antagonist" {
                     score.correct += 1;
                 }
             }

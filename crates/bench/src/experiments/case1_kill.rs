@@ -54,7 +54,7 @@ pub(crate) fn run() {
         .take(5)
         .map(|s| {
             vec![
-                s.jobname.clone(),
+                s.jobname.to_string(),
                 if s.class.latency_sensitive {
                     "latency-sensitive".into()
                 } else {
@@ -75,7 +75,7 @@ pub(crate) fn run() {
         .iter()
         .find(|s| !s.class.latency_sensitive)
         .expect("a batch suspect");
-    assert_eq!(top_batch.jobname, "video-processing");
+    assert_eq!(&*top_batch.jobname, "video-processing");
     assert!(
         top_batch.correlation >= 0.35,
         "corr={}",
@@ -118,7 +118,7 @@ pub(crate) fn run() {
             ],
             vec![
                 "top suspect".into(),
-                top_batch.jobname.clone(),
+                top_batch.jobname.to_string(),
                 "video processing (0.46)".into(),
             ],
         ],

@@ -60,7 +60,7 @@ pub(crate) fn run() {
     let samples: Vec<_> = system
         .samples
         .iter()
-        .filter(|s| s.jobname == "bimodal-frontend")
+        .filter(|s| &*s.jobname == "bimodal-frontend")
         .collect();
     let t0 = samples.first().map(|s| s.timestamp).unwrap_or(0);
     let cpi_series: Vec<(f64, f64)> = samples

@@ -93,7 +93,7 @@ pub(crate) fn run() {
         .iter()
         .map(|s| {
             vec![
-                s.jobname.clone(),
+                s.jobname.to_string(),
                 if s.class.latency_sensitive {
                     "latency-sensitive".into()
                 } else {

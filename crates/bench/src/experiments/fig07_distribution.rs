@@ -55,7 +55,7 @@ pub(crate) fn run() {
     let cpis: Vec<f64> = system
         .samples
         .iter()
-        .filter(|s| s.jobname == "websearch-leaf" && s.cpi > 0.0)
+        .filter(|s| &*s.jobname == "websearch-leaf" && s.cpi > 0.0)
         .map(|s| s.cpi)
         .collect();
     println!("collected {} web-search CPI samples", cpis.len());

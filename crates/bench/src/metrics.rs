@@ -38,7 +38,7 @@ pub fn job_tick(cluster: &Cluster, job_name: &str, dt: SimDuration) -> Option<Jo
     let dt_sec = dt.as_secs_f64();
     for m in cluster.machines() {
         for t in m.tasks() {
-            if t.job_name != job_name {
+            if *t.job_name != *job_name {
                 continue;
             }
             let Some(o) = t.last_outcome() else { continue };
@@ -90,13 +90,13 @@ pub fn per_task(cluster: &Cluster, job_name: &str) -> Vec<TaskObservation> {
     let mut out = Vec::new();
     for m in cluster.machines() {
         for t in m.tasks() {
-            if t.job_name != job_name {
+            if *t.job_name != *job_name {
                 continue;
             }
             let Some(o) = t.last_outcome() else { continue };
             out.push(TaskObservation {
                 task: t.id,
-                platform: m.platform.name.clone(),
+                platform: m.platform.name.to_string(),
                 outcome: *o,
                 latency_ms: t.model().request_latency_ms(o),
             });

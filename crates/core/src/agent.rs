@@ -20,6 +20,7 @@ use crate::trace::{TraceId, TraceSpan, TraceStage};
 use cpi2_stats::timeseries::TimeSeries;
 use cpi2_telemetry::{Counter, Histo, Telemetry};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 #[cfg(test)]
 mod oracle;
@@ -296,10 +297,11 @@ struct Judged {
 }
 
 /// Per-task state the agent keeps.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct TaskState {
-    jobname: String,
-    platform: String,
+    /// The task's samples' own names, shared: binding clones two `Arc`s.
+    jobname: Arc<str>,
+    platform: Arc<str>,
     class: TaskClass,
     /// The spec table's entry for (`jobname`, `platform`), resolved: always
     /// equal to `DetectSpec::of(specs.get(key))`. Maintained by the only
@@ -310,15 +312,36 @@ struct TaskState {
     detector: OutlierDetector,
     cpi: TimeSeries,
     usage: TimeSeries,
+    /// Newest sample timestamp seen, replays included: a replayed sample
+    /// does not make a resident task look gone.
     last_seen: i64,
+}
+
+// By hand: `Arc<str>: Default` is newer than the workspace's
+// `rust-version`. A new task has seen no sample, so `record`'s first
+// `max` takes that sample's timestamp whatever its sign.
+impl Default for TaskState {
+    fn default() -> Self {
+        TaskState {
+            jobname: "".into(),
+            platform: "".into(),
+            class: TaskClass::default(),
+            detect_spec: None,
+            detector: OutlierDetector::default(),
+            cpi: TimeSeries::default(),
+            usage: TimeSeries::default(),
+            last_seen: i64::MIN,
+        }
+    }
 }
 
 impl TaskState {
     /// Points the task at `s`'s job × platform (it just appeared, or its
     /// handle was reused) and resolves that key's spec.
+    // lint: hot-path
     fn bind(&mut self, s: &CpiSample, specs: &SortedMap<JobKey, SpecEntry>) {
-        self.jobname.clone_from(&s.jobname);
-        self.platform.clone_from(&s.platforminfo);
+        self.jobname = Arc::clone(&s.jobname);
+        self.platform = Arc::clone(&s.platforminfo);
         self.detect_spec = DetectSpec::of(specs.get(&s.key_view() as &dyn KeyView));
     }
 
@@ -327,7 +350,7 @@ impl TaskState {
     // lint: hot-path
     fn record(&mut self, s: &CpiSample, horizon_us: i64) -> bool {
         self.class = s.class;
-        self.last_seen = s.timestamp;
+        self.last_seen = self.last_seen.max(s.timestamp);
         // Monotonicity guard: a restarted collector may replay.
         let advances = match self.cpi.points().last() {
             Some(&(t, _)) => t < s.timestamp,
@@ -472,7 +495,7 @@ impl Agent {
         // their next sample (the write half of `TaskState::detect_spec`).
         let resolved = DetectSpec::of(Some(&entry));
         for st in self.tasks.values_mut() {
-            if st.jobname == entry.spec.jobname && st.platform == entry.spec.platforminfo {
+            if *st.jobname == *entry.spec.jobname && *st.platform == *entry.spec.platforminfo {
                 st.detect_spec = resolved;
             }
         }
@@ -544,6 +567,8 @@ impl Agent {
             let Some((st, new)) = self.tasks.get_or_default(s.task) else {
                 continue;
             };
+            // `Arc<str>`'s `==` compares pointers before bytes: a task's
+            // samples share its names, so this is two pointer compares.
             if new || st.jobname != s.jobname || st.platform != s.platforminfo {
                 st.bind(s, &self.specs);
             }
@@ -704,7 +729,7 @@ impl Agent {
                     self.active_caps.insert(t.task, until);
                     IncidentAction::HardCap {
                         target: t.task,
-                        target_job: t.jobname.clone(),
+                        target_job: String::from(&*t.jobname),
                         cpu_rate: cap.cpu_rate,
                         until,
                     }
@@ -823,7 +848,7 @@ impl Agent {
         self.incidents.push(Incident {
             at: victim.timestamp,
             victim: victim.task,
-            victim_job: victim.jobname.clone(),
+            victim_job: String::from(&*victim.jobname),
             victim_cpi: victim.cpi,
             cthreshold,
             suspects: top,
@@ -1265,6 +1290,32 @@ mod tests {
     }
 
     #[test]
+    fn a_lagging_replay_does_not_evict_its_resident_task() {
+        // Victim A is flagged at minutes 28 and 29. Then one batch carries
+        // a replay of A's minute-5 sample beside B's fresh minute-30 one:
+        // 25 minutes apart, more than the two correlation windows after
+        // which a task counts as gone.
+        let a = |m: i64, cpi: f64| sample(1, "victim", m, cpi, 1.0, TaskClass::latency_sensitive());
+        let b = |m: i64| sample(2, "hog", m, 1.8, 1.0, TaskClass::batch());
+        let mut agent = Agent::new(Cpi2Config::default());
+        agent.install_spec(spec("victim", 1.0, 0.1));
+        for m in 0..30 {
+            agent.ingest(&[a(m, if m < 28 { 1.0 } else { 3.0 }), b(m)]);
+        }
+        agent.ingest(&[a(5, 1.0), b(30)]);
+        let flags = agent
+            .tasks
+            .get(&TaskHandle(1))
+            .map(|st| st.detector.flag_count());
+        assert_eq!(flags, Some(2), "A stays resident with its violation window");
+
+        // A's next violation is its third in five minutes.
+        agent.ingest(&[a(31, 3.0), b(31)]);
+        let at: Vec<i64> = agent.incidents().iter().map(|i| i.at).collect();
+        assert_eq!(at, [31 * 60_000_000]);
+    }
+
+    #[test]
     fn take_incidents_drains() {
         let mut agent = Agent::new(Cpi2Config::default());
         agent.install_spec(spec("victim", 1.0, 0.1));
@@ -1367,7 +1418,7 @@ mod checkpoint_tests {
         }
         assert!(!commands.is_empty(), "restored agent must still detect");
         let inc = restored.incidents().last().unwrap();
-        assert_eq!(inc.top_suspect().unwrap().jobname, "hog");
+        assert_eq!(&*inc.top_suspect().unwrap().jobname, "hog");
         assert!(inc.top_suspect().unwrap().correlation >= 0.35);
 
         // A fresh agent given only the post-restart minutes would know

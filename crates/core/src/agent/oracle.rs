@@ -32,10 +32,10 @@ impl Agent {
         let mut advanced = Vec::with_capacity(samples.len());
         for s in samples {
             let (st, _) = self.tasks.get_or_default(s.task).unwrap();
-            st.jobname = s.jobname.clone();
-            st.platform = s.platforminfo.clone();
+            st.jobname = Arc::clone(&s.jobname);
+            st.platform = Arc::clone(&s.platforminfo);
             st.class = s.class;
-            st.last_seen = s.timestamp;
+            st.last_seen = st.last_seen.max(s.timestamp);
             let advances = match st.cpi.points().last() {
                 Some(&(t, _)) => t < s.timestamp,
                 None => true,
@@ -143,7 +143,7 @@ impl Agent {
     /// resolved numbers equal a fresh keyed lookup.
     fn assert_detect_specs_resolved(&self) {
         for (handle, st) in self.tasks.iter() {
-            let key = JobKey::new(st.jobname.clone(), st.platform.clone());
+            let key = JobKey::new(&*st.jobname, &*st.platform);
             assert_eq!(
                 st.detect_spec,
                 DetectSpec::of(self.specs.get(&key)),

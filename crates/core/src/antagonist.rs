@@ -16,6 +16,7 @@ use crate::correlation::antagonist_correlation;
 use crate::sample::{TaskClass, TaskHandle};
 use cpi2_stats::timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A scored suspect.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,7 +24,7 @@ pub struct Suspect {
     /// The suspect task.
     pub task: TaskHandle,
     /// Its job's name.
-    pub jobname: String,
+    pub jobname: Arc<str>,
     /// Its scheduling class.
     pub class: TaskClass,
     /// Antagonist correlation with the victim, in `[−1, 1]` (0 when the
@@ -43,7 +44,7 @@ pub struct SuspectInput<'a> {
     /// The suspect task.
     pub task: TaskHandle,
     /// Its job's name.
-    pub jobname: &'a str,
+    pub jobname: &'a Arc<str>,
     /// Its scheduling class.
     pub class: TaskClass,
     /// Its CPU-usage time series over the analysis window.
@@ -56,27 +57,34 @@ pub struct SuspectInput<'a> {
 /// `tolerance_us` timestamp slack. Suspects whose window score is
 /// undefined (no aligned samples, flat victim CPI, no CPU used — see
 /// [`antagonist_correlation`]) score 0.
+///
+/// Allocates twice per call, whatever the suspect count: the ranking and
+/// one pair buffer every alignment reuses.
 pub fn rank_suspects(
     victim_cpi: &TimeSeries,
     suspects: &[SuspectInput<'_>],
     cthreshold: f64,
     tolerance_us: i64,
 ) -> Vec<Suspect> {
+    let mut pairs = Vec::with_capacity(victim_cpi.len());
     let mut out: Vec<Suspect> = suspects
         .iter()
         .map(|s| {
-            let pairs = victim_cpi.align(s.usage, tolerance_us);
+            victim_cpi.align_into(s.usage, tolerance_us, &mut pairs);
             let correlation = antagonist_correlation(&pairs, cthreshold).unwrap_or(0.0);
             Suspect {
                 task: s.task,
-                jobname: s.jobname.to_string(),
+                jobname: Arc::clone(s.jobname),
                 class: s.class,
                 correlation,
                 confidence: correlation,
             }
         })
         .collect();
-    out.sort_by(|a, b| {
+    // Suspects are distinct tasks, so (correlation, task) orders them
+    // totally and an unstable sort — which needs no scratch buffer — puts
+    // them where a stable one would.
+    out.sort_unstable_by(|a, b| {
         b.correlation
             .total_cmp(&a.correlation)
             .then(a.task.cmp(&b.task))
@@ -102,6 +110,10 @@ mod tests {
         TimeSeries::from_points(points.to_vec())
     }
 
+    fn name(job: &str) -> Arc<str> {
+        job.into()
+    }
+
     #[test]
     fn ranking_orders_by_correlation() {
         // Victim CPI spikes at minutes 1, 3 (threshold 2.0).
@@ -115,13 +127,13 @@ mod tests {
             &[
                 SuspectInput {
                     task: TaskHandle(1),
-                    jobname: "innocent",
+                    jobname: &name("innocent"),
                     class: TaskClass::batch(),
                     usage: &innocent,
                 },
                 SuspectInput {
                     task: TaskHandle(2),
-                    jobname: "guilty",
+                    jobname: &name("guilty"),
                     class: TaskClass::batch(),
                     usage: &guilty,
                 },
@@ -161,7 +173,7 @@ mod tests {
         let mut ranked = ranked;
         ranked.sort_by(|a, b| b.correlation.partial_cmp(&a.correlation).unwrap());
         let t = select_target(&ranked, 0.35).unwrap();
-        assert_eq!(t.jobname, "video-processing");
+        assert_eq!(&*t.jobname, "video-processing");
     }
 
     #[test]
@@ -184,7 +196,7 @@ mod tests {
             &victim,
             &[SuspectInput {
                 task: TaskHandle(1),
-                jobname: "x",
+                jobname: &name("x"),
                 class: TaskClass::batch(),
                 usage: &far,
             }],
@@ -203,13 +215,13 @@ mod tests {
             &[
                 SuspectInput {
                     task: TaskHandle(9),
-                    jobname: "a",
+                    jobname: &name("a"),
                     class: TaskClass::batch(),
                     usage: &usage,
                 },
                 SuspectInput {
                     task: TaskHandle(3),
-                    jobname: "b",
+                    jobname: &name("b"),
                     class: TaskClass::batch(),
                     usage: &usage,
                 },
@@ -231,7 +243,7 @@ mod tests {
         let guilty = series(&[(0, 0.0), (60, 4.0), (120, 0.0), (180, 4.0)]);
         let inputs = [SuspectInput {
             task: TaskHandle(7),
-            jobname: "corrupt",
+            jobname: &name("corrupt"),
             class: TaskClass::batch(),
             usage: &guilty,
         }];

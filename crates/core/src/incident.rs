@@ -102,7 +102,7 @@ mod tests {
             trace_id: TraceId::derive(1, 0),
         };
         assert!(inc.acted());
-        assert_eq!(inc.top_suspect().unwrap().jobname, "video");
+        assert_eq!(&*inc.top_suspect().unwrap().jobname, "video");
         // Round-trips through serde (the pipeline log format).
         let json = serde_json::to_string(&inc).unwrap();
         let back: Incident = serde_json::from_str(&json).unwrap();

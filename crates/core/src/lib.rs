@@ -48,7 +48,7 @@ pub use correlation::antagonist_correlation;
 pub use incident::{Incident, IncidentAction};
 pub use outlier::{OutlierDetector, Verdict};
 pub use panda::{EvidenceBook, IdentifierKind, PandaParams};
-pub use sample::{CpiSample, JobKey, TaskClass, TaskHandle};
+pub use sample::{CpiSample, HandleSet, JobKey, TaskClass, TaskHandle};
 pub use spec::CpiSpec;
 pub use specbuilder::SpecBuilder;
 pub use trace::{TraceId, TraceLog, TraceSpan, TraceStage, DEFAULT_TRACE_CAPACITY};

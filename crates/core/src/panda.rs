@@ -46,6 +46,7 @@ use crate::correlation::antagonist_correlation;
 use cpi2_stats::timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which antagonist-identification backend the agent runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -310,9 +311,11 @@ impl EvidenceBook {
         // Strongest current-window record per suspect job, committed after
         // scoring so this incident can't feed back into its own ranking.
         let mut commits: BTreeMap<&str, EvidenceRecord> = BTreeMap::new();
+        // One pair buffer for every suspect's alignment.
+        let mut pairs = Vec::with_capacity(victim_cpi.len());
 
         for s in suspects {
-            let pairs = victim_cpi.align(s.usage, tolerance_us);
+            victim_cpi.align_into(s.usage, tolerance_us, &mut pairs);
             let correlation = antagonist_correlation(&pairs, cthreshold);
             let current = match correlation {
                 Some(c) if pairs.len() >= params.min_overlap => {
@@ -343,7 +346,7 @@ impl EvidenceBook {
 
             let key = PairKey {
                 victim_job: victim_job.to_string(),
-                suspect_job: s.jobname.to_string(),
+                suspect_job: String::from(&**s.jobname),
             };
             // Historical evidence: the newest window−1 records, so the
             // score never mixes more than `aggregation_window` incidents.
@@ -358,7 +361,7 @@ impl EvidenceBook {
             let confidence = confidence_score(&evidence, params);
 
             if let Some(rec) = current {
-                let stronger = match commits.get(s.jobname) {
+                let stronger = match commits.get(&**s.jobname) {
                     Some(best) => rec.correlation > best.correlation,
                     None => true,
                 };
@@ -368,7 +371,7 @@ impl EvidenceBook {
             }
             ranked.push(Suspect {
                 task: s.task,
-                jobname: s.jobname.to_string(),
+                jobname: Arc::clone(s.jobname),
                 class: s.class,
                 correlation: correlation.unwrap_or(0.0),
                 confidence,
@@ -485,6 +488,12 @@ mod tests {
         TimeSeries::from_points(points.to_vec())
     }
 
+    /// A job name that lives as long as the test binary, for suspect
+    /// inputs returned from helpers.
+    fn name(job: &str) -> &'static Arc<str> {
+        Box::leak(Box::new(job.into()))
+    }
+
     /// Victim CPI spiking at odd minutes; a guilty suspect active exactly
     /// then, an innocent one active in the quiet minutes.
     fn scenario() -> (TimeSeries, TimeSeries, TimeSeries) {
@@ -514,13 +523,13 @@ mod tests {
         vec![
             SuspectInput {
                 task: TaskHandle(1),
-                jobname: "innocent",
+                jobname: name("innocent"),
                 class: TaskClass::batch(),
                 usage: innocent,
             },
             SuspectInput {
                 task: TaskHandle(2),
-                jobname: "guilty",
+                jobname: name("guilty"),
                 class: TaskClass::batch(),
                 usage: guilty,
             },
@@ -550,7 +559,7 @@ mod tests {
                 1_000,
                 incident * 600_000_000,
             );
-            assert_eq!(ranked[0].jobname, "guilty", "incident {incident}");
+            assert_eq!(&*ranked[0].jobname, "guilty", "incident {incident}");
             assert!(ranked[0].confidence > 0.0);
             assert!(ranked[1].confidence < ranked[0].confidence);
             assert!(
@@ -598,7 +607,7 @@ mod tests {
         );
         assert!(stats.windows_filtered >= 2, "thin windows must filter");
         // History alone still convicts the right job.
-        assert_eq!(ranked[0].jobname, "guilty");
+        assert_eq!(&*ranked[0].jobname, "guilty");
         assert!(ranked[0].confidence > 0.0);
     }
 
@@ -675,7 +684,7 @@ mod tests {
                 &victim,
                 &[SuspectInput {
                     task: TaskHandle(2),
-                    jobname: "guilty",
+                    jobname: name("guilty"),
                     class: TaskClass::batch(),
                     usage: &guilty,
                 }],
@@ -726,13 +735,13 @@ mod tests {
             &[
                 SuspectInput {
                     task: TaskHandle(1),
-                    jobname: "swarm",
+                    jobname: name("swarm"),
                     class: TaskClass::batch(),
                     usage: &guilty,
                 },
                 SuspectInput {
                     task: TaskHandle(2),
-                    jobname: "swarm",
+                    jobname: name("swarm"),
                     class: TaskClass::batch(),
                     usage: &weak,
                 },

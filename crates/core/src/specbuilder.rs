@@ -6,21 +6,23 @@
 //! 100 samples per task.
 
 use crate::config::Cpi2Config;
-use crate::sample::{CpiSample, JobKey, KeyView, TaskHandle};
+use crate::sample::{CpiSample, HandleSet, JobKey, KeyView};
 use crate::spec::CpiSpec;
 use cpi2_stats::ewma::AgeWeighted;
 use cpi2_stats::summary::RunningStats;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Accumulates one aggregation period ("day") of samples for one key.
 #[derive(Debug, Default)]
 struct PeriodAccum {
     cpi: RunningStats,
     cpu: RunningStats,
-    tasks: HashSet<TaskHandle>,
+    /// Distinct tasks this period; read only for its `len()`.
+    tasks: HandleSet,
 }
 
 impl PeriodAccum {
+    // lint: hot-path
     fn add(&mut self, sample: &CpiSample) {
         self.cpi.push(sample.cpi);
         self.cpu.push(sample.cpu_usage);
@@ -179,7 +181,7 @@ impl SpecBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::TaskClass;
+    use crate::sample::{TaskClass, TaskHandle};
 
     fn sample(job: &str, task: u64, cpi: f64) -> CpiSample {
         CpiSample {

@@ -106,10 +106,11 @@ proptest! {
         };
         let victim = ts(&|r| r.0);
         let (u1, u2, u3) = (ts(&|r| r.1), ts(&|r| r.2), ts(&|r| r.3));
+        let [a, b, c]: [std::sync::Arc<str>; 3] = ["job-a".into(), "job-b".into(), "job-c".into()];
         let suspects = vec![
-            SuspectInput { task: TaskHandle(1), jobname: "job-a", class: TaskClass::batch(), usage: &u1 },
-            SuspectInput { task: TaskHandle(2), jobname: "job-b", class: TaskClass::best_effort(), usage: &u2 },
-            SuspectInput { task: TaskHandle(3), jobname: "job-c", class: TaskClass::batch(), usage: &u3 },
+            SuspectInput { task: TaskHandle(1), jobname: &a, class: TaskClass::batch(), usage: &u1 },
+            SuspectInput { task: TaskHandle(2), jobname: &b, class: TaskClass::best_effort(), usage: &u2 },
+            SuspectInput { task: TaskHandle(3), jobname: &c, class: TaskClass::batch(), usage: &u3 },
         ];
         let paper = rank_suspects(&victim, &suspects, cth, 1_000);
         let mut book = EvidenceBook::new();

@@ -1,0 +1,94 @@
+//! The JSON of a sample, a counter reading and an agent checkpoint, byte
+//! for byte as written while job and platform names were owned `String`s:
+//! sharing them as `Arc<str>` changed no byte on the wire, and a
+//! checkpoint written then restores now.
+
+use cpi2_core::{Agent, Cpi2Config, CpiSample, CpiSpec, TaskClass, TaskHandle};
+use cpi2_perf::CounterReading;
+use cpi2_sim::{JobId, SimDuration, SimTime, TaskId};
+
+const SAMPLE: &str = r#"{"task":7,"jobname":"websearch","platforminfo":"westmere-2.6GHz","timestamp":180000000,"cpu_usage":2.0,"cpi":1.75,"l3_mpki":1.5,"class":{"latency_sensitive":true,"best_effort":false,"protected":true}}"#;
+
+const READING: &str = r#"{"task":{"job":4,"index":2},"job_name":"video","platform":"sandybridge-2.2GHz","timestamp":70000000,"window":10000000,"cpu_usage":0.5,"cpi":1.25,"instructions":2000000000.0,"l3_mpki":3.0,"l2_mpki":6.5,"mem_lines_per_cycle":0.002,"overhead_us":40.0}"#;
+
+/// Seven minutes of the victim/antagonist pattern below: two tasks'
+/// histories, one spec, one hard-cap incident with its ranked suspects
+/// and its trace spans.
+const CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint.json");
+
+fn sample(task: u64, job: &str, minute: i64, cpi: f64, usage: f64, class: TaskClass) -> CpiSample {
+    CpiSample {
+        task: TaskHandle(task),
+        jobname: job.into(),
+        platforminfo: "westmere-2.6GHz".into(),
+        timestamp: minute * 60_000_000,
+        cpu_usage: usage,
+        cpi,
+        l3_mpki: 1.5,
+        class,
+    }
+}
+
+#[test]
+fn a_sample_reads_and_writes_as_before() {
+    let s = sample(7, "websearch", 3, 1.75, 2.0, TaskClass::latency_sensitive());
+    assert_eq!(serde_json::to_string(&s).unwrap(), SAMPLE);
+    assert_eq!(serde_json::from_str::<CpiSample>(SAMPLE).unwrap(), s);
+}
+
+#[test]
+fn a_counter_reading_reads_and_writes_as_before() {
+    let r = CounterReading {
+        task: TaskId {
+            job: JobId(4),
+            index: 2,
+        },
+        job_name: "video".into(),
+        platform: "sandybridge-2.2GHz".into(),
+        timestamp: SimTime::from_secs(70),
+        window: SimDuration::from_secs(10),
+        cpu_usage: 0.5,
+        cpi: Some(1.25),
+        instructions: 2.0e9,
+        l3_mpki: 3.0,
+        l2_mpki: 6.5,
+        mem_lines_per_cycle: 0.002,
+        overhead_us: 40.0,
+    };
+    assert_eq!(serde_json::to_string(&r).unwrap(), READING);
+    assert_eq!(serde_json::from_str::<CounterReading>(READING).unwrap(), r);
+}
+
+#[test]
+fn an_agent_checkpoint_reads_and_writes_as_before() {
+    let mut agent = Agent::new(Cpi2Config::default());
+    agent.install_spec(CpiSpec {
+        jobname: "victim".into(),
+        platforminfo: "westmere-2.6GHz".into(),
+        num_samples: 100_000,
+        cpu_usage_mean: 1.0,
+        cpi_mean: 1.0,
+        cpi_stddev: 0.1,
+    });
+    for m in 0..7 {
+        let on = m % 2 == 1;
+        let victim_cpi = if on { 3.0 } else { 1.0 };
+        let hog_usage = if on { 6.0 } else { 0.0 };
+        agent.ingest(&[
+            sample(
+                1,
+                "victim",
+                m,
+                victim_cpi,
+                1.0,
+                TaskClass::latency_sensitive(),
+            ),
+            sample(2, "hog", m, 1.8, hog_usage, TaskClass::batch()),
+        ]);
+    }
+    assert_eq!(agent.incidents().len(), 1);
+    assert_eq!(agent.checkpoint().unwrap(), CHECKPOINT);
+    let restored = Agent::restore(CHECKPOINT).unwrap();
+    assert_eq!(restored.incidents(), agent.incidents());
+    assert_eq!(restored.checkpoint().unwrap(), CHECKPOINT);
+}

@@ -8,6 +8,7 @@
 //! `INSTRUCTIONS_RETIRED` pair).
 
 use cpi2_sim::{CounterBlock, Machine, TaskId};
+use std::sync::Arc;
 
 /// One task's counter snapshot plus identity.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,7 +16,7 @@ pub struct TaskCounters {
     /// The task.
     pub task: TaskId,
     /// Owning job's name.
-    pub job_name: String,
+    pub job_name: Arc<str>,
     /// Monotonic counters as of the snapshot.
     pub counters: CounterBlock,
 }
@@ -25,8 +26,9 @@ pub trait CounterSource {
     /// Stable identifier of this machine (staggers sampling phases).
     fn source_id(&self) -> u32;
 
-    /// Hardware platform string (`platforminfo` in sample records).
-    fn platform_name(&self) -> &str;
+    /// Hardware platform string (`platforminfo` in sample records), lent
+    /// as the shared handle every reading of this source clones.
+    fn platform_name(&self) -> &Arc<str>;
 
     /// Cost of one counter save/restore on an inter-cgroup context
     /// switch, in microseconds.
@@ -39,7 +41,7 @@ pub trait CounterSource {
     /// [`CounterSource::snapshot`]'s order. This is what the sampler calls
     /// at a window edge; a backend that can lend these overrides it so an
     /// edge builds no owned snapshot it would only read and drop.
-    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &str, &CounterBlock)) {
+    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Arc<str>, &CounterBlock)) {
         for tc in self.snapshot() {
             visit(tc.task, &tc.job_name, &tc.counters);
         }
@@ -51,7 +53,7 @@ impl CounterSource for Machine {
         self.id.0
     }
 
-    fn platform_name(&self) -> &str {
+    fn platform_name(&self) -> &Arc<str> {
         &self.platform.name
     }
 
@@ -63,13 +65,13 @@ impl CounterSource for Machine {
         self.tasks()
             .map(|t| TaskCounters {
                 task: t.id,
-                job_name: t.job_name.clone(),
+                job_name: Arc::clone(&t.job_name),
                 counters: *t.cgroup.counters(),
             })
             .collect()
     }
 
-    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &str, &CounterBlock)) {
+    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Arc<str>, &CounterBlock)) {
         for t in self.tasks() {
             visit(t.id, &t.job_name, t.cgroup.counters());
         }
@@ -103,11 +105,11 @@ mod tests {
         m.tick(SimTime::ZERO, SimDuration::from_secs(1), &mut Vec::new());
         let src: &dyn CounterSource = &m;
         assert_eq!(src.source_id(), 3);
-        assert_eq!(src.platform_name(), "sandybridge-2.2GHz");
+        assert_eq!(&**src.platform_name(), "sandybridge-2.2GHz");
         assert!(src.counter_switch_us() > 0.0);
         let snap = src.snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].job_name, "svc");
+        assert_eq!(&*snap[0].job_name, "svc");
         assert!(snap[0].counters.instructions > 0.0);
     }
 }

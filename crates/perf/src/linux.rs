@@ -16,6 +16,7 @@ use crate::backend::{CounterSource, TaskCounters};
 use cpi2_sim::{CounterBlock, JobId, TaskId};
 use std::io;
 use std::os::unix::io::RawFd;
+use std::sync::Arc;
 
 const PERF_TYPE_HARDWARE: u32 = 0;
 const PERF_COUNT_HW_CPU_CYCLES: u64 = 0;
@@ -165,7 +166,9 @@ pub struct SelfCounterSource {
     cycles: PerfCounter,
     instructions: PerfCounter,
     cache_misses: Option<PerfCounter>,
-    platform: String,
+    platform: Arc<str>,
+    /// The one task's job name, shared by every reading.
+    job_name: Arc<str>,
 }
 
 impl SelfCounterSource {
@@ -188,7 +191,8 @@ impl SelfCounterSource {
             cycles,
             instructions,
             cache_misses,
-            platform: "linux-perf-self".to_string(),
+            platform: "linux-perf-self".into(),
+            job_name: "self".into(),
         })
     }
 
@@ -210,7 +214,7 @@ impl CounterSource for SelfCounterSource {
         0
     }
 
-    fn platform_name(&self) -> &str {
+    fn platform_name(&self) -> &Arc<str> {
         &self.platform
     }
 
@@ -231,7 +235,7 @@ impl CounterSource for SelfCounterSource {
                 job: JobId(0),
                 index: 0,
             },
-            job_name: "self".to_string(),
+            job_name: Arc::clone(&self.job_name),
             counters: CounterBlock {
                 cycles,
                 instructions,

@@ -2,6 +2,7 @@
 
 use cpi2_sim::{SimDuration, SimTime, TaskId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One per-task counter reading over a counting window.
 ///
@@ -14,9 +15,9 @@ pub struct CounterReading {
     /// The sampled task.
     pub task: TaskId,
     /// Owning job's name.
-    pub job_name: String,
+    pub job_name: Arc<str>,
     /// Hardware platform string (CPU type).
-    pub platform: String,
+    pub platform: Arc<str>,
     /// End of the counting window, µs since epoch.
     pub timestamp: SimTime,
     /// Length of the counting window.

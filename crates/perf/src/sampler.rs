@@ -12,6 +12,7 @@ use crate::backend::CounterSource;
 use crate::reading::CounterReading;
 use cpi2_sim::{CounterBlock, SimDuration, SimTime, TaskId};
 use cpi2_telemetry::{Counter, Gauge, Histo, Telemetry};
+use std::sync::Arc;
 
 #[cfg(test)]
 mod oracle;
@@ -225,8 +226,8 @@ impl MachineSampler {
             let kinstr = d.instructions / 1000.0;
             out.push(CounterReading {
                 task,
-                job_name: job_name.to_string(),
-                platform: platform.to_string(),
+                job_name: Arc::clone(job_name),
+                platform: Arc::clone(platform),
                 timestamp: now,
                 window,
                 cpu_usage: d.cpu_time_us / window.as_us() as f64,
@@ -383,8 +384,8 @@ mod tests {
         let cpi = r.cpi.unwrap();
         assert!(cpi > 0.7 && cpi < 1.2, "cpi={cpi}");
         assert!((8.5..=10.5).contains(&r.window.as_secs_f64()));
-        assert_eq!(r.platform, "westmere-2.6GHz");
-        assert_eq!(r.job_name, "svc");
+        assert_eq!(&*r.platform, "westmere-2.6GHz");
+        assert_eq!(&*r.job_name, "svc");
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl ReferenceSampler {
                     out.push(CounterReading {
                         task: tc.task,
                         job_name: tc.job_name,
-                        platform: source.platform_name().to_string(),
+                        platform: Arc::clone(source.platform_name()),
                         timestamp: now,
                         window,
                         cpu_usage: d.cpu_time_us / window.as_us() as f64,
@@ -150,8 +150,8 @@ fn bits(readings: &[CounterReading]) -> Vec<(TaskId, String, String, [u64; 9])> 
         .map(|r| {
             (
                 r.task,
-                r.job_name.clone(),
-                r.platform.clone(),
+                r.job_name.to_string(),
+                r.platform.to_string(),
                 [
                     r.timestamp.as_us() as u64,
                     r.window.as_us() as u64,
@@ -351,7 +351,7 @@ impl CounterSource for SnapshotOnly<'_> {
     fn source_id(&self) -> u32 {
         self.0.source_id()
     }
-    fn platform_name(&self) -> &str {
+    fn platform_name(&self) -> &Arc<str> {
         self.0.platform_name()
     }
     fn counter_switch_us(&self) -> f64 {

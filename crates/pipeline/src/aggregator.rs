@@ -6,9 +6,9 @@
 //! [`crate::specstore::SpecStore`].
 
 use crate::specstore::SpecStore;
-use cpi2_core::{Cpi2Config, CpiSample, CpiSpec, SpecBuilder};
+use cpi2_core::{Cpi2Config, CpiSample, CpiSpec, HandleSet, SpecBuilder};
 use cpi2_telemetry::{Counter, Histo, Telemetry};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Spec aggregation with periodic refresh.
 ///
@@ -25,8 +25,9 @@ pub struct Aggregator {
     /// pair seen within this horizon of the newest sample is skipped, so a
     /// duplicated shipment cannot skew spec statistics.
     dedup_horizon_us: Option<i64>,
-    /// `timestamp → tasks` already ingested inside the horizon.
-    seen: BTreeMap<i64, BTreeSet<u64>>,
+    /// `timestamp → tasks` already ingested inside the horizon. The sets
+    /// are only asked membership; the map's order drives eviction.
+    seen: BTreeMap<i64, HandleSet>,
     /// High-water timestamp driving horizon eviction.
     seen_watermark: i64,
     duplicates_dropped: u64,
@@ -118,7 +119,7 @@ impl Aggregator {
                 .count();
             let seen = self.seen.entry(ts).or_default();
             for (i, s) in samples.iter().enumerate().skip(start).take(len) {
-                if seen.insert(s.task.0) {
+                if seen.insert(s.task) {
                     if let Some(k) = kept.as_mut() {
                         k.push(s.clone());
                     }

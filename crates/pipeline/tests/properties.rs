@@ -6,6 +6,8 @@ use cpi2_pipeline::{Aggregator, Dataset, Query, QueryResult, SpecStore, Table};
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Rec {
@@ -369,8 +371,8 @@ fn to_samples(stream: &[StreamItem]) -> Vec<CpiSample> {
             Some(prev) if replay == 0 => out.push(prev.clone()),
             _ => out.push(CpiSample {
                 task: TaskHandle(u64::from(task)),
-                jobname: format!("job{job}"),
-                platforminfo: format!("plat{platform}"),
+                jobname: format!("job{job}").into(),
+                platforminfo: format!("plat{platform}").into(),
                 timestamp: i as i64 * 60_000_000,
                 cpu_usage: 1.0,
                 cpi,
@@ -442,5 +444,110 @@ proptest! {
             .collect();
         prop_assert_eq!(counts[0], counts[1]);
         prop_assert_eq!(counts[0], counts[2]);
+    }
+}
+
+/// One generated shipment: `(replay, pick, samples)`. `replay == 0`
+/// re-sends the `pick`-th earlier shipment; otherwise the clock moves a
+/// minute and each sample `(job, index, lag, cpi)` is stamped up to three
+/// minutes behind it, so one shipment interleaves timestamps.
+type Shipment = (u8, u8, Vec<(u8, u8, u8, f64)>);
+
+fn shipments_strategy() -> impl Strategy<Value = Vec<Shipment>> {
+    let sample = (0..25u8, 0..4u8, 0..4u8, 0.05..8.0f64);
+    prop::collection::vec(
+        (0..4u8, any::<u8>(), prop::collection::vec(sample, 1..12)),
+        1..60,
+    )
+}
+
+/// The aggregator's dedup as it was kept before its sets were hashed:
+/// ordered sets of raw handle words, evicted the same way.
+struct OrderedDedup {
+    seen: BTreeMap<i64, BTreeSet<u64>>,
+    watermark: i64,
+    horizon_us: i64,
+    dropped: u64,
+}
+
+impl OrderedDedup {
+    fn keep(&mut self, batch: &[CpiSample]) -> Vec<CpiSample> {
+        let kept: Vec<CpiSample> = batch
+            .iter()
+            .filter(|s| self.seen.entry(s.timestamp).or_default().insert(s.task.0))
+            .cloned()
+            .collect();
+        self.dropped += (batch.len() - kept.len()) as u64;
+        let newest = batch.iter().map(|s| s.timestamp).max();
+        self.watermark = self.watermark.max(newest.unwrap_or(i64::MIN));
+        self.seen = self
+            .seen
+            .split_off(&self.watermark.saturating_sub(self.horizon_us));
+        kept
+    }
+}
+
+proptest! {
+    #[test]
+    fn hashed_dedup_agrees_with_an_ordered_reference(shipments in shipments_strategy()) {
+        // Handles packed as `handle_for` packs them (`job << 32 | index`),
+        // so most share their low 32 bits with a handle of another job.
+        let config = Cpi2Config {
+            min_tasks: 2,
+            min_samples_per_task: 3,
+            ..Cpi2Config::default()
+        };
+        let horizon_us = 5 * 60_000_000;
+        let names: Vec<Arc<str>> = (0..5).map(|j| Arc::from(format!("job{j}"))).collect();
+        let platform: Arc<str> = "westmere".into();
+        let mut hashed = Aggregator::new(config.clone(), 0);
+        hashed.set_dedup_horizon(Some(horizon_us));
+        let mut ordered = OrderedDedup {
+            seen: BTreeMap::new(),
+            watermark: i64::MIN,
+            horizon_us,
+            dropped: 0,
+        };
+        let mut reference = Aggregator::new(config, 0);
+        let (store, reference_store) = (SpecStore::new(), SpecStore::new());
+        let mut sent: Vec<Vec<CpiSample>> = Vec::new();
+        let mut minute = 10i64;
+        for (i, (replay, pick, samples)) in shipments.into_iter().enumerate() {
+            let batch = match sent.len() {
+                n if replay == 0 && n > 0 => sent[usize::from(pick) % n].clone(),
+                _ => {
+                    minute += 1;
+                    samples
+                        .iter()
+                        .map(|&(job, index, lag, cpi)| CpiSample {
+                            task: TaskHandle(u64::from(job) << 32 | u64::from(index)),
+                            jobname: Arc::clone(&names[usize::from(job) % names.len()]),
+                            platforminfo: Arc::clone(&platform),
+                            timestamp: (minute - i64::from(lag)) * 60_000_000,
+                            cpu_usage: 1.0,
+                            cpi,
+                            l3_mpki: 0.0,
+                            class: TaskClass::batch(),
+                        })
+                        .collect()
+                }
+            };
+            hashed.ingest(&batch);
+            reference.ingest(&ordered.keep(&batch));
+            sent.push(batch);
+            if i % 16 == 15 {
+                let now_us = minute * 60_000_000;
+                prop_assert_eq!(
+                    hashed.refresh_at(&store, now_us),
+                    reference.refresh_at(&reference_store, now_us)
+                );
+            }
+        }
+        prop_assert_eq!(hashed.duplicates_dropped(), ordered.dropped);
+        prop_assert_eq!(hashed.samples_seen(), reference.samples_seen());
+        prop_assert_eq!(
+            hashed.refresh_at(&store, i64::MAX),
+            reference.refresh_at(&reference_store, i64::MAX)
+        );
     }
 }

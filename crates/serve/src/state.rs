@@ -134,7 +134,7 @@ impl MachineView {
                 .map(|t| TaskView {
                     job: t.id.job.0,
                     index: t.id.index,
-                    job_name: t.job_name.clone(),
+                    job_name: String::from(&*t.job_name),
                     class: t.class,
                     threads: t.threads(),
                 })
@@ -171,7 +171,7 @@ impl IncidentView {
                 .suspects
                 .iter()
                 .map(|s| SuspectView {
-                    jobname: s.jobname.clone(),
+                    jobname: String::from(&*s.jobname),
                     correlation: s.correlation,
                 })
                 .collect(),

@@ -41,7 +41,7 @@ fn script(system: &Cpi2Harness, t: u64) -> Option<OperatorAction> {
         .machines()
         .iter()
         .flat_map(|m| m.tasks())
-        .find(|task| task.job_name == "thrasher")
+        .find(|task| &*task.job_name == "thrasher")
         .map(|task| (task.id.job.0, task.id.index));
     let (job, index) = thrasher?;
     match t % 240 {

@@ -15,6 +15,7 @@ use crate::time::{SimDuration, SimTime};
 use cpi2_stats::rng::SimRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Unique machine identifier within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -34,8 +35,9 @@ const CTX_SWITCHES_PER_THREAD_SEC: f64 = 20.0;
 pub struct ResidentTask {
     /// Task identity.
     pub id: TaskId,
-    /// Owning job's name (the `jobname` of CPI sample records).
-    pub job_name: String,
+    /// Owning job's name (the `jobname` of CPI sample records): allocated
+    /// once when the task is placed, then shared by every record about it.
+    pub job_name: Arc<str>,
     /// Scheduling class (drives throttle eligibility).
     pub class: SchedClass,
     /// Priority band.
@@ -166,7 +168,7 @@ impl Machine {
     pub fn add_task(
         &mut self,
         instance: TaskInstance,
-        job_name: impl Into<String>,
+        job_name: impl Into<Arc<str>>,
         class: SchedClass,
         priority: Priority,
         cpu_limit: Option<f64>,

@@ -6,13 +6,14 @@
 //! the interference model and counter emulation need.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Description of one machine hardware platform (CPU type).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Platform {
     /// Platform name, e.g. `"westmere-2.6GHz"`; the `platforminfo` string
-    /// in CPI sample records.
-    pub name: String,
+    /// in CPI sample records, shared by every record the machine yields.
+    pub name: Arc<str>,
     /// Number of hardware contexts (CPUs) on the machine.
     pub cores: u32,
     /// Reference clock in cycles per second (the `CPU_CLK_UNHALTED.REF`
@@ -37,7 +38,7 @@ impl Platform {
     /// A mid-2011-era 12-core platform (the "older" CPU type in Fig. 4).
     pub fn westmere() -> Self {
         Platform {
-            name: "westmere-2.6GHz".to_string(),
+            name: "westmere-2.6GHz".into(),
             cores: 12,
             clock_hz: 2.6e9,
             l3_mb: 12.0,
@@ -52,7 +53,7 @@ impl Platform {
     /// second CPU type in Fig. 4).
     pub fn sandy_bridge() -> Self {
         Platform {
-            name: "sandybridge-2.2GHz".to_string(),
+            name: "sandybridge-2.2GHz".into(),
             cores: 16,
             clock_hz: 2.2e9,
             l3_mb: 20.0,
@@ -66,7 +67,7 @@ impl Platform {
     /// A small 8-core platform, useful for dense-tenancy tests.
     pub fn small_node() -> Self {
         Platform {
-            name: "smallnode-2.0GHz".to_string(),
+            name: "smallnode-2.0GHz".into(),
             cores: 8,
             clock_hz: 2.0e9,
             l3_mb: 8.0,

@@ -79,10 +79,21 @@ impl TimeSeries {
     /// Each point matches at most one point of the other series (nearest
     /// neighbour, two-pointer sweep).
     pub fn align(&self, other: &TimeSeries, tolerance_us: i64) -> Vec<(f64, f64)> {
-        let Some(mut cur) = other.points.first().copied() else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
+        self.align_into(other, tolerance_us, &mut out);
+        out
+    }
+
+    /// [`TimeSeries::align`] into `out`, which is cleared first: a caller
+    /// aligning one series against many reuses one buffer. At most
+    /// `self.len()` pairs come out, so a buffer of that capacity never
+    /// grows.
+    // lint: hot-path
+    pub fn align_into(&self, other: &TimeSeries, tolerance_us: i64, out: &mut Vec<(f64, f64)>) {
+        out.clear();
+        let Some(mut cur) = other.points.first().copied() else {
+            return;
+        };
         let mut j = 0usize;
         for &(t, v) in &self.points {
             // Advance to the nearest candidate (both series are sorted,
@@ -101,7 +112,6 @@ impl TimeSeries {
                 out.push((v, ov));
             }
         }
-        out
     }
 }
 
@@ -157,6 +167,17 @@ mod tests {
         let b = TimeSeries::from_points(vec![(5, 10.0), (63, 20.0)]);
         let pairs = a.align(&b, 10);
         assert_eq!(pairs, vec![(1.0, 10.0), (2.0, 20.0)]);
+    }
+
+    #[test]
+    fn align_into_replaces_what_the_buffer_held() {
+        let a = TimeSeries::from_points(vec![(0, 1.0), (60, 2.0), (200, 3.0)]);
+        let b = TimeSeries::from_points(vec![(5, 10.0), (63, 20.0)]);
+        let mut out = vec![(9.0, 9.0); 5];
+        a.align_into(&b, 10, &mut out);
+        assert_eq!(out, a.align(&b, 10));
+        a.align_into(&TimeSeries::new(), 10, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -236,7 +236,7 @@ mod tests {
             c.machines()
                 .iter()
                 .flat_map(|m| m.tasks())
-                .filter(|t| t.job_name == name)
+                .filter(|t| *t.job_name == *name)
                 .count()
         };
         assert_eq!(count(&cluster, "websearch-leaf"), 6);

@@ -19,7 +19,7 @@ fn search_latency(system: &Cpi2Harness) -> f64 {
     let mut n = 0u32;
     for m in system.cluster.machines() {
         for t in m.tasks() {
-            if t.job_name != "websearch-leaf" {
+            if &*t.job_name != "websearch-leaf" {
                 continue;
             }
             if let Some(o) = t.last_outcome() {

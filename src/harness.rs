@@ -17,6 +17,7 @@ use cpi2_sim::{
 };
 use cpi2_telemetry::{Counter, Telemetry};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Converts a simulator task id into the agent-facing opaque handle.
 pub fn handle_for(task: TaskId) -> TaskHandle {
@@ -662,8 +663,8 @@ impl Cpi2Harness {
 fn to_sample(r: &CounterReading, class: TaskClass) -> CpiSample {
     CpiSample {
         task: handle_for(r.task),
-        jobname: r.job_name.clone(),
-        platforminfo: r.platform.clone(),
+        jobname: Arc::clone(&r.job_name),
+        platforminfo: Arc::clone(&r.platform),
         timestamp: r.timestamp.as_us(),
         cpu_usage: r.cpu_usage,
         cpi: r.cpi.unwrap_or(0.0),

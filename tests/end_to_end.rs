@@ -50,7 +50,7 @@ fn victim_cpi_now(system: &Cpi2Harness) -> f64 {
     let mut n = 0;
     for m in system.cluster.machines() {
         for t in m.tasks() {
-            if t.job_name == "frontend" {
+            if &*t.job_name == "frontend" {
                 if let Some(o) = t.last_outcome() {
                     sum += o.cpi;
                     n += 1;

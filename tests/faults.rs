@@ -163,7 +163,7 @@ fn survives_machine_crashes_and_keeps_state_coherent() {
     for m in system.cluster.machines() {
         for t in m.tasks() {
             assert_eq!(system.cluster.locate(t.id), Some(m.id));
-            if t.job_name == "frontend" {
+            if &*t.job_name == "frontend" {
                 frontend_tasks += 1;
             }
         }

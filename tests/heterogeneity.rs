@@ -89,9 +89,9 @@ fn agents_use_their_platforms_spec() {
         let Some(agent) = system.agent(m.id) else {
             continue;
         };
-        let key = JobKey::new("frontend", m.platform.name.clone());
+        let key = JobKey::new("frontend", &*m.platform.name);
         if let Some(spec) = agent.spec(&key) {
-            assert_eq!(spec.platforminfo, m.platform.name);
+            assert_eq!(*spec.platforminfo, *m.platform.name);
         }
     }
 }

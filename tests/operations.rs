@@ -55,7 +55,7 @@ fn inject_thrasher(system: &mut Cpi2Harness, seed: u64) -> TaskId {
         let t = TaskId { job, index };
         if let Some(m) = system.cluster.locate(t) {
             let machine = system.cluster.machine(m).unwrap();
-            if machine.tasks().any(|r| r.job_name == "frontend") {
+            if machine.tasks().any(|r| &*r.job_name == "frontend") {
                 return t;
             }
         }
@@ -162,8 +162,8 @@ fn placement_feedback_learns_anti_affinity() {
     // machine again.
     system.run_for(SimDuration::from_mins(30));
     for m in system.cluster.machines() {
-        let has_victim = m.tasks().any(|t| t.job_name == "frontend");
-        let has_thrasher = m.tasks().any(|t| t.job_name == "thrasher");
+        let has_victim = m.tasks().any(|t| &*t.job_name == "frontend");
+        let has_thrasher = m.tasks().any(|t| &*t.job_name == "thrasher");
         assert!(
             !(has_victim && has_thrasher),
             "anti-affinity violated on {}",
