@@ -135,12 +135,13 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
             || rel.ends_with("/eventloop.rs")
         {
             // The sanctioned homes for wall time and threads: shard
-            // spawning (server), connection deadlines/idle reaping
-            // (eventloop), and tick pacing / publish-cost measurement
-            // (harness). Wall time there is never committed to sim
-            // state. `http.rs` and `poll.rs` stay strict: pure wire
-            // grammar and a pollfd wrapper need neither clocks nor
-            // threads.
+            // spawning (server), stamping socket events and timing
+            // handlers (eventloop), and tick pacing / publish-cost
+            // measurement (harness). Wall time there is never committed
+            // to sim state. `http.rs`, `poll.rs` and `conn.rs` stay
+            // strict: wire grammar, a pollfd wrapper and the connection
+            // state machine (deadlines on a stamp it is handed) need
+            // neither clocks nor threads.
             rs.spawn_allowed = true;
             rs.clock = false;
         }
@@ -422,9 +423,14 @@ mod tests {
             assert!(rs.spawn_allowed && !rs.clock, "{sanctioned}");
             assert!(rs.locks && rs.map_iter, "{sanctioned}");
         }
-        // The wire grammar and pollfd wrapper stay strict — no clock or
-        // spawn allowance leaks onto the rest of the socket path.
-        for strict in ["crates/serve/src/http.rs", "crates/serve/src/poll.rs"] {
+        // The wire grammar, pollfd wrapper and connection state machine
+        // stay strict — no clock or spawn allowance leaks onto the rest
+        // of the socket path.
+        for strict in [
+            "crates/serve/src/http.rs",
+            "crates/serve/src/poll.rs",
+            "crates/serve/src/conn.rs",
+        ] {
             let rs = ruleset_for(strict).expect("serve in scope");
             assert!(!rs.spawn_allowed && rs.clock, "{strict}");
         }

@@ -3,9 +3,8 @@
 //! load generator.
 //!
 //! Everything here is pure computation over byte buffers — no sockets,
-//! no clocks, no threads — so the connection state machines in
-//! [`eventloop`](crate::eventloop) stay small and the framing logic is
-//! testable without I/O. Response heads are encoded by exactly one
+//! no clocks, no threads — so the connection state machine (`conn.rs`)
+//! stays small and the framing logic is testable without I/O. Response heads are encoded by exactly one
 //! function ([`encode_head`]), which is the single place the
 //! `Connection` and framing headers are decided (the PR-7 server
 //! hardcoded the head format in two places).
@@ -166,7 +165,9 @@ pub enum Parsed {
 /// [`Parsed::Bad`].
 pub fn parse_request(buf: &[u8], limits: ParseLimits) -> Parsed {
     let Some(header_end) = find_header_end(buf) else {
-        if buf.len() > limits.max_header_bytes {
+        // The terminator may have begun in the last 3 bytes: refuse only
+        // once it can no longer end inside the cap, wherever the read cut.
+        if buf.len() > limits.max_header_bytes + 3 {
             return Parsed::Bad(431, "request headers too large");
         }
         return Parsed::Partial;
@@ -520,6 +521,23 @@ mod tests {
             used,
             b"POST /q HTTP/1.1\r\nContent-Length: 5\r\n\r\nabcde".len()
         );
+        // A head ending exactly at the cap waits, wherever its blank line
+        // is cut, and then parses.
+        let at_cap = ParseLimits {
+            max_header_bytes: b"GET /abcd HTTP/1.1".len(),
+            max_body_bytes: 0,
+        };
+        let wire = b"GET /abcd HTTP/1.1\r\n\r\n";
+        for cut in at_cap.max_header_bytes..wire.len() {
+            assert!(matches!(
+                parse_request(&wire[..cut], at_cap),
+                Parsed::Partial
+            ));
+        }
+        assert!(matches!(
+            parse_request(wire, at_cap),
+            Parsed::Complete(_, 22)
+        ));
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //!   tick by tick while request handlers read only torn-free snapshots —
 //!   serving cannot perturb tick ordering, and the determinism suite
 //!   proves tick-stream bit-identity with a server attached vs absent;
-//! - [`server`] is a dependency-free HTTP/1.1 keep-alive server
-//!   (sharded accept + `poll(2)` readiness event loop, pipelining,
-//!   streaming chunked responses, read/write deadlines, size ceilings,
-//!   back-pressure by refusal) in the same hand-rolled spirit as the
-//!   rest of the workspace;
+//! - [`server`] is a dependency-free HTTP/1.1 keep-alive server in the
+//!   same hand-rolled spirit as the rest of the workspace: sharded accept
+//!   and a `poll(2)` readiness loop ([`eventloop`]) that only moves
+//!   bytes, around one socket-free, clock-free state machine per
+//!   connection (`conn.rs`: pipelining, streaming chunked responses,
+//!   read/write deadlines, size ceilings, a bounded lingering close),
+//!   with back-pressure by refusal at the connection ceiling;
 //! - [`routes`] expose `/metrics` (Prometheus text), `/metrics.json`,
 //!   `/healthz`, `/version`, `/incidents`, `/incidents/{id}/trace`,
 //!   `/specs/{job}`, `/machines/{id}`, `/debug/events`, `POST /query`
@@ -45,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+mod conn;
 pub mod eventloop;
 pub mod harness;
 pub mod http;

@@ -10,12 +10,13 @@
 //!   private connection registry via `poll(2)`
 //!   ([`eventloop`](crate::eventloop)); a connection lives its whole
 //!   life on one shard;
-//! - connections are keep-alive with pipelining, per-connection read
-//!   and write buffers, idle reaping, and a max-requests cap; header
-//!   and body ceilings and read/write deadlines bound what a stalled or
-//!   malicious client can hold;
-//! - over `max_connections`, new clients get `503` immediately instead
-//!   of queueing unboundedly (back-pressure by refusal, like the
+//! - each connection is a socket-free, clock-free state machine
+//!   (`conn.rs`): keep-alive with pipelining, header and body
+//!   ceilings, read/write deadlines, idle reaping, a per-connection
+//!   request cap, and a bounded lingering close after an error — all
+//!   constants, sized for an operator console;
+//! - past `MAX_CONNECTIONS` open connections a new client gets `503` at
+//!   once instead of queueing (back-pressure by refusal, like the
 //!   collector);
 //! - handlers run under `catch_unwind`: a panicking route answers `500`
 //!   and the shard lives on.
@@ -23,7 +24,8 @@
 //! This module (with [`eventloop`](crate::eventloop) and
 //! [`harness`](crate::harness)) is the crate's only sanctioned home for
 //! wall clocks and `thread::spawn` — the lint scoping in `cpi2-lint`
-//! enforces that; routes and state stay deterministic-friendly.
+//! enforces that; routes, state and the connection state machine stay
+//! deterministic-friendly.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -35,33 +37,17 @@ use cpi2::telemetry::{Counter, Gauge, Histo, Telemetry};
 
 pub use crate::http::{Body, ChunkIter, Request, Response};
 
-/// Server tuning knobs. Defaults are sized for an operator console, not
-/// a public ingress.
+/// Server tuning. Everything else a connection is held to — deadlines,
+/// size ceilings, the connection ceiling — is a constant.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Accept/connection shard threads.
     pub shards: usize,
-    /// Server-wide open-connection ceiling; beyond it clients get `503`.
-    pub max_connections: usize,
-    /// A partially-received request must complete within this, ms
-    /// (`408` beyond). Also bounds connections that never send a byte.
-    pub read_timeout_ms: u64,
-    /// Idle keep-alive connections are reaped after this, ms.
-    pub keep_alive_idle_ms: u64,
-    /// Requests served per connection before it is retired with
-    /// `Connection: close`.
-    pub max_requests_per_conn: u32,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            shards: 4,
-            max_connections: 1024,
-            read_timeout_ms: 5_000,
-            keep_alive_idle_ms: 30_000,
-            max_requests_per_conn: 1024,
-        }
+        ServerConfig { shards: 4 }
     }
 }
 
@@ -209,7 +195,7 @@ pub fn start(
     // overflowed SYN in a ~1 s kernel retransmit.
     {
         use std::os::unix::io::AsRawFd;
-        let backlog = cfg.max_connections.clamp(128, 4096) as libc::c_int;
+        let backlog = crate::eventloop::MAX_CONNECTIONS as libc::c_int;
         let rc = unsafe { libc::listen(listener.as_raw_fd(), backlog) };
         if rc != 0 {
             return Err(io::Error::last_os_error());
@@ -228,7 +214,7 @@ pub fn start(
         let shutdown = Arc::clone(&shutdown);
         let conn_count = Arc::clone(&conn_count);
         threads.push(thread::spawn(move || {
-            crate::eventloop::shard_loop(listener, handler, metrics, cfg, shutdown, conn_count);
+            crate::eventloop::shard_loop(listener, handler, metrics, shutdown, conn_count);
         }));
     }
 
@@ -245,11 +231,11 @@ mod tests {
     use std::io::{Read as _, Write as _};
     use std::net::TcpStream;
 
-    fn echo_server(cfg: ServerConfig) -> ServerHandle {
+    fn echo_server() -> ServerHandle {
         let telemetry = Telemetry::disabled();
         let handler: Handler =
             Arc::new(|req: &Request| Response::text(200, format!("you asked for {}", req.path)));
-        start("127.0.0.1:0", cfg, &telemetry, handler).expect("bind")
+        start("127.0.0.1:0", ServerConfig::default(), &telemetry, handler).expect("bind")
     }
 
     #[test]
@@ -271,7 +257,7 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_many_requests_on_one_connection() {
-        let server = echo_server(ServerConfig::default());
+        let server = echo_server();
         let mut sock = TcpStream::connect(server.addr()).expect("connect");
         for i in 0..5 {
             sock.write_all(format!("GET /r{i} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
@@ -301,7 +287,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_answer_in_order() {
-        let server = echo_server(ServerConfig::default());
+        let server = echo_server();
         let mut sock = TcpStream::connect(server.addr()).expect("connect");
         // Three requests in one write; the last asks to close.
         sock.write_all(
@@ -315,26 +301,6 @@ mod tests {
         let c = all.find("you asked for /c").expect("third response");
         assert!(a < b && b < c, "responses out of order: {all}");
         assert_eq!(all.matches("HTTP/1.1 200 OK").count(), 3);
-        server.shutdown();
-    }
-
-    #[test]
-    fn max_requests_per_conn_retires_the_connection() {
-        let cfg = ServerConfig {
-            max_requests_per_conn: 2,
-            ..ServerConfig::default()
-        };
-        let server = echo_server(cfg);
-        let mut sock = TcpStream::connect(server.addr()).expect("connect");
-        sock.write_all(b"GET /1 HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\r\n\r\n")
-            .expect("write");
-        let mut all = String::new();
-        sock.read_to_string(&mut all).expect("read to EOF");
-        assert_eq!(all.matches("HTTP/1.1 200 OK").count(), 2);
-        assert!(
-            all.contains("Connection: close"),
-            "final response should close: {all}"
-        );
         server.shutdown();
     }
 }

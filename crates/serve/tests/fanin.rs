@@ -1,8 +1,9 @@
 //! 512 keep-alive clients, all connected at once, each with eight
 //! requests in flight, against a fleet that keeps ticking: every
 //! response arrives whole, none is an error, no handler panics and no
-//! connection is lost. What the server does under that fan-in, not how
-//! fast — req/s and latency are the benchmark's (`benchmark/`).
+//! connection is lost. And at the connection ceiling, one client more is
+//! refused at once, not queued. What the server does under that fan-in,
+//! not how fast — req/s and latency are the benchmark's (`benchmark/`).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -19,8 +20,23 @@ use cpi2_serve::{ServeHarness, ServerConfig};
 const CLIENTS: usize = 512;
 const MACHINES: u32 = 12;
 /// Requests pipelined per connection; the server retires a connection
-/// after `max_requests_per_conn` (1024), far above this.
+/// after 1024 requests, far above this.
 const DEPTH: usize = 8;
+/// The server's open-connection ceiling.
+const CEILING: usize = 1024;
+/// Descriptors for both tests at once: both ends of every connection
+/// live in this process.
+const NOFILE: u64 = ((CLIENTS + CEILING + 1) * 2 + 512) as u64;
+const HEALTHZ: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+
+/// Raises `RLIMIT_NOFILE` to what the tests need, or fails naming the grant.
+fn raise_nofile() {
+    let granted = raise_nofile_limit(NOFILE);
+    assert!(
+        granted >= NOFILE,
+        "RLIMIT_NOFILE grants {granted} descriptors, these tests need {NOFILE}"
+    );
+}
 
 /// The mixed schedule, per 16 slots: 12 health checks, 2 scrapes, one
 /// streamed incident read, one query.
@@ -138,13 +154,7 @@ fn read_ready(c: &mut Client, tally: &mut Tally) {
 
 #[test]
 fn five_hundred_twelve_pipelining_clients_are_all_answered() {
-    // Both ends of every connection live in this process.
-    let want = (CLIENTS * 4 + 256) as u64;
-    let granted = raise_nofile_limit(want);
-    assert!(
-        granted >= want,
-        "RLIMIT_NOFILE grants {granted} descriptors, {CLIENTS} clients need {want}"
-    );
+    raise_nofile();
 
     // Learn specs, land the thrashers, and let incidents accumulate, so
     // `/incidents` and `/query` have rows to serve.
@@ -180,5 +190,84 @@ fn five_hundred_twelve_pipelining_clients_are_all_answered() {
     );
     assert!(line("cpi_serve_handler_panics_total 0"), "{text}");
     drop(clients);
+    sh.shutdown_server();
+}
+
+/// Reads one response off a blocking socket: its status and body.
+fn read_response(sock: &mut TcpStream) -> (u16, Vec<u8>) {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match scan_response(&buf) {
+            ScannedResponse::Complete { status, consumed } => {
+                let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n");
+                let body = buf[head_end.map_or(consumed, |h| h + 4)..consumed].to_vec();
+                return (status, body);
+            }
+            ScannedResponse::Partial => {
+                let n = sock.read(&mut chunk).expect("read a response");
+                assert!(n > 0, "closed mid-response: {buf:?}");
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            ScannedResponse::Malformed => panic!("malformed response: {buf:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_client_past_the_ceiling_is_refused_at_once() {
+    raise_nofile();
+    let mut sh = ServeHarness::new(common::fleet(0xCE11, 2));
+    let addr = sh
+        .serve("127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
+
+    // Fill the ceiling with keep-alive clients, each answered once so
+    // the server has accepted and counted it.
+    let mut held: Vec<TcpStream> = (0..CEILING)
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("client {i}: {e}")))
+        .collect();
+    for s in &mut held {
+        s.write_all(HEALTHZ).expect("send");
+    }
+    for s in &mut held {
+        assert_eq!(read_response(s).0, 200);
+    }
+
+    // One more: a 503 with a JSON body, at once, not a wait in the
+    // kernel backlog until something is reaped.
+    let mut extra = TcpStream::connect(addr).expect("connect past the ceiling");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let (status, body) = read_response(&mut extra);
+    assert_eq!(status, 503);
+    #[derive(serde::Deserialize)]
+    struct ErrorBody {
+        error: String,
+    }
+    let body: ErrorBody = serde_json::from_slice(&body).expect("a JSON error body");
+    assert!(body.error.contains("overloaded"), "{}", body.error);
+
+    // A held client leaves; once the server has counted it gone, the next
+    // new client is served.
+    drop(held.pop());
+    let below = format!("cpi_serve_open_connections {}", CEILING - 1);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !sh
+        .inner()
+        .telemetry()
+        .prometheus_text()
+        .expect("enabled")
+        .lines()
+        .any(|l| l == below)
+    {
+        assert!(Instant::now() < deadline, "the server never saw the close");
+        std::thread::yield_now();
+    }
+    let mut next = TcpStream::connect(addr).expect("connect");
+    next.write_all(HEALTHZ).expect("send");
+    assert_eq!(read_response(&mut next).0, 200);
+    drop(held);
     sh.shutdown_server();
 }

@@ -1,12 +1,14 @@
 //! Loopback HTTP tests: every endpoint answers well-formed output, and
-//! hostile input (malformed request lines, oversized headers/bodies,
-//! slowloris trickles, mid-request and mid-chunk disconnects, idle
-//! keep-alive squatters) gets a 4xx, a `408`, or a clean close — never
-//! a panic, never a wedged shard.
+//! hostile input (malformed request lines, oversized headers/bodies, a
+//! client that keeps sending after its error, mid-request and mid-chunk
+//! disconnects) gets a 4xx or a clean close — never a panic, never a
+//! wedged shard. The deadlines (`408`, idle reaping, the request cap)
+//! are the connection state machine's unit tests, run on a stepped
+//! clock instead of sleeps.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cpi2::core::Cpi2Config;
 use cpi2::harness::Cpi2Harness;
@@ -15,7 +17,7 @@ use cpi2::telemetry::Telemetry;
 use cpi2_serve::http::{scan_response, ScannedResponse};
 use cpi2_serve::{ServeHarness, ServerConfig};
 
-fn boot_with(cfg: ServerConfig) -> (ServeHarness, std::net::SocketAddr) {
+fn boot() -> (ServeHarness, std::net::SocketAddr) {
     let telemetry = Telemetry::enabled();
     let mut cluster = Cluster::new(ClusterConfig {
         seed: 42,
@@ -30,12 +32,10 @@ fn boot_with(cfg: ServerConfig) -> (ServeHarness, std::net::SocketAddr) {
     };
     let mut sh = ServeHarness::new(Cpi2Harness::new(cluster, config));
     sh.run_for(SimDuration::from_mins(3));
-    let addr = sh.serve("127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = sh
+        .serve("127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
     (sh, addr)
-}
-
-fn boot() -> (ServeHarness, std::net::SocketAddr) {
-    boot_with(ServerConfig::default())
 }
 
 /// Decodes a chunked transfer coding (already split from the head).
@@ -298,40 +298,39 @@ fn read_one_response(sock: &mut TcpStream, buf: &mut Vec<u8>) -> (u16, Vec<u8>) 
 }
 
 #[test]
-fn slowloris_trickle_completes_but_stall_gets_408() {
-    let cfg = ServerConfig {
-        read_timeout_ms: 600,
-        keep_alive_idle_ms: 10_000,
-        ..ServerConfig::default()
-    };
-    let (mut sh, addr) = boot_with(cfg);
-
-    // Byte-at-a-time headers that finish inside the deadline still get
-    // served — slow ≠ dead.
+fn a_client_sending_past_its_431_is_drained_a_bounded_amount() {
+    let (mut sh, addr) = boot();
     let mut s = TcpStream::connect(addr).expect("connect");
-    for b in b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" {
-        s.write_all(std::slice::from_ref(b)).expect("write");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let mut carry = Vec::new();
-    let (code, _) = read_one_response(&mut s, &mut carry);
-    assert_eq!(code, 200);
-    drop(s);
-
-    // A request that stalls forever mid-header is answered 408 and the
-    // connection is closed — it cannot pin the shard.
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.write_all(b"GET /metrics HTTP/1.1\r\nX-Slow")
-        .expect("write");
+    let mut big = Vec::from(&b"GET / HTTP/1.1\r\n"[..]);
+    big.extend_from_slice(format!("X-Pad: {}\r\n\r\n", "a".repeat(16 * 1024)).as_bytes());
+    s.write_all(&big).expect("write");
+    // The 431 arrives whole, followed by the server's half-close.
     let mut out = Vec::new();
-    s.read_to_end(&mut out).expect("read to close");
-    let (code, _) = parse_response(&out);
-    assert_eq!(code, 408, "stalled request should time out");
+    s.read_to_end(&mut out).expect("read to the half-close");
+    assert_eq!(parse_response(&out).0, 431);
 
-    let (code, _) = get(addr, "/healthz");
-    assert_eq!(code, 200);
+    // Keep sending: the server discards up to its 256 KiB drain budget,
+    // then closes, and a write fails — it does not hold the connection
+    // until the read timeout.
+    s.set_write_timeout(Some(Duration::from_secs(3)))
+        .expect("timeout");
+    let started = Instant::now();
+    let junk = [b'x'; 16 * 1024];
+    let mut sent = 0usize;
+    let err = loop {
+        match s.write(&junk) {
+            Ok(n) => sent += n,
+            Err(e) => break e,
+        }
+    };
+    let waited = started.elapsed();
+    assert!(
+        !matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "still open after {sent} bytes and {waited:?}: {err}"
+    );
+    assert!(sent > 256 * 1024, "closed after only {sent} bytes");
+    assert!(waited < Duration::from_secs(1), "closed after {waited:?}");
     sh.shutdown_server();
-    drop(sh);
 }
 
 #[test]
@@ -393,29 +392,5 @@ fn mid_chunk_disconnect_is_survived() {
         text.contains("cpi_serve_handler_panics_total 0"),
         "a handler panicked:\n{text}"
     );
-    sh.shutdown_server();
-}
-
-#[test]
-fn idle_keep_alive_connections_are_reaped() {
-    let cfg = ServerConfig {
-        keep_alive_idle_ms: 300,
-        read_timeout_ms: 5_000,
-        ..ServerConfig::default()
-    };
-    let (mut sh, addr) = boot_with(cfg);
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
-        .expect("write");
-    let mut carry = Vec::new();
-    let (code, _) = read_one_response(&mut s, &mut carry);
-    assert_eq!(code, 200);
-    // Go idle past the keep-alive budget: the server reaps us (EOF),
-    // it does not wait for the (longer) read timeout.
-    s.set_read_timeout(Some(Duration::from_millis(3_000)))
-        .expect("timeout");
-    let mut buf = [0u8; 64];
-    let n = s.read(&mut buf).expect("reap should be a clean close");
-    assert_eq!(n, 0, "expected EOF from idle reap, got {n} bytes");
     sh.shutdown_server();
 }
