@@ -77,7 +77,10 @@ mod sorted {
             self.values.get(self.position(key).ok()?)
         }
 
-        pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        pub fn get_mut<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<&mut V>
+        where
+            K: Borrow<Q>,
+        {
             let i = self.position(key).ok()?;
             self.values.get_mut(i)
         }
@@ -499,7 +502,13 @@ impl Agent {
                 st.detect_spec = resolved;
             }
         }
-        self.specs.insert(entry.spec.key(), entry);
+        let key = (&*entry.spec.jobname, &*entry.spec.platforminfo);
+        match self.specs.get_mut(&key as &dyn KeyView) {
+            Some(held) => *held = entry,
+            // A key's first install: the one place that builds its owned
+            // key.
+            None => self.specs.insert(entry.spec.key(), entry),
+        }
     }
 
     /// The spec for a job × platform key, if any.

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -30,6 +30,10 @@ impl std::fmt::Display for TaskHandle {
 /// A set of task handles asked only "is it in?" and "how many?" — never
 /// iterated, so nothing downstream can depend on its hash order.
 pub type HandleSet = HashSet<TaskHandle, BuildHasherDefault<HandleHasher>>;
+
+/// A map from task handles, under [`HandleSet`]'s rule: probed by handle,
+/// never iterated.
+pub(crate) type HandleMap<V> = HashMap<TaskHandle, V, BuildHasherDefault<HandleHasher>>;
 
 /// [`HandleSet`]'s hasher: one multiply per word, then splitmix64's
 /// finaliser. Handles pack `job << 32 | index`, and a product's low bits

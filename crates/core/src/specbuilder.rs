@@ -6,11 +6,15 @@
 //! 100 samples per task.
 
 use crate::config::Cpi2Config;
-use crate::sample::{CpiSample, HandleSet, JobKey, KeyView};
+use crate::sample::{CpiSample, HandleMap, HandleSet, JobKey, KeyView};
 use crate::spec::CpiSpec;
 use cpi2_stats::ewma::AgeWeighted;
 use cpi2_stats::summary::RunningStats;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+#[cfg(test)]
+mod oracle;
 
 /// Accumulates one aggregation period ("day") of samples for one key.
 #[derive(Debug, Default)]
@@ -26,8 +30,16 @@ impl PeriodAccum {
     fn add(&mut self, sample: &CpiSample) {
         self.cpi.push(sample.cpi);
         self.cpu.push(sample.cpu_usage);
-        self.tasks.insert(sample.task);
     }
+}
+
+/// Where a task's samples went this period: its names, shared with its
+/// samples, and the slot of their key's accumulator.
+#[derive(Debug)]
+struct Binding {
+    job: Arc<str>,
+    platform: Arc<str>,
+    slot: usize,
 }
 
 /// Long-lived per-key state across periods.
@@ -77,8 +89,15 @@ pub struct SpecBuilder {
     config: Cpi2Config,
     // BTreeMap: period rollover and spec extraction iterate these maps,
     // and spec ordering must be stable across processes and hash seeds.
-    current: BTreeMap<JobKey, PeriodAccum>,
+    /// This period's keys, each with its accumulator's slot in `accums`:
+    /// the authority on which key a sample belongs to.
+    current: BTreeMap<JobKey, usize>,
+    /// `current`'s accumulators, by slot.
+    accums: Vec<PeriodAccum>,
     history: BTreeMap<JobKey, KeyHistory>,
+    /// Each task seen this period, bound to its key's slot. Asked only
+    /// "where did this task's samples go?", never iterated.
+    bindings: HandleMap<Binding>,
 }
 
 impl SpecBuilder {
@@ -87,7 +106,9 @@ impl SpecBuilder {
         SpecBuilder {
             config,
             current: BTreeMap::new(),
+            accums: Vec::new(),
             history: BTreeMap::new(),
+            bindings: HandleMap::default(),
         }
     }
 
@@ -95,24 +116,33 @@ impl SpecBuilder {
     ///
     /// Samples below the minimum CPU usage are still *aggregated* (the
     /// usage filter of §4.1 applies to outlier detection, not spec
-    /// building), but non-finite CPI values are dropped.
+    /// building). A sample is dropped when its CPI is non-finite or not
+    /// positive, or its CPU usage non-finite or negative: one such value
+    /// would poison its key's age-weighted history for good.
     pub fn add_sample(&mut self, sample: &CpiSample) {
-        if !sample.cpi.is_finite() || sample.cpi <= 0.0 {
+        if !usable(sample) {
             return;
         }
-        if !Self::add_to_known_key(&mut self.current, sample) {
-            // First sample of this key this period: the one place that
-            // builds an owned key.
-            self.current.entry(sample.key()).or_default().add(sample);
+        if !self.add_to_bound_slot(sample) {
+            self.bind(sample);
         }
     }
 
-    /// The hit path of [`add_sample`](SpecBuilder::add_sample): one map
-    /// walk with a borrowed key, no allocation. `false` when the period
-    /// has not seen the sample's key yet.
+    /// The hit path of [`add_sample`](SpecBuilder::add_sample): the task's
+    /// binding, checked against the sample's names (`Arc<str>`'s `==`
+    /// compares pointers before bytes, and a task's samples share its
+    /// names), then its slot. The task is already in that slot's task set.
+    /// `false` when the task has no binding this period or its names
+    /// changed.
     // lint: hot-path
-    fn add_to_known_key(current: &mut BTreeMap<JobKey, PeriodAccum>, sample: &CpiSample) -> bool {
-        match current.get_mut(&sample.key_view() as &dyn KeyView) {
+    fn add_to_bound_slot(&mut self, sample: &CpiSample) -> bool {
+        let Some(b) = self.bindings.get(&sample.task) else {
+            return false;
+        };
+        if b.job != sample.jobname || b.platform != sample.platforminfo {
+            return false;
+        }
+        match self.accums.get_mut(b.slot) {
             Some(acc) => {
                 acc.add(sample);
                 true
@@ -121,9 +151,41 @@ impl SpecBuilder {
         }
     }
 
+    /// A task's first sample this period, or its first under new names:
+    /// finds (or opens) the key's slot by the string-keyed map, counts the
+    /// task there and binds it.
+    fn bind(&mut self, sample: &CpiSample) {
+        let slot = match self.current.get(&sample.key_view() as &dyn KeyView) {
+            Some(&slot) => slot,
+            None => {
+                // First sample of this key this period: the one place that
+                // builds an owned key.
+                self.accums.push(PeriodAccum::default());
+                let slot = self.accums.len() - 1;
+                self.current.insert(sample.key(), slot);
+                slot
+            }
+        };
+        if let Some(acc) = self.accums.get_mut(slot) {
+            acc.tasks.insert(sample.task);
+            acc.add(sample);
+        }
+        self.bindings.insert(
+            sample.task,
+            Binding {
+                job: Arc::clone(&sample.jobname),
+                platform: Arc::clone(&sample.platforminfo),
+                slot,
+            },
+        );
+    }
+
     /// Number of samples accumulated in the current period for a key.
     pub fn period_samples(&self, key: &JobKey) -> u64 {
-        self.current.get(key).map_or(0, |a| a.cpi.count())
+        self.current
+            .get(key)
+            .and_then(|&slot| self.accums.get(slot))
+            .map_or(0, |a| a.cpi.count())
     }
 
     /// Folds the current period into history (with the configured age
@@ -133,7 +195,11 @@ impl SpecBuilder {
     /// `min_tasks` distinct tasks this period and at least
     /// `min_samples_per_task × min_tasks` samples overall.
     pub fn roll_period(&mut self) -> Vec<CpiSpec> {
-        for (key, acc) in std::mem::take(&mut self.current) {
+        self.bindings.clear();
+        for (key, slot) in std::mem::take(&mut self.current) {
+            let Some(acc) = self.accums.get(slot) else {
+                continue;
+            };
             let h = self.history.entry(key).or_default();
             if acc.cpi.count() > 0 {
                 h.cpi.fold_day(
@@ -155,6 +221,7 @@ impl SpecBuilder {
                 && acc.cpi.count()
                     >= self.config.min_samples_per_task * self.config.min_tasks as u64;
         }
+        self.accums.clear();
         self.specs()
     }
 
@@ -176,6 +243,15 @@ impl SpecBuilder {
             })
             .collect()
     }
+}
+
+/// Whether a sample may enter a spec: finite, positive CPI and finite,
+/// non-negative CPU usage.
+fn usable(sample: &CpiSample) -> bool {
+    sample.cpi.is_finite()
+        && sample.cpi > 0.0
+        && sample.cpu_usage.is_finite()
+        && sample.cpu_usage >= 0.0
 }
 
 #[cfg(test)]
@@ -315,5 +391,29 @@ mod tests {
         b.add_sample(&sample("j", 0, f64::NAN));
         b.add_sample(&sample("j", 0, -1.0));
         assert_eq!(b.period_samples(&JobKey::new("j", "westmere")), 0);
+    }
+
+    #[test]
+    fn non_finite_or_negative_usage_dropped() {
+        let cfg = Cpi2Config {
+            min_samples_per_task: 10,
+            ..Cpi2Config::default()
+        };
+        let mut b = SpecBuilder::new(cfg);
+        for usage in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut s = sample("j", 0, 1.5);
+            s.cpu_usage = usage;
+            b.add_sample(&s);
+        }
+        assert_eq!(b.period_samples(&JobKey::new("j", "westmere")), 0);
+        // One such sample used to stay in the age-weighted history for
+        // good: the mean read NaN (`null` on the wire) periods later.
+        for _ in 0..3 {
+            feed(&mut b, "j", 5, 20, 1.5);
+            b.roll_period();
+        }
+        let specs = b.specs();
+        assert_eq!(specs.len(), 1);
+        assert_eq!(specs[0].cpu_usage_mean, 1.0);
     }
 }

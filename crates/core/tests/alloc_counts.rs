@@ -15,11 +15,21 @@
 //!   1 + 2N (the readings and two `String`s per reading).
 //!
 //! A warm `Agent::ingest` with no incident counted 0 then as now.
+//!
+//! Before a spec install probed with borrowed names and a new instant's
+//! dedup set was sized to its batch, re-installing a known spec counted 2
+//! (the owned key built to replace one) and a 25-sample batch at a new
+//! instant through `Aggregator::ingest` 5 (the set grown four times from
+//! empty, and a new tree for the evicted instant). A warm
+//! `SpecBuilder::add_sample` and steady `TimeSeries` push + evict steps
+//! counted 0 then as now.
 
 use cpi2_core::{
-    rank_suspects, Agent, Cpi2Config, CpiSample, CpiSpec, SuspectInput, TaskClass, TaskHandle,
+    rank_suspects, Agent, Cpi2Config, CpiSample, CpiSpec, SpecBuilder, SuspectInput, TaskClass,
+    TaskHandle,
 };
 use cpi2_perf::sampler::ClusterSampler;
+use cpi2_pipeline::Aggregator;
 use cpi2_sim::{
     ConstantLoad, JobId, Machine, MachineId, Platform, Priority, ResourceProfile, SchedClass,
     SimDuration, SimTime, TaskId, TaskInstance,
@@ -189,4 +199,83 @@ fn closing_a_window_allocates_the_readings_alone() {
         }
     }
     assert_eq!(closes, 2);
+}
+
+fn spec_for(job: &str, platform: &str) -> CpiSpec {
+    CpiSpec {
+        jobname: job.to_string(),
+        platforminfo: platform.to_string(),
+        num_samples: 100_000,
+        cpu_usage_mean: 1.0,
+        cpi_mean: 1.0,
+        cpi_stddev: 0.1,
+    }
+}
+
+#[test]
+fn reinstalling_a_known_spec_allocates_nothing() {
+    let mut agent = Agent::new(Cpi2Config::default());
+    for i in 0..25 {
+        agent.install_spec(spec_for(&format!("job-{i}"), "westmere"));
+    }
+    for i in 0..25 {
+        let spec = spec_for(&format!("job-{i}"), "westmere");
+        let ((), n) = counted(|| agent.install_spec_at(spec, i));
+        assert_eq!(n, 0, "job-{i}");
+    }
+}
+
+#[test]
+fn a_warm_spec_builder_sample_allocates_nothing() {
+    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let mut builder = SpecBuilder::new(Cpi2Config::default());
+    builder.add_sample(&batch(&names, &platform, 0)[0]);
+    for s in &batch(&names, &platform, 1) {
+        builder.add_sample(s);
+    }
+    for minute in 2..5 {
+        for s in &batch(&names, &platform, minute) {
+            let ((), n) = counted(|| builder.add_sample(s));
+            assert_eq!(n, 0, "minute {minute}, {}", s.task);
+        }
+    }
+}
+
+#[test]
+fn steady_push_and_evict_allocate_nothing() {
+    let mut series = TimeSeries::new();
+    // Two 10-minute windows of one-minute points, as a task's history.
+    let horizon = 20 * MINUTE_US;
+    let step = |series: &mut TimeSeries, minute: i64| {
+        series.push(minute * MINUTE_US, minute as f64);
+        series.evict_before(minute * MINUTE_US - horizon);
+    };
+    for minute in 0..100 {
+        step(&mut series, minute);
+    }
+    let ((), n) = counted(|| {
+        for minute in 100..1_100 {
+            step(&mut series, minute);
+        }
+    });
+    assert_eq!(n, 0);
+    assert_eq!(series.len(), 21);
+}
+
+#[test]
+fn a_batch_at_a_new_instant_allocates_its_dedup_set_alone() {
+    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let mut aggregator = Aggregator::new(Cpi2Config::default(), 0);
+    // A few instants inside the horizon: the map stays one B-tree node.
+    aggregator.set_dedup_horizon(Some(3 * MINUTE_US));
+    for minute in 0..10 {
+        aggregator.ingest(&batch(&names, &platform, minute));
+    }
+    for minute in 10..15 {
+        let samples = batch(&names, &platform, minute);
+        let ((), n) = counted(|| aggregator.ingest(&samples));
+        assert_eq!(n, 1, "minute {minute}");
+    }
+    assert_eq!(aggregator.samples_seen(), 15 * 25);
+    assert_eq!(aggregator.duplicates_dropped(), 0);
 }

@@ -16,6 +16,10 @@ const READING: &str = r#"{"task":{"job":4,"index":2},"job_name":"video","platfor
 /// and its trace spans.
 const CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint.json");
 
+/// The same pattern for 25 minutes: each task's histories hold the 21
+/// points of the last two correlation windows, and two incidents.
+const EVICTED_CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint_evicted.json");
+
 fn sample(task: u64, job: &str, minute: i64, cpi: f64, usage: f64, class: TaskClass) -> CpiSample {
     CpiSample {
         task: TaskHandle(task),
@@ -59,8 +63,9 @@ fn a_counter_reading_reads_and_writes_as_before() {
     assert_eq!(serde_json::from_str::<CounterReading>(READING).unwrap(), r);
 }
 
-#[test]
-fn an_agent_checkpoint_reads_and_writes_as_before() {
+/// An agent after `minutes` of the victim/antagonist pattern, with one
+/// spec installed.
+fn agent_after(minutes: i64) -> Agent {
     let mut agent = Agent::new(Cpi2Config::default());
     agent.install_spec(CpiSpec {
         jobname: "victim".into(),
@@ -70,7 +75,7 @@ fn an_agent_checkpoint_reads_and_writes_as_before() {
         cpi_mean: 1.0,
         cpi_stddev: 0.1,
     });
-    for m in 0..7 {
+    for m in 0..minutes {
         let on = m % 2 == 1;
         let victim_cpi = if on { 3.0 } else { 1.0 };
         let hog_usage = if on { 6.0 } else { 0.0 };
@@ -86,9 +91,26 @@ fn an_agent_checkpoint_reads_and_writes_as_before() {
             sample(2, "hog", m, 1.8, hog_usage, TaskClass::batch()),
         ]);
     }
+    agent
+}
+
+#[test]
+fn an_agent_checkpoint_reads_and_writes_as_before() {
+    let agent = agent_after(7);
     assert_eq!(agent.incidents().len(), 1);
     assert_eq!(agent.checkpoint().unwrap(), CHECKPOINT);
     let restored = Agent::restore(CHECKPOINT).unwrap();
     assert_eq!(restored.incidents(), agent.incidents());
     assert_eq!(restored.checkpoint().unwrap(), CHECKPOINT);
+}
+
+/// Past two correlation windows every history has evicted its oldest
+/// points: what a checkpoint holds of a series is its live points alone.
+#[test]
+fn a_checkpoint_after_evictions_reads_and_writes_as_before() {
+    let agent = agent_after(25);
+    assert_eq!(agent.checkpoint().unwrap(), EVICTED_CHECKPOINT);
+    let restored = Agent::restore(EVICTED_CHECKPOINT).unwrap();
+    assert_eq!(restored.incidents(), agent.incidents());
+    assert_eq!(restored.checkpoint().unwrap(), EVICTED_CHECKPOINT);
 }

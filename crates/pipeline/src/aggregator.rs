@@ -117,7 +117,12 @@ impl Aggregator {
                 .iter()
                 .take_while(|s| s.timestamp == ts)
                 .count();
-            let seen = self.seen.entry(ts).or_default();
+            // A new instant's set is sized once, to its run: one
+            // allocation, no rehash.
+            let seen = self
+                .seen
+                .entry(ts)
+                .or_insert_with(|| HandleSet::with_capacity_and_hasher(len, Default::default()));
             for (i, s) in samples.iter().enumerate().skip(start).take(len) {
                 if seen.insert(s.task) {
                     if let Some(k) = kept.as_mut() {
@@ -139,12 +144,12 @@ impl Aggregator {
         }
         if let Some(horizon) = self.dedup_horizon_us {
             let cutoff = self.seen_watermark.saturating_sub(horizon);
-            if self
+            while self
                 .seen
                 .first_key_value()
                 .is_some_and(|(&t, _)| t < cutoff)
             {
-                self.seen = self.seen.split_off(&cutoff);
+                self.seen.pop_first();
             }
         }
         match kept {

@@ -449,14 +449,16 @@ proptest! {
 
 /// One generated shipment: `(replay, pick, samples)`. `replay == 0`
 /// re-sends the `pick`-th earlier shipment; otherwise the clock moves a
-/// minute and each sample `(job, index, lag, cpi)` is stamped up to three
-/// minutes behind it, so one shipment interleaves timestamps.
+/// minute — `replay == 4`: up to twelve, past the horizon, so that one
+/// shipment expires many instants at once — and each sample `(job, index,
+/// lag, cpi)` is stamped up to three minutes behind it, so one shipment
+/// interleaves timestamps.
 type Shipment = (u8, u8, Vec<(u8, u8, u8, f64)>);
 
 fn shipments_strategy() -> impl Strategy<Value = Vec<Shipment>> {
     let sample = (0..25u8, 0..4u8, 0..4u8, 0.05..8.0f64);
     prop::collection::vec(
-        (0..4u8, any::<u8>(), prop::collection::vec(sample, 1..12)),
+        (0..5u8, any::<u8>(), prop::collection::vec(sample, 1..12)),
         1..60,
     )
 }
@@ -516,7 +518,7 @@ proptest! {
             let batch = match sent.len() {
                 n if replay == 0 && n > 0 => sent[usize::from(pick) % n].clone(),
                 _ => {
-                    minute += 1;
+                    minute += if replay == 4 { 1 + i64::from(pick % 12) } else { 1 };
                     samples
                         .iter()
                         .map(|&(job, index, lag, cpi)| CpiSample {

@@ -4,12 +4,22 @@
 //! samples with the suspect's CPU-usage samples over a 10-minute window;
 //! [`TimeSeries::align`] produces those time-aligned pairs.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// A series of `(timestamp_us, value)` points in non-decreasing time order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// The live points are `points[start..]`. Eviction advances `start` past
+/// the expired front and moves nothing; [`TimeSeries::push`] drops the
+/// dead prefix only when the vector is full, just before it would grow, so
+/// a series evicted as fast as it is pushed keeps one allocation and never
+/// holds more capacity than a plain vector of its live points would have
+/// reached. Everything outside this type — [`TimeSeries::points`], `len`,
+/// serde, `Debug` — sees the live slice alone.
+#[derive(Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(i64, f64)>,
+    /// Index of the first live point.
+    start: usize,
 }
 
 impl TimeSeries {
@@ -21,7 +31,7 @@ impl TimeSeries {
     /// Builds a series from points, sorting by timestamp.
     pub fn from_points(mut points: Vec<(i64, f64)>) -> Self {
         points.sort_by_key(|&(t, _)| t);
-        TimeSeries { points }
+        TimeSeries { points, start: 0 }
     }
 
     /// Appends a point.
@@ -29,48 +39,68 @@ impl TimeSeries {
     /// # Panics
     ///
     /// Panics if `t` is earlier than the last timestamp.
+    // lint: hot-path
     pub fn push(&mut self, t: i64, v: f64) {
-        if let Some(&(last, _)) = self.points.last() {
+        if let Some(&(last, _)) = self.points().last() {
             assert!(t >= last, "TimeSeries::push: non-monotonic timestamp");
+        }
+        if self.points.len() == self.points.capacity() && self.start > 0 {
+            // Full: reclaim the evicted front instead of growing.
+            self.points.drain(..self.start);
+            self.start = 0;
         }
         self.points.push((t, v));
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.points().len()
     }
 
     /// True if the series has no points.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.points().is_empty()
+    }
+
+    /// Points the series holds room for before it must compact or grow.
+    pub fn capacity(&self) -> usize {
+        self.points.capacity()
     }
 
     /// All points.
     pub fn points(&self) -> &[(i64, f64)] {
-        &self.points
+        self.points.get(self.start..).unwrap_or(&[])
     }
 
     /// Values only.
     pub fn values(&self) -> Vec<f64> {
-        self.points.iter().map(|&(_, v)| v).collect()
+        self.points().iter().map(|&(_, v)| v).collect()
     }
 
     /// Points with `t ∈ [start, end)`.
     pub fn window(&self, start: i64, end: i64) -> TimeSeries {
-        let lo = self.points.partition_point(|&(t, _)| t < start);
-        let hi = self.points.partition_point(|&(t, _)| t < end);
+        let points = self.points();
+        let lo = points.partition_point(|&(t, _)| t < start);
+        let hi = points.partition_point(|&(t, _)| t < end);
         // `lo > hi` only when `start > end`; an empty window is the sane
         // answer there, not a slice panic.
         TimeSeries {
-            points: self.points.get(lo..hi).unwrap_or(&[]).to_vec(),
+            points: points.get(lo..hi).unwrap_or(&[]).to_vec(),
+            start: 0,
         }
     }
 
-    /// Drops points older than `cutoff`, keeping the series bounded.
+    /// Drops points older than `cutoff`, keeping the series bounded: the
+    /// front advances past them, and nothing else is touched.
+    // lint: hot-path
     pub fn evict_before(&mut self, cutoff: i64) {
-        let lo = self.points.partition_point(|&(t, _)| t < cutoff);
-        self.points.drain(..lo);
+        while self
+            .points
+            .get(self.start)
+            .is_some_and(|&(t, _)| t < cutoff)
+        {
+            self.start += 1;
+        }
     }
 
     /// Pairs this series with `other` by matching timestamps within
@@ -91,15 +121,16 @@ impl TimeSeries {
     // lint: hot-path
     pub fn align_into(&self, other: &TimeSeries, tolerance_us: i64, out: &mut Vec<(f64, f64)>) {
         out.clear();
-        let Some(mut cur) = other.points.first().copied() else {
+        let other = other.points();
+        let Some(mut cur) = other.first().copied() else {
             return;
         };
         let mut j = 0usize;
-        for &(t, v) in &self.points {
+        for &(t, v) in self.points() {
             // Advance to the nearest candidate (both series are sorted,
             // so the nearest index is non-decreasing in t). Tracking the
             // current point by value keeps the sweep index-free.
-            while let Some(&next) = other.points.get(j + 1) {
+            while let Some(&next) = other.get(j + 1) {
                 if (next.0 - t).abs() <= (cur.0 - t).abs() {
                     j += 1;
                     cur = next;
@@ -112,6 +143,35 @@ impl TimeSeries {
                 out.push((v, ov));
             }
         }
+    }
+}
+
+// By hand, so that the dead prefix is invisible: the JSON is the derived
+// `{"points":[...]}` of the live points alone, and a restored series
+// starts with none.
+impl Serialize for TimeSeries {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("points".to_string(), self.points().to_value())])
+    }
+}
+
+impl Deserialize for TimeSeries {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        if v.as_object().is_none() {
+            return Err(Error::custom("expected object for TimeSeries"));
+        }
+        Ok(TimeSeries {
+            points: serde::from_field(v, "points")?,
+            start: 0,
+        })
+    }
+}
+
+impl std::fmt::Debug for TimeSeries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TimeSeries")
+            .field("points", &self.points())
+            .finish()
     }
 }
 
