@@ -200,8 +200,10 @@ impl Router {
 
     fn events(&self) -> Response {
         // The ring rendered each event's JSON when it was pushed.
-        let events = self.state.telemetry.recent_events_json();
-        stream_json_array(events.into_iter(), |e| e)
+        match self.state.telemetry.recent_events_json() {
+            Some(events) => stream_json_array(events.into_iter(), |e| e),
+            None => Response::error(503, "telemetry disabled"),
+        }
     }
 
     fn query(&self, req: &Request) -> Response {
@@ -384,7 +386,7 @@ fn constant_time_eq(presented: &[u8], expected: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::state::{LiveSnapshot, MachineView};
-    use cpi2::telemetry::Telemetry;
+    use cpi2::telemetry::{Telemetry, DEFAULT_EVENT_CAPACITY};
 
     /// Three machines whose task lists give `/query` every cell kind a
     /// string escaper meets — a quote, a backslash, control bytes, a
@@ -554,26 +556,47 @@ mod tests {
         assert!(body.starts_with('[') && body.ends_with(']'), "{body}");
     }
 
+    /// Without telemetry there is nothing to serve: every telemetry route
+    /// says so, rather than `/debug/events` passing for an empty ring.
     #[test]
-    fn metrics_json_and_debug_events_share_one_encoding() {
-        let r = router();
-        for i in 0..5 {
-            r.state
-                .telemetry
-                .event("in\"cident", || format!("victim\t{i}\n\u{1} capped — ü"));
+    fn telemetry_routes_answer_503_when_disabled() {
+        let state = SharedState::new(Telemetry::disabled());
+        state.live.publish(LiveSnapshot::default());
+        let r = Router::new(state);
+        for path in ["/metrics", "/metrics.json", "/debug/events"] {
+            let resp = get(&r, path);
+            assert_eq!(resp.status, 503, "{path}");
+            let body = String::from_utf8(resp.into_body_bytes()).unwrap();
+            assert_eq!(body, "{\"error\":\"telemetry disabled\"}", "{path}");
         }
+    }
+
+    /// `/metrics.json` carries values and the event count; the events
+    /// themselves are `/debug/events`' alone.
+    #[test]
+    fn metrics_json_carries_values_and_debug_events_the_ring() {
+        let r = router();
         let tel = &r.state.telemetry;
         tel.counter("cpi_t_total", &[("job", "we\"ird\\")]).add(7);
         tel.gauge("cpi_t", &[]).set(f64::NAN);
         tel.histogram("cpi_t_us", &[]).record(3.0);
         tel.histogram("cpi_t_idle_us", &[]);
         let body = |path| String::from_utf8(get(&r, path).into_body_bytes()).unwrap();
+        assert_eq!(body("/debug/events"), "[]");
+
+        // Fill the ring past capacity with 200-byte details.
+        let evicted = 100;
+        let pushed = DEFAULT_EVENT_CAPACITY + evicted;
+        for i in 0..pushed {
+            let head = format!("victim\t{i:>6}\n\u{1} capped — ü ");
+            tel.event("in\"cident", || {
+                format!("{head}{}", "x".repeat(200 - head.len()))
+            });
+        }
         let events = body("/debug/events");
         let metrics = body("/metrics.json");
-        let (_, tail) = metrics.split_once(",\"events\":").expect("events member");
-        assert_eq!(tail, format!("{events},\"events_total\":5}}"));
 
-        // Both parse with the vendored parser, and say the same thing.
+        // Both parse with the vendored parser.
         #[derive(serde::Deserialize, Debug, PartialEq)]
         struct Event {
             at_us: u64,
@@ -594,17 +617,31 @@ mod tests {
             counters: std::collections::BTreeMap<String, u64>,
             gauges: std::collections::BTreeMap<String, Option<f64>>,
             histograms: std::collections::BTreeMap<String, Summary>,
-            events: Vec<Event>,
             events_total: u64,
         }
         let events: Vec<Event> = serde_json::from_str(&events).expect("/debug/events parses");
         let metrics: Metrics = serde_json::from_str(&metrics).expect("/metrics.json parses");
-        assert_eq!(events.len(), 5);
-        assert_eq!(events[4].kind, "in\"cident");
-        assert_eq!(events[4].detail, "victim\t4\n\u{1} capped — ü");
-        assert_eq!(metrics.events, events);
-        assert_eq!(metrics.events_total, 5);
-        assert!(metrics.elapsed_us >= events[4].at_us);
+        // Exactly the retained events, oldest first, read back as recorded.
+        let retained: Vec<Event> = tel
+            .recent_events()
+            .into_iter()
+            .map(|e| Event {
+                at_us: e.at_us,
+                kind: e.kind,
+                detail: e.detail,
+            })
+            .collect();
+        assert_eq!(events, retained);
+        assert_eq!(events.len(), DEFAULT_EVENT_CAPACITY);
+        assert!(events[0]
+            .detail
+            .starts_with(&format!("victim\t{evicted:>6}\n")));
+        assert_eq!(events[0].detail.len(), 200);
+        assert_eq!(
+            metrics.events_total, pushed as u64,
+            "counts the evicted too"
+        );
+        assert!(metrics.elapsed_us >= events[DEFAULT_EVENT_CAPACITY - 1].at_us);
         // Keys carry the Prometheus-escaped label block, JSON-escaped.
         assert_eq!(metrics.counters[r#"cpi_t_total{job="we\"ird\\"}"#], 7);
         assert_eq!(metrics.gauges["cpi_t"], None, "NaN renders as null");

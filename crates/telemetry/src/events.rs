@@ -5,8 +5,11 @@
 //! fired, a spec generation published) — not per-sample noise. The ring
 //! keeps the most recent [`DEFAULT_EVENT_CAPACITY`] entries and drops the
 //! oldest beyond that, so a long run cannot grow memory without bound.
+//! `/debug/events` is the ring's only reader over HTTP; `/metrics.json`
+//! carries just [`EventRing::total`], which is read without the lock.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -29,16 +32,18 @@ pub struct Event {
 #[derive(Debug)]
 pub(crate) struct EventRing {
     inner: Mutex<RingState>,
+    /// Total events ever pushed, including ones the ring has dropped.
+    /// Bumped under `inner`'s lock, so a snapshot never holds more events
+    /// than it counts; read without it, so a scrape never waits on a push.
+    total: AtomicU64,
 }
 
 #[derive(Debug)]
 struct RingState {
     /// Each event beside its JSON object, rendered once at `push` and
-    /// evicted with it: scrapes copy these bytes instead of re-encoding.
+    /// evicted with it: readers share these bytes instead of re-encoding.
     buf: VecDeque<(Event, Arc<str>)>,
     capacity: usize,
-    /// Total events ever pushed, including ones the ring has dropped.
-    total: u64,
 }
 
 impl EventRing {
@@ -48,13 +53,13 @@ impl EventRing {
             inner: Mutex::new(RingState {
                 buf: VecDeque::with_capacity(capacity),
                 capacity,
-                total: 0,
             }),
+            total: AtomicU64::new(0),
         }
     }
 
     pub(crate) fn push(&self, event: Event) {
-        // Encoded before the lock is taken: a scraper waits for a push of
+        // Encoded before the lock is taken: a reader waits for a push of
         // two pointers, not for an escaper.
         let json = crate::export::event_json(&event);
         let mut state = self.inner.lock();
@@ -62,7 +67,7 @@ impl EventRing {
             state.buf.pop_front();
         }
         state.buf.push_back((event, json));
-        state.total += 1;
+        self.total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of retained events, oldest first.
@@ -77,22 +82,9 @@ impl EventRing {
         state.buf.iter().map(|(_, json)| Arc::clone(json)).collect()
     }
 
-    /// Appends the retained events' JSON objects, comma-joined, to `out`
-    /// and returns [`EventRing::total`] as of the same instant.
-    pub(crate) fn write_json_elements(&self, out: &mut String) -> u64 {
-        let state = self.inner.lock();
-        for (i, (_, json)) in state.buf.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(json);
-        }
-        state.total
-    }
-
-    /// Total events ever recorded (including evicted ones).
+    /// Total events ever recorded (including evicted ones); lock-free.
     pub(crate) fn total(&self) -> u64 {
-        self.inner.lock().total
+        self.total.load(Ordering::Relaxed)
     }
 }
 
@@ -136,11 +128,26 @@ mod tests {
         for (json, event) in encoded.iter().zip(ring.snapshot()) {
             assert_eq!(*json, crate::export::event_json(&event));
         }
-        let mut joined = String::new();
-        assert_eq!(ring.write_json_elements(&mut joined), 10);
-        assert_eq!(joined, encoded.join(","));
         assert_eq!(ring.snapshot()[0].at_us, 7);
         assert_eq!(ring.total(), 10);
+    }
+
+    /// A JSON scrape reads the count without the ring's lock: it finishes
+    /// while a push (here, a held guard) is inside the critical section.
+    #[test]
+    fn json_export_does_not_wait_for_the_ring() {
+        let reg = crate::registry::Registry::new();
+        reg.events.push(ev("t", 0));
+        let held = reg.events.inner.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let reg = &reg;
+            s.spawn(move || tx.send(crate::export::json_snapshot(reg)));
+            let json = rx.recv_timeout(std::time::Duration::from_secs(5));
+            drop(held);
+            let json = json.expect("the scrape waited for the ring's lock");
+            assert!(json.ends_with(",\"events_total\":1}"), "{json}");
+        });
     }
 
     #[test]

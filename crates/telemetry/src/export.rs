@@ -11,9 +11,10 @@
 //!
 //! Each thing is encoded once: a series' names when it is registered
 //! ([`prom_head`], [`json_key`]), an event when it is pushed
-//! ([`event_json`]). A scrape is one pass that copies those bytes and
-//! formats the current values into a single buffer; it builds no
-//! intermediate tree and allocates nothing per series.
+//! ([`event_json`], served by `/debug/events` alone). A scrape is one pass
+//! that copies those names and formats the current values into a single
+//! buffer; it builds no intermediate tree, allocates nothing per series,
+//! and carries no events — only their count.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,8 +95,7 @@ pub(crate) fn json_key(name: &str, labels: &Labels) -> String {
     out
 }
 
-/// One event as a JSON object: the element both `/metrics.json`'s
-/// `events` array and `/debug/events` serve.
+/// One event as a JSON object: the element `/debug/events` serves.
 pub(crate) fn event_json(e: &Event) -> Arc<str> {
     // lint: allow(transitive-alloc) — runs once per pushed event, never
     // per scrape; the export writers "reach" it only because their
@@ -187,7 +187,9 @@ fn prom_histogram(out: &mut String, s: &Series<HistoCell, HISTO_LINES>) {
     let _ = writeln!(out, "{count}");
 }
 
-/// Renders the full registry (metrics + recent events) as compact JSON.
+/// Renders the registry's metrics as compact JSON, closed by the count of
+/// events ever recorded. The events themselves are `/debug/events`'; the
+/// count is read without the ring's lock.
 pub(crate) fn json_snapshot(reg: &Registry) -> String {
     export(&reg.json_len, |out| {
         let _ = write!(out, "{{\"elapsed_us\":{}", reg.elapsed_us());
@@ -197,9 +199,7 @@ pub(crate) fn json_snapshot(reg: &Registry) -> String {
         json_family(out, &reg.gauges, json_gauge);
         out.push_str("},\"histograms\":{");
         json_family(out, &reg.histograms, json_histogram);
-        out.push_str("},\"events\":[");
-        let events_total = reg.events.write_json_elements(out);
-        let _ = write!(out, "],\"events_total\":{events_total}}}");
+        let _ = write!(out, "}},\"events_total\":{}}}", reg.events.total());
     })
 }
 

@@ -134,17 +134,15 @@ impl Telemetry {
         }
     }
 
-    /// The retained events as JSON objects, oldest first — the same bytes
-    /// [`Telemetry::json_snapshot`] puts in its `events` array, rendered
-    /// once when each event was recorded (empty when disabled).
-    pub fn recent_events_json(&self) -> Vec<Arc<str>> {
-        match &self.0 {
-            Some(reg) => reg.events.snapshot_json(),
-            None => Vec::new(),
-        }
+    /// The retained events as JSON objects, oldest first, each rendered
+    /// once when it was recorded: what `/debug/events` serves. `None` when
+    /// disabled, so "not recording" is not mistaken for "no events yet".
+    pub fn recent_events_json(&self) -> Option<Vec<Arc<str>>> {
+        self.0.as_ref().map(|reg| reg.events.snapshot_json())
     }
 
     /// Total events ever recorded, including those evicted from the ring.
+    /// Read without the ring's lock.
     pub fn events_total(&self) -> u64 {
         self.0.as_ref().map_or(0, |reg| reg.events.total())
     }
@@ -160,8 +158,9 @@ impl Telemetry {
         self.0.as_ref().map(|reg| export::prometheus_text(reg))
     }
 
-    /// Renders metrics plus recent events as a JSON string. `None` when
-    /// disabled.
+    /// Renders the metrics as a JSON string, with [`Telemetry::events_total`]
+    /// but not the events (those are [`Telemetry::recent_events_json`]).
+    /// `None` when disabled.
     pub fn json_snapshot(&self) -> Option<String> {
         self.0.as_ref().map(|reg| export::json_snapshot(reg))
     }
@@ -204,6 +203,7 @@ mod tests {
         });
         assert!(!called, "event detail closure must not run when disabled");
         assert!(tel.recent_events().is_empty());
+        assert_eq!(tel.recent_events_json(), None);
         assert_eq!(tel.prometheus_text(), None);
         assert_eq!(tel.json_snapshot(), None);
     }
@@ -290,31 +290,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_snapshot_contains_metrics_and_events() {
-        let tel = Telemetry::enabled();
-        tel.counter("cpi_j_total", &[]).add(3);
-        tel.histogram("cpi_j_us", &[]).record(10.0);
-        tel.event("incident", || "detail".to_string());
-        let json = tel.json_snapshot().unwrap();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"cpi_j_total\":3"), "{json}");
-        assert!(json.contains("\"kind\":\"incident\""), "{json}");
-        assert!(json.contains("\"detail\":\"detail\""), "{json}");
-        assert!(json.contains("\"events_total\":1"), "{json}");
+    /// `/metrics.json`'s body less the two numbers that move on their
+    /// own — the clock and the event count — and the count.
+    fn values_and_events_total(json: &str) -> (&str, u64) {
+        let (_, rest) = json.split_once(",\"counters\":").expect("counters");
+        let (values, total) = rest
+            .rsplit_once(",\"events_total\":")
+            .expect("events_total");
+        let total = total.strip_suffix('}').expect("events_total last");
+        (values, total.parse().expect("a count"))
     }
 
     #[test]
-    fn events_are_encoded_once_for_both_consumers() {
+    fn json_snapshot_carries_values_and_counts_events() {
+        let tel = Telemetry::enabled();
+        tel.counter("cpi_j_total", &[]).add(3);
+        tel.histogram("cpi_j_us", &[]).record(10.0);
+        let empty = tel.json_snapshot().unwrap();
+        assert!(empty.starts_with("{\"elapsed_us\":"), "{empty}");
+        assert!(empty.contains("\"cpi_j_total\":3"), "{empty}");
+        let detail = "d".repeat(200);
+        for _ in 0..DEFAULT_EVENT_CAPACITY + 100 {
+            tel.event("incident", || detail.clone());
+        }
+        let full = tel.json_snapshot().unwrap();
+        let (values, total) = values_and_events_total(&full);
+        assert_eq!(values_and_events_total(&empty), (values, 0));
+        assert_eq!(total, (DEFAULT_EVENT_CAPACITY + 100) as u64);
+        assert!(!full.contains("incident"), "{full}");
+    }
+
+    #[test]
+    fn events_are_encoded_once_at_push() {
         let tel = Telemetry::enabled();
         tel.event("incident", || {
             "victim \"job\"\t3\n\u{1} capped — ü".to_string()
         });
         tel.event("spec_refresh", String::new);
-        let elements = tel.recent_events_json();
-        let json = tel.json_snapshot().unwrap();
-        let array = format!("\"events\":[{}],\"events_total\":2}}", elements.join(","));
-        assert!(json.ends_with(&array), "{json}");
+        let elements = tel.recent_events_json().expect("enabled");
+        let again = tel.recent_events_json().expect("enabled");
+        assert_eq!(elements.len(), 2);
+        for (a, b) in elements.iter().zip(&again) {
+            assert!(Arc::ptr_eq(a, b), "shared, not re-rendered");
+        }
         // The vendored parser reads each element back as the event.
         #[derive(serde::Deserialize)]
         struct Parsed {
@@ -330,7 +348,6 @@ mod tests {
             );
         }
         assert_eq!(tel.events_total(), 2);
-        assert!(Telemetry::disabled().recent_events_json().is_empty());
     }
 
     /// Regression: each quantile used to be its own read of the buckets,
