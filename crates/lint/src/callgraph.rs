@@ -1,13 +1,13 @@
 //! Workspace-wide call graph over the parsed files, with conservative
 //! name-based resolution.
 //!
-//! Resolution rules (in order, first non-empty candidate set wins):
+//! Resolution rules:
 //!
-//! - `self.name(…)` inside `impl T` → fns named `name` in any
-//!   `impl T` block, else any impl fn named `name` (trait objects and
-//!   cross-type dispatch make narrower resolution unsound);
-//! - `recv.name(…)` → every impl fn named `name` in the workspace
-//!   (conservative fan-out: without types we cannot narrow);
+//! - `recv.name(…)` → fns named `name` in `impl` blocks of the
+//!   receiver's type ([`crate::parser::CallSite::receiver`]), if any; a
+//!   std type without one reaches only impls of types with no inherent
+//!   impl (trait impls on std or generic types); any other receiver →
+//!   every impl fn named `name` (conservative fan-out);
 //! - `Q::name(…)` where `Q` names a workspace impl type (or `Self`) →
 //!   fns named `name` in `impl Q`; a capitalized `Q` with no workspace
 //!   impl is external (`Vec::new`) and resolves to nothing; a
@@ -29,7 +29,8 @@
 //! that can (`CrateScope`). Trait-impl methods stay reachable from
 //! anywhere: `a` may define the trait and call `b`'s impl through it.
 //! Without this, `series.push(t, v)` in `cpi2-core` fans out to the
-//! control plane's `PollSet::push`.
+//! control plane's `PollSet::push`; without the receiver's type,
+//! `items.len()` on a `VecDeque` guard lands on every workspace `len`.
 //!
 //! `#[cfg(test)]` fns are excluded from the candidate index, so live
 //! code never resolves into test helpers. Unresolvable calls (std,
@@ -37,7 +38,7 @@
 //! not whole-universe.
 
 use crate::model::FileModel;
-use crate::parser::{CallKind, ParsedFile};
+use crate::parser::{CallKind, ParsedFile, STD_TYPES};
 use crate::rules::{RawSite, RuleSet};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,16 +66,6 @@ pub struct Edge {
     pub to: FnId,
     /// 1-based line of the call site (in the caller's file).
     pub call_line: usize,
-}
-
-/// A call's argument count matches a candidate's parameter count; an
-/// uncountable argument list (`args: None` — closures, comparisons,
-/// turbofish at top level) matches anything.
-fn arity_ok(args: Option<usize>, want: usize) -> bool {
-    match args {
-        Some(a) => a == want,
-        None => true,
-    }
 }
 
 /// The workspace crate a path belongs to: `x` for `crates/x/…`, `None`
@@ -168,6 +159,7 @@ impl CallGraph {
         let mut impl_fns: BTreeMap<(String, String), Vec<FnId>> = BTreeMap::new();
         let mut any_method: BTreeMap<String, Vec<FnId>> = BTreeMap::new();
         let mut free_fns: BTreeMap<String, Vec<FnId>> = BTreeMap::new();
+        let mut inherent: BTreeSet<&str> = BTreeSet::new();
         for (fi, file) in files.iter().enumerate() {
             for (li, f) in file.parsed.fns.iter().enumerate() {
                 if f.is_test || f.body.is_none() {
@@ -176,6 +168,9 @@ impl CallGraph {
                 let id = (fi, li);
                 match &f.impl_type {
                     Some(ty) => {
+                        if !f.in_trait_impl {
+                            inherent.insert(ty);
+                        }
                         impl_fns
                             .entry((ty.clone(), f.name.clone()))
                             .or_default()
@@ -187,6 +182,18 @@ impl CallGraph {
             }
         }
         let impl_types: BTreeSet<&String> = impl_fns.keys().map(|(t, _)| t).collect();
+        // All a std-typed receiver can reach: impl fns of types with no
+        // inherent impl (trait impls on std or generic types).
+        let std_methods: BTreeMap<String, Vec<FnId>> = any_method
+            .iter()
+            .map(|(name, ids)| {
+                let outside = |&&(f, l): &&FnId| {
+                    let ty = files[f].parsed.fns[l].impl_type.as_deref();
+                    ty.is_some_and(|t| !inherent.contains(t))
+                };
+                (name.clone(), ids.iter().filter(outside).copied().collect())
+            })
+            .collect();
         let scope = CrateScope::build(files);
 
         let mut edges: BTreeMap<FnId, Vec<Edge>> = BTreeMap::new();
@@ -195,11 +202,14 @@ impl CallGraph {
                 let caller = (fi, call.caller);
                 let caller_impl = file.parsed.fns[call.caller].impl_type.as_deref();
                 let candidates: &[FnId] = match call.kind {
-                    CallKind::SelfMethod => caller_impl
-                        .and_then(|ty| impl_fns.get(&(ty.to_string(), call.name.clone())))
-                        .or_else(|| any_method.get(&call.name))
-                        .map_or(&[], Vec::as_slice),
-                    CallKind::Method => any_method.get(&call.name).map_or(&[], Vec::as_slice),
+                    CallKind::Method => {
+                        let ty = call.receiver.as_ref();
+                        let is_std = ty.is_some_and(|t| STD_TYPES.contains(&t.as_str()));
+                        let fallback = if is_std { &std_methods } else { &any_method };
+                        ty.and_then(|t| impl_fns.get(&(t.clone(), call.name.clone())))
+                            .or_else(|| fallback.get(&call.name))
+                            .map_or(&[], Vec::as_slice)
+                    }
                     CallKind::Qualified => {
                         let q = call.qualifier.as_deref().unwrap_or("");
                         let ty = if q == "Self" {
@@ -224,10 +234,12 @@ impl CallGraph {
                 };
                 for &to in candidates {
                     let callee = &files[to.0].parsed.fns[to.1];
+                    // An uncountable argument list (`args: None`)
+                    // matches any arity.
                     let shape_ok = match call.kind {
                         // A dotted call requires a `self` receiver.
-                        CallKind::Method | CallKind::SelfMethod => {
-                            callee.has_self && arity_ok(call.args, callee.params)
+                        CallKind::Method => {
+                            callee.has_self && call.args.iter().all(|&a| a == callee.params)
                         }
                         // UFCS passes the receiver positionally.
                         CallKind::Qualified => {
@@ -236,9 +248,11 @@ impl CallGraph {
                             } else {
                                 callee.params
                             };
-                            arity_ok(call.args, want)
+                            call.args.iter().all(|&a| a == want)
                         }
-                        CallKind::Free => !callee.has_self && arity_ok(call.args, callee.params),
+                        CallKind::Free => {
+                            !callee.has_self && call.args.iter().all(|&a| a == callee.params)
+                        }
                     };
                     if !shape_ok {
                         continue;
@@ -336,21 +350,9 @@ pub fn fn_label(files: &[AnalyzedFile], id: FnId) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
-    use crate::rules::collect_sites;
 
     fn analyze(path: &str, src: &str) -> AnalyzedFile {
-        let rules = RuleSet::default();
-        let model = FileModel::build(src);
-        let parsed = parse(&model);
-        let sites = collect_sites(&model, &rules);
-        AnalyzedFile {
-            path: path.to_string(),
-            rules,
-            model,
-            parsed,
-            sites,
-        }
+        crate::analyze_file(path, src, RuleSet::default())
     }
 
     fn fn_id(files: &[AnalyzedFile], name: &str) -> FnId {

@@ -36,6 +36,10 @@ pub struct Tok {
 }
 
 impl Tok {
+    fn new(kind: TokKind, text: String, line: usize) -> Tok {
+        Tok { kind, text, line }
+    }
+
     /// True if this is the identifier `name`.
     pub fn is_ident(&self, name: &str) -> bool {
         self.kind == TokKind::Ident && self.text == name
@@ -123,23 +127,9 @@ pub fn lex(src: &str) -> Lexed {
                     text,
                 });
             }
-            '"' => {
+            '"' | 'r' | 'b' if c == '"' || is_raw_or_byte_string(&b, i) => {
                 let (ni, nl) = consume_string(&b, i, line);
-                out.toks.push(Tok {
-                    kind: TokKind::Str,
-                    text: String::new(),
-                    line,
-                });
-                i = ni;
-                line = nl;
-            }
-            'r' | 'b' if is_raw_or_byte_string(&b, i) => {
-                let (ni, nl) = consume_raw_or_byte(&b, i, line);
-                out.toks.push(Tok {
-                    kind: TokKind::Str,
-                    text: String::new(),
-                    line,
-                });
+                out.toks.push(Tok::new(TokKind::Str, String::new(), line));
                 i = ni;
                 line = nl;
             }
@@ -151,11 +141,11 @@ pub fn lex(src: &str) -> Lexed {
                     while j < b.len() && (b[j].is_alphanumeric() || b[j] == '_') {
                         j += 1;
                     }
-                    out.toks.push(Tok {
-                        kind: TokKind::Lifetime,
-                        text: b[i + 1..j].iter().collect(),
+                    out.toks.push(Tok::new(
+                        TokKind::Lifetime,
+                        b[i + 1..j].iter().collect(),
                         line,
-                    });
+                    ));
                     i = j;
                 } else {
                     // Char literal: 'x', '\n', '\u{1f}'.
@@ -166,11 +156,7 @@ pub fn lex(src: &str) -> Lexed {
                         }
                         j += 1;
                     }
-                    out.toks.push(Tok {
-                        kind: TokKind::Str,
-                        text: String::new(),
-                        line,
-                    });
+                    out.toks.push(Tok::new(TokKind::Str, String::new(), line));
                     i = (j + 1).min(b.len());
                 }
             }
@@ -183,11 +169,8 @@ pub fn lex(src: &str) -> Lexed {
                 {
                     j += 1;
                 }
-                out.toks.push(Tok {
-                    kind: TokKind::Num,
-                    text: b[i..j].iter().collect(),
-                    line,
-                });
+                out.toks
+                    .push(Tok::new(TokKind::Num, b[i..j].iter().collect(), line));
                 i = j;
             }
             c if c.is_alphanumeric() || c == '_' => {
@@ -195,19 +178,13 @@ pub fn lex(src: &str) -> Lexed {
                 while j < b.len() && (b[j].is_alphanumeric() || b[j] == '_') {
                     j += 1;
                 }
-                out.toks.push(Tok {
-                    kind: TokKind::Ident,
-                    text: b[i..j].iter().collect(),
-                    line,
-                });
+                out.toks
+                    .push(Tok::new(TokKind::Ident, b[i..j].iter().collect(), line));
                 i = j;
             }
             other => {
-                out.toks.push(Tok {
-                    kind: TokKind::Punct,
-                    text: other.to_string(),
-                    line,
-                });
+                out.toks
+                    .push(Tok::new(TokKind::Punct, other.to_string(), line));
                 i += 1;
             }
         }
@@ -247,25 +224,10 @@ fn is_lifetime(b: &[char], i: usize) -> bool {
     b.get(j) != Some(&'\'')
 }
 
-/// Consumes a `"…"` string starting at `i`; returns (next index, line).
+/// Consumes a string or a raw/byte string or char (`"…"`, `r#"…"#`,
+/// `b"…"`, `br##"…"##`, `b'…'`) starting at `i`; returns (next index,
+/// line).
 fn consume_string(b: &[char], mut i: usize, mut line: usize) -> (usize, usize) {
-    i += 1; // opening quote
-    while i < b.len() {
-        match b[i] {
-            '\\' => i += 2,
-            '"' => return (i + 1, line),
-            '\n' => {
-                line += 1;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    (i, line)
-}
-
-/// Consumes a raw/byte string (`r#"…"#`, `b"…"`, `br##"…"##`, `b'…'`).
-fn consume_raw_or_byte(b: &[char], mut i: usize, mut line: usize) -> (usize, usize) {
     let mut raw = false;
     if b[i] == 'b' {
         i += 1;

@@ -4,34 +4,39 @@
 //! checks dynamically:
 //!
 //! - **D — determinism** (`cpi2-sim`, `cpi2-core`, `cpi2-pipeline`,
-//!   `cpi2-stats`): no wall-clock reads outside the telemetry-gated
-//!   allowlist, no `thread::spawn` outside the worker pool, no
-//!   iteration over hash-ordered `HashMap`/`HashSet`, no
-//!   `env::var`/random calls feeding committed sim state.
-//! - **S — panic-freedom** (`cpi2-core`, `cpi2-perf`): no `.unwrap()`,
-//!   `.expect(`, `panic!`-family macros or `[…]` indexing in hot paths.
-//! - **L — lock discipline**: no lock acquisition while a prior guard
-//!   is live in the same function scope.
-//! - **T — telemetry hygiene**: metric names must be string literals.
-//! - **P — hot-path allocation**: fns annotated `// lint: hot-path`
-//!   must not allocate per call (`Vec::new`, `with_capacity`,
-//!   `.collect()`, `vec!`) or make owned copies (`.clone()`,
-//!   `.to_string()`, `.to_owned()`, `.to_vec()`, `format!`) — they write
-//!   into caller-owned scratch buffers and compare through borrows
-//!   instead.
+//!   `cpi2-stats`, and clocks and threads in `cpi2-serve`): `clock`,
+//!   no wall-clock reads outside the telemetry-gated allowlist;
+//!   `thread-spawn`, none outside the worker pool and serve's socket
+//!   modules; `map-iter`, no iteration over `HashMap`/`HashSet`.
+//! - **S — panic-freedom** (`cpi2-core`, `cpi2-perf`): `panic`, no
+//!   `.unwrap()`, `.expect(` or `panic!`-family macro; `slice-index`,
+//!   no `[…]` indexing.
+//! - **L — lock discipline**: `nested-lock`, no lock acquisition while
+//!   a prior guard is live in the same function scope.
+//! - **T — telemetry hygiene**: `metric-name`, metric names must be
+//!   string literals.
+//! - **P — hot-path allocation**: `hot-path-alloc`, fns annotated
+//!   `// lint: hot-path` must not allocate per call (`Vec::new`,
+//!   `with_capacity`, `.collect()`, `vec!`) or make owned copies
+//!   (`.clone()`, `.to_string()`, `.to_owned()`, `.to_vec()`,
+//!   `format!`) — they write into caller-owned scratch buffers and
+//!   compare through borrows instead.
 //!
-//! On top of the per-file rules, four **whole-program passes** run over
-//! a workspace call graph (lightweight item/fn parser, name-based
-//! resolution with conservative fan-out — see [`parser`] and
-//! [`callgraph`]):
+//! On top of the per-file rules, three **whole-program passes** run
+//! over a workspace call graph (lightweight item/fn parser; resolution
+//! by name, narrowed by the receiver's type where the file spells it
+//! out, with conservative fan-out where it does not — see [`parser`]
+//! and [`callgraph`]):
 //!
 //! - **transitive-alloc** — the full closure of every
 //!   `// lint: hot-path` fn must be allocation-free;
 //! - **panic-reach** — no panic site reachable from the core/perf
 //!   entry points (`Agent::ingest`, `Machine::tick`, sampler `poll`);
-//! - **determinism-taint** — no clock/spawn/map-iteration reachable
-//!   from `Cluster::step` through helpers;
 //! - **lock-cycle** — no cycle in the interprocedural lock-order graph.
+//!
+//! What each rule has caught, and which test holds the same invariant,
+//! is DESIGN.md §8's audit table; rules whose invariant a test already
+//! held and that never caught anything were deleted.
 //!
 //! Findings are waivable inline with
 //! `// lint: allow(<rule>) — <reason>`; a waiver without a reason is
@@ -47,8 +52,8 @@ pub mod reach;
 pub mod rules;
 
 pub use callgraph::{AnalyzedFile, CallGraph};
-pub use reach::{EntrySpec, ProgramConfig};
-pub use rules::{check_file, Finding, Rule, RuleSet};
+pub use reach::EntrySpec;
+pub use rules::{Finding, Rule, RuleSet};
 
 use model::FileModel;
 use std::collections::BTreeSet;
@@ -60,8 +65,7 @@ use std::path::{Path, PathBuf};
 /// reporting. Per-file rules only — the whole-program passes need
 /// [`lint_program`].
 pub fn lint_source(path: &str, src: &str, rules: &RuleSet) -> Vec<Finding> {
-    let model = FileModel::build(src);
-    rules::check_file(path, &model, rules)
+    rules::check_sites(&analyze_file(path, src, rules.clone()), &mut Vec::new())
 }
 
 /// The rule set for a workspace-relative path, or `None` if the file is
@@ -78,7 +82,6 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
         rs.clock = true;
         rs.spawn = true;
         rs.map_iter = true;
-        rs.env_random = true;
     };
     if rel.starts_with("crates/sim/") {
         // The fleet simulator commits state that must be bit-identical
@@ -123,8 +126,7 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
         // The control plane must never perturb the tick stream: state
         // shared with handlers is snapshot-swapped (lock discipline),
         // and everything off the socket path stays clock-free and
-        // thread-free. `env_random` is off: the binary reads
-        // `std::env::args`.
+        // thread-free.
         rs.clock = true;
         rs.spawn = true;
         rs.map_iter = true;
@@ -149,13 +151,13 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
         // The statistical fleet mode draws everything — stratification,
         // shuffle order, allocation — from seeded RNG: a sampled run
         // must be reproducible from (seed, budget) alone. No clocks,
-        // no env randomness, no map-iteration order, no threads.
+        // no map-iteration order, no threads.
         determinism(&mut rs);
         rs.metric_name = true;
     } else if rel.starts_with("crates/bench/src/experiments/") {
         // `repro check` compares every entry's output byte for byte, so
-        // an entry is a function of the code alone: no environment, no
-        // clock, no map-iteration order, no threads.
+        // an entry is a function of the code alone: no clock, no
+        // map-iteration order, no threads.
         determinism(&mut rs);
         rs.metric_name = true;
         if rel.ends_with("/correlation_cost.rs") {
@@ -171,33 +173,20 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
     } else {
         return None;
     }
-    // The hot-path allocation rule is opt-in per function (it only fires
-    // inside `// lint: hot-path`-marked fns), so every in-scope crate
-    // gets it.
-    rs.hot_path_alloc = true;
     Some(rs)
 }
 
-/// The whole-program pass configuration for this workspace: the entry
-/// points whose closures must stay panic-free / deterministic, and the
-/// observational sinks the determinism pass does not traverse into.
-pub fn workspace_program_config() -> ProgramConfig {
-    ProgramConfig {
-        panic_entries: vec![
-            // The agent's per-window entry: runs on every machine.
-            EntrySpec::new("crates/core/", Some("Agent"), "ingest"),
-            EntrySpec::new("crates/core/", Some("OutlierDetector"), "observe"),
-            // The simulator hot loop.
-            EntrySpec::new("crates/sim/", Some("Machine"), "tick"),
-            // Both sampler variants' poll paths.
-            EntrySpec::new("crates/perf/", None, "poll"),
-        ],
-        determinism_entries: vec![EntrySpec::new("crates/sim/", Some("Cluster"), "step")],
-        // Telemetry is observational: gated behind enabled checks and
-        // never fed back into sim state (same exemption the per-file
-        // scope table grants it).
-        determinism_sinks: vec!["crates/telemetry/".to_string()],
-    }
+/// The entry points whose closures must stay panic-free.
+pub fn workspace_panic_entries() -> Vec<EntrySpec> {
+    vec![
+        // The agent's per-window entry: runs on every machine.
+        EntrySpec::new("crates/core/", Some("Agent"), "ingest"),
+        EntrySpec::new("crates/core/", Some("OutlierDetector"), "observe"),
+        // The simulator hot loop.
+        EntrySpec::new("crates/sim/", Some("Machine"), "tick"),
+        // Both sampler variants' poll paths.
+        EntrySpec::new("crates/perf/", None, "poll"),
+    ]
 }
 
 /// Analyzes one source file into the form the whole-program passes
@@ -205,7 +194,7 @@ pub fn workspace_program_config() -> ProgramConfig {
 pub fn analyze_file(path: &str, src: &str, rules: RuleSet) -> AnalyzedFile {
     let model = FileModel::build(src);
     let parsed = parser::parse(&model);
-    let sites = rules::collect_sites(&model, &rules);
+    let sites = rules::collect_sites(&model, &parsed, &rules);
     AnalyzedFile {
         path: path.to_string(),
         rules,
@@ -215,11 +204,11 @@ pub fn analyze_file(path: &str, src: &str, rules: RuleSet) -> AnalyzedFile {
     }
 }
 
-/// Lints a whole program: per-file rules on every file, then the four
+/// Lints a whole program: per-file rules on every file, then the three
 /// interprocedural passes over the shared call graph, then
 /// unused-waiver detection (a waiver that suppresses nothing is dead
 /// documentation and becomes a finding itself).
-pub fn lint_program(files: &[AnalyzedFile], config: &ProgramConfig) -> Vec<Finding> {
+pub fn lint_program(files: &[AnalyzedFile], panic_entries: &[EntrySpec]) -> Vec<Finding> {
     let mut findings = Vec::new();
     // (file idx, waiver line, rule name) consumed anywhere.
     let mut used: BTreeSet<(usize, usize, String)> = BTreeSet::new();
@@ -227,13 +216,7 @@ pub fn lint_program(files: &[AnalyzedFile], config: &ProgramConfig) -> Vec<Findi
     // Per-file rules.
     for (fi, file) in files.iter().enumerate() {
         let mut file_used = Vec::new();
-        findings.extend(rules::check_sites(
-            &file.path,
-            &file.model,
-            &file.rules,
-            &file.sites,
-            &mut file_used,
-        ));
+        findings.extend(rules::check_sites(file, &mut file_used));
         for (line, rule) in file_used {
             used.insert((fi, line, rule));
         }
@@ -243,8 +226,7 @@ pub fn lint_program(files: &[AnalyzedFile], config: &ProgramConfig) -> Vec<Findi
     let graph = CallGraph::build(files);
     let mut pass_findings = Vec::new();
     reach::transitive_alloc(files, &graph, &mut pass_findings);
-    reach::panic_reach(files, &graph, config, &mut pass_findings);
-    reach::determinism_taint(files, &graph, config, &mut pass_findings);
+    reach::panic_reach(files, &graph, panic_entries, &mut pass_findings);
     lockorder::lock_order(files, &graph, &mut pass_findings);
     for pf in pass_findings {
         let file = &files[pf.file];
@@ -270,7 +252,7 @@ pub fn lint_program(files: &[AnalyzedFile], config: &ProgramConfig) -> Vec<Findi
     for (fi, file) in files.iter().enumerate() {
         for ws in file.model.waivers.values() {
             for w in ws {
-                if !Rule::known_names().contains(&w.rule.as_str()) {
+                if !Rule::is_waivable(&w.rule) {
                     continue; // already a `waiver` finding (unknown rule)
                 }
                 if !used.contains(&(fi, w.line, w.rule.clone())) {
@@ -355,20 +337,15 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<AnalyzedFile>> {
 
 /// Lints every in-scope source file under the workspace `root`:
 /// per-file rules plus the whole-program passes under
-/// [`workspace_program_config`].
+/// [`workspace_panic_entries`].
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let files = load_workspace(root)?;
-    Ok(lint_program(&files, &workspace_program_config()))
+    Ok(lint_program(&files, &workspace_panic_entries()))
 }
 
 /// Renders findings one per line as `path:line: rule: message`.
 pub fn render_text(findings: &[Finding]) -> String {
-    let mut s = String::new();
-    for f in findings {
-        s.push_str(&f.to_string());
-        s.push('\n');
-    }
-    s
+    findings.iter().map(|f| format!("{f}\n")).collect()
 }
 
 #[cfg(test)]
@@ -379,7 +356,6 @@ mod tests {
     fn scope_table_covers_the_workspace() {
         let sim = ruleset_for("crates/sim/src/scheduler.rs").expect("sim in scope");
         assert!(sim.map_iter && sim.clock && !sim.panics);
-        assert!(sim.hot_path_alloc);
         let core = ruleset_for("crates/core/src/agent.rs").expect("core in scope");
         assert!(core.map_iter && core.panics && core.locks);
         let perf = ruleset_for("crates/perf/src/sampler.rs").expect("perf in scope");
@@ -390,26 +366,26 @@ mod tests {
         assert!(tel.locks && !tel.clock);
         let serve = ruleset_for("crates/serve/src/state.rs").expect("serve in scope");
         assert!(serve.clock && serve.spawn && serve.map_iter && serve.locks);
-        assert!(serve.metric_name && !serve.env_random && !serve.spawn_allowed);
+        assert!(serve.metric_name && !serve.spawn_allowed);
         // The statistical fleet mode is held to determinism rules the
         // rest of the bench harness is exempt from: sampling must be
         // reproducible from (seed, budget) alone.
         let sampling = ruleset_for("crates/bench/src/sampling.rs").expect("sampling in scope");
-        assert!(sampling.clock && sampling.env_random && sampling.map_iter && sampling.spawn);
+        assert!(sampling.clock && sampling.map_iter && sampling.spawn);
         assert!(sampling.metric_name && !sampling.panics);
         let bench = ruleset_for("crates/bench/src/bin/repro.rs").expect("bench in scope");
-        assert!(!bench.clock && !bench.env_random && bench.metric_name);
+        assert!(!bench.clock && !bench.map_iter && bench.metric_name);
         // So is every `repro` entry: its output is compared byte for
         // byte. Only the §4.2 cost entry may read a clock, and `repro`
         // itself (which spawns and compares) is outside the set.
         let entry = ruleset_for("crates/bench/src/experiments/fig04_tiers.rs").expect("in scope");
-        assert!(entry.clock && entry.env_random && entry.map_iter && entry.spawn);
+        assert!(entry.clock && entry.map_iter && entry.spawn);
         assert!(entry.clock_line_allow.is_empty());
         let cost =
             ruleset_for("crates/bench/src/experiments/correlation_cost.rs").expect("in scope");
         assert!(cost.clock && !cost.clock_line_allow.is_empty());
         let repro = ruleset_for("crates/bench/src/repro.rs").expect("bench in scope");
-        assert!(!repro.clock && !repro.spawn && !repro.env_random);
+        assert!(!repro.clock && !repro.spawn && !repro.map_iter);
     }
 
     #[test]
@@ -457,7 +433,7 @@ mod tests {
             src,
             ruleset_for("crates/core/src/x.rs").expect("in scope"),
         )];
-        let findings = lint_program(&files, &ProgramConfig::default());
+        let findings = lint_program(&files, &[]);
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert_eq!(findings[0].rule, Rule::Waiver);
         assert!(findings[0].message.contains("unused waiver"));
@@ -474,7 +450,7 @@ mod tests {
             src,
             ruleset_for("crates/core/src/x.rs").expect("in scope"),
         )];
-        let findings = lint_program(&files, &ProgramConfig::default());
+        let findings = lint_program(&files, &[]);
         assert!(findings.is_empty(), "{findings:#?}");
     }
 }

@@ -11,55 +11,98 @@
 //! under a different name can be missed — the motivating cases (serve
 //! handler threads vs. the tick thread, the spec store swap protocol)
 //! are all named fields, which this resolves exactly.
+//! The same per-fn scan finds the per-file `nested-lock` sites.
 
 use crate::callgraph::{AnalyzedFile, CallGraph, FnId};
-use crate::lexer::TokKind;
+use crate::lexer::{Tok, TokKind};
+use crate::model::FileModel;
+use crate::parser::ParsedFile;
 use crate::reach::PassFinding;
-use crate::rules::{let_binding_name, lock_call_at, Rule};
+use crate::rules::Rule;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One lock acquisition inside a fn body.
 #[derive(Debug, Clone)]
-struct Acquire {
+pub(crate) struct Acquire {
     /// Lock identity (normalized receiver path).
     lock: String,
     /// 1-based line.
-    line: usize,
+    pub(crate) line: usize,
+    /// Token index of the `lock`/`read`/`write` method name.
+    pub(crate) tok: usize,
+    /// Binding of the oldest guard live at this point, if any.
+    pub(crate) holder: Option<String>,
 }
 
 /// What one fn does with locks, before propagation.
 #[derive(Debug, Default, Clone)]
-struct FnLocks {
-    /// Direct acquisitions: lock identity, line, and the identities
-    /// held at that point (within this fn).
-    acquires: Vec<(Acquire, Vec<String>)>,
+pub(crate) struct FnLocks {
+    /// Direct acquisitions, each with the lock identities held at that
+    /// point (within this fn).
+    pub(crate) acquires: Vec<(Acquire, Vec<String>)>,
     /// Calls made while holding locks: (callee call-site line, held
     /// identities, call index into parsed.calls).
     calls_holding: Vec<(usize, Vec<String>, usize)>,
 }
 
-/// Builds the per-fn lock behavior for one file: a single forward scan
-/// tracking live guards, with call sites looked up by token index.
-fn fn_locks(file: &AnalyzedFile, fn_idx: usize) -> FnLocks {
-    let toks = &file.model.toks;
-    let parsed = &file.parsed;
+const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
+
+/// True if tokens at `i` form `. lock ( )` (no arguments) and `i` is the
+/// method name.
+fn lock_call_at(toks: &[Tok], i: usize) -> bool {
+    i >= 1
+        && toks[i].kind == TokKind::Ident
+        && LOCK_METHODS.contains(&toks[i].text.as_str())
+        && toks[i - 1].is_punct('.')
+        && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+        && toks.get(i + 2).is_some_and(|t| t.is_punct(')'))
+}
+
+/// The `let [mut] <name>` binding of the statement containing token `i`,
+/// scanning back at most to `floor`.
+fn let_binding_name(toks: &[Tok], i: usize, floor: usize) -> Option<String> {
+    let mut k = i;
+    while k > floor {
+        k -= 1;
+        if toks[k].is_punct(';') || toks[k].is_punct('{') || toks[k].is_punct('}') {
+            return None;
+        }
+        if toks[k].is_ident("let") {
+            let mut n = k + 1;
+            if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
+                n += 1;
+            }
+            return toks
+                .get(n)
+                .filter(|t| t.kind == TokKind::Ident)
+                .map(|t| t.text.clone());
+        }
+    }
+    None
+}
+
+/// Builds the per-fn lock behavior: a single forward scan tracking live
+/// guards — a `let` binding of a lock call, released by `drop(name)` or
+/// the end of its block — with call sites looked up by token index.
+pub(crate) fn fn_locks(model: &FileModel, parsed: &ParsedFile, fn_idx: usize) -> FnLocks {
+    let toks = &model.toks;
     let def = &parsed.fns[fn_idx];
     let mut out = FnLocks::default();
     let Some((start, end)) = def.body else {
         return out;
     };
-    // Token index → call index, for this fn's calls only.
-    let calls_by_tok: BTreeMap<usize, usize> = parsed
-        .calls
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.caller == fn_idx)
-        .map(|(ci, c)| (c.tok, ci))
+    // Token index → call index, for this fn's calls only (calls are in
+    // token order).
+    let lo = parsed.calls.partition_point(|c| c.tok < start);
+    let hi = parsed.calls.partition_point(|c| c.tok < end);
+    let calls_by_tok: BTreeMap<usize, usize> = (lo..hi)
+        .filter(|&ci| parsed.calls[ci].caller == fn_idx)
+        .map(|ci| (parsed.calls[ci].tok, ci))
         .collect();
     let mut guards: Vec<(String, String, usize)> = Vec::new(); // (binding, lock id, depth)
     let mut i = start;
     while i < end {
-        let d = file.model.depth[i];
+        let d = model.depth[i];
         guards.retain(|&(_, _, gd)| gd <= d);
         if toks[i].is_ident("drop")
             && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
@@ -76,12 +119,14 @@ fn fn_locks(file: &AnalyzedFile, fn_idx: usize) -> FnLocks {
             }
         }
         if lock_call_at(toks, i) {
-            let lock = lock_identity(file, fn_idx, i);
+            let lock = lock_identity(toks, def.impl_type.as_deref(), i);
             let held: Vec<String> = guards.iter().map(|(_, l, _)| l.clone()).collect();
             out.acquires.push((
                 Acquire {
                     lock: lock.clone(),
                     line: toks[i].line,
+                    tok: i,
+                    holder: guards.first().map(|(g, _, _)| g.clone()),
                 },
                 held,
             ));
@@ -105,8 +150,7 @@ fn fn_locks(file: &AnalyzedFile, fn_idx: usize) -> FnLocks {
 /// Normalized identity of the lock whose `.lock()/.read()/.write()`
 /// method name token is at `i`: the receiver ident chain, with a
 /// leading `self` replaced by the enclosing impl type.
-fn lock_identity(file: &AnalyzedFile, fn_idx: usize, i: usize) -> String {
-    let toks = &file.model.toks;
+fn lock_identity(toks: &[Tok], impl_type: Option<&str>, i: usize) -> String {
     // Walk back over `ident . ident . … .` ending at the `.` before `i`.
     let mut parts: Vec<String> = Vec::new();
     let mut j = i - 1; // the `.`
@@ -126,11 +170,7 @@ fn lock_identity(file: &AnalyzedFile, fn_idx: usize, i: usize) -> String {
     }
     parts.reverse();
     if parts.first().is_some_and(|p| p == "self") {
-        let ty = file.parsed.fns[fn_idx]
-            .impl_type
-            .clone()
-            .unwrap_or_else(|| "Self".to_string());
-        parts[0] = ty;
+        parts[0] = impl_type.unwrap_or("Self").to_string();
     }
     if parts.is_empty() {
         "<expr>".to_string()
@@ -162,7 +202,7 @@ pub fn lock_order(files: &[AnalyzedFile], graph: &CallGraph, out: &mut Vec<PassF
             if def.is_test || def.body.is_none() {
                 continue;
             }
-            let fl = fn_locks(file, li);
+            let fl = fn_locks(&file.model, &file.parsed, li);
             if !fl.acquires.is_empty() || !fl.calls_holding.is_empty() {
                 locks.insert((fi, li), fl);
             }
@@ -317,22 +357,10 @@ pub fn lock_order(files: &[AnalyzedFile], graph: &CallGraph, out: &mut Vec<PassF
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FileModel;
-    use crate::parser::parse;
-    use crate::rules::{collect_sites, RuleSet};
+    use crate::rules::RuleSet;
 
     fn analyze(path: &str, src: &str) -> AnalyzedFile {
-        let rules = RuleSet::default();
-        let model = FileModel::build(src);
-        let parsed = parse(&model);
-        let sites = collect_sites(&model, &rules);
-        AnalyzedFile {
-            path: path.to_string(),
-            rules,
-            model,
-            parsed,
-            sites,
-        }
+        crate::analyze_file(path, src, RuleSet::default())
     }
 
     fn run(files: &[AnalyzedFile]) -> Vec<PassFinding> {

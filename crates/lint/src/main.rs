@@ -10,8 +10,8 @@ fn usage() -> ExitCode {
          \n\
          Lints the cpi2 workspace for determinism, panic-freedom, lock\n\
          discipline and telemetry hygiene: per-file rules plus whole-program\n\
-         passes (transitive hot-path allocation, panic/determinism\n\
-         reachability, lock-order cycles). Prints one\n\
+         passes (transitive hot-path allocation, panic reachability,\n\
+         lock-order cycles). Prints one\n\
          `path:line: rule: message` per unwaived finding and exits non-zero\n\
          when there is any."
     );

@@ -7,11 +7,12 @@
 //!   enclosing `impl` block (if any), its body token range, whether it
 //!   sits in a `#[cfg(test)]` region, and whether it carries the
 //!   `// lint: hot-path` marker;
-//! - every call expression inside those bodies — free calls
+//! - every call expression inside live (non-test) bodies — free calls
 //!   (`helper(…)`), qualified calls (`Type::method(…)`,
 //!   `module::helper(…)`, `Self::helper(…)`) and method calls
-//!   (`recv.method(…)`, with `self.method(…)` distinguished so the call
-//!   graph can resolve it against the enclosing impl first).
+//!   (`recv.method(…)`), the last with the receiver's type where the
+//!   file spells it out ([`CallSite::receiver`]) — `self` is the
+//!   enclosing impl's type.
 //!
 //! This is deliberately *not* a full Rust parser: generics are skipped
 //! as balanced `<…>` groups, macros are opaque, and closures attribute
@@ -61,10 +62,8 @@ pub enum CallKind {
     Free,
     /// `Qual::name(…)` — qualified by a type or module path segment.
     Qualified,
-    /// `recv.name(…)` — a method call on a non-`self` receiver.
+    /// `recv.name(…)` — a method call.
     Method,
-    /// `self.name(…)` — a method call on `self`.
-    SelfMethod,
 }
 
 /// One call expression inside a fn body.
@@ -87,6 +86,13 @@ pub struct CallSite {
     pub args: Option<usize>,
     /// Index (into [`ParsedFile::fns`]) of the innermost enclosing fn.
     pub caller: usize,
+    /// For a [`CallKind::Method`] call, the last path segment of the
+    /// receiver's type (`String`, `VecDeque`, `Queue`) where the file
+    /// spells it out — a typed parameter, a `let` with a type or a
+    /// constructor / `self.field` initializer, a `self.field` — seen
+    /// through `&`, `Arc`, guards of `.lock()`-family calls and
+    /// `.iter()` (see `Types::expr`); else `None`.
+    pub receiver: Option<String>,
 }
 
 /// Parser output for one file.
@@ -94,7 +100,7 @@ pub struct CallSite {
 pub struct ParsedFile {
     /// All fn definitions, in source order.
     pub fns: Vec<FnDef>,
-    /// All call sites inside fn bodies.
+    /// All call sites inside live (non-test) fn bodies.
     pub calls: Vec<CallSite>,
 }
 
@@ -122,44 +128,12 @@ impl ParsedFile {
 }
 
 /// Keywords that look like `ident (` but are not calls.
-fn is_call_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "if" | "else"
-            | "while"
-            | "match"
-            | "for"
-            | "in"
-            | "loop"
-            | "return"
-            | "break"
-            | "continue"
-            | "let"
-            | "fn"
-            | "impl"
-            | "use"
-            | "pub"
-            | "mod"
-            | "as"
-            | "move"
-            | "ref"
-            | "mut"
-            | "unsafe"
-            | "dyn"
-            | "where"
-            | "struct"
-            | "enum"
-            | "trait"
-            | "type"
-            | "const"
-            | "static"
-            | "crate"
-            | "super"
-            | "self"
-            | "Self"
-            | "await"
-    )
-}
+const NOT_CALLS: [&str; 34] = [
+    "if", "else", "while", "match", "for", "in", "loop", "return", "break", "continue", "let",
+    "fn", "impl", "use", "pub", "mod", "as", "move", "ref", "mut", "unsafe", "dyn", "where",
+    "struct", "enum", "trait", "type", "const", "static", "crate", "super", "self", "Self",
+    "await",
+];
 
 /// Parses the file model into fn definitions and call sites.
 pub fn parse(model: &FileModel) -> ParsedFile {
@@ -214,9 +188,10 @@ pub fn parse(model: &FileModel) -> ParsedFile {
         }
     }
 
-    // Pass 2: call sites, attributed to the innermost enclosing fn.
+    // Pass 2: call sites in live code, attributed to the innermost
+    // enclosing fn (test code calls nothing the passes start from).
     for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident || is_call_keyword(&toks[i].text) {
+        if toks[i].kind != TokKind::Ident || NOT_CALLS.contains(&toks[i].text.as_str()) {
             continue;
         }
         // `fn name(` is a definition, not a call.
@@ -235,7 +210,7 @@ pub fn parse(model: &FileModel) -> ParsedFile {
         if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
             continue;
         }
-        let Some(caller) = out.enclosing_fn(i) else {
+        let Some(caller) = out.enclosing_fn(i).filter(|_| !model.in_test(i)) else {
             continue;
         };
         let (kind, qualifier) = classify_call(toks, i);
@@ -247,7 +222,285 @@ pub fn parse(model: &FileModel) -> ParsedFile {
             tok: i,
             args: call_args(toks, j),
             caller,
+            receiver: None,
         });
+    }
+
+    // Pass 3: receiver types of dotted calls in live code.
+    let cx = Types {
+        toks,
+        depth: &model.depth,
+        binders: binders(toks, &model.depth),
+        fields: struct_fields(model),
+    };
+    for c in out.calls.iter_mut().filter(|c| c.kind == CallKind::Method) {
+        let f = &out.fns[c.caller];
+        c.receiver = cx
+            .expr(f, c.tok.saturating_sub(2))
+            .and_then(|(ty, _)| cx.name(f, ty));
+    }
+    out
+}
+
+/// Std types — and the vendored `parking_lot` locks — whose methods no
+/// workspace inherent impl can add to (`[]`: slices, arrays, tuples).
+pub const STD_TYPES: [&str; 26] = [
+    "String", "str", "Vec", "VecDeque", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Option",
+    "Result", "Mutex", "RwLock", "RefCell", "Cell", "Duration", "[]", "u8", "u32", "u64", "usize",
+    "i32", "i64", "f32", "f64", "bool", "char",
+];
+
+/// A type: the token index it is written at, or a constructor's name.
+#[derive(Clone, Copy)]
+enum Ty<'a> {
+    At(usize),
+    Name(&'a str),
+}
+
+/// One file's token stream, read for receiver types.
+struct Types<'a> {
+    toks: &'a [Tok],
+    depth: &'a [usize],
+    /// Ascending indexes of the tokens where a pattern can bind a name,
+    /// each with the index of the `}` closing its block ([`binders`]).
+    binders: Vec<(usize, usize)>,
+    /// `(struct, field, index of the field's type)`.
+    fields: Vec<(&'a str, &'a str, usize)>,
+}
+
+impl<'a> Types<'a> {
+    /// The last path segment of the type written at `t`, seen through
+    /// `&`, `mut`, lifetimes and `Arc`/`Rc`/`Box`, and the index past it.
+    /// `dyn` and `impl` types have none.
+    fn head(&self, mut t: usize) -> Option<(&'a str, usize)> {
+        let at = |i: usize, c: char| self.toks.get(i).is_some_and(|x| x.is_punct(c));
+        loop {
+            let tok = self.toks.get(t)?;
+            if at(t, '&') || tok.is_ident("mut") || tok.kind == TokKind::Lifetime {
+                t += 1;
+            } else if at(t, '[') || at(t, '(') {
+                return Some(("[]", t + 1));
+            } else if tok.kind != TokKind::Ident || tok.is_ident("dyn") || tok.is_ident("impl") {
+                return None;
+            } else if at(t + 1, ':') && at(t + 2, ':') {
+                t += 3;
+            } else if ["Arc", "Rc", "Box"].contains(&tok.text.as_str()) && at(t + 1, '<') {
+                t += 2;
+            } else {
+                return Some((&tok.text, t + 1));
+            }
+        }
+    }
+
+    /// The type's name as [`CallSite::receiver`] reports it.
+    fn name(&self, f: &FnDef, ty: Ty<'a>) -> Option<String> {
+        let name = match ty {
+            Ty::At(t) => self.head(t)?.0,
+            Ty::Name(n) => n,
+        };
+        match name {
+            "Self" => f.impl_type.clone(),
+            _ => Some(name.to_string()),
+        }
+    }
+
+    /// The type of the expression ending at token `e` inside `f` — a
+    /// local, a `self.field` or a constructor, then empty-argument
+    /// `.lock()`-family calls on a lock or `.iter()` on a std type — and
+    /// the index where the expression starts.
+    fn expr(&self, f: &FnDef, mut e: usize) -> Option<(Ty<'a>, usize)> {
+        let toks = self.toks;
+        let at = |i: usize, c: char| toks.get(i).is_some_and(|x| x.is_punct(c));
+        let mut steps = Vec::new();
+        let (mut ty, start) = loop {
+            let tok = toks.get(e)?;
+            if e >= 3 && at(e, ')') && at(e - 1, '(') && at(e - 3, '.') {
+                steps.push(toks[e - 2].text.as_str());
+                e = e.checked_sub(4)?;
+            } else if at(e, ')') || at(e, ']') {
+                // `Type::new(…)`, `format!(…)`, `vec![…]`.
+                let open = matching_open(toks, e)?;
+                let name = toks.get(open.checked_sub(2)?)?.text.as_str();
+                let is_ctor =
+                    ["new", "default", "with_capacity"].contains(&toks[open - 1].text.as_str());
+                break match name {
+                    "format" if at(open - 1, '!') => (Ty::Name("String"), open - 2),
+                    "vec" if at(open - 1, '!') => (Ty::Name("Vec"), open - 2),
+                    ":" if is_ctor && open >= 4 && toks[open - 4].kind == TokKind::Ident => {
+                        (Ty::Name(&toks[open - 4].text), open - 4)
+                    }
+                    _ => return None,
+                };
+            } else if tok.kind != TokKind::Ident || e < 2 || at(e - 1, ':') {
+                return None;
+            } else if at(e - 1, '.') {
+                // Only `self.field` is followed to its declaration.
+                let owner = f.impl_type.as_deref().filter(|_| {
+                    toks[e - 2].is_ident("self") && !(e >= 3 && (at(e - 3, '.') || at(e - 3, ':')))
+                })?;
+                let field = self
+                    .fields
+                    .iter()
+                    .find(|(s, n, _)| *s == owner && *n == tok.text)?;
+                break (Ty::At(field.2), e - 2);
+            } else if tok.is_ident("self") {
+                break (Ty::Name("Self"), e);
+            } else {
+                break (self.binding(f, e)?, e);
+            }
+        };
+        for step in steps.iter().rev() {
+            let Ty::At(t) = ty else { return None };
+            let (head, next) = self.head(t)?;
+            ty = if ["Mutex", "RwLock", "RefCell"].contains(&head)
+                && ["lock", "read", "write", "borrow", "borrow_mut"].contains(step)
+                && at(next, '<')
+            {
+                Ty::At(next + 1)
+            } else if STD_TYPES.contains(&head) && ["iter", "iter_mut"].contains(step) {
+                ty
+            } else {
+                return None;
+            };
+        }
+        Some((ty, start))
+    }
+
+    /// The type of the local named at token `r`: its `let` (by type or
+    /// initializer) or `f`'s typed parameter. `None` if any other
+    /// pattern names it before `r`, if its `let` sits in a block that
+    /// has closed, or if `r` is inside that `let`'s initializer.
+    fn binding(&self, f: &FnDef, r: usize) -> Option<Ty<'a>> {
+        let (toks, depth) = (self.toks, self.depth);
+        let name = toks[r].text.as_str();
+        let (body, _) = f.body?;
+        let before = self.binders.partition_point(|&(k, _)| k < r);
+        let mut nearer = self.binders[..before]
+            .iter()
+            .rev()
+            .take_while(|&&(k, _)| k >= body);
+        if let Some(&(k, block_end)) = nearer.find(|&&(k, _)| toks[k].text == name) {
+            let is_let = toks[k - 1].is_ident("let")
+                || toks[k - 1].is_ident("mut") && toks[k - 2].is_ident("let");
+            let end = (k..r).find(|&j| depth[j] == depth[k] && toks[j].is_punct(';'))?;
+            if !is_let || r >= block_end {
+                return None;
+            }
+            if toks[k + 1].is_punct(':') {
+                return Some(Ty::At(k + 2));
+            }
+            let (ty, start) = self.expr(f, end - 1)?;
+            let init = k + 2 + usize::from(toks[k + 2].is_punct('&'));
+            return (start == init).then_some(ty);
+        }
+        (f.fn_tok..body)
+            .find(|&k| {
+                toks[k].is_ident(name) && toks[k + 1].is_punct(':') && !toks[k + 2].is_punct(':')
+            })
+            .map(|k| Ty::At(k + 2))
+    }
+}
+
+/// Index of the `(`/`[` matching the closer at `close`.
+fn matching_open(toks: &[Tok], close: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for k in (0..=close).rev() {
+        if toks[k].is_punct(')') || toks[k].is_punct(']') {
+            depth += 1;
+        } else if toks[k].is_punct('(') || toks[k].is_punct('[') {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
+            }
+        }
+    }
+    None
+}
+
+/// `(struct, field, index of the field's type)` for every named field
+/// of every struct declared in the file's live code.
+fn struct_fields(model: &FileModel) -> Vec<(&str, &str, usize)> {
+    let (toks, depth) = (&model.toks, &model.depth);
+    let mut out = Vec::new();
+    for i in 0..toks.len().saturating_sub(2) {
+        if toks[i].text != "struct" || model.in_test(i) {
+            continue;
+        }
+        let mut j = i + 2;
+        if toks[j].is_punct('<') {
+            j = skip_angles(toks, j);
+        }
+        if !toks.get(j).is_some_and(|t| t.is_punct('{')) {
+            continue;
+        }
+        for k in j + 1..toks.len().saturating_sub(2) {
+            if depth[k] <= depth[j] {
+                break;
+            }
+            if depth[k] == depth[j] + 1 && toks[k + 1].is_punct(':') && !toks[k + 2].is_punct(':') {
+                out.push((toks[i + 1].text.as_str(), toks[k].text.as_str(), k + 2));
+            }
+        }
+    }
+    out
+}
+
+/// Every identifier where a pattern can bind a name, with the `}`
+/// closing its block: in `let … =`,
+/// `for … in`, closure parameter lists, fn signatures and match-arm
+/// patterns (back to the previous `,` or opening bracket; a
+/// block arm before it is marked too, which only costs precision).
+fn binders(toks: &[Tok], depth: &[usize]) -> Vec<(usize, usize)> {
+    let mut mask = vec![false; toks.len()];
+    let is = |t: &Tok, any: &[&str]| any.contains(&t.text.as_str());
+    let until = |from: usize, stops: &[&str]| (from..toks.len()).find(|&k| is(&toks[k], stops));
+    for i in 1..toks.len() {
+        let range = match toks[i].text.as_str() {
+            "let" => until(i, &["=", ";"]).map(|e| (i, e)),
+            "for" => until(i, &["in", "{"]).map(|e| (i, e)),
+            "fn" => until(i, &["{", ";"]).map(|e| (i, e)),
+            "|" if is(&toks[i - 1], &["(", ",", "=", "{", ";", "move", "return"]) => {
+                until(i + 1, &["|"]).map(|e| (i, e))
+            }
+            "=" if toks.get(i + 1).is_some_and(|n| n.is_punct('>')) => {
+                let (mut nest, mut k) = (0usize, i);
+                while let Some(p) = k.checked_sub(1).map(|j| toks[j].text.as_str()) {
+                    if [")", "]", "}"].contains(&p) {
+                        nest += 1;
+                    } else if ["(", "[", "{"].contains(&p) {
+                        let Some(n) = nest.checked_sub(1) else { break };
+                        nest = n;
+                    } else if nest == 0 && (p == "," || p == ";") {
+                        break;
+                    }
+                    k -= 1;
+                }
+                Some((k, i))
+            }
+            _ => None,
+        };
+        if let Some((s, e)) = range {
+            mask[s..e].iter_mut().for_each(|m| *m = true);
+        }
+    }
+    // Bindings are snake_case: capitalized idents in these regions are
+    // types.
+    let binds = |t: &Tok| {
+        t.kind == TokKind::Ident && t.text.starts_with(|c: char| c.is_lowercase() || c == '_')
+    };
+    let mut out: Vec<(usize, usize)> = Vec::new();
+    let mut open: Vec<usize> = Vec::new(); // entries of `out` whose block is open
+    for (k, t) in toks.iter().enumerate() {
+        if t.is_punct('}') {
+            while let Some(&o) = open.last().filter(|&&o| depth[out[o].0] > depth[k]) {
+                out[o].1 = k;
+                open.pop();
+            }
+        }
+        if mask[k] && binds(t) {
+            open.push(out.len());
+            out.push((k, toks.len()));
+        }
     }
     out
 }
@@ -395,13 +648,6 @@ fn call_args(toks: &[Tok], open: usize) -> Option<usize> {
 /// Classifies the call whose name token is at `i`.
 fn classify_call(toks: &[Tok], i: usize) -> (CallKind, Option<String>) {
     if i >= 1 && toks[i - 1].is_punct('.') {
-        // `recv.name(`; `self.name(` only when `self` starts the chain.
-        if i >= 2
-            && toks[i - 2].is_ident("self")
-            && !(i >= 3 && (toks[i - 3].is_punct('.') || toks[i - 3].is_punct(':')))
-        {
-            return (CallKind::SelfMethod, None);
-        }
         return (CallKind::Method, None);
     }
     if i >= 3
@@ -513,7 +759,7 @@ fn self_type(toks: &[Tok], header: &[usize]) -> Option<String> {
 
 /// Token range of the `{…}` body of the fn whose `fn` keyword is at `i`
 /// (exclusive of the braces), or `None` for body-less declarations.
-pub fn fn_body(toks: &[Tok], i: usize) -> Option<(usize, usize)> {
+fn fn_body(toks: &[Tok], i: usize) -> Option<(usize, usize)> {
     let mut j = i + 1;
     // The body `{` is the first `{` outside the parameter parens /
     // generic brackets; a `;` first means a trait method declaration.
@@ -626,13 +872,18 @@ mod tests {
         assert_eq!(
             kinds,
             vec![
-                (CallKind::SelfMethod, "step"),
+                (CallKind::Method, "step"),
                 (CallKind::Free, "helper"),
                 (CallKind::Qualified, "tick"),
                 (CallKind::Qualified, "init"),
                 (CallKind::Method, "observe"),
                 (CallKind::Method, "finish"),
             ]
+        );
+        assert_eq!(
+            p.calls[0].receiver.as_deref(),
+            Some("Foo"),
+            "`self` is the impl type"
         );
         assert_eq!(p.calls[2].qualifier.as_deref(), Some("Machine"));
         assert_eq!(p.calls[3].qualifier.as_deref(), Some("Self"));
@@ -698,6 +949,48 @@ mod tests {
             let c = p.calls.iter().find(|c| c.name == name).expect(name);
             assert_eq!(c.args, None, "{name} args must be unreliable");
         }
+    }
+
+    #[test]
+    fn receiver_types_are_read_where_the_file_spells_them_out() {
+        let p = parse_src(
+            "struct Q { items: Arc<Mutex<VecDeque<u64>>>, names: Vec<String> }\n\
+             impl Q {\n\
+             fn f(&self, out: &mut String, s: &Self, v: V) {\n\
+               out.push('x');\n\
+               let g = self.items.lock(); g.len();\n\
+               self.names.iter().count();\n\
+               let b = Builder::new(); b.build();\n\
+               s.step(); let w = format!(\"x\"); w.len();\n\
+               for out in v { out.push(1); }\n\
+               { let k: u32 = 1; } k.count();\n\
+               v.iter().map(|x| x.len());\n\
+               let t = t.get();\n\
+             }\n}",
+        );
+        let seen: Vec<(&str, Option<&str>)> = p
+            .calls
+            .iter()
+            .filter(|c| c.kind == CallKind::Method)
+            .map(|c| (c.name.as_str(), c.receiver.as_deref()))
+            .collect();
+        let want = [
+            ("push", Some("String")),   // a typed parameter
+            ("lock", Some("Mutex")),    // a field, through `Arc`
+            ("len", Some("VecDeque")),  // a `let` of that field's guard
+            ("iter", Some("Vec")),      // a field
+            ("count", Some("Vec")),     // `.iter()` on a std type
+            ("build", Some("Builder")), // a constructor
+            ("step", Some("Q")),        // `&Self`
+            ("len", Some("String")),    // `format!`
+            ("push", None),             // rebound by `for`
+            ("count", None),            // its `let` is in a closed block
+            ("iter", Some("V")),        // a parameter of any type
+            ("map", None),              // not followed past `.iter()`
+            ("len", None),              // a closure parameter
+            ("get", None),              // inside its own `let`
+        ];
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //! discipline (L), telemetry hygiene (T) and hot-path allocation (P),
 //! run over a [`FileModel`].
 //!
-//! Detection is split from policy: [`collect_sites`] runs *every*
-//! detector over a file and returns raw sites (with token indexes, so
-//! the whole-program passes in [`crate::reach`] / [`crate::lockorder`]
-//! can attribute them to functions), while [`check_file`] filters those
-//! sites down to the rules enabled for the file and applies waivers.
+//! Detection is split from policy: [`collect_sites`] runs the detectors
+//! over a file and returns raw sites (with token indexes, so the
+//! whole-program passes in [`crate::reach`] can attribute them to
+//! functions), while [`check_sites`] filters those sites down to the
+//! rules enabled for the file and applies waivers.
 //! Sanctioned sites — `#[cfg(test)]` regions, `clock_line_allow`
 //! matches, `spawn_allowed` files — are dropped at collection time and
 //! are invisible to both the per-file rules and the transitive passes.
 
+use crate::callgraph::AnalyzedFile;
 use crate::lexer::{Tok, TokKind};
+use crate::lockorder::fn_locks;
 use crate::model::FileModel;
-pub use crate::parser::fn_body;
+use crate::parser::ParsedFile;
 use std::fmt;
 
 /// A lint rule identifier — also the name used in waiver comments.
@@ -25,8 +27,6 @@ pub enum Rule {
     ThreadSpawn,
     /// D: iteration over `HashMap`/`HashSet` (order-unstable).
     MapIter,
-    /// D: `env::var` / `random`-named calls in committed sim state.
-    EnvRandom,
     /// S: `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in hot
     /// paths.
     Panic,
@@ -44,9 +44,6 @@ pub enum Rule {
     /// S (whole-program): a panic site reachable from a core/perf entry
     /// point through the call graph.
     PanicReach,
-    /// D (whole-program): a determinism hazard reachable from
-    /// `Cluster::step` through helpers.
-    DeterminismTaint,
     /// L (whole-program): a cycle in the interprocedural lock-order
     /// graph (potential deadlock).
     LockCycle,
@@ -62,7 +59,6 @@ impl Rule {
             Rule::Clock => "clock",
             Rule::ThreadSpawn => "thread-spawn",
             Rule::MapIter => "map-iter",
-            Rule::EnvRandom => "env-random",
             Rule::Panic => "panic",
             Rule::SliceIndex => "slice-index",
             Rule::NestedLock => "nested-lock",
@@ -70,29 +66,28 @@ impl Rule {
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::TransitiveAlloc => "transitive-alloc",
             Rule::PanicReach => "panic-reach",
-            Rule::DeterminismTaint => "determinism-taint",
             Rule::LockCycle => "lock-cycle",
             Rule::Waiver => "waiver",
         }
     }
 
-    /// All rule names (for waiver validation).
-    pub fn known_names() -> &'static [&'static str] {
-        &[
-            "clock",
-            "thread-spawn",
-            "map-iter",
-            "env-random",
-            "panic",
-            "slice-index",
-            "nested-lock",
-            "metric-name",
-            "hot-path-alloc",
-            "transitive-alloc",
-            "panic-reach",
-            "determinism-taint",
-            "lock-cycle",
-        ]
+    /// True if `name` names a rule a waiver can suppress.
+    pub fn is_waivable(name: &str) -> bool {
+        use Rule::*;
+        let waivable = [
+            Clock,
+            ThreadSpawn,
+            MapIter,
+            Panic,
+            SliceIndex,
+            NestedLock,
+            MetricName,
+            HotPathAlloc,
+            TransitiveAlloc,
+            PanicReach,
+            LockCycle,
+        ];
+        waivable.iter().any(|r| r.name() == name)
     }
 }
 
@@ -134,8 +129,6 @@ pub struct RuleSet {
     pub spawn: bool,
     /// D: map iteration.
     pub map_iter: bool,
-    /// D: env/random.
-    pub env_random: bool,
     /// S: panic sites.
     pub panics: bool,
     /// S: slice indexing.
@@ -144,8 +137,6 @@ pub struct RuleSet {
     pub locks: bool,
     /// T: metric-name literals.
     pub metric_name: bool,
-    /// P: allocation in `// lint: hot-path` fns.
-    pub hot_path_alloc: bool,
     /// Clock reads are allowed on lines containing one of these
     /// substrings (the telemetry-gated `measure.then(Instant::now)`
     /// sites).
@@ -162,12 +153,10 @@ impl RuleSet {
             clock: true,
             spawn: true,
             map_iter: true,
-            env_random: true,
             panics: true,
             slice_index: true,
             locks: true,
             metric_name: true,
-            hot_path_alloc: true,
             clock_line_allow: Vec::new(),
             spawn_allowed: false,
         }
@@ -202,43 +191,34 @@ fn site(out: &mut Raw, tok: usize, line: usize, rule: Rule, pattern: &str, messa
     });
 }
 
-/// Runs every detector over `model` and returns all raw sites, with
+/// Runs the detectors `rules` enables over `model`, plus the panic,
+/// slice-index and allocation detectors everywhere (the whole-program
+/// passes consume those across files), and returns the raw sites with
 /// sanctioned-site scoping (test regions, `clock_line_allow`,
-/// `spawn_allowed`) already applied. The caller decides which rules are
-/// *enforced* per-file; the whole-program passes consume the rest.
-pub fn collect_sites(model: &FileModel, rules: &RuleSet) -> Vec<RawSite> {
+/// `spawn_allowed`) already applied. [`check_sites`] decides which are
+/// *enforced* per-file.
+pub fn collect_sites(model: &FileModel, parsed: &ParsedFile, rules: &RuleSet) -> Vec<RawSite> {
     let mut raw = Vec::new();
-    clock_rule(model, rules, &mut raw);
-    if !rules.spawn_allowed {
+    if rules.clock {
+        clock_rule(model, rules, &mut raw);
+    }
+    if rules.spawn && !rules.spawn_allowed {
         spawn_rule(model, &mut raw);
     }
-    map_iter_rule(model, &mut raw);
-    env_random_rule(model, &mut raw);
+    if rules.map_iter {
+        map_iter_rule(model, &mut raw);
+    }
     panic_rule(model, &mut raw);
     slice_index_rule(model, &mut raw);
-    lock_rule(model, &mut raw);
-    metric_rule(model, &mut raw);
+    if rules.locks {
+        lock_rule(model, parsed, &mut raw);
+    }
+    if rules.metric_name {
+        metric_rule(model, &mut raw);
+    }
     alloc_rule(model, &mut raw);
     raw.sort_by_key(|a| (a.line, a.rule, a.tok));
     raw
-}
-
-/// Token ranges of fn bodies annotated `// lint: hot-path`.
-pub fn hot_fn_ranges(model: &FileModel) -> Vec<(usize, usize)> {
-    let toks = &model.toks;
-    let mut out = Vec::new();
-    for &marker in &model.hot_path_lines {
-        let Some(fn_idx) = toks
-            .iter()
-            .position(|t| t.line > marker && t.is_ident("fn"))
-        else {
-            continue;
-        };
-        if let Some(range) = fn_body(toks, fn_idx) {
-            out.push(range);
-        }
-    }
-    out
 }
 
 /// True if `site` is enforced as a per-file finding under `rules`.
@@ -250,14 +230,12 @@ pub fn site_enabled(s: &RawSite, rules: &RuleSet, hot_ranges: &[(usize, usize)])
         Rule::Clock => rules.clock,
         Rule::ThreadSpawn => rules.spawn,
         Rule::MapIter => rules.map_iter,
-        Rule::EnvRandom => rules.env_random,
         Rule::Panic => rules.panics,
         Rule::SliceIndex => rules.slice_index,
         Rule::NestedLock => rules.locks,
         Rule::MetricName => rules.metric_name,
-        Rule::HotPathAlloc => {
-            rules.hot_path_alloc && hot_ranges.iter().any(|&(s0, e0)| s.tok >= s0 && s.tok < e0)
-        }
+        // Opt-in per fn: on wherever a `// lint: hot-path` marks one.
+        Rule::HotPathAlloc => hot_ranges.iter().any(|&(s0, e0)| s.tok >= s0 && s.tok < e0),
         _ => false,
     }
 }
@@ -310,7 +288,7 @@ pub fn waiver_filter(
 pub fn waiver_syntax_findings(path: &str, model: &FileModel, out: &mut Vec<Finding>) {
     for ws in model.waivers.values() {
         for w in ws {
-            if !Rule::known_names().contains(&w.rule.as_str()) {
+            if !Rule::is_waivable(&w.rule) {
                 out.push(Finding {
                     path: path.to_string(),
                     line: w.line,
@@ -322,56 +300,52 @@ pub fn waiver_syntax_findings(path: &str, model: &FileModel, out: &mut Vec<Findi
     }
 }
 
-/// Runs every enabled per-file rule over one file and returns unwaived
-/// findings (plus waiver-syntax findings), recording consumed waivers
-/// in `used`.
-pub fn check_file_collect(
-    path: &str,
-    model: &FileModel,
-    rules: &RuleSet,
-    used: &mut Vec<UsedWaiver>,
-) -> Vec<Finding> {
-    let sites = collect_sites(model, rules);
-    check_sites(path, model, rules, &sites, used)
-}
-
-/// As [`check_file_collect`], but over pre-collected sites (the
-/// whole-program driver collects once and reuses them).
-pub fn check_sites(
-    path: &str,
-    model: &FileModel,
-    rules: &RuleSet,
-    sites: &[RawSite],
-    used: &mut Vec<UsedWaiver>,
-) -> Vec<Finding> {
-    let hot_ranges = hot_fn_ranges(model);
+/// Filters one analyzed file's sites down to the rules its policy
+/// enforces and applies waivers; returns unwaived findings plus
+/// waiver-syntax findings, recording consumed waivers in `used`.
+pub fn check_sites(file: &AnalyzedFile, used: &mut Vec<UsedWaiver>) -> Vec<Finding> {
+    let hot_ranges: Vec<(usize, usize)> = file
+        .parsed
+        .fns
+        .iter()
+        .filter(|f| f.is_hot_path)
+        .filter_map(|f| f.body)
+        .collect();
     let mut out = Vec::new();
-    for s in sites {
-        if !site_enabled(s, rules, &hot_ranges) {
+    for s in &file.sites {
+        if !site_enabled(s, &file.rules, &hot_ranges) {
             continue;
         }
-        if let Some(f) = waiver_filter(
-            path,
-            model,
-            s.line,
-            &[s.rule.name()],
-            s.rule,
-            s.message.clone(),
-            used,
-        ) {
+        let (path, model) = (&file.path, &file.model);
+        let names = [s.rule.name()];
+        if let Some(f) = waiver_filter(path, model, s.line, &names, s.rule, s.message.clone(), used)
+        {
             out.push(f);
         }
     }
-    waiver_syntax_findings(path, model, &mut out);
+    waiver_syntax_findings(&file.path, &file.model, &mut out);
     out.sort_by_key(|a| (a.line, a.rule));
     out.dedup();
     out
 }
 
-/// Runs every enabled rule over one file and returns unwaived findings
-/// (plus waiver-syntax findings).
-pub fn check_file(path: &str, model: &FileModel, rules: &RuleSet) -> Vec<Finding> {
-    check_file_collect(path, model, rules, &mut Vec::new())
+/// Nested-lock sites: an acquisition while a guard of the same fn is
+/// live. Fns nested in another fn are scanned as part of it.
+fn lock_rule(model: &FileModel, parsed: &ParsedFile, out: &mut Raw) {
+    for (li, f) in parsed.fns.iter().enumerate() {
+        if f.is_test || parsed.enclosing_fn(f.fn_tok).is_some() {
+            continue;
+        }
+        for (a, _) in fn_locks(model, parsed, li).acquires {
+            let Some(holder) = a.holder else { continue };
+            let message = format!(
+                "`.{}()` while guard `{holder}` is still live: nested locking risks deadlock \
+                 under shard contention",
+                model.toks[a.tok].text
+            );
+            site(out, a.tok, a.line, Rule::NestedLock, "nested lock", message);
+        }
+    }
 }
 
 /// True if tokens at `i..` match the `::`-separated ident path `parts`
@@ -534,44 +508,6 @@ fn for_loop_over_map(model: &FileModel, i: usize) -> Option<(usize, usize, Strin
     }
 }
 
-fn env_random_rule(model: &FileModel, out: &mut Raw) {
-    let toks = &model.toks;
-    for i in 0..toks.len() {
-        if model.in_test(i) {
-            continue;
-        }
-        if path_at(toks, i, &["env", "var"]) {
-            site(
-                out,
-                i,
-                toks[i].line,
-                Rule::EnvRandom,
-                "`env::var`",
-                "`env::var` makes committed sim state depend on the \
-                 environment"
-                    .to_string(),
-            );
-        } else if toks[i].kind == TokKind::Ident
-            && (toks[i].text.to_ascii_lowercase().contains("random")
-                || toks[i].text == "thread_rng")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            site(
-                out,
-                i,
-                toks[i].line,
-                Rule::EnvRandom,
-                "OS randomness",
-                format!(
-                    "`{}` call: nondeterministic randomness in committed \
-                     sim state (seed a `SimRng` instead)",
-                    toks[i].text
-                ),
-            );
-        }
-    }
-}
-
 fn panic_rule(model: &FileModel, out: &mut Raw) {
     let toks = &model.toks;
     for i in 0..toks.len() {
@@ -674,112 +610,6 @@ fn is_keyword(s: &str) -> bool {
         s,
         "return" | "break" | "in" | "if" | "else" | "match" | "mut" | "ref" | "move" | "as" | "let"
     )
-}
-
-const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
-
-/// True if tokens at `i` form `. lock ( )` (no arguments) and `i` is the
-/// method name.
-pub(crate) fn lock_call_at(toks: &[Tok], i: usize) -> bool {
-    i >= 1
-        && toks[i].kind == TokKind::Ident
-        && LOCK_METHODS.contains(&toks[i].text.as_str())
-        && toks[i - 1].is_punct('.')
-        && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-        && toks.get(i + 2).is_some_and(|t| t.is_punct(')'))
-}
-
-fn lock_rule(model: &FileModel, out: &mut Raw) {
-    let toks = &model.toks;
-    // Find each fn body and scan it with a live-guard stack.
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("fn") && !model.in_test(i) {
-            if let Some((body_start, body_end)) = fn_body(toks, i) {
-                scan_fn_for_locks(model, body_start, body_end, out);
-                i = body_end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Scans one fn body: records guards from `let g = ….lock();` statements
-/// and flags any later lock call while a guard is live at an enclosing
-/// depth. `drop(g)` and scope exit release guards.
-fn scan_fn_for_locks(model: &FileModel, start: usize, end: usize, out: &mut Raw) {
-    let toks = &model.toks;
-    let mut guards: Vec<(String, usize)> = Vec::new(); // (name, depth)
-    let mut i = start;
-    while i < end {
-        let d = model.depth[i];
-        guards.retain(|&(_, gd)| gd <= d);
-        if toks[i].is_ident("drop")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-            && toks.get(i + 3).is_some_and(|t| t.is_punct(')'))
-        {
-            if let Some(name) = toks.get(i + 2).map(|t| t.text.clone()) {
-                guards.retain(|(g, _)| *g != name);
-            }
-        }
-        if lock_call_at(toks, i) {
-            if let Some((holder, _)) = guards.first() {
-                site(
-                    out,
-                    i,
-                    toks[i].line,
-                    Rule::NestedLock,
-                    "nested lock",
-                    format!(
-                        "`.{}()` while guard `{holder}` is still live: \
-                         nested locking risks deadlock under shard \
-                         contention",
-                        toks[i].text
-                    ),
-                );
-            }
-            // Does this call create a *held* guard? Only when the lock
-            // call ends a `let <name> = …;` statement (possibly through
-            // `?`): a lock temporary inside a larger expression dies at
-            // the statement's end.
-            let mut j = i + 3; // past `( )`
-            while j < end && toks[j].is_punct('?') {
-                j += 1;
-            }
-            if toks.get(j).is_some_and(|t| t.is_punct(';')) {
-                if let Some(name) = let_binding_name(toks, i, start) {
-                    if name != "_" {
-                        guards.push((name, d));
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-/// The `let [mut] <name>` binding of the statement containing token `i`,
-/// scanning back at most to `floor`.
-pub(crate) fn let_binding_name(toks: &[Tok], i: usize, floor: usize) -> Option<String> {
-    let mut k = i;
-    while k > floor {
-        k -= 1;
-        if toks[k].is_punct(';') || toks[k].is_punct('{') || toks[k].is_punct('}') {
-            return None;
-        }
-        if toks[k].is_ident("let") {
-            let mut n = k + 1;
-            if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
-                n += 1;
-            }
-            return toks
-                .get(n)
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.clone());
-        }
-    }
-    None
 }
 
 /// Collects per-call allocation sites (`Vec::new`, `with_capacity`,

@@ -4,8 +4,7 @@
 //! workspace gate.
 
 use cpi2_lint::{
-    analyze_file, lint_program, lint_source, ruleset_for, EntrySpec, Finding, ProgramConfig, Rule,
-    RuleSet,
+    analyze_file, lint_program, lint_source, ruleset_for, EntrySpec, Finding, Rule, RuleSet,
 };
 
 fn fixture_src(name: &str) -> String {
@@ -19,13 +18,13 @@ fn lint_fixture_with(name: &str, rules: &RuleSet) -> Vec<Finding> {
 
 /// Runs a fixture through the whole-program passes with per-file rules
 /// off, so any finding is the interprocedural analysis speaking.
-fn lint_program_fixture(name: &str, config: &ProgramConfig) -> Vec<Finding> {
+fn lint_program_fixture(name: &str, panic_entries: &[EntrySpec]) -> Vec<Finding> {
     let file = analyze_file(
         &format!("{name}.rs"),
         &fixture_src(name),
         RuleSet::default(),
     );
-    lint_program(&[file], config)
+    lint_program(&[file], panic_entries)
 }
 
 fn lint_fixture(name: &str) -> Vec<Finding> {
@@ -65,11 +64,6 @@ fn thread_spawn_fixture_pair() {
 #[test]
 fn map_iter_fixture_pair() {
     assert_pair(Rule::MapIter, 2);
-}
-
-#[test]
-fn env_random_fixture_pair() {
-    assert_pair(Rule::EnvRandom, 2);
 }
 
 #[test]
@@ -133,11 +127,11 @@ fn serve_scope_fixture_pair() {
 
 /// Asserts the bad fixture fires `rule` with a multi-hop call path
 /// (`file:line → file:line`) in its message and the clean twin is
-/// silent under the same whole-program config.
-fn assert_program_pair(rule: Rule, config: &ProgramConfig) {
+/// silent under the same panic entries.
+fn assert_program_pair(rule: Rule, panic_entries: &[EntrySpec]) {
     let slug = rule.name().replace('-', "_");
     let bad_name = format!("{slug}_bad");
-    let bad = lint_program_fixture(&bad_name, config);
+    let bad = lint_program_fixture(&bad_name, panic_entries);
     let hit = bad
         .iter()
         .find(|f| f.rule == rule)
@@ -158,7 +152,7 @@ fn assert_program_pair(rule: Rule, config: &ProgramConfig) {
         "{bad_name}.rs: expected ≥2 `file:line` hops, message:\n{}",
         hit.message
     );
-    let clean = lint_program_fixture(&format!("{slug}_clean"), config);
+    let clean = lint_program_fixture(&format!("{slug}_clean"), panic_entries);
     assert!(
         clean.is_empty(),
         "{slug}_clean.rs must be clean, got:\n{clean:#?}"
@@ -167,46 +161,44 @@ fn assert_program_pair(rule: Rule, config: &ProgramConfig) {
 
 #[test]
 fn transitive_alloc_fixture_pair() {
-    // Hot-path entries come from `// lint: hot-path` markers; no config.
-    assert_program_pair(Rule::TransitiveAlloc, &ProgramConfig::default());
+    // Hot-path entries come from `// lint: hot-path` markers.
+    assert_program_pair(Rule::TransitiveAlloc, &[]);
 }
 
 #[test]
 fn panic_reach_fixture_pair() {
-    let config = ProgramConfig {
-        panic_entries: vec![EntrySpec::new("", Some("Agent"), "ingest")],
-        ..ProgramConfig::default()
-    };
-    assert_program_pair(Rule::PanicReach, &config);
-}
-
-#[test]
-fn determinism_taint_fixture_pair() {
-    let config = ProgramConfig {
-        determinism_entries: vec![EntrySpec::new("", Some("Cluster"), "step")],
-        ..ProgramConfig::default()
-    };
-    assert_program_pair(Rule::DeterminismTaint, &config);
+    assert_program_pair(
+        Rule::PanicReach,
+        &[EntrySpec::new("", Some("Agent"), "ingest")],
+    );
 }
 
 #[test]
 fn lock_cycle_fixture_pair() {
-    assert_program_pair(Rule::LockCycle, &ProgramConfig::default());
+    assert_program_pair(Rule::LockCycle, &[]);
 }
 
 #[test]
-fn determinism_taint_respects_sinks() {
-    // The same tainted fixture is silent when its file sits under a
-    // configured observational sink prefix.
-    let config = ProgramConfig {
-        determinism_entries: vec![EntrySpec::new("", Some("Cluster"), "step")],
-        determinism_sinks: vec!["determinism_taint_bad.rs".to_string()],
-        ..ProgramConfig::default()
-    };
-    let findings = lint_program_fixture("determinism_taint_bad", &config);
+fn receiver_types_prune_only_false_edges() {
+    // A std-typed receiver and its guard never land on a workspace
+    // method of the same name...
+    for name in [
+        "lock_cycle_std_receiver_clean",
+        "transitive_alloc_std_receiver_clean",
+    ] {
+        let findings = lint_program_fixture(name, &[]);
+        assert!(
+            findings.is_empty(),
+            "{name}.rs must be clean, got:\n{findings:#?}"
+        );
+    }
+    // ...while a receiver whose type is not visible keeps the name-only
+    // fan-out.
+    let bad = lint_program_fixture("transitive_alloc_untyped_receiver_bad", &[]);
     assert!(
-        findings.iter().all(|f| f.rule != Rule::DeterminismTaint),
-        "sink prefixes must stop taint traversal:\n{findings:#?}"
+        bad.iter()
+            .any(|f| f.rule == Rule::TransitiveAlloc && f.message.contains(" → ")),
+        "the untyped receiver must still reach the allocation:\n{bad:#?}"
     );
 }
 

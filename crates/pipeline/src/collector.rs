@@ -1,53 +1,45 @@
 //! Cluster-wide sample collection (the left half of Fig. 6).
 //!
 //! Per-machine agents push CPI sample batches into a per-cluster
-//! collector over a bounded queue; the collector fans them into the
-//! aggregation service and the forensics log. The queue is shared behind
-//! a lock so a threaded deployment can run many agent threads against one
-//! collector.
+//! collector over a bounded queue; the collector drains them into the
+//! aggregation service. The queue is shared behind a lock so a threaded
+//! deployment can run many agent threads against one collector.
+//! Incidents do not travel here: the harness takes them from each
+//! `Agent` directly.
 
 use crate::aggregator::Aggregator;
-use cpi2_core::{CpiSample, Incident};
+use cpi2_core::CpiSample;
 use cpi2_telemetry::{Counter, Gauge, Telemetry};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A message from a machine agent to the cluster collector.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AgentMessage {
-    /// A batch of CPI samples from one machine at one sampling instant.
-    Samples(Vec<CpiSample>),
-    /// Incidents the machine's agent reported.
-    Incidents(Vec<Incident>),
-}
-
-/// The bounded FIFO between the agents' handles and the collector. Never
-/// blocks: a push at capacity hands the message back.
+/// The bounded FIFO of sample batches between the agents' handles and
+/// the collector. Never blocks: a push at capacity hands the batch back.
 #[derive(Debug, Clone)]
 struct Queue {
-    items: Arc<Mutex<VecDeque<AgentMessage>>>,
+    items: Arc<Mutex<VecDeque<Vec<CpiSample>>>>,
     capacity: usize,
 }
 
 impl Queue {
-    fn try_push(&self, msg: AgentMessage) -> Result<(), AgentMessage> {
+    fn try_push(&self, batch: Vec<CpiSample>) -> Result<(), Vec<CpiSample>> {
         let mut items = self.items.lock();
         if items.len() >= self.capacity {
-            return Err(msg);
+            return Err(batch);
         }
-        items.push_back(msg);
+        items.push_back(batch);
         Ok(())
     }
 
     /// The lock is released on return, so a drain never holds it while
     /// the aggregator ingests.
-    fn pop(&self) -> Option<AgentMessage> {
+    fn pop(&self) -> Option<Vec<CpiSample>> {
         self.items.lock().pop_front()
     }
 
-    fn depth(&self) -> usize {
+    fn len(&self) -> usize {
         self.items.lock().len()
     }
 }
@@ -85,20 +77,16 @@ impl CollectorMetrics {
 }
 
 impl CollectorHandle {
-    /// Sends a batch, dropping it if the collector is saturated (the
-    /// pipeline is lossy by design — §4.1 detection runs locally, so lost
-    /// telemetry degrades aggregation only). Returns `false` if dropped.
-    pub fn send(&self, msg: AgentMessage) -> bool {
-        let samples = match &msg {
-            AgentMessage::Samples(s) => s.len() as u64,
-            AgentMessage::Incidents(_) => 0,
-        };
-        match self.queue.try_push(msg) {
-            Ok(()) => {
-                self.metrics.messages_total.inc();
-                self.metrics.samples_total.add(samples);
-                true
-            }
+    /// Sends one batch of samples, dropping it if the collector is
+    /// saturated (the pipeline is lossy by design — §4.1 detection runs
+    /// locally, so lost telemetry degrades aggregation only). Returns
+    /// `false` if dropped; a refusal is counted in
+    /// [`Collector::dropped`]. The harness ships through a
+    /// [`RetryQueue`] instead, whose lost batches are
+    /// [`RetryQueue::abandoned_batches`].
+    pub fn send_samples(&self, samples: Vec<CpiSample>) -> bool {
+        match self.offer_samples(samples) {
+            Ok(()) => true,
             Err(_) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 self.metrics.dropped_total.inc();
@@ -107,33 +95,15 @@ impl CollectorHandle {
         }
     }
 
-    /// Sends one batch of samples; a convenience over
-    /// [`send`](Self::send) for the common per-tick agent push.
-    pub fn send_samples(&self, samples: Vec<CpiSample>) -> bool {
-        self.send(AgentMessage::Samples(samples))
-    }
-
-    /// Sends one batch of incidents.
-    pub fn send_incidents(&self, incidents: Vec<Incident>) -> bool {
-        self.send(AgentMessage::Incidents(incidents))
-    }
-
     /// Attempts to send a sample batch **without** giving up on failure:
     /// on back-pressure the batch comes back to the caller (nothing is
     /// counted as dropped) so a [`RetryQueue`] can try again later.
     pub fn offer_samples(&self, samples: Vec<CpiSample>) -> Result<(), Vec<CpiSample>> {
         let count = samples.len() as u64;
-        match self.queue.try_push(AgentMessage::Samples(samples)) {
-            Ok(()) => {
-                self.metrics.messages_total.inc();
-                self.metrics.samples_total.add(count);
-                Ok(())
-            }
-            Err(AgentMessage::Samples(s)) => Err(s),
-            // try_push returns the message we passed in, which is always
-            // AgentMessage::Samples here.
-            Err(AgentMessage::Incidents(_)) => Ok(()),
-        }
+        self.queue.try_push(samples)?;
+        self.metrics.messages_total.inc();
+        self.metrics.samples_total.add(count);
+        Ok(())
     }
 }
 
@@ -240,19 +210,17 @@ impl RetryQueue {
     }
 }
 
-/// The per-cluster collector: drains agent messages into sample/incident
-/// sinks.
+/// The per-cluster collector: drains agents' sample batches into the
+/// aggregator.
 #[derive(Debug)]
 pub struct Collector {
     queue: Queue,
-    samples: Vec<CpiSample>,
-    incidents: Vec<Incident>,
     dropped: Arc<AtomicU64>,
     metrics: CollectorMetrics,
 }
 
 impl Collector {
-    /// Creates a collector whose queue holds `capacity` messages
+    /// Creates a collector whose queue holds `capacity` batches
     /// (telemetry disabled; see [`Collector::with_telemetry`]).
     pub fn new(capacity: usize) -> Self {
         Collector::with_telemetry(capacity, &Telemetry::disabled())
@@ -266,16 +234,14 @@ impl Collector {
                 items: Arc::default(),
                 capacity,
             },
-            samples: Vec::new(),
-            incidents: Vec::new(),
             dropped: Arc::new(AtomicU64::new(0)),
             metrics: CollectorMetrics::new(telemetry),
         }
     }
 
-    /// Messages currently queued and awaiting a drain.
+    /// Batches currently queued and awaiting a drain.
     pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
+        self.queue.len()
     }
 
     /// A handle for an agent to send through.
@@ -287,53 +253,21 @@ impl Collector {
         }
     }
 
-    /// Drains every queued message into the internal buffers. Returns how
-    /// many messages were processed.
-    pub fn drain(&mut self) -> usize {
-        let mut n = 0;
-        while let Some(msg) = self.queue.pop() {
-            match msg {
-                AgentMessage::Samples(s) => self.samples.extend(s),
-                AgentMessage::Incidents(i) => self.incidents.extend(i),
-            }
-            n += 1;
-        }
-        self.metrics.queue_depth.set(self.queue.depth() as f64);
-        n
-    }
-
-    /// Drains queued sample batches straight into `agg`, bypassing the
-    /// internal sample buffer; incidents still land in the incident
-    /// buffer. Each queued batch reaches the aggregator as one
-    /// [`Aggregator::ingest`] call. Returns the number of samples
+    /// Drains queued sample batches straight into `agg`, each batch as
+    /// one [`Aggregator::ingest`] call. Returns the number of samples
     /// ingested.
     pub fn drain_into(&mut self, agg: &mut Aggregator) -> usize {
         let mut n = 0;
-        while let Some(msg) = self.queue.pop() {
-            match msg {
-                AgentMessage::Samples(s) => {
-                    n += s.len();
-                    agg.ingest(&s);
-                }
-                AgentMessage::Incidents(i) => self.incidents.extend(i),
-            }
+        while let Some(batch) = self.queue.pop() {
+            n += batch.len();
+            agg.ingest(&batch);
         }
-        self.metrics.queue_depth.set(self.queue.depth() as f64);
+        self.metrics.queue_depth.set(self.queue.len() as f64);
         n
     }
 
-    /// Takes all collected samples.
-    pub fn take_samples(&mut self) -> Vec<CpiSample> {
-        std::mem::take(&mut self.samples)
-    }
-
-    /// Takes all collected incidents.
-    pub fn take_incidents(&mut self) -> Vec<Incident> {
-        std::mem::take(&mut self.incidents)
-    }
-
-    /// Messages dropped due to back-pressure, across all handles (for
-    /// monitoring).
+    /// Batches [`CollectorHandle::send_samples`] refused because the
+    /// queue was full, across all handles (for monitoring).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -343,6 +277,15 @@ impl Collector {
 mod tests {
     use super::*;
     use cpi2_core::{TaskClass, TaskHandle};
+
+    /// Every queued sample, in arrival order.
+    fn drain(c: &Collector) -> Vec<CpiSample> {
+        let mut out = Vec::new();
+        while let Some(batch) = c.queue.pop() {
+            out.extend(batch);
+        }
+        out
+    }
 
     fn sample(task: u64) -> CpiSample {
         CpiSample {
@@ -359,37 +302,35 @@ mod tests {
 
     #[test]
     fn samples_flow_through() {
-        let mut c = Collector::new(16);
+        let c = Collector::new(16);
         let h = c.handle();
-        assert!(h.send(AgentMessage::Samples(vec![sample(1), sample(2)])));
-        assert!(h.send(AgentMessage::Samples(vec![sample(3)])));
-        assert_eq!(c.drain(), 2);
-        let s = c.take_samples();
-        assert_eq!(s.len(), 3);
-        assert!(c.take_samples().is_empty());
+        assert!(h.send_samples(vec![sample(1), sample(2)]));
+        assert!(h.send_samples(vec![sample(3)]));
+        assert_eq!(c.queue_depth(), 2);
+        assert_eq!(drain(&c).len(), 3);
+        assert!(drain(&c).is_empty());
     }
 
     #[test]
     fn backpressure_drops() {
         let c = Collector::new(1);
         let h = c.handle();
-        assert!(h.send(AgentMessage::Samples(vec![sample(1)])));
-        assert!(!h.send(AgentMessage::Samples(vec![sample(2)])));
+        assert!(h.send_samples(vec![sample(1)]));
+        assert!(!h.send_samples(vec![sample(2)]));
         assert!(!h.send_samples(vec![sample(3)]));
         assert_eq!(c.dropped(), 2);
 
         // Capacity 2: the third message is refused and counted, the two
         // that fit stay queued and drain in arrival order.
-        let mut c = Collector::new(2);
+        let c = Collector::new(2);
         let h = c.handle();
         assert!(h.send_samples(vec![sample(1)]));
         assert!(h.send_samples(vec![sample(2)]));
         assert!(!h.send_samples(vec![sample(3)]));
         assert_eq!(c.dropped(), 1);
         assert_eq!(c.queue_depth(), 2);
-        assert_eq!(c.drain(), 2);
+        let tasks: Vec<u64> = drain(&c).iter().map(|s| s.task.0).collect();
         assert_eq!(c.queue_depth(), 0);
-        let tasks: Vec<u64> = c.take_samples().iter().map(|s| s.task.0).collect();
         assert_eq!(tasks, [1, 2]);
     }
 
@@ -403,7 +344,6 @@ mod tests {
             let batch: Vec<_> = (0..20).map(|_| sample(t * 100)).collect();
             assert!(h.send_samples(batch));
         }
-        h.send_incidents(Vec::new());
         let config = Cpi2Config {
             min_samples_per_task: 10,
             ..Cpi2Config::default()
@@ -412,8 +352,7 @@ mod tests {
         let n = c.drain_into(&mut agg);
         assert_eq!(n, 120);
         assert_eq!(agg.samples_seen(), 120);
-        // Samples went straight to the aggregator, not the local buffer.
-        assert!(c.take_samples().is_empty());
+        assert_eq!(c.queue_depth(), 0);
         let store = crate::specstore::SpecStore::new();
         let specs = agg.refresh_now(&store);
         assert_eq!(specs.len(), 1);
@@ -433,7 +372,7 @@ mod tests {
 
     #[test]
     fn retry_queue_delivers_after_backoff() {
-        let mut c = Collector::new(1);
+        let c = Collector::new(1);
         let h = c.handle();
         let mut q = RetryQueue::default();
         assert!(q.send_or_queue(&h, vec![sample(1)], 0));
@@ -441,14 +380,13 @@ mod tests {
         assert_eq!(q.pending(), 1);
         // Backoff (2 s after the first failure) not elapsed: the parked
         // batch is not retried yet.
-        c.drain();
+        assert_eq!(drain(&c).len(), 1);
         assert_eq!(q.flush(&h, 1_999_999), 0);
         assert_eq!(q.pending(), 1);
         // Once due (and with channel space) the retry delivers.
         assert_eq!(q.flush(&h, 2_000_000), 1);
         assert_eq!(q.pending(), 0);
-        c.drain();
-        assert_eq!(c.take_samples().len(), 2);
+        assert_eq!(drain(&c).len(), 1);
         assert_eq!(q.abandoned_batches(), 0);
     }
 
@@ -483,8 +421,8 @@ mod tests {
         let h = c.handle();
         assert!(h.send_samples(vec![sample(1), sample(2)]));
         assert!(!h.send_samples(vec![sample(3)]));
-        assert!(!h.send_incidents(Vec::new()));
-        c.drain();
+        assert!(!h.send_samples(Vec::new()));
+        c.drain_into(&mut Aggregator::new(cpi2_core::Cpi2Config::default(), 0));
         let text = tel.prometheus_text().unwrap();
         assert!(text.contains("cpi_collector_messages_total 1"), "{text}");
         assert!(text.contains("cpi_collector_samples_total 2"), "{text}");
@@ -500,13 +438,13 @@ mod tests {
         fn assert_shareable<T: Clone + Send + Sync>() {}
         assert_shareable::<CollectorHandle>();
 
-        let mut c = Collector::new(1024);
+        let c = Collector::new(1024);
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let h = c.handle();
                 std::thread::spawn(move || {
                     for i in 0..50 {
-                        h.send(AgentMessage::Samples(vec![sample(t * 100 + i)]));
+                        h.send_samples(vec![sample(t * 100 + i)]);
                     }
                 })
             })
@@ -514,7 +452,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        c.drain();
-        assert_eq!(c.take_samples().len(), 200);
+        assert_eq!(drain(&c).len(), 200);
     }
 }

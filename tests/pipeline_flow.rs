@@ -3,7 +3,7 @@
 //! periods, and spec distribution via the versioned store.
 
 use cpi2::core::{Cpi2Config, CpiSample, JobKey, TaskClass, TaskHandle};
-use cpi2::pipeline::{AgentMessage, Aggregator, Collector, SpecStore};
+use cpi2::pipeline::{Aggregator, Collector, SpecStore};
 use std::sync::Arc;
 use std::thread;
 
@@ -40,7 +40,7 @@ fn threaded_agents_to_spec_store() {
                     let batch: Vec<CpiSample> = (0..4)
                         .map(|t| sample(machine * 10 + t, minute, 1.8 + 0.01 * t as f64))
                         .collect();
-                    assert!(tx.send(AgentMessage::Samples(batch)));
+                    assert!(tx.send_samples(batch));
                 }
             })
         })
@@ -48,14 +48,11 @@ fn threaded_agents_to_spec_store() {
     for h in handles {
         h.join().unwrap();
     }
-    collector.drain();
-    let samples = collector.take_samples();
-    assert_eq!(samples.len(), 8 * 25 * 4);
-
     // Aggregate and publish.
     let store = SpecStore::new();
     let mut agg = Aggregator::new(test_config(), 0);
-    agg.ingest(&samples);
+    let samples = collector.drain_into(&mut agg);
+    assert_eq!(samples, 8 * 25 * 4);
     let specs = agg.refresh_now(&store);
     assert_eq!(specs.len(), 1);
     let spec = store.get(&JobKey::new("svc", "westmere")).unwrap();
@@ -143,29 +140,4 @@ fn refresh_cadence_follows_config() {
     assert!(agg.maybe_refresh(hour_us, &store).is_some());
     assert!(agg.maybe_refresh(hour_us + 60_000_000, &store).is_none());
     assert!(agg.maybe_refresh(2 * hour_us, &store).is_some());
-}
-
-#[test]
-fn incident_messages_collected() {
-    use cpi2::core::{Incident, IncidentAction};
-    let mut collector = Collector::new(64);
-    let tx = collector.handle();
-    let incident = Incident {
-        at: 0,
-        victim: TaskHandle(1),
-        victim_job: "svc".into(),
-        victim_cpi: 4.0,
-        cthreshold: 2.0,
-        suspects: vec![],
-        action: IncidentAction::None {
-            reason: "test".into(),
-        },
-        identifier: cpi2::core::IdentifierKind::Paper,
-        trace_id: cpi2::core::TraceId::derive(1, 0),
-    };
-    assert!(tx.send(AgentMessage::Incidents(vec![incident.clone()])));
-    collector.drain();
-    let got = collector.take_incidents();
-    assert_eq!(got.len(), 1);
-    assert_eq!(got[0], incident);
 }
