@@ -4,11 +4,12 @@
 //! this module measures whether the identifier *blamed the right job*,
 //! which only the simulator can score exactly: a known antagonist is
 //! planted next to an instrumented victim, so every incident has ground
-//! truth. The `accuracy_leaderboard` experiment sweeps every
-//! [`IdentifierKind`] backend over seeds × fault profiles and scores
-//! precision, recall and mean reciprocal rank (MRR) per backend — the
-//! evidence for (or against) the PANDA-style noise-resilient backend and
-//! each of its ablations.
+//! truth. The `accuracy_leaderboard` experiment runs both
+//! [`IdentifierKind`] backends over seeds × fault profiles and scores
+//! precision, recall and mean reciprocal rank (MRR) per backend. Which
+//! PANDA mechanisms stay was settled by a wider audit of this scenario
+//! and three planted-noise variants at 64 seeds (DESIGN.md §10); its
+//! record is `docs/runs/PR-33.txt`.
 //!
 //! Everything here is deterministic: seeded simulator, seeded fault plan,
 //! no wall clock. A score produced locally is bit-identical in CI, which

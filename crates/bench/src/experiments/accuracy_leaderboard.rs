@@ -1,12 +1,13 @@
 //! Antagonist-identification accuracy leaderboard.
 //!
-//! Sweeps every identification backend (the paper's §4.2 correlator, the
-//! PANDA-style noise-resilient backend, and its three ablations) over
-//! seeded ground-truth scenarios at each fault profile, then scores
-//! precision / recall / MRR per backend and asserts the accuracy gate
-//! (committed clean-profile floors for the paper backend; PANDA must be
-//! at least as precise everywhere and strictly better on recall under
-//! degraded pipelines).
+//! Runs both identification backends (the paper's §4.2 correlator and the
+//! PANDA-style cross-incident backend) over seeded ground-truth scenarios
+//! at each fault profile, then scores precision / recall / MRR per
+//! backend and asserts the accuracy gate (committed clean-profile floors
+//! for the paper backend; PANDA must be at least as precise everywhere
+//! and strictly better on recall under degraded pipelines). Three seeds
+//! cannot separate PANDA's mechanisms from each other; the 64-seed audit
+//! that chose them is DESIGN.md §10.
 
 use crate::accuracy::{aggregate, gate, run_case, AccuracyCase, CaseScore};
 use crate::plot;
@@ -15,6 +16,10 @@ use cpi2_core::IdentifierKind;
 const SEEDS: [u64; 3] = [1, 2, 3];
 const FAULTS: [&str; 3] = ["none", "lossy", "heavy"];
 const MINUTES: i64 = 120;
+/// The backend column's width: as wide as when the leaderboard also
+/// listed three ablation arms, so the committed rows diff only where a
+/// number moves.
+const BACKEND_WIDTH: usize = 20;
 
 pub(crate) fn run() {
     let mut runs: Vec<CaseScore> = Vec::new();
@@ -38,7 +43,7 @@ pub(crate) fn run() {
         .iter()
         .map(|r| {
             vec![
-                r.identifier.clone(),
+                format!("{:<BACKEND_WIDTH$}", r.identifier),
                 r.fault.clone(),
                 r.incidents.to_string(),
                 format!("{:.3}", r.precision),

@@ -208,7 +208,7 @@ struct AgentMetrics {
     degraded_stale_spec: Counter,
     /// Identification passes, labeled by the configured backend.
     identifier_runs: Counter,
-    /// PANDA-only: incident windows whose evidence was filtered as noise.
+    /// PANDA-only: incident windows filtered for too few aligned samples.
     panda_windows_filtered: Counter,
     /// PANDA-only: evidence pairs evicted to honor the state bound.
     panda_evidence_evictions: Counter,

@@ -10,7 +10,7 @@
 //!
 //! This module implements the paper-exact single-incident ranking. The
 //! PANDA-style backend in [`crate::panda`] produces the same [`Suspect`]
-//! records but ranks by a cross-incident confidence score instead.
+//! records but ranks by the mean correlation across incidents instead.
 
 use crate::correlation::antagonist_correlation;
 use crate::sample::{TaskClass, TaskHandle};
@@ -32,7 +32,8 @@ pub struct Suspect {
     pub correlation: f64,
     /// The score the active identifier ranked this suspect by. The
     /// paper-exact backend sets it to `correlation`; the PANDA-style
-    /// backend sets its cross-incident confidence. Old incident logs
+    /// backend sets the mean correlation over the suspect job's last
+    /// incidents against this victim job. Old incident logs
     /// (pre-confidence) deserialize to 0.
     #[serde(default)]
     pub confidence: f64,

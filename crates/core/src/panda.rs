@@ -1,27 +1,21 @@
-//! PANDA-style noise-resilient antagonist identification.
+//! PANDA-style cross-incident antagonist identification.
 //!
 //! The paper's §4.2 correlator scores each suspect from a *single*
 //! incident window, which is noisy: thin windows (a suspect that just
 //! landed), flat victim signal, and lossy sample pipelines all produce
 //! scores that swing around the decision threshold. Its production
 //! successor (PAPERS.md: "PANDA: Noise-Resilient Antagonist Identification
-//! in Production Datacenters") hardens identification three ways, all
-//! reproduced here:
+//! in Production Datacenters") hardens identification; two of its
+//! mechanisms are reproduced here, the two a 64-seed audit over four
+//! planted-noise scenarios found worth their code (DESIGN.md §10):
 //!
 //! 1. **Cross-incident aggregation** — correlation evidence is accumulated
-//!    per *(victim job, suspect job)* pair across repeated incidents, so a
-//!    verdict rests on a body of observations rather than one window
-//!    ([`EvidenceBook`]).
-//! 2. **Noise filtering** — a window only contributes evidence when the
+//!    per *(victim job, suspect job)* pair across repeated incidents, and
+//!    a suspect's score is the mean §4.2 correlation over the pair's last
+//!    [`PandaParams::aggregation_window`] incidents ([`EvidenceBook`]).
+//! 2. **Overlap filtering** — a window only contributes evidence when the
 //!    victim and suspect series overlap in at least
-//!    [`PandaParams::min_overlap`] aligned samples, and (with
-//!    [`PandaParams::variance_weighting`]) each window is weighted by how
-//!    much victim-CPI signal it actually carried, down-weighting windows
-//!    where the victim barely deviated from its threshold.
-//! 3. **Confidence scoring** — suspects are ranked by a score that shrinks
-//!    toward zero when evidence is scarce (a Bayesian-style support prior)
-//!    or inconsistent (variance across incidents), instead of by the raw
-//!    last-window correlation.
+//!    [`PandaParams::min_overlap`] aligned samples.
 //!
 //! # Determinism
 //!
@@ -37,9 +31,7 @@
 //! [`IdentifierKind`] is threaded through [`crate::Cpi2Config`]; the agent
 //! consults [`IdentifierKind::panda_params`] and either runs the
 //! paper-exact [`crate::antagonist::rank_suspects`] or
-//! [`EvidenceBook::rank`]. The ablation variants exist for the accuracy
-//! leaderboard (`cpi2-bench`'s `accuracy_leaderboard`): each switches off
-//! exactly one of the three mechanisms above.
+//! [`EvidenceBook::rank`].
 
 use crate::antagonist::{Suspect, SuspectInput};
 use crate::correlation::antagonist_correlation;
@@ -55,85 +47,39 @@ pub enum IdentifierKind {
     /// golden traces and the determinism suite were recorded against it).
     #[default]
     Paper,
-    /// Full PANDA-style backend: aggregation + filtering + confidence.
+    /// The PANDA-style backend: cross-incident aggregation + overlap
+    /// filtering.
     Panda,
-    /// Ablation: evidence window of one incident (no cross-incident
-    /// memory); filtering and confidence unchanged.
-    PandaNoAggregation,
-    /// Ablation: no minimum-overlap filter and no variance weighting;
-    /// aggregation and confidence unchanged.
-    PandaNoFiltering,
-    /// Ablation: rank by the weighted-mean correlation alone (no support
-    /// shrinkage, no consistency discount); aggregation and filtering
-    /// unchanged.
-    PandaNoConfidence,
 }
 
 impl IdentifierKind {
     /// Every backend, in leaderboard order.
-    pub const ALL: [IdentifierKind; 5] = [
-        IdentifierKind::Paper,
-        IdentifierKind::Panda,
-        IdentifierKind::PandaNoAggregation,
-        IdentifierKind::PandaNoFiltering,
-        IdentifierKind::PandaNoConfidence,
-    ];
+    pub const ALL: [IdentifierKind; 2] = [IdentifierKind::Paper, IdentifierKind::Panda];
 
-    /// Stable machine-readable name (CLI flags, telemetry labels,
-    /// leaderboard rows).
+    /// Stable machine-readable name (telemetry labels, leaderboard rows).
     pub fn name(self) -> &'static str {
         match self {
             IdentifierKind::Paper => "paper",
             IdentifierKind::Panda => "panda",
-            IdentifierKind::PandaNoAggregation => "panda-no-aggregation",
-            IdentifierKind::PandaNoFiltering => "panda-no-filtering",
-            IdentifierKind::PandaNoConfidence => "panda-no-confidence",
         }
     }
 
     /// The PANDA parameters for this backend, or `None` for the paper
     /// correlator.
     pub fn panda_params(self) -> Option<PandaParams> {
-        let base = PandaParams::default();
-        match self {
-            IdentifierKind::Paper => None,
-            IdentifierKind::Panda => Some(base),
-            IdentifierKind::PandaNoAggregation => Some(PandaParams {
-                aggregation_window: 1,
-                ..base
-            }),
-            IdentifierKind::PandaNoFiltering => Some(PandaParams {
-                min_overlap: 0,
-                variance_weighting: false,
-                ..base
-            }),
-            IdentifierKind::PandaNoConfidence => Some(PandaParams {
-                use_confidence: false,
-                // Without support shrinkage the score is a weighted mean
-                // correlation in [−1, 1]; the paper's own operating point
-                // is the comparable bar.
-                confidence_threshold: 0.35,
-                ..base
-            }),
-        }
+        (self == IdentifierKind::Panda).then(PandaParams::default)
     }
 
     /// The decision bar applied to [`Suspect::confidence`] when selecting
     /// a throttling target: the paper's correlation threshold for the
     /// paper backend, the backend's confidence threshold otherwise.
     pub fn decision_threshold(self, config: &crate::Cpi2Config) -> f64 {
-        match self.panda_params() {
-            None => config.correlation_threshold,
-            Some(p) => p.confidence_threshold,
-        }
+        self.panda_params()
+            .map_or(config.correlation_threshold, |p| p.confidence_threshold)
     }
 }
 
 /// Tuning knobs of the PANDA-style backend.
-///
-/// The ablation [`IdentifierKind`]s are expressed entirely through these
-/// fields (see [`IdentifierKind::panda_params`]), so the scoring code has
-/// a single path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PandaParams {
     /// How many incidents of evidence per (victim job, suspect job) pair
@@ -143,22 +89,9 @@ pub struct PandaParams {
     /// Minimum aligned (victim CPI, suspect usage) sample pairs for a
     /// window to contribute evidence. Thinner windows are filtered.
     pub min_overlap: usize,
-    /// Weight each window's evidence by the victim-CPI signal it carried
-    /// (RMS relative deviation from `cthreshold`, capped at 1) instead of
-    /// uniformly.
-    pub variance_weighting: bool,
-    /// Apply the support prior and consistency discount on top of the
-    /// weighted mean correlation.
-    pub use_confidence: bool,
-    /// Pseudo-weight of the "no evidence yet" prior: with total evidence
-    /// weight `W`, the support factor is `W / (W + prior)`.
-    pub confidence_prior: f64,
-    /// Strength of the consistency discount `1 / (1 + k·Var)` applied for
-    /// cross-incident disagreement.
-    pub consistency_strength: f64,
-    /// Decision bar on the confidence score (the analogue of the paper's
-    /// 0.35 correlation threshold; lower, because support shrinkage keeps
-    /// honest scores below the raw correlation).
+    /// Decision bar on the score, the mean correlation over the window.
+    /// The default 0.12 (the paper's single-window bar is 0.35) is the
+    /// bar DESIGN.md §10's audit measured.
     pub confidence_threshold: f64,
     /// Upper bound on tracked (victim job, suspect job) pairs; the
     /// least-recently-updated pair is evicted first (ties by key order).
@@ -170,15 +103,6 @@ impl Default for PandaParams {
         PandaParams {
             aggregation_window: 8,
             min_overlap: 3,
-            variance_weighting: true,
-            use_confidence: true,
-            confidence_prior: 1.0,
-            consistency_strength: 4.0,
-            // Support shrinkage halves a lone strong window's score, and
-            // agent restarts keep resetting the book in degraded fleets;
-            // the bar sits where one clear window (≈ 0.45 correlation,
-            // high signal) clears it but a weak or inconsistent body of
-            // evidence does not.
             confidence_threshold: 0.12,
             max_pairs: 256,
         }
@@ -195,12 +119,10 @@ pub struct PairKey {
     pub suspect_job: String,
 }
 
-/// One incident's worth of evidence for a pair.
+/// One incident's worth of evidence for a pair. Checkpoints written when
+/// records also carried a `weight` still restore: fields are read by name.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvidenceRecord {
-    /// Evidence weight in `(0, 1]` — the window's signal measure under
-    /// variance weighting, 1 otherwise.
-    pub weight: f64,
     /// The §4.2 correlation observed in that window.
     pub correlation: f64,
 }
@@ -246,8 +168,8 @@ mod pairmap {
 /// What one [`EvidenceBook::rank`] pass did, for telemetry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankStats {
-    /// Windows whose evidence was filtered out (overlap below the minimum
-    /// or no usable signal).
+    /// Windows whose evidence was filtered out (overlap below
+    /// [`PandaParams::min_overlap`]).
     pub windows_filtered: u64,
     /// Evidence pairs evicted to honor [`PandaParams::max_pairs`].
     pub evictions: u64,
@@ -290,10 +212,10 @@ impl EvidenceBook {
     /// the strongest task's — is committed, so a wide job does not flood
     /// the book with near-duplicate evidence from one incident.
     ///
-    /// With `aggregation_window = 1` and filtering disabled this ranks
+    /// With `aggregation_window = 1` and `min_overlap = 0` this ranks
     /// identically to the paper correlator (the history contributes
-    /// nothing and the confidence factors are constant across suspects) —
-    /// pinned by a property test.
+    /// nothing and the score is the window's correlation) — pinned by a
+    /// property test.
     #[allow(clippy::too_many_arguments)] // mirrors rank_suspects + book context
     pub fn rank(
         &mut self,
@@ -319,20 +241,7 @@ impl EvidenceBook {
             let correlation = antagonist_correlation(&pairs, cthreshold);
             let current = match correlation {
                 Some(c) if pairs.len() >= params.min_overlap => {
-                    let weight = if params.variance_weighting {
-                        window_signal(&pairs, cthreshold)
-                    } else {
-                        1.0
-                    };
-                    if weight > 0.0 {
-                        Some(EvidenceRecord {
-                            weight,
-                            correlation: c,
-                        })
-                    } else {
-                        stats.windows_filtered += 1;
-                        None
-                    }
+                    Some(EvidenceRecord { correlation: c })
                 }
                 Some(_) => {
                     stats.windows_filtered += 1;
@@ -350,15 +259,10 @@ impl EvidenceBook {
             };
             // Historical evidence: the newest window−1 records, so the
             // score never mixes more than `aggregation_window` incidents.
-            let history = self.pairs.get(&key).map(|p| p.records.as_slice());
-            let mut evidence: Vec<EvidenceRecord> = history
-                .unwrap_or(&[])
-                .iter()
-                .copied()
-                .skip(history.map_or(0, |h| h.len()).saturating_sub(window - 1))
-                .collect();
-            evidence.extend(current);
-            let confidence = confidence_score(&evidence, params);
+            let history = self.pairs.get(&key).map_or(&[][..], |p| &p.records);
+            let newest = history.len().saturating_sub(window - 1);
+            let history = history.get(newest..).unwrap_or_default();
+            let confidence = mean_correlation(history, current);
 
             if let Some(rec) = current {
                 let stronger = match commits.get(&**s.jobname) {
@@ -424,59 +328,20 @@ impl EvidenceBook {
     }
 }
 
-/// How much victim-CPI signal a window carried: the RMS relative deviation
-/// of victim CPI from `cthreshold`, capped at 1. A window where the victim
-/// hovered at its threshold is weak evidence regardless of the suspect's
-/// usage pattern.
-fn window_signal(pairs: &[(f64, f64)], cthreshold: f64) -> f64 {
-    if pairs.is_empty() || cthreshold <= 0.0 {
+/// A suspect's score: the mean correlation over its pair's history and
+/// the current window, so bounded by `[−1, 1]` and sign-preserving; zero
+/// when there is no evidence.
+fn mean_correlation(history: &[EvidenceRecord], current: Option<EvidenceRecord>) -> f64 {
+    let n = history.len() + usize::from(current.is_some());
+    if n == 0 {
         return 0.0;
     }
-    let ss: f64 = pairs
+    history
         .iter()
-        .map(|&(c, _)| {
-            let d = c / cthreshold - 1.0;
-            d * d
-        })
-        .sum();
-    (ss / pairs.len() as f64).sqrt().min(1.0)
-}
-
-/// The confidence score over a body of evidence:
-///
-/// ```text
-/// W     = Σ wᵢ                       (total evidence weight)
-/// mean  = Σ wᵢ·corrᵢ / W             (weighted mean correlation)
-/// conf  = mean · W/(W + prior)       (support: shrink scarce evidence)
-///              · 1/(1 + k·Var)       (consistency: discount disagreement)
-/// ```
-///
-/// Sign-preserving and bounded by `|mean| ≤ 1`; zero when there is no
-/// evidence. With `use_confidence` off it is the weighted mean alone.
-fn confidence_score(records: &[EvidenceRecord], params: &PandaParams) -> f64 {
-    let total: f64 = records.iter().map(|r| r.weight).sum();
-    if total <= 0.0 || !total.is_finite() {
-        return 0.0;
-    }
-    let mean = records
-        .iter()
-        .map(|r| r.weight * r.correlation)
+        .chain(&current)
+        .map(|r| r.correlation)
         .sum::<f64>()
-        / total;
-    if !mean.is_finite() {
-        return 0.0;
-    }
-    if !params.use_confidence {
-        return mean;
-    }
-    let support = total / (total + params.confidence_prior.max(0.0));
-    let var = records
-        .iter()
-        .map(|r| r.weight * (r.correlation - mean) * (r.correlation - mean))
-        .sum::<f64>()
-        / total;
-    let consistency = 1.0 / (1.0 + params.consistency_strength.max(0.0) * var);
-    mean * support * consistency
+        / n as f64
 }
 
 #[cfg(test)]
@@ -544,11 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn guilty_outranks_innocent_and_confidence_grows() {
+    fn guilty_outranks_innocent_across_incidents() {
         let (victim, guilty, innocent) = scenario();
         let params = IdentifierKind::Panda.panda_params().unwrap();
         let mut book = EvidenceBook::new();
-        let mut last = 0.0;
         for incident in 0..4 {
             let (ranked, _) = book.rank(
                 &params,
@@ -560,18 +424,12 @@ mod tests {
                 incident * 600_000_000,
             );
             assert_eq!(&*ranked[0].jobname, "guilty", "incident {incident}");
-            assert!(ranked[0].confidence > 0.0);
             assert!(ranked[1].confidence < ranked[0].confidence);
-            assert!(
-                ranked[0].confidence >= last,
-                "confidence must grow with consistent evidence: {} then {}",
-                last,
-                ranked[0].confidence
-            );
-            last = ranked[0].confidence;
+            // Identical windows: the mean over the history is the
+            // window's own correlation, and it clears the decision bar.
+            assert!((ranked[0].confidence - ranked[0].correlation).abs() < 1e-12);
+            assert!(ranked[0].confidence >= params.confidence_threshold);
         }
-        // Aggregated consistent evidence clears the decision bar.
-        assert!(last >= params.confidence_threshold, "final conf {last}");
         assert_eq!(book.pairs_tracked(), 2);
     }
 
@@ -592,7 +450,7 @@ mod tests {
                 i * 600_000_000,
             );
         }
-        // Now a thin window: only 2 aligned samples (below min_overlap 4).
+        // Now a thin window: only 2 aligned samples (below min_overlap 3).
         let thin_victim = series(&[(0, 5.0), (60, 1.0)]);
         let thin_guilty = series(&[(0, 4.0), (60, 0.0)]);
         let thin_innocent = series(&[(0, 0.0), (60, 4.0)]);
@@ -612,31 +470,14 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_evidence_is_discounted() {
-        let params = PandaParams::default();
-        let consistent: Vec<EvidenceRecord> = (0..4)
-            .map(|_| EvidenceRecord {
-                weight: 1.0,
-                correlation: 0.5,
-            })
-            .collect();
-        let flaky: Vec<EvidenceRecord> = (0..4)
-            .map(|i| EvidenceRecord {
-                weight: 1.0,
-                correlation: if i % 2 == 0 { 1.0 } else { 0.0 },
-            })
-            .collect();
-        // Same weighted mean, very different consistency.
-        let a = confidence_score(&consistent, &params);
-        let b = confidence_score(&flaky, &params);
-        assert!(a > b, "consistent {a} must beat flaky {b}");
-        // Sign-preserving on negative evidence.
-        let negative = [EvidenceRecord {
-            weight: 1.0,
-            correlation: -0.5,
-        }];
-        assert!(confidence_score(&negative, &params) < 0.0);
-        assert_eq!(confidence_score(&[], &params), 0.0);
+    fn the_score_is_the_mean_correlation() {
+        let rec = |correlation| EvidenceRecord { correlation };
+        let history = [rec(1.0), rec(0.0), rec(0.25)];
+        assert_eq!(mean_correlation(&history, Some(rec(0.75))), 0.5);
+        assert_eq!(mean_correlation(&history, None), 1.25 / 3.0);
+        // Sign-preserving on negative evidence; zero without evidence.
+        assert_eq!(mean_correlation(&[], Some(rec(-0.5))), -0.5);
+        assert_eq!(mean_correlation(&[], None), 0.0);
     }
 
     #[test]

@@ -85,15 +85,13 @@ proptest! {
         cth in 0.5..5.0f64,
         incidents in 1..4usize,
     ) {
-        // ISSUE satellite: PANDA with an aggregation window of one
-        // incident and filtering disabled must rank identically to the
-        // paper correlator — the history contributes nothing and the
-        // confidence transform (mean · W/(W+prior), Var = 0) is monotone
-        // in the raw correlation.
+        // PANDA with an aggregation window of one incident and filtering
+        // disabled must rank identically to the paper correlator — the
+        // history contributes nothing and the score, a mean over one
+        // window, is the window's correlation.
         let params = PandaParams {
             aggregation_window: 1,
             min_overlap: 0,
-            variance_weighting: false,
             ..PandaParams::default()
         };
         let ts = |f: &dyn Fn(&UsageRow) -> f64| {

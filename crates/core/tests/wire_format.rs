@@ -3,7 +3,7 @@
 //! sharing them as `Arc<str>` changed no byte on the wire, and a
 //! checkpoint written then restores now.
 
-use cpi2_core::{Agent, Cpi2Config, CpiSample, CpiSpec, TaskClass, TaskHandle};
+use cpi2_core::{Agent, Cpi2Config, CpiSample, CpiSpec, IdentifierKind, TaskClass, TaskHandle};
 use cpi2_perf::CounterReading;
 use cpi2_sim::{JobId, SimDuration, SimTime, TaskId};
 
@@ -19,6 +19,10 @@ const CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint.json");
 /// The same pattern for 25 minutes: each task's histories hold the 21
 /// points of the last two correlation windows, and two incidents.
 const EVICTED_CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint_evicted.json");
+
+/// The 25-minute pattern under the PANDA identifier, written while each
+/// evidence record also carried a `weight` (always 1.0 here).
+const PANDA_CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint_panda.json");
 
 fn sample(task: u64, job: &str, minute: i64, cpi: f64, usage: f64, class: TaskClass) -> CpiSample {
     CpiSample {
@@ -66,7 +70,14 @@ fn a_counter_reading_reads_and_writes_as_before() {
 /// An agent after `minutes` of the victim/antagonist pattern, with one
 /// spec installed.
 fn agent_after(minutes: i64) -> Agent {
-    let mut agent = Agent::new(Cpi2Config::default());
+    agent_with(IdentifierKind::Paper, minutes)
+}
+
+fn agent_with(identifier: IdentifierKind, minutes: i64) -> Agent {
+    let mut agent = Agent::new(Cpi2Config {
+        identifier,
+        ..Cpi2Config::default()
+    });
     agent.install_spec(CpiSpec {
         jobname: "victim".into(),
         platforminfo: "westmere-2.6GHz".into(),
@@ -113,4 +124,41 @@ fn a_checkpoint_after_evictions_reads_and_writes_as_before() {
     let restored = Agent::restore(EVICTED_CHECKPOINT).unwrap();
     assert_eq!(restored.incidents(), agent.incidents());
     assert_eq!(restored.checkpoint().unwrap(), EVICTED_CHECKPOINT);
+}
+
+/// `blob` without its `"weight":<number>,` entries.
+fn without_weights(blob: &str) -> String {
+    let mut out = String::with_capacity(blob.len());
+    let mut rest = blob;
+    while let Some(at) = rest.find("\"weight\":") {
+        out.push_str(&rest[..at]);
+        let after = &rest[at..];
+        rest = &after[after.find(',').expect("a weight precedes the correlation") + 1..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The checkpoint's `"evidence":{…}` member.
+fn evidence_of(blob: &str) -> &str {
+    let start = blob.find("\"evidence\":").expect("an evidence book");
+    let end = blob[start..]
+        .find(",\"trace_spans\"")
+        .expect("trace spans follow");
+    &blob[start..start + end]
+}
+
+/// Evidence records lost their `weight`; a checkpoint that still has one
+/// restores with every pair and correlation, and all else, intact.
+#[test]
+fn a_panda_checkpoint_with_weighted_evidence_restores() {
+    let restored = Agent::restore(PANDA_CHECKPOINT).unwrap();
+    assert_eq!(restored.config().identifier, IdentifierKind::Panda);
+    assert_eq!(restored.incidents().len(), 2);
+    assert_eq!(restored.evidence_pairs(), 1);
+    let written = restored.checkpoint().unwrap();
+    assert_eq!(written, without_weights(PANDA_CHECKPOINT));
+    // The same stream today accumulates the same evidence.
+    let fresh = agent_with(IdentifierKind::Panda, 25).checkpoint().unwrap();
+    assert_eq!(evidence_of(&written), evidence_of(&fresh));
 }

@@ -65,7 +65,8 @@ pub struct MachineView {
 pub struct SuspectView {
     /// Suspect job name.
     pub jobname: String,
-    /// Identifier score (correlation / PANDA credit).
+    /// Identifier score: the window's correlation, or PANDA's mean
+    /// correlation across incidents.
     pub correlation: f64,
 }
 
