@@ -14,7 +14,9 @@
 //! - one `ClusterSampler::poll` that closes a window over N tasks:
 //!   1 + 2N (the readings and two `String`s per reading).
 //!
-//! A warm `Agent::ingest` with no incident counted 0 then as now.
+//! A warm `Agent::ingest` with no incident counted 0 then as now, and so
+//! does a warm `Cluster::step` since its machine phase ticks machines in
+//! groups.
 //!
 //! Before a spec install probed with borrowed names and a new instant's
 //! dedup set was sized to its batch, re-installing a known spec counted 2
@@ -31,8 +33,8 @@ use cpi2_core::{
 use cpi2_perf::sampler::ClusterSampler;
 use cpi2_pipeline::Aggregator;
 use cpi2_sim::{
-    ConstantLoad, JobId, Machine, MachineId, Platform, Priority, ResourceProfile, SchedClass,
-    SimDuration, SimTime, TaskId, TaskInstance,
+    Cluster, ClusterConfig, ConstantLoad, JobId, JobSpec, Machine, MachineId, Platform, Priority,
+    ResourceProfile, SchedClass, SimDuration, SimTime, TaskId, TaskInstance,
 };
 use cpi2_stats::timeseries::TimeSeries;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -278,4 +280,39 @@ fn a_batch_at_a_new_instant_allocates_its_dedup_set_alone() {
     }
     assert_eq!(aggregator.samples_seen(), 15 * 25);
     assert_eq!(aggregator.duplicates_dropped(), 0);
+}
+
+#[test]
+fn a_warm_cluster_step_allocates_nothing() {
+    // 13 machines: one full group of eight and a partial one of five.
+    let mut cluster = Cluster::new(ClusterConfig {
+        seed: 3,
+        ..ClusterConfig::default()
+    });
+    cluster.add_machines(&Platform::westmere(), 13);
+    for (job, (tasks, profile)) in [
+        (20, ResourceProfile::compute_bound()),
+        (9, ResourceProfile::streaming()),
+        (13, ResourceProfile::cache_heavy()),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        cluster
+            .submit_job(
+                JobSpec::batch(format!("job-{job}"), tasks, 0.5),
+                false,
+                Box::new(move |_| Box::new(ConstantLoad::new(0.5, 2, profile))),
+            )
+            .unwrap();
+    }
+    for _ in 0..5 {
+        cluster.step();
+    }
+    for tick in 5..15 {
+        let ((), n) = counted(|| cluster.step());
+        assert_eq!(n, 0, "tick {tick}");
+    }
+    let tasks: usize = cluster.machines().iter().map(Machine::task_count).sum();
+    assert_eq!(tasks, 42);
 }

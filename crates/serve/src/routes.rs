@@ -31,6 +31,11 @@ use serde_json;
 use crate::server::{Request, Response};
 use crate::state::{OperatorAction, SharedState};
 
+/// Longest operator cap `POST /actions/cap` accepts, in seconds (30
+/// days; the §5 caps last minutes). A longer or unparsable `secs` is a
+/// `400`.
+const MAX_CAP_SECS: i64 = 30 * 24 * 3600;
+
 /// The route table: one instance serves every shard thread.
 #[derive(Debug)]
 pub struct Router {
@@ -105,7 +110,7 @@ impl Router {
              GET  /healthz /version /metrics /metrics.json\n\
              GET  /incidents /incidents/{id}/trace /specs/{job} /machines/{id} /debug/events\n\
              POST /query                       (body: SQL over incidents|machines|specs|samples)\n\
-             POST /actions/cap?job=&index=&rate=&secs=\n\
+             POST /actions/cap?job=&index=&rate=&secs=   (secs <= 2592000, default 300)\n\
              POST /actions/uncap?job=&index=\n\
              POST /actions/kill-restart?job=&index=\n\
              POST /actions/protection?enabled=true|false\n",
@@ -245,11 +250,16 @@ impl Router {
                 if !(rate > 0.0 && rate.is_finite()) {
                     return Response::error(400, "rate must be a positive number");
                 }
-                let secs = req
-                    .param("secs")
-                    .and_then(|v| v.parse::<i64>().ok())
-                    .unwrap_or(300)
-                    .max(1);
+                let secs = match req.param("secs").map(str::parse::<i64>) {
+                    None => 300,
+                    Some(Ok(secs)) if secs <= MAX_CAP_SECS => secs.max(1),
+                    Some(_) => {
+                        return Response::error(
+                            400,
+                            &format!("secs must be an integer of at most {MAX_CAP_SECS}"),
+                        )
+                    }
+                };
                 OperatorAction::Cap {
                     job,
                     index,
@@ -742,5 +752,45 @@ mod tests {
         });
         assert_eq!(resp.status, 400);
         assert_eq!(r.state.actions.pending(), 0);
+    }
+
+    #[test]
+    fn a_cap_longer_than_the_ceiling_is_refused() {
+        let r = router();
+        let cap = |secs: &str| {
+            r.handle(&Request {
+                method: "POST".into(),
+                path: "/actions/cap".into(),
+                query: vec![
+                    ("job".into(), "3".into()),
+                    ("index".into(), "1".into()),
+                    ("rate".into(), "0.1".into()),
+                    ("secs".into(), secs.into()),
+                ],
+                ..Request::default()
+            })
+            .status
+        };
+        // `i64::MAX` seconds would saturate to `i64::MAX` µs of cap and
+        // overflow the expiry `now + duration`.
+        for secs in [
+            "9223372036854775807",
+            "2592001",
+            "99999999999999999999",
+            "5m",
+        ] {
+            assert_eq!(cap(secs), 400, "secs={secs}");
+        }
+        assert_eq!(r.state.actions.pending(), 0);
+        assert_eq!(cap(&MAX_CAP_SECS.to_string()), 202);
+        assert_eq!(
+            r.state.actions.drain(),
+            vec![OperatorAction::Cap {
+                job: 3,
+                index: 1,
+                rate: 0.1,
+                duration_us: MAX_CAP_SECS * 1_000_000,
+            }]
+        );
     }
 }

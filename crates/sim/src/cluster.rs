@@ -152,8 +152,6 @@ pub struct Cluster {
     last_throttle_total: u64,
     /// Reused per-tick exit buffer (drained by the commit phase).
     exit_scratch: Vec<(MachineId, TaskExit)>,
-    /// Reused per-machine exit staging buffer for the serial path.
-    tick_exits: Vec<TaskExit>,
 }
 
 impl Cluster {
@@ -175,7 +173,6 @@ impl Cluster {
             metrics,
             last_throttle_total: 0,
             exit_scratch: Vec::new(),
-            tick_exits: Vec::new(),
         }
     }
 
@@ -578,15 +575,11 @@ impl Cluster {
         // phase below drains it and hands it back).
         let mut all_exits = std::mem::take(&mut self.exit_scratch);
         if workers <= 1 {
-            // Legacy serial path (parallelism = 1).
-            let mut tmp = std::mem::take(&mut self.tick_exits);
-            for m in &mut self.machines {
-                let id = m.id;
-                tmp.clear();
-                m.tick(now, dt, &mut tmp);
-                all_exits.extend(tmp.drain(..).map(|e| (id, e)));
-            }
-            self.tick_exits = tmp;
+            // Serial path (parallelism = 1): the same grouped machine
+            // phase each pool worker runs over its shard.
+            crate::machine::tick_group(&mut self.machines, now, dt, |id, exit| {
+                all_exits.push((id, exit))
+            });
         } else {
             let pool = match &mut self.pool {
                 Some(p) if p.workers() == workers => p,

@@ -17,6 +17,12 @@
 //! instructions → less traffic), so the model runs a short fixed-point
 //! iteration. Everything here is deterministic; per-tick noise is applied
 //! by the machine.
+//!
+//! The solve comes in two halves, `solve_begin` (cache occupancy, MPKI,
+//! starting CPI) and `solve_pass` (one damped fixed-point pass), and
+//! [`compute_cols`] is the first followed by `iterations` of the second.
+//! The machine tick calls the halves directly so that the passes of
+//! several independent machines can run side by side.
 
 use crate::platform::Platform;
 use crate::task::ResourceProfile;
@@ -172,11 +178,10 @@ fn miss_traffic(activity: &[f64], cpi: &[f64], mpki: &[f64], clock_hz: f64) -> f
 /// summary plus the global cache-retention fraction shared by every task
 /// this tick (1.0 when demand fits in the L3).
 ///
-/// The arithmetic and its evaluation order are exactly the historical
-/// per-struct implementation's — column iteration visits tasks in the
-/// same order the struct loop did, so results are bit-identical (pinned
-/// by the golden-digest determinism suite and the reference property
-/// test).
+/// It is `solve_begin` then `params.iterations` × `solve_pass`: the
+/// machine tick runs the same two halves, but interleaves the passes of
+/// a group of machines (see `machine::tick_group`), so the two orders
+/// are bit-identical by construction.
 // lint: hot-path
 pub fn compute_cols(
     platform: &Platform,
@@ -186,6 +191,36 @@ pub fn compute_cols(
     cpi: &mut Vec<f64>,
     mpki: &mut Vec<f64>,
 ) -> (ContentionSummary, f64) {
+    let (demand, retained_global) = solve_begin(platform, activity, profiles, params, cpi, mpki);
+    let mut rho = 0.0;
+    for _ in 0..params.iterations {
+        rho = solve_pass(platform, activity, profiles, params, cpi, mpki);
+    }
+    (
+        ContentionSummary {
+            cache_demand_mb: demand,
+            // An empty column's traffic sum is its −0.0 start; −0.0 + 0.0
+            // is +0.0 and every other value is unchanged.
+            mem_utilization: rho + 0.0,
+        },
+        retained_global,
+    )
+}
+
+/// The part of a solve that precedes the bandwidth fixed point: the cache
+/// occupancy, each task's MPKI after cache loss (refilled into `mpki`),
+/// and the starting CPI estimates (refilled into `cpi`). Returns the
+/// aggregate hot-set demand and the global retention fraction.
+// lint: hot-path
+#[inline]
+pub(crate) fn solve_begin(
+    platform: &Platform,
+    activity: &[f64],
+    profiles: &ProfileColumns,
+    params: &InterferenceParams,
+    cpi: &mut Vec<f64>,
+    mpki: &mut Vec<f64>,
+) -> (f64, f64) {
     mpki.clear();
     cpi.clear();
 
@@ -215,44 +250,53 @@ pub fn compute_cols(
         mpki.push(solo * (1.0 + sensitivity * loss * params.cache_slope));
     }
 
-    // --- Bandwidth fixed point -------------------------------------------
+    // --- Bandwidth fixed point: starting estimates -------------------------
     for &base in &profiles.base_cpi {
         cpi.push(base * platform.cpi_factor);
     }
-    let mut rho = 0.0;
-    for _ in 0..params.iterations {
-        // Miss traffic in giga-lines/sec at current CPI estimates.
-        let glines = miss_traffic(activity, cpi, mpki, platform.clock_hz);
-        rho = (glines / platform.mem_bw_glines).min(params.rho_max);
-        let queue_mult = 1.0 + params.queue_beta * rho / (1.0 - rho);
-        let eff_penalty = platform.miss_penalty_cycles * queue_mult;
-        let rows = profiles
-            .mpki_solo
-            .iter()
-            .zip(profiles.base_cpi.iter())
-            .zip(cpi.iter_mut().zip(mpki.iter()));
-        for ((&solo, &base), (c, &m)) in rows {
-            // base_cpi already prices solo misses at nominal latency; add
-            // only the extra stall cycles from lost cache and queueing.
-            let extra_mpki = (m - solo).max(0.0);
-            let extra = (extra_mpki * eff_penalty
-                + solo * platform.miss_penalty_cycles * (queue_mult - 1.0))
-                / 1000.0;
-            let target = base * platform.cpi_factor + extra;
-            // Damped update for fixed-point stability.
-            *c += params.damping * (target - *c);
-        }
-    }
+    (demand, retained_global)
+}
 
-    (
-        ContentionSummary {
-            cache_demand_mb: demand,
-            // An empty column's traffic sum is its −0.0 start; −0.0 + 0.0
-            // is +0.0 and every other value is unchanged.
-            mem_utilization: rho + 0.0,
-        },
-        retained_global,
-    )
+/// One damped pass of the bandwidth fixed point: miss traffic at the
+/// current `cpi` estimates, the memory utilization ρ it implies, and each
+/// task's CPI moved toward its target at that ρ. Returns ρ.
+///
+/// A pass is one serial chain of divides (traffic → ρ → queue factor →
+/// update); on a machine of a few tasks little else can run beside it,
+/// which is why the machine tick interleaves the passes of independent
+/// machines.
+// lint: hot-path
+#[inline]
+pub(crate) fn solve_pass(
+    platform: &Platform,
+    activity: &[f64],
+    profiles: &ProfileColumns,
+    params: &InterferenceParams,
+    cpi: &mut [f64],
+    mpki: &[f64],
+) -> f64 {
+    // Miss traffic in giga-lines/sec at current CPI estimates.
+    let glines = miss_traffic(activity, cpi, mpki, platform.clock_hz);
+    let rho = (glines / platform.mem_bw_glines).min(params.rho_max);
+    let queue_mult = 1.0 + params.queue_beta * rho / (1.0 - rho);
+    let eff_penalty = platform.miss_penalty_cycles * queue_mult;
+    let rows = profiles
+        .mpki_solo
+        .iter()
+        .zip(profiles.base_cpi.iter())
+        .zip(cpi.iter_mut().zip(mpki.iter()));
+    for ((&solo, &base), (c, &m)) in rows {
+        // base_cpi already prices solo misses at nominal latency; add
+        // only the extra stall cycles from lost cache and queueing.
+        let extra_mpki = (m - solo).max(0.0);
+        let extra = (extra_mpki * eff_penalty
+            + solo * platform.miss_penalty_cycles * (queue_mult - 1.0))
+            / 1000.0;
+        let target = base * platform.cpi_factor + extra;
+        // Damped update for fixed-point stability.
+        *c += params.damping * (target - *c);
+    }
+    rho
 }
 
 #[cfg(test)]

@@ -5,11 +5,13 @@
 //! to a worker by value over a channel and come back the same way, so no
 //! borrows cross threads and the pool outlives any one tick — spawning
 //! threads per tick costs tens of microseconds each, which would swamp
-//! the tick work itself on small fleets. Results are reassembled in
-//! shard order, keeping machine order (and therefore the trace) identical
-//! to the serial path.
+//! the tick work itself on small fleets. Each worker ticks its shard with
+//! the serial path's own grouped machine phase
+//! ([`tick_group`](crate::machine::tick_group)), and results are
+//! reassembled in shard order, keeping machine order (and therefore the
+//! trace) identical to the serial path.
 
-use crate::machine::{Machine, MachineId, TaskExit};
+use crate::machine::{tick_group, Machine, MachineId, TaskExit};
 use crate::time::{SimDuration, SimTime};
 use cpi2_telemetry::{Gauge, Histo, Telemetry};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -83,18 +85,10 @@ impl TickPool {
             let (tx, job_rx) = channel::<ShardJob>();
             let res_tx = res_tx.clone();
             handles.push(std::thread::spawn(move || {
-                // Per-worker exit staging buffer, reused across machines
-                // and across ticks.
-                let mut tmp: Vec<TaskExit> = Vec::new();
                 while let Ok((mut machines, mut exits, now, dt, measure)) = job_rx.recv() {
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let started = measure.then(Instant::now);
-                        for m in &mut machines {
-                            let id = m.id;
-                            tmp.clear();
-                            m.tick(now, dt, &mut tmp);
-                            exits.extend(tmp.drain(..).map(|e| (id, e)));
-                        }
+                        tick_group(&mut machines, now, dt, |id, exit| exits.push((id, exit)));
                         started.map_or(0, |t| t.elapsed().as_micros().min(u64::MAX as u128) as u64)
                     }));
                     let outcome = match res {

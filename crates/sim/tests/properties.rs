@@ -2,9 +2,11 @@
 
 use cpi2_sim::interference::{compute_cols, ContentionSummary, InterferenceParams, ProfileColumns};
 use cpi2_sim::{
-    Cgroup, ConstantLoad, JobId, Machine, MachineId, Platform, Priority, ResourceProfile,
-    SchedClass, Scheduler, SimDuration, SimTime, TaskId, TaskInstance,
+    Cgroup, Cluster, ClusterConfig, ConstantLoad, JobId, Machine, MachineId, Platform, Priority,
+    ResourceProfile, SchedClass, Scheduler, SimDuration, SimTime, TaskAction, TaskDemand, TaskId,
+    TaskInstance, TaskModel, TickOutcome, TraceEvent,
 };
+use cpi2_stats::rng::SimRng;
 use proptest::prelude::*;
 
 fn profile_strategy() -> impl Strategy<Value = ResourceProfile> {
@@ -521,5 +523,202 @@ fn compute_cols_bit_identical_at_every_chunk_boundary() {
             check_against_reference(&loads, idle)
                 .unwrap_or_else(|e| panic!("{n} tasks, {idle:?}: {e:?}"));
         }
+    }
+}
+
+// --- the grouped machine phase vs one machine at a time -------------------
+
+/// Machines per group of the cluster's machine phase (`machine::GROUP`,
+/// which is private): fleets are drawn up to three groups and one
+/// machine, so their sizes fall on both sides of group boundaries.
+const GROUP: usize = 8;
+
+/// A task whose demand draws from the machine's RNG each tick and which
+/// exits after `exit_after` ticks if that is set, so exits land in the
+/// middle of a group.
+struct Jittery {
+    cpu: f64,
+    threads: u32,
+    profile: ResourceProfile,
+    exit_after: Option<u32>,
+}
+
+impl TaskModel for Jittery {
+    fn profile(&self) -> ResourceProfile {
+        self.profile
+    }
+
+    fn demand(&mut self, _now: SimTime, _dt: SimDuration, rng: &mut SimRng) -> TaskDemand {
+        TaskDemand {
+            cpu_want: self.cpu * rng.range_f64(0.5, 1.5),
+            threads: self.threads,
+        }
+    }
+
+    fn observe(&mut self, _now: SimTime, _outcome: &TickOutcome) -> TaskAction {
+        match &mut self.exit_after {
+            Some(0) => TaskAction::Exit,
+            Some(n) => {
+                *n -= 1;
+                TaskAction::Continue
+            }
+            None => TaskAction::Continue,
+        }
+    }
+}
+
+/// One drawn task: CPU, threads, profile (noisy), class 0–2, hard cap
+/// 0 none / 1 live / 2 expired / 3 expiring mid-run at `rate`, and when
+/// its model exits.
+type TaskDraw = (f64, u32, ResourceProfile, u8, (u8, f64), Option<u32>);
+
+fn task_draw() -> impl Strategy<Value = TaskDraw> {
+    let noisy = (profile_strategy(), 0.0..0.3f64).prop_map(|(mut p, noise)| {
+        p.cpi_noise = noise;
+        p
+    });
+    (
+        0.0..6.0f64,
+        1..8u32,
+        noisy,
+        0..3u8,
+        (0..4u8, 0.05..2.0f64),
+        prop::option::of(0..4u32),
+    )
+}
+
+/// Two clusters built alike from `fleet`: one per tick path.
+fn twin_clusters(fleet: &[Vec<TaskDraw>], seed: u64) -> [Cluster; 2] {
+    let build = || {
+        let mut cluster = Cluster::new(ClusterConfig {
+            seed,
+            ..ClusterConfig::default()
+        });
+        cluster.add_machines(&Platform::westmere(), fleet.len() as u32);
+        for (m, tasks) in fleet.iter().enumerate() {
+            let machine = cluster.machine_mut(MachineId(m as u32)).unwrap();
+            for (i, &(cpu, threads, profile, class, (cap, rate), exit_after)) in
+                tasks.iter().enumerate()
+            {
+                let id = TaskId {
+                    job: JobId(m as u32),
+                    index: i as u32,
+                };
+                let class = [
+                    SchedClass::LatencySensitive,
+                    SchedClass::Batch,
+                    SchedClass::BestEffort,
+                ][class as usize];
+                machine.add_task(
+                    TaskInstance {
+                        id,
+                        model: Box::new(Jittery {
+                            cpu,
+                            threads,
+                            profile,
+                            exit_after,
+                        }),
+                    },
+                    format!("j{m}"),
+                    class,
+                    Priority::NonProduction,
+                    (i % 2 == 0).then_some(cpu),
+                );
+                let until = match cap {
+                    1 => Some(SimTime::from_mins(60)),
+                    2 => Some(SimTime::ZERO),
+                    3 => Some(SimTime::from_secs(2)),
+                    _ => None,
+                };
+                if let Some(until) = until {
+                    let t = machine.task_mut(id).unwrap();
+                    t.cgroup.apply_hard_cap(rate, until);
+                }
+            }
+        }
+        cluster
+    };
+    [build(), build()]
+}
+
+/// Every per-task and per-machine value a tick writes, as bits.
+fn tick_state(cluster: &Cluster) -> Vec<Vec<u64>> {
+    cluster
+        .machines()
+        .iter()
+        .map(|m| {
+            let mut row = vec![
+                m.id.0 as u64,
+                m.utilization().to_bits(),
+                m.throttle_events(),
+                m.task_count() as u64,
+            ];
+            for t in m.tasks() {
+                row.extend([
+                    t.id.index as u64,
+                    t.threads() as u64,
+                    t.starved_ticks() as u64,
+                ]);
+                if let Some(o) = t.last_outcome() {
+                    row.extend([
+                        o.cpu_granted.to_bits(),
+                        o.capped as u64,
+                        o.cpi.to_bits(),
+                        o.instructions.to_bits(),
+                        o.l3_misses.to_bits(),
+                    ]);
+                }
+                let c = t.cgroup.counters();
+                row.extend([
+                    c.cycles.to_bits(),
+                    c.instructions.to_bits(),
+                    c.l2_misses.to_bits(),
+                    c.l3_misses.to_bits(),
+                    c.mem_lines.to_bits(),
+                    c.context_switches,
+                    c.cpu_time_us.to_bits(),
+                ]);
+            }
+            row
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn grouped_tick_is_bit_identical_to_one_machine_at_a_time(
+        fleet in prop::collection::vec(
+            prop::collection::vec(task_draw(), 0..31),
+            0..3 * GROUP + 2,
+        ),
+        seed in 0..1000u64,
+    ) {
+        let [mut grouped, mut single] = twin_clusters(&fleet, seed);
+        let dt = grouped.tick_len();
+        let mut single_exits = Vec::new();
+        // Five ticks: exits at ticks 1–4 and a cap expiring at 2 s, with
+        // each tick's output reading the RNG state the last one left.
+        for tick in 0..5 {
+            let now = SimTime::from_secs(tick);
+            grouped.step();
+            let ids: Vec<MachineId> = single.machines().iter().map(|m| m.id).collect();
+            for id in ids {
+                let mut exits = Vec::new();
+                single.machine_mut(id).unwrap().tick(now, dt, &mut exits);
+                single_exits.extend(exits.into_iter().map(|e| (id, e.id, e.at, e.capped)));
+            }
+            prop_assert_eq!(tick_state(&grouped), tick_state(&single), "tick {}", tick);
+        }
+        let grouped_exits: Vec<_> = grouped
+            .trace()
+            .entries()
+            .filter_map(|e| match &e.event {
+                TraceEvent::TaskExited { task, machine, capped } => {
+                    Some((*machine, *task, e.at, *capped))
+                }
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(grouped_exits, single_exits);
     }
 }

@@ -230,8 +230,9 @@ impl Cpi2Harness {
 
     /// Operator action: manually hard-cap a task (§5: "we provide an
     /// interface to system operators so they can hard-cap suspects").
+    /// A `duration` past the end of sim time caps the task for good.
     pub fn operator_cap(&mut self, task: TaskId, cpu_rate: f64, duration: SimDuration) -> bool {
-        let until = self.cluster.now() + duration;
+        let until = SimTime(self.cluster.now().as_us().saturating_add(duration.as_us()));
         let ok = self.cluster.apply_hard_cap(task, cpu_rate, until);
         if ok {
             self.caps_applied += 1;
@@ -756,5 +757,31 @@ mod tests {
             }),
             60
         );
+    }
+
+    #[test]
+    fn an_operator_cap_longer_than_sim_time_holds() {
+        use cpi2_sim::{ConstantLoad, JobSpec, Platform, ResourceProfile};
+
+        let mut cluster = Cluster::new(cpi2_sim::ClusterConfig::default());
+        cluster.add_machines(&Platform::westmere(), 1);
+        let job = cluster
+            .submit_job(
+                JobSpec::batch("hog", 1, 4.0),
+                true,
+                Box::new(|_| Box::new(ConstantLoad::new(4.0, 4, ResourceProfile::streaming()))),
+            )
+            .unwrap();
+        let task = TaskId { job, index: 0 };
+        let mut system = Cpi2Harness::new(cluster, Cpi2Config::default());
+        system.run_for(SimDuration::from_mins(1));
+        // `now + i64::MAX µs` overflowed: a panic in a debug build, and in
+        // a release build an expiry in the past, so the cap never bit.
+        assert!(system.operator_cap(task, 0.1, SimDuration(i64::MAX)));
+        system.run_for(SimDuration::from_mins(1));
+        let machine = system.cluster.locate(task).unwrap();
+        let out = system.cluster.machine(machine).unwrap().task(task).unwrap();
+        let out = out.last_outcome().unwrap();
+        assert!(out.capped && out.cpu_granted <= 0.1 + 1e-9, "{out:?}");
     }
 }
