@@ -279,7 +279,6 @@ pub(crate) fn run() {
             "steady",
             SchedClass::LatencySensitive,
             Priority::Production,
-            None,
         );
         // Machine 0's stagger is phase 0.
         let mut sampler = ClusterSampler::with_schedule(

@@ -182,7 +182,6 @@ fn closing_a_window_allocates_the_readings_alone() {
             format!("job-{job}"),
             SchedClass::Batch,
             Priority::NonProduction,
-            None,
         );
     }
     let mut sampler = ClusterSampler::new();

@@ -100,7 +100,6 @@ mod tests {
             "svc",
             SchedClass::Batch,
             Priority::NonProduction,
-            None,
         );
         m.tick(SimTime::ZERO, SimDuration::from_secs(1), &mut Vec::new());
         let src: &dyn CounterSource = &m;

@@ -348,7 +348,6 @@ mod tests {
             "svc",
             SchedClass::LatencySensitive,
             Priority::Production,
-            None,
         );
         m
     }
@@ -425,7 +424,6 @@ mod tests {
             "late",
             SchedClass::Batch,
             Priority::NonProduction,
-            None,
         );
         let mut first_close = Vec::new();
         let mut second_close = Vec::new();
@@ -461,7 +459,6 @@ mod tests {
             "x",
             SchedClass::Batch,
             Priority::NonProduction,
-            None,
         );
         let dt = SimDuration::from_secs(1);
         let mut t0 = None;

@@ -227,7 +227,6 @@ fn add_task(cluster: &mut Cluster, machine: u32, task: TaskId, cpu: f64) {
             format!("job{}", task.job.0),
             SchedClass::Batch,
             Priority::NonProduction,
-            None,
         );
     }
 }

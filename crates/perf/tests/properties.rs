@@ -21,7 +21,6 @@ fn machine(task_cpus: &[f64], seed: u64) -> Machine {
             format!("job{i}"),
             SchedClass::Batch,
             Priority::NonProduction,
-            None,
         );
     }
     m

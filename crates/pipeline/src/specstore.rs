@@ -202,6 +202,24 @@ impl SpecStore {
         snap.changed_since_with_age(since_version)
     }
 
+    /// What an agent synced to `since_version` pulls through a replica
+    /// `lag` publishes behind head (`lag == 0` reads head): that snapshot's
+    /// version and its specs changed after `since_version`, empty when the
+    /// agent is not behind. Takes the store lock once. A head read that is
+    /// behind records its lag as [`SpecStore::changed_since_with_age`] does.
+    pub fn pull(&self, since_version: u64, lag: usize) -> (u64, Vec<(CpiSpec, i64)>) {
+        let snap = self.lagged_snapshot(lag);
+        let version = snap.version();
+        if version <= since_version {
+            return (version, Vec::new());
+        }
+        if lag == 0 {
+            self.reader_staleness
+                .record((version - since_version) as f64);
+        }
+        (version, snap.changed_since_with_age(since_version))
+    }
+
     /// A snapshot `lag` publishes behind the current one (clamped to the
     /// oldest retained; `lag == 0` is the current snapshot). Fault
     /// injection uses this to model a distribution replica serving stale
@@ -384,6 +402,32 @@ mod tests {
         let lagged = store.lagged_snapshot(1);
         assert!(lagged.max_entry_version() <= lagged.version());
         assert!(lagged.version() < store.version());
+    }
+
+    #[test]
+    fn pull_reads_head_or_a_lagged_replica() {
+        let telemetry = Telemetry::enabled();
+        let mut store = SpecStore::new();
+        store.set_telemetry(&telemetry);
+        store.publish_at(vec![spec("a", 1.0)], 1);
+        store.publish_at(vec![spec("b", 2.0)], 2);
+        // Head, one publish behind: the newer spec with its stamp.
+        let (v, changed) = store.pull(1, 0);
+        assert_eq!(v, 2);
+        let names: Vec<_> = changed.iter().map(|(s, t)| (&*s.jobname, *t)).collect();
+        assert_eq!(names, [("b", 2)]);
+        // Up to date: nothing to install, and no staleness recorded.
+        assert_eq!(store.pull(2, 0), (2, Vec::new()));
+        // A replica one publish behind serves version 1's view.
+        let (v, changed) = store.pull(0, 1);
+        assert_eq!(v, 1);
+        assert_eq!(changed.len(), 1);
+        // Only the head read that was behind recorded its lag.
+        let text = telemetry.prometheus_text().unwrap();
+        assert!(
+            text.contains("cpi_specstore_reader_staleness_count 1"),
+            "{text}"
+        );
     }
 
     #[test]

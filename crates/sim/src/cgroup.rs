@@ -82,9 +82,6 @@ pub struct HardCap {
 pub struct Cgroup {
     /// CFS enforcement period (the paper's example uses 250 ms).
     period: SimDuration,
-    /// Long-term CPU reservation/limit in CPU-sec/sec (cores); `None`
-    /// means uncapped up to machine capacity.
-    limit: Option<f64>,
     /// Currently active hard cap, if any.
     cap: Option<HardCap>,
     /// Accumulated counters.
@@ -95,23 +92,16 @@ pub struct Cgroup {
 
 impl Default for Cgroup {
     fn default() -> Self {
-        Cgroup::new(None)
+        Cgroup::new()
     }
 }
 
 impl Cgroup {
-    /// Creates a cgroup with an optional long-term CPU limit (CPU-sec/sec).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a provided limit is not positive.
-    pub fn new(limit: Option<f64>) -> Self {
-        if let Some(l) = limit {
-            assert!(l > 0.0, "Cgroup: CPU limit must be positive");
-        }
+    /// Creates an uncapped cgroup: the task may use up to machine capacity
+    /// until a hard cap is applied.
+    pub fn new() -> Self {
         Cgroup {
             period: SimDuration(250_000), // 250 ms, as in §5.
-            limit,
             cap: None,
             counters: CounterBlock::default(),
             throttled_us: 0,
@@ -123,8 +113,8 @@ impl Cgroup {
         self.period
     }
 
-    /// Quota of runnable microseconds per period under the current
-    /// effective rate limit; `None` when unconstrained.
+    /// Quota of runnable microseconds per period under the live hard cap;
+    /// `None` when uncapped.
     pub fn quota_us(&self, now: SimTime) -> Option<i64> {
         self.effective_rate(now)
             .map(|r| (r * self.period.as_us() as f64) as i64)
@@ -145,27 +135,15 @@ impl Cgroup {
         self.cap = None;
     }
 
-    /// The long-term CPU reservation/limit in CPU-sec/sec, ignoring any
-    /// temporary hard cap. This is what admission control reserves for the
-    /// task; use [`Cgroup::effective_rate`] for the currently enforced rate.
-    pub fn limit(&self) -> Option<f64> {
-        self.limit
-    }
-
     /// The active hard cap, if it has not expired by `now`.
     pub fn hard_cap(&self, now: SimTime) -> Option<HardCap> {
         self.cap.filter(|c| c.until > now)
     }
 
-    /// Effective CPU rate limit at `now` (min of long-term limit and any
-    /// live hard cap); `None` when unconstrained.
+    /// Effective CPU rate limit at `now`: the live hard cap's rate; `None`
+    /// when uncapped.
     pub fn effective_rate(&self, now: SimTime) -> Option<f64> {
-        match (self.limit, self.hard_cap(now)) {
-            (Some(l), Some(c)) => Some(l.min(c.cpu_rate)),
-            (Some(l), None) => Some(l),
-            (None, Some(c)) => Some(c.cpu_rate),
-            (None, None) => None,
-        }
+        self.hard_cap(now).map(|c| c.cpu_rate)
     }
 
     /// Clamps a CPU request (in cores) to what bandwidth control allows at
@@ -178,16 +156,6 @@ impl Cgroup {
                 rate
             }
             _ => want_cores,
-        }
-    }
-
-    /// Drops an expired cap (housekeeping; callers may also just let
-    /// [`Cgroup::hard_cap`] filter it).
-    pub fn expire_cap(&mut self, now: SimTime) {
-        if let Some(c) = self.cap {
-            if c.until <= now {
-                self.cap = None;
-            }
         }
     }
 
@@ -241,31 +209,23 @@ mod tests {
 
     #[test]
     fn uncapped_cgroup_grants_everything() {
-        let mut g = Cgroup::new(None);
+        let mut g = Cgroup::new();
         let got = g.clamp_cpu(7.5, SimTime::ZERO, SimDuration::from_secs(1));
         assert_eq!(got, 7.5);
         assert_eq!(g.throttled_us(), 0);
     }
 
     #[test]
-    fn long_term_limit_clamps() {
-        let mut g = Cgroup::new(Some(2.0));
-        let got = g.clamp_cpu(4.0, SimTime::ZERO, SimDuration::from_secs(1));
-        assert_eq!(got, 2.0);
-        assert!(g.throttled_us() > 0);
-    }
-
-    #[test]
     fn hard_cap_paper_quota() {
         // A 0.1 CPU-sec/sec cap over a 250 ms period is 25 ms of quota.
-        let mut g = Cgroup::new(None);
+        let mut g = Cgroup::new();
         g.apply_hard_cap(0.1, SimTime::from_mins(5));
         assert_eq!(g.quota_us(SimTime::ZERO), Some(25_000));
     }
 
     #[test]
     fn hard_cap_expires() {
-        let mut g = Cgroup::new(None);
+        let mut g = Cgroup::new();
         g.apply_hard_cap(0.1, SimTime::from_secs(10));
         assert!(g.hard_cap(SimTime::from_secs(5)).is_some());
         assert!(g.hard_cap(SimTime::from_secs(10)).is_none());
@@ -274,25 +234,17 @@ mod tests {
     }
 
     #[test]
-    fn effective_rate_takes_min() {
-        let mut g = Cgroup::new(Some(2.0));
+    fn effective_rate_is_the_live_cap() {
+        let mut g = Cgroup::new();
         g.apply_hard_cap(0.1, SimTime::from_secs(100));
         assert_eq!(g.effective_rate(SimTime::ZERO), Some(0.1));
         g.remove_hard_cap();
-        assert_eq!(g.effective_rate(SimTime::ZERO), Some(2.0));
-    }
-
-    #[test]
-    fn expire_cap_housekeeping() {
-        let mut g = Cgroup::new(None);
-        g.apply_hard_cap(0.5, SimTime::from_secs(1));
-        g.expire_cap(SimTime::from_secs(2));
-        assert_eq!(g.effective_rate(SimTime::from_secs(2)), None);
+        assert_eq!(g.effective_rate(SimTime::ZERO), None);
     }
 
     #[test]
     fn charge_accumulates() {
-        let mut g = Cgroup::new(None);
+        let mut g = Cgroup::new();
         let block = CounterBlock {
             cycles: 10.0,
             instructions: 5.0,
@@ -310,7 +262,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_nonpositive_cap() {
-        let mut g = Cgroup::new(None);
+        let mut g = Cgroup::new();
         g.apply_hard_cap(0.0, SimTime::from_secs(1));
     }
 }

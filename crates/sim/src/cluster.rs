@@ -258,73 +258,119 @@ impl Cluster {
     /// # Errors
     ///
     /// Fails if any task cannot be placed; tasks placed so far are rolled
-    /// back.
+    /// back, and the trace records none of them.
     pub fn submit_job(
         &mut self,
         spec: JobSpec,
         restart_on_exit: bool,
-        mut factory: ModelFactory,
+        factory: ModelFactory,
     ) -> Result<JobId, PlacementError> {
         let job = JobId(self.next_job);
-        let mut placements: BTreeMap<u32, (MachineId, f64)> = BTreeMap::new();
-        for index in 0..spec.task_count {
-            // Build the model first: cache-aware placement needs its
-            // footprint.
-            let model = factory(index);
-            let cache_mb = model.profile().cache_mb;
-            match self
-                .scheduler
-                .place(job, spec.class, spec.cpu_reservation, cache_mb)
-            {
-                Ok(machine) => {
-                    let id = TaskId { job, index };
-                    self.machines[machine.0 as usize].add_task(
-                        TaskInstance { id, model },
-                        spec.name.clone(),
-                        spec.class,
-                        spec.priority,
-                        None,
-                    );
-                    self.trace
-                        .record(self.now, TraceEvent::TaskPlaced { task: id, machine });
-                    placements.insert(index, (machine, cache_mb));
-                }
-                Err(e) => {
-                    // Roll back what we placed.
-                    for (&index, &(machine, cache_mb)) in &placements {
-                        let id = TaskId { job, index };
-                        self.machines[machine.0 as usize].remove_task(id);
-                        self.scheduler.release(
-                            machine,
-                            job,
-                            spec.class,
-                            spec.cpu_reservation,
-                            cache_mb,
-                        );
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        self.trace.record(
-            self.now,
-            TraceEvent::JobSubmitted {
-                job,
-                name: spec.name.clone(),
-            },
-        );
-        self.next_job += 1;
+        let task_count = spec.task_count;
         self.jobs.insert(
             job,
             JobInfo {
-                next_index: spec.task_count,
                 spec,
                 factory,
                 restart_on_exit,
-                placements,
+                placements: BTreeMap::new(),
+                next_index: task_count,
             },
         );
+        for index in 0..task_count {
+            if let Err(e) = self.place_task(TaskId { job, index }, None) {
+                // Roll back what was placed (`release_task` forgets each).
+                while let Some((&index, &(machine, _))) =
+                    self.jobs[&job].placements.first_key_value()
+                {
+                    let task = TaskId { job, index };
+                    self.machines[machine.0 as usize].remove_task(task);
+                    self.release_task(task, machine);
+                }
+                self.jobs.remove(&job);
+                return Err(e);
+            }
+        }
+        let info = &self.jobs[&job];
+        for (&index, &(machine, _)) in &info.placements {
+            let task = TaskId { job, index };
+            self.trace
+                .record(self.now, TraceEvent::TaskPlaced { task, machine });
+        }
+        let name = info.spec.name.clone();
+        self.trace
+            .record(self.now, TraceEvent::JobSubmitted { job, name });
+        self.next_job += 1;
         Ok(job)
+    }
+
+    /// Places `task` of a submitted job with a fresh model from the job's
+    /// factory: the scheduler picks a machine (never `exclude` unless it is
+    /// the only one that fits), the machine gets the task, and the
+    /// placement map remembers where it went. The caller records the
+    /// trace event.
+    fn place_task(
+        &mut self,
+        task: TaskId,
+        exclude: Option<MachineId>,
+    ) -> Result<MachineId, PlacementError> {
+        let info = self.jobs.get_mut(&task.job).expect("job exists");
+        // Build the model first: cache-aware placement needs its footprint.
+        let model = (info.factory)(task.index);
+        let cache_mb = model.profile().cache_mb;
+        let spec = &info.spec;
+        let machine = self.scheduler.place(
+            task.job,
+            spec.class,
+            spec.cpu_reservation,
+            cache_mb,
+            exclude,
+        )?;
+        self.machines[machine.0 as usize].add_task(
+            TaskInstance { id: task, model },
+            spec.name.clone(),
+            spec.class,
+            spec.priority,
+        );
+        info.placements.insert(task.index, (machine, cache_mb));
+        Ok(machine)
+    }
+
+    /// Forgets where `task` ran and returns its reservation on `machine`
+    /// to the scheduler. The machine must already be rid of the task.
+    fn release_task(&mut self, task: TaskId, machine: MachineId) {
+        let Some(info) = self.jobs.get_mut(&task.job) else {
+            return;
+        };
+        let cache_mb = info
+            .placements
+            .remove(&task.index)
+            .map_or(0.0, |(_, cache_mb)| cache_mb);
+        let spec = &info.spec;
+        self.scheduler.release(
+            machine,
+            task.job,
+            spec.class,
+            spec.cpu_reservation,
+            cache_mb,
+        );
+    }
+
+    /// Releases a task that died on `machine` (it exited, or the machine
+    /// crashed) and, if its job restarts exited tasks, places it again
+    /// under the same index — possibly on the same machine.
+    fn respawn(&mut self, task: TaskId, machine: MachineId) {
+        let Some(info) = self.jobs.get(&task.job) else {
+            return;
+        };
+        let restart = info.restart_on_exit;
+        self.release_task(task, machine);
+        if restart {
+            if let Ok(machine) = self.place_task(task, None) {
+                self.trace
+                    .record(self.now, TraceEvent::TaskPlaced { task, machine });
+            }
+        }
     }
 
     /// Machine currently hosting a task.
@@ -348,19 +394,7 @@ impl Cluster {
         };
         let removed = self.machines[machine.0 as usize].remove_task(task);
         if removed {
-            let info = self.jobs.get_mut(&task.job).expect("job exists");
-            let cache_mb = info
-                .placements
-                .remove(&task.index)
-                .map(|(_, c)| c)
-                .unwrap_or(0.0);
-            self.scheduler.release(
-                machine,
-                task.job,
-                info.spec.class,
-                info.spec.cpu_reservation,
-                cache_mb,
-            );
+            self.release_task(task, machine);
             self.trace
                 .record(self.now, TraceEvent::TaskKilled { task, machine });
         }
@@ -377,46 +411,18 @@ impl Cluster {
     ///
     /// Fails if the replacement cannot be placed (the kill still happens).
     pub fn migrate_task(&mut self, task: TaskId) -> Result<MachineId, PlacementError> {
-        let from = self.locate(task);
+        let Some(from) = self.locate(task) else {
+            return Err(PlacementError::NoCapacity);
+        };
         if !self.kill_task(task) {
             return Err(PlacementError::NoCapacity);
         }
-        let info = self.jobs.get_mut(&task.job).expect("job exists");
-        let (class, cpu, name) = (
-            info.spec.class,
-            info.spec.cpu_reservation,
-            info.spec.name.clone(),
-        );
-        let priority = info.spec.priority;
-        let new_index = info.next_index;
-        let model = (info.factory)(new_index);
-        let cache_mb = model.profile().cache_mb;
-        let machine = self
-            .scheduler
-            .place_excluding(task.job, class, cpu, cache_mb, from)?;
-        let info = self.jobs.get_mut(&task.job).expect("job exists");
-        info.next_index += 1;
-        let new_id = TaskId {
-            job: task.job,
-            index: new_index,
-        };
-        info.placements.insert(new_index, (machine, cache_mb));
-        self.machines[machine.0 as usize].add_task(
-            TaskInstance { id: new_id, model },
-            name,
-            class,
-            priority,
-            None,
-        );
-        self.trace.record(
-            self.now,
-            TraceEvent::TaskMigrated {
-                task,
-                from: from.expect("located above"),
-                to: machine,
-            },
-        );
-        Ok(machine)
+        let index = self.jobs[&task.job].next_index;
+        let to = self.place_task(TaskId { index, ..task }, Some(from))?;
+        self.jobs.get_mut(&task.job).expect("job exists").next_index += 1;
+        self.trace
+            .record(self.now, TraceEvent::TaskMigrated { task, from, to });
+        Ok(to)
     }
 
     /// Applies a CPU hard cap to a task's cgroup, recording it in the trace.
@@ -461,12 +467,11 @@ impl Cluster {
     /// the rebooted machine itself — keeping the same task index, exactly
     /// like an in-place task restart. Returns the number of tasks lost.
     pub fn crash_machine(&mut self, id: MachineId) -> usize {
-        let Some(machine) = self.machines.get(id.0 as usize) else {
+        let Some(machine) = self.machines.get_mut(id.0 as usize) else {
             return 0;
         };
-        let platform = machine.platform.clone();
         let lost: Vec<TaskId> = machine.tasks().map(|t| t.id).collect();
-        self.machines[id.0 as usize] = Machine::new(id, platform, self.config.seed);
+        *machine = Machine::new(id, machine.platform.clone(), self.config.seed);
         self.trace.record(
             self.now,
             TraceEvent::MachineCrashed {
@@ -474,56 +479,10 @@ impl Cluster {
                 tasks_lost: lost.len() as u32,
             },
         );
-        let count = lost.len();
-        for task in lost {
-            let Some(info) = self.jobs.get_mut(&task.job) else {
-                continue;
-            };
-            let cache_mb = info
-                .placements
-                .remove(&task.index)
-                .map(|(_, c)| c)
-                .unwrap_or(0.0);
-            self.scheduler.release(
-                id,
-                task.job,
-                info.spec.class,
-                info.spec.cpu_reservation,
-                cache_mb,
-            );
-            if info.restart_on_exit {
-                let (class, cpu, name, priority) = (
-                    info.spec.class,
-                    info.spec.cpu_reservation,
-                    info.spec.name.clone(),
-                    info.spec.priority,
-                );
-                let model = {
-                    let info = self.jobs.get_mut(&task.job).expect("job exists");
-                    (info.factory)(task.index)
-                };
-                let cache_mb = model.profile().cache_mb;
-                if let Ok(new_machine) = self.scheduler.place(task.job, class, cpu, cache_mb) {
-                    let info = self.jobs.get_mut(&task.job).expect("job exists");
-                    info.placements.insert(task.index, (new_machine, cache_mb));
-                    self.machines[new_machine.0 as usize].add_task(
-                        TaskInstance { id: task, model },
-                        name,
-                        class,
-                        priority,
-                        None,
-                    );
-                    self.trace.record(
-                        self.now,
-                        TraceEvent::TaskPlaced {
-                            task,
-                            machine: new_machine,
-                        },
-                    );
-                }
-            }
+        for &task in &lost {
+            self.respawn(task, id);
         }
-        count
+        lost.len()
     }
 
     /// Advances the cluster by one tick.
@@ -644,53 +603,7 @@ impl Cluster {
                     capped: exit.capped,
                 },
             );
-            let Some(info) = self.jobs.get_mut(&exit.id.job) else {
-                continue;
-            };
-            let old_cache = info
-                .placements
-                .remove(&exit.id.index)
-                .map(|(_, c)| c)
-                .unwrap_or(0.0);
-            self.scheduler.release(
-                machine,
-                exit.id.job,
-                info.spec.class,
-                info.spec.cpu_reservation,
-                old_cache,
-            );
-            if info.restart_on_exit {
-                let (class, cpu, name, priority) = (
-                    info.spec.class,
-                    info.spec.cpu_reservation,
-                    info.spec.name.clone(),
-                    info.spec.priority,
-                );
-                let model = {
-                    let info = self.jobs.get_mut(&exit.id.job).expect("job exists");
-                    (info.factory)(exit.id.index)
-                };
-                let cache_mb = model.profile().cache_mb;
-                if let Ok(new_machine) = self.scheduler.place(exit.id.job, class, cpu, cache_mb) {
-                    let info = self.jobs.get_mut(&exit.id.job).expect("job exists");
-                    info.placements
-                        .insert(exit.id.index, (new_machine, cache_mb));
-                    self.machines[new_machine.0 as usize].add_task(
-                        TaskInstance { id: exit.id, model },
-                        name,
-                        class,
-                        priority,
-                        None,
-                    );
-                    self.trace.record(
-                        self.now,
-                        TraceEvent::TaskPlaced {
-                            task: exit.id,
-                            machine: new_machine,
-                        },
-                    );
-                }
-            }
+            self.respawn(exit.id, machine);
         }
         self.exit_scratch = all_exits;
         if let Some(t) = phase_start {
@@ -769,6 +682,27 @@ mod tests {
             constant_factory(5.0),
         )
         .unwrap();
+    }
+
+    #[test]
+    fn failed_submission_leaves_no_placement_in_trace() {
+        let mut c = Cluster::new(ClusterConfig::default());
+        c.add_machines(&Platform::westmere(), 1); // 12 cores: the 3rd task does not fit.
+        let err = c.submit_job(
+            JobSpec::latency_sensitive("big", 3, 5.0),
+            true,
+            constant_factory(5.0),
+        );
+        assert_eq!(err, Err(PlacementError::NoCapacity));
+        assert!(
+            !c.trace()
+                .entries()
+                .any(|e| matches!(e.event, TraceEvent::TaskPlaced { .. })),
+            "a rolled-back job must leave no TaskPlaced"
+        );
+        assert_eq!(c.machines()[0].task_count(), 0);
+        assert_eq!(c.scheduler().reservations(MachineId(0)), Some((0.0, 0.0)));
+        assert_eq!(c.scheduler().reserved_cache_mb(MachineId(0)), Some(0.0));
     }
 
     #[test]

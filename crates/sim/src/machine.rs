@@ -170,24 +170,22 @@ impl Machine {
         self.throttle_events
     }
 
-    /// Places a task on this machine.
+    /// Places a task on this machine in a fresh, uncapped cgroup.
     ///
-    /// `job_name`, `class` and `priority` come from the job spec;
-    /// `cpu_limit` is the cgroup's long-term limit, if any.
+    /// `job_name`, `class` and `priority` come from the job spec.
     pub fn add_task(
         &mut self,
         instance: TaskInstance,
         job_name: impl Into<Arc<str>>,
         class: SchedClass,
         priority: Priority,
-        cpu_limit: Option<f64>,
     ) {
         self.tasks.push(ResidentTask {
             id: instance.id,
             job_name: job_name.into(),
             class,
             priority,
-            cgroup: Cgroup::new(cpu_limit),
+            cgroup: Cgroup::new(),
             model: instance.model,
             last_outcome: None,
             threads: 0,
@@ -234,22 +232,6 @@ impl Machine {
     /// CPU utilization over the last tick, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
         self.last_utilization
-    }
-
-    /// Sum of the long-term cgroup CPU limits for tasks of `class`, used by
-    /// the scheduler's admission control.
-    ///
-    /// This deliberately ignores temporary hard caps: a capped antagonist
-    /// still reserves its full limit, because the cap expires long before
-    /// the placement does. (It previously queried
-    /// `effective_rate(SimTime::ZERO)`, which let a hard cap that happened
-    /// to span t=0 shrink the reservation admission control saw.)
-    pub fn reserved_cpu(&self, class: SchedClass) -> f64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.class == class)
-            .filter_map(|t| t.cgroup.limit())
-            .sum()
     }
 
     /// Advances the machine by one tick of length `dt` ending the tick's
@@ -575,7 +557,6 @@ mod tests {
             } else {
                 Priority::NonProduction
             },
-            None,
         );
     }
 
@@ -731,41 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn reserved_cpu_ignores_temporary_hard_caps() {
-        // Admission control must see the long-term reservation, not the
-        // rate a transient hard cap happens to enforce at t=0.
-        let mut m = Machine::new(MachineId(0), Platform::westmere(), 40);
-        m.add_task(
-            TaskInstance {
-                id: tid(1, 0),
-                model: Box::new(ConstantLoad::new(2.0, 4, ResourceProfile::compute_bound())),
-            },
-            "svc",
-            SchedClass::LatencySensitive,
-            Priority::Production,
-            Some(2.0),
-        );
-        assert!((m.reserved_cpu(SchedClass::LatencySensitive) - 2.0).abs() < 1e-12);
-        // A hard cap spanning t=0 must not shrink the reservation.
-        m.task_mut(tid(1, 0))
-            .unwrap()
-            .cgroup
-            .apply_hard_cap(0.1, SimTime::from_mins(5));
-        assert!((m.reserved_cpu(SchedClass::LatencySensitive) - 2.0).abs() < 1e-12);
-        // Unlimited tasks reserve nothing; other classes are excluded.
-        add_constant(
-            &mut m,
-            tid(2, 0),
-            "batch",
-            SchedClass::Batch,
-            1.0,
-            ResourceProfile::streaming(),
-        );
-        assert!((m.reserved_cpu(SchedClass::LatencySensitive) - 2.0).abs() < 1e-12);
-        assert_eq!(m.reserved_cpu(SchedClass::Batch), 0.0);
-    }
-
-    #[test]
     fn empty_machine_fast_path_is_inert() {
         let mut m = Machine::new(MachineId(0), Platform::westmere(), 41);
         let mut exits = Vec::new();
@@ -902,7 +848,6 @@ mod tests {
             "quitter",
             SchedClass::Batch,
             Priority::NonProduction,
-            None,
         );
         m.add_task(
             TaskInstance {
@@ -912,7 +857,6 @@ mod tests {
             "starved",
             SchedClass::Batch,
             Priority::NonProduction,
-            None,
         );
         let mut exited = Vec::new();
         for i in 0..5 {

@@ -156,21 +156,10 @@ impl Scheduler {
 
     /// Chooses a machine for one task of `job` with the given class, CPU
     /// reservation, and cache footprint. Spreads load by picking randomly
-    /// among the best-scoring feasible candidates.
+    /// among the best-scoring feasible candidates. A migration passes the
+    /// machine it leaves as `exclude` ("restart it somewhere else", §5);
+    /// that machine is picked only if it is the sole feasible one.
     pub fn place(
-        &mut self,
-        job: JobId,
-        class: SchedClass,
-        cpu: f64,
-        cache_mb: f64,
-    ) -> Result<MachineId, PlacementError> {
-        self.place_excluding(job, class, cpu, cache_mb, None)
-    }
-
-    /// Like [`Scheduler::place`] but never picks `exclude` (used by
-    /// migration: "restart it somewhere else", §5). Falls back to the
-    /// excluded machine only if it is the sole feasible one.
-    pub fn place_excluding(
         &mut self,
         job: JobId,
         class: SchedClass,
@@ -195,7 +184,7 @@ impl Scheduler {
             // Nothing else fits: accept the excluded machine rather than
             // fail outright.
             if exclude.is_some() {
-                return self.place_excluding(job, class, cpu, cache_mb, None);
+                return self.place(job, class, cpu, cache_mb, None);
             }
             return Err(if any_capacity {
                 PlacementError::ConstraintsUnsatisfiable
@@ -215,8 +204,8 @@ impl Scheduler {
         Ok(pick)
     }
 
-    /// Records a placement made externally (e.g. replaying a trace).
-    pub fn commit(
+    /// Books a chosen placement.
+    fn commit(
         &mut self,
         machine: MachineId,
         job: JobId,
@@ -294,21 +283,22 @@ mod tests {
         let mut s = sched_with_machines(1, 12);
         // 12 cores: exactly 6 two-core LS tasks fit, the 7th is rejected.
         for _ in 0..6 {
-            s.place(JobId(1), SchedClass::LatencySensitive, 2.0, 1.0)
+            s.place(JobId(1), SchedClass::LatencySensitive, 2.0, 1.0, None)
                 .unwrap();
         }
-        let err = s.place(JobId(1), SchedClass::LatencySensitive, 2.0, 1.0);
+        let err = s.place(JobId(1), SchedClass::LatencySensitive, 2.0, 1.0, None);
         assert_eq!(err, Err(PlacementError::NoCapacity));
     }
 
     #[test]
     fn batch_overcommits() {
         let mut s = sched_with_machines(1, 10);
-        s.place(JobId(1), SchedClass::LatencySensitive, 10.0, 1.0)
+        s.place(JobId(1), SchedClass::LatencySensitive, 10.0, 1.0, None)
             .unwrap();
         // LS is full, but batch can still land thanks to 1.5× overcommit.
-        s.place(JobId(2), SchedClass::Batch, 5.0, 1.0).unwrap();
-        let err = s.place(JobId(2), SchedClass::Batch, 1.0, 1.0);
+        s.place(JobId(2), SchedClass::Batch, 5.0, 1.0, None)
+            .unwrap();
+        let err = s.place(JobId(2), SchedClass::Batch, 1.0, 1.0, None);
         assert_eq!(err, Err(PlacementError::NoCapacity));
     }
 
@@ -316,15 +306,15 @@ mod tests {
     fn release_restores_capacity() {
         let mut s = sched_with_machines(1, 4);
         let m = s
-            .place(JobId(1), SchedClass::LatencySensitive, 4.0, 2.0)
+            .place(JobId(1), SchedClass::LatencySensitive, 4.0, 2.0, None)
             .unwrap();
         assert!(s
-            .place(JobId(1), SchedClass::LatencySensitive, 1.0, 1.0)
+            .place(JobId(1), SchedClass::LatencySensitive, 1.0, 1.0, None)
             .is_err());
         s.release(m, JobId(1), SchedClass::LatencySensitive, 4.0, 2.0);
         assert_eq!(s.reserved_cache_mb(m), Some(0.0));
         assert!(s
-            .place(JobId(1), SchedClass::LatencySensitive, 4.0, 2.0)
+            .place(JobId(1), SchedClass::LatencySensitive, 4.0, 2.0, None)
             .is_ok());
     }
 
@@ -332,8 +322,12 @@ mod tests {
     fn anti_affinity_respected() {
         let mut s = sched_with_machines(2, 8);
         s.add_anti_affinity(JobId(1), JobId(2));
-        let m1 = s.place(JobId(1), SchedClass::Batch, 1.0, 1.0).unwrap();
-        let m2 = s.place(JobId(2), SchedClass::Batch, 1.0, 1.0).unwrap();
+        let m1 = s
+            .place(JobId(1), SchedClass::Batch, 1.0, 1.0, None)
+            .unwrap();
+        let m2 = s
+            .place(JobId(2), SchedClass::Batch, 1.0, 1.0, None)
+            .unwrap();
         assert_ne!(m1, m2);
         // Fill both machines with job 1; job 2 now has nowhere to go.
         let mut s = sched_with_machines(2, 8);
@@ -341,7 +335,7 @@ mod tests {
         s.commit(MachineId(0), JobId(1), SchedClass::Batch, 1.0, 1.0);
         s.commit(MachineId(1), JobId(1), SchedClass::Batch, 1.0, 1.0);
         assert_eq!(
-            s.place(JobId(2), SchedClass::Batch, 1.0, 1.0),
+            s.place(JobId(2), SchedClass::Batch, 1.0, 1.0, None),
             Err(PlacementError::ConstraintsUnsatisfiable)
         );
     }
@@ -351,29 +345,32 @@ mod tests {
         let mut s = sched_with_machines(10, 12);
         let mut used = HashSet::new();
         for _ in 0..40 {
-            used.insert(s.place(JobId(1), SchedClass::Batch, 1.0, 1.0).unwrap());
+            used.insert(
+                s.place(JobId(1), SchedClass::Batch, 1.0, 1.0, None)
+                    .unwrap(),
+            );
         }
         assert!(used.len() >= 5, "used {} machines", used.len());
     }
 
     #[test]
-    fn place_excluding_avoids_machine() {
+    fn place_avoids_excluded_machine() {
         let mut s = sched_with_machines(3, 12);
         // Repeated placements never land on the excluded machine while
         // alternatives exist.
         for _ in 0..20 {
             let m = s
-                .place_excluding(JobId(1), SchedClass::Batch, 0.5, 1.0, Some(MachineId(1)))
+                .place(JobId(1), SchedClass::Batch, 0.5, 1.0, Some(MachineId(1)))
                 .unwrap();
             assert_ne!(m, MachineId(1));
         }
     }
 
     #[test]
-    fn place_excluding_falls_back_when_sole_option() {
+    fn place_falls_back_to_excluded_when_sole_option() {
         let mut s = sched_with_machines(1, 12);
         let m = s
-            .place_excluding(JobId(1), SchedClass::Batch, 1.0, 1.0, Some(MachineId(0)))
+            .place(JobId(1), SchedClass::Batch, 1.0, 1.0, Some(MachineId(0)))
             .unwrap();
         assert_eq!(m, MachineId(0));
     }
@@ -381,9 +378,10 @@ mod tests {
     #[test]
     fn reservations_accounting() {
         let mut s = sched_with_machines(1, 12);
-        s.place(JobId(1), SchedClass::LatencySensitive, 3.0, 4.0)
+        s.place(JobId(1), SchedClass::LatencySensitive, 3.0, 4.0, None)
             .unwrap();
-        s.place(JobId(2), SchedClass::Batch, 2.0, 8.0).unwrap();
+        s.place(JobId(2), SchedClass::Batch, 2.0, 8.0, None)
+            .unwrap();
         assert_eq!(s.reservations(MachineId(0)), Some((3.0, 2.0)));
         assert_eq!(s.reserved_cache_mb(MachineId(0)), Some(12.0));
     }
@@ -404,7 +402,9 @@ mod tests {
             probe.register_machine(MachineId(1), 12, 12.0);
             probe.commit(MachineId(0), JobId(9), SchedClass::Batch, 0.5, 11.0);
             probe.commit(MachineId(1), JobId(8), SchedClass::Batch, 6.0, 0.5);
-            let m = probe.place(JobId(1), SchedClass::Batch, 1.0, 8.0).unwrap();
+            let m = probe
+                .place(JobId(1), SchedClass::Batch, 1.0, 8.0, None)
+                .unwrap();
             assert_eq!(m, MachineId(1));
         }
         // The least-loaded policy would pick machine 0 (lower CPU load).
@@ -415,7 +415,9 @@ mod tests {
         blind.commit(MachineId(1), JobId(8), SchedClass::Batch, 6.0, 0.5);
         let mut picked0 = 0;
         for _ in 0..20 {
-            let m = blind.place(JobId(1), SchedClass::Batch, 0.01, 8.0).unwrap();
+            let m = blind
+                .place(JobId(1), SchedClass::Batch, 0.01, 8.0, None)
+                .unwrap();
             if m == MachineId(0) {
                 picked0 += 1;
             }

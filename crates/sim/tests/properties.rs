@@ -122,16 +122,12 @@ proptest! {
     fn cgroup_clamp_never_exceeds_request_or_cap(
         want in 0.0..32.0f64,
         cap in 0.001..4.0f64,
-        limit in prop::option::of(0.1..16.0f64),
     ) {
-        let mut g = Cgroup::new(limit);
+        let mut g = Cgroup::new();
         g.apply_hard_cap(cap, SimTime::from_mins(5));
         let got = g.clamp_cpu(want, SimTime::ZERO, SimDuration::from_secs(1));
         prop_assert!(got <= want + 1e-12);
         prop_assert!(got <= cap + 1e-12);
-        if let Some(l) = limit {
-            prop_assert!(got <= l + 1e-12);
-        }
     }
 
     #[test]
@@ -153,7 +149,6 @@ proptest! {
                 format!("j{i}"),
                 class,
                 Priority::NonProduction,
-                None,
             );
         }
         m.tick(SimTime::ZERO, SimDuration::from_secs(1), &mut Vec::new());
@@ -177,7 +172,7 @@ proptest! {
             s.register_machine(MachineId(i), 12, 12.0);
         }
         for (i, &cpu) in requests.iter().enumerate() {
-            let _ = s.place(JobId(i as u32), SchedClass::LatencySensitive, cpu, 1.0);
+            let _ = s.place(JobId(i as u32), SchedClass::LatencySensitive, cpu, 1.0, None);
         }
         // Admission control invariant: per-machine LS reservations ≤ cores.
         for i in 0..4 {
@@ -194,7 +189,7 @@ proptest! {
             s.register_machine(MachineId(i), 12, 12.0);
         }
         for (i, &cpu) in requests.iter().enumerate() {
-            let _ = s.place(JobId(i as u32), SchedClass::Batch, cpu, 1.0);
+            let _ = s.place(JobId(i as u32), SchedClass::Batch, cpu, 1.0, None);
         }
         for i in 0..4 {
             let (ls, batch) = s.reservations(MachineId(i)).unwrap();
@@ -204,7 +199,6 @@ proptest! {
 
     #[test]
     fn cfs_granted_never_exceeds_bandwidth_quota(
-        limit in prop::option::of(0.05..8.0f64),
         caps in prop::collection::vec(prop::option::of((0.01..4.0f64, 1..40i64)), 1..10),
         demands in prop::collection::vec(0.0..16.0f64, 1..60),
     ) {
@@ -212,7 +206,7 @@ proptest! {
         // per tick, granted CPU-time never exceeds quota x elapsed
         // periods, and the throttle counter is monotone with per-tick
         // increments bounded by the tick itself.
-        let mut g = Cgroup::new(limit);
+        let mut g = Cgroup::new();
         let dt = SimDuration::from_secs(1);
         let mut prev_throttled = 0i64;
         for (i, &want) in demands.iter().enumerate() {
@@ -261,7 +255,7 @@ proptest! {
             1..40,
         ),
     ) {
-        let mut g = Cgroup::new(None);
+        let mut g = Cgroup::new();
         let mut prev = *g.counters();
         for &(cycles, instructions, l3, switches, cpu_us) in &blocks {
             g.charge(&cpi2_sim::CounterBlock {
@@ -299,7 +293,6 @@ proptest! {
                 format!("j{i}"),
                 SchedClass::Batch,
                 Priority::NonProduction,
-                None,
             );
         }
         let mut last: Vec<cpi2_sim::CounterBlock> =
@@ -622,7 +615,6 @@ fn twin_clusters(fleet: &[Vec<TaskDraw>], seed: u64) -> [Cluster; 2] {
                     format!("j{m}"),
                     class,
                     Priority::NonProduction,
-                    (i % 2 == 0).then_some(cpu),
                 );
                 let until = match cap {
                     1 => Some(SimTime::from_mins(60)),
@@ -720,5 +712,216 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(grouped_exits, single_exits);
+    }
+}
+
+// --- scheduler accounting across every task-lifecycle path ----------------
+
+/// A task wanting `want` cores that exits after `exit_after` ticks, if set.
+struct Lifecycle {
+    want: f64,
+    profile: ResourceProfile,
+    exit_after: Option<u32>,
+}
+
+impl TaskModel for Lifecycle {
+    fn profile(&self) -> ResourceProfile {
+        self.profile
+    }
+
+    fn demand(&mut self, _now: SimTime, _dt: SimDuration, _rng: &mut SimRng) -> TaskDemand {
+        TaskDemand {
+            cpu_want: self.want,
+            threads: 2,
+        }
+    }
+
+    fn observe(&mut self, _now: SimTime, _outcome: &TickOutcome) -> TaskAction {
+        match &mut self.exit_after {
+            Some(0) => TaskAction::Exit,
+            Some(n) => {
+                *n -= 1;
+                TaskAction::Continue
+            }
+            None => TaskAction::Continue,
+        }
+    }
+}
+
+/// One step of a lifecycle script.
+#[derive(Debug, Clone)]
+enum LifecycleOp {
+    /// Submit a job: class 0–2, task count, CPU reservation, demand
+    /// multiple of it, cache footprint, `restart_on_exit`, model exit.
+    Submit {
+        class: u8,
+        tasks: u32,
+        cpu: f64,
+        want: f64,
+        cache_mb: f64,
+        restart: bool,
+        exit_after: Option<u32>,
+    },
+    /// Kill the n-th (mod count) resident task.
+    Kill(usize),
+    /// Migrate the n-th (mod count) resident task.
+    Migrate(usize),
+    /// Crash machine n (mod machines; may name one past the end).
+    Crash(u32),
+    /// Run this many ticks.
+    Tick(u8),
+}
+
+fn lifecycle_op() -> impl Strategy<Value = LifecycleOp> {
+    (
+        0..5u8,
+        (0..3u8, 1..7u32, 0.2..5.0f64, 0.5..3.0f64, 0.5..10.0f64),
+        (any::<bool>(), prop::option::of(0..4u32), 0..64usize, 1..4u8),
+    )
+        .prop_map(
+            |(kind, (class, tasks, cpu, want, cache_mb), (restart, exit_after, n, ticks))| {
+                match kind {
+                    0 => LifecycleOp::Submit {
+                        class,
+                        tasks,
+                        cpu,
+                        want: cpu * want,
+                        cache_mb,
+                        restart,
+                        exit_after,
+                    },
+                    1 => LifecycleOp::Kill(n),
+                    2 => LifecycleOp::Migrate(n),
+                    3 => LifecycleOp::Crash(n as u32),
+                    _ => LifecycleOp::Tick(ticks),
+                }
+            },
+        )
+}
+
+/// The scheduler's books agree with the placement map, and the placement
+/// map with what machines run: per machine, the (LS, batch) reservation
+/// and the cache reservation are the sums over the tasks
+/// [`Cluster::locate`] puts there, every located task is resident there,
+/// and every resident task is located where it runs.
+fn check_accounting(
+    c: &Cluster,
+    cache_of: &std::collections::BTreeMap<JobId, f64>,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let n = c.machines().len();
+    let mut want = vec![(0.0f64, 0.0f64, 0.0f64); n];
+    // A job's indices run past its task count by one per migration.
+    let mut migrations: std::collections::BTreeMap<JobId, u32> = Default::default();
+    for e in c.trace().entries() {
+        if let TraceEvent::TaskMigrated { task, .. } = &e.event {
+            *migrations.entry(task.job).or_default() += 1;
+        }
+    }
+    for (job, spec) in c.jobs() {
+        let bound = spec.task_count + migrations.get(&job).copied().unwrap_or(0);
+        for index in 0..bound {
+            let id = TaskId { job, index };
+            let Some(m) = c.locate(id) else { continue };
+            prop_assert!(
+                c.machine(m).and_then(|mm| mm.task(id)).is_some(),
+                "{:?} located on {:?} but not resident there",
+                id,
+                m
+            );
+            let row = &mut want[m.0 as usize];
+            match spec.class {
+                SchedClass::LatencySensitive => row.0 += spec.cpu_reservation,
+                _ => row.1 += spec.cpu_reservation,
+            }
+            row.2 += cache_of[&job];
+        }
+    }
+    for (m, &(ls, batch, cache)) in c.machines().iter().zip(&want) {
+        for t in m.tasks() {
+            prop_assert_eq!(
+                c.locate(t.id),
+                Some(m.id),
+                "resident {:?} not located",
+                t.id
+            );
+        }
+        let (got_ls, got_batch) = c.scheduler().reservations(m.id).unwrap();
+        let got_cache = c.scheduler().reserved_cache_mb(m.id).unwrap();
+        prop_assert!(
+            (got_ls - ls).abs() < 1e-6 && (got_batch - batch).abs() < 1e-6,
+            "{:?}: reserved ({}, {}), located tasks sum to ({}, {})",
+            m.id,
+            got_ls,
+            got_batch,
+            ls,
+            batch
+        );
+        prop_assert!(
+            (got_cache - cache).abs() < 1e-6,
+            "{:?}: reserved cache {} MB, located tasks sum to {}",
+            m.id,
+            got_cache,
+            cache
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn lifecycle_keeps_scheduler_books_equal_to_placements(
+        machines in 1..5u32,
+        ops in prop::collection::vec(lifecycle_op(), 1..40),
+        seed in 0..1000u64,
+    ) {
+        let mut c = Cluster::new(ClusterConfig {
+            seed,
+            preempt_starved_batch_after: Some(2),
+            ..ClusterConfig::default()
+        });
+        // Four cores: submissions fail often and demand starves batch.
+        let platform = Platform { cores: 4, ..Platform::westmere() };
+        c.add_machines(&platform, machines);
+        let mut cache_of = std::collections::BTreeMap::new();
+        for op in ops {
+            match op {
+                LifecycleOp::Submit { class, tasks, cpu, want, cache_mb, restart, exit_after } => {
+                    let class = [
+                        SchedClass::LatencySensitive,
+                        SchedClass::Batch,
+                        SchedClass::BestEffort,
+                    ][class as usize];
+                    let mut spec = cpi2_sim::JobSpec::batch("j", tasks, cpu);
+                    spec.class = class;
+                    let profile = ResourceProfile { cache_mb, ..ResourceProfile::compute_bound() };
+                    let factory: cpi2_sim::ModelFactory = Box::new(move |_| {
+                        Box::new(Lifecycle { want, profile, exit_after })
+                    });
+                    if let Ok(job) = c.submit_job(spec, restart, factory) {
+                        cache_of.insert(job, cache_mb);
+                    }
+                }
+                LifecycleOp::Kill(n) | LifecycleOp::Migrate(n) => {
+                    let resident: Vec<TaskId> =
+                        c.machines().iter().flat_map(|m| m.tasks()).map(|t| t.id).collect();
+                    if let Some(&task) = resident.get(n % resident.len().max(1)) {
+                        if matches!(op, LifecycleOp::Kill(_)) {
+                            c.kill_task(task);
+                        } else {
+                            let _ = c.migrate_task(task);
+                        }
+                    }
+                }
+                LifecycleOp::Crash(n) => {
+                    c.crash_machine(MachineId(n % (machines + 1)));
+                }
+                LifecycleOp::Tick(n) => {
+                    for _ in 0..n {
+                        c.step();
+                    }
+                }
+            }
+            check_accounting(&c, &cache_of)?;
+        }
     }
 }

@@ -207,7 +207,6 @@ mod tests {
                 format!("job{i}"),
                 SchedClass::LatencySensitive,
                 Priority::Production,
-                None,
             );
         }
         let dt = SimDuration::from_secs(1);

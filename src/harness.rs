@@ -389,22 +389,12 @@ impl Cpi2Harness {
             };
             if stale_lag > 0 {
                 self.fault_metrics.spec_sync_stale.inc();
-                let snap = self.spec_store.lagged_snapshot(stale_lag);
-                if *since < snap.version() {
-                    for (spec, published_at) in snap.changed_since_with_age(*since) {
-                        agent.install_spec_at(spec, published_at);
-                    }
-                    *since = snap.version();
-                }
-            } else {
-                let store_version = self.spec_store.version();
-                if *since < store_version {
-                    for (spec, published_at) in self.spec_store.changed_since_with_age(*since) {
-                        agent.install_spec_at(spec, published_at);
-                    }
-                    *since = store_version;
-                }
             }
+            let (version, changed) = self.spec_store.pull(*since, stale_lag);
+            for (spec, published_at) in changed {
+                agent.install_spec_at(spec, published_at);
+            }
+            *since = (*since).max(version);
             let commands = agent.ingest(&batch);
             for inc in agent.take_incidents() {
                 // §9 placement-feedback bookkeeping: count repeat offences
