@@ -869,21 +869,25 @@ impl Query {
     /// the columns it names. A record is serialised whole (the vendored
     /// serde has no field-selective path) — but not if no column is named,
     /// nor once `LIMIT` is met with no ORDER BY to wait for.
-    pub fn scan<T: Serialize>(&self, records: &[T]) -> QueryResult {
+    pub fn scan<T: Serialize>(&self, records: impl IntoIterator<Item = T>) -> QueryResult {
+        let records = records.into_iter();
         if self.selects_all() {
-            let mut rows = vec![Row::new(); records.len()];
-            for (r, row) in records.iter().zip(&mut rows) {
-                flatten(String::new(), r.to_value(), row);
-            }
+            let rows: Vec<Row> = records
+                .map(|r| {
+                    let mut row = Row::new();
+                    flatten(String::new(), r.to_value(), &mut row);
+                    row
+                })
+                .collect();
             return self.over(&rows);
         }
-        let pruned = |r: &T| {
+        let pruned = |r: T| {
             let record = (!self.reads.is_empty()).then(|| r.to_value());
             let cell = |col: &String| cell_at(record.as_ref()?, col, true);
             let cells = self.reads.iter().map(|c| cell(c).unwrap_or(Value::Null));
             (self.reads.as_slice(), cells.collect::<Vec<_>>())
         };
-        self.execute(&[], records.iter().map(pruned))
+        self.execute(&[], records.map(pruned))
     }
 
     /// Answers the statement over rows that hold every column.

@@ -11,24 +11,18 @@
 //!
 //! # Publishing
 //!
-//! The harness owns the one persistent [`LiveSnapshot`]. After every
-//! tick it edits the elements that tick changed — machines whose
-//! *fingerprint* moved, appended incidents and samples, republished
-//! specs, traces the [`TraceLog`] change feed names — and publishes a
-//! clone, which is five reference-count bumps: everything unchanged is
-//! shared with the snapshots readers still hold (see
-//! [`state`](crate::state)). Readers never rebuild anything, so this is
-//! all the work there is, and it scales with churn, not fleet size.
-//!
-//! Fingerprints quantize the jittery machine fields (utilization to 1/8,
-//! thread counts and throttle-event totals to powers of two) so ordinary
-//! load noise does not re-publish the whole fleet. To bound how far
-//! those fields lag, every machine is also rebuilt exactly once per
-//! [`full_snapshot_every`](ServeHarness::set_full_snapshot_every) ticks,
-//! a stripe of the fleet each tick (1 = every machine every tick), so a
-//! served machine view is never older than that period and there is no
-//! periodic whole-fleet rebuild. Everything discrete — incidents, caps,
-//! specs, task placement, traces, tick counters — is exact every tick.
+//! The harness owns the one persistent [`LiveSnapshot`] and, after every
+//! tick, brings it up to that tick and publishes a clone. Machine rows
+//! are plain values, exact every tick: all of them are rebuilt in one
+//! pass into one allocation, a cost linear in the fleet but with no
+//! reference count per machine. A machine's task list is rebuilt only
+//! when its tasks or their thread counts differ from the published list;
+//! appended incidents and samples, republished specs and the traces the
+//! [`TraceLog`] change feed names are edited into
+//! [`Chunked`](crate::chunked::Chunked) tails, which copy the chunks an
+//! edit writes to and share the rest with the snapshots readers still
+//! hold (see [`state`](crate::state)). Readers never rebuild anything,
+//! so this is all the work there is: the rows, plus what changed.
 //!
 //! This module (with [`server`](crate::server) and
 //! [`eventloop`](crate::eventloop)) is the crate's only sanctioned home
@@ -40,29 +34,18 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cpi2::core::{CpiSample, CpiSpec, TraceLog};
+use cpi2::core::{CpiSpec, TraceId, TraceLog};
 use cpi2::harness::Cpi2Harness;
-use cpi2::sim::{JobId, Machine, SimDuration, TaskId};
-use cpi2::telemetry::{Counter, Gauge, Histo};
+use cpi2::sim::{JobId, SimDuration, TaskId};
+use cpi2::telemetry::{Counter, Histo};
 
+use crate::chunked::Chunked;
 use crate::routes::Router;
 use crate::server::{self, Handler, ServerConfig, ServerHandle};
 use crate::state::{
-    EncodedIncident, IncidentView, LiveSnapshot, MachineView, OperatorAction, Shared, SharedState,
+    EncodedIncident, IncidentView, LiveSnapshot, MachineRow, OperatorAction, SharedState, TaskView,
     TraceView, INCIDENT_TAIL, SAMPLE_TAIL,
 };
-
-/// Default exact-refresh period of the machine views, ticks.
-const DEFAULT_FULL_EVERY: u32 = 64;
-
-/// What the publisher remembers of one machine between ticks.
-#[derive(Debug, Clone, Copy, Default)]
-struct MachineMark {
-    /// Quantized fingerprint of the published view.
-    fingerprint: u64,
-    /// Tick the published view was built at.
-    built_at: u64,
-}
 
 /// The kinds `cpi_serve_publish_changed_total` is labelled with, in the
 /// order [`ServeHarness::publish`] counts them.
@@ -75,12 +58,10 @@ pub struct ServeHarness {
     state: Arc<SharedState>,
     ticks: u64,
     server: Option<ServerHandle>,
-    /// Ticks between exact refreshes of a machine view; 1 = every tick.
-    full_every: u32,
     /// The snapshot as last published; each tick edits what changed.
     view: LiveSnapshot,
-    /// Per machine, indexed like `cluster.machines()`.
-    machine_marks: Vec<MachineMark>,
+    /// Machines whose task list a publish found out of date (scratch).
+    stale_lists: Vec<usize>,
     /// Incidents already published (watermark into `inner.incidents()`,
     /// which holds nothing older than the last publish's tail).
     incidents_seen: usize,
@@ -89,11 +70,10 @@ pub struct ServeHarness {
     /// Publish cost distribution, µs (wall time; measurement only).
     publish_histo: Histo,
     publish_count: u64,
-    publish_us_total: u64,
+    /// Summed in ns: µs per publish would drop up to 1 µs each time.
+    publish_ns_total: u64,
     /// Elements replaced or appended, per [`CHANGED_KINDS`] entry.
     changed: [Counter; 5],
-    /// Ticks since the stalest served machine view was built.
-    snapshot_age: Gauge,
 }
 
 impl ServeHarness {
@@ -107,33 +87,26 @@ impl ServeHarness {
             inner,
             ticks: 0,
             server: None,
-            full_every: DEFAULT_FULL_EVERY,
             view: LiveSnapshot::default(),
-            machine_marks: Vec::new(),
+            stale_lists: Vec::new(),
             incidents_seen: 0,
             trace_cursor: TraceCursor::default(),
             publish_histo: telemetry.histogram("cpi_serve_publish_us", &[]),
             publish_count: 0,
-            publish_us_total: 0,
+            publish_ns_total: 0,
             changed: CHANGED_KINDS.map(|kind| {
                 telemetry.counter("cpi_serve_publish_changed_total", &[("kind", kind)])
             }),
-            snapshot_age: telemetry.gauge("cpi_serve_snapshot_age_ticks", &[]),
         };
-        sh.publish(Vec::new());
+        sh.publish();
         sh
     }
 
-    /// Sets how many ticks may pass between exact refreshes of a machine
-    /// view (clamped to ≥ 1; 1 rebuilds every machine every tick).
-    pub fn set_full_snapshot_every(&mut self, ticks: u32) {
-        self.full_every = ticks.max(1);
-    }
-
-    /// `(publishes, total µs)` spent building/publishing snapshots so
-    /// far — the tick-thread cost the load benchmark pins down.
+    /// `(publishes, total µs)` spent building/publishing snapshots in
+    /// [`tick`](Self::tick) so far — the tick-thread cost the load
+    /// benchmark pins down.
     pub fn publish_stats(&self) -> (u64, u64) {
-        (self.publish_count, self.publish_us_total)
+        (self.publish_count, self.publish_ns_total / 1_000)
     }
 
     /// The state shared with the HTTP router (for tests that drive the
@@ -166,13 +139,18 @@ impl ServeHarness {
         self.apply_actions();
         self.inner.step();
         self.ticks += 1;
-        let fresh: Vec<CpiSample> = std::mem::take(&mut self.inner.samples);
         let started = Instant::now();
-        self.publish(fresh);
-        let spent_us = started.elapsed().as_micros() as u64;
-        self.publish_histo.record(spent_us as f64);
+        self.publish();
+        self.account_publish(started.elapsed());
+    }
+
+    /// Adds one publish's wall time to `publish_stats` and
+    /// `cpi_serve_publish_us`.
+    fn account_publish(&mut self, spent: Duration) {
+        let ns = u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX);
+        self.publish_histo.record(ns as f64 / 1e3);
         self.publish_count += 1;
-        self.publish_us_total += spent_us;
+        self.publish_ns_total = self.publish_ns_total.saturating_add(ns);
     }
 
     /// Runs for a sim duration (whole ticks), as fast as possible.
@@ -290,8 +268,12 @@ impl ServeHarness {
         }
     }
 
-    /// Brings the persistent snapshot up to this tick and publishes it.
-    fn publish(&mut self, fresh_samples: Vec<CpiSample>) {
+    /// Brings the persistent snapshot up to the wrapped harness's state
+    /// and publishes it, taking the samples the harness recorded since.
+    /// [`tick`](Self::tick) calls it after every step; after changing the
+    /// harness through [`inner_mut`](Self::inner_mut), call it to serve
+    /// the change before the next tick.
+    pub fn publish(&mut self) {
         let machines = self.sync_machines();
         let specs = self.sync_specs();
         let logged = self.inner.incidents();
@@ -304,7 +286,7 @@ impl ServeHarness {
                 .get(unseen..)
                 .unwrap_or(&[])
                 .iter()
-                .map(|mi| EncodedIncident::new(IncidentView::of(mi))),
+                .map(|mi| Arc::new(EncodedIncident::new(IncidentView::of(mi)))),
             INCIDENT_TAIL,
         );
         // Nothing serves an incident older than the tail, so the wrapped
@@ -313,7 +295,7 @@ impl ServeHarness {
         self.incidents_seen = self.inner.incidents().len();
         let samples = push_tail(
             &mut self.view.samples,
-            fresh_samples.into_iter(),
+            std::mem::take(&mut self.inner.samples).into_iter(),
             SAMPLE_TAIL,
         );
         let traces = sync_traces(
@@ -335,37 +317,33 @@ impl ServeHarness {
         self.state.live.publish(self.view.clone());
     }
 
-    /// Rebuilds the machines whose fingerprint moved and this tick's
-    /// stripe of the exact refresh; returns how many.
+    /// Rebuilds every machine row, exact, in one allocation, and the task
+    /// lists that differ from the published ones; returns how many lists.
     fn sync_machines(&mut self) -> usize {
         let machines = self.inner.cluster.machines();
-        let period = u64::from(self.full_every);
-        let stripe = self.ticks % period;
-        self.machine_marks
-            .resize(machines.len(), MachineMark::default());
-        let mut rebuilt = 0;
-        let mut oldest = self.ticks;
-        for (i, (m, mark)) in machines.iter().zip(&mut self.machine_marks).enumerate() {
-            let fingerprint = machine_fingerprint(m);
-            let held = self.view.machines.len();
-            if mark.fingerprint != fingerprint || i as u64 % period == stripe || i >= held {
-                *mark = MachineMark {
-                    fingerprint,
-                    built_at: self.ticks,
-                };
-                // Copies the pointer vector on this tick's first rebuild
-                // (published snapshots share it); free after that.
-                let views = Arc::make_mut(&mut self.view.machines);
-                let view = Arc::new(MachineView::of(m));
-                match views.get_mut(i) {
-                    Some(slot) => *slot = view,
-                    None => views.push(view),
+        let stale = &mut self.stale_lists;
+        self.view.machines = {
+            let mut held = self.view.task_lists.iter();
+            let rows = machines.iter().enumerate().map(|(i, m)| {
+                if !held.next().is_some_and(|l| TaskView::is_current(l, m)) {
+                    stale.push(i);
                 }
-                rebuilt += 1;
+                MachineRow::of(m)
+            });
+            rows.collect()
+        };
+        let lists = &mut self.view.task_lists;
+        for &i in stale.iter() {
+            let Some(m) = machines.get(i) else { continue };
+            let list = TaskView::list(m);
+            if i < lists.len() {
+                lists.set(i, list);
+            } else {
+                lists.push(list);
             }
-            oldest = oldest.min(mark.built_at);
         }
-        self.snapshot_age.set((self.ticks - oldest) as f64);
+        let rebuilt = stale.len();
+        stale.clear();
         rebuilt
     }
 
@@ -399,17 +377,17 @@ fn spec_key(s: &CpiSpec) -> (&str, &str) {
     (&s.jobname, &s.platforminfo)
 }
 
-/// Appends `new` to a bounded shared tail, dropping the oldest beyond
-/// `cap`; returns how many were appended. With nothing to append the
-/// tail is not touched and stays shared with every published snapshot.
-fn push_tail<T>(tail: &mut Shared<T>, new: impl ExactSizeIterator<Item = T>, cap: usize) -> usize {
+/// Appends `new` to a bounded tail, dropping the oldest beyond `cap`;
+/// returns how many were appended. With nothing to append the tail is
+/// not touched and stays shared with every published snapshot.
+fn push_tail<T: Clone>(
+    tail: &mut Chunked<T>,
+    new: impl ExactSizeIterator<Item = T>,
+    cap: usize,
+) -> usize {
     let n = new.len();
-    if n > 0 {
-        let tail = Arc::make_mut(tail);
-        tail.extend(new.skip(n.saturating_sub(cap)).map(Arc::new));
-        let excess = tail.len().saturating_sub(cap);
-        tail.drain(..excess);
-    }
+    tail.extend(new.skip(n.saturating_sub(cap)));
+    tail.drop_front(tail.len().saturating_sub(cap));
     n
 }
 
@@ -426,7 +404,11 @@ struct TraceCursor {
 /// the evicted count says how many to drop, the tail of `log.ids()` is
 /// what is new, and the change feed names the survivors that grew. Only
 /// a consumer that fell behind the feed rebuilds every view.
-fn sync_traces(traces: &mut Shared<TraceView>, log: &TraceLog, cursor: &mut TraceCursor) -> usize {
+fn sync_traces(
+    traces: &mut Chunked<Arc<TraceView>>,
+    log: &TraceLog,
+    cursor: &mut TraceCursor,
+) -> usize {
     let since = std::mem::replace(
         cursor,
         TraceCursor {
@@ -438,21 +420,30 @@ fn sync_traces(traces: &mut Shared<TraceView>, log: &TraceLog, cursor: &mut Trac
         return 0;
     }
     let view = |id| Arc::new(TraceView::of(id, log.get(id).unwrap_or(&[])));
-    let traces = Arc::make_mut(traces);
     let evicted = usize::try_from(cursor.evicted - since.evicted).unwrap_or(usize::MAX);
     let mut built = 0;
     match log.touched_since(since.recorded) {
         Some(touched) => {
-            traces.drain(..evicted.min(traces.len()));
+            traces.drop_front(evicted);
             let kept = traces.len();
+            // A trace new since is built whole below; a survivor that grew
+            // is rebuilt once, however many spans it gained, and found in
+            // one pass over the log's order.
+            let fresh: Vec<TraceId> = log.ids().skip(kept).collect();
+            let mut grew: Vec<TraceId> = Vec::new();
             for id in touched {
-                let at = log.ids().take(kept).position(|held| held == id);
-                if let Some(slot) = at.and_then(|i| traces.get_mut(i)) {
-                    *slot = view(id);
-                    built += 1;
+                if !fresh.contains(&id) && !grew.contains(&id) {
+                    grew.push(id);
                 }
             }
-            traces.extend(log.ids().skip(kept).map(view));
+            if !grew.is_empty() {
+                for (i, id) in log.ids().take(kept).enumerate() {
+                    if grew.contains(&id) && traces.set(i, view(id)) {
+                        built += 1;
+                    }
+                }
+            }
+            traces.extend(fresh.into_iter().map(view));
             built += traces.len() - kept;
         }
         None => {
@@ -463,40 +454,34 @@ fn sync_traces(traces: &mut Shared<TraceView>, log: &TraceLog, cursor: &mut Trac
     built
 }
 
-/// Hash of a machine's *quantized* serving-relevant state. Task
-/// placement is exact; the continuous or every-tick-jittery fields are
-/// bucketed — utilization to 1/8, thread counts and throttle-event
-/// totals to powers of two — so steady-state load noise (a heavily
-/// shared machine throttles on most ticks) does not re-publish the
-/// whole fleet every tick. Staleness is bounded by one bucket for at
-/// most one refresh period; the striped exact refresh restores
-/// exactness. This scan runs over every machine every tick, so the mix
-/// is one multiply/rotate per field, not a byte-wise FNV.
-fn machine_fingerprint(m: &Machine) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h = (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
-    };
-    mix(m.id.0 as u64);
-    mix(m.task_count() as u64);
-    mix((m.throttle_events() + 1).next_power_of_two());
-    mix(m.thread_count().next_power_of_two());
-    mix((m.utilization() * 8.0).round() as i64 as u64);
-    for t in m.tasks() {
-        mix(t.id.job.0 as u64);
-        mix(t.id.index as u64);
-        mix(u64::from(t.threads()).next_power_of_two());
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpi2::core::{TraceId, TraceSpan, TraceStage};
+    use cpi2::core::{Cpi2Config, TraceSpan, TraceStage};
+    use cpi2::sim::{Cluster, ClusterConfig, Platform};
+    use cpi2::telemetry::Telemetry;
+
+    /// Publish time is summed in ns and converted once: two 1.5 µs
+    /// publishes are 3 µs, not the 2 that adding whole µs per publish
+    /// reads (up to 1 µs short a publish).
+    #[test]
+    fn publish_time_is_summed_before_it_is_truncated() {
+        let mut cluster = Cluster::new(ClusterConfig {
+            telemetry: Telemetry::enabled(),
+            ..ClusterConfig::default()
+        });
+        cluster.add_machines(&Platform::westmere(), 1);
+        let mut sh = ServeHarness::new(Cpi2Harness::new(cluster, Cpi2Config::default()));
+        assert_eq!(sh.publish_stats(), (0, 0));
+        for _ in 0..2 {
+            sh.account_publish(Duration::from_nanos(1_500));
+        }
+        assert_eq!(sh.publish_stats(), (2, 3));
+        assert_eq!(sh.publish_histo.sum(), 3.0, "fractional µs recorded");
+    }
 
     /// `(trace id, span count)` of every served trace, served order.
-    fn served(traces: &Shared<TraceView>) -> Vec<(String, usize)> {
+    fn served(traces: &Chunked<Arc<TraceView>>) -> Vec<(String, usize)> {
         traces
             .iter()
             .map(|t| (t.trace.clone(), t.spans.len()))
@@ -516,7 +501,7 @@ mod tests {
     #[test]
     fn served_traces_mirror_a_log_that_overflows() {
         let mut log = TraceLog::with_capacity(4);
-        let mut traces = Shared::<TraceView>::default();
+        let mut traces = Chunked::<Arc<TraceView>>::new();
         let mut cursor = TraceCursor::default();
         let mut newest = 0u64;
         let mut lcg = 0x2545_f491_4f6c_dd1du64;
@@ -549,13 +534,13 @@ mod tests {
                     detail: String::new(),
                 });
             }
-            let before = Arc::clone(&traces);
+            let before = traces.clone();
             let built = sync_traces(&mut traces, &log, &mut cursor);
             assert_eq!(served(&traces), logged(&log), "step {step}, burst {burst}");
             assert!(traces.len() <= 4);
             if burst == 0 {
                 assert_eq!(built, 0);
-                assert!(Arc::ptr_eq(&before, &traces), "untouched stays shared");
+                assert!(Chunked::ptr_eq(&before, &traces), "untouched stays shared");
             }
         }
         assert!(log.evicted() > 100, "the log never overflowed");
@@ -563,18 +548,15 @@ mod tests {
 
     #[test]
     fn tails_stay_bounded_and_shared_when_idle() {
-        let mut tail = Shared::<u32>::default();
+        let mut tail = Chunked::<u32>::new();
         assert_eq!(push_tail(&mut tail, 0..3, 4), 3);
-        let before = Arc::clone(&tail);
+        let before = tail.clone();
         assert_eq!(push_tail(&mut tail, 0..0, 4), 0);
-        assert!(Arc::ptr_eq(&before, &tail));
+        assert!(Chunked::ptr_eq(&before, &tail));
         assert_eq!(push_tail(&mut tail, 3..6, 4), 3);
-        assert_eq!(tail.iter().map(|x| **x).collect::<Vec<_>>(), [2, 3, 4, 5]);
+        assert_eq!(tail.iter().copied().collect::<Vec<_>>(), [2, 3, 4, 5]);
         assert_eq!(push_tail(&mut tail, 10..20, 4), 10, "longer than the tail");
-        assert_eq!(
-            tail.iter().map(|x| **x).collect::<Vec<_>>(),
-            [16, 17, 18, 19]
-        );
+        assert_eq!(tail.iter().copied().collect::<Vec<_>>(), [16, 17, 18, 19]);
         assert_eq!(before.len(), 3, "a held tail is never written");
     }
 }

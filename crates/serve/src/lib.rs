@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+pub mod chunked;
 mod conn;
 pub mod eventloop;
 pub mod harness;

@@ -162,7 +162,8 @@ impl Router {
             return Response::error(400, "trace id must be 16 hex digits");
         }
         let snap = self.state.live.snapshot();
-        match snap.traces.iter().find(|t| t.trace == id) {
+        let found = snap.traces.iter().find(|t| t.trace == id);
+        match found {
             Some(trace) => match serde_json::to_string(trace) {
                 Ok(json) => Response::json(json),
                 Err(_) => Response::error(500, "serialization failed"),
@@ -194,8 +195,8 @@ impl Router {
         };
         let snap = self.state.live.snapshot();
         let found = snap.machines.binary_search_by_key(&id, |m| m.id);
-        match found.ok().and_then(|i| snap.machines.get(i)) {
-            Some(m) => match serde_json::to_string(m) {
+        match found.ok().and_then(|i| snap.machine(i)) {
+            Some(m) => match serde_json::to_string(&m) {
                 Ok(json) => Response::json(json),
                 Err(_) => Response::error(500, "serialization failed"),
             },
@@ -226,10 +227,10 @@ impl Router {
         };
         let snap = self.state.live.snapshot();
         stream_query_result(match query.table() {
-            "incidents" => query.scan(&snap.incidents),
-            "machines" => query.scan(&snap.machines),
-            "specs" => query.scan(&snap.specs),
-            "samples" => query.scan(&snap.samples),
+            "incidents" => query.scan(snap.incidents.iter()),
+            "machines" => query.scan(snap.machine_views()),
+            "specs" => query.scan(snap.specs.iter()),
+            "samples" => query.scan(snap.samples.iter()),
             other => {
                 let e = QueryError::UnknownTable(other.into());
                 return Response::error(400, &format!("{e:?}"));
@@ -395,13 +396,14 @@ fn constant_time_eq(presented: &[u8], expected: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{LiveSnapshot, MachineView};
+    use crate::state::{LiveSnapshot, MachineRow};
     use cpi2::telemetry::{Telemetry, DEFAULT_EVENT_CAPACITY};
 
     /// Three machines whose task lists give `/query` every cell kind a
     /// string escaper meets — a quote, a backslash, control bytes, a
     /// missing column — beside whole and fractional numbers.
     fn router() -> Router {
+        use crate::chunked::Chunked;
         use crate::state::TaskView;
         use cpi2::sim::SchedClass;
 
@@ -413,40 +415,44 @@ mod tests {
             threads,
         };
         let machine = |id: u32, utilization: f64, task_list: Vec<TaskView>| {
-            Arc::new(MachineView {
+            let row = MachineRow {
                 id,
                 tasks: task_list.len(),
                 threads: task_list.iter().map(|t| u64::from(t.threads)).sum(),
                 utilization,
                 throttle_events: 0,
-                task_list,
-            })
+            };
+            (row, Arc::<[TaskView]>::from(task_list))
         };
+        let (machines, task_lists): (Vec<_>, Vec<_>) = [
+            machine(
+                0,
+                0.5,
+                vec![
+                    task(1, "web\"search", SchedClass::LatencySensitive, 3),
+                    task(2, "back\\slash", SchedClass::Batch, 1),
+                ],
+            ),
+            machine(
+                1,
+                0.875,
+                vec![task(
+                    3,
+                    "ctl\u{1}\tbyte\r\n\u{1f}end",
+                    SchedClass::BestEffort,
+                    8,
+                )],
+            ),
+            machine(2, 1.0 / 3.0, Vec::new()),
+        ]
+        .into_iter()
+        .unzip();
         let state = SharedState::new(Telemetry::enabled());
         state.live.publish(LiveSnapshot {
             ticks: 3,
             now_us: 60_000_000,
-            machines: Arc::new(vec![
-                machine(
-                    0,
-                    0.5,
-                    vec![
-                        task(1, "web\"search", SchedClass::LatencySensitive, 3),
-                        task(2, "back\\slash", SchedClass::Batch, 1),
-                    ],
-                ),
-                machine(
-                    1,
-                    0.875,
-                    vec![task(
-                        3,
-                        "ctl\u{1}\tbyte\r\n\u{1f}end",
-                        SchedClass::BestEffort,
-                        8,
-                    )],
-                ),
-                machine(2, 1.0 / 3.0, Vec::new()),
-            ]),
+            machines: machines.into(),
+            task_lists: task_lists.into_iter().collect::<Chunked<_>>(),
             ..LiveSnapshot::default()
         });
         Router::new(state)

@@ -2,20 +2,20 @@
 //!
 //! The contract mirrors the spec store's snapshot-swap pattern: the
 //! harness thread is the only writer. It keeps one persistent
-//! [`LiveSnapshot`], edits the elements a tick changed, and swaps the
-//! result in under a mutex held for a pointer store; request handlers
-//! clone one `Arc` out and read without ever blocking the tick loop,
-//! observing a torn view, or rebuilding anything. Operator actions flow
-//! the other way through the [`ActionQueue`] and are applied only at the
-//! next tick boundary, so a resident server perturbs neither tick
-//! ordering nor determinism.
+//! [`LiveSnapshot`], brings it up to each tick, and swaps a clone in
+//! under a mutex held for a pointer store; request handlers clone one
+//! `Arc` out and read without ever blocking the tick loop, observing a
+//! torn view, or rebuilding anything. Operator actions flow the other
+//! way through the [`ActionQueue`] and are applied only at the next tick
+//! boundary, so a resident server perturbs neither tick ordering nor
+//! determinism.
 //!
-//! Sharing is structural: every collection is an `Arc<Vec<Arc<T>>>`
-//! ([`Shared`]). A collection no tick touched is the same allocation in
-//! every snapshot since; one that changed is a new vector of pointers
-//! whose untouched elements are still the old ones. A reader holding a
-//! snapshot from two hundred ticks ago keeps exactly the elements that
-//! have since been replaced alive, and nothing it holds is ever written.
+//! Machine rows are plain values, all of them rebuilt every tick into
+//! one allocation. Everything else is shared: the tails and the
+//! per-machine task lists are [`Chunked`], so a tick that appends or
+//! replaces a few elements copies the chunks it wrote to and shares the
+//! rest with every snapshot a reader still holds, and nothing a reader
+//! holds is ever written.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +26,9 @@ use cpi2::harness::MachineIncident;
 use cpi2::sim::{Machine, SchedClass};
 use cpi2::telemetry::Telemetry;
 use parking_lot::Mutex;
-use serde::Serialize;
+use serde::{Serialize, Value};
+
+use crate::chunked::Chunked;
 
 /// One resident task, as seen on a machine page.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -35,17 +37,17 @@ pub struct TaskView {
     pub job: u32,
     /// Task index within the job.
     pub index: u32,
-    /// Job name (the `jobname` of CPI records).
-    pub job_name: String,
+    /// Job name (the `jobname` of CPI records), shared with the task.
+    pub job_name: Arc<str>,
     /// Scheduling class (`LatencySensitive` / `Batch` / `BestEffort`).
     pub class: SchedClass,
     /// Runnable threads as of the last tick.
     pub threads: u32,
 }
 
-/// One machine's live summary.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct MachineView {
+/// One machine's live counters, exact as of the tick it was published.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MachineRow {
     /// Machine id.
     pub id: u32,
     /// Resident task count.
@@ -56,8 +58,30 @@ pub struct MachineView {
     pub utilization: f64,
     /// Hard-cap throttle events since boot.
     pub throttle_events: u64,
+}
+
+/// One machine as `/machines/{id}` serves it and `POST /query` reads it:
+/// its row and its task list, as one object.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MachineView<'a> {
+    /// The machine's counters.
+    pub row: &'a MachineRow,
     /// The resident tasks.
-    pub task_list: Vec<TaskView>,
+    pub task_list: &'a [TaskView],
+}
+
+impl Serialize for MachineView<'_> {
+    fn to_value(&self) -> Value {
+        let row = self.row;
+        Value::Object(vec![
+            ("id".into(), row.id.to_value()),
+            ("tasks".into(), row.tasks.to_value()),
+            ("threads".into(), row.threads.to_value()),
+            ("utilization".into(), row.utilization.to_value()),
+            ("throttle_events".into(), row.throttle_events.to_value()),
+            ("task_list".into(), self.task_list.to_value()),
+        ])
+    }
 }
 
 /// One ranked suspect of an incident.
@@ -121,26 +145,42 @@ pub struct TraceView {
     pub spans: Vec<SpanView>,
 }
 
-impl MachineView {
-    /// The machine as of now (exact, not quantised).
-    pub fn of(m: &Machine) -> MachineView {
-        MachineView {
+impl MachineRow {
+    /// The machine's counters as of now.
+    pub fn of(m: &Machine) -> MachineRow {
+        MachineRow {
             id: m.id.0,
             tasks: m.task_count(),
             threads: m.thread_count(),
             utilization: m.utilization(),
             throttle_events: m.throttle_events(),
-            task_list: m
-                .tasks()
-                .map(|t| TaskView {
-                    job: t.id.job.0,
-                    index: t.id.index,
-                    job_name: String::from(&*t.job_name),
-                    class: t.class,
-                    threads: t.threads(),
-                })
-                .collect(),
         }
+    }
+}
+
+impl TaskView {
+    /// The machine's resident tasks as of now.
+    pub fn list(m: &Machine) -> Arc<[TaskView]> {
+        m.tasks()
+            .map(|t| TaskView {
+                job: t.id.job.0,
+                index: t.id.index,
+                job_name: Arc::clone(&t.job_name),
+                class: t.class,
+                threads: t.threads(),
+            })
+            .collect()
+    }
+
+    /// Whether `list` is what [`list`](Self::list) would build for `m`
+    /// now: the same tasks in the same order with the same thread counts
+    /// (a task's job fixes its name and class).
+    pub(crate) fn is_current(list: &[TaskView], m: &Machine) -> bool {
+        list.len() == m.task_count()
+            && list
+                .iter()
+                .zip(m.tasks())
+                .all(|(v, t)| (v.job, v.index, v.threads) == (t.id.job.0, t.id.index, t.threads()))
     }
 }
 
@@ -229,13 +269,9 @@ pub const INCIDENT_TAIL: usize = 256;
 /// CPI samples retained per snapshot.
 pub const SAMPLE_TAIL: usize = 512;
 
-/// A structurally shared collection: cloning it is one reference-count
-/// bump, and two snapshots share every element neither replaced.
-pub type Shared<T> = Arc<Vec<Arc<T>>>;
-
 /// Everything the server reads, as of one tick. Immutable once
 /// published; the next tick's snapshot shares what did not change.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiveSnapshot {
     /// Sim time of the snapshot, µs.
     pub now_us: i64,
@@ -251,16 +287,57 @@ pub struct LiveSnapshot {
     pub caps_applied: u64,
     /// Sample batches lost to collector back-pressure.
     pub collector_dropped: u64,
-    /// Per-machine summaries, machine-id order.
-    pub machines: Shared<MachineView>,
+    /// Per-machine counters, machine-id order.
+    pub machines: Arc<[MachineRow]>,
+    /// Per-machine task lists, indexed like `machines`.
+    pub task_lists: Chunked<Arc<[TaskView]>>,
     /// Recent incidents, oldest first (bounded tail).
-    pub incidents: Shared<EncodedIncident>,
+    pub incidents: Chunked<Arc<EncodedIncident>>,
     /// Every published CPI spec, (job, platform) order.
-    pub specs: Shared<CpiSpec>,
+    pub specs: Arc<Vec<Arc<CpiSpec>>>,
     /// Recent CPI samples, oldest first (bounded tail).
-    pub samples: Shared<CpiSample>,
+    pub samples: Chunked<CpiSample>,
     /// Retained incident traces, oldest first.
-    pub traces: Shared<TraceView>,
+    pub traces: Chunked<Arc<TraceView>>,
+}
+
+impl Default for LiveSnapshot {
+    fn default() -> Self {
+        LiveSnapshot {
+            now_us: 0,
+            tick_us: 0,
+            ticks: 0,
+            spec_version: 0,
+            protection_enabled: false,
+            caps_applied: 0,
+            collector_dropped: 0,
+            machines: Arc::from(Vec::new()),
+            task_lists: Chunked::new(),
+            incidents: Chunked::new(),
+            specs: Arc::default(),
+            samples: Chunked::new(),
+            traces: Chunked::new(),
+        }
+    }
+}
+
+impl LiveSnapshot {
+    /// Machine `i`, machine-id order.
+    pub fn machine(&self, i: usize) -> Option<MachineView<'_>> {
+        Some(MachineView {
+            row: self.machines.get(i)?,
+            task_list: self.task_lists.get(i)?,
+        })
+    }
+
+    /// Every machine, machine-id order.
+    pub fn machine_views(&self) -> impl Iterator<Item = MachineView<'_>> {
+        let lists = self.task_lists.iter();
+        self.machines
+            .iter()
+            .zip(lists)
+            .map(|(row, task_list)| MachineView { row, task_list })
+    }
 }
 
 /// Snapshot-swap cell. The tick thread stores a pointer; a reader clones

@@ -5,9 +5,9 @@
 //! worth having if nobody can tell. The oracle here is a twin harness on
 //! the same seed, stepped in lockstep and given the same operator actions
 //! at the same tick boundaries, from which every tick's snapshot is
-//! rebuilt from nothing — no watermarks, no fingerprints, no sharing.
+//! rebuilt from nothing — no watermarks, no comparisons, no sharing —
+//! and must equal the published one in every field, machines included.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 mod common;
@@ -15,10 +15,12 @@ mod common;
 use cpi2::core::CpiSample;
 use cpi2::harness::Cpi2Harness;
 use cpi2::pipeline::query::Dataset;
-use cpi2::sim::{JobId, SimDuration, TaskId};
+use cpi2::sim::{JobId, SchedClass, SimDuration, TaskId};
+use cpi2_serve::chunked::Chunked;
 use cpi2_serve::http::{self, Body, Framing, ScannedResponse};
 use cpi2_serve::state::{
-    EncodedIncident, IncidentView, LiveSnapshot, MachineView, TraceView, INCIDENT_TAIL, SAMPLE_TAIL,
+    EncodedIncident, IncidentView, LiveSnapshot, MachineRow, TaskView, TraceView, INCIDENT_TAIL,
+    SAMPLE_TAIL,
 };
 use cpi2_serve::{OperatorAction, Request, Response, Router, ServeHarness};
 
@@ -84,8 +86,8 @@ fn apply(system: &mut Cpi2Harness, action: &OperatorAction) {
     }
 }
 
-fn shared<T>(items: impl Iterator<Item = T>) -> Arc<Vec<Arc<T>>> {
-    Arc::new(items.map(Arc::new).collect())
+fn chunked<T>(items: impl Iterator<Item = T>) -> Chunked<Arc<T>> {
+    items.map(Arc::new).collect()
 }
 
 fn tail<T>(all: &[T], cap: usize) -> &[T] {
@@ -103,39 +105,40 @@ fn rebuild(twin: &Cpi2Harness, samples: &[CpiSample], ticks: u64) -> LiveSnapsho
         protection_enabled: twin.protection_enabled(),
         caps_applied: twin.caps_applied(),
         collector_dropped: twin.collector_dropped(),
-        machines: shared(twin.cluster.machines().iter().map(MachineView::of)),
-        incidents: shared(
+        machines: twin.cluster.machines().iter().map(MachineRow::of).collect(),
+        task_lists: twin.cluster.machines().iter().map(TaskView::list).collect(),
+        incidents: chunked(
             tail(twin.incidents(), INCIDENT_TAIL)
                 .iter()
                 .map(|mi| EncodedIncident::new(IncidentView::of(mi))),
         ),
-        specs: shared(twin.spec_store.changed_since(0).into_iter()),
-        samples: shared(tail(samples, SAMPLE_TAIL).iter().cloned()),
-        traces: shared(
+        specs: Arc::new(
+            twin.spec_store
+                .changed_since(0)
+                .into_iter()
+                .map(Arc::new)
+                .collect(),
+        ),
+        samples: tail(samples, SAMPLE_TAIL).iter().cloned().collect(),
+        traces: chunked(
             log.ids()
                 .map(|id| TraceView::of(id, log.get(id).expect("retained id has spans"))),
         ),
     }
 }
 
-fn placement(m: &MachineView) -> Vec<(u32, u32)> {
-    m.task_list.iter().map(|t| (t.job, t.index)).collect()
-}
-
 /// Ticks a served harness and its bare twin through the clean and the
 /// planted phase, checking after every tick that the published snapshot
 /// is the rebuilt one; returns the served harness for further probing.
-fn run_against_oracle(full_every: u32) -> ServeHarness {
+fn run_against_oracle() -> ServeHarness {
     let mut twin = fleet();
     let mut sh = ServeHarness::new(fleet());
-    sh.set_full_snapshot_every(full_every);
     let state = sh.state();
     let mut samples: Vec<CpiSample> = Vec::new();
-    // Exact machine views of the last `full_every` ticks, newest last.
-    let mut recent: VecDeque<Vec<MachineView>> = VecDeque::new();
     let mut held: Option<(u64, Arc<LiveSnapshot>, String)> = None;
     let mut previous = state.live.snapshot();
-    let (mut shared_specs, mut shared_incidents, mut shared_machines) = (0u64, 0u64, 0u64);
+    let (mut shared_specs, mut shared_incidents) = (0u64, 0u64);
+    let (mut shared_lists, mut rebuilt_lists) = (0u64, 0u64);
 
     for t in 1..=CLEAN_TICKS + PLANTED_TICKS {
         if t == CLEAN_TICKS + 1 {
@@ -171,25 +174,10 @@ fn run_against_oracle(full_every: u32) -> ServeHarness {
         assert_eq!(published.samples, exact.samples, "samples, tick {t}");
         assert_eq!(published.specs, exact.specs, "specs, tick {t}");
         assert_eq!(published.traces, exact.traces, "traces, tick {t}");
-
-        // Machines: placement exact now; every field exact as of some
-        // tick inside the refresh period.
-        recent.push_back(exact.machines.iter().map(|m| (**m).clone()).collect());
-        if recent.len() > full_every as usize {
-            recent.pop_front();
-        }
-        assert_eq!(published.machines.len(), exact.machines.len(), "tick {t}");
-        for (i, (served, now)) in published.machines.iter().zip(&*exact.machines).enumerate() {
-            assert_eq!(
-                (served.id, served.tasks, placement(served)),
-                (now.id, now.tasks, placement(now)),
-                "placement of machine {i}, tick {t}"
-            );
-            assert!(
-                recent.iter().any(|views| views[i] == **served),
-                "machine {i} at tick {t} matches no exact view of the last {full_every} ticks: {served:?}"
-            );
-        }
+        // Machines are exact on every tick, every field.
+        assert_eq!(published.machines, exact.machines, "machines, tick {t}");
+        assert_eq!(published.task_lists, exact.task_lists, "tasks, tick {t}");
+        assert_eq!(*published, exact, "tick {t}");
 
         // Structural sharing: what no tick touched is the same allocation.
         if published.spec_version == previous.spec_version {
@@ -198,17 +186,19 @@ fn run_against_oracle(full_every: u32) -> ServeHarness {
         }
         if published.incidents.last() == previous.incidents.last() {
             assert!(
-                Arc::ptr_eq(&published.incidents, &previous.incidents),
+                Chunked::ptr_eq(&published.incidents, &previous.incidents),
                 "tick {t}"
             );
             shared_incidents += 1;
         }
-        shared_machines += published
-            .machines
-            .iter()
-            .zip(&*previous.machines)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count() as u64;
+        // A task list is rebuilt exactly when it changed.
+        let lists = published.task_lists.iter().zip(previous.task_lists.iter());
+        for (i, (now, then)) in lists.enumerate() {
+            let shared = Arc::ptr_eq(now, then);
+            assert_eq!(shared, now == then, "task list {i}, tick {t}");
+            shared_lists += u64::from(shared);
+            rebuilt_lists += u64::from(!shared);
+        }
         previous = Arc::clone(&published);
 
         // A reader that keeps a snapshot for 200 ticks finds it untouched.
@@ -231,60 +221,16 @@ fn run_against_oracle(full_every: u32) -> ServeHarness {
     assert!(twin.trace_log().len() >= 10);
     assert!(samples.len() > SAMPLE_TAIL, "sample tail never wrapped");
     assert!(shared_specs > 1000 && shared_incidents > 1000);
-    if full_every > 1 {
-        assert!(shared_machines > 1000, "no machine view ever shared");
-    }
+    assert!(
+        shared_lists > 1000 && rebuilt_lists > 100,
+        "{shared_lists} task lists shared, {rebuilt_lists} rebuilt"
+    );
     sh
 }
 
 #[test]
 fn incremental_snapshot_equals_rebuild_every_tick() {
-    // 16 > 12 machines: some ticks' stripe is empty, and the period wraps.
-    run_against_oracle(16);
-}
-
-#[test]
-fn full_every_one_keeps_machines_exact() {
-    // Period 1: `recent` holds the current tick only, so the oracle
-    // demands every machine field exact on every tick.
-    run_against_oracle(1);
-}
-
-/// Machine views rebuilt over `ticks` ticks at the given exact-refresh
-/// period, read off the counter the publisher exports.
-fn machines_rebuilt(machines: u32, full_every: u32, ticks: u64) -> u64 {
-    let mut sh = ServeHarness::new(common::fleet(0xD1FF, machines));
-    sh.set_full_snapshot_every(full_every);
-    let rebuilt = sh
-        .inner()
-        .telemetry()
-        .counter("cpi_serve_publish_changed_total", &[("kind", "machines")]);
-    let before = rebuilt.get();
-    for _ in 0..ticks {
-        sh.tick();
-    }
-    rebuilt.get() - before
-}
-
-#[test]
-fn striped_refresh_rebuilds_a_fraction_of_the_fleet() {
-    // Why the default publisher is cheaper than rebuilding every machine
-    // every tick, as the count it saves rather than the wall time: a
-    // clock comparison here flaked on a loaded test runner.
-    let (machines, ticks) = (256, 16);
-    let full = machines_rebuilt(machines, 1, ticks);
-    assert_eq!(full, u64::from(machines) * ticks);
-
-    // At 64: a 1/64 stripe per tick, plus whichever machines'
-    // fingerprints moved — a fixed number for a fixed seed.
-    let stripe = u64::from(machines) / 64 * ticks;
-    let striped = machines_rebuilt(machines, 64, ticks);
-    assert!(striped >= stripe, "{striped} < the stripe alone ({stripe})");
-    assert!(
-        striped * 4 <= full,
-        "striped refresh rebuilt {striped} machine views, full {full}"
-    );
-    assert_eq!(striped, machines_rebuilt(machines, 64, ticks));
+    run_against_oracle();
 }
 
 fn get(router: &Router, path: &str) -> Response {
@@ -302,6 +248,52 @@ fn query(router: &Router, sql: &str) -> Response {
         body: sql.as_bytes().to_vec(),
         ..Request::default()
     })
+}
+
+/// A machine as the publisher once held it — one struct, the serde
+/// derive's rendering — against which the served row and task list must
+/// render byte for byte.
+#[derive(serde::Serialize)]
+struct MachineJson {
+    id: u32,
+    tasks: usize,
+    threads: u64,
+    utilization: f64,
+    throttle_events: u64,
+    task_list: Vec<TaskJson>,
+}
+
+#[derive(serde::Serialize)]
+struct TaskJson {
+    job: u32,
+    index: u32,
+    job_name: String,
+    class: SchedClass,
+    threads: u32,
+}
+
+impl MachineJson {
+    fn of(m: cpi2_serve::state::MachineView<'_>) -> MachineJson {
+        let r = m.row;
+        MachineJson {
+            id: r.id,
+            tasks: r.tasks,
+            threads: r.threads,
+            utilization: r.utilization,
+            throttle_events: r.throttle_events,
+            task_list: m
+                .task_list
+                .iter()
+                .map(|t| TaskJson {
+                    job: t.job,
+                    index: t.index,
+                    job_name: t.job_name.to_string(),
+                    class: t.class,
+                    threads: t.threads,
+                })
+                .collect(),
+        }
+    }
 }
 
 /// The body the serde path renders for a streamed JSON array.
@@ -352,7 +344,7 @@ fn over_the_wire(response: Response) -> (u16, Vec<u8>) {
 
 #[test]
 fn bodies_are_byte_identical_to_the_serde_path() {
-    let sh = run_against_oracle(64);
+    let sh = run_against_oracle();
     let state = sh.state();
     let router = Router::new(Arc::clone(&state));
     let snap = state.live.snapshot();
@@ -372,12 +364,13 @@ fn bodies_are_byte_identical_to_the_serde_path() {
             serde_json::to_string(&**trace).unwrap()
         );
     }
-    for m in snap.machines.iter() {
+    let machines: Vec<MachineJson> = snap.machine_views().map(MachineJson::of).collect();
+    for m in &machines {
         let (status, body) = over_the_wire(get(&router, &format!("/machines/{}", m.id)));
         assert_eq!(status, 200);
         assert_eq!(
             String::from_utf8(body).unwrap(),
-            serde_json::to_string(&**m).unwrap()
+            serde_json::to_string(m).unwrap()
         );
     }
     for spec in snap.specs.iter() {
@@ -395,9 +388,10 @@ fn bodies_are_byte_identical_to_the_serde_path() {
     // statement names, answers as a `Dataset` holding every table whole.
     let mut all = Dataset::new();
     all.insert_records("incidents", &views).unwrap();
-    all.insert_records("machines", &snap.machines).unwrap();
+    let samples: Vec<_> = snap.samples.iter().collect();
+    all.insert_records("machines", &machines).unwrap();
     all.insert_records("specs", &snap.specs).unwrap();
-    all.insert_records("samples", &snap.samples).unwrap();
+    all.insert_records("samples", &samples).unwrap();
     let reference = |sql: &str| -> (u16, String) {
         // `routes::stream_query_result`'s format, spelled out.
         match all.query(sql) {

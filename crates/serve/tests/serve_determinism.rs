@@ -105,9 +105,8 @@ fn tick_stream_is_bit_identical_with_server_attached() {
 
     // Same seed, but resident: 32 concurrent clients scrape and query
     // while the fleet ticks at full rate and the publisher maintains
-    // the served snapshot (default refresh period, restated).
+    // the served snapshot.
     let mut sh = ServeHarness::new(build_system());
-    sh.set_full_snapshot_every(64);
     let addr = sh
         .serve("127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback");
