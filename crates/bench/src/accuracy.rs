@@ -18,8 +18,8 @@
 use cpi2::core::{select_target, Cpi2Config, IdentifierKind};
 use cpi2::harness::Cpi2Harness;
 use cpi2::sim::{
-    Cluster, ClusterConfig, FaultPlan, FaultProfile, JobSpec, Platform, ResourceProfile,
-    SimDuration, SimTime, TaskDemand, TaskId, TaskModel,
+    Cluster, ClusterConfig, FaultPlan, FaultProfile, JobSpec, ResourceProfile, SimDuration,
+    SimTime, TaskDemand, TaskId, TaskModel,
 };
 use cpi2::workloads::{CacheThrasher, LsService};
 use cpi2_stats::rng::SimRng;
@@ -130,15 +130,6 @@ pub struct GateCheck {
     pub detail: String,
 }
 
-/// The wide many-tenant machine of the §7 trials: one antagonist's CPU is
-/// a modest fraction of capacity.
-fn platform() -> Platform {
-    Platform {
-        cores: 24,
-        ..Platform::westmere()
-    }
-}
-
 /// A bursty but *innocent* co-tenant: big on/off CPU swings — exactly the
 /// usage shape the correlator keys on — with a negligible cache footprint
 /// and miss rate, so it causes essentially no interference. A noisy
@@ -210,7 +201,7 @@ pub fn run_case(case: &AccuracyCase) -> Result<CaseScore, String> {
         seed: case.seed,
         ..ClusterConfig::default()
     });
-    cluster.add_machines(&platform(), 6);
+    cluster.add_machines(&crate::trials::trial_platform(), 6);
     let seed = case.seed;
     cluster
         .submit_job(

@@ -126,66 +126,53 @@ pub(crate) fn run() {
         "correct suspect",
     ];
 
-    // Sweep 1: outlier sigma.
-    let mut rows = Vec::new();
-    for sigma in [1.0, 2.0, 3.0] {
-        let runs: Vec<Run> = seeds
-            .iter()
-            .map(|&s| {
-                let c = Cpi2Config {
-                    min_samples_per_task: 5,
-                    outlier_sigma: sigma,
-                    ..Cpi2Config::default()
-                };
-                run_with(c, s)
-            })
+    // Sweeps 1-3 each vary one detection parameter of Table 2.
+    let sweep = |title: &str, configs: Vec<(String, Cpi2Config)>| {
+        let rows: Vec<Vec<String>> = configs
+            .into_iter()
+            .map(|(name, c)| summarize(name, seeds.map(|s| run_with(c.clone(), s)).into()))
             .collect();
-        rows.push(summarize(format!("outlier σ = {sigma}"), runs));
-    }
-    plot::print_table("Ablation 1: outlier threshold (paper: 2σ)", &headers, &rows);
-
-    // Sweep 2: violations required.
-    let mut rows = Vec::new();
-    for v in [1u32, 3, 5] {
-        let runs: Vec<Run> = seeds
-            .iter()
-            .map(|&s| {
+        plot::print_table(title, &headers, &rows);
+    };
+    let base = Cpi2Config {
+        min_samples_per_task: 5,
+        ..Cpi2Config::default()
+    };
+    sweep(
+        "Ablation 1: outlier threshold (paper: 2σ)",
+        [1.0, 2.0, 3.0]
+            .map(|outlier_sigma| {
                 let c = Cpi2Config {
-                    min_samples_per_task: 5,
-                    violations_required: v,
-                    ..Cpi2Config::default()
+                    outlier_sigma,
+                    ..base.clone()
                 };
-                run_with(c, s)
+                (format!("outlier σ = {outlier_sigma}"), c)
             })
-            .collect();
-        rows.push(summarize(format!("{v} violations / 5 min"), runs));
-    }
-    plot::print_table(
-        "Ablation 2: violation count (paper: 3 in 5 minutes)",
-        &headers,
-        &rows,
+            .into(),
     );
-
-    // Sweep 3: correlation window.
-    let mut rows = Vec::new();
-    for mins in [5i64, 10, 20] {
-        let runs: Vec<Run> = seeds
-            .iter()
-            .map(|&s| {
+    sweep(
+        "Ablation 2: violation count (paper: 3 in 5 minutes)",
+        [1u32, 3, 5]
+            .map(|violations_required| {
                 let c = Cpi2Config {
-                    min_samples_per_task: 5,
-                    correlation_window_s: mins * 60,
-                    ..Cpi2Config::default()
+                    violations_required,
+                    ..base.clone()
                 };
-                run_with(c, s)
+                (format!("{violations_required} violations / 5 min"), c)
             })
-            .collect();
-        rows.push(summarize(format!("{mins}-minute window"), runs));
-    }
-    plot::print_table(
+            .into(),
+    );
+    sweep(
         "Ablation 3: correlation window (paper: 10 minutes)",
-        &headers,
-        &rows,
+        [5i64, 10, 20]
+            .map(|mins| {
+                let c = Cpi2Config {
+                    correlation_window_s: mins * 60,
+                    ..base.clone()
+                };
+                (format!("{mins}-minute window"), c)
+            })
+            .into(),
     );
 
     // Sweep 4: age-weighting decay. A job drifts (new binary release at

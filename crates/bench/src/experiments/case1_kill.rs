@@ -9,7 +9,7 @@
 //! performance returned to normal".
 
 use crate::plot;
-use crate::scenario::{build_case, first_colocated, record, ScenarioSpec, Timeline};
+use crate::scenario::{build_case, first_colocated, record, Timeline};
 use cpi2::harness::task_for;
 use cpi2::sim::JobSpec;
 use cpi2::workloads::BatchTask;
@@ -17,11 +17,8 @@ use cpi2::workloads::BatchTask;
 pub(crate) fn run() {
     let mut sc = first_colocated(1..22, |seed| {
         build_case(
-            &ScenarioSpec {
-                seed,
-                tenants: 300, // ~50+ tenants per machine, as in the paper.
-                ..Default::default()
-            },
+            seed,
+            300, // ~50+ tenants per machine, as in the paper.
             JobSpec::best_effort("video-processing", 1, 1.0),
             true,
             Box::new(|i| Box::new(BatchTask::video_processing(42 + i as u64))),
@@ -93,15 +90,7 @@ pub(crate) fn run() {
     record(&mut sc, &mut tl, kill_at, 1200, 30);
     let after = tl.victim_mean(kill_at + 5.0, f64::MAX);
 
-    plot::multi_series(
-        "Fig 8b: victim CPI and antagonist CPU usage",
-        "minute",
-        "CPI / cores",
-        &[
-            ("victim CPI", &tl.victim_series()),
-            ("antagonist CPU", &tl.ant_series()),
-        ],
-    );
+    tl.plot("Fig 8b: victim CPI and antagonist CPU usage");
     plot::print_table(
         "Case 1 summary",
         &["metric", "measured", "paper"],

@@ -8,18 +8,15 @@
 //! the hard-capping stopped ... the victim's CPI rose again."
 
 use crate::plot;
-use crate::scenario::{build_case, first_colocated, record, ScenarioSpec, Timeline};
+use crate::scenario::{build_case, first_colocated, record, Timeline};
 use cpi2::sim::{JobSpec, ResourceProfile, SimDuration};
 use cpi2::workloads::LsService;
 
 pub(crate) fn run() {
     let mut sc = first_colocated(100..122, |seed| {
         build_case(
-            &ScenarioSpec {
-                seed,
-                tenants: 240,
-                ..Default::default()
-            },
+            seed,
+            240,
             JobSpec::best_effort("replayer-batch", 1, 1.0),
             true,
             // A steady streaming hog (constant usage, like the paper's
@@ -65,15 +62,7 @@ pub(crate) fn run() {
     record(&mut sc, &mut tl, release, 25 * 60, 30);
     let after = tl.victim_mean(release + 3.0, f64::MAX);
 
-    plot::multi_series(
-        "Fig 9: victim CPI and antagonist CPU (cap minutes shaded by usage drop)",
-        "minute",
-        "CPI / cores",
-        &[
-            ("victim CPI", &tl.victim_series()),
-            ("antagonist CPU", &tl.ant_series()),
-        ],
-    );
+    tl.plot("Fig 9: victim CPI and antagonist CPU (cap minutes shaded by usage drop)");
     plot::print_table(
         "Case 2 summary",
         &["phase", "victim CPI", "paper"],

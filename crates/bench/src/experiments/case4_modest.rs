@@ -11,7 +11,7 @@
 //! latency-sensitive neighbours that CPI² will not cap.
 
 use crate::plot;
-use crate::scenario::{build_case, first_colocated, record, ScenarioSpec, Timeline};
+use crate::scenario::{build_case, first_colocated, record, Timeline};
 use cpi2::harness::task_for;
 use cpi2::sim::{JobSpec, ResourceProfile, SimDuration};
 use cpi2::workloads::{BatchTask, LsService};
@@ -19,11 +19,8 @@ use cpi2::workloads::{BatchTask, LsService};
 pub(crate) fn run() {
     let mut sc = first_colocated(400..430, |seed| {
         build_case(
-            &ScenarioSpec {
-                seed,
-                tenants: 200,
-                ..Default::default()
-            },
+            seed,
+            200,
             JobSpec::batch("scientific-simulation", 1, 1.0),
             true,
             Box::new(move |_| Box::new(BatchTask::scientific_simulation(seed))),
@@ -130,15 +127,7 @@ pub(crate) fn run() {
     record(&mut sc, &mut tl, t2, 600, 30);
     let during2 = tl.victim_mean(t2 + 1.0, t2 + 10.0);
 
-    plot::multi_series(
-        "Fig 11b: victim CPI and throttled suspect's CPU",
-        "minute",
-        "CPI / cores",
-        &[
-            ("victim CPI", &tl.victim_series()),
-            ("antagonist CPU", &tl.ant_series()),
-        ],
-    );
+    tl.plot("Fig 11b: victim CPI and throttled suspect's CPU");
     let improvement1 = 1.0 - during1 / before;
     let improvement2 = 1.0 - during2 / before;
     plot::print_table(

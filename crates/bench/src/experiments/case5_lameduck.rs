@@ -8,18 +8,15 @@
 //! CPI drops while the antagonist is throttled and for a while afterwards.
 
 use crate::plot;
-use crate::scenario::{build_case, first_colocated, record, ScenarioSpec, Timeline};
+use crate::scenario::{build_case, first_colocated, record, Timeline};
 use cpi2::sim::{JobSpec, SimDuration};
 use cpi2::workloads::LameDuckReplayer;
 
 pub(crate) fn run() {
     let mut sc = first_colocated(500..530, |seed| {
         build_case(
-            &ScenarioSpec {
-                seed,
-                tenants: 150,
-                ..Default::default()
-            },
+            seed,
+            150,
             JobSpec::batch("replayer-batch", 1, 1.0),
             true,
             Box::new(move |_| Box::new(LameDuckReplayer::new(5.0, seed))),
@@ -68,20 +65,12 @@ pub(crate) fn run() {
     record(&mut sc, &mut tl, t, 40 * 60, 60);
     let final_threads = *tl.ant_threads.last().unwrap();
 
-    plot::multi_series(
-        "Fig 12a: victim CPI and antagonist CPU",
-        "minute",
-        "CPI / cores",
-        &[
-            ("victim CPI", &tl.victim_series()),
-            ("antagonist CPU", &tl.ant_series()),
-        ],
-    );
+    tl.plot("Fig 12a: victim CPI and antagonist CPU");
     plot::scatter(
         "Fig 12b: antagonist thread count",
         "minute",
         "threads",
-        &tl.thread_series(),
+        &tl.series(&tl.ant_threads),
     );
     plot::print_table(
         "Case 5 summary",

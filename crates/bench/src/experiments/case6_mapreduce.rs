@@ -7,18 +7,15 @@
 //! terminated by the MapReduce master."
 
 use crate::plot;
-use crate::scenario::{build_case, first_colocated, record, ScenarioSpec, Timeline};
+use crate::scenario::{build_case, first_colocated, record, Timeline};
 use cpi2::sim::{JobSpec, SimDuration, TraceEvent};
 use cpi2::workloads::MapReduceWorker;
 
 pub(crate) fn run() {
     let mut sc = first_colocated(600..640, |seed| {
         build_case(
-            &ScenarioSpec {
-                seed,
-                tenants: 150,
-                ..Default::default()
-            },
+            seed,
+            150,
             JobSpec::batch("mapreduce", 1, 1.0),
             false, // The MapReduce master, not the cluster, replaces workers.
             Box::new(move |_| {
@@ -98,15 +95,7 @@ pub(crate) fn run() {
         .entries()
         .any(|e| matches!(e.event, TraceEvent::TaskExited { task, capped: true, .. } if task == sc.antagonist));
 
-    plot::multi_series(
-        "Fig 13: victim CPI and MapReduce worker CPU (worker exits in 2nd cap)",
-        "minute",
-        "CPI / cores",
-        &[
-            ("victim CPI", &tl.victim_series()),
-            ("antagonist CPU", &tl.ant_series()),
-        ],
-    );
+    tl.plot("Fig 13: victim CPI and MapReduce worker CPU (worker exits in 2nd cap)");
     plot::print_table(
         "Case 6 summary",
         &["event", "measured", "paper"],

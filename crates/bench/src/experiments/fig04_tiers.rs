@@ -38,7 +38,7 @@ pub(crate) fn run() {
 
     // Accumulate per-task 5-minute means of (CPI, latency).
     // key: (job, task index, platform) -> running sums.
-    // (Ordered maps: the order points reach a figure in is part of its SVG.)
+    // (Ordered maps: the order of the printed rows is part of the record.)
     let mut acc: BTreeMap<(String, u32, String), (f64, f64, u32)> = BTreeMap::new();
     let mut points: BTreeMap<(String, String), Vec<(f64, f64)>> = BTreeMap::new();
     let total = 4 * 3600;

@@ -21,5 +21,4 @@ pub mod probe;
 pub mod repro;
 pub mod sampling;
 pub mod scenario;
-pub mod svg;
 pub mod trials;

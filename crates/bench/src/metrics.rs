@@ -18,10 +18,6 @@ pub struct JobTick {
     pub tps: f64,
     /// Mean request latency in ms (if the workload reports it).
     pub latency_ms: f64,
-    /// Mean CPU usage per task, cores.
-    pub cpu: f64,
-    /// Tasks sampled.
-    pub tasks: u32,
 }
 
 /// Scrapes one tick's aggregated metrics for a job.
@@ -33,8 +29,6 @@ pub fn job_tick(cluster: &Cluster, job_name: &str, dt: SimDuration) -> Option<Jo
     let mut tps = 0.0;
     let mut lat_sum = 0.0;
     let mut lat_n = 0u32;
-    let mut cpu = 0.0;
-    let mut n = 0u32;
     let dt_sec = dt.as_secs_f64();
     for m in cluster.machines() {
         for t in m.tasks() {
@@ -44,7 +38,6 @@ pub fn job_tick(cluster: &Cluster, job_name: &str, dt: SimDuration) -> Option<Jo
             let Some(o) = t.last_outcome() else { continue };
             cycles += o.cpi * o.instructions;
             instr += o.instructions;
-            cpu += o.cpu_granted;
             if let Some(x) = t.model().transactions(o, dt) {
                 tps += x / dt_sec;
             }
@@ -52,10 +45,9 @@ pub fn job_tick(cluster: &Cluster, job_name: &str, dt: SimDuration) -> Option<Jo
                 lat_sum += l;
                 lat_n += 1;
             }
-            n += 1;
         }
     }
-    if n == 0 || instr <= 0.0 {
+    if instr <= 0.0 {
         return None;
     }
     Some(JobTick {
@@ -67,8 +59,6 @@ pub fn job_tick(cluster: &Cluster, job_name: &str, dt: SimDuration) -> Option<Jo
         } else {
             0.0
         },
-        cpu: cpu / n as f64,
-        tasks: n,
     })
 }
 
@@ -148,7 +138,6 @@ mod tests {
         assert!(job_tick(&c, "websearch-leaf", c.tick_len()).is_none());
         c.run_for(cpi2::sim::SimDuration::from_secs(5));
         let m = job_tick(&c, "websearch-leaf", c.tick_len()).unwrap();
-        assert_eq!(m.tasks, 4);
         assert!(m.cpi > 0.5);
         assert!(m.ips > 0.0);
         assert!(m.tps > 0.0);

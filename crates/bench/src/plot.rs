@@ -1,22 +1,7 @@
 //! Terminal rendering of the paper's tables and figures.
 //!
 //! Every experiment prints its series/rows through these helpers so the
-//! output can be compared side-by-side with the paper's artwork. After
-//! [`write_svgs_to`], every plot is additionally written there as an SVG
-//! file (named from its title).
-
-use std::path::PathBuf;
-use std::sync::OnceLock;
-
-static SVG_DIR: OnceLock<PathBuf> = OnceLock::new();
-
-/// Makes every later plot of this process also write an SVG under `dir`.
-/// `repro` calls it once, before the entry runs, when recording.
-pub fn write_svgs_to(dir: PathBuf) {
-    SVG_DIR
-        .set(dir)
-        .expect("the SVG directory is set once per process");
-}
+//! output can be compared side-by-side with the paper's artwork.
 
 /// Prints a fixed-width table with a header row.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -56,46 +41,11 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// Renders an x/y scatter as an ASCII plot.
 pub fn scatter(title: &str, xlabel: &str, ylabel: &str, points: &[(f64, f64)]) {
     plot_impl(title, xlabel, ylabel, &[("", points)], 72, 20);
-    maybe_svg(title, xlabel, ylabel, &[("", points)], false);
 }
 
 /// Renders multiple named series on one ASCII plot (distinct glyphs).
 pub fn multi_series(title: &str, xlabel: &str, ylabel: &str, series: &[(&str, &[(f64, f64)])]) {
-    let owned: Vec<(&str, &[(f64, f64)])> = series.to_vec();
-    plot_impl(title, xlabel, ylabel, &owned, 72, 20);
-    maybe_svg(title, xlabel, ylabel, series, false);
-}
-
-/// Writes the plot to `<svg dir>/<slug>.svg` once [`write_svgs_to`] ran.
-fn maybe_svg(
-    title: &str,
-    xlabel: &str,
-    ylabel: &str,
-    series: &[(&str, &[(f64, f64)])],
-    lines: bool,
-) {
-    let Some(dir) = SVG_DIR.get() else {
-        return;
-    };
-    let slug: String = title
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect::<String>()
-        .split('_')
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join("_");
-    let path = dir.join(format!("{slug}.svg"));
-    // A lost figure is a failed entry, not a warning scrolling past on
-    // stderr: a partial `repro check` would not notice it missing.
-    crate::svg::save(&path, title, xlabel, ylabel, series, lines)
-        .unwrap_or_else(|e| panic!("svg: could not write {}: {e}", path.display()));
+    plot_impl(title, xlabel, ylabel, series, 72, 20);
 }
 
 const GLYPHS: [char; 6] = ['*', 'o', '+', 'x', '#', '@'];
@@ -178,7 +128,6 @@ pub fn cdf(title: &str, xlabel: &str, values: &[f64], points: usize) {
     let e = cpi2_stats::Ecdf::new(values.to_vec());
     let series = e.series(points);
     plot_impl(title, xlabel, "CDF", &[("", &series)], 72, 16);
-    maybe_svg(title, xlabel, "CDF", &[("", &series)], true);
 }
 
 /// Formats a float compactly for table cells.

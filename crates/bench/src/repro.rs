@@ -4,15 +4,15 @@
 //!
 //! * `repro run <name>…|all` prints the named entries, one after another.
 //! * `repro record [<name>…]` (none: all) rewrites `results/<name>.txt`
-//!   — the entry's stdout; progress stays on stderr — and its figures
-//!   under `results/svg/`. An entry that fails keeps its old record.
+//!   — the entry's stdout; progress stays on stderr. An entry that fails
+//!   keeps its old record.
 //! * `repro check [<name>…]` records into a temporary directory instead
 //!   and compares it byte for byte with `results/`: it fails with the
 //!   file and first differing line, on a failed shape assertion, and on a
-//!   file under `results/` that no entry owns.
+//!   file or directory under `results/` that no entry owns.
 //!
-//! Each entry runs as a child of this executable (`repro entry <name>
-//! [<svg dir>]` — the spawn protocol, not a verb for people), so its
+//! Each entry runs as a child of this executable (`repro entry <name>` —
+//! the spawn protocol, not a verb for people), so its
 //! stdout goes where the parent points it without a sink threaded through
 //! [`crate::plot`], and a failed assertion fails one entry, not the run.
 
@@ -20,7 +20,7 @@ use crate::experiments::{Experiment, EXPERIMENTS};
 use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -30,10 +30,7 @@ use std::sync::Mutex;
 pub fn main(args: &[String]) -> ExitCode {
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let failures = match args.as_slice() {
-        ["entry", name, svg_dir @ ..] if svg_dir.len() <= 1 => select(&[name]).map(|e| {
-            if let [dir] = svg_dir {
-                crate::plot::write_svgs_to(PathBuf::from(dir));
-            }
+        ["entry", name] => select(&[name]).map(|e| {
             (e[0].run)();
             Ok(Vec::new())
         }),
@@ -80,14 +77,14 @@ fn select(names: &[&str]) -> Result<Vec<&'static Experiment>, String> {
 
 /// Runs `entries` as children and returns the names of those that exited
 /// non-zero (each has said why on stderr). With a `dir`, stdout goes to
-/// `dir/<name>.txt` and figures to `dir/svg/`, at most
-/// `available_parallelism()` children at a time; without, children print
+/// `dir/<name>.txt`, at most `available_parallelism()` children at a
+/// time; without, children print
 /// straight through, one at a time. Stderr is inherited either way:
 /// progress and panic messages show as they happen.
 fn run(entries: &[&'static Experiment], dir: Option<&Path>) -> io::Result<Vec<String>> {
     let exe = std::env::current_exe()?;
     if let Some(dir) = dir {
-        fs::create_dir_all(dir.join("svg"))?;
+        fs::create_dir_all(dir)?;
     }
     let run_one = |e: &Experiment| -> io::Result<bool> {
         let mut child = Command::new(&exe);
@@ -100,7 +97,7 @@ fn run(entries: &[&'static Experiment], dir: Option<&Path>) -> io::Result<Vec<St
                 // `<name>.txt` held as it was.
                 let record = dir.join(format!("{}.txt", e.name));
                 let partial = record.with_extension("txt.partial");
-                child.arg(dir.join("svg")).stdout(File::create(&partial)?);
+                child.stdout(File::create(&partial)?);
                 let ok = child.status()?.success();
                 if ok {
                     fs::rename(&partial, &record)?;
@@ -143,8 +140,7 @@ fn run(entries: &[&'static Experiment], dir: Option<&Path>) -> io::Result<Vec<St
 fn check(entries: &[&'static Experiment]) -> io::Result<Vec<String>> {
     let dir = std::env::temp_dir().join(format!("cpi2-repro-{}", std::process::id()));
     let failed = run(entries, Some(&dir))?;
-    let whole_table = entries.len() == EXPERIMENTS.len();
-    let failures = compare(Path::new("results"), &dir, &failed, whole_table)?;
+    let failures = compare(Path::new("results"), &dir, &failed)?;
     if failures.is_empty() {
         fs::remove_dir_all(&dir)?;
         println!("repro check OK ({} entries match results/)", entries.len());
@@ -157,67 +153,52 @@ fn check(entries: &[&'static Experiment]) -> io::Result<Vec<String>> {
 /// Compares what a run `recorded` with the committed record `expected`,
 /// returning one line per failure: an entry that `failed` (what it
 /// printed before its assertion is not compared), a recorded file that
-/// differs or is not committed, and a committed file no entry owns.
-/// `whole_table` says every entry ran, which is when a committed figure
-/// nothing produced can be told from one whose entry was not selected.
-pub fn compare(
-    expected: &Path,
-    recorded: &Path,
-    failed: &[String],
-    whole_table: bool,
-) -> io::Result<Vec<String>> {
+/// differs or is not committed, and a committed file or directory no
+/// entry owns. An entry owns `<name>.txt` alone, so every directory is
+/// an orphan.
+pub fn compare(expected: &Path, recorded: &Path, failed: &[String]) -> io::Result<Vec<String>> {
     let mut failures: Vec<String> = failed
         .iter()
         .map(|name| format!("{name}: exited non-zero (its message is above)"))
         .collect();
-    for sub in ["", "svg"] {
-        let (want_dir, got_dir) = (expected.join(sub), recorded.join(sub));
-        let (committed, produced) = (file_names(&want_dir)?, file_names(&got_dir)?);
-        let shown = |file: &String| Path::new(sub).join(file).display().to_string();
-        for file in &produced {
-            let entry = file.strip_suffix(".txt").filter(|_| sub.is_empty());
-            if entry.is_some_and(|name| failed.iter().any(|f| f == name)) {
-                continue;
-            }
-            if !committed.contains(file) {
-                failures.push(format!("{}: recorded, but not committed", shown(file)));
-                continue;
-            }
-            let (want, got) = (
-                fs::read(want_dir.join(file))?,
-                fs::read(got_dir.join(file))?,
-            );
-            if let Some(difference) = first_difference(&want, &got) {
-                failures.push(format!("{}: {difference}", shown(file)));
-            }
+    let (committed, produced) = (names(expected)?, names(recorded)?);
+    for file in &produced {
+        let entry = file.strip_suffix(".txt");
+        if entry.is_some_and(|name| failed.iter().any(|f| f == name)) {
+            continue;
         }
-        for file in committed.difference(&produced) {
-            let orphan = if sub.is_empty() {
-                let entry = file.strip_suffix(".txt");
-                !entry.is_some_and(|name| EXPERIMENTS.iter().any(|e| e.name == name))
-            } else {
-                whole_table
-            };
-            if orphan {
-                failures.push(format!(
-                    "{}: committed, but no entry produces it",
-                    shown(file)
-                ));
-            }
+        if !committed.contains(file) {
+            failures.push(format!("{file}: recorded, but not committed"));
+            continue;
+        }
+        let (want, got) = (
+            fs::read(expected.join(file))?,
+            fs::read(recorded.join(file))?,
+        );
+        if let Some(difference) = first_difference(&want, &got) {
+            failures.push(format!("{file}: {difference}"));
+        }
+    }
+    for name in committed.difference(&produced) {
+        let entry = name.strip_suffix(".txt");
+        if !entry.is_some_and(|entry| EXPERIMENTS.iter().any(|e| e.name == entry)) {
+            failures.push(format!("{name}: committed, but no entry produces it"));
         }
     }
     Ok(failures)
 }
 
-/// Names of the regular files directly under `dir`.
-fn file_names(dir: &Path) -> io::Result<BTreeSet<String>> {
+/// Names of what lies directly under `dir`; a directory's ends in `/`.
+fn names(dir: &Path) -> io::Result<BTreeSet<String>> {
     let unreadable = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", dir.display()));
     let mut names = BTreeSet::new();
     for entry in fs::read_dir(dir).map_err(unreadable)? {
         let entry = entry?;
-        if entry.file_type()?.is_file() {
-            names.insert(entry.file_name().to_string_lossy().into_owned());
+        let mut name = entry.file_name().to_string_lossy().into_owned();
+        if entry.file_type()?.is_dir() {
+            name.push('/');
         }
+        names.insert(name);
     }
     Ok(names)
 }
@@ -239,29 +220,29 @@ fn first_difference(want: &[u8], got: &[u8]) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
-    /// A committed record (`tab02_params.txt`, one figure) under
-    /// `<root>/results` and a run that reproduced it under `<root>/run`.
+    /// A committed record (`tab02_params.txt`) under `<root>/results` and
+    /// a run that reproduced it under `<root>/run`.
     fn fixture(test: &str) -> PathBuf {
         let root =
             std::env::temp_dir().join(format!("cpi2-repro-test-{test}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         for side in ["results", "run"] {
-            fs::create_dir_all(root.join(side).join("svg")).unwrap();
+            fs::create_dir_all(root.join(side)).unwrap();
             fs::write(root.join(side).join("tab02_params.txt"), "a\nb\nc\n").unwrap();
-            fs::write(root.join(side).join("svg/fig.svg"), "<svg>\n1\n</svg>\n").unwrap();
         }
         root
     }
 
-    fn failures(root: &Path, whole_table: bool) -> Vec<String> {
-        compare(&root.join("results"), &root.join("run"), &[], whole_table).unwrap()
+    fn failures(root: &Path) -> Vec<String> {
+        compare(&root.join("results"), &root.join("run"), &[]).unwrap()
     }
 
     #[test]
     fn identical_record_passes() {
         let root = fixture("identical");
-        assert_eq!(failures(&root, true), Vec::<String>::new());
+        assert_eq!(failures(&root), Vec::<String>::new());
         fs::remove_dir_all(root).unwrap();
     }
 
@@ -275,10 +256,8 @@ mod tests {
         ] {
             fs::write(root.join("run/tab02_params.txt"), printed).unwrap();
             let expected = format!("tab02_params.txt: {failure}");
-            assert_eq!(failures(&root, false), [expected]);
+            assert_eq!(failures(&root), [expected]);
         }
-        fs::write(root.join("run/svg/fig.svg"), "<svg>\n2\n</svg>\n").unwrap();
-        assert!(failures(&root, false)[1].starts_with("svg/fig.svg: line 2:"));
         fs::remove_dir_all(root).unwrap();
     }
 
@@ -286,12 +265,8 @@ mod tests {
     fn recorded_but_not_committed_fails() {
         let root = fixture("uncommitted");
         fs::write(root.join("run/fig01_tenancy.txt"), "x\n").unwrap();
-        fs::write(root.join("run/svg/new.svg"), "<svg/>\n").unwrap();
-        let expected = [
-            "fig01_tenancy.txt: recorded, but not committed",
-            "svg/new.svg: recorded, but not committed",
-        ];
-        assert_eq!(failures(&root, false), expected);
+        let expected = ["fig01_tenancy.txt: recorded, but not committed"];
+        assert_eq!(failures(&root), expected);
         fs::remove_dir_all(root).unwrap();
     }
 
@@ -301,18 +276,16 @@ mod tests {
         fs::write(root.join("results/fig99_gone.txt"), "x\n").unwrap();
         fs::write(root.join("results/notes.md"), "x\n").unwrap();
         fs::write(root.join("results/fig01_tenancy.txt"), "not selected\n").unwrap();
-        fs::write(root.join("results/svg/stale.svg"), "<svg/>\n").unwrap();
+        // No entry writes a directory: a stale one is an orphan whatever
+        // it holds, even a file named like an entry's record.
+        fs::create_dir_all(root.join("results/old")).unwrap();
+        fs::write(root.join("results/old/fig01_tenancy.txt"), "x\n").unwrap();
         let orphans = [
             "fig99_gone.txt: committed, but no entry produces it",
             "notes.md: committed, but no entry produces it",
+            "old/: committed, but no entry produces it",
         ];
-        // A partial run cannot tell a stale figure from an unselected one;
-        // a run of the whole table can.
-        assert_eq!(failures(&root, false), orphans);
-        let whole = failures(&root, true);
-        assert_eq!(whole[..2], orphans);
-        let stale = ["svg/stale.svg: committed, but no entry produces it"];
-        assert_eq!(whole[2..], stale);
+        assert_eq!(failures(&root), orphans);
         fs::remove_dir_all(root).unwrap();
     }
 
@@ -323,7 +296,7 @@ mod tests {
             fs::write(root.join("run/tab02_params.txt"), printed).unwrap();
             let (results, run) = (root.join("results"), root.join("run"));
             let failed = ["tab02_params".to_string()];
-            let failures = compare(&results, &run, &failed, false).unwrap();
+            let failures = compare(&results, &run, &failed).unwrap();
             assert_eq!(failures.len(), 1, "{failures:?}");
             assert!(failures[0].starts_with("tab02_params: exited non-zero"));
         }

@@ -5,6 +5,7 @@
 //! antagonist co-resident with a victim task, and a timeline recording of
 //! victim CPI / antagonist CPU / thread count around the intervention.
 
+use crate::plot;
 use cpi2::core::Cpi2Config;
 use cpi2::harness::Cpi2Harness;
 use cpi2::sim::{
@@ -13,36 +14,12 @@ use cpi2::sim::{
 };
 use cpi2::workloads::LsService;
 
-/// Parameters of a case-study scenario.
-#[derive(Debug, Clone)]
-pub struct ScenarioSpec {
-    /// Master seed.
-    pub seed: u64,
-    /// Machines in the mini-cluster.
-    pub machines: u32,
-    /// Victim-job task count (≥5 for spec eligibility).
-    pub victim_tasks: u32,
-    /// Small co-tenant tasks across the cluster (drives per-machine
-    /// tenancy toward the paper's 28–57).
-    pub tenants: u32,
-    /// Spec warm-up length before the antagonist arrives.
-    pub warmup: SimDuration,
-    /// Whether the agents may cap automatically.
-    pub auto_throttle: bool,
-}
-
-impl Default for ScenarioSpec {
-    fn default() -> Self {
-        ScenarioSpec {
-            seed: 1,
-            machines: 6,
-            victim_tasks: 6,
-            tenants: 120,
-            warmup: SimDuration::from_mins(30),
-            auto_throttle: false,
-        }
-    }
-}
+/// Machines in every case's mini-cluster.
+const MACHINES: u32 = 6;
+/// Victim-job task count (≥ 5 for spec eligibility).
+const VICTIM_TASKS: u32 = 6;
+/// Minutes of spec warm-up before the antagonist arrives.
+const WARMUP_MINS: i64 = 30;
 
 /// A built scenario: the running system plus the principal actors.
 pub struct CaseScenario {
@@ -56,26 +33,27 @@ pub struct CaseScenario {
     pub antagonist: TaskId,
 }
 
-/// Builds a scenario: victim job + tenants, warm-up, spec refresh, then
-/// the antagonist submitted and located. Returns `None` if the scheduler's
-/// placement left no victim task next to the antagonist (retry with
-/// another seed).
+/// Builds a scenario: victim job + `tenants` small co-tenant tasks (they
+/// drive per-machine tenancy toward the paper's 28–57), warm-up, spec
+/// refresh, then the antagonist submitted and located. Returns `None` if
+/// the scheduler's placement left no victim task next to the antagonist
+/// (retry with another seed).
 pub fn build_case(
-    spec: &ScenarioSpec,
+    seed: u64,
+    tenants: u32,
     antagonist: JobSpec,
     antagonist_restart: bool,
     antagonist_factory: ModelFactory,
 ) -> Option<CaseScenario> {
     let mut cluster = Cluster::new(ClusterConfig {
-        seed: spec.seed,
+        seed,
         overcommit: 2.0,
         ..ClusterConfig::default()
     });
-    cluster.add_machines(&Platform::westmere(), spec.machines);
-    let seed = spec.seed;
+    cluster.add_machines(&Platform::westmere(), MACHINES);
     let victim_job = cluster
         .submit_job(
-            JobSpec::latency_sensitive("victim-service", spec.victim_tasks, 1.2),
+            JobSpec::latency_sensitive("victim-service", VICTIM_TASKS, 1.2),
             true,
             Box::new(move |i| {
                 Box::new(LsService::new(
@@ -87,10 +65,10 @@ pub fn build_case(
             }),
         )
         .ok()?;
-    if spec.tenants > 0 {
+    if tenants > 0 {
         cluster
             .submit_job(
-                JobSpec::latency_sensitive("tenant", spec.tenants, 0.1),
+                JobSpec::latency_sensitive("tenant", tenants, 0.1),
                 true,
                 Box::new(move |i| {
                     let mut p = ResourceProfile::compute_bound();
@@ -104,11 +82,11 @@ pub fn build_case(
 
     let config = Cpi2Config {
         min_samples_per_task: 5,
-        auto_throttle: spec.auto_throttle,
+        auto_throttle: false,
         ..Cpi2Config::default()
     };
     let mut system = Cpi2Harness::new(cluster, config);
-    system.run_for(spec.warmup);
+    system.run_for(SimDuration::from_mins(WARMUP_MINS));
     let specs = system.force_spec_refresh();
     specs.iter().find(|s| s.jobname == "victim-service")?;
 
@@ -163,31 +141,26 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// `(minute, victim_cpi)` series for plotting.
-    pub fn victim_series(&self) -> Vec<(f64, f64)> {
+    /// `(minute, y)` pairs of one of the per-bucket columns.
+    pub fn series(&self, ys: &[f64]) -> Vec<(f64, f64)> {
         self.minutes
             .iter()
             .copied()
-            .zip(self.victim_cpi.iter().copied())
+            .zip(ys.iter().copied())
             .collect()
     }
 
-    /// `(minute, antagonist_cpu)` series for plotting.
-    pub fn ant_series(&self) -> Vec<(f64, f64)> {
-        self.minutes
-            .iter()
-            .copied()
-            .zip(self.ant_cpu.iter().copied())
-            .collect()
-    }
-
-    /// `(minute, antagonist_threads)` series for plotting.
-    pub fn thread_series(&self) -> Vec<(f64, f64)> {
-        self.minutes
-            .iter()
-            .copied()
-            .zip(self.ant_threads.iter().copied())
-            .collect()
+    /// Plots victim CPI and antagonist CPU by minute, as Figs. 8–13 do.
+    pub fn plot(&self, title: &str) {
+        plot::multi_series(
+            title,
+            "minute",
+            "CPI / cores",
+            &[
+                ("victim CPI", &self.series(&self.victim_cpi)),
+                ("antagonist CPU", &self.series(&self.ant_cpu)),
+            ],
+        );
     }
 
     /// Mean victim CPI over a minute range `[from, to)`.
@@ -265,11 +238,8 @@ mod tests {
     #[test]
     fn build_and_record() {
         let scenario = build_case(
-            &ScenarioSpec {
-                tenants: 20,
-                warmup: SimDuration::from_mins(26),
-                ..Default::default()
-            },
+            1,
+            20,
             JobSpec::best_effort("ant", 1, 1.0),
             true,
             Box::new(|_| Box::new(ConstantLoad::new(6.0, 8, ResourceProfile::streaming()))),

@@ -267,7 +267,7 @@ pub enum TrialResult {
 /// CPU is a modest fraction of capacity, as on the paper's many-tenant
 /// production machines — utilization is then driven by the filler load,
 /// not by the antagonist itself.
-fn trial_platform() -> Platform {
+pub(crate) fn trial_platform() -> Platform {
     Platform {
         cores: 24,
         ..Platform::westmere()

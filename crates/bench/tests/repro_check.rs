@@ -42,13 +42,15 @@ fn run_prints_what_is_committed() {
 }
 
 #[test]
+#[cfg(target_os = "linux")]
 fn a_failed_entry_fails_the_run() {
-    // A directory squatting on a figure's path: the entry cannot write
-    // its SVG, panics, and `record` must say so rather than exit 0.
+    // The entry's stdout is a full device: its first line cannot be
+    // printed, it panics, and `record` must say so rather than exit 0.
     let cwd = std::env::temp_dir().join(format!("cpi2-repro-failing-{}", std::process::id()));
-    std::fs::create_dir_all(cwd.join("results/svg/fig_1a_tasks_per_machine_cdf.svg")).unwrap();
-    // What the last good run recorded must survive the failed one whole.
+    std::fs::create_dir_all(cwd.join("results")).unwrap();
     let record = cwd.join("results/fig01_tenancy.txt");
+    std::os::unix::fs::symlink("/dev/full", record.with_extension("txt.partial")).unwrap();
+    // What the last good run recorded must survive the failed one whole.
     std::fs::write(&record, "the last good record\n").unwrap();
     let out = repro_in(&cwd, &["record", "fig01_tenancy"]);
     let stderr = String::from_utf8_lossy(&out.stderr);

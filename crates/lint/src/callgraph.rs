@@ -21,7 +21,7 @@
 //! turbofish among the arguments) it must match the candidate's
 //! parameter count (UFCS `Type::method(recv, …)` counts the receiver).
 //! This keeps `sum_bits.load(Ordering::Relaxed)` from resolving to a
-//! two-argument `FileLog::load`.
+//! workspace `fn load` that takes two arguments.
 //!
 //! Finally by crate: a call in `crates/a/` cannot land on an inherent
 //! method or free fn of `crates/b/` unless that fn is plain `pub` and

@@ -17,12 +17,10 @@
 
 pub mod aggregator;
 pub mod collector;
-pub mod filelog;
 pub mod query;
 pub mod specstore;
 
 pub use aggregator::Aggregator;
 pub use collector::{Collector, CollectorHandle, RetryQueue};
-pub use filelog::FileLog;
 pub use query::{Dataset, Query, QueryError, QueryResult, Table, Value};
 pub use specstore::{SpecSnapshot, SpecStore};

@@ -1,7 +1,7 @@
 //! Readiness-driven connection shards: the socket half of the server.
 //!
 //! [`server::start`](crate::server::start) spawns `cfg.shards` copies of
-//! [`shard_loop`], each polling a clone of the shared listener plus its
+//! `shard_loop`, each polling a clone of the shared listener plus its
 //! own connection registry via [`poll`](crate::poll) — the sharded-accept
 //! model: no accept thread, no handoff queue, and a connection lives its
 //! whole life on one shard, so per-connection state needs no locks.

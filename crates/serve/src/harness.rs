@@ -19,12 +19,12 @@
 //! when its tasks or their thread counts differ from the published list;
 //! appended incidents and samples, republished specs and the traces the
 //! [`TraceLog`] change feed names are edited into
-//! [`Chunked`](crate::chunked::Chunked) tails, which copy the chunks an
+//! [`Chunked`] tails, which copy the chunks an
 //! edit writes to and share the rest with the snapshots readers still
 //! hold (see [`state`](crate::state)). Readers never rebuild anything,
 //! so this is all the work there is: the rows, plus what changed.
 //!
-//! This module (with [`server`](crate::server) and
+//! This module (with [`server`] and
 //! [`eventloop`](crate::eventloop)) is the crate's only sanctioned home
 //! for wall clocks and `thread::spawn` — wall time here only *paces*
 //! ticks and *measures* publish cost, it never feeds sim state.

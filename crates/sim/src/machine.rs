@@ -6,7 +6,7 @@
 //! with latency-sensitive preference, runs the interference model, and
 //! charges hardware counters to each task's cgroup.
 //!
-//! The cluster ticks its machines in groups ([`tick_group`]): a tick is
+//! The cluster ticks its machines in groups (`tick_group`): a tick is
 //! split at its interference solve into a prepare half (demand → bandwidth
 //! clamp → CPU grant → profile columns) and a finish half (noise →
 //! counter charge → `observe` → exits), and the solve passes of a group's
@@ -239,10 +239,10 @@ impl Machine {
     /// *appended* to `exits` (the buffer is not cleared, so callers can
     /// pool one buffer across many machines and ticks).
     ///
-    /// This is [`tick_group`] over a group of one: the cluster's grouped
+    /// This is `tick_group` over a group of one: the cluster's grouped
     /// machine phase and this call run the same prepare → solve → finish
     /// code. Steady state performs no heap allocation: all intermediates
-    /// live in the machine's [`TickScratch`].
+    /// live in the machine's `TickScratch`.
     // lint: hot-path
     pub fn tick(&mut self, now: SimTime, dt: SimDuration, exits: &mut Vec<TaskExit>) {
         tick_group(std::slice::from_mut(self), now, dt, |_, exit| {

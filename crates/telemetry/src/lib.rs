@@ -11,7 +11,7 @@
 //! # Design
 //!
 //! The entry point is [`Telemetry`], a clone-cheap handle that is either
-//! *enabled* (wrapping a shared [`registry`](crate::registry) behind an
+//! *enabled* (wrapping a shared `registry` behind an
 //! `Arc`) or *disabled* (`Telemetry::disabled()`, the `Default`). Every
 //! instrumented component accepts a `Telemetry` and resolves the metric
 //! series it needs **once**, at construction, into cached [`Counter`],

@@ -35,5 +35,5 @@ pub use bimodal::BimodalService;
 pub use catalog::{factory, is_latency_sensitive, submit_typical_mix, LsService};
 pub use diurnal::DiurnalPattern;
 pub use mapreduce::MapReduceWorker;
-pub use replay::{parse_trace, schedule_trace, TraceError, TraceJob};
+pub use replay::{schedule_trace, TraceJob};
 pub use websearch::{Tier, WebSearchTask};

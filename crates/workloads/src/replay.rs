@@ -1,15 +1,6 @@
-//! Trace-driven cluster replay.
-//!
-//! A downstream user's first question is "what does CPI² do on *my*
-//! workload?" — this module answers it: describe job arrivals in a small
-//! JSONL trace (one [`TraceJob`] per line) and replay them onto a
-//! simulated cluster through its event queue. Task behaviour comes from
-//! the [`crate::catalog`] templates by name.
-//!
-//! ```text
-//! {"at_s":0,   "name":"websearch-leaf", "class":"latency-sensitive", "tasks":12, "cpu":2.0, "seed":1}
-//! {"at_s":1800,"name":"video-processing","class":"best-effort","tasks":3,"cpu":1.0,"seed":2,"duration_s":3600}
-//! ```
+//! Trace-driven cluster replay: job arrivals ([`TraceJob`]) scheduled
+//! onto a simulated cluster through its event queue. Task behaviour
+//! comes from the [`crate::catalog`] templates by name.
 
 use crate::catalog;
 use cpi2_sim::{
@@ -17,10 +8,9 @@ use cpi2_sim::{
     TaskModel, TickOutcome,
 };
 use cpi2_stats::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One job arrival in a replayable trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceJob {
     /// Arrival time, seconds since the trace epoch.
     pub at_s: i64,
@@ -33,82 +23,9 @@ pub struct TraceJob {
     /// Per-task CPU reservation, cores.
     pub cpu: f64,
     /// Seed for the job's task models.
-    #[serde(default)]
     pub seed: u64,
     /// Optional lifetime; tasks exit on their own after this long.
-    #[serde(default)]
     pub duration_s: Option<i64>,
-}
-
-/// Errors loading a trace.
-#[derive(Debug)]
-pub enum TraceError {
-    /// A line failed to parse (line number, error).
-    Parse(usize, serde_json::Error),
-    /// An unknown scheduling class string.
-    BadClass(usize, String),
-    /// Invalid numeric fields.
-    BadJob(usize, String),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Parse(line, e) => write!(f, "trace line {line}: {e}"),
-            TraceError::BadClass(line, c) => {
-                write!(f, "trace line {line}: unknown class '{c}'")
-            }
-            TraceError::BadJob(line, why) => write!(f, "trace line {line}: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Parses a JSONL trace (empty lines and `#` comments allowed).
-///
-/// # Errors
-///
-/// Returns the first malformed line.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceJob>, TraceError> {
-    let mut jobs = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let job: TraceJob = serde_json::from_str(line).map_err(|e| TraceError::Parse(i + 1, e))?;
-        validate(&job, i + 1)?;
-        jobs.push(job);
-    }
-    Ok(jobs)
-}
-
-fn validate(job: &TraceJob, line: usize) -> Result<(), TraceError> {
-    if !matches!(
-        job.class.as_str(),
-        "latency-sensitive" | "batch" | "best-effort"
-    ) {
-        return Err(TraceError::BadClass(line, job.class.clone()));
-    }
-    if job.tasks == 0 {
-        return Err(TraceError::BadJob(line, "tasks must be ≥ 1".into()));
-    }
-    if !(job.cpu.is_finite() && job.cpu > 0.0) {
-        return Err(TraceError::BadJob(line, format!("bad cpu {}", job.cpu)));
-    }
-    if job.at_s < 0 {
-        return Err(TraceError::BadJob(line, "at_s must be ≥ 0".into()));
-    }
-    if let Some(d) = job.duration_s {
-        if d <= 0 {
-            return Err(TraceError::BadJob(
-                line,
-                "duration_s must be positive".into(),
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Wraps a task model with a finite lifetime: the task exits on its own
@@ -190,44 +107,36 @@ mod tests {
     use super::*;
     use cpi2_sim::{ClusterConfig, Platform};
 
-    const SAMPLE: &str = r#"
-# serving arrives immediately, batch 10 minutes in, for one hour
-{"at_s":0,   "name":"websearch-leaf",   "class":"latency-sensitive", "tasks":6, "cpu":2.0, "seed":1}
-{"at_s":600, "name":"video-processing", "class":"best-effort", "tasks":2, "cpu":1.0, "seed":2, "duration_s":3600}
-"#;
-
-    #[test]
-    fn parses_sample_trace() {
-        let jobs = parse_trace(SAMPLE).unwrap();
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].name, "websearch-leaf");
-        assert_eq!(jobs[1].duration_s, Some(3600));
-    }
-
-    #[test]
-    fn rejects_bad_lines() {
-        assert!(matches!(
-            parse_trace("{\"at_s\":0"),
-            Err(TraceError::Parse(1, _))
-        ));
-        let bad_class = r#"{"at_s":0,"name":"x","class":"weird","tasks":1,"cpu":1.0}"#;
-        assert!(matches!(
-            parse_trace(bad_class),
-            Err(TraceError::BadClass(1, _))
-        ));
-        let bad_tasks = r#"{"at_s":0,"name":"x","class":"batch","tasks":0,"cpu":1.0}"#;
-        assert!(matches!(
-            parse_trace(bad_tasks),
-            Err(TraceError::BadJob(1, _))
-        ));
+    /// Serving arrives immediately, batch 10 minutes in, for one hour.
+    fn sample() -> Vec<TraceJob> {
+        let job = |at_s, name: &str, class: &str, tasks, cpu, seed, duration_s| TraceJob {
+            at_s,
+            name: name.into(),
+            class: class.into(),
+            tasks,
+            cpu,
+            seed,
+            duration_s,
+        };
+        vec![
+            job(0, "websearch-leaf", "latency-sensitive", 6, 2.0, 1, None),
+            job(
+                600,
+                "video-processing",
+                "best-effort",
+                2,
+                1.0,
+                2,
+                Some(3600),
+            ),
+        ]
     }
 
     #[test]
     fn replay_arrives_and_departs() {
         let mut cluster = Cluster::new(ClusterConfig::default());
         cluster.add_machines(&Platform::westmere(), 4);
-        let jobs = parse_trace(SAMPLE).unwrap();
-        assert_eq!(schedule_trace(&mut cluster, &jobs), 2);
+        assert_eq!(schedule_trace(&mut cluster, &sample()), 2);
 
         // Before t=0 fires nothing has arrived; after one step the LS job
         // is placed.

@@ -1,16 +1,15 @@
 //! `cpi2` — command-line front end for the CPI² reproduction.
 //!
 //! ```text
-//! cpi2 simulate [--machines N] [--minutes M] [--seed S] [--thrashers T]
-//!               [--no-protection] [--placement-feedback]
-//! cpi2 forensics [--minutes M] [--seed S] [--query SQL]
-//! cpi2 table2
+//! cpi2 simulate  [--machines N] [--minutes M] [--seed S] [--thrashers T]
+//!                [--no-protection] [--placement-feedback] [--no-victim-migration]
+//! cpi2 forensics [--query SQL] and simulate's arguments
 //! cpi2 help
 //! ```
 
-use cpi2::core::Cpi2Config;
+use cpi2::core::{Cpi2Config, Incident};
 use cpi2::harness::Cpi2Harness;
-use cpi2::pipeline::{Dataset, FileLog};
+use cpi2::pipeline::{Dataset, Query};
 use cpi2::sim::{Cluster, ClusterConfig, JobSpec, Platform, SimDuration};
 use cpi2::workloads::{self, CacheThrasher};
 use std::process::ExitCode;
@@ -34,21 +33,9 @@ const SYSTEM_FLAGS: &[&str] = &[
 const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "simulate",
-        options: &[
-            "--machines",
-            "--minutes",
-            "--seed",
-            "--thrashers",
-            "--log-dir",
-        ],
+        options: &["--machines", "--minutes", "--seed", "--thrashers"],
         flags: SYSTEM_FLAGS,
         run: cmd_simulate,
-    },
-    Subcommand {
-        name: "replay",
-        options: &["--trace", "--machines", "--minutes", "--seed"],
-        flags: &[],
-        run: cmd_replay,
     },
     Subcommand {
         name: "forensics",
@@ -58,16 +45,9 @@ const SUBCOMMANDS: &[Subcommand] = &[
             "--seed",
             "--thrashers",
             "--query",
-            "--log-dir",
         ],
         flags: SYSTEM_FLAGS,
         run: cmd_forensics,
-    },
-    Subcommand {
-        name: "table2",
-        options: &[],
-        flags: &[],
-        run: cmd_table2,
     },
     Subcommand {
         name: "help",
@@ -143,92 +123,18 @@ fn usage() {
          USAGE:\n\
          \x20 cpi2 simulate [--machines N] [--minutes M] [--seed S] [--thrashers T]\n\
          \x20               [--no-protection] [--placement-feedback]\n\
-         \x20               [--no-victim-migration] [--log-dir DIR]\n\
-         \x20     Run a mixed cluster under CPI² and report incidents & caps;\n\
-         \x20     --log-dir persists the incident log as rotated JSONL.\n\n\
-         \x20 cpi2 replay --trace FILE [--machines N] [--minutes M] [--seed S]\n\
-         \x20     Replay a JSONL job trace (see traces/sample.jsonl) under CPI².\n\n\
-         \x20 cpi2 forensics [--minutes M] [--seed S] [--query SQL] [--log-dir DIR]\n\
-         \x20     Answer SQL over an incident log — a persisted one\n\
-         \x20     (--log-dir) or one produced by a fresh run, which takes\n\
-         \x20     simulate's other arguments.\n\n\
-         \x20 cpi2 table2\n\
-         \x20     Print the paper's Table 2 parameter defaults.\n\n\
+         \x20               [--no-victim-migration]\n\
+         \x20     Run a mixed cluster under CPI² for a day of spec warm-up, let\n\
+         \x20     T cache thrashers land, run M more minutes and report\n\
+         \x20     incidents & caps.\n\n\
+         \x20 cpi2 forensics [--query SQL] and simulate's arguments\n\
+         \x20     Run the same cluster, then answer SQL over its incident log.\n\n\
          An argument a subcommand does not take, or a value that does not\n\
          parse, is an error (exit status 2).\n\n\
          Every table/figure of the paper is an entry of the repro binary:\n\
          \x20 cargo run -p cpi2-bench --release --bin repro -- run fig01_tenancy\n\
          \x20 (no arguments lists the entries; `check` compares all with results/)"
     );
-}
-
-fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
-    let Some(path) = args.value("--trace") else {
-        eprintln!("replay requires --trace FILE");
-        return Ok(ExitCode::FAILURE);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    let jobs = match workloads::parse_trace(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("{e}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    let machines: u32 = args.parsed("--machines", 20)?;
-    let seed: u64 = args.parsed("--seed", 1)?;
-    let horizon_s = jobs
-        .iter()
-        .map(|j| j.at_s + j.duration_s.unwrap_or(0))
-        .max()
-        .unwrap_or(0);
-    let minutes: i64 = args.parsed("--minutes", horizon_s / 60 + 30)?;
-
-    let mut cluster = Cluster::new(ClusterConfig {
-        seed,
-        overcommit: 2.0,
-        ..ClusterConfig::default()
-    });
-    cluster.add_machines(&Platform::westmere(), machines);
-    workloads::schedule_trace(&mut cluster, &jobs);
-    let config = Cpi2Config {
-        min_samples_per_task: 5,
-        ..Cpi2Config::default()
-    };
-    let mut system = Cpi2Harness::new(cluster, config);
-
-    println!(
-        "replaying {} jobs from {path} on {machines} machines for {minutes} min...",
-        jobs.len()
-    );
-    // Spec refresh once the earliest jobs have produced samples.
-    system.run_for(SimDuration::from_mins(30));
-    let specs = system.force_spec_refresh();
-    println!("learned {} specs after 30 min", specs.len());
-    system.run_for(SimDuration::from_mins((minutes - 30).max(0)));
-
-    let acted = system
-        .incidents()
-        .iter()
-        .filter(|mi| mi.incident.acted())
-        .count();
-    println!("\nreplay complete:");
-    println!(
-        "  incidents: {} ({} acted)",
-        system.incidents().len(),
-        acted
-    );
-    println!("  hard caps: {}", system.caps_applied());
-    for (job, n, corr) in system.top_antagonists(5) {
-        println!("  antagonist {job:<20} capped {n}x (max correlation {corr:.2})");
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn build_system(args: &Args) -> Result<Cpi2Harness, String> {
@@ -260,12 +166,20 @@ fn build_system(args: &Args) -> Result<Cpi2Harness, String> {
     Ok(system)
 }
 
-/// Warm up, learn specs, then let the antagonists land (specs must reflect
-/// normal behaviour — the paper's fleet learns from days of mostly-clean
-/// samples before any given interference episode).
-fn warm_up_and_inject(system: &mut Cpi2Harness, args: &Args) -> Result<(), String> {
+/// Builds the cluster, warms it up and learns specs, then lets the
+/// antagonists land and runs `--minutes` more (specs must reflect normal
+/// behaviour — the paper's fleet learns from days of mostly-clean
+/// samples before any given interference episode). Thrashers the
+/// cluster cannot place are an error naming `--thrashers`.
+fn run_system(args: &Args) -> Result<Cpi2Harness, String> {
     let seed: u64 = args.parsed("--seed", 1)?;
     let thrashers: u32 = args.parsed("--thrashers", 6)?;
+    let minutes: u32 = args.parsed("--minutes", 120)?;
+    let mut system = build_system(args)?;
+    println!(
+        "simulating {} machines for {minutes} min (24h spec warm-up first)...",
+        system.cluster.machines().len()
+    );
     // A full day of warm-up, as the paper's 24-hour spec refresh: the spec
     // σ must absorb the diurnal CPI swing (Fig. 5) or afternoon load peaks
     // masquerade as incidents.
@@ -283,22 +197,16 @@ fn warm_up_and_inject(system: &mut Cpi2Harness, args: &Args) -> Result<(), Strin
                 true,
                 Box::new(move |i| Box::new(CacheThrasher::new(8.0, 300, 300, seed ^ i as u64))),
             )
-            .ok();
+            .map_err(|e| format!("--thrashers {thrashers}: not placed: {e}"))?;
         println!("{thrashers} thrasher task(s) landed on the cluster");
     }
-    Ok(())
+    system.run_for(SimDuration::from_mins(i64::from(minutes)));
+    Ok(system)
 }
 
 fn cmd_simulate(args: &Args) -> Result<ExitCode, String> {
-    let minutes: i64 = args.parsed("--minutes", 120)?;
-    let mut system = build_system(args)?;
-    println!(
-        "simulating {} machines for {minutes} min (24h spec warm-up first)...",
-        system.cluster.machines().len()
-    );
-    warm_up_and_inject(&mut system, args)?;
-    system.run_for(SimDuration::from_mins(minutes));
-
+    let minutes: u32 = args.parsed("--minutes", 120)?;
+    let system = run_system(args)?;
     println!("\nresults after {minutes} simulated minutes:");
     let acted = system
         .incidents()
@@ -323,80 +231,37 @@ fn cmd_simulate(args: &Args) -> Result<ExitCode, String> {
             println!("    {job:<24} capped {n} times (max correlation {corr:.2})");
         }
     }
-    let machine_days = system.cluster.machines().len() as f64 * minutes as f64 / (24.0 * 60.0);
+    let machine_days = system.cluster.machines().len() as f64 * f64::from(minutes) / (24.0 * 60.0);
     if machine_days > 0.0 {
         println!(
             "  incident rate      : {:.2} per machine-day (paper: 0.37)",
             system.incidents().len() as f64 / machine_days
         );
     }
-    if let Some(dir) = args.value("--log-dir") {
-        match persist_incidents(&system, dir) {
-            Ok(n) => println!("  persisted          : {n} incidents to {dir}/incidents.*.jsonl"),
-            Err(e) => eprintln!("  could not persist incidents: {e}"),
-        }
-    }
     Ok(ExitCode::SUCCESS)
 }
 
-fn persist_incidents(system: &Cpi2Harness, dir: &str) -> std::io::Result<usize> {
-    let mut log = FileLog::open(dir, "incidents", 4 << 20)?;
-    for mi in system.incidents() {
-        log.append(&mi.incident)?;
-    }
-    log.flush()?;
-    Ok(system.incidents().len())
-}
-
 fn cmd_forensics(args: &Args) -> Result<ExitCode, String> {
-    let minutes: i64 = args.parsed("--minutes", 120)?;
     let default_query = "SELECT victim_job, count(*) FROM incidents \
                          GROUP BY victim_job ORDER BY count(*) DESC LIMIT 10";
-    let query = args.value("--query").unwrap_or(default_query);
-    let incidents: Vec<cpi2::core::Incident> = if let Some(dir) = args.value("--log-dir") {
-        match FileLog::load(dir, "incidents") {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("cannot load incident log from {dir}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-    } else {
-        let mut system = build_system(args)?;
-        warm_up_and_inject(&mut system, args)?;
-        system.run_for(SimDuration::from_mins(minutes));
-        system
-            .incidents()
-            .iter()
-            .map(|mi| mi.incident.clone())
-            .collect()
-    };
+    let sql = args.value("--query").unwrap_or(default_query);
+    // A statement that does not parse fails before the day-long run.
+    let query = Query::parse(sql).map_err(|e| format!("--query: {e}"))?;
+    let system = run_system(args)?;
+    let incidents: Vec<Incident> = system
+        .incidents()
+        .iter()
+        .map(|mi| mi.incident.clone())
+        .collect();
     println!(
-        "{} incidents collected; running:\n  {query}\n",
+        "{} incidents collected; running:\n  {sql}\n",
         incidents.len()
     );
     let mut ds = Dataset::new();
-    if let Err(e) = ds.insert_records("incidents", &incidents) {
-        eprintln!("failed to load incidents: {e}");
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(match ds.query(query) {
-        Ok(result) => {
-            println!("{result}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("query error: {e}");
-            ExitCode::FAILURE
-        }
-    })
-}
-
-fn cmd_table2(_: &Args) -> Result<ExitCode, String> {
-    println!("Table 2: CPI2 parameters and their default values\n");
-    for (k, v) in Cpi2Config::default().table2_rows() {
-        println!("  {k:<34} {v}");
-    }
+    ds.insert_records("incidents", &incidents)
+        .expect("an incident serializes");
+    let result = ds.run(&query).map_err(|e| format!("--query: {e}"))?;
+    println!("{result}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -412,9 +277,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     };
     let Some(command) = subcommand(name) else {
-        eprintln!("unknown command '{name}'\n");
+        eprintln!("error: unknown command {name:?}\n");
         usage();
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     Args::parse(rest, command)
         .and_then(|args| (command.run)(&args))
@@ -461,10 +326,10 @@ mod tests {
         // `cpi2 simulate --machnies 4` used to simulate the default 40.
         let message = parse(&["simulate", "--machnies", "4"]).unwrap_err();
         assert!(message.contains("--machnies\""), "{message}");
-        // Keys are per subcommand: `replay` builds no thrashers.
-        assert!(parse(&["replay", "--thrashers", "2"]).is_err());
+        // Keys are per subcommand: `forensics` alone takes a query.
+        assert!(parse(&["simulate", "--query", "x"]).is_err());
         // A stray positional is no better.
-        assert!(parse(&["table2", "40"]).is_err());
+        assert!(parse(&["help", "40"]).is_err());
     }
 
     #[test]
