@@ -11,15 +11,15 @@ use crate::amelioration::cap_for;
 use crate::antagonist::{rank_suspects, select_target, Suspect, SuspectInput};
 use crate::config::Cpi2Config;
 use crate::correlation::antagonist_correlation;
+use crate::history::History;
 use crate::incident::{Incident, IncidentAction};
 use crate::outlier::{OutlierDetector, Verdict};
 use crate::panda::EvidenceBook;
-use crate::sample::{CpiSample, JobKey, KeyView, TaskClass, TaskHandle};
+use crate::sample::{CpiSample, JobKey, TaskClass, TaskHandle};
 use crate::spec::CpiSpec;
 use crate::trace::{TraceId, TraceSpan, TraceStage};
-use cpi2_stats::timeseries::TimeSeries;
 use cpi2_telemetry::{Counter, Histo, Telemetry};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -157,6 +157,11 @@ mod sorted {
         pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
             self.values.iter_mut()
         }
+
+        /// The values in key order, keys dropped.
+        pub fn into_values(self) -> Vec<V> {
+            self.values
+        }
     }
 
     impl<K: Serialize, V: Serialize> Serialize for SortedMap<K, V> {
@@ -258,12 +263,102 @@ pub enum AgentCommand {
 /// A cached spec and when the pipeline published it.
 #[derive(Debug, Serialize, Deserialize)]
 struct SpecEntry {
-    spec: CpiSpec,
+    /// The pipeline's own copy, shared: every agent the spec store hands
+    /// it to holds the same one.
+    #[serde(with = "shared_spec")]
+    spec: Arc<CpiSpec>,
     /// Publish time (µs); `i64::MAX` means "never stale" (untimestamped
     /// install). Pipeline publish time — not install time — so
     /// re-installing the same old spec after an agent restart does not
     /// reset its staleness clock.
     published_at: i64,
+}
+
+/// A shared spec reads and writes as the spec itself.
+mod shared_spec {
+    use crate::spec::CpiSpec;
+    use serde::{Deserialize, Error, Serialize, Value};
+    use std::sync::Arc;
+
+    pub fn to_value(spec: &Arc<CpiSpec>) -> Value {
+        spec.to_value()
+    }
+
+    pub fn from_value(v: &Value) -> Result<Arc<CpiSpec>, Error> {
+        CpiSpec::from_value(v).map(Arc::new)
+    }
+}
+
+/// The agent's specs, one per job × platform, ordered by each spec's own
+/// (job, platform) names: a lookup binary-searches those names, so the
+/// table holds no key of its own — an entry is a pointer and a time.
+///
+/// Serializes as a vector of `[{"job", "platform"}, entry]` pairs in that
+/// order, byte for byte what a `JobKey`-keyed map of the same entries
+/// wrote.
+#[derive(Debug, Default)]
+struct SpecTable {
+    entries: Vec<SpecEntry>,
+}
+
+impl SpecTable {
+    /// `Ok(i)` if entry `i` is (`job`, `platform`)'s, else `Err(i)`: it
+    /// belongs at `i`.
+    fn position(&self, job: &str, platform: &str) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|e| (&*e.spec.jobname, &*e.spec.platforminfo).cmp(&(job, platform)))
+    }
+
+    fn get(&self, job: &str, platform: &str) -> Option<&SpecEntry> {
+        self.entries.get(self.position(job, platform).ok()?)
+    }
+
+    /// Installs `entry` in place of its key's, if there was one.
+    fn install(&mut self, entry: SpecEntry) {
+        match self.position(&entry.spec.jobname, &entry.spec.platforminfo) {
+            Ok(i) => {
+                if let Some(held) = self.entries.get_mut(i) {
+                    *held = entry;
+                }
+            }
+            Err(i) => {
+                self.entries.reserve_exact(1);
+                self.entries.insert(i, entry);
+            }
+        }
+    }
+}
+
+impl Serialize for SpecTable {
+    fn to_value(&self) -> Value {
+        let pair = |e: &SpecEntry| {
+            let key = Value::Object(vec![
+                ("job".to_string(), e.spec.jobname.to_value()),
+                ("platform".to_string(), e.spec.platforminfo.to_value()),
+            ]);
+            Value::Array(vec![key, e.to_value()])
+        };
+        Value::Array(self.entries.iter().map(pair).collect())
+    }
+}
+
+impl Deserialize for SpecTable {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        // As the agent's keyed tables restore (sorted, the last repeat
+        // wins), then each key must name its own spec.
+        let map = SortedMap::<JobKey, SpecEntry>::from_value(v)?;
+        if let Some((key, _)) = map
+            .iter()
+            .find(|(k, e)| (&*k.job, &*k.platform) != (&*e.spec.jobname, &*e.spec.platforminfo))
+        {
+            return Err(Error::custom(format!(
+                "spec table key {key} holds another spec"
+            )));
+        }
+        Ok(SpecTable {
+            entries: map.into_values(),
+        })
+    }
 }
 
 /// The numbers detection reads from a task's job × platform spec.
@@ -300,7 +395,7 @@ struct Judged {
 }
 
 /// Per-task state the agent keeps.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct TaskState {
     /// The task's samples' own names, shared: binding clones two `Arc`s.
     jobname: Arc<str>,
@@ -313,8 +408,9 @@ struct TaskState {
     /// lookup.
     detect_spec: Option<DetectSpec>,
     detector: OutlierDetector,
-    cpi: TimeSeries,
-    usage: TimeSeries,
+    /// The task's samples over the last two correlation windows: the
+    /// victim side of §4.2 reads its CPI, the suspect side its usage.
+    history: History,
     /// Newest sample timestamp seen, replays included: a replayed sample
     /// does not make a resident task look gone.
     last_seen: i64,
@@ -331,10 +427,48 @@ impl Default for TaskState {
             class: TaskClass::default(),
             detect_spec: None,
             detector: OutlierDetector::default(),
-            cpi: TimeSeries::default(),
-            usage: TimeSeries::default(),
+            history: History::default(),
             last_seen: i64::MIN,
         }
+    }
+}
+
+// By hand, so the history writes the two single-value series it
+// replaced, `"cpi"` then `"usage"`: a checkpoint is byte for byte what
+// the agent wrote when it kept one series of each.
+impl Serialize for TaskState {
+    fn to_value(&self) -> Value {
+        let fields = [
+            ("jobname", self.jobname.to_value()),
+            ("platform", self.platform.to_value()),
+            ("class", self.class.to_value()),
+            ("detect_spec", self.detect_spec.to_value()),
+            ("detector", self.detector.to_value()),
+            ("cpi", self.history.cpi().to_value()),
+            ("usage", self.history.usage().to_value()),
+            ("last_seen", self.last_seen.to_value()),
+        ];
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for TaskState {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let field = |name| serde::get_or_null(v, name);
+        Ok(TaskState {
+            jobname: serde::from_field(v, "jobname")?,
+            platform: serde::from_field(v, "platform")?,
+            class: serde::from_field(v, "class")?,
+            detect_spec: serde::from_field(v, "detect_spec")?,
+            detector: serde::from_field(v, "detector")?,
+            history: History::from_column_values(field("cpi"), field("usage"))?,
+            last_seen: serde::from_field(v, "last_seen")?,
+        })
     }
 }
 
@@ -342,29 +476,27 @@ impl TaskState {
     /// Points the task at `s`'s job × platform (it just appeared, or its
     /// handle was reused) and resolves that key's spec.
     // lint: hot-path
-    fn bind(&mut self, s: &CpiSample, specs: &SortedMap<JobKey, SpecEntry>) {
+    fn bind(&mut self, s: &CpiSample, specs: &SpecTable) {
         self.jobname = Arc::clone(&s.jobname);
         self.platform = Arc::clone(&s.platforminfo);
-        self.detect_spec = DetectSpec::of(specs.get(&s.key_view() as &dyn KeyView));
+        self.detect_spec = DetectSpec::of(specs.get(&s.jobname, &s.platforminfo));
     }
 
-    /// Appends `s` to the task's histories, bounded to `horizon_us`.
-    /// `false` when `s` did not advance them (a replayed sample).
+    /// Appends `s` to the task's history, bounded to `horizon_us`.
+    /// `false` when `s` did not advance it (a replayed sample).
     // lint: hot-path
     fn record(&mut self, s: &CpiSample, horizon_us: i64) -> bool {
         self.class = s.class;
         self.last_seen = self.last_seen.max(s.timestamp);
         // Monotonicity guard: a restarted collector may replay.
-        let advances = match self.cpi.points().last() {
-            Some(&(t, _)) => t < s.timestamp,
+        let advances = match self.history.last_t() {
+            Some(t) => t < s.timestamp,
             None => true,
         };
         if advances {
-            self.cpi.push(s.timestamp, s.cpi);
-            self.usage.push(s.timestamp, s.cpu_usage);
+            self.history.push(s.timestamp, s.cpi, s.cpu_usage);
         }
-        self.cpi.evict_before(s.timestamp - horizon_us);
-        self.usage.evict_before(s.timestamp - horizon_us);
+        self.history.evict_before(s.timestamp - horizon_us);
         advances
     }
 
@@ -413,7 +545,7 @@ impl TaskState {
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Agent {
     config: Cpi2Config,
-    specs: SortedMap<JobKey, SpecEntry>,
+    specs: SpecTable,
     tasks: SortedMap<TaskHandle, TaskState>,
     /// µs timestamp of the last correlation analysis (rate limiting, §4.2).
     last_analysis: i64,
@@ -452,7 +584,7 @@ impl Agent {
         config.validate().expect("valid CPI2 configuration");
         Agent {
             config,
-            specs: SortedMap::default(),
+            specs: SpecTable::default(),
             tasks: SortedMap::default(),
             last_analysis: i64::MIN / 2,
             active_caps: SortedMap::default(),
@@ -480,7 +612,7 @@ impl Agent {
 
     /// Installs (or refreshes) a predicted CPI spec pushed by the pipeline
     /// with no publish timestamp (it never ages out).
-    pub fn install_spec(&mut self, spec: CpiSpec) {
+    pub fn install_spec(&mut self, spec: impl Into<Arc<CpiSpec>>) {
         self.install_spec_at(spec, i64::MAX);
     }
 
@@ -489,9 +621,13 @@ impl Agent {
     /// for its job falls back to the conservative
     /// [`Cpi2Config::stale_outlier_sigma`] threshold and each such
     /// decision is counted in telemetry.
-    pub fn install_spec_at(&mut self, spec: CpiSpec, published_at_us: i64) {
+    ///
+    /// The agent keeps the spec it is handed: a shared one (what the spec
+    /// store hands out) is held, not copied; an owned one is moved into a
+    /// new `Arc`.
+    pub fn install_spec_at(&mut self, spec: impl Into<Arc<CpiSpec>>, published_at_us: i64) {
         let entry = SpecEntry {
-            spec,
+            spec: spec.into(),
             published_at: published_at_us,
         };
         // Resident tasks of this job × platform see the new numbers at
@@ -502,24 +638,20 @@ impl Agent {
                 st.detect_spec = resolved;
             }
         }
-        let key = (&*entry.spec.jobname, &*entry.spec.platforminfo);
-        match self.specs.get_mut(&key as &dyn KeyView) {
-            Some(held) => *held = entry,
-            // A key's first install: the one place that builds its owned
-            // key.
-            None => self.specs.insert(entry.spec.key(), entry),
-        }
+        self.specs.install(entry);
     }
 
     /// The spec for a job × platform key, if any.
     pub fn spec(&self, key: &JobKey) -> Option<&CpiSpec> {
-        self.specs.get(key).map(|e| &e.spec)
+        self.specs.get(&key.job, &key.platform).map(|e| &*e.spec)
     }
 
     /// Publish time (µs) of the cached spec for a key: `i64::MAX` for
     /// untimestamped installs, `None` when no spec is cached.
     pub fn spec_published_at(&self, key: &JobKey) -> Option<i64> {
-        self.specs.get(key).map(|e| e.published_at)
+        self.specs
+            .get(&key.job, &key.platform)
+            .map(|e| e.published_at)
     }
 
     /// All incidents the agent has reported, oldest first.
@@ -677,8 +809,10 @@ impl Agent {
         self.metrics.correlation_runs.inc();
         let victim_state = self.tasks.get(&victim.task)?;
         let window_flags = victim_state.detector.flag_count();
+        // Borrowed: the ranking reads the victim's rows in place.
         let victim_cpi = victim_state
-            .cpi
+            .history
+            .cpi()
             .window(victim.timestamp - window_us, victim.timestamp + 1);
 
         // Score every co-resident task's usage against the victim's CPI.
@@ -690,7 +824,7 @@ impl Agent {
                 task: h,
                 jobname: &st.jobname,
                 class: st.class,
-                usage: &st.usage,
+                usage: st.history.usage(),
             })
             .collect();
         // Alignment slack of half a sampling period.
@@ -698,12 +832,12 @@ impl Agent {
         let kind = self.config.identifier;
         self.metrics.identifier_runs.inc();
         let ranked = match kind.panda_params() {
-            None => rank_suspects(&victim_cpi, &inputs, cthreshold, tolerance),
+            None => rank_suspects(victim_cpi, &inputs, cthreshold, tolerance),
             Some(params) => {
                 let (ranked, stats) = self.evidence.rank(
                     &params,
                     &victim.jobname,
-                    &victim_cpi,
+                    victim_cpi,
                     &inputs,
                     cthreshold,
                     tolerance,
@@ -889,7 +1023,7 @@ impl Agent {
         let v = self.tasks.get(&victim)?;
         let s = self.tasks.get(&suspect)?;
         let tolerance = self.config.sampling_period_s * 1_000_000 / 2;
-        let pairs = v.cpi.align(&s.usage, tolerance);
+        let pairs = v.history.cpi().align(s.history.usage(), tolerance);
         antagonist_correlation(&pairs, cthreshold)
     }
 

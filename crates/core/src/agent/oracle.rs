@@ -36,17 +36,15 @@ impl Agent {
             st.platform = Arc::clone(&s.platforminfo);
             st.class = s.class;
             st.last_seen = st.last_seen.max(s.timestamp);
-            let advances = match st.cpi.points().last() {
-                Some(&(t, _)) => t < s.timestamp,
+            let advances = match st.history.last_t() {
+                Some(t) => t < s.timestamp,
                 None => true,
             };
             advanced.push(advances);
             if advances {
-                st.cpi.push(s.timestamp, s.cpi);
-                st.usage.push(s.timestamp, s.cpu_usage);
+                st.history.push(s.timestamp, s.cpi, s.cpu_usage);
             }
-            st.cpi.evict_before(s.timestamp - 2 * window_us);
-            st.usage.evict_before(s.timestamp - 2 * window_us);
+            st.history.evict_before(s.timestamp - 2 * window_us);
         }
 
         if let Some(&newest) = samples.iter().map(|s| &s.timestamp).max() {
@@ -64,17 +62,18 @@ impl Agent {
             if !advanced {
                 continue;
             }
-            let Some(entry) = self.specs.get(&s.key()) else {
+            let key = s.key();
+            let Some(entry) = self.specs.get(&key.job, &key.platform) else {
                 continue;
             };
             if !entry.spec.robust() || entry.spec.cpi_stddev <= 0.0 {
                 continue;
             }
-            let spec = entry.spec.clone();
+            let spec = CpiSpec::clone(&entry.spec);
             let ttl_us = self.config.spec_ttl_hours * 3_600 * 1_000_000;
             let published_at = self
                 .specs
-                .get(&s.key())
+                .get(&key.job, &key.platform)
                 .map_or(i64::MAX, |e| e.published_at);
             let stale = ttl_us > 0 && s.timestamp.saturating_sub(published_at) > ttl_us;
             let sigma = if stale {
@@ -146,7 +145,7 @@ impl Agent {
             let key = JobKey::new(&*st.jobname, &*st.platform);
             assert_eq!(
                 st.detect_spec,
-                DetectSpec::of(self.specs.get(&key)),
+                DetectSpec::of(self.specs.get(&key.job, &key.platform)),
                 "task {handle} ({key}) holds a stale resolution"
             );
         }

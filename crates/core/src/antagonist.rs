@@ -13,8 +13,8 @@
 //! records but ranks by the mean correlation across incidents instead.
 
 use crate::correlation::antagonist_correlation;
+use crate::history::Column;
 use crate::sample::{TaskClass, TaskHandle};
-use cpi2_stats::timeseries::TimeSeries;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -48,8 +48,8 @@ pub struct SuspectInput<'a> {
     pub jobname: &'a Arc<str>,
     /// Its scheduling class.
     pub class: TaskClass,
-    /// Its CPU-usage time series over the analysis window.
-    pub usage: &'a TimeSeries,
+    /// Its CPU usage over the analysis window, borrowed from its history.
+    pub usage: Column<'a>,
 }
 
 /// Ranks suspects by antagonist correlation, descending.
@@ -62,7 +62,7 @@ pub struct SuspectInput<'a> {
 /// Allocates twice per call, whatever the suspect count: the ranking and
 /// one pair buffer every alignment reuses.
 pub fn rank_suspects(
-    victim_cpi: &TimeSeries,
+    victim_cpi: Column<'_>,
     suspects: &[SuspectInput<'_>],
     cthreshold: f64,
     tolerance_us: i64,
@@ -106,9 +106,15 @@ pub fn select_target(ranked: &[Suspect], threshold: f64) -> Option<&Suspect> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::History;
 
-    fn series(points: &[(i64, f64)]) -> TimeSeries {
-        TimeSeries::from_points(points.to_vec())
+    /// A history whose CPI and usage are both `points`' values.
+    fn series(points: &[(i64, f64)]) -> History {
+        let mut h = History::new();
+        for &(t, v) in points {
+            h.push(t, v, v);
+        }
+        h
     }
 
     fn name(job: &str) -> Arc<str> {
@@ -124,19 +130,19 @@ mod tests {
         // Innocent: active in the quiet minutes.
         let innocent = series(&[(0, 4.0), (60, 0.0), (120, 4.0), (180, 0.0), (240, 4.0)]);
         let ranked = rank_suspects(
-            &victim,
+            victim.cpi(),
             &[
                 SuspectInput {
                     task: TaskHandle(1),
                     jobname: &name("innocent"),
                     class: TaskClass::batch(),
-                    usage: &innocent,
+                    usage: innocent.usage(),
                 },
                 SuspectInput {
                     task: TaskHandle(2),
                     jobname: &name("guilty"),
                     class: TaskClass::batch(),
-                    usage: &guilty,
+                    usage: guilty.usage(),
                 },
             ],
             2.0,
@@ -194,12 +200,12 @@ mod tests {
         let victim = series(&[(0, 5.0)]);
         let far = series(&[(1_000_000_000, 4.0)]);
         let ranked = rank_suspects(
-            &victim,
+            victim.cpi(),
             &[SuspectInput {
                 task: TaskHandle(1),
                 jobname: &name("x"),
                 class: TaskClass::batch(),
-                usage: &far,
+                usage: far.usage(),
             }],
             2.0,
             1_000,
@@ -212,19 +218,19 @@ mod tests {
         let victim = series(&[(0, 5.0), (60, 5.0)]);
         let usage = series(&[(0, 1.0), (60, 1.0)]);
         let ranked = rank_suspects(
-            &victim,
+            victim.cpi(),
             &[
                 SuspectInput {
                     task: TaskHandle(9),
                     jobname: &name("a"),
                     class: TaskClass::batch(),
-                    usage: &usage,
+                    usage: usage.usage(),
                 },
                 SuspectInput {
                     task: TaskHandle(3),
                     jobname: &name("b"),
                     class: TaskClass::batch(),
-                    usage: &usage,
+                    usage: usage.usage(),
                 },
             ],
             2.0,
@@ -246,19 +252,19 @@ mod tests {
             task: TaskHandle(7),
             jobname: &name("corrupt"),
             class: TaskClass::batch(),
-            usage: &guilty,
+            usage: guilty.usage(),
         }];
         // Against a poisoned victim window the score degrades to 0 …
-        let ranked = rank_suspects(&victim_nan, &inputs, 2.0, 1_000);
+        let ranked = rank_suspects(victim_nan.cpi(), &inputs, 2.0, 1_000);
         assert_eq!(ranked[0].correlation, 0.0);
         assert!(ranked[0].correlation.is_finite());
         assert!(select_target(&ranked, 0.35).is_none(), "NaN must not cap");
         // … while the clean window still convicts.
-        let clean = rank_suspects(&victim, &inputs, 2.0, 1_000);
+        let clean = rank_suspects(victim.cpi(), &inputs, 2.0, 1_000);
         assert!(clean[0].correlation > 0.35);
         // And a NaN cthreshold (corrupt spec) degrades the same way
         // instead of panicking.
-        let bad_spec = rank_suspects(&victim, &inputs, f64::NAN, 1_000);
+        let bad_spec = rank_suspects(victim.cpi(), &inputs, f64::NAN, 1_000);
         assert_eq!(bad_spec[0].correlation, 0.0);
     }
 }

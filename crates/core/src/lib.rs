@@ -32,6 +32,7 @@ pub mod amelioration;
 pub mod antagonist;
 pub mod config;
 pub mod correlation;
+pub mod history;
 pub mod incident;
 pub mod outlier;
 pub mod panda;
@@ -45,6 +46,7 @@ pub use amelioration::{cap_for, AdaptiveThrottle, CapDecision};
 pub use antagonist::{rank_suspects, select_target, Suspect, SuspectInput};
 pub use config::Cpi2Config;
 pub use correlation::antagonist_correlation;
+pub use history::{Column, History};
 pub use incident::{Incident, IncidentAction};
 pub use outlier::{OutlierDetector, Verdict};
 pub use panda::{EvidenceBook, IdentifierKind, PandaParams};

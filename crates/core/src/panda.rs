@@ -35,7 +35,7 @@
 
 use crate::antagonist::{Suspect, SuspectInput};
 use crate::correlation::antagonist_correlation;
-use cpi2_stats::timeseries::TimeSeries;
+use crate::history::Column;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -221,7 +221,7 @@ impl EvidenceBook {
         &mut self,
         params: &PandaParams,
         victim_job: &str,
-        victim_cpi: &TimeSeries,
+        victim_cpi: Column<'_>,
         suspects: &[SuspectInput<'_>],
         cthreshold: f64,
         tolerance_us: i64,
@@ -347,10 +347,16 @@ fn mean_correlation(history: &[EvidenceRecord], current: Option<EvidenceRecord>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::History;
     use crate::sample::{TaskClass, TaskHandle};
 
-    fn series(points: &[(i64, f64)]) -> TimeSeries {
-        TimeSeries::from_points(points.to_vec())
+    /// A history whose CPI and usage are both `points`' values.
+    fn series(points: &[(i64, f64)]) -> History {
+        let mut h = History::new();
+        for &(t, v) in points {
+            h.push(t, v, v);
+        }
+        h
     }
 
     /// A job name that lives as long as the test binary, for suspect
@@ -361,7 +367,7 @@ mod tests {
 
     /// Victim CPI spiking at odd minutes; a guilty suspect active exactly
     /// then, an innocent one active in the quiet minutes.
-    fn scenario() -> (TimeSeries, TimeSeries, TimeSeries) {
+    fn scenario() -> (History, History, History) {
         let minutes: Vec<i64> = (0..10).collect();
         let victim = series(
             &minutes
@@ -384,19 +390,19 @@ mod tests {
         (victim, guilty, innocent)
     }
 
-    fn inputs<'a>(guilty: &'a TimeSeries, innocent: &'a TimeSeries) -> Vec<SuspectInput<'a>> {
+    fn inputs<'a>(guilty: &'a History, innocent: &'a History) -> Vec<SuspectInput<'a>> {
         vec![
             SuspectInput {
                 task: TaskHandle(1),
                 jobname: name("innocent"),
                 class: TaskClass::batch(),
-                usage: innocent,
+                usage: innocent.usage(),
             },
             SuspectInput {
                 task: TaskHandle(2),
                 jobname: name("guilty"),
                 class: TaskClass::batch(),
-                usage: guilty,
+                usage: guilty.usage(),
             },
         ]
     }
@@ -417,7 +423,7 @@ mod tests {
             let (ranked, _) = book.rank(
                 &params,
                 "victim",
-                &victim,
+                victim.cpi(),
                 &inputs(&guilty, &innocent),
                 2.0,
                 1_000,
@@ -443,7 +449,7 @@ mod tests {
             book.rank(
                 &params,
                 "victim",
-                &victim,
+                victim.cpi(),
                 &inputs(&guilty, &innocent),
                 2.0,
                 1_000,
@@ -457,7 +463,7 @@ mod tests {
         let (ranked, stats) = book.rank(
             &params,
             "victim",
-            &thin_victim,
+            thin_victim.cpi(),
             &inputs(&thin_guilty, &thin_innocent),
             2.0,
             1_000,
@@ -492,7 +498,7 @@ mod tests {
             book.rank(
                 &params,
                 "victim",
-                &victim,
+                victim.cpi(),
                 &inputs(&guilty, &innocent),
                 2.0,
                 1_000,
@@ -522,12 +528,12 @@ mod tests {
             let (_, stats) = book.rank(
                 &params,
                 &vj,
-                &victim,
+                victim.cpi(),
                 &[SuspectInput {
                     task: TaskHandle(2),
                     jobname: name("guilty"),
                     class: TaskClass::batch(),
-                    usage: &guilty,
+                    usage: guilty.usage(),
                 }],
                 2.0,
                 1_000,
@@ -550,7 +556,7 @@ mod tests {
             book.rank(
                 &params,
                 "victim",
-                &victim,
+                victim.cpi(),
                 &inputs(&guilty, &innocent),
                 2.0,
                 1_000,
@@ -572,19 +578,19 @@ mod tests {
         book.rank(
             &params,
             "victim",
-            &victim,
+            victim.cpi(),
             &[
                 SuspectInput {
                     task: TaskHandle(1),
                     jobname: name("swarm"),
                     class: TaskClass::batch(),
-                    usage: &guilty,
+                    usage: guilty.usage(),
                 },
                 SuspectInput {
                     task: TaskHandle(2),
                     jobname: name("swarm"),
                     class: TaskClass::batch(),
-                    usage: &weak,
+                    usage: weak.usage(),
                 },
             ],
             2.0,

@@ -2,7 +2,8 @@
 //!
 //! A counting global allocator makes this file its own test binary. Each
 //! count is of `alloc` and `realloc` calls made by the measuring thread
-//! while one operation runs. Before job and platform names were shared
+//! while one operation runs; the byte counts at the end are of what it
+//! left allocated. Before job and platform names were shared
 //! `Arc<str>`s and analysis reused one pair buffer, the same operations
 //! counted:
 //!
@@ -10,7 +11,8 @@
 //!   `String`s per sample);
 //! - `rank_suspects` over 24 suspects with an 11-point victim window:
 //!   97 — per suspect a name copy and three for the growing pair vector,
-//!   plus the ranking;
+//!   plus the ranking — and 3 once it was 2, while the agent still copied
+//!   the victim's window out of its history first;
 //! - one `ClusterSampler::poll` that closes a window over N tasks:
 //!   1 + 2N (the readings and two `String`s per reading).
 //!
@@ -23,20 +25,21 @@
 //! (the owned key built to replace one) and a 25-sample batch at a new
 //! instant through `Aggregator::ingest` 5 (the set grown four times from
 //! empty, and a new tree for the evicted instant). A warm
-//! `SpecBuilder::add_sample` and steady `TimeSeries` push + evict steps
-//! counted 0 then as now.
+//! `SpecBuilder::add_sample` and steady history push + evict steps
+//! counted 0 then as now. Since agents share the spec store's copies,
+//! re-installing the store's spec counts 0 and an owned one 1 (its
+//! `Arc`).
 
 use cpi2_core::{
-    rank_suspects, Agent, Cpi2Config, CpiSample, CpiSpec, SpecBuilder, SuspectInput, TaskClass,
-    TaskHandle,
+    rank_suspects, Agent, Cpi2Config, CpiSample, CpiSpec, History, SpecBuilder, SuspectInput,
+    TaskClass, TaskHandle,
 };
 use cpi2_perf::sampler::ClusterSampler;
-use cpi2_pipeline::Aggregator;
+use cpi2_pipeline::{Aggregator, SpecStore};
 use cpi2_sim::{
     Cluster, ClusterConfig, ConstantLoad, JobId, JobSpec, Machine, MachineId, Platform, Priority,
     ResourceProfile, SchedClass, SimDuration, SimTime, TaskId, TaskInstance,
 };
-use cpi2_stats::timeseries::TimeSeries;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -45,26 +48,32 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated less those it freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// One `alloc` or `realloc` that moved this thread's live bytes by
+/// `bytes` (a `dealloc` moves them alone).
+fn count(allocations: usize, bytes: isize) {
     // `try_with`: a thread being torn down may still allocate.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(1, new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -77,6 +86,14 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// `f`'s result and how many bytes this thread allocated running it and
+/// did not free.
+fn held<R>(f: impl FnOnce() -> R) -> (R, isize) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - before)
 }
 
 const MINUTE_US: i64 = 60_000_000;
@@ -142,13 +159,22 @@ fn warm_ingest_without_an_incident_allocates_nothing() {
     assert!(agent.incidents().is_empty());
 }
 
+/// 21 one-minute rows, as a task's history holds two correlation windows.
+fn history(f: &dyn Fn(i64) -> (f64, f64)) -> History {
+    let mut h = History::new();
+    for m in 0..21 {
+        let (cpi, usage) = f(m);
+        h.push(m * MINUTE_US, cpi, usage);
+    }
+    h
+}
+
 #[test]
 fn ranking_24_suspects_allocates_twice() {
-    let points = |f: &dyn Fn(i64) -> f64| {
-        TimeSeries::from_points((0..11).map(|m| (m * MINUTE_US, f(m))).collect())
-    };
-    let victim = points(&|m| if m % 2 == 1 { 3.0 } else { 1.0 });
-    let usage: Vec<TimeSeries> = (0..24).map(|i| points(&|m| ((m + i) % 3) as f64)).collect();
+    let victim = history(&|m| (if m % 2 == 1 { 3.0 } else { 1.0 }, 1.0));
+    let usage: Vec<History> = (0..24)
+        .map(|i| history(&|m| (1.0, ((m + i) % 3) as f64)))
+        .collect();
     let names = job_names(24);
     let suspects: Vec<SuspectInput<'_>> = usage
         .iter()
@@ -158,12 +184,17 @@ fn ranking_24_suspects_allocates_twice() {
             task: TaskHandle(i as u64),
             jobname,
             class: TaskClass::batch(),
-            usage,
+            usage: usage.usage(),
         })
         .collect();
-    let (ranked, n) = counted(|| rank_suspects(&victim, &suspects, 2.0, MINUTE_US / 2));
+    // The victim's last ten minutes, read in place as `Agent::analyze`
+    // reads them.
+    let (ranked, n) = counted(|| {
+        let window = victim.cpi().window(10 * MINUTE_US, 20 * MINUTE_US + 1);
+        rank_suspects(window, &suspects, 2.0, MINUTE_US / 2)
+    });
     assert_eq!(ranked.len(), 24);
-    assert!(n <= 2, "{n} allocations");
+    assert_eq!(n, 2);
 }
 
 #[test]
@@ -220,10 +251,15 @@ fn reinstalling_a_known_spec_allocates_nothing() {
         agent.install_spec(spec_for(&format!("job-{i}"), "westmere"));
     }
     for i in 0..25 {
-        let spec = spec_for(&format!("job-{i}"), "westmere");
+        // As the spec store hands it out: shared, so held, not copied.
+        let spec = Arc::new(spec_for(&format!("job-{i}"), "westmere"));
         let ((), n) = counted(|| agent.install_spec_at(spec, i));
         assert_eq!(n, 0, "job-{i}");
     }
+    // An owned spec moves into an `Arc` of its own.
+    let spec = spec_for("job-0", "westmere");
+    let ((), n) = counted(|| agent.install_spec(spec));
+    assert_eq!(n, 1);
 }
 
 #[test]
@@ -244,23 +280,23 @@ fn a_warm_spec_builder_sample_allocates_nothing() {
 
 #[test]
 fn steady_push_and_evict_allocate_nothing() {
-    let mut series = TimeSeries::new();
-    // Two 10-minute windows of one-minute points, as a task's history.
+    let mut history = History::new();
+    // Two 10-minute windows of one-minute rows, as a task's history.
     let horizon = 20 * MINUTE_US;
-    let step = |series: &mut TimeSeries, minute: i64| {
-        series.push(minute * MINUTE_US, minute as f64);
-        series.evict_before(minute * MINUTE_US - horizon);
+    let step = |history: &mut History, minute: i64| {
+        history.push(minute * MINUTE_US, minute as f64, 1.0);
+        history.evict_before(minute * MINUTE_US - horizon);
     };
     for minute in 0..100 {
-        step(&mut series, minute);
+        step(&mut history, minute);
     }
     let ((), n) = counted(|| {
         for minute in 100..1_100 {
-            step(&mut series, minute);
+            step(&mut history, minute);
         }
     });
     assert_eq!(n, 0);
-    assert_eq!(series.len(), 21);
+    assert_eq!((history.len(), history.capacity()), (21, 24));
 }
 
 #[test]
@@ -314,4 +350,68 @@ fn a_warm_cluster_step_allocates_nothing() {
     }
     let tasks: usize = cluster.machines().iter().map(Machine::task_count).sum();
     assert_eq!(tasks, 42);
+}
+
+// What the detection chain holds, in bytes. Before a task's CPI and usage
+// were one history of rows, an agent held 1 208 B per resident task here
+// (two 32-point series for 21 live points, each timestamp twice); before
+// agents shared the spec store's copies, 164 B per installed spec (its own
+// key and spec, names included); before an instant's dedup handles were
+// one sorted slice, the aggregator held 22 440 B of dedup for this hour
+// (a hash set an instant, ≈ 15.0 B per handle).
+
+#[test]
+fn an_agent_holds_its_resident_tasks_in_bytes() {
+    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let batches: Vec<Vec<CpiSample>> = (0..40).map(|m| batch(&names, &platform, m)).collect();
+    let (agent, bytes) = held(|| {
+        let mut agent = Agent::new(Cpi2Config::default());
+        for samples in &batches {
+            agent.ingest(samples);
+        }
+        agent
+    });
+    assert!(agent.incidents().is_empty());
+    // Per task: its handle, its state and 24 rows of 24 B.
+    assert_eq!(bytes, 25 * 728);
+}
+
+#[test]
+fn agents_sharing_a_store_hold_a_pointer_per_spec() {
+    let store = SpecStore::new();
+    let specs = (0..57).map(|j| spec_for(&format!("job-{j:02}"), "westmere"));
+    let version = store.publish_at(specs.collect(), 0);
+    let mut agents: Vec<Agent> = (0..4).map(|_| Agent::new(Cpi2Config::default())).collect();
+    let ((), bytes) = held(|| {
+        for agent in &mut agents {
+            let (synced, specs) = store.pull(0, 0);
+            assert_eq!(synced, version);
+            for (spec, published_at) in specs {
+                agent.install_spec_at(spec, published_at);
+            }
+        }
+    });
+    assert_eq!(bytes, 4 * 57 * 16);
+}
+
+#[test]
+fn an_hour_of_dedup_holds_a_handle_in_bytes() {
+    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let batches: Vec<Vec<CpiSample>> = (0..60).map(|m| batch(&names, &platform, m)).collect();
+    let ingest_all = |horizon_us| {
+        let mut aggregator = Aggregator::new(Cpi2Config::default(), 0);
+        aggregator.set_dedup_horizon(horizon_us);
+        let ((), bytes) = held(|| {
+            for samples in &batches {
+                aggregator.ingest(samples);
+            }
+        });
+        bytes
+    };
+    // The hour's 60 instants of 25 handles each, all inside the horizon:
+    // with dedup on, less with it off, is what dedup holds. That is 8 B a
+    // handle, the tree's nodes and one batch's scratch: ≈ 9.9 B per
+    // (instant, handle).
+    let dedup = ingest_all(Some(60 * MINUTE_US)) - ingest_all(None);
+    assert_eq!(dedup, 14_816);
 }

@@ -2,11 +2,12 @@
 
 use cpi2_core::correlation::antagonist_correlation;
 use cpi2_core::{
-    rank_suspects, Cpi2Config, CpiSample, CpiSpec, EvidenceBook, OutlierDetector, PandaParams,
-    SpecBuilder, SuspectInput, TaskClass, TaskHandle, Verdict,
+    rank_suspects, Cpi2Config, CpiSample, CpiSpec, EvidenceBook, History, OutlierDetector,
+    PandaParams, SpecBuilder, SuspectInput, TaskClass, TaskHandle, Verdict,
 };
 use cpi2_stats::timeseries::TimeSeries;
 use proptest::prelude::*;
+use serde::Serialize;
 
 fn pairs_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.01..20.0f64, 0.0..10.0f64), 0..40)
@@ -95,28 +96,27 @@ proptest! {
             ..PandaParams::default()
         };
         let ts = |f: &dyn Fn(&UsageRow) -> f64| {
-            TimeSeries::from_points(
-                rows.iter()
-                    .enumerate()
-                    .map(|(m, r)| (m as i64 * 60_000_000, f(r)))
-                    .collect(),
-            )
+            let mut h = History::new();
+            for (m, r) in rows.iter().enumerate() {
+                h.push(m as i64 * 60_000_000, f(r), f(r));
+            }
+            h
         };
         let victim = ts(&|r| r.0);
         let (u1, u2, u3) = (ts(&|r| r.1), ts(&|r| r.2), ts(&|r| r.3));
         let [a, b, c]: [std::sync::Arc<str>; 3] = ["job-a".into(), "job-b".into(), "job-c".into()];
         let suspects = vec![
-            SuspectInput { task: TaskHandle(1), jobname: &a, class: TaskClass::batch(), usage: &u1 },
-            SuspectInput { task: TaskHandle(2), jobname: &b, class: TaskClass::best_effort(), usage: &u2 },
-            SuspectInput { task: TaskHandle(3), jobname: &c, class: TaskClass::batch(), usage: &u3 },
+            SuspectInput { task: TaskHandle(1), jobname: &a, class: TaskClass::batch(), usage: u1.usage() },
+            SuspectInput { task: TaskHandle(2), jobname: &b, class: TaskClass::best_effort(), usage: u2.usage() },
+            SuspectInput { task: TaskHandle(3), jobname: &c, class: TaskClass::batch(), usage: u3.usage() },
         ];
-        let paper = rank_suspects(&victim, &suspects, cth, 1_000);
+        let paper = rank_suspects(victim.cpi(), &suspects, cth, 1_000);
         let mut book = EvidenceBook::new();
         for i in 0..incidents {
             // Repeats must not change the verdict either: with window = 1
             // the committed evidence can never feed back into a ranking.
             let (panda, _) = book.rank(
-                &params, "victim", &victim, &suspects, cth, 1_000, i as i64,
+                &params, "victim", victim.cpi(), &suspects, cth, 1_000, i as i64,
             );
             let paper_order: Vec<TaskHandle> = paper.iter().map(|s| s.task).collect();
             let panda_order: Vec<TaskHandle> = panda.iter().map(|s| s.task).collect();
@@ -204,5 +204,104 @@ proptest! {
         let cpi = mean + k * stddev;
         prop_assert!((s.sigmas_above(cpi) - k).abs() < 1e-6);
         prop_assert!((s.outlier_threshold(k) - cpi).abs() < 1e-9);
+    }
+}
+
+/// One generated step: `(kind, n, cpi, usage)`, read by the test below.
+type HistoryOp = (u8, i64, f64, f64);
+
+fn history_ops() -> impl Strategy<Value = Vec<HistoryOp>> {
+    prop::collection::vec((0..16u8, 0i64..40, -5.0..5.0f64, -5.0..5.0f64), 1..200)
+}
+
+/// A history of `(t, cpi, usage)` rows and its two single-value series.
+fn history_and_series(rows: &[(i64, f64, f64)]) -> (History, TimeSeries, TimeSeries) {
+    let mut rows = rows.to_vec();
+    rows.sort_by_key(|&(t, _, _)| t);
+    let mut history = History::new();
+    for &(t, cpi, usage) in &rows {
+        history.push(t, cpi, usage);
+    }
+    let series = |f: fn(&(i64, f64, f64)) -> f64| {
+        TimeSeries::from_points(rows.iter().map(|r| (r.0, f(r))).collect())
+    };
+    (history, series(|r| r.1), series(|r| r.2))
+}
+
+proptest! {
+    /// A task's history is the two series the agent kept before, one for
+    /// CPI and one for usage, pushed and evicted together: the same
+    /// points, windows, alignments and JSON, in at most
+    /// `max(4, 2 × peak live)` rows of room.
+    #[test]
+    fn history_matches_two_single_value_series(
+        ops in history_ops(),
+        other in prop::collection::vec((0i64..400, -5.0..5.0f64, -5.0..5.0f64), 0..20),
+    ) {
+        let (other, other_cpi, other_usage) = history_and_series(&other);
+        let mut history = History::new();
+        let (mut cpi, mut usage) = (TimeSeries::new(), TimeSeries::new());
+        let mut peak = 0;
+        let mut pairs = Vec::new();
+        for (kind, n, x, y) in ops {
+            let last = cpi.points().last().map_or(0, |&(t, _)| t);
+            let first = cpi.points().first().map_or(last, |&(t, _)| t);
+            match kind {
+                // Monotone pushes, ties included.
+                0..=7 => {
+                    let t = last + n % 4;
+                    history.push(t, x, y);
+                    cpi.push(t, x);
+                    usage.push(t, y);
+                }
+                // Cutoffs inside the history, behind it, and past it.
+                8 | 9 => {
+                    let cutoff = match kind {
+                        8 => first + n % (last - first + 2),
+                        _ => if n % 2 == 0 { first - n } else { last + 1 + n },
+                    };
+                    history.evict_before(cutoff);
+                    cpi.evict_before(cutoff);
+                    usage.evict_before(cutoff);
+                }
+                10 => {
+                    let (start, end) = (first + n - 5, first + n + (x * 4.0) as i64);
+                    let window = |c: cpi2_core::Column<'_>| c.window(start, end).points().collect::<Vec<_>>();
+                    let (c, u) = (cpi.window(start, end), usage.window(start, end));
+                    prop_assert_eq!(window(history.cpi()), c.points());
+                    prop_assert_eq!(window(history.usage()), u.points());
+                }
+                11 | 12 => {
+                    // Both ways round: the victim's CPI against a
+                    // suspect's usage, as ranking reads them.
+                    let tolerance = n;
+                    history.cpi().align_into(other.usage(), tolerance, &mut pairs);
+                    prop_assert_eq!(&pairs, &cpi.align(&other_usage, tolerance));
+                    other.cpi().align_into(history.usage(), tolerance, &mut pairs);
+                    prop_assert_eq!(&pairs, &other_cpi.align(&usage, tolerance));
+                }
+                13 => history = history.clone(),
+                _ => {
+                    let (c, u) = (history.cpi().to_value(), history.usage().to_value());
+                    history = History::from_column_values(&c, &u).unwrap();
+                }
+            }
+            peak = peak.max(cpi.len());
+            let points = |c: cpi2_core::Column<'_>| c.points().collect::<Vec<_>>();
+            prop_assert_eq!(points(history.cpi()), cpi.points());
+            prop_assert_eq!(points(history.usage()), usage.points());
+            prop_assert_eq!(history.len(), cpi.len());
+            let json = |c: cpi2_core::Column<'_>| serde_json::to_string(&c).unwrap();
+            prop_assert_eq!(
+                (json(history.cpi()), json(history.usage())),
+                (serde_json::to_string(&cpi).unwrap(), serde_json::to_string(&usage).unwrap())
+            );
+            prop_assert!(
+                history.capacity() <= 4.max(2 * peak),
+                "capacity {} for a peak of {} rows",
+                history.capacity(),
+                peak
+            );
+        }
     }
 }

@@ -126,6 +126,74 @@ fn a_checkpoint_after_evictions_reads_and_writes_as_before() {
     assert_eq!(restored.checkpoint().unwrap(), EVICTED_CHECKPOINT);
 }
 
+/// A warmed agent on a dense machine: 57 specs (32 published hourly, the
+/// rest untimestamped; every fifth not robust), 25 tasks for 40 minutes
+/// of the victim/antagonist pattern beside 23 steady neighbours.
+const WARM_CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint_warm.json");
+
+fn warm_agent() -> Agent {
+    let mut agent = Agent::new(Cpi2Config::default());
+    for j in 0..57i64 {
+        let spec = CpiSpec {
+            jobname: format!("job-{j:02}"),
+            platforminfo: "westmere-2.6GHz".into(),
+            num_samples: if j % 5 == 4 { 0 } else { 1_000 + j },
+            cpu_usage_mean: 0.5 + j as f64 / 64.0,
+            cpi_mean: 1.0 + j as f64 / 32.0,
+            cpi_stddev: 0.1 + j as f64 / 256.0,
+        };
+        if j < 32 {
+            agent.install_spec_at(spec, j * 3_600_000_000);
+        } else {
+            agent.install_spec(spec);
+        }
+    }
+    for m in 0..40 {
+        let on = m % 2 == 1;
+        let batch: Vec<CpiSample> = (0..25u64)
+            .map(|t| {
+                let job = format!("job-{t:02}");
+                match t {
+                    0 => sample(
+                        t,
+                        &job,
+                        m,
+                        if on { 3.0 } else { 1.0 },
+                        1.0,
+                        TaskClass::latency_sensitive(),
+                    ),
+                    1 => sample(
+                        t,
+                        &job,
+                        m,
+                        1.8,
+                        if on { 6.0 } else { 0.0 },
+                        TaskClass::batch(),
+                    ),
+                    _ => {
+                        let wobble = ((m + t as i64) % 7) as f64 / 16.0;
+                        sample(t, &job, m, 1.0 + wobble, 0.5 + wobble, TaskClass::batch())
+                    }
+                }
+            })
+            .collect();
+        agent.ingest(&batch);
+    }
+    agent
+}
+
+/// A checkpoint of a warmed 25-task agent holding 57 specs restores and
+/// re-serialises byte for byte, and the same stream writes it today.
+#[test]
+fn a_warm_dense_checkpoint_reads_and_writes_as_before() {
+    let agent = warm_agent();
+    assert!(!agent.incidents().is_empty());
+    assert_eq!(agent.checkpoint().unwrap(), WARM_CHECKPOINT);
+    let restored = Agent::restore(WARM_CHECKPOINT).unwrap();
+    assert_eq!(restored.incidents(), agent.incidents());
+    assert_eq!(restored.checkpoint().unwrap(), WARM_CHECKPOINT);
+}
+
 /// `blob` without its `"weight":<number>,` entries.
 fn without_weights(blob: &str) -> String {
     let mut out = String::with_capacity(blob.len());

@@ -6,7 +6,7 @@
 //! [`crate::specstore::SpecStore`].
 
 use crate::specstore::SpecStore;
-use cpi2_core::{Cpi2Config, CpiSample, CpiSpec, HandleSet, SpecBuilder};
+use cpi2_core::{Cpi2Config, CpiSample, CpiSpec, SpecBuilder, TaskHandle};
 use cpi2_telemetry::{Counter, Histo, Telemetry};
 use std::collections::BTreeMap;
 
@@ -25,9 +25,13 @@ pub struct Aggregator {
     /// pair seen within this horizon of the newest sample is skipped, so a
     /// duplicated shipment cannot skew spec statistics.
     dedup_horizon_us: Option<i64>,
-    /// `timestamp → tasks` already ingested inside the horizon. The sets
-    /// are only asked membership; the map's order drives eviction.
-    seen: BTreeMap<i64, HandleSet>,
+    /// `timestamp → tasks` already ingested inside the horizon, each
+    /// instant's handles one sorted slice of exactly their number: asked
+    /// membership by binary search, grown by a merge when a later batch
+    /// adds handles. The map's order drives eviction.
+    seen: BTreeMap<i64, Box<[TaskHandle]>>,
+    /// The current run's new handles, sorted: reused by every batch.
+    fresh: Vec<TaskHandle>,
     /// High-water timestamp driving horizon eviction.
     seen_watermark: i64,
     duplicates_dropped: u64,
@@ -70,6 +74,7 @@ impl Aggregator {
             samples_seen: 0,
             dedup_horizon_us: None,
             seen: BTreeMap::new(),
+            fresh: Vec::new(),
             seen_watermark: i64::MIN,
             duplicates_dropped: 0,
             metrics: AggregatorMetrics::default(),
@@ -117,14 +122,19 @@ impl Aggregator {
                 .iter()
                 .take_while(|s| s.timestamp == ts)
                 .count();
-            // A new instant's set is sized once, to its run: one
-            // allocation, no rehash.
-            let seen = self
-                .seen
-                .entry(ts)
-                .or_insert_with(|| HandleSet::with_capacity_and_hasher(len, Default::default()));
+            let seen = self.seen.entry(ts).or_default();
+            self.fresh.clear();
+            self.fresh.reserve(len);
             for (i, s) in samples.iter().enumerate().skip(start).take(len) {
-                if seen.insert(s.task) {
+                let new = seen.binary_search(&s.task).is_err()
+                    && match self.fresh.binary_search(&s.task) {
+                        Ok(_) => false,
+                        Err(at) => {
+                            self.fresh.insert(at, s.task);
+                            true
+                        }
+                    };
+                if new {
                     if let Some(k) = kept.as_mut() {
                         k.push(s.clone());
                     }
@@ -135,6 +145,7 @@ impl Aggregator {
                     }
                 }
             }
+            merge_sorted(seen, &self.fresh);
             self.seen_watermark = self.seen_watermark.max(ts);
             start += len;
         }
@@ -215,6 +226,37 @@ impl Aggregator {
     pub fn shards_skipped(&self) -> u64 {
         0
     }
+}
+
+/// Merges `fresh` (sorted, none of it in `held`) into the sorted `held`,
+/// leaving it exactly sized: a new instant's slice is one allocation, a
+/// later batch at the same instant one reallocation.
+fn merge_sorted(held: &mut Box<[TaskHandle]>, fresh: &[TaskHandle]) {
+    if fresh.is_empty() {
+        return;
+    }
+    if held.is_empty() {
+        *held = fresh.into();
+        return;
+    }
+    let mut merged = std::mem::take(held).into_vec();
+    let old = merged.len();
+    merged.reserve_exact(fresh.len());
+    merged.extend_from_slice(fresh);
+    // From the back: each step places the larger of the two tails' last
+    // handles, always at or beyond what is still to be read.
+    let (mut i, mut j) = (old, fresh.len());
+    while j > 0 {
+        let f = fresh[j - 1];
+        if i > 0 && merged[i - 1] > f {
+            merged[i + j - 1] = merged[i - 1];
+            i -= 1;
+        } else {
+            merged[i + j - 1] = f;
+            j -= 1;
+        }
+    }
+    *held = merged.into_boxed_slice();
 }
 
 #[cfg(test)]
@@ -349,7 +391,7 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(
             store.changed_since_with_age(0),
-            vec![(first[0].clone(), 2_000_000)]
+            vec![(std::sync::Arc::new(first[0].clone()), 2_000_000)]
         );
     }
 

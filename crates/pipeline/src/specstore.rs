@@ -9,6 +9,9 @@
 //! next immutable [`SpecSnapshot`] and installs it under the store's one
 //! lock. Readers take that lock only to clone an `Arc` and then read
 //! without it — an agent mid-pull never observes a half-applied refresh.
+//!
+//! Each published spec is one shared `Arc<CpiSpec>`: snapshots, pulls and
+//! the agents that install them all point at the one copy.
 
 use cpi2_core::{CpiSpec, JobKey};
 use cpi2_telemetry::{Counter, Histo, Telemetry};
@@ -50,7 +53,7 @@ struct SpecEntry {
     /// Simulated publish time (µs); `i64::MAX` for untimestamped
     /// publishes, which therefore never look stale to agents.
     published_at_us: i64,
-    spec: CpiSpec,
+    spec: Arc<CpiSpec>,
 }
 
 #[derive(Debug, Default)]
@@ -78,7 +81,7 @@ impl SpecSnapshot {
 
     /// The spec for a key at this snapshot, if any.
     pub fn get(&self, key: &JobKey) -> Option<&CpiSpec> {
-        self.inner.specs.get(key).map(|e| &e.spec)
+        self.inner.specs.get(key).map(|e| &*e.spec)
     }
 
     /// Number of specs in this snapshot.
@@ -102,16 +105,16 @@ impl SpecSnapshot {
             .unwrap_or(0)
     }
 
-    /// All specs changed after `since_version` in this snapshot, each with
-    /// its publish time (µs; `i64::MAX` when the publisher attached none).
-    /// Sorted by (jobname, platforminfo) — the spec map's key order — so
-    /// sync order is deterministic.
-    pub fn changed_since_with_age(&self, since_version: u64) -> Vec<(CpiSpec, i64)> {
+    /// All specs changed after `since_version` in this snapshot, shared,
+    /// each with its publish time (µs; `i64::MAX` when the publisher
+    /// attached none). Sorted by (jobname, platforminfo) — the spec map's
+    /// key order — so sync order is deterministic.
+    pub fn changed_since_with_age(&self, since_version: u64) -> Vec<(Arc<CpiSpec>, i64)> {
         self.inner
             .specs
             .values()
             .filter(|e| e.version > since_version)
-            .map(|e| (e.spec.clone(), e.published_at_us))
+            .map(|e| (Arc::clone(&e.spec), e.published_at_us))
             .collect()
     }
 }
@@ -161,7 +164,7 @@ impl SpecStore {
                 SpecEntry {
                     version: v,
                     published_at_us: now_us,
-                    spec: s,
+                    spec: Arc::new(s),
                 },
             );
         }
@@ -185,17 +188,17 @@ impl SpecStore {
         self.snapshot().get(key).cloned()
     }
 
-    /// All specs changed after `since_version` — the delta an agent pulls.
+    /// All specs changed after `since_version`, copied out.
     pub fn changed_since(&self, since_version: u64) -> Vec<CpiSpec> {
         self.changed_since_with_age(since_version)
             .into_iter()
-            .map(|(s, _)| s)
+            .map(|(s, _)| CpiSpec::clone(&s))
             .collect()
     }
 
-    /// Like [`SpecStore::changed_since`] but pairing each spec with its
-    /// publish time, so agents can age their cached copies.
-    pub fn changed_since_with_age(&self, since_version: u64) -> Vec<(CpiSpec, i64)> {
+    /// The delta an agent pulls: every spec changed after `since_version`,
+    /// shared, with its publish time so the agent can age it.
+    pub fn changed_since_with_age(&self, since_version: u64) -> Vec<(Arc<CpiSpec>, i64)> {
         let snap = self.snapshot();
         self.reader_staleness
             .record(snap.version().saturating_sub(since_version) as f64);
@@ -207,7 +210,7 @@ impl SpecStore {
     /// version and its specs changed after `since_version`, empty when the
     /// agent is not behind. Takes the store lock once. A head read that is
     /// behind records its lag as [`SpecStore::changed_since_with_age`] does.
-    pub fn pull(&self, since_version: u64, lag: usize) -> (u64, Vec<(CpiSpec, i64)>) {
+    pub fn pull(&self, since_version: u64, lag: usize) -> (u64, Vec<(Arc<CpiSpec>, i64)>) {
         let snap = self.lagged_snapshot(lag);
         let version = snap.version();
         if version <= since_version {
@@ -317,7 +320,7 @@ mod tests {
             store
                 .changed_since_with_age(since)
                 .into_iter()
-                .map(|(s, _)| (s.jobname, s.platforminfo))
+                .map(|(s, _)| (s.jobname.clone(), s.platforminfo.clone()))
                 .collect()
         };
         for since in [0, v1] {

@@ -362,10 +362,10 @@ impl ServeHarness {
             match specs.binary_search_by(|held| spec_key(held).cmp(&spec_key(&spec))) {
                 Ok(i) => {
                     if let Some(slot) = specs.get_mut(i) {
-                        *slot = Arc::new(spec);
+                        *slot = spec;
                     }
                 }
-                Err(i) => specs.insert(i, Arc::new(spec)),
+                Err(i) => specs.insert(i, spec),
             }
         }
         n

@@ -14,7 +14,7 @@
 //! * [`rng`] — deterministic seedable RNG + samplers so every experiment
 //!   is reproducible.
 //! * [`timeseries`] — time-aligned windows for the §4.2 antagonist
-//!   correlation.
+//!   correlation, one value a point.
 
 #![warn(missing_docs)]
 

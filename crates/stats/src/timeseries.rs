@@ -2,7 +2,9 @@
 //!
 //! The antagonist-correlation analysis of §4.2 pairs the victim's CPI
 //! samples with the suspect's CPU-usage samples over a 10-minute window;
-//! [`TimeSeries::align`] produces those time-aligned pairs.
+//! [`TimeSeries::align`] produces those time-aligned pairs. The agent
+//! keeps a task's two as one history of rows (`cpi2_core::History`),
+//! which is held by property to a pair of these series.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
