@@ -304,7 +304,7 @@ pub fn run_case(case: &AccuracyCase) -> Result<CaseScore, String> {
         while incident_idx < system.incidents().len() {
             let mi = &system.incidents()[incident_idx];
             incident_idx += 1;
-            if mi.incident.victim_job != "victim" || Some(mi.machine) != ant_machine {
+            if &*mi.incident.victim_job != "victim" || Some(mi.machine) != ant_machine {
                 continue;
             }
             score.incidents += 1;

@@ -87,12 +87,12 @@ pub(crate) fn run() {
     let alarms_without_filter = unfiltered
         .incidents()
         .iter()
-        .filter(|mi| mi.incident.victim_job == "bimodal-frontend")
+        .filter(|mi| &*mi.incident.victim_job == "bimodal-frontend")
         .count();
     let low_corr_alarms = unfiltered
         .incidents()
         .iter()
-        .filter(|mi| mi.incident.victim_job == "bimodal-frontend")
+        .filter(|mi| &*mi.incident.victim_job == "bimodal-frontend")
         .filter(|mi| match mi.incident.top_suspect() {
             Some(s) => s.correlation < 0.35,
             None => true,
@@ -115,7 +115,7 @@ pub(crate) fn run() {
                     system
                         .incidents()
                         .iter()
-                        .filter(|mi| mi.incident.victim_job == "bimodal-frontend")
+                        .filter(|mi| &*mi.incident.victim_job == "bimodal-frontend")
                         .count()
                 ),
                 "0 (filtered)".into(),
@@ -137,7 +137,7 @@ pub(crate) fn run() {
         system
             .incidents()
             .iter()
-            .filter(|mi| mi.incident.victim_job == "bimodal-frontend")
+            .filter(|mi| &*mi.incident.victim_job == "bimodal-frontend")
             .count(),
         0,
         "the usage filter must suppress the false alarm"

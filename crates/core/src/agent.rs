@@ -12,7 +12,7 @@ use crate::antagonist::{rank_suspects, select_target, Suspect, SuspectInput};
 use crate::config::Cpi2Config;
 use crate::correlation::antagonist_correlation;
 use crate::history::History;
-use crate::incident::{Incident, IncidentAction};
+use crate::incident::{Incident, IncidentAction, NoActionReason};
 use crate::outlier::{OutlierDetector, Verdict};
 use crate::panda::EvidenceBook;
 use crate::sample::{CpiSample, JobKey, TaskClass, TaskHandle};
@@ -248,8 +248,9 @@ pub enum AgentCommand {
     ApplyHardCap {
         /// Target task.
         target: TaskHandle,
-        /// Target's job name (for the operator log).
-        target_job: String,
+        /// Target's job name (for the operator log), shared with the
+        /// incident's.
+        target_job: Arc<str>,
         /// Cap rate, CPU-sec/sec.
         cpu_rate: f64,
         /// Expiry, µs since epoch.
@@ -872,29 +873,27 @@ impl Agent {
                     self.active_caps.insert(t.task, until);
                     IncidentAction::HardCap {
                         target: t.task,
-                        target_job: String::from(&*t.jobname),
+                        target_job: Arc::clone(&t.jobname),
                         cpu_rate: cap.cpu_rate,
                         until,
                     }
                 }
                 None => IncidentAction::None {
-                    reason: "selected suspect not throttle-eligible".into(),
+                    reason: NoActionReason::TargetNotThrottleEligible,
                 },
             },
             (None, _, _) => IncidentAction::None {
-                // Keep the paper backend's historical wording — it is
-                // baked into golden-trace fixtures.
                 reason: if kind.panda_params().is_none() {
-                    format!("no eligible suspect with correlation ≥ {threshold}")
+                    NoActionReason::NoCorrelatedSuspect { threshold }
                 } else {
-                    format!("no eligible suspect with confidence ≥ {threshold}")
+                    NoActionReason::NoConfidentSuspect { threshold }
                 },
             },
             (_, false, _) => IncidentAction::None {
-                reason: "victim job not eligible for protection".into(),
+                reason: NoActionReason::VictimNotProtected,
             },
             (_, _, false) => IncidentAction::None {
-                reason: "auto-throttle disabled".into(),
+                reason: NoActionReason::AutoThrottleDisabled,
             },
         };
 
@@ -907,7 +906,7 @@ impl Agent {
                 until,
             } => Some(AgentCommand::ApplyHardCap {
                 target: *target,
-                target_job: target_job.clone(),
+                target_job: Arc::clone(target_job),
                 cpu_rate: *cpu_rate,
                 until: *until,
                 trace: trace_id,
@@ -991,7 +990,7 @@ impl Agent {
         self.incidents.push(Incident {
             at: victim.timestamp,
             victim: victim.task,
-            victim_job: String::from(&*victim.jobname),
+            victim_job: Arc::clone(&victim.jobname),
             victim_cpi: victim.cpi,
             cthreshold,
             suspects: top,
@@ -1114,7 +1113,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(*target, TaskHandle(2));
-                assert_eq!(target_job, "hog");
+                assert_eq!(&**target_job, "hog");
                 assert_eq!(*cpu_rate, 0.1);
             }
         }

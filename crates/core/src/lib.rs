@@ -47,7 +47,7 @@ pub use antagonist::{rank_suspects, select_target, Suspect, SuspectInput};
 pub use config::Cpi2Config;
 pub use correlation::antagonist_correlation;
 pub use history::{Column, History};
-pub use incident::{Incident, IncidentAction};
+pub use incident::{Incident, IncidentAction, NoActionReason};
 pub use outlier::{OutlierDetector, Verdict};
 pub use panda::{EvidenceBook, IdentifierKind, PandaParams};
 pub use sample::{CpiSample, HandleSet, JobKey, TaskClass, TaskHandle};

@@ -31,11 +31,11 @@
 //! `Arc`).
 
 use cpi2_core::{
-    rank_suspects, Agent, Cpi2Config, CpiSample, CpiSpec, History, SpecBuilder, SuspectInput,
-    TaskClass, TaskHandle,
+    rank_suspects, Agent, Cpi2Config, CpiSample, CpiSpec, History, IncidentAction, SpecBuilder,
+    Suspect, SuspectInput, TaskClass, TaskHandle,
 };
 use cpi2_perf::sampler::ClusterSampler;
-use cpi2_pipeline::{Aggregator, SpecStore};
+use cpi2_pipeline::{Aggregator, RetryQueue, SpecStore};
 use cpi2_sim::{
     Cluster, ClusterConfig, ConstantLoad, JobId, JobSpec, Machine, MachineId, Platform, Priority,
     ResourceProfile, SchedClass, SimDuration, SimTime, TaskId, TaskInstance,
@@ -414,4 +414,118 @@ fn an_hour_of_dedup_holds_a_handle_in_bytes() {
     // (instant, handle).
     let dedup = ingest_all(Some(60 * MINUTE_US)) - ingest_all(None);
     assert_eq!(dedup, 14_816);
+}
+
+// Before an incident shared its names with the samples and named its
+// no-action reason by variant, each incident held a copy of its victim's
+// job name and, when capped, of its target's (an 8 B `String` a name
+// here), and each incident that took no action a formatted sentence
+// (22–45 B here).
+
+#[test]
+fn an_incident_holds_its_suspects_alone() {
+    let (victim, hog) = (Arc::<str>::from("victim"), Arc::<str>::from("hog"));
+    let platform = Arc::<str>::from("westmere");
+    let sample = |task, jobname: &Arc<str>, minute: i64, cpi, cpu_usage, class| CpiSample {
+        task: TaskHandle(task),
+        jobname: Arc::clone(jobname),
+        platforminfo: Arc::clone(&platform),
+        timestamp: minute * MINUTE_US,
+        cpu_usage,
+        cpi,
+        l3_mpki: 1.0,
+        class,
+    };
+    // The victim's CPI climbs whenever the hog runs.
+    let batches: Vec<Vec<CpiSample>> = (0..12)
+        .map(|m| {
+            let on = m % 2 == 1;
+            vec![
+                sample(
+                    1,
+                    &victim,
+                    m,
+                    if on { 3.0 } else { 1.0 },
+                    1.0,
+                    TaskClass::latency_sensitive(),
+                ),
+                sample(
+                    2,
+                    &hog,
+                    m,
+                    1.8,
+                    if on { 6.0 } else { 0.0 },
+                    TaskClass::batch(),
+                ),
+            ]
+        })
+        .collect();
+    let capped = Cpi2Config::default();
+    let unthrottled = Cpi2Config {
+        auto_throttle: false,
+        ..Cpi2Config::default()
+    };
+    let uncorrelated = Cpi2Config {
+        correlation_threshold: 0.99,
+        ..Cpi2Config::default()
+    };
+    let mut actions = Vec::new();
+    for config in [capped, unthrottled, uncorrelated] {
+        let mut agent = Agent::new(config);
+        agent.install_spec(spec_for("victim", "westmere"));
+        for samples in &batches {
+            agent.ingest(samples);
+        }
+        let mut incidents = agent.take_incidents();
+        let incident = incidents.remove(0);
+        let suspects = incident.suspects.capacity() * std::mem::size_of::<Suspect>();
+        actions.push(incident.action.clone());
+        // The agent and the batches still hold every name.
+        let ((), freed) = held(|| drop(incident));
+        assert_eq!(-freed, suspects as isize, "{:?}", actions.last());
+    }
+    assert!(matches!(actions[0], IncidentAction::HardCap { .. }));
+    assert!(actions[1..]
+        .iter()
+        .all(|a| matches!(a, IncidentAction::None { .. })));
+}
+
+/// The harness's dedup window: as long as the retry queue can redeliver
+/// a copy at one-second ticks.
+#[test]
+fn the_harness_dedup_holds_as_many_bytes_after_two_hours_as_after_one() {
+    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    // Sixty machines sampled a second apart, each once a minute: one
+    // 25-task batch every second.
+    let batches: Vec<Vec<CpiSample>> = (0..7_200)
+        .map(|s| {
+            let mut samples = batch(&names, &platform, 0);
+            for (i, sample) in samples.iter_mut().enumerate() {
+                sample.task = TaskHandle(((s % 60) * 25 + i as i64) as u64);
+                sample.timestamp = s * 1_000_000;
+            }
+            samples
+        })
+        .collect();
+    let dedup_after = |seconds: usize| {
+        let ingest_all = |horizon_us| {
+            let mut aggregator = Aggregator::new(Cpi2Config::default(), 0);
+            aggregator.set_dedup_horizon(horizon_us);
+            let ((), bytes) = held(|| {
+                for samples in &batches[..seconds] {
+                    aggregator.ingest(samples);
+                }
+            });
+            bytes
+        };
+        let horizon = RetryQueue::redelivery_span_us(1_000_000);
+        ingest_all(Some(horizon)) - ingest_all(None)
+    };
+    let hour = dedup_after(3_600);
+    assert_eq!(hour, dedup_after(7_200));
+    // The seven instants inside 6 s, 25 handles of 8 B each (1 400 B),
+    // one 280 B tree leaf and one batch's 200 B of scratch. An hour's
+    // horizon held 895 704 B here after one hour (3 600 instants), and
+    // an instant's 200 B more after two.
+    assert_eq!(hour, 1_880);
 }

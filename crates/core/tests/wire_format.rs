@@ -1,9 +1,13 @@
-//! The JSON of a sample, a counter reading and an agent checkpoint, byte
-//! for byte as written while job and platform names were owned `String`s:
-//! sharing them as `Arc<str>` changed no byte on the wire, and a
-//! checkpoint written then restores now.
+//! The JSON of a sample, a counter reading, an agent checkpoint and an
+//! incident log, byte for byte as written while job and platform names
+//! and no-action reasons were owned `String`s: sharing the names as
+//! `Arc<str>` and naming the reasons by variant changed no byte on the
+//! wire, and what was written then reads now.
 
-use cpi2_core::{Agent, Cpi2Config, CpiSample, CpiSpec, IdentifierKind, TaskClass, TaskHandle};
+use cpi2_core::{
+    Agent, Cpi2Config, CpiSample, CpiSpec, IdentifierKind, Incident, IncidentAction,
+    NoActionReason, Suspect, TaskClass, TaskHandle, TraceId,
+};
 use cpi2_perf::CounterReading;
 use cpi2_sim::{JobId, SimDuration, SimTime, TaskId};
 
@@ -229,4 +233,109 @@ fn a_panda_checkpoint_with_weighted_evidence_restores() {
     // The same stream today accumulates the same evidence.
     let fresh = agent_with(IdentifierKind::Panda, 25).checkpoint().unwrap();
     assert_eq!(evidence_of(&written), evidence_of(&fresh));
+}
+
+/// One incident per action, a line each: a hard cap, then every sentence
+/// a no-action incident carries, PANDA's "confidence ≥" included.
+const INCIDENT_LOG: &str = include_str!("fixtures/incident_log.jsonl");
+
+fn incident(at: i64, identifier: IdentifierKind, action: IncidentAction) -> Incident {
+    let suspect = |task, jobname: &str, class, correlation| Suspect {
+        task: TaskHandle(task),
+        jobname: jobname.into(),
+        class,
+        correlation,
+        confidence: correlation,
+    };
+    Incident {
+        at,
+        victim: TaskHandle(1),
+        victim_job: "victim".into(),
+        victim_cpi: 3.0,
+        cthreshold: 1.2,
+        suspects: vec![
+            suspect(9, "frontend", TaskClass::latency_sensitive(), 0.71),
+            suspect(2, "hog", TaskClass::batch(), 0.52),
+        ],
+        action,
+        identifier,
+        trace_id: TraceId::derive(1, at),
+    }
+}
+
+fn incident_log() -> Vec<Incident> {
+    let none = |reason| IncidentAction::None { reason };
+    let paper = IdentifierKind::Paper;
+    vec![
+        incident(
+            60_000_000,
+            paper,
+            IncidentAction::HardCap {
+                target: TaskHandle(2),
+                target_job: "hog".into(),
+                cpu_rate: 0.1,
+                until: 360_000_000,
+            },
+        ),
+        incident(
+            120_000_000,
+            paper,
+            none(NoActionReason::TargetNotThrottleEligible),
+        ),
+        incident(
+            180_000_000,
+            paper,
+            none(NoActionReason::NoCorrelatedSuspect { threshold: 0.35 }),
+        ),
+        incident(
+            240_000_000,
+            IdentifierKind::Panda,
+            none(NoActionReason::NoConfidentSuspect { threshold: 0.12 }),
+        ),
+        incident(300_000_000, paper, none(NoActionReason::VictimNotProtected)),
+        incident(
+            360_000_000,
+            paper,
+            none(NoActionReason::AutoThrottleDisabled),
+        ),
+    ]
+}
+
+fn write_log(log: &[Incident]) -> String {
+    log.iter()
+        .map(|inc| serde_json::to_string(inc).unwrap() + "\n")
+        .collect()
+}
+
+fn read_log(text: &str) -> Vec<Incident> {
+    text.lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect()
+}
+
+#[test]
+fn an_incident_log_of_every_action_reads_and_writes_as_before() {
+    let log = incident_log();
+    assert_eq!(write_log(&log), INCIDENT_LOG);
+    let read = read_log(INCIDENT_LOG);
+    assert_eq!(read, log);
+    assert_eq!(write_log(&read), INCIDENT_LOG);
+}
+
+/// A sentence this version does not write reads back as it was.
+#[test]
+fn an_incident_with_an_unknown_reason_reads_and_writes_as_before() {
+    let old = INCIDENT_LOG
+        .lines()
+        .last()
+        .unwrap()
+        .replace("auto-throttle disabled", "no suspect above threshold");
+    let read: Incident = serde_json::from_str(&old).unwrap();
+    assert_eq!(
+        read.action,
+        IncidentAction::None {
+            reason: NoActionReason::Other("no suspect above threshold".into())
+        }
+    );
+    assert_eq!(serde_json::to_string(&read).unwrap(), old);
 }

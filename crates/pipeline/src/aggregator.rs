@@ -96,6 +96,12 @@ impl Aggregator {
         }
     }
 
+    /// The idempotent-ingest window, if enabled
+    /// ([`Aggregator::set_dedup_horizon`]).
+    pub fn dedup_horizon(&self) -> Option<i64> {
+        self.dedup_horizon_us
+    }
+
     /// Attaches telemetry: ingest batch sizes, spec-build duration and
     /// published-spec counts.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {

@@ -115,6 +115,11 @@ const MAX_ATTEMPTS: u32 = 3;
 /// `BASE_BACKOFF_US << (n - 1)` µs after the `n`-th failure.
 const BASE_BACKOFF_US: i64 = 2_000_000;
 
+/// The wait after a batch's `attempts`-th failed offer.
+fn backoff_us(attempts: u32) -> i64 {
+    BASE_BACKOFF_US << (attempts - 1).min(32)
+}
+
 /// One sample batch awaiting re-send.
 #[derive(Debug)]
 struct PendingBatch {
@@ -191,12 +196,26 @@ impl RetryQueue {
             self.abandoned_total.inc();
             return;
         }
-        let backoff = BASE_BACKOFF_US << (attempts - 1).min(32);
         self.pending.push_back(PendingBatch {
             samples,
             attempts,
-            next_attempt_us: now_us.saturating_add(backoff),
+            next_attempt_us: now_us.saturating_add(backoff_us(attempts)),
         });
+    }
+
+    /// How long after a batch's first offer its last re-offer can come,
+    /// for a caller that offers and flushes only at multiples of
+    /// `flush_every_us`: each backoff (2 s, then 4 s) ends at the first
+    /// flush at or after it elapses, and the attempt after the last
+    /// backoff is the final one. At a 1 s flush period it is the
+    /// backoffs' sum, 6 s. A receiver that remembers what it took for
+    /// this long, measured from the batch's first offer, recognises every
+    /// copy the queue re-sends.
+    pub fn redelivery_span_us(flush_every_us: i64) -> i64 {
+        let flush = flush_every_us.max(1);
+        (1..MAX_ATTEMPTS)
+            .map(|attempts| ((backoff_us(attempts) - 1) / flush + 1) * flush)
+            .sum()
     }
 
     /// Batches currently parked for retry.
@@ -412,6 +431,57 @@ mod tests {
             text.contains("cpi_collector_retry_abandoned_total 1"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn redelivery_span_rounds_each_backoff_up_to_a_flush() {
+        assert_eq!(RetryQueue::redelivery_span_us(1_000_000), 6_000_000);
+        assert_eq!(RetryQueue::redelivery_span_us(1), 6_000_000);
+        // 2 s waits for the flush at 3 s, then 4 s for the one at 9 s.
+        assert_eq!(RetryQueue::redelivery_span_us(3_000_000), 9_000_000);
+        assert_eq!(RetryQueue::redelivery_span_us(60_000_000), 120_000_000);
+    }
+
+    /// The latest copy the queue can re-send: a duplicated shipment whose
+    /// second copy the collector refuses at once and again at +2 s, so it
+    /// is taken at +6 s, its last attempt, after the aggregator has seen
+    /// samples 6 s newer. A dedup horizon of the redelivery span still
+    /// remembers the first copy; any shorter one does not.
+    #[test]
+    fn a_copy_re_sent_on_its_last_attempt_is_dropped_at_the_redelivery_horizon() {
+        const SECOND: i64 = 1_000_000;
+        let at = |task: u64, t: i64| {
+            let mut s = sample(task);
+            s.timestamp = t;
+            vec![s]
+        };
+        let dropped_with = |horizon_us: i64| {
+            let mut c = Collector::new(1);
+            let h = c.handle();
+            let mut q = RetryQueue::default();
+            let mut agg = Aggregator::new(cpi2_core::Cpi2Config::default(), 0);
+            agg.set_dedup_horizon(Some(horizon_us));
+            // t = 0: the first copy is taken, the second parked.
+            assert!(q.send_or_queue(&h, at(1, 0), 0));
+            assert!(!q.send_or_queue(&h, at(1, 0), 0));
+            c.drain_into(&mut agg);
+            // t = 2 s: another machine's batch fills the collector, so
+            // the re-offer fails and the copy waits 4 s more.
+            assert!(h.offer_samples(at(2, 2 * SECOND)).is_ok());
+            assert_eq!(q.flush(&h, 2 * SECOND), 0);
+            c.drain_into(&mut agg);
+            assert_eq!(q.flush(&h, 6 * SECOND - 1), 0);
+            // t = 6 s: the aggregator sees 6 s before the copy arrives.
+            assert!(h.offer_samples(at(2, 6 * SECOND)).is_ok());
+            c.drain_into(&mut agg);
+            assert_eq!(q.flush(&h, 6 * SECOND), 1);
+            c.drain_into(&mut agg);
+            assert_eq!((q.pending(), q.abandoned_batches()), (0, 0));
+            agg.duplicates_dropped()
+        };
+        let horizon = RetryQueue::redelivery_span_us(SECOND);
+        assert_eq!(dropped_with(horizon), 1);
+        assert_eq!(dropped_with(horizon - 1), 0);
     }
 
     #[test]

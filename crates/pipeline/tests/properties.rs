@@ -2,7 +2,9 @@
 
 use cpi2_core::{Cpi2Config, CpiSample, TaskClass, TaskHandle};
 use cpi2_pipeline::query::{Row, Value};
-use cpi2_pipeline::{Aggregator, Dataset, Query, QueryResult, SpecStore, Table};
+use cpi2_pipeline::{
+    Aggregator, Collector, Dataset, Query, QueryResult, RetryQueue, SpecStore, Table,
+};
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
 use serde::{Deserialize, Serialize};
@@ -551,5 +553,77 @@ proptest! {
             hashed.refresh_at(&store, i64::MAX),
             reference.refresh_at(&reference_store, i64::MAX)
         );
+    }
+}
+
+/// One second of shipping, as the harness ships: each `(machine,
+/// duplicated)` sends one batch stamped with the second (a machine's
+/// later entries in the same second are skipped), a duplicated one twice.
+type Second = Vec<(u8, bool)>;
+
+proptest! {
+    #[test]
+    fn the_redelivery_horizon_drops_every_copy_an_hour_drops(
+        capacity in 1..4usize,
+        seconds in prop::collection::vec(prop::collection::vec((0..6u8, any::<bool>()), 0..6), 1..40),
+    ) {
+        // Ship, flush the retry queue, drain: the harness's order, one
+        // second a tick, into a collector small enough to refuse copies.
+        const SECOND: i64 = 1_000_000;
+        let config = Cpi2Config {
+            min_tasks: 2,
+            min_samples_per_task: 3,
+            ..Cpi2Config::default()
+        };
+        let names: Vec<Arc<str>> = (0..6).map(|m| Arc::from(format!("job{}", m % 3))).collect();
+        let platform: Arc<str> = "westmere".into();
+        let run = |horizon_us: i64, seconds: &[Second]| {
+            let mut collector = Collector::new(capacity);
+            let handle = collector.handle();
+            let mut retry = RetryQueue::default();
+            let mut agg = Aggregator::new(config.clone(), 0);
+            agg.set_dedup_horizon(Some(horizon_us));
+            for (t, shipments) in seconds.iter().enumerate() {
+                let now_us = t as i64 * SECOND;
+                let mut shipped = [false; 6];
+                for &(machine, duplicated) in shipments {
+                    let m = usize::from(machine);
+                    if std::mem::replace(&mut shipped[m], true) {
+                        continue;
+                    }
+                    let batch: Vec<CpiSample> = (0..3u64)
+                        .map(|k| CpiSample {
+                            task: TaskHandle(m as u64 * 8 + k),
+                            jobname: Arc::clone(&names[m]),
+                            platforminfo: Arc::clone(&platform),
+                            timestamp: now_us,
+                            cpu_usage: 1.0,
+                            cpi: 1.0 + (t as f64 + k as f64) / 16.0,
+                            l3_mpki: 0.0,
+                            class: TaskClass::batch(),
+                        })
+                        .collect();
+                    if duplicated {
+                        retry.send_or_queue(&handle, batch.clone(), now_us);
+                    }
+                    retry.send_or_queue(&handle, batch, now_us);
+                }
+                retry.flush(&handle, now_us);
+                collector.drain_into(&mut agg);
+            }
+            // Past every backoff: whatever is still parked goes out.
+            let mut now_us = seconds.len() as i64 * SECOND;
+            while retry.pending() > 0 {
+                retry.flush(&handle, now_us);
+                collector.drain_into(&mut agg);
+                now_us += SECOND;
+            }
+            let store = SpecStore::new();
+            let specs = agg.refresh_at(&store, now_us);
+            (agg.samples_seen(), agg.duplicates_dropped(), specs)
+        };
+        let derived = run(RetryQueue::redelivery_span_us(SECOND), &seconds);
+        let hour = run(3_600 * SECOND, &seconds);
+        prop_assert_eq!(derived, hour);
     }
 }

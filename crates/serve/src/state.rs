@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cpi2::core::{CpiSample, CpiSpec, IncidentAction, TraceId, TraceSpan};
+use cpi2::core::{CpiSample, CpiSpec, IncidentAction, NoActionReason, TraceId, TraceSpan};
 use cpi2::harness::MachineIncident;
 use cpi2::sim::{Machine, SchedClass};
 use cpi2::telemetry::Telemetry;
@@ -87,8 +87,8 @@ impl Serialize for MachineView<'_> {
 /// One ranked suspect of an incident.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SuspectView {
-    /// Suspect job name.
-    pub jobname: String,
+    /// Suspect job name, shared with the incident's suspect.
+    pub jobname: Arc<str>,
     /// Identifier score: the window's correlation, or PANDA's mean
     /// correlation across incidents.
     pub correlation: f64,
@@ -103,8 +103,8 @@ pub struct IncidentView {
     pub at_us: i64,
     /// Reporting machine.
     pub machine: u32,
-    /// Victim job name.
-    pub victim_job: String,
+    /// Victim job name, shared with the incident.
+    pub victim_job: Arc<str>,
     /// Victim task handle.
     pub victim_task: u64,
     /// Victim CPI at detection.
@@ -112,15 +112,27 @@ pub struct IncidentView {
     /// The 2σ outlier threshold in force.
     pub cthreshold: f64,
     /// `"hard_cap"` or `"none"`.
-    pub action: String,
-    /// Capped job (empty for `none`).
-    pub target_job: String,
+    pub action: &'static str,
+    /// Capped job (`None` for `none`, written `""`).
+    #[serde(with = "or_empty")]
+    pub target_job: Option<Arc<str>>,
     /// Cap rate in CPU-sec/sec (0 for `none`).
     pub cpu_rate: f64,
-    /// Why nothing was done (empty for `hard_cap`).
-    pub reason: String,
+    /// Why nothing was done (`None` for `hard_cap`, written `""`).
+    #[serde(with = "or_empty")]
+    pub reason: Option<NoActionReason>,
     /// Ranked suspects, top first.
     pub suspects: Vec<SuspectView>,
+}
+
+/// An optional string-valued field that writes `""` when absent.
+mod or_empty {
+    use serde::{Serialize, Value};
+
+    pub fn to_value<T: Serialize>(v: &Option<T>) -> Value {
+        v.as_ref()
+            .map_or_else(|| Value::String(String::new()), Serialize::to_value)
+    }
 }
 
 /// One span of an incident trace.
@@ -193,18 +205,18 @@ impl IncidentView {
                 target_job,
                 cpu_rate,
                 ..
-            } => ("hard_cap", target_job.clone(), *cpu_rate, String::new()),
-            IncidentAction::None { reason } => ("none", String::new(), 0.0, reason.clone()),
+            } => ("hard_cap", Some(Arc::clone(target_job)), *cpu_rate, None),
+            IncidentAction::None { reason } => ("none", None, 0.0, Some(reason.clone())),
         };
         IncidentView {
             trace: inc.trace_id.to_string(),
             at_us: inc.at,
             machine: mi.machine.0,
-            victim_job: inc.victim_job.clone(),
+            victim_job: Arc::clone(&inc.victim_job),
             victim_task: inc.victim.0,
             victim_cpi: inc.victim_cpi,
             cthreshold: inc.cthreshold,
-            action: action.to_string(),
+            action,
             target_job,
             cpu_rate,
             reason,
@@ -212,7 +224,7 @@ impl IncidentView {
                 .suspects
                 .iter()
                 .map(|s| SuspectView {
-                    jobname: String::from(&*s.jobname),
+                    jobname: Arc::clone(&s.jobname),
                     correlation: s.correlation,
                 })
                 .collect(),

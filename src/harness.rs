@@ -156,10 +156,17 @@ impl Cpi2Harness {
         let collector_handle = collector.handle();
         let mut aggregator = Aggregator::new(config.clone(), start);
         aggregator.set_telemetry(&telemetry);
-        // Idempotent ingest: duplicated shipments (sender retries, fault
-        // injection) must not skew spec statistics. One hour comfortably
-        // covers the worst redelivery delay the harness can produce.
-        aggregator.set_dedup_horizon(Some(3_600_000_000));
+        // Idempotent ingest: a duplicated shipment must not skew spec
+        // statistics. Only the fault plan's `Duplicate` fate copies a
+        // shipment, and it offers both copies in one tick; a copy the
+        // collector refuses is re-offered by the retry queue, flushed once
+        // a tick, at the latest the redelivery span after that tick. A
+        // delayed shipment is never copied and a restarted agent re-ships
+        // nothing. No sample the aggregator has seen by then is newer than
+        // the tick the copy arrives in, so a horizon of the span still
+        // holds the first copy (DESIGN.md §7).
+        let tick_us = cluster.tick_len().as_us();
+        aggregator.set_dedup_horizon(Some(RetryQueue::redelivery_span_us(tick_us)));
         let mut spec_store = SpecStore::new();
         spec_store.set_telemetry(&telemetry);
         let mut retry_queue = RetryQueue::default();
@@ -248,23 +255,31 @@ impl Cpi2Harness {
 
     /// Aggregates the incident log into "most aggressive antagonists"
     /// rows: `(job name, incidents acted on, max correlation)`, sorted by
-    /// count. The operator's forensics overview (§5).
+    /// count. The operator's forensics overview (§5). A row's correlation
+    /// is the capped suspect's own, which need not be the top suspect's:
+    /// a latency-sensitive suspect can outrank the one capped.
     pub fn top_antagonists(&self, limit: usize) -> Vec<(String, u64, f64)> {
-        let mut agg: HashMap<String, (u64, f64)> = HashMap::new();
+        let mut agg: HashMap<&str, (u64, f64)> = HashMap::new();
         for mi in &self.incidents {
-            if let cpi2_core::IncidentAction::HardCap { target_job, .. } = &mi.incident.action {
-                let top_corr = mi
-                    .incident
-                    .top_suspect()
-                    .map(|s| s.correlation)
-                    .unwrap_or(0.0);
-                let e = agg.entry(target_job.clone()).or_insert((0, 0.0));
+            let inc = &mi.incident;
+            if let IncidentAction::HardCap {
+                target, target_job, ..
+            } = &inc.action
+            {
+                let corr = inc
+                    .suspects
+                    .iter()
+                    .find(|s| s.task == *target)
+                    .map_or(0.0, |s| s.correlation);
+                let e = agg.entry(target_job).or_insert((0, 0.0));
                 e.0 += 1;
-                e.1 = e.1.max(top_corr);
+                e.1 = e.1.max(corr);
             }
         }
-        let mut rows: Vec<(String, u64, f64)> =
-            agg.into_iter().map(|(k, (n, c))| (k, n, c)).collect();
+        let mut rows: Vec<(String, u64, f64)> = agg
+            .into_iter()
+            .map(|(k, (n, c))| (k.to_string(), n, c))
+            .collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         rows.truncate(limit);
         rows
@@ -399,12 +414,12 @@ impl Cpi2Harness {
             for inc in agent.take_incidents() {
                 // §9 placement-feedback bookkeeping: count repeat offences
                 // per (victim job, antagonist job) pair.
-                if let cpi2_core::IncidentAction::HardCap { target, .. } = &inc.action {
+                if let IncidentAction::HardCap { target, .. } = &inc.action {
                     let pair = (task_for(inc.victim).job, task_for(*target).job);
                     *self.offense_counts.entry(pair).or_insert(0) += 1;
                 }
                 // Case-4 bookkeeping: repeated anomalies with nothing to cap.
-                if let (Some(limit), cpi2_core::IncidentAction::None { .. }) =
+                if let (Some(limit), IncidentAction::None { .. }) =
                     (self.migrate_chronic_victims_after, &inc.action)
                 {
                     let victim = task_for(inc.victim);
@@ -633,7 +648,7 @@ impl Cpi2Harness {
                         "hard_cap",
                         format!("{}:{}@{}", target.0, target_job, cpu_rate),
                     ),
-                    IncidentAction::None { reason } => ("none", reason.clone()),
+                    IncidentAction::None { reason } => ("none", reason.to_string()),
                 };
                 format!(
                     "t={} machine={} victim={}/{} cpi={:.4} suspect={} action={} target={}",
@@ -682,6 +697,54 @@ mod tests {
         assert!(class_for(SchedClass::LatencySensitive).protected);
         assert!(class_for(SchedClass::Batch).throttle_eligible());
         assert!(class_for(SchedClass::BestEffort).best_effort);
+    }
+
+    #[test]
+    fn top_antagonists_credits_the_capped_suspects_own_correlation() {
+        use cpi2_core::{IdentifierKind, Suspect};
+
+        let cluster = Cluster::new(cpi2_sim::ClusterConfig::default());
+        let mut system = Cpi2Harness::new(cluster, Cpi2Config::default());
+        let suspect = |task, jobname: &str, class, correlation| Suspect {
+            task: TaskHandle(task),
+            jobname: jobname.into(),
+            class,
+            correlation,
+            confidence: correlation,
+        };
+        // A latency-sensitive neighbour outranks the batch job, and
+        // `select_target` passes it over.
+        system.incidents.push(MachineIncident {
+            machine: MachineId(0),
+            incident: Incident {
+                at: 60_000_000,
+                victim: TaskHandle(1),
+                victim_job: "svc".into(),
+                victim_cpi: 3.0,
+                cthreshold: 1.2,
+                suspects: vec![
+                    suspect(9, "frontend", TaskClass::latency_sensitive(), 0.9),
+                    suspect(2, "hog", TaskClass::batch(), 0.5),
+                ],
+                action: IncidentAction::HardCap {
+                    target: TaskHandle(2),
+                    target_job: "hog".into(),
+                    cpu_rate: 0.1,
+                    until: 360_000_000,
+                },
+                identifier: IdentifierKind::Paper,
+                trace_id: TraceId::derive(1, 60_000_000),
+            },
+        });
+        assert_eq!(system.top_antagonists(5), vec![("hog".to_string(), 1, 0.5)]);
+    }
+
+    #[test]
+    fn dedup_remembers_as_long_as_the_retry_queue_can_redeliver() {
+        let cluster = Cluster::new(cpi2_sim::ClusterConfig::default());
+        let system = Cpi2Harness::new(cluster, Cpi2Config::default());
+        // One-second ticks: re-offers at +2 s and +6 s.
+        assert_eq!(system.aggregator.dedup_horizon(), Some(6_000_000));
     }
 
     #[test]

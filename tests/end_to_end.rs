@@ -104,13 +104,13 @@ fn detects_caps_and_restores_victim() {
                 cpu_rate,
                 ..
             } => {
-                assert_eq!(target_job, "thrasher", "wrong antagonist blamed");
+                assert_eq!(&**target_job, "thrasher", "wrong antagonist blamed");
                 // Best-effort jobs get the 0.01 CPU-sec/sec cap (§5).
                 assert_eq!(*cpu_rate, 0.01);
             }
             IncidentAction::None { .. } => unreachable!("filtered to acted"),
         }
-        assert_eq!(mi.incident.victim_job, "frontend");
+        assert_eq!(&*mi.incident.victim_job, "frontend");
         let top = mi.incident.top_suspect().expect("suspects listed");
         assert!(top.correlation >= 0.35);
     }

@@ -7,7 +7,7 @@
 //! detection runs on the machine and survives pipeline degradation, so a
 //! lossy collection path costs spec freshness, not protection.
 
-use cpi2::core::{Cpi2Config, IncidentAction};
+use cpi2::core::{Cpi2Config, CpiSpec, IncidentAction};
 use cpi2::harness::Cpi2Harness;
 use cpi2::sim::{
     Cluster, ClusterConfig, FaultPlan, FaultProfile, JobSpec, Platform, ResourceProfile,
@@ -15,6 +15,7 @@ use cpi2::sim::{
 };
 use cpi2::telemetry::Telemetry;
 use cpi2::workloads::{CacheThrasher, LsService};
+use std::sync::Arc;
 
 fn test_config() -> Cpi2Config {
     Cpi2Config {
@@ -100,9 +101,9 @@ fn detects_antagonist_under_lossy_pipeline() {
     assert!(!acted.is_empty(), "expected an acted incident");
     for mi in &acted {
         if let IncidentAction::HardCap { target_job, .. } = &mi.incident.action {
-            assert_eq!(target_job, "thrasher", "wrong antagonist blamed");
+            assert_eq!(&**target_job, "thrasher", "wrong antagonist blamed");
         }
-        assert_eq!(mi.incident.victim_job, "frontend");
+        assert_eq!(&*mi.incident.victim_job, "frontend");
     }
 }
 
@@ -195,4 +196,53 @@ fn pipeline_hardening_bounds_degradation() {
         "retry queue grew unexpectedly: {}",
         system.shipments_pending_retry()
     );
+}
+
+/// What a faulted run yields: duplicates dropped, incident lines and the
+/// specs the store published, each with its publish time.
+type Outcome = (u64, Vec<String>, Vec<(Arc<CpiSpec>, i64)>);
+
+/// A faulted run with a planted thrasher. With `hour`, the aggregator
+/// remembers an hour of samples instead of the harness's own horizon (the
+/// retry queue's redelivery span).
+fn faulted_run(plan: FaultPlan, seed: u64, hour: bool) -> Outcome {
+    let mut system = Cpi2Harness::new(victim_cluster(seed), test_config());
+    if hour {
+        system.aggregator.set_dedup_horizon(Some(3_600_000_000));
+    }
+    system.set_fault_plan(Some(plan));
+    system.run_for(SimDuration::from_mins(30));
+    system.force_spec_refresh();
+    plant_thrasher(&mut system, 99);
+    system.run_for(SimDuration::from_mins(60));
+    system.force_spec_refresh();
+    (
+        system.aggregator.duplicates_dropped(),
+        system.incident_lines(),
+        system.spec_store.changed_since_with_age(0),
+    )
+}
+
+fn redelivery_horizon_dedups_as_an_hour_does(plan: FaultPlan, seed: u64) {
+    let derived = faulted_run(plan.clone(), seed, false);
+    let hour = faulted_run(plan, seed, true);
+    assert!(derived.0 > 0, "no duplicate reached the aggregator");
+    assert_eq!(derived.0, hour.0, "duplicates dropped");
+    assert!(!derived.1.is_empty(), "no incident to compare");
+    assert_eq!(derived.1, hour.1, "incident lines");
+    assert!(!derived.2.is_empty(), "no spec to compare");
+    assert_eq!(derived.2, hour.2, "published specs");
+}
+
+/// The harness remembers ingested samples only as long as the retry queue
+/// can redeliver a copy; an hour's memory drops no more and changes no
+/// incident or spec.
+#[test]
+fn lossy_pipeline_dedups_as_with_an_hour_of_memory() {
+    redelivery_horizon_dedups_as_an_hour_does(FaultPlan::new(0xFA17, FaultProfile::lossy()), 7);
+}
+
+#[test]
+fn heavy_faults_dedup_as_with_an_hour_of_memory() {
+    redelivery_horizon_dedups_as_an_hour_does(FaultPlan::new(0xC4A5, FaultProfile::heavy()), 29);
 }

@@ -204,7 +204,7 @@ fn constant_hog_detected_weakly() {
     for mi in system.incidents() {
         if let cpi2::core::IncidentAction::HardCap { target_job, .. } = &mi.incident.action {
             assert_eq!(
-                target_job, "steady",
+                &**target_job, "steady",
                 "only the real antagonist may be capped"
             );
         }
