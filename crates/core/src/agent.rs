@@ -18,6 +18,7 @@ use crate::panda::EvidenceBook;
 use crate::sample::{CpiSample, JobKey, TaskClass, TaskHandle};
 use crate::spec::CpiSpec;
 use crate::trace::{TraceId, TraceSpan, TraceStage};
+use cpi2_stats::Name;
 use cpi2_telemetry::{Counter, Histo, Telemetry};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::Arc;
@@ -250,7 +251,7 @@ pub enum AgentCommand {
         target: TaskHandle,
         /// Target's job name (for the operator log), shared with the
         /// incident's.
-        target_job: Arc<str>,
+        target_job: Name,
         /// Cap rate, CPU-sec/sec.
         cpu_rate: f64,
         /// Expiry, µs since epoch.
@@ -398,9 +399,9 @@ struct Judged {
 /// Per-task state the agent keeps.
 #[derive(Debug)]
 struct TaskState {
-    /// The task's samples' own names, shared: binding clones two `Arc`s.
-    jobname: Arc<str>,
-    platform: Arc<str>,
+    /// The task's samples' own names, shared: binding clones two `Name`s.
+    jobname: Name,
+    platform: Name,
     class: TaskClass,
     /// The spec table's entry for (`jobname`, `platform`), resolved: always
     /// equal to `DetectSpec::of(specs.get(key))`. Maintained by the only
@@ -417,8 +418,8 @@ struct TaskState {
     last_seen: i64,
 }
 
-// By hand: `Arc<str>: Default` is newer than the workspace's
-// `rust-version`. A new task has seen no sample, so `record`'s first
+// By hand: a `Name` has no default, and `last_seen` starts below every
+// timestamp. A new task has seen no sample, so `record`'s first
 // `max` takes that sample's timestamp whatever its sign.
 impl Default for TaskState {
     fn default() -> Self {
@@ -478,8 +479,8 @@ impl TaskState {
     /// handle was reused) and resolves that key's spec.
     // lint: hot-path
     fn bind(&mut self, s: &CpiSample, specs: &SpecTable) {
-        self.jobname = Arc::clone(&s.jobname);
-        self.platform = Arc::clone(&s.platforminfo);
+        self.jobname = Name::clone(&s.jobname);
+        self.platform = Name::clone(&s.platforminfo);
         self.detect_spec = DetectSpec::of(specs.get(&s.jobname, &s.platforminfo));
     }
 
@@ -709,7 +710,7 @@ impl Agent {
             let Some((st, new)) = self.tasks.get_or_default(s.task) else {
                 continue;
             };
-            // `Arc<str>`'s `==` compares pointers before bytes: a task's
+            // `Name`'s `==` compares pointers before bytes: a task's
             // samples share its names, so this is two pointer compares.
             if new || st.jobname != s.jobname || st.platform != s.platforminfo {
                 st.bind(s, &self.specs);
@@ -852,15 +853,20 @@ impl Agent {
             }
         };
         let threshold = kind.decision_threshold(&self.config);
-        let mut top: Vec<Suspect> = ranked.iter().take(10).cloned().collect();
-        // Always report the best throttle-eligible suspect, even when ten
-        // latency-sensitive neighbours outrank it (the Case-4 shape: it is
-        // the only one amelioration could act on).
-        if !top.iter().any(|s| s.class.throttle_eligible()) {
-            if let Some(e) = ranked.iter().find(|s| s.class.throttle_eligible()) {
-                top.push(e.clone());
-            }
-        }
+        // The ten best, and always the best throttle-eligible suspect,
+        // even when ten latency-sensitive neighbours outrank it (the
+        // Case-4 shape: it is the only one amelioration could act on).
+        // Sized before filling: the log holds no slot it will not use.
+        let eligible = |s: &&Suspect| s.class.throttle_eligible();
+        let extra = if ranked.iter().take(10).any(|s| eligible(&s)) {
+            None
+        } else {
+            ranked.iter().find(eligible)
+        };
+        let mut top: Vec<Suspect> =
+            Vec::with_capacity(ranked.len().min(10) + usize::from(extra.is_some()));
+        top.extend(ranked.iter().take(10).cloned());
+        top.extend(extra.cloned());
 
         let eligible_victim = victim.class.protected;
         let target =
@@ -873,7 +879,7 @@ impl Agent {
                     self.active_caps.insert(t.task, until);
                     IncidentAction::HardCap {
                         target: t.task,
-                        target_job: Arc::clone(&t.jobname),
+                        target_job: Name::clone(&t.jobname),
                         cpu_rate: cap.cpu_rate,
                         until,
                     }
@@ -906,7 +912,7 @@ impl Agent {
                 until,
             } => Some(AgentCommand::ApplyHardCap {
                 target: *target,
-                target_job: Arc::clone(target_job),
+                target_job: Name::clone(target_job),
                 cpu_rate: *cpu_rate,
                 until: *until,
                 trace: trace_id,
@@ -990,7 +996,7 @@ impl Agent {
         self.incidents.push(Incident {
             at: victim.timestamp,
             victim: victim.task,
-            victim_job: Arc::clone(&victim.jobname),
+            victim_job: Name::clone(&victim.jobname),
             victim_cpi: victim.cpi,
             cthreshold,
             suspects: top,

@@ -32,8 +32,8 @@ impl Agent {
         let mut advanced = Vec::with_capacity(samples.len());
         for s in samples {
             let (st, _) = self.tasks.get_or_default(s.task).unwrap();
-            st.jobname = Arc::clone(&s.jobname);
-            st.platform = Arc::clone(&s.platforminfo);
+            st.jobname = s.jobname.clone();
+            st.platform = s.platforminfo.clone();
             st.class = s.class;
             st.last_seen = st.last_seen.max(s.timestamp);
             let advances = match st.history.last_t() {

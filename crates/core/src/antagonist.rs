@@ -15,8 +15,8 @@
 use crate::correlation::antagonist_correlation;
 use crate::history::Column;
 use crate::sample::{TaskClass, TaskHandle};
+use cpi2_stats::Name;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A scored suspect.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,7 +24,7 @@ pub struct Suspect {
     /// The suspect task.
     pub task: TaskHandle,
     /// Its job's name.
-    pub jobname: Arc<str>,
+    pub jobname: Name,
     /// Its scheduling class.
     pub class: TaskClass,
     /// Antagonist correlation with the victim, in `[−1, 1]` (0 when the
@@ -45,7 +45,7 @@ pub struct SuspectInput<'a> {
     /// The suspect task.
     pub task: TaskHandle,
     /// Its job's name.
-    pub jobname: &'a Arc<str>,
+    pub jobname: &'a Name,
     /// Its scheduling class.
     pub class: TaskClass,
     /// Its CPU usage over the analysis window, borrowed from its history.
@@ -75,7 +75,7 @@ pub fn rank_suspects(
             let correlation = antagonist_correlation(&pairs, cthreshold).unwrap_or(0.0);
             Suspect {
                 task: s.task,
-                jobname: Arc::clone(s.jobname),
+                jobname: Name::clone(s.jobname),
                 class: s.class,
                 correlation,
                 confidence: correlation,
@@ -117,7 +117,7 @@ mod tests {
         h
     }
 
-    fn name(job: &str) -> Arc<str> {
+    fn name(job: &str) -> Name {
         job.into()
     }
 

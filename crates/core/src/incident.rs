@@ -8,9 +8,9 @@ use crate::antagonist::Suspect;
 use crate::panda::IdentifierKind;
 use crate::sample::TaskHandle;
 use crate::trace::TraceId;
+use cpi2_stats::Name;
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
-use std::sync::Arc;
 
 /// Why an incident was not acted on. Displays and serializes as the
 /// sentence the incident log has always carried, threshold included (the
@@ -38,7 +38,7 @@ pub enum NoActionReason {
     AutoThrottleDisabled,
     /// A wording no variant above writes (a log from another version),
     /// kept as read.
-    Other(Arc<str>),
+    Other(Name),
 }
 
 const NOT_THROTTLE_ELIGIBLE: &str = "selected suspect not throttle-eligible";
@@ -118,7 +118,7 @@ pub enum IncidentAction {
         /// The capped task.
         target: TaskHandle,
         /// Its job's name, shared with the suspect it was chosen from.
-        target_job: Arc<str>,
+        target_job: Name,
         /// Cap rate, CPU-sec/sec.
         cpu_rate: f64,
         /// Cap expiry, µs since epoch.
@@ -134,7 +134,7 @@ pub struct Incident {
     /// The victim task.
     pub victim: TaskHandle,
     /// The victim's job name, shared with the sample that raised it.
-    pub victim_job: Arc<str>,
+    pub victim_job: Name,
     /// The victim's CPI at detection.
     pub victim_cpi: f64,
     /// The victim's outlier threshold (`cthreshold` in §4.2).

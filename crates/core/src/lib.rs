@@ -46,6 +46,7 @@ pub use amelioration::{cap_for, AdaptiveThrottle, CapDecision};
 pub use antagonist::{rank_suspects, select_target, Suspect, SuspectInput};
 pub use config::Cpi2Config;
 pub use correlation::antagonist_correlation;
+pub use cpi2_stats::Name;
 pub use history::{Column, History};
 pub use incident::{Incident, IncidentAction, NoActionReason};
 pub use outlier::{OutlierDetector, Verdict};

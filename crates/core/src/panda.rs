@@ -36,9 +36,9 @@
 use crate::antagonist::{Suspect, SuspectInput};
 use crate::correlation::antagonist_correlation;
 use crate::history::Column;
+use cpi2_stats::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Which antagonist-identification backend the agent runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -275,7 +275,7 @@ impl EvidenceBook {
             }
             ranked.push(Suspect {
                 task: s.task,
-                jobname: Arc::clone(s.jobname),
+                jobname: Name::clone(s.jobname),
                 class: s.class,
                 correlation: correlation.unwrap_or(0.0),
                 confidence,
@@ -361,7 +361,7 @@ mod tests {
 
     /// A job name that lives as long as the test binary, for suspect
     /// inputs returned from helpers.
-    fn name(job: &str) -> &'static Arc<str> {
+    fn name(job: &str) -> &'static Name {
         Box::leak(Box::new(job.into()))
     }
 

@@ -10,12 +10,10 @@
 //! float cpi;
 //! ```
 
+use cpi2_stats::Name;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
-use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 /// Opaque per-machine task handle (unique while the task is resident).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -63,17 +61,20 @@ impl Hasher for HandleHasher {
 
 /// Aggregation key: job × hardware platform (§3.1: "CPI² does separate CPI
 /// calculations for each platform a job runs on").
+///
+/// Its names are shared: a sample's key is two reference counts, so a
+/// `JobKey`-keyed map is probed with [`CpiSample::key`] at no allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct JobKey {
     /// Job name.
-    pub job: String,
+    pub job: Name,
     /// Platform (CPU type) string.
-    pub platform: String,
+    pub platform: Name,
 }
 
 impl JobKey {
     /// Builds a key.
-    pub fn new(job: impl Into<String>, platform: impl Into<String>) -> Self {
+    pub fn new(job: impl Into<Name>, platform: impl Into<Name>) -> Self {
         JobKey {
             job: job.into(),
             platform: platform.into(),
@@ -84,55 +85,6 @@ impl JobKey {
 impl std::fmt::Display for JobKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}@{}", self.job, self.platform)
-    }
-}
-
-/// A (job, platform) pair seen through borrowed strings, so a
-/// [`JobKey`]-keyed `BTreeMap` can be probed without allocating a key:
-/// `map.get(&(job, platform) as &dyn KeyView)`.
-///
-/// The `dyn KeyView` ordering below compares (job, platform) exactly as
-/// `JobKey`'s derived `Ord` does — the agreement `Borrow` requires.
-pub(crate) trait KeyView {
-    /// The (job, platform) strings.
-    fn parts(&self) -> (&str, &str);
-}
-
-impl KeyView for JobKey {
-    fn parts(&self) -> (&str, &str) {
-        (&self.job, &self.platform)
-    }
-}
-
-impl KeyView for (&str, &str) {
-    fn parts(&self) -> (&str, &str) {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn KeyView + 'a> for JobKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-impl PartialOrd for dyn KeyView + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for dyn KeyView + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.parts().cmp(&other.parts())
     }
 }
 
@@ -194,16 +146,16 @@ impl TaskClass {
 /// the Fig. 15(c) analysis.
 ///
 /// The two names are shared, not owned: each was allocated once, when the
-/// simulator placed the task or built the platform, and a copy of the
+/// simulator admitted the job or built the platform, and a copy of the
 /// sample bumps two reference counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CpiSample {
     /// Per-machine task handle.
     pub task: TaskHandle,
     /// Job name.
-    pub jobname: Arc<str>,
+    pub jobname: Name,
     /// Platform (CPU type).
-    pub platforminfo: Arc<str>,
+    pub platforminfo: Name,
     /// Microseconds since epoch (end of the counting window).
     pub timestamp: i64,
     /// CPU usage over the window, CPU-sec/sec.
@@ -218,14 +170,13 @@ pub struct CpiSample {
 }
 
 impl CpiSample {
-    /// The job × platform aggregation key of this sample.
+    /// The job × platform aggregation key of this sample, sharing its
+    /// names.
     pub fn key(&self) -> JobKey {
-        JobKey::new(&*self.jobname, &*self.platforminfo)
-    }
-
-    /// The same key as borrowed strings, for allocation-free map probes.
-    pub(crate) fn key_view(&self) -> (&str, &str) {
-        (&self.jobname, &self.platforminfo)
+        JobKey {
+            job: Name::clone(&self.jobname),
+            platform: Name::clone(&self.platforminfo),
+        }
     }
 }
 
@@ -248,34 +199,6 @@ mod tests {
         let k = s.key();
         assert_eq!(k, JobKey::new("websearch", "westmere"));
         assert_eq!(k.to_string(), "websearch@westmere");
-    }
-
-    #[test]
-    fn borrowed_probe_agrees_with_owned_keys() {
-        // Includes the pair whose concatenations collide ("ab"+"c" vs
-        // "a"+"bc") and a job that is a prefix of another.
-        let names = ["", "a", "ab", "abc", "b", "bc", "c", "zeta"];
-        let mut map = std::collections::BTreeMap::new();
-        for (i, job) in names.iter().enumerate() {
-            for (j, platform) in names.iter().enumerate() {
-                if (i + j) % 3 != 0 {
-                    map.insert(JobKey::new(*job, *platform), (i, j));
-                }
-            }
-        }
-        for (i, job) in names.iter().enumerate() {
-            for (j, platform) in names.iter().enumerate() {
-                let owned = map.get(&JobKey::new(*job, *platform));
-                let borrowed = map.get(&(*job, *platform) as &dyn KeyView);
-                assert_eq!(owned, borrowed, "{job}@{platform}");
-                assert_eq!(borrowed.is_some(), (i + j) % 3 != 0);
-            }
-        }
-        let keys: Vec<&JobKey> = map.keys().collect();
-        for pair in keys.windows(2) {
-            let (a, b): (&dyn KeyView, &dyn KeyView) = (pair[0], pair[1]);
-            assert_eq!(a.cmp(b), pair[0].cmp(pair[1]));
-        }
     }
 
     #[test]

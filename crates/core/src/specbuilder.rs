@@ -6,12 +6,11 @@
 //! 100 samples per task.
 
 use crate::config::Cpi2Config;
-use crate::sample::{CpiSample, HandleMap, HandleSet, JobKey, KeyView};
+use crate::sample::{CpiSample, HandleMap, HandleSet, JobKey};
 use crate::spec::CpiSpec;
 use cpi2_stats::ewma::AgeWeighted;
 use cpi2_stats::summary::RunningStats;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 #[cfg(test)]
 mod oracle;
@@ -33,12 +32,11 @@ impl PeriodAccum {
     }
 }
 
-/// Where a task's samples went this period: its names, shared with its
-/// samples, and the slot of their key's accumulator.
+/// Where a task's samples went this period: its key, whose names its
+/// samples share, and the slot of that key's accumulator.
 #[derive(Debug)]
 struct Binding {
-    job: Arc<str>,
-    platform: Arc<str>,
+    key: JobKey,
     slot: usize,
 }
 
@@ -129,7 +127,7 @@ impl SpecBuilder {
     }
 
     /// The hit path of [`add_sample`](SpecBuilder::add_sample): the task's
-    /// binding, checked against the sample's names (`Arc<str>`'s `==`
+    /// binding, checked against the sample's names (a `Name`'s `==`
     /// compares pointers before bytes, and a task's samples share its
     /// names), then its slot. The task is already in that slot's task set.
     /// `false` when the task has no binding this period or its names
@@ -139,7 +137,7 @@ impl SpecBuilder {
         let Some(b) = self.bindings.get(&sample.task) else {
             return false;
         };
-        if b.job != sample.jobname || b.platform != sample.platforminfo {
+        if b.key.job != sample.jobname || b.key.platform != sample.platforminfo {
             return false;
         }
         match self.accums.get_mut(b.slot) {
@@ -152,17 +150,16 @@ impl SpecBuilder {
     }
 
     /// A task's first sample this period, or its first under new names:
-    /// finds (or opens) the key's slot by the string-keyed map, counts the
+    /// finds (or opens) the key's slot by the key-ordered map, counts the
     /// task there and binds it.
     fn bind(&mut self, sample: &CpiSample) {
-        let slot = match self.current.get(&sample.key_view() as &dyn KeyView) {
+        let key = sample.key();
+        let slot = match self.current.get(&key) {
             Some(&slot) => slot,
             None => {
-                // First sample of this key this period: the one place that
-                // builds an owned key.
                 self.accums.push(PeriodAccum::default());
                 let slot = self.accums.len() - 1;
-                self.current.insert(sample.key(), slot);
+                self.current.insert(key.clone(), slot);
                 slot
             }
         };
@@ -170,14 +167,7 @@ impl SpecBuilder {
             acc.tasks.insert(sample.task);
             acc.add(sample);
         }
-        self.bindings.insert(
-            sample.task,
-            Binding {
-                job: Arc::clone(&sample.jobname),
-                platform: Arc::clone(&sample.platforminfo),
-                slot,
-            },
-        );
+        self.bindings.insert(sample.task, Binding { key, slot });
     }
 
     /// Number of samples accumulated in the current period for a key.
@@ -234,8 +224,8 @@ impl SpecBuilder {
             .iter()
             .filter(|(_, h)| h.eligible && !h.cpi.is_empty())
             .map(|(k, h)| CpiSpec {
-                jobname: k.job.clone(),
-                platforminfo: k.platform.clone(),
+                jobname: k.job.to_string(),
+                platforminfo: k.platform.to_string(),
                 num_samples: h.total_samples,
                 cpu_usage_mean: h.cpu.mean(),
                 cpi_mean: h.cpi.mean(),

@@ -1,6 +1,6 @@
 //! The `add_sample` this crate shipped before each task was bound to its
-//! key's accumulator — every sample probes the string-keyed period map
-//! with its borrowed names and inserts its task into the key's task set —
+//! key's accumulator — every sample probes the key-ordered period map
+//! with its own key and inserts its task into the key's task set —
 //! kept, test-only, as the reference the bound path must match period for
 //! period.
 //!
@@ -15,6 +15,7 @@
 
 use super::*;
 use crate::sample::{TaskClass, TaskHandle};
+use cpi2_stats::Name;
 use proptest::prelude::*;
 
 impl SpecBuilder {
@@ -22,7 +23,7 @@ impl SpecBuilder {
         if !usable(sample) {
             return;
         }
-        let slot = match self.current.get(&sample.key_view() as &dyn KeyView) {
+        let slot = match self.current.get(&sample.key()) {
             Some(&slot) => slot,
             None => {
                 self.accums.push(PeriodAccum::default());
@@ -79,8 +80,8 @@ enum Step {
 /// Six task handles, each bound to a job × platform whose names are
 /// shared the way the simulator shares them.
 struct World {
-    jobs: Vec<Arc<str>>,
-    platforms: Vec<Arc<str>>,
+    jobs: Vec<Name>,
+    platforms: Vec<Name>,
     bound: [(usize, usize); HANDLES],
     minute: i64,
 }
@@ -88,8 +89,8 @@ struct World {
 impl World {
     fn new() -> World {
         World {
-            jobs: JOBS.iter().map(|&j| Arc::from(j)).collect(),
-            platforms: PLATFORMS.iter().map(|&p| Arc::from(p)).collect(),
+            jobs: JOBS.iter().map(|&j| Name::from(j)).collect(),
+            platforms: PLATFORMS.iter().map(|&p| Name::from(p)).collect(),
             bound: [(0, 0), (0, 0), (1, 0), (1, 1), (2, 0), (2, 1)],
             minute: 0,
         }
@@ -107,11 +108,11 @@ impl World {
         let (job, platform) = self.bound[h];
         // Now and then the same names arrive in allocations of their own.
         let fresh = (bits >> 1) & 7 == 0;
-        let name = |shared: &Arc<str>| {
+        let name = |shared: &Name| {
             if fresh {
-                Arc::from(&**shared)
+                Name::from(&**shared)
             } else {
-                Arc::clone(shared)
+                Name::clone(shared)
             }
         };
         let (cpi, cpu_usage) = match (bits >> 4) & 15 {

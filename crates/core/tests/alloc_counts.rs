@@ -31,8 +31,8 @@
 //! `Arc`).
 
 use cpi2_core::{
-    rank_suspects, Agent, Cpi2Config, CpiSample, CpiSpec, History, IncidentAction, SpecBuilder,
-    Suspect, SuspectInput, TaskClass, TaskHandle,
+    rank_suspects, Agent, Cpi2Config, CpiSample, CpiSpec, History, IncidentAction, Name,
+    SpecBuilder, Suspect, SuspectInput, TaskClass, TaskHandle,
 };
 use cpi2_perf::sampler::ClusterSampler;
 use cpi2_pipeline::{Aggregator, RetryQueue, SpecStore};
@@ -100,14 +100,14 @@ const MINUTE_US: i64 = 60_000_000;
 
 /// One machine's batch at `minute`: 25 tasks of 25 jobs on one platform,
 /// the names shared as the simulator shares them.
-fn batch(names: &[Arc<str>], platform: &Arc<str>, minute: i64) -> Vec<CpiSample> {
+fn batch(names: &[Name], platform: &Name, minute: i64) -> Vec<CpiSample> {
     names
         .iter()
         .enumerate()
         .map(|(i, job)| CpiSample {
             task: TaskHandle(i as u64),
-            jobname: Arc::clone(job),
-            platforminfo: Arc::clone(platform),
+            jobname: job.clone(),
+            platforminfo: platform.clone(),
             timestamp: minute * MINUTE_US,
             cpu_usage: 1.0,
             cpi: 1.0 + 0.01 * ((minute + i as i64) % 5) as f64,
@@ -121,8 +121,8 @@ fn batch(names: &[Arc<str>], platform: &Arc<str>, minute: i64) -> Vec<CpiSample>
         .collect()
 }
 
-fn job_names(n: usize) -> Vec<Arc<str>> {
-    (0..n).map(|i| Arc::from(format!("job-{i}"))).collect()
+fn job_names(n: usize) -> Vec<Name> {
+    (0..n).map(|i| Name::from(format!("job-{i}"))).collect()
 }
 
 #[test]
@@ -134,7 +134,7 @@ fn cloning_a_batch_allocates_its_vector_alone() {
 
 #[test]
 fn warm_ingest_without_an_incident_allocates_nothing() {
-    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let (names, platform) = (job_names(25), Name::from("westmere"));
     let mut agent = Agent::new(Cpi2Config::default());
     for job in &names {
         agent.install_spec(CpiSpec {
@@ -264,7 +264,7 @@ fn reinstalling_a_known_spec_allocates_nothing() {
 
 #[test]
 fn a_warm_spec_builder_sample_allocates_nothing() {
-    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let (names, platform) = (job_names(25), Name::from("westmere"));
     let mut builder = SpecBuilder::new(Cpi2Config::default());
     builder.add_sample(&batch(&names, &platform, 0)[0]);
     for s in &batch(&names, &platform, 1) {
@@ -301,7 +301,7 @@ fn steady_push_and_evict_allocate_nothing() {
 
 #[test]
 fn a_batch_at_a_new_instant_allocates_its_dedup_set_alone() {
-    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let (names, platform) = (job_names(25), Name::from("westmere"));
     let mut aggregator = Aggregator::new(Cpi2Config::default(), 0);
     // A few instants inside the horizon: the map stays one B-tree node.
     aggregator.set_dedup_horizon(Some(3 * MINUTE_US));
@@ -352,8 +352,9 @@ fn a_warm_cluster_step_allocates_nothing() {
     assert_eq!(tasks, 42);
 }
 
-// What the detection chain holds, in bytes. Before a task's CPI and usage
-// were one history of rows, an agent held 1 208 B per resident task here
+// What the detection chain holds, in bytes. Before a task's names were one
+// pointer each, an agent held 728 B per resident task here; before a
+// task's CPI and usage were one history of rows, 1 208 B
 // (two 32-point series for 21 live points, each timestamp twice); before
 // agents shared the spec store's copies, 164 B per installed spec (its own
 // key and spec, names included); before an instant's dedup handles were
@@ -362,7 +363,7 @@ fn a_warm_cluster_step_allocates_nothing() {
 
 #[test]
 fn an_agent_holds_its_resident_tasks_in_bytes() {
-    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let (names, platform) = (job_names(25), Name::from("westmere"));
     let batches: Vec<Vec<CpiSample>> = (0..40).map(|m| batch(&names, &platform, m)).collect();
     let (agent, bytes) = held(|| {
         let mut agent = Agent::new(Cpi2Config::default());
@@ -373,7 +374,19 @@ fn an_agent_holds_its_resident_tasks_in_bytes() {
     });
     assert!(agent.incidents().is_empty());
     // Per task: its handle, its state and 24 rows of 24 B.
-    assert_eq!(bytes, 25 * 728);
+    assert_eq!(bytes, 25 * 712);
+}
+
+/// A record pays one pointer a name. With fat `Arc<str>` names a sample
+/// was 80 B, a suspect 48 B, an incident 128 B and a reading 120 B.
+#[test]
+fn records_hold_a_pointer_per_name() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<Name>(), 8);
+    assert_eq!(size_of::<CpiSample>(), 64);
+    assert_eq!(size_of::<Suspect>(), 40);
+    assert_eq!(size_of::<cpi2_core::Incident>(), 112);
+    assert_eq!(size_of::<cpi2_perf::CounterReading>(), 104);
 }
 
 #[test]
@@ -396,7 +409,7 @@ fn agents_sharing_a_store_hold_a_pointer_per_spec() {
 
 #[test]
 fn an_hour_of_dedup_holds_a_handle_in_bytes() {
-    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let (names, platform) = (job_names(25), Name::from("westmere"));
     let batches: Vec<Vec<CpiSample>> = (0..60).map(|m| batch(&names, &platform, m)).collect();
     let ingest_all = |horizon_us| {
         let mut aggregator = Aggregator::new(Cpi2Config::default(), 0);
@@ -420,46 +433,51 @@ fn an_hour_of_dedup_holds_a_handle_in_bytes() {
 // no-action reason by variant, each incident held a copy of its victim's
 // job name and, when capped, of its target's (an 8 B `String` a name
 // here), and each incident that took no action a formatted sentence
-// (22–45 B here).
+// (22–45 B here). Before its suspect list was sized before filling, an
+// incident whose eligible suspect ranked below ten latency-sensitive
+// neighbours (the Case-4 shape) held 20 slots for its 11 suspects.
 
 #[test]
 fn an_incident_holds_its_suspects_alone() {
-    let (victim, hog) = (Arc::<str>::from("victim"), Arc::<str>::from("hog"));
-    let platform = Arc::<str>::from("westmere");
-    let sample = |task, jobname: &Arc<str>, minute: i64, cpi, cpu_usage, class| CpiSample {
+    let (victim, hog) = (Name::from("victim"), Name::from("hog"));
+    let (neighbour, platform) = (Name::from("neighbour"), Name::from("westmere"));
+    let sample = |task, jobname: &Name, minute: i64, cpi, cpu_usage, class| CpiSample {
         task: TaskHandle(task),
-        jobname: Arc::clone(jobname),
-        platforminfo: Arc::clone(&platform),
+        jobname: jobname.clone(),
+        platforminfo: platform.clone(),
         timestamp: minute * MINUTE_US,
         cpu_usage,
         cpi,
         l3_mpki: 1.0,
         class,
     };
-    // The victim's CPI climbs whenever the hog runs.
-    let batches: Vec<Vec<CpiSample>> = (0..12)
-        .map(|m| {
-            let on = m % 2 == 1;
-            vec![
-                sample(
-                    1,
-                    &victim,
-                    m,
-                    if on { 3.0 } else { 1.0 },
-                    1.0,
-                    TaskClass::latency_sensitive(),
-                ),
-                sample(
-                    2,
-                    &hog,
-                    m,
-                    1.8,
-                    if on { 6.0 } else { 0.0 },
-                    TaskClass::batch(),
-                ),
-            ]
-        })
-        .collect();
+    // The victim's CPI climbs whenever the hog runs; in the Case-4 shape
+    // ten latency-sensitive neighbours run in step with it, and outrank
+    // it on their lower handles.
+    let batches = |neighbours: u64| -> Vec<Vec<CpiSample>> {
+        (0..12)
+            .map(|m| {
+                let on = m % 2 == 1;
+                let usage = if on { 6.0 } else { 0.0 };
+                let mut samples = vec![
+                    sample(
+                        1,
+                        &victim,
+                        m,
+                        if on { 3.0 } else { 1.0 },
+                        1.0,
+                        TaskClass::latency_sensitive(),
+                    ),
+                    sample(20, &hog, m, 1.8, usage, TaskClass::batch()),
+                ];
+                samples.extend((0..neighbours).map(|n| {
+                    let class = TaskClass::latency_sensitive();
+                    sample(2 + n, &neighbour, m, 1.8, usage, class)
+                }));
+                samples
+            })
+            .collect()
+    };
     let capped = Cpi2Config::default();
     let unthrottled = Cpi2Config {
         auto_throttle: false,
@@ -470,14 +488,21 @@ fn an_incident_holds_its_suspects_alone() {
         ..Cpi2Config::default()
     };
     let mut actions = Vec::new();
-    for config in [capped, unthrottled, uncorrelated] {
+    for (config, neighbours) in [
+        (capped.clone(), 0),
+        (unthrottled, 0),
+        (uncorrelated, 0),
+        (capped, 10),
+    ] {
         let mut agent = Agent::new(config);
         agent.install_spec(spec_for("victim", "westmere"));
-        for samples in &batches {
+        for samples in &batches(neighbours) {
             agent.ingest(samples);
         }
         let mut incidents = agent.take_incidents();
         let incident = incidents.remove(0);
+        assert_eq!(incident.suspects.len() as u64, 1 + neighbours.min(10));
+        assert_eq!(incident.suspects.capacity(), incident.suspects.len());
         let suspects = incident.suspects.capacity() * std::mem::size_of::<Suspect>();
         actions.push(incident.action.clone());
         // The agent and the batches still hold every name.
@@ -485,16 +510,23 @@ fn an_incident_holds_its_suspects_alone() {
         assert_eq!(-freed, suspects as isize, "{:?}", actions.last());
     }
     assert!(matches!(actions[0], IncidentAction::HardCap { .. }));
-    assert!(actions[1..]
+    assert!(actions[1..3]
         .iter()
         .all(|a| matches!(a, IncidentAction::None { .. })));
+    assert!(matches!(
+        actions[3],
+        IncidentAction::HardCap {
+            target: TaskHandle(20),
+            ..
+        }
+    ));
 }
 
 /// The harness's dedup window: as long as the retry queue can redeliver
 /// a copy at one-second ticks.
 #[test]
 fn the_harness_dedup_holds_as_many_bytes_after_two_hours_as_after_one() {
-    let (names, platform) = (job_names(25), Arc::<str>::from("westmere"));
+    let (names, platform) = (job_names(25), Name::from("westmere"));
     // Sixty machines sampled a second apart, each once a minute: one
     // 25-task batch every second.
     let batches: Vec<Vec<CpiSample>> = (0..7_200)

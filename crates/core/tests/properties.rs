@@ -104,7 +104,7 @@ proptest! {
         };
         let victim = ts(&|r| r.0);
         let (u1, u2, u3) = (ts(&|r| r.1), ts(&|r| r.2), ts(&|r| r.3));
-        let [a, b, c]: [std::sync::Arc<str>; 3] = ["job-a".into(), "job-b".into(), "job-c".into()];
+        let [a, b, c]: [cpi2_core::Name; 3] = ["job-a".into(), "job-b".into(), "job-c".into()];
         let suspects = vec![
             SuspectInput { task: TaskHandle(1), jobname: &a, class: TaskClass::batch(), usage: u1.usage() },
             SuspectInput { task: TaskHandle(2), jobname: &b, class: TaskClass::best_effort(), usage: u2.usage() },

@@ -1,8 +1,9 @@
 //! The JSON of a sample, a counter reading, an agent checkpoint and an
 //! incident log, byte for byte as written while job and platform names
-//! and no-action reasons were owned `String`s: sharing the names as
-//! `Arc<str>` and naming the reasons by variant changed no byte on the
-//! wire, and what was written then reads now.
+//! and no-action reasons were owned `String`s: sharing the names (as
+//! `Arc<str>`, then as one-pointer `Name`s) and naming the reasons by
+//! variant changed no byte on the wire, and what was written then reads
+//! now.
 
 use cpi2_core::{
     Agent, Cpi2Config, CpiSample, CpiSpec, IdentifierKind, Incident, IncidentAction,

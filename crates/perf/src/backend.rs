@@ -8,7 +8,7 @@
 //! `INSTRUCTIONS_RETIRED` pair).
 
 use cpi2_sim::{CounterBlock, Machine, TaskId};
-use std::sync::Arc;
+use cpi2_stats::Name;
 
 /// One task's counter snapshot plus identity.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,7 +16,7 @@ pub struct TaskCounters {
     /// The task.
     pub task: TaskId,
     /// Owning job's name.
-    pub job_name: Arc<str>,
+    pub job_name: Name,
     /// Monotonic counters as of the snapshot.
     pub counters: CounterBlock,
 }
@@ -28,7 +28,7 @@ pub trait CounterSource {
 
     /// Hardware platform string (`platforminfo` in sample records), lent
     /// as the shared handle every reading of this source clones.
-    fn platform_name(&self) -> &Arc<str>;
+    fn platform_name(&self) -> &Name;
 
     /// Cost of one counter save/restore on an inter-cgroup context
     /// switch, in microseconds.
@@ -41,7 +41,7 @@ pub trait CounterSource {
     /// [`CounterSource::snapshot`]'s order. This is what the sampler calls
     /// at a window edge; a backend that can lend these overrides it so an
     /// edge builds no owned snapshot it would only read and drop.
-    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Arc<str>, &CounterBlock)) {
+    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Name, &CounterBlock)) {
         for tc in self.snapshot() {
             visit(tc.task, &tc.job_name, &tc.counters);
         }
@@ -53,7 +53,7 @@ impl CounterSource for Machine {
         self.id.0
     }
 
-    fn platform_name(&self) -> &Arc<str> {
+    fn platform_name(&self) -> &Name {
         &self.platform.name
     }
 
@@ -65,13 +65,13 @@ impl CounterSource for Machine {
         self.tasks()
             .map(|t| TaskCounters {
                 task: t.id,
-                job_name: Arc::clone(&t.job_name),
+                job_name: Name::clone(&t.job_name),
                 counters: *t.cgroup.counters(),
             })
             .collect()
     }
 
-    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Arc<str>, &CounterBlock)) {
+    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Name, &CounterBlock)) {
         for t in self.tasks() {
             visit(t.id, &t.job_name, t.cgroup.counters());
         }

@@ -14,9 +14,9 @@
 
 use crate::backend::{CounterSource, TaskCounters};
 use cpi2_sim::{CounterBlock, JobId, TaskId};
+use cpi2_stats::Name;
 use std::io;
 use std::os::unix::io::RawFd;
-use std::sync::Arc;
 
 const PERF_TYPE_HARDWARE: u32 = 0;
 const PERF_COUNT_HW_CPU_CYCLES: u64 = 0;
@@ -166,9 +166,9 @@ pub struct SelfCounterSource {
     cycles: PerfCounter,
     instructions: PerfCounter,
     cache_misses: Option<PerfCounter>,
-    platform: Arc<str>,
+    platform: Name,
     /// The one task's job name, shared by every reading.
-    job_name: Arc<str>,
+    job_name: Name,
 }
 
 impl SelfCounterSource {
@@ -214,7 +214,7 @@ impl CounterSource for SelfCounterSource {
         0
     }
 
-    fn platform_name(&self) -> &Arc<str> {
+    fn platform_name(&self) -> &Name {
         &self.platform
     }
 
@@ -235,7 +235,7 @@ impl CounterSource for SelfCounterSource {
                 job: JobId(0),
                 index: 0,
             },
-            job_name: Arc::clone(&self.job_name),
+            job_name: Name::clone(&self.job_name),
             counters: CounterBlock {
                 cycles,
                 instructions,

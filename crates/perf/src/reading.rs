@@ -1,8 +1,8 @@
 //! Counter readings produced by the per-machine sampler.
 
 use cpi2_sim::{SimDuration, SimTime, TaskId};
+use cpi2_stats::Name;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One per-task counter reading over a counting window.
 ///
@@ -15,9 +15,9 @@ pub struct CounterReading {
     /// The sampled task.
     pub task: TaskId,
     /// Owning job's name.
-    pub job_name: Arc<str>,
+    pub job_name: Name,
     /// Hardware platform string (CPU type).
-    pub platform: Arc<str>,
+    pub platform: Name,
     /// End of the counting window, µs since epoch.
     pub timestamp: SimTime,
     /// Length of the counting window.

@@ -11,8 +11,8 @@
 use crate::backend::CounterSource;
 use crate::reading::CounterReading;
 use cpi2_sim::{CounterBlock, SimDuration, SimTime, TaskId};
+use cpi2_stats::Name;
 use cpi2_telemetry::{Counter, Gauge, Histo, Telemetry};
-use std::sync::Arc;
 
 #[cfg(test)]
 mod oracle;
@@ -226,8 +226,8 @@ impl MachineSampler {
             let kinstr = d.instructions / 1000.0;
             out.push(CounterReading {
                 task,
-                job_name: Arc::clone(job_name),
-                platform: Arc::clone(platform),
+                job_name: Name::clone(job_name),
+                platform: Name::clone(platform),
                 timestamp: now,
                 window,
                 cpu_usage: d.cpu_time_us / window.as_us() as f64,

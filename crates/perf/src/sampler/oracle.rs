@@ -82,7 +82,7 @@ impl ReferenceSampler {
                     out.push(CounterReading {
                         task: tc.task,
                         job_name: tc.job_name,
-                        platform: Arc::clone(source.platform_name()),
+                        platform: Name::clone(source.platform_name()),
                         timestamp: now,
                         window,
                         cpu_usage: d.cpu_time_us / window.as_us() as f64,
@@ -350,7 +350,7 @@ impl CounterSource for SnapshotOnly<'_> {
     fn source_id(&self) -> u32 {
         self.0.source_id()
     }
-    fn platform_name(&self) -> &Arc<str> {
+    fn platform_name(&self) -> &Name {
         self.0.platform_name()
     }
     fn counter_switch_us(&self) -> f64 {

@@ -1,6 +1,6 @@
 //! Property-based tests for the pipeline: query engine and aggregator.
 
-use cpi2_core::{Cpi2Config, CpiSample, TaskClass, TaskHandle};
+use cpi2_core::{Cpi2Config, CpiSample, Name, TaskClass, TaskHandle};
 use cpi2_pipeline::query::{Row, Value};
 use cpi2_pipeline::{
     Aggregator, Collector, Dataset, Query, QueryResult, RetryQueue, SpecStore, Table,
@@ -9,7 +9,6 @@ use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Rec {
@@ -502,8 +501,8 @@ proptest! {
             ..Cpi2Config::default()
         };
         let horizon_us = 5 * 60_000_000;
-        let names: Vec<Arc<str>> = (0..5).map(|j| Arc::from(format!("job{j}"))).collect();
-        let platform: Arc<str> = "westmere".into();
+        let names: Vec<Name> = (0..5).map(|j| Name::from(format!("job{j}"))).collect();
+        let platform: Name = "westmere".into();
         let mut hashed = Aggregator::new(config.clone(), 0);
         hashed.set_dedup_horizon(Some(horizon_us));
         let mut ordered = OrderedDedup {
@@ -525,8 +524,8 @@ proptest! {
                         .iter()
                         .map(|&(job, index, lag, cpi)| CpiSample {
                             task: TaskHandle(u64::from(job) << 32 | u64::from(index)),
-                            jobname: Arc::clone(&names[usize::from(job) % names.len()]),
-                            platforminfo: Arc::clone(&platform),
+                            jobname: names[usize::from(job) % names.len()].clone(),
+                            platforminfo: platform.clone(),
                             timestamp: (minute - i64::from(lag)) * 60_000_000,
                             cpu_usage: 1.0,
                             cpi,
@@ -575,8 +574,8 @@ proptest! {
             min_samples_per_task: 3,
             ..Cpi2Config::default()
         };
-        let names: Vec<Arc<str>> = (0..6).map(|m| Arc::from(format!("job{}", m % 3))).collect();
-        let platform: Arc<str> = "westmere".into();
+        let names: Vec<Name> = (0..6).map(|m| Name::from(format!("job{}", m % 3))).collect();
+        let platform: Name = "westmere".into();
         let run = |horizon_us: i64, seconds: &[Second]| {
             let mut collector = Collector::new(capacity);
             let handle = collector.handle();
@@ -594,8 +593,8 @@ proptest! {
                     let batch: Vec<CpiSample> = (0..3u64)
                         .map(|k| CpiSample {
                             task: TaskHandle(m as u64 * 8 + k),
-                            jobname: Arc::clone(&names[m]),
-                            platforminfo: Arc::clone(&platform),
+                            jobname: names[m].clone(),
+                            platforminfo: platform.clone(),
                             timestamp: now_us,
                             cpu_usage: 1.0,
                             cpi: 1.0 + (t as f64 + k as f64) / 16.0,

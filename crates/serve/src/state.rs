@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cpi2::core::{CpiSample, CpiSpec, IncidentAction, NoActionReason, TraceId, TraceSpan};
+use cpi2::core::{CpiSample, CpiSpec, IncidentAction, Name, NoActionReason, TraceId, TraceSpan};
 use cpi2::harness::MachineIncident;
 use cpi2::sim::{Machine, SchedClass};
 use cpi2::telemetry::Telemetry;
@@ -38,7 +38,7 @@ pub struct TaskView {
     /// Task index within the job.
     pub index: u32,
     /// Job name (the `jobname` of CPI records), shared with the task.
-    pub job_name: Arc<str>,
+    pub job_name: Name,
     /// Scheduling class (`LatencySensitive` / `Batch` / `BestEffort`).
     pub class: SchedClass,
     /// Runnable threads as of the last tick.
@@ -88,7 +88,7 @@ impl Serialize for MachineView<'_> {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SuspectView {
     /// Suspect job name, shared with the incident's suspect.
-    pub jobname: Arc<str>,
+    pub jobname: Name,
     /// Identifier score: the window's correlation, or PANDA's mean
     /// correlation across incidents.
     pub correlation: f64,
@@ -104,7 +104,7 @@ pub struct IncidentView {
     /// Reporting machine.
     pub machine: u32,
     /// Victim job name, shared with the incident.
-    pub victim_job: Arc<str>,
+    pub victim_job: Name,
     /// Victim task handle.
     pub victim_task: u64,
     /// Victim CPI at detection.
@@ -115,7 +115,7 @@ pub struct IncidentView {
     pub action: &'static str,
     /// Capped job (`None` for `none`, written `""`).
     #[serde(with = "or_empty")]
-    pub target_job: Option<Arc<str>>,
+    pub target_job: Option<Name>,
     /// Cap rate in CPU-sec/sec (0 for `none`).
     pub cpu_rate: f64,
     /// Why nothing was done (`None` for `hard_cap`, written `""`).
@@ -177,7 +177,7 @@ impl TaskView {
             .map(|t| TaskView {
                 job: t.id.job.0,
                 index: t.id.index,
-                job_name: Arc::clone(&t.job_name),
+                job_name: Name::clone(&t.job_name),
                 class: t.class,
                 threads: t.threads(),
             })
@@ -205,14 +205,14 @@ impl IncidentView {
                 target_job,
                 cpu_rate,
                 ..
-            } => ("hard_cap", Some(Arc::clone(target_job)), *cpu_rate, None),
+            } => ("hard_cap", Some(Name::clone(target_job)), *cpu_rate, None),
             IncidentAction::None { reason } => ("none", None, 0.0, Some(reason.clone())),
         };
         IncidentView {
             trace: inc.trace_id.to_string(),
             at_us: inc.at,
             machine: mi.machine.0,
-            victim_job: Arc::clone(&inc.victim_job),
+            victim_job: Name::clone(&inc.victim_job),
             victim_task: inc.victim.0,
             victim_cpi: inc.victim_cpi,
             cthreshold: inc.cthreshold,
@@ -224,7 +224,7 @@ impl IncidentView {
                 .suspects
                 .iter()
                 .map(|s| SuspectView {
-                    jobname: Arc::clone(&s.jobname),
+                    jobname: Name::clone(&s.jobname),
                     correlation: s.correlation,
                 })
                 .collect(),

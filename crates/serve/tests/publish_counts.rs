@@ -1,6 +1,7 @@
 //! The publisher's heap work, counted rather than timed: what a publish
 //! allocates must follow what changed, not the size of the fleet or of
-//! the tails it shares.
+//! the tails it shares; and what serving the published incidents
+//! allocates must follow the bytes it sends.
 //!
 //! A counting global allocator makes this file its own test binary. Each
 //! count is of `alloc` and `realloc` calls (blocks) and the bytes they
@@ -15,7 +16,7 @@ mod common;
 use cpi2::core::CpiSample;
 use cpi2_serve::chunked::CHUNK;
 use cpi2_serve::state::{MachineRow, SAMPLE_TAIL};
-use cpi2_serve::ServeHarness;
+use cpi2_serve::{Request, Router, ServeHarness};
 
 struct Counting;
 
@@ -125,4 +126,43 @@ fn appending_samples_costs_what_is_appended_not_the_tail() {
             1 + started
         );
     }
+}
+
+#[test]
+fn an_incidents_response_allocates_a_chunk_per_incident() {
+    let mut sh = warm(12);
+    // An hour more of the thrasher: a log of incidents to serve.
+    for _ in 0..3_600 {
+        sh.tick();
+    }
+    sh.publish();
+    let snap = sh.state().live.snapshot();
+    let n = snap.incidents.len();
+    assert!(n >= 20, "{n} incidents");
+    // The array's bytes: each incident's JSON and the comma before it,
+    // less the first comma, and the brackets.
+    let json: usize = snap.incidents.iter().map(|inc| inc.json.len() + 1).sum();
+    let router = Router::new(sh.state());
+    let request = Request {
+        method: "GET".into(),
+        path: "/incidents".into(),
+        ..Request::default()
+    };
+    let mut sent = 0;
+    let (blocks, bytes) = counted(|| {
+        let response = router.handle(&request);
+        assert_eq!(response.status, 200);
+        let cpi2_serve::http::Body::Chunks(chunks) = response.body else {
+            panic!("/incidents streams its array");
+        };
+        for chunk in chunks {
+            sent += chunk.len();
+        }
+    });
+    assert_eq!(sent, json + 1);
+    // A chunk per incident, one per bracket and the boxed producer: the
+    // published JSON is copied once, into the chunk that sends it.
+    assert_eq!(blocks, n + 3);
+    let producer = bytes - json - 2;
+    assert!(producer <= 256, "{bytes} B for {sent} B sent");
 }

@@ -13,6 +13,7 @@ use crate::scheduler::{PlacementError, Scheduler};
 use crate::task::{TaskInstance, TaskModel};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent};
+use cpi2_stats::Name;
 use cpi2_telemetry::{Counter, Histo, Telemetry};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -103,6 +104,9 @@ impl SimMetrics {
 
 struct JobInfo {
     spec: JobSpec,
+    /// `spec.name`, allocated once at submit and shared by every task
+    /// placed since.
+    name: Name,
     factory: ModelFactory,
     restart_on_exit: bool,
     /// task index → (machine, cache footprint the scheduler accounted).
@@ -270,6 +274,7 @@ impl Cluster {
         self.jobs.insert(
             job,
             JobInfo {
+                name: Name::from(spec.name.as_str()),
                 spec,
                 factory,
                 restart_on_exit,
@@ -328,7 +333,7 @@ impl Cluster {
         )?;
         self.machines[machine.0 as usize].add_task(
             TaskInstance { id: task, model },
-            spec.name.clone(),
+            info.name.clone(),
             spec.class,
             spec.priority,
         );

@@ -20,9 +20,9 @@ use crate::platform::Platform;
 use crate::task::{TaskAction, TaskInstance, TaskModel, TickOutcome};
 use crate::time::{SimDuration, SimTime};
 use cpi2_stats::rng::SimRng;
+use cpi2_stats::Name;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// Unique machine identifier within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -44,7 +44,7 @@ pub struct ResidentTask {
     pub id: TaskId,
     /// Owning job's name (the `jobname` of CPI sample records): allocated
     /// once when the task is placed, then shared by every record about it.
-    pub job_name: Arc<str>,
+    pub job_name: Name,
     /// Scheduling class (drives throttle eligibility).
     pub class: SchedClass,
     /// Priority band.
@@ -176,7 +176,7 @@ impl Machine {
     pub fn add_task(
         &mut self,
         instance: TaskInstance,
-        job_name: impl Into<Arc<str>>,
+        job_name: impl Into<Name>,
         class: SchedClass,
         priority: Priority,
     ) {

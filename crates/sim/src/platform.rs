@@ -5,15 +5,15 @@
 //! platform a job runs on" (§3.1). A [`Platform`] captures the parameters
 //! the interference model and counter emulation need.
 
+use cpi2_stats::Name;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Description of one machine hardware platform (CPU type).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Platform {
     /// Platform name, e.g. `"westmere-2.6GHz"`; the `platforminfo` string
     /// in CPI sample records, shared by every record the machine yields.
-    pub name: Arc<str>,
+    pub name: Name,
     /// Number of hardware contexts (CPUs) on the machine.
     pub cores: u32,
     /// Reference clock in cycles per second (the `CPU_CLK_UNHALTED.REF`

@@ -15,6 +15,8 @@
 //!   is reproducible.
 //! * [`timeseries`] — time-aligned windows for the §4.2 antagonist
 //!   correlation, one value a point.
+//! * [`name`] — [`Name`], the shared job and platform string every
+//!   record of the detection chain carries.
 
 #![warn(missing_docs)]
 
@@ -23,6 +25,7 @@ pub mod distribution;
 pub mod ewma;
 pub mod fit;
 pub mod histogram;
+pub mod name;
 pub mod optimize;
 pub mod rng;
 pub mod special;
@@ -36,6 +39,7 @@ pub use fit::{
     compare_fits, fit_gamma, fit_gev, fit_gev_mle, fit_lognormal, fit_normal, ks_p_value,
 };
 pub use histogram::{Ecdf, Histogram};
+pub use name::Name;
 pub use optimize::nelder_mead;
 pub use rng::SimRng;
 pub use summary::RunningStats;

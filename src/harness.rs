@@ -7,7 +7,7 @@
 //! agent hard-cap commands are executed against the machine's cgroups.
 
 use cpi2_core::{
-    Agent, AgentCommand, Cpi2Config, CpiSample, CpiSpec, Incident, IncidentAction, TaskClass,
+    Agent, AgentCommand, Cpi2Config, CpiSample, CpiSpec, Incident, IncidentAction, Name, TaskClass,
     TaskHandle, TraceId, TraceLog, TraceSpan, TraceStage,
 };
 use cpi2_perf::{ClusterSampler, CounterReading};
@@ -17,7 +17,6 @@ use cpi2_sim::{
 };
 use cpi2_telemetry::{Counter, Telemetry};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// Converts a simulator task id into the agent-facing opaque handle.
 pub fn handle_for(task: TaskId) -> TaskHandle {
@@ -669,8 +668,8 @@ impl Cpi2Harness {
 fn to_sample(r: &CounterReading, class: TaskClass) -> CpiSample {
     CpiSample {
         task: handle_for(r.task),
-        jobname: Arc::clone(&r.job_name),
-        platforminfo: Arc::clone(&r.platform),
+        jobname: Name::clone(&r.job_name),
+        platforminfo: Name::clone(&r.platform),
         timestamp: r.timestamp.as_us(),
         cpu_usage: r.cpu_usage,
         cpi: r.cpi.unwrap_or(0.0),
