@@ -162,8 +162,9 @@ pub struct CpiSample {
     pub cpu_usage: f64,
     /// Cycles per instruction over the window.
     pub cpi: f64,
-    /// L3 misses per kilo-instruction (auxiliary, may be zero if the
-    /// collector does not gather it).
+    /// L3 misses per kilo-instruction. Nothing in detection reads it; it
+    /// is kept only because the benchmark's own reading → sample
+    /// conversion copies it.
     pub l3_mpki: f64,
     /// Scheduling class of the task.
     pub class: TaskClass,

@@ -10,17 +10,6 @@
 use cpi2_sim::{CounterBlock, Machine, TaskId};
 use cpi2_stats::Name;
 
-/// One task's counter snapshot plus identity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskCounters {
-    /// The task.
-    pub task: TaskId,
-    /// Owning job's name.
-    pub job_name: Name,
-    /// Monotonic counters as of the snapshot.
-    pub counters: CounterBlock,
-}
-
 /// A source of per-cgroup hardware counters for one machine.
 pub trait CounterSource {
     /// Stable identifier of this machine (staggers sampling phases).
@@ -30,22 +19,10 @@ pub trait CounterSource {
     /// as the shared handle every reading of this source clones.
     fn platform_name(&self) -> &Name;
 
-    /// Cost of one counter save/restore on an inter-cgroup context
-    /// switch, in microseconds.
-    fn counter_switch_us(&self) -> f64;
-
-    /// Snapshot of every resident task's counters (each task once).
-    fn snapshot(&self) -> Vec<TaskCounters>;
-
-    /// Visits every resident task — id, owning job's name, counters — in
-    /// [`CounterSource::snapshot`]'s order. This is what the sampler calls
-    /// at a window edge; a backend that can lend these overrides it so an
-    /// edge builds no owned snapshot it would only read and drop.
-    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Name, &CounterBlock)) {
-        for tc in self.snapshot() {
-            visit(tc.task, &tc.job_name, &tc.counters);
-        }
-    }
+    /// Visits every resident task once — id, owning job's name, monotonic
+    /// counters — in an order that stays put while the tasks do. The
+    /// sampler calls it at both edges of a counting window.
+    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Name, &CounterBlock));
 }
 
 impl CounterSource for Machine {
@@ -55,20 +32,6 @@ impl CounterSource for Machine {
 
     fn platform_name(&self) -> &Name {
         &self.platform.name
-    }
-
-    fn counter_switch_us(&self) -> f64 {
-        self.platform.counter_switch_us
-    }
-
-    fn snapshot(&self) -> Vec<TaskCounters> {
-        self.tasks()
-            .map(|t| TaskCounters {
-                task: t.id,
-                job_name: Name::clone(&t.job_name),
-                counters: *t.cgroup.counters(),
-            })
-            .collect()
     }
 
     fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Name, &CounterBlock)) {
@@ -105,10 +68,14 @@ mod tests {
         let src: &dyn CounterSource = &m;
         assert_eq!(src.source_id(), 3);
         assert_eq!(&**src.platform_name(), "sandybridge-2.2GHz");
-        assert!(src.counter_switch_us() > 0.0);
-        let snap = src.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(&*snap[0].job_name, "svc");
-        assert!(snap[0].counters.instructions > 0.0);
+        let mut seen = Vec::new();
+        src.visit_counters(&mut |task, job_name, counters| {
+            seen.push((task, job_name.to_string(), counters.instructions));
+        });
+        assert_eq!(seen.len(), 1);
+        let (task, job_name, instructions) = &seen[0];
+        assert_eq!(task.job, JobId(1));
+        assert_eq!(job_name, "svc");
+        assert!(*instructions > 0.0);
     }
 }

@@ -1,10 +1,9 @@
 //! Hardware performance-counter layer for the CPI² reproduction.
 //!
 //! Models §3.1 of the paper: per-cgroup counting-mode collection of
-//! `CPU_CLK_UNHALTED.REF` and `INSTRUCTIONS_RETIRED` (plus the cache-miss
-//! counters used by the Fig. 15(c) analysis), sampled 10 seconds out of
-//! every minute by a per-machine daemon, with save/restore overhead charged
-//! per inter-cgroup context switch.
+//! `CPU_CLK_UNHALTED.REF` and `INSTRUCTIONS_RETIRED` (plus L3 misses),
+//! sampled 10 seconds out of every minute by a per-machine daemon, each
+//! window closing into one §3.1 record per task.
 //!
 //! The [`sampler::MachineSampler`] reads cgroup counters maintained by
 //! `cpi2-sim`; on real hardware the same schedule would sit on top of
@@ -19,6 +18,6 @@ pub mod linux;
 pub mod reading;
 pub mod sampler;
 
-pub use backend::{CounterSource, TaskCounters};
+pub use backend::CounterSource;
 pub use reading::CounterReading;
 pub use sampler::{ClusterSampler, MachineSampler, SamplerConfig};

@@ -12,7 +12,7 @@
 //! seccomp, VMs without a PMU); every entry point reports errors instead
 //! of panicking, and tests skip when counters cannot be opened.
 
-use crate::backend::{CounterSource, TaskCounters};
+use crate::backend::CounterSource;
 use cpi2_sim::{CounterBlock, JobId, TaskId};
 use cpi2_stats::Name;
 use std::io;
@@ -218,11 +218,7 @@ impl CounterSource for SelfCounterSource {
         &self.platform
     }
 
-    fn counter_switch_us(&self) -> f64 {
-        2.0
-    }
-
-    fn snapshot(&self) -> Vec<TaskCounters> {
+    fn visit_counters(&self, visit: &mut dyn FnMut(TaskId, &Name, &CounterBlock)) {
         let cycles = self.cycles.read().unwrap_or(0) as f64;
         let instructions = self.instructions.read().unwrap_or(0) as f64;
         let misses = self
@@ -230,22 +226,20 @@ impl CounterSource for SelfCounterSource {
             .as_ref()
             .and_then(|c| c.read().ok())
             .unwrap_or(0) as f64;
-        vec![TaskCounters {
-            task: TaskId {
-                job: JobId(0),
-                index: 0,
-            },
-            job_name: Name::clone(&self.job_name),
-            counters: CounterBlock {
-                cycles,
-                instructions,
-                l2_misses: 0.0,
-                l3_misses: misses,
-                mem_lines: misses,
-                context_switches: 0,
-                cpu_time_us: Self::cpu_time_us(),
-            },
-        }]
+        let task = TaskId {
+            job: JobId(0),
+            index: 0,
+        };
+        let counters = CounterBlock {
+            cycles,
+            instructions,
+            l2_misses: 0.0,
+            l3_misses: misses,
+            mem_lines: misses,
+            context_switches: 0,
+            cpu_time_us: Self::cpu_time_us(),
+        };
+        visit(task, &self.job_name, &counters);
     }
 }
 
@@ -268,9 +262,15 @@ mod tests {
             eprintln!("perf_event unavailable in this environment; skipping");
             return;
         };
-        let before = source.snapshot()[0].counters;
+        let counters = || {
+            let mut seen = Vec::new();
+            source.visit_counters(&mut |_, _, c| seen.push(*c));
+            assert_eq!(seen.len(), 1, "the process is one task");
+            seen[0]
+        };
+        let before = counters();
         std::hint::black_box(burn());
-        let after = source.snapshot()[0].counters;
+        let after = counters();
         let d = after.delta(&before);
         assert!(d.instructions > 1e6, "instructions {}", d.instructions);
         assert!(d.cycles > 0.0);

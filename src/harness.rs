@@ -347,7 +347,7 @@ impl Cpi2Harness {
         // agent daemon down with it; a bare agent restart loses the
         // agent's in-memory state (violation windows, spec cache) while
         // resident tasks keep running.
-        if let Some(plan) = self.fault_plan.clone() {
+        if let Some(plan) = &self.fault_plan {
             let machine_count = self.cluster.machines().len();
             for i in 0..machine_count {
                 let machine_id = self.cluster.machines()[i].id;
