@@ -379,7 +379,9 @@ fn an_agent_holds_its_resident_tasks_in_bytes() {
 
 /// A record pays one pointer a name. With fat `Arc<str>` names a sample
 /// was 80 B, a suspect 48 B, an incident 128 B and a reading 120 B. A
-/// reading is the §3.1 record plus L3 MPKI, and nothing more.
+/// reading is the §3.1 record plus L3 MPKI, and nothing more; the
+/// simulator's counter block is the five counters something reads (it
+/// was 56 B with L2 misses and memory lines).
 #[test]
 fn records_hold_a_pointer_per_name() {
     use std::mem::size_of;
@@ -388,6 +390,7 @@ fn records_hold_a_pointer_per_name() {
     assert_eq!(size_of::<Suspect>(), 40);
     assert_eq!(size_of::<cpi2_core::Incident>(), 112);
     assert_eq!(size_of::<cpi2_perf::CounterReading>(), 64);
+    assert_eq!(size_of::<cpi2_sim::CounterBlock>(), 40);
 }
 
 #[test]

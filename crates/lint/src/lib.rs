@@ -89,13 +89,11 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
         determinism(&mut rs);
         rs.locks = true;
         rs.metric_name = true;
-        if rel.ends_with("/cluster.rs") || rel.ends_with("/pool.rs") {
-            // Telemetry-gated phase timing: wall time is read only to be
-            // *reported*, never committed to sim state.
-            rs.clock_line_allow = vec!["measure.then(Instant::now)", "use std::time::Instant"];
-        }
         if rel.ends_with("/pool.rs") {
-            // The worker pool is the one sanctioned spawn site.
+            // Telemetry-gated worker timing: wall time is read only to be
+            // *reported*, never committed to sim state. The worker pool is
+            // also the one sanctioned spawn site.
+            rs.clock_line_allow = vec!["measure.then(Instant::now)", "use std::time::Instant"];
             rs.spawn_allowed = true;
         }
     } else if rel.starts_with("crates/core/") {
@@ -419,9 +417,13 @@ mod tests {
         let pool = ruleset_for("crates/sim/src/pool.rs").expect("pool in scope");
         assert!(pool.spawn_allowed);
         assert!(!pool.clock_line_allow.is_empty());
-        let machine = ruleset_for("crates/sim/src/machine.rs").expect("machine in scope");
-        assert!(!machine.spawn_allowed);
-        assert!(machine.clock_line_allow.is_empty());
+        for strict in ["crates/sim/src/machine.rs", "crates/sim/src/cluster.rs"] {
+            let rs = ruleset_for(strict).expect("sim in scope");
+            assert!(
+                !rs.spawn_allowed && rs.clock_line_allow.is_empty(),
+                "{strict}"
+            );
+        }
     }
 
     #[test]

@@ -47,6 +47,18 @@ pub(crate) struct FnLocks {
 
 const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
 
+/// Tokens in `.unwrap_or_else(PoisonError::into_inner)`, `std::sync`'s
+/// poison-ignoring unwrap: after a lock call it yields the guard itself.
+pub(crate) const UNPOISON_TOKENS: usize = 8;
+
+/// True if the [`UNPOISON_TOKENS`] tokens from `j` spell that unwrap.
+pub(crate) fn unpoison_at(toks: &[Tok], j: usize) -> bool {
+    toks.get(j..j + UNPOISON_TOKENS).is_some_and(|ts| {
+        ts.iter().map(|t| t.text.as_str()).collect::<String>()
+            == ".unwrap_or_else(PoisonError::into_inner)"
+    })
+}
+
 /// True if tokens at `i` form `. lock ( )` (no arguments) and `i` is the
 /// method name.
 fn lock_call_at(toks: &[Tok], i: usize) -> bool {
@@ -131,6 +143,9 @@ pub(crate) fn fn_locks(model: &FileModel, parsed: &ParsedFile, fn_idx: usize) ->
                 held,
             ));
             let mut j = i + 3;
+            if unpoison_at(toks, j) {
+                j += UNPOISON_TOKENS;
+            }
             while j < end && toks[j].is_punct('?') {
                 j += 1;
             }
@@ -414,6 +429,19 @@ mod tests {
             "propagated edge names both sites: {}",
             out[0].message
         );
+    }
+
+    #[test]
+    fn a_std_guard_unwrapped_past_poison_is_held_too() {
+        let src = "impl S {\n\
+             fn a(&self) { let g = self.x.lock().unwrap_or_else(PoisonError::into_inner); \
+             let h = self.y.lock().unwrap_or_else(PoisonError::into_inner); }\n\
+             fn b(&self) { let g = self.y.lock().unwrap_or_else(PoisonError::into_inner); \
+             let h = self.x.lock().unwrap_or_else(PoisonError::into_inner); }\n\
+             }";
+        let out = run(&[analyze("s.rs", src)]);
+        assert_eq!(out.len(), 1, "{out:#?}");
+        assert_eq!(out[0].rule, Rule::LockCycle);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! DESIGN.md §8.
 
 use crate::lexer::{Tok, TokKind};
+use crate::lockorder;
 use crate::model::FileModel;
 
 /// One `fn` definition.
@@ -242,8 +243,8 @@ pub fn parse(model: &FileModel) -> ParsedFile {
     out
 }
 
-/// Std types — and the vendored `parking_lot` locks — whose methods no
-/// workspace inherent impl can add to (`[]`: slices, arrays, tuples).
+/// Std types, locks included, whose methods no workspace inherent impl
+/// can add to (`[]`: slices, arrays, tuples).
 pub const STD_TYPES: [&str; 26] = [
     "String", "str", "Vec", "VecDeque", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Option",
     "Result", "Mutex", "RwLock", "RefCell", "Cell", "Duration", "[]", "u8", "u32", "u64", "usize",
@@ -314,7 +315,11 @@ impl<'a> Types<'a> {
         let mut steps = Vec::new();
         let (mut ty, start) = loop {
             let tok = toks.get(e)?;
-            if e >= 3 && at(e, ')') && at(e - 1, '(') && at(e - 3, '.') {
+            let unpoison = e.checked_sub(lockorder::UNPOISON_TOKENS - 1);
+            if let Some(s) = unpoison.filter(|&s| lockorder::unpoison_at(toks, s)) {
+                // A poison-ignoring unwrap is the guard it unwraps.
+                e = s.checked_sub(1)?;
+            } else if e >= 3 && at(e, ')') && at(e - 1, '(') && at(e - 3, '.') {
                 steps.push(toks[e - 2].text.as_str());
                 e = e.checked_sub(4)?;
             } else if at(e, ')') || at(e, ']') {
@@ -991,6 +996,25 @@ mod tests {
             ("get", None),              // inside its own `let`
         ];
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn a_guard_unwrapped_past_poison_keeps_its_type() {
+        let p = parse_src(
+            "struct Q { items: Mutex<VecDeque<u64>> }\n\
+             impl Q {\n\
+             fn f(&self) {\n\
+               let g = self.items.lock().unwrap_or_else(PoisonError::into_inner); g.len();\n\
+               self.items.lock().unwrap_or_else(PoisonError::into_inner).len();\n\
+             }\n}",
+        );
+        let lens: Vec<Option<&str>> = p
+            .calls
+            .iter()
+            .filter(|c| c.name == "len")
+            .map(|c| c.receiver.as_deref())
+            .collect();
+        assert_eq!(lens, [Some("VecDeque"), Some("VecDeque")]);
     }
 
     #[test]

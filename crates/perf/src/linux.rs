@@ -233,9 +233,7 @@ impl CounterSource for SelfCounterSource {
         let counters = CounterBlock {
             cycles,
             instructions,
-            l2_misses: 0.0,
             l3_misses: misses,
-            mem_lines: misses,
             context_switches: 0,
             cpu_time_us: Self::cpu_time_us(),
         };

@@ -10,10 +10,11 @@
 use crate::aggregator::Aggregator;
 use cpi2_core::CpiSample;
 use cpi2_telemetry::{Counter, Gauge, Telemetry};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+// Poison is ignored: a holder pushes or pops whole batches, so the queue stays whole.
+use std::sync::{Mutex, PoisonError};
 
 /// The bounded FIFO of sample batches between the agents' handles and
 /// the collector. Never blocks: a push at capacity hands the batch back.
@@ -25,7 +26,7 @@ struct Queue {
 
 impl Queue {
     fn try_push(&self, batch: Vec<CpiSample>) -> Result<(), Vec<CpiSample>> {
-        let mut items = self.items.lock();
+        let mut items = self.items.lock().unwrap_or_else(PoisonError::into_inner);
         if items.len() >= self.capacity {
             return Err(batch);
         }
@@ -36,11 +37,13 @@ impl Queue {
     /// The lock is released on return, so a drain never holds it while
     /// the aggregator ingests.
     fn pop(&self) -> Option<Vec<CpiSample>> {
-        self.items.lock().pop_front()
+        let mut items = self.items.lock().unwrap_or_else(PoisonError::into_inner);
+        items.pop_front()
     }
 
     fn len(&self) -> usize {
-        self.items.lock().len()
+        let items = self.items.lock().unwrap_or_else(PoisonError::into_inner);
+        items.len()
     }
 }
 

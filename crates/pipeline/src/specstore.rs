@@ -15,9 +15,10 @@
 
 use cpi2_core::{CpiSpec, JobKey};
 use cpi2_telemetry::{Counter, Histo, Telemetry};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+// Poison is ignored: a publish builds its snapshot before it swaps it in.
+use std::sync::{Mutex, PoisonError};
 
 /// How many past snapshots the store retains for [`SpecStore::lagged_snapshot`]
 /// (fault injection serves reads from a bounded distance behind head).
@@ -133,8 +134,9 @@ impl SpecStore {
 
     /// The current snapshot, for lock-free reading.
     pub fn snapshot(&self) -> SpecSnapshot {
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         SpecSnapshot {
-            inner: Arc::clone(&self.state.lock().current),
+            inner: Arc::clone(&state.current),
         }
     }
 
@@ -152,7 +154,7 @@ impl SpecStore {
     /// stamp to age their cached copies ([`SpecSnapshot::changed_since_with_age`]).
     /// Returns the new version.
     pub fn publish_at(&self, specs: Vec<CpiSpec>, now_us: i64) -> u64 {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut next = Inner {
             version: state.current.version + 1,
             specs: state.current.specs.clone(),
@@ -228,7 +230,7 @@ impl SpecStore {
     /// injection uses this to model a distribution replica serving stale
     /// state; the returned snapshot is internally coherent either way.
     pub fn lagged_snapshot(&self, lag: usize) -> SpecSnapshot {
-        let state = self.state.lock();
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let inner = match state.history.len().checked_sub(lag + 1) {
             Some(idx) => &state.history[idx],
             None => state.history.front().unwrap_or(&state.current),

@@ -20,12 +20,13 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+// Poison is ignored: a holder swaps one pointer or moves whole actions.
+use std::sync::{Mutex, PoisonError};
 
 use cpi2::core::{CpiSample, CpiSpec, IncidentAction, Name, NoActionReason, TraceId, TraceSpan};
 use cpi2::harness::MachineIncident;
 use cpi2::sim::{Machine, SchedClass};
 use cpi2::telemetry::Telemetry;
-use parking_lot::Mutex;
 use serde::{Serialize, Value};
 
 use crate::chunked::Chunked;
@@ -364,12 +365,15 @@ impl LiveState {
     /// Makes `snap` what every later [`snapshot`](Self::snapshot) returns.
     pub fn publish(&self, snap: LiveSnapshot) {
         let next = Arc::new(snap);
-        let _displaced = std::mem::replace(&mut *self.current.lock(), next);
+        let _displaced = std::mem::replace(
+            &mut *self.current.lock().unwrap_or_else(PoisonError::into_inner),
+            next,
+        );
     }
 
     /// The current snapshot: one `Arc` clone, whatever the tick rate.
     pub fn snapshot(&self) -> Arc<LiveSnapshot> {
-        Arc::clone(&self.current.lock())
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publishes a reader would have to replay to reach the current
@@ -427,13 +431,17 @@ pub struct ActionQueue {
 impl ActionQueue {
     /// Enqueues an action; returns its 1-based acceptance sequence number.
     pub fn push(&self, action: OperatorAction) -> u64 {
-        self.q.lock().push_back(action);
+        self.q
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back(action);
         self.accepted.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Takes every queued action, FIFO order.
     pub fn drain(&self) -> Vec<OperatorAction> {
-        self.q.lock().drain(..).collect()
+        let mut q = self.q.lock().unwrap_or_else(PoisonError::into_inner);
+        q.drain(..).collect()
     }
 
     /// Actions accepted since boot.
@@ -443,7 +451,7 @@ impl ActionQueue {
 
     /// Actions currently awaiting a tick.
     pub fn pending(&self) -> usize {
-        self.q.lock().len()
+        self.q.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 }
 

@@ -23,12 +23,8 @@ pub struct CounterBlock {
     pub cycles: f64,
     /// Instructions retired.
     pub instructions: f64,
-    /// L2 cache misses.
-    pub l2_misses: f64,
     /// L3 (last-level) cache misses.
     pub l3_misses: f64,
-    /// Memory controller requests (cache lines transferred).
-    pub mem_lines: f64,
     /// Inter-cgroup context switches involving this cgroup.
     pub context_switches: u64,
     /// CPU time consumed, in microseconds (CPU-µs, may exceed wall time on
@@ -47,9 +43,7 @@ impl CounterBlock {
         CounterBlock {
             cycles: self.cycles - earlier.cycles,
             instructions: self.instructions - earlier.instructions,
-            l2_misses: self.l2_misses - earlier.l2_misses,
             l3_misses: self.l3_misses - earlier.l3_misses,
-            mem_lines: self.mem_lines - earlier.mem_lines,
             context_switches: self
                 .context_switches
                 .saturating_sub(earlier.context_switches),
@@ -163,9 +157,7 @@ impl Cgroup {
     pub fn charge(&mut self, block: &CounterBlock) {
         self.counters.cycles += block.cycles;
         self.counters.instructions += block.instructions;
-        self.counters.l2_misses += block.l2_misses;
         self.counters.l3_misses += block.l3_misses;
-        self.counters.mem_lines += block.mem_lines;
         self.counters.context_switches += block.context_switches;
         self.counters.cpu_time_us += block.cpu_time_us;
     }
@@ -251,7 +243,6 @@ mod tests {
             l3_misses: 1.0,
             context_switches: 2,
             cpu_time_us: 100.0,
-            ..Default::default()
         };
         g.charge(&block);
         g.charge(&block);

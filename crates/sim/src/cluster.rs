@@ -14,9 +14,8 @@ use crate::task::{TaskInstance, TaskModel};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent};
 use cpi2_stats::Name;
-use cpi2_telemetry::{Counter, Histo, Telemetry};
+use cpi2_telemetry::{Counter, Telemetry};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Factory producing a fresh behaviour model for task `index` of a job.
 ///
@@ -48,10 +47,10 @@ pub struct ClusterConfig {
     /// Defaults to `1`: the pool has not measured a speedup at any fleet
     /// size the benchmark runs.
     pub parallelism: usize,
-    /// Telemetry sink for simulator metrics (tick counts, per-phase
-    /// durations, CFS throttle events, worker-pool utilization). The
-    /// default is a disabled no-op handle: metric calls cost one branch
-    /// and wall clocks are never read.
+    /// Telemetry sink for simulator metrics (tick counts, CFS throttle
+    /// events, worker-pool utilization). The default is a disabled no-op
+    /// handle: metric calls cost one branch and wall clocks are never
+    /// read. The tick's wall time is the harness's `sim.step` seam.
     pub telemetry: Telemetry,
 }
 
@@ -73,10 +72,6 @@ impl Default for ClusterConfig {
 struct SimMetrics {
     /// Ticks executed (`Cluster::step` calls).
     ticks: Counter,
-    /// Wall-clock µs of the parallel per-machine phase of each tick.
-    phase_machines: Histo,
-    /// Wall-clock µs of the serial commit phase of each tick.
-    phase_commit: Histo,
     /// CFS-bandwidth throttle events: machine ticks where the cgroup
     /// model granted less CPU than tasks wanted.
     throttle_events: Counter,
@@ -88,17 +83,9 @@ impl SimMetrics {
     fn new(telemetry: &Telemetry) -> SimMetrics {
         SimMetrics {
             ticks: telemetry.counter("cpi_sim_ticks_total", &[]),
-            phase_machines: telemetry
-                .histogram("cpi_sim_tick_phase_duration_us", &[("phase", "machines")]),
-            phase_commit: telemetry
-                .histogram("cpi_sim_tick_phase_duration_us", &[("phase", "commit")]),
             throttle_events: telemetry.counter("cpi_sim_throttle_events_total", &[]),
             pool: crate::pool::PoolMetrics::new(telemetry),
         }
-    }
-
-    fn enabled(&self) -> bool {
-        self.ticks.enabled()
     }
 }
 
@@ -527,9 +514,7 @@ impl Cluster {
         // seed.
         let dt = self.config.tick;
         let now = self.now;
-        let measure = self.metrics.enabled();
         self.metrics.ticks.inc();
-        let phase_start = measure.then(Instant::now);
         let workers = self
             .config
             .parallelism
@@ -558,16 +543,7 @@ impl Cluster {
             );
         }
         self.now += dt;
-        let phase_start = phase_start.map(|t| {
-            self.metrics
-                .phase_machines
-                .record(t.elapsed().as_secs_f64() * 1e6);
-            // lint: allow(clock) — telemetry-gated phase timing; the value
-            // is only ever recorded to a histogram, never committed to
-            // sim state.
-            Instant::now()
-        });
-        if measure {
+        if self.metrics.ticks.enabled() {
             // Telemetry is observational only: the throttle tally reads the
             // machines' own deterministic counters and never feeds back.
             let total: u64 = self.machines.iter().map(Machine::throttle_events).sum();
@@ -611,11 +587,6 @@ impl Cluster {
             self.respawn(exit.id, machine);
         }
         self.exit_scratch = all_exits;
-        if let Some(t) = phase_start {
-            self.metrics
-                .phase_commit
-                .record(t.elapsed().as_secs_f64() * 1e6);
-        }
     }
 
     /// Runs the cluster for a duration (whole ticks).
@@ -834,7 +805,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_ticks_phases_and_throttles() {
+    fn telemetry_counts_ticks_and_throttles() {
         let telemetry = Telemetry::enabled();
         let mut c = Cluster::new(ClusterConfig {
             telemetry: telemetry.clone(),
@@ -854,14 +825,6 @@ mod tests {
         c.run_for(SimDuration::from_secs(5));
         let text = telemetry.prometheus_text().unwrap();
         assert!(text.contains("cpi_sim_ticks_total 5"), "{text}");
-        assert!(
-            text.contains("cpi_sim_tick_phase_duration_us{phase=\"machines\",quantile=\"0.5\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("cpi_sim_tick_phase_duration_us{phase=\"commit\",quantile=\"0.5\"}"),
-            "{text}"
-        );
         let throttles: u64 = c.machines().iter().map(Machine::throttle_events).sum();
         assert!(throttles > 0, "oversubscribed fleet must throttle");
         assert!(

@@ -430,9 +430,7 @@ impl Machine {
             let block = CounterBlock {
                 cycles,
                 instructions,
-                l2_misses: l3 * 2.5,
                 l3_misses: l3,
-                mem_lines: l3 * 1.1,
                 context_switches: (t.threads as f64
                     * CTX_SWITCHES_PER_THREAD_SEC
                     * dt_sec

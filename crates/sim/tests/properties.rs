@@ -261,9 +261,7 @@ proptest! {
             g.charge(&cpi2_sim::CounterBlock {
                 cycles,
                 instructions,
-                l2_misses: l3 * 2.0,
                 l3_misses: l3,
-                mem_lines: l3,
                 context_switches: switches,
                 cpu_time_us: cpu_us,
             });
@@ -664,9 +662,7 @@ fn tick_state(cluster: &Cluster) -> Vec<Vec<u64>> {
                 row.extend([
                     c.cycles.to_bits(),
                     c.instructions.to_bits(),
-                    c.l2_misses.to_bits(),
                     c.l3_misses.to_bits(),
-                    c.mem_lines.to_bits(),
                     c.context_switches,
                     c.cpu_time_us.to_bits(),
                 ]);

@@ -12,7 +12,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+// Poison is ignored: a holder pops and pushes whole, encoded events.
+use std::sync::{Mutex, PoisonError};
 
 /// Default number of events retained by the ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
@@ -62,7 +63,7 @@ impl EventRing {
         // Encoded before the lock is taken: a reader waits for a push of
         // two pointers, not for an escaper.
         let json = crate::export::event_json(&event);
-        let mut state = self.inner.lock();
+        let mut state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if state.buf.len() == state.capacity {
             state.buf.pop_front();
         }
@@ -72,13 +73,13 @@ impl EventRing {
 
     /// Snapshot of retained events, oldest first.
     pub(crate) fn snapshot(&self) -> Vec<Event> {
-        let state = self.inner.lock();
+        let state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         state.buf.iter().map(|(e, _)| e.clone()).collect()
     }
 
     /// The retained events' JSON objects, oldest first (shared, not copied).
     pub(crate) fn snapshot_json(&self) -> Vec<Arc<str>> {
-        let state = self.inner.lock();
+        let state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         state.buf.iter().map(|(_, json)| Arc::clone(json)).collect()
     }
 
@@ -138,7 +139,11 @@ mod tests {
     fn json_export_does_not_wait_for_the_ring() {
         let reg = crate::registry::Registry::new();
         reg.events.push(ev("t", 0));
-        let held = reg.events.inner.lock();
+        let held = reg
+            .events
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             let reg = &reg;

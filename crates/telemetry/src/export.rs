@@ -19,6 +19,8 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+// Poison is ignored: `registry` inserts a series in one map call.
+use std::sync::PoisonError;
 
 use serde::Number;
 
@@ -139,7 +141,7 @@ fn prom_family<C, const H: usize>(
     kind: &str,
     series_lines: fn(&mut String, &Series<C, H>),
 ) {
-    let family = family.lock();
+    let family = family.lock().unwrap_or_else(PoisonError::into_inner);
     let mut last_name = "";
     for ((name, _), series) in family.iter() {
         if last_name != name {
@@ -206,7 +208,8 @@ fn json_family<C, const H: usize>(
     family: &Family<C, H>,
     value: fn(&mut String, &C),
 ) {
-    for (i, series) in family.lock().values().enumerate() {
+    let family = family.lock().unwrap_or_else(PoisonError::into_inner);
+    for (i, series) in family.values().enumerate() {
         if i > 0 {
             out.push(',');
         }

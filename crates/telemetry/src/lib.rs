@@ -25,7 +25,7 @@
 //! (the parallelism-equivalence tests run with it enabled to prove this).
 //! Durations that describe *simulated* behaviour (e.g. detection latency)
 //! are recorded in sim-time microseconds and are therefore deterministic;
-//! wall-clock durations (tick-phase timings) are real measurements and
+//! wall-clock durations (the tick's seam timings) are real measurements and
 //! naturally vary run to run.
 //!
 //! # Example
@@ -35,9 +35,9 @@
 //!
 //! let tel = Telemetry::enabled();
 //! let ticks = tel.counter("cpi_sim_ticks_total", &[]);
-//! let phase = tel.histogram("cpi_sim_tick_phase_duration_us", &[("phase", "machines")]);
+//! let seam = tel.histogram("cpi_tick_seam_duration_us", &[("seam", "core.ingest")]);
 //! ticks.inc();
-//! phase.record(42.0);
+//! seam.record(42.0);
 //! tel.event("incident", || "victim job 3 capped".to_string());
 //! let text = tel.prometheus_text().unwrap();
 //! assert!(text.contains("cpi_sim_ticks_total 1"));

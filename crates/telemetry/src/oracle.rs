@@ -60,13 +60,13 @@ fn prometheus_text(reg: &Registry) -> String {
 
     let mut out = String::new();
     let mut last_family = String::new();
-    for ((name, labels), s) in reg.counters.lock().iter() {
+    for ((name, labels), s) in reg.counters.lock().unwrap().iter() {
         let cell = &s.cell;
         header(&mut out, &mut last_family, name, "counter");
         let _ = writeln!(out, "{name}{} {}", label_block(labels, None), cell.get());
     }
     last_family.clear();
-    for ((name, labels), s) in reg.gauges.lock().iter() {
+    for ((name, labels), s) in reg.gauges.lock().unwrap().iter() {
         let cell = &s.cell;
         header(&mut out, &mut last_family, name, "gauge");
         let _ = writeln!(
@@ -77,7 +77,7 @@ fn prometheus_text(reg: &Registry) -> String {
         );
     }
     last_family.clear();
-    for ((name, labels), s) in reg.histograms.lock().iter() {
+    for ((name, labels), s) in reg.histograms.lock().unwrap().iter() {
         let cell = &s.cell;
         header(&mut out, &mut last_family, name, "summary");
         if cell.count() > 0 {
@@ -119,6 +119,7 @@ fn json_snapshot(reg: &Registry) -> Value {
     let counters: Vec<(String, Value)> = reg
         .counters
         .lock()
+        .unwrap()
         .iter()
         .map(|(key, s)| {
             (
@@ -130,12 +131,14 @@ fn json_snapshot(reg: &Registry) -> Value {
     let gauges: Vec<(String, Value)> = reg
         .gauges
         .lock()
+        .unwrap()
         .iter()
         .map(|(key, s)| (series_name(key), json_f64(s.cell.get())))
         .collect();
     let histograms: Vec<(String, Value)> = reg
         .histograms
         .lock()
+        .unwrap()
         .iter()
         .map(|(key, s)| {
             let cell = &s.cell;

@@ -11,7 +11,8 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+// Poison is ignored: a series is inserted in one map call, never by halves.
+use std::sync::{Mutex, PoisonError};
 
 use crate::events::EventRing;
 use crate::export;
@@ -95,7 +96,7 @@ fn register<C: Default, const H: usize>(
     labels: &[(&str, &str)],
     heads: fn(&str, &Labels) -> [String; H],
 ) -> Arc<C> {
-    let mut family = family.lock();
+    let mut family = family.lock().unwrap_or_else(PoisonError::into_inner);
     let series = family
         .entry(series_key(name, labels))
         .or_insert_with_key(|(name, labels)| Series {

@@ -10,13 +10,14 @@ use cpi2_core::{
     Agent, AgentCommand, Cpi2Config, CpiSample, CpiSpec, Incident, IncidentAction, Name, TaskClass,
     TaskHandle, TraceId, TraceLog, TraceSpan, TraceStage,
 };
-use cpi2_perf::{ClusterSampler, CounterReading};
+use cpi2_perf::ClusterSampler;
 use cpi2_pipeline::{Aggregator, Collector, CollectorHandle, RetryQueue, SpecStore};
 use cpi2_sim::{
     Cluster, FaultPlan, JobId, MachineId, SchedClass, ShipmentFate, SimDuration, SimTime, TaskId,
 };
-use cpi2_telemetry::{Counter, Telemetry};
+use cpi2_telemetry::{Counter, Histo, Telemetry};
 use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
 /// Converts a simulator task id into the agent-facing opaque handle.
 pub fn handle_for(task: TaskId) -> TaskHandle {
@@ -72,6 +73,93 @@ impl FaultMetrics {
         }
     }
 }
+
+/// The seams of [`Cpi2Harness::step`] in the order they run, each one
+/// series of `cpi_tick_seam_duration_us` under the benchmark's span name.
+enum Seam {
+    Step,
+    Sim,
+    Poll,
+    ToSample,
+    SpecSync,
+    Ingest,
+    Bookkeep,
+    Offer,
+    Drain,
+    Cap,
+    Refresh,
+}
+
+const SEAM_LABELS: [&str; 11] = [
+    "harness.step",
+    "sim.step",
+    "perf.poll",
+    "harness.to_sample",
+    "pipeline.spec_sync",
+    "core.ingest",
+    "harness.bookkeep",
+    "pipeline.offer",
+    "pipeline.drain",
+    "sim.cap",
+    "pipeline.refresh",
+];
+
+/// The tick's wall clock. Seams tile the tick, so the clock is read once
+/// per boundary. A quiet poll is never timed alone: `perf.poll` sums the
+/// stretches between per-machine seams and is recorded once a tick. With
+/// telemetry off `last` stays `None`: a lap is one branch.
+#[derive(Default)]
+struct TickClock {
+    seams: [Histo; 11],
+    last: Option<Instant>,
+    /// µs this tick so far: all of it, and its polls.
+    step_us: f64,
+    poll_us: f64,
+}
+
+impl TickClock {
+    fn new(telemetry: &Telemetry) -> TickClock {
+        TickClock {
+            seams: SEAM_LABELS
+                .map(|seam| telemetry.histogram("cpi_tick_seam_duration_us", &[("seam", seam)])),
+            ..TickClock::default()
+        }
+    }
+
+    fn start(&mut self) {
+        self.last = self.seams[Seam::Step as usize].enabled().then(Instant::now);
+        (self.step_us, self.poll_us) = (0.0, 0.0);
+    }
+
+    /// Ends `seam` now.
+    fn lap(&mut self, seam: Seam) {
+        let Some(last) = self.last.as_mut() else {
+            return;
+        };
+        let now = Instant::now();
+        let us = now.duration_since(*last).as_secs_f64() * 1e6;
+        *last = now;
+        self.step_us += us;
+        match seam {
+            Seam::Poll => self.poll_us += us,
+            _ => self.seams[seam as usize].record(us),
+        }
+    }
+
+    /// Ends the tick: records its polls and its whole length.
+    fn end(&mut self) {
+        if self.last.is_some() {
+            self.seams[Seam::Poll as usize].record(self.poll_us);
+            self.seams[Seam::Step as usize].record(self.step_us);
+        }
+    }
+}
+
+/// A cap an agent asked for, applied at the end of the tick.
+type PendingCap = (TaskId, f64, SimTime, TraceId);
+
+/// What one batch made its machine's agent say: caps, incidents, spans.
+type Verdict = (Vec<AgentCommand>, Vec<Incident>, Vec<TraceSpan>);
 
 /// The assembled CPI² system over a simulated cluster.
 pub struct Cpi2Harness {
@@ -134,6 +222,7 @@ pub struct Cpi2Harness {
     /// when caps execute). Served by `cpi2-serve` at
     /// `GET /incidents/{id}/trace`.
     trace_log: TraceLog,
+    clock: TickClock,
 }
 
 impl Cpi2Harness {
@@ -171,6 +260,7 @@ impl Cpi2Harness {
         let mut retry_queue = RetryQueue::default();
         retry_queue.set_telemetry(&telemetry);
         let fault_metrics = FaultMetrics::new(&telemetry);
+        let clock = TickClock::new(&telemetry);
         let sampler = ClusterSampler::with_schedule(
             SimDuration::from_secs(config.sampling_duration_s),
             SimDuration::from_secs(config.sampling_period_s),
@@ -205,6 +295,7 @@ impl Cpi2Harness {
             machine_crashes: 0,
             shipment_faults: 0,
             trace_log: TraceLog::default(),
+            clock,
         }
     }
 
@@ -335,21 +426,37 @@ impl Cpi2Harness {
 
     /// Advances the system by one cluster tick: machines run, samplers
     /// poll, agents detect/correlate/cap, the aggregator ingests, and spec
-    /// refreshes propagate.
+    /// refreshes propagate, one seam method each.
     pub fn step(&mut self) {
+        self.clock.start();
+        let now = self.sim_step();
+        let mut pending_caps = Vec::new();
+        let mut chronic_victims = Vec::new();
+        for i in 0..self.cluster.machines().len() {
+            let Some((machine, batch)) = self.sample_machine(i, now) else {
+                continue;
+            };
+            self.spec_sync(machine, now);
+            let verdict = self.ingest(machine, &batch);
+            self.bookkeep(machine, verdict, &mut pending_caps, &mut chronic_victims);
+            self.offer(machine, batch, now);
+        }
+        self.clock.lap(Seam::Poll);
+        self.drain(now);
+        self.cap(pending_caps, chronic_victims, now);
+        self.refresh(now);
+        self.clock.end();
+    }
+
+    /// `sim.step`: the machines run, then the crashes and agent restarts
+    /// due in the tick fire in machine-id order. A crash takes the agent
+    /// with it; a restart loses the agent's state, not the tasks.
+    fn sim_step(&mut self) -> SimTime {
         let prev = self.cluster.now();
         self.cluster.step();
         let now = self.cluster.now();
-
-        // Fault phase: fire every machine crash and agent restart that
-        // came due inside this tick, in machine-id order so runs are
-        // deterministic at any parallelism. A crash takes the machine's
-        // agent daemon down with it; a bare agent restart loses the
-        // agent's in-memory state (violation windows, spec cache) while
-        // resident tasks keep running.
         if let Some(plan) = &self.fault_plan {
-            let machine_count = self.cluster.machines().len();
-            for i in 0..machine_count {
+            for i in 0..self.cluster.machines().len() {
                 let machine_id = self.cluster.machines()[i].id;
                 if plan.machine_crash_due(machine_id, prev, now) {
                     self.cluster.crash_machine(machine_id);
@@ -363,133 +470,166 @@ impl Cpi2Harness {
                 }
             }
         }
+        self.clock.lap(Seam::Sim);
+        now
+    }
 
-        // Sample every machine and run its agent.
-        let mut pending_caps: Vec<(TaskId, f64, SimTime, TraceId)> = Vec::new();
-        let mut chronic_victims: Vec<TaskId> = Vec::new();
-        let machine_count = self.cluster.machines().len();
-        for i in 0..machine_count {
-            let machine = &self.cluster.machines()[i];
-            let readings = self.sampler.poll(machine, now);
-            if readings.is_empty() {
-                continue;
-            }
-            let batch: Vec<CpiSample> = readings
-                .iter()
-                .filter_map(|r| {
-                    let t = machine.task(r.task)?;
-                    Some(to_sample(r, class_for(t.class)))
+    /// `perf.poll` then `harness.to_sample`: machine `i`'s readings as
+    /// its agent's batch, if its poll closed a window. A poll that closes
+    /// nothing reads no clock.
+    fn sample_machine(&mut self, i: usize, now: SimTime) -> Option<(MachineId, Vec<CpiSample>)> {
+        let machine = &self.cluster.machines()[i];
+        let readings = self.sampler.poll(machine, now);
+        if readings.is_empty() {
+            return None;
+        }
+        self.clock.lap(Seam::Poll);
+        let batch: Vec<CpiSample> = readings
+            .iter()
+            .filter_map(|r| {
+                let t = machine.task(r.task)?;
+                Some(CpiSample {
+                    task: handle_for(r.task),
+                    jobname: Name::clone(&r.job_name),
+                    platforminfo: Name::clone(&r.platform),
+                    timestamp: r.timestamp.as_us(),
+                    cpu_usage: r.cpu_usage,
+                    cpi: r.cpi.unwrap_or(0.0),
+                    l3_mpki: r.l3_mpki,
+                    class: class_for(t.class),
                 })
-                .collect();
-            let machine_id = machine.id;
+            })
+            .collect();
+        if self.record_samples {
+            self.samples.extend(batch.iter().cloned());
+        }
+        self.clock.lap(Seam::ToSample);
+        Some((machine.id, batch))
+    }
 
-            if self.record_samples {
-                self.samples.extend(batch.iter().cloned());
+    /// `pipeline.spec_sync`: the machine's agent, made at its first batch,
+    /// installs what the store (or, faulted, a stale replica) published
+    /// since, stamped with its publish time for the agent's TTL.
+    fn spec_sync(&mut self, machine: MachineId, now: SimTime) {
+        let (agent, since) = self.agents.entry(machine).or_insert_with(|| {
+            let mut a = Agent::new(self.config.clone());
+            a.set_telemetry(&self.telemetry);
+            (a, 0)
+        });
+        let stale_lag = match &self.fault_plan {
+            Some(p) if p.stale_sync(machine, now) => p.profile().stale_lag,
+            _ => 0,
+        };
+        if stale_lag > 0 {
+            self.fault_metrics.spec_sync_stale.inc();
+        }
+        let (version, changed) = self.spec_store.pull(*since, stale_lag);
+        for (spec, published_at) in changed {
+            agent.install_spec_at(spec, published_at);
+        }
+        *since = (*since).max(version);
+        self.clock.lap(Seam::SpecSync);
+    }
+
+    /// `core.ingest`: the machine's agent analyzes the batch (§4.1) and
+    /// hands back what it decided.
+    fn ingest(&mut self, machine: MachineId, batch: &[CpiSample]) -> Verdict {
+        let (agent, _) = self.agents.get_mut(&machine).expect("spec_sync made it");
+        let commands = agent.ingest(batch);
+        let verdict = (commands, agent.take_incidents(), agent.take_trace_spans());
+        self.clock.lap(Seam::Ingest);
+        verdict
+    }
+
+    /// `harness.bookkeep`: logs incidents and spans, keeps the §9 and
+    /// Case-4 books, and queues caps for the end of the tick.
+    fn bookkeep(
+        &mut self,
+        machine: MachineId,
+        (commands, incidents, trace_spans): Verdict,
+        pending_caps: &mut Vec<PendingCap>,
+        chronic_victims: &mut Vec<TaskId>,
+    ) {
+        for inc in incidents {
+            // §9 placement-feedback bookkeeping: count repeat offences
+            // per (victim job, antagonist job) pair.
+            if let IncidentAction::HardCap { target, .. } = &inc.action {
+                let pair = (task_for(inc.victim).job, task_for(*target).job);
+                *self.offense_counts.entry(pair).or_insert(0) += 1;
             }
-
-            // Sync specs down to the agent, then let it analyze.
-            let (agent, since) = self.agents.entry(machine_id).or_insert_with(|| {
-                let mut a = Agent::new(self.config.clone());
-                a.set_telemetry(&self.telemetry);
-                (a, 0)
+            // Case-4 bookkeeping: repeated anomalies with nothing to cap.
+            if let (Some(limit), IncidentAction::None { .. }) =
+                (self.migrate_chronic_victims_after, &inc.action)
+            {
+                let victim = task_for(inc.victim);
+                let n = self.chronic_counts.entry(victim).or_insert(0);
+                *n += 1;
+                if *n >= limit {
+                    self.chronic_counts.remove(&victim);
+                    chronic_victims.push(victim);
+                }
+            }
+            self.incidents.push(MachineIncident {
+                machine,
+                incident: inc,
             });
-            // Spec sync, possibly through a stale replica: a faulted sync
-            // serves this machine an older store snapshot. Specs carry
-            // their pipeline publish time so the agent's staleness TTL
-            // keys off data age, not install time.
-            let stale_lag = match &self.fault_plan {
-                Some(p) if p.stale_sync(machine_id, now) => p.profile().stale_lag,
-                _ => 0,
-            };
-            if stale_lag > 0 {
-                self.fault_metrics.spec_sync_stale.inc();
-            }
-            let (version, changed) = self.spec_store.pull(*since, stale_lag);
-            for (spec, published_at) in changed {
-                agent.install_spec_at(spec, published_at);
-            }
-            *since = (*since).max(version);
-            let commands = agent.ingest(&batch);
-            for inc in agent.take_incidents() {
-                // §9 placement-feedback bookkeeping: count repeat offences
-                // per (victim job, antagonist job) pair.
-                if let IncidentAction::HardCap { target, .. } = &inc.action {
-                    let pair = (task_for(inc.victim).job, task_for(*target).job);
-                    *self.offense_counts.entry(pair).or_insert(0) += 1;
-                }
-                // Case-4 bookkeeping: repeated anomalies with nothing to cap.
-                if let (Some(limit), IncidentAction::None { .. }) =
-                    (self.migrate_chronic_victims_after, &inc.action)
-                {
-                    let victim = task_for(inc.victim);
-                    let n = self.chronic_counts.entry(victim).or_insert(0);
-                    *n += 1;
-                    if *n >= limit {
-                        self.chronic_counts.remove(&victim);
-                        chronic_victims.push(victim);
-                    }
-                }
-                self.incidents.push(MachineIncident {
-                    machine: machine_id,
-                    incident: inc,
-                });
-            }
-            for span in agent.take_trace_spans() {
-                self.trace_log.record(span);
-            }
-            for cmd in commands {
-                let AgentCommand::ApplyHardCap {
-                    target,
-                    cpu_rate,
-                    until,
-                    trace,
-                    ..
-                } = cmd;
-                pending_caps.push((task_for(target), cpu_rate, SimTime(until), trace));
-            }
+        }
+        for span in trace_spans {
+            self.trace_log.record(span);
+        }
+        for cmd in commands {
+            let AgentCommand::ApplyHardCap {
+                target,
+                cpu_rate,
+                until,
+                trace,
+                ..
+            } = cmd;
+            pending_caps.push((task_for(target), cpu_rate, SimTime(until), trace));
+        }
+        self.clock.lap(Seam::Bookkeep);
+    }
 
-            // Detection ran locally (§4.1); now push the batch up the
-            // collection pipeline through the fault layer. A dropped or
-            // delayed shipment degrades aggregation only — local
-            // detection already happened.
-            let fate = match &self.fault_plan {
-                Some(p) => p.shipment_fate(machine_id, now),
-                None => ShipmentFate::Deliver,
-            };
-            match fate {
-                ShipmentFate::Deliver => {
-                    self.retry_queue
-                        .send_or_queue(&self.collector_handle, batch, now.as_us());
-                }
-                ShipmentFate::Drop => {
-                    self.shipment_faults += 1;
-                    self.fault_metrics.shipments_dropped.inc();
-                }
-                ShipmentFate::Delay(ticks) => {
-                    self.shipment_faults += 1;
-                    self.fault_metrics.shipments_delayed.inc();
-                    let deliver_at = now.as_us() + self.cluster.tick_len().as_us() * ticks as i64;
-                    self.delayed_shipments
-                        .entry(deliver_at)
-                        .or_default()
-                        .push(batch);
-                }
-                ShipmentFate::Duplicate => {
-                    self.shipment_faults += 1;
-                    self.fault_metrics.shipments_duplicated.inc();
-                    self.retry_queue.send_or_queue(
-                        &self.collector_handle,
-                        batch.clone(),
-                        now.as_us(),
-                    );
-                    self.retry_queue
-                        .send_or_queue(&self.collector_handle, batch, now.as_us());
-                }
+    /// `pipeline.offer`: the batch, already analyzed locally (§4.1), goes
+    /// up the pipeline through the fault layer.
+    fn offer(&mut self, machine: MachineId, batch: Vec<CpiSample>, now: SimTime) {
+        let fate = match &self.fault_plan {
+            Some(p) => p.shipment_fate(machine, now),
+            None => ShipmentFate::Deliver,
+        };
+        match fate {
+            ShipmentFate::Deliver => {
+                self.retry_queue
+                    .send_or_queue(&self.collector_handle, batch, now.as_us());
+            }
+            ShipmentFate::Drop => {
+                self.shipment_faults += 1;
+                self.fault_metrics.shipments_dropped.inc();
+            }
+            ShipmentFate::Delay(ticks) => {
+                self.shipment_faults += 1;
+                self.fault_metrics.shipments_delayed.inc();
+                let deliver_at = now.as_us() + self.cluster.tick_len().as_us() * ticks as i64;
+                self.delayed_shipments
+                    .entry(deliver_at)
+                    .or_default()
+                    .push(batch);
+            }
+            ShipmentFate::Duplicate => {
+                self.shipment_faults += 1;
+                self.fault_metrics.shipments_duplicated.inc();
+                self.retry_queue
+                    .send_or_queue(&self.collector_handle, batch.clone(), now.as_us());
+                self.retry_queue
+                    .send_or_queue(&self.collector_handle, batch, now.as_us());
             }
         }
+        self.clock.lap(Seam::Offer);
+    }
 
-        // Release shipments whose injected delay has elapsed, then give
-        // parked (backpressured) batches another chance.
+    /// `pipeline.drain`: due delayed shipments and parked batches are
+    /// offered again, and the collector drains into the aggregator.
+    fn drain(&mut self, now: SimTime) {
         let still_delayed = self.delayed_shipments.split_off(&(now.as_us() + 1));
         let due = std::mem::replace(&mut self.delayed_shipments, still_delayed);
         for (_, batches) in due {
@@ -499,12 +639,13 @@ impl Cpi2Harness {
             }
         }
         self.retry_queue.flush(&self.collector_handle, now.as_us());
-
-        // Drain collected batches into the aggregation service.
         self.collector.drain_into(&mut self.aggregator);
+        self.clock.lap(Seam::Drain);
+    }
 
-        // Execute cap commands against the cluster (unless the operator
-        // turned protection off for the cluster).
+    /// `sim.cap`: the tick's caps run (unless protection is off), then
+    /// chronically contended victims move to fresh machines.
+    fn cap(&mut self, pending_caps: Vec<PendingCap>, chronic_victims: Vec<TaskId>, now: SimTime) {
         if self.protection_enabled {
             for (task, rate, until, trace) in pending_caps {
                 if self.cluster.apply_hard_cap(task, rate, until) {
@@ -548,16 +689,18 @@ impl Cpi2Harness {
                 }
             }
         }
-
-        // Migrate chronically contended victims to fresh machines.
         for victim in chronic_victims {
             if self.cluster.migrate_task(victim).is_ok() {
                 self.victim_migrations += 1;
             }
         }
+        self.clock.lap(Seam::Cap);
+    }
 
-        // Roll the aggregation period when due.
+    /// `pipeline.refresh`: rolls the aggregation period when due.
+    fn refresh(&mut self, now: SimTime) {
         self.aggregator.maybe_refresh(now.as_us(), &self.spec_store);
+        self.clock.lap(Seam::Refresh);
     }
 
     /// Runs the system for a duration (whole ticks).
@@ -662,19 +805,6 @@ impl Cpi2Harness {
                 )
             })
             .collect()
-    }
-}
-
-fn to_sample(r: &CounterReading, class: TaskClass) -> CpiSample {
-    CpiSample {
-        task: handle_for(r.task),
-        jobname: Name::clone(&r.job_name),
-        platforminfo: Name::clone(&r.platform),
-        timestamp: r.timestamp.as_us(),
-        cpu_usage: r.cpu_usage,
-        cpi: r.cpi.unwrap_or(0.0),
-        l3_mpki: r.l3_mpki,
-        class,
     }
 }
 

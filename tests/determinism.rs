@@ -5,7 +5,8 @@
 //!
 //! Both runs execute with telemetry *enabled*: the metrics layer is
 //! observational only, and these tests pin that down — instrumented runs
-//! must stay bit-identical across worker counts.
+//! must stay bit-identical across worker counts, and the heavy-fault run
+//! digests the same with telemetry off.
 
 use cpi2::core::{Cpi2Config, CpiSpec, IdentifierKind};
 use cpi2::harness::Cpi2Harness;
@@ -14,6 +15,7 @@ use cpi2::sim::{
 };
 use cpi2::telemetry::Telemetry;
 use cpi2::workloads;
+use std::collections::BTreeSet;
 
 const MACHINES: u32 = 16;
 const SEED: u64 = 0x0DE7_E121;
@@ -32,11 +34,27 @@ fn build_fleet(
     parallelism: usize,
     identifier: IdentifierKind,
 ) -> Cpi2Harness {
+    build_fleet_reporting_to(
+        machines,
+        seed,
+        parallelism,
+        identifier,
+        Telemetry::enabled(),
+    )
+}
+
+fn build_fleet_reporting_to(
+    machines: u32,
+    seed: u64,
+    parallelism: usize,
+    identifier: IdentifierKind,
+    telemetry: Telemetry,
+) -> Cpi2Harness {
     let mut cluster = Cluster::new(ClusterConfig {
         seed,
         overcommit: 2.0,
         parallelism,
-        telemetry: Telemetry::enabled(),
+        telemetry,
         ..ClusterConfig::default()
     });
     cluster.add_machines(&Platform::westmere(), machines);
@@ -179,7 +197,10 @@ fn panda_identifier_is_bit_identical_across_parallelism() {
 /// FNV-1a over the Debug/line renderings of everything a faulty run
 /// produces. Collapses a full run into one pinnable number.
 fn run_digest(parallelism: usize) -> u64 {
-    let (trace, specs, incidents, counts) = run_faulty(parallelism);
+    digest(run_faulty(parallelism))
+}
+
+fn digest((trace, specs, incidents, counts): FaultyRun) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -217,6 +238,70 @@ fn heavy_fault_run_matches_pre_refactor_golden_digest() {
              (simulation output is no longer bit-identical to the pinned run)"
         );
     }
+}
+
+/// The harness times its own tick: every seam of `Cpi2Harness::step`
+/// reports to `cpi_tick_seam_duration_us` on the heavy-fault run,
+/// `perf.poll` once a tick and each per-batch seam once a batch. Timing
+/// is observational: with telemetry off the run is the golden one.
+#[test]
+fn every_tick_seam_reports_and_an_untimed_run_keeps_the_golden_digest() {
+    let mut system = build_system(1);
+    system.record_samples = true;
+    system.set_fault_plan(Some(FaultPlan::new(SEED, FaultProfile::heavy())));
+    system.run_for(SimDuration::from_mins(135));
+    // Sixteen machines sample in sixteen distinct one-second phases, so
+    // at most one batch closes an instant: the batches are the recorded
+    // samples' distinct timestamps.
+    let batches = system
+        .samples
+        .iter()
+        .map(|s| s.timestamp)
+        .collect::<BTreeSet<_>>()
+        .len() as u64;
+    let tel = system.telemetry();
+    let seam = |name| {
+        tel.histogram("cpi_tick_seam_duration_us", &[("seam", name)])
+            .count()
+    };
+    let ticks = tel.counter("cpi_sim_ticks_total", &[]).get();
+    assert_eq!(ticks, 135 * 60);
+    assert!(batches > 2_000, "{batches} batches");
+    for name in [
+        "harness.step",
+        "sim.step",
+        "perf.poll",
+        "pipeline.drain",
+        "sim.cap",
+        "pipeline.refresh",
+    ] {
+        assert_eq!(seam(name), ticks, "{name}");
+    }
+    for name in [
+        "harness.to_sample",
+        "pipeline.spec_sync",
+        "core.ingest",
+        "harness.bookkeep",
+        "pipeline.offer",
+    ] {
+        assert_eq!(seam(name), batches, "{name}");
+    }
+
+    let untimed = build_fleet_reporting_to(
+        MACHINES,
+        SEED,
+        1,
+        IdentifierKind::Paper,
+        Telemetry::disabled(),
+    );
+    assert!(!untimed.telemetry().is_enabled());
+    let run = run_under(
+        untimed,
+        SEED,
+        FaultProfile::heavy(),
+        SimDuration::from_mins(135),
+    );
+    assert_eq!(digest(run), GOLDEN_HEAVY_FAULT_DIGEST);
 }
 
 #[test]
