@@ -527,7 +527,7 @@ impl TaskState {
             config.outlier_sigma
         };
         let threshold = spec.outlier_threshold(sigma);
-        let verdict = self.detector.observe_against(s, threshold, config);
+        let verdict = self.detector.observe(s, threshold, config);
         if matches!(verdict, Verdict::Flagged | Verdict::Anomalous) {
             metrics.violations.inc();
         }

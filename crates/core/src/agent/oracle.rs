@@ -87,9 +87,8 @@ impl Agent {
             let Some(st) = self.tasks.get_mut(&s.task) else {
                 continue;
             };
-            let verdict = st
-                .detector
-                .observe_with_sigma(s, &spec, &self.config, sigma);
+            let threshold = spec.outlier_threshold(sigma);
+            let verdict = st.detector.observe(s, threshold, &self.config);
             if matches!(verdict, Verdict::Flagged | Verdict::Anomalous) {
                 self.metrics.violations.inc();
             }

@@ -1,5 +1,4 @@
-//! Dealing with antagonists (§5): hard-capping policy and the
-//! feedback-driven adaptive throttle the paper lists as future work (§9).
+//! Dealing with antagonists (§5): the hard-capping policy.
 
 use crate::config::Cpi2Config;
 use crate::sample::TaskClass;
@@ -33,64 +32,6 @@ pub fn cap_for(antagonist: TaskClass, config: &Cpi2Config) -> Option<CapDecision
     })
 }
 
-/// Feedback-driven adaptive throttling (§9 future work).
-///
-/// "We hope to introduce a feedback-driven policy that dynamically adjusts
-/// the amount of throttling to keep the victim CPI degradation just below
-/// an acceptable threshold." This controller starts from the static cap
-/// and, after each capping round, tightens the cap if the victim is still
-/// degraded or relaxes it if the victim has recovered with margin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AdaptiveThrottle {
-    /// Acceptable victim degradation (victim CPI ÷ spec mean), e.g. 1.2.
-    pub target_degradation: f64,
-    /// Multiplicative step per round.
-    pub step: f64,
-    /// Lower bound on the cap rate.
-    pub min_rate: f64,
-    /// Upper bound on the cap rate (beyond which capping is pointless).
-    pub max_rate: f64,
-    rate: f64,
-}
-
-impl AdaptiveThrottle {
-    /// Creates a controller starting from `initial_rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if bounds are inconsistent or non-positive.
-    pub fn new(initial_rate: f64, target_degradation: f64) -> Self {
-        assert!(initial_rate > 0.0, "initial rate must be positive");
-        assert!(target_degradation >= 1.0, "target degradation must be ≥ 1");
-        AdaptiveThrottle {
-            target_degradation,
-            step: 2.0,
-            min_rate: 0.01,
-            max_rate: 1.0,
-            rate: initial_rate,
-        }
-    }
-
-    /// Current cap rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Updates the cap given the victim's observed degradation
-    /// (victim CPI ÷ spec mean) during the last capping round, and returns
-    /// the rate for the next round.
-    pub fn update(&mut self, observed_degradation: f64) -> f64 {
-        if observed_degradation > self.target_degradation {
-            // Victim still hurting: throttle harder.
-            self.rate = (self.rate / self.step).max(self.min_rate);
-        } else if observed_degradation < self.target_degradation * 0.8 {
-            // Comfortable margin: give the antagonist some CPU back.
-            self.rate = (self.rate * self.step).min(self.max_rate);
-        }
-        self.rate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,37 +50,5 @@ mod tests {
     fn latency_sensitive_never_capped() {
         let cfg = Cpi2Config::default();
         assert!(cap_for(TaskClass::latency_sensitive(), &cfg).is_none());
-    }
-
-    #[test]
-    fn adaptive_tightens_when_degraded() {
-        let mut t = AdaptiveThrottle::new(0.1, 1.2);
-        let r1 = t.update(2.0);
-        assert!(r1 < 0.1);
-        let r2 = t.update(2.0);
-        assert!(r2 <= r1);
-        // Bounded below.
-        for _ in 0..10 {
-            t.update(2.0);
-        }
-        assert!((t.rate() - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adaptive_relaxes_when_recovered() {
-        let mut t = AdaptiveThrottle::new(0.05, 1.2);
-        let r = t.update(0.9);
-        assert!(r > 0.05);
-        for _ in 0..10 {
-            t.update(0.9);
-        }
-        assert!((t.rate() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adaptive_holds_in_band() {
-        let mut t = AdaptiveThrottle::new(0.1, 1.2);
-        let r = t.update(1.1); // Between 0.8×target and target: hold.
-        assert_eq!(r, 0.1);
     }
 }

@@ -42,7 +42,7 @@ pub mod specbuilder;
 pub mod trace;
 
 pub use agent::{Agent, AgentCommand};
-pub use amelioration::{cap_for, AdaptiveThrottle, CapDecision};
+pub use amelioration::{cap_for, CapDecision};
 pub use antagonist::{rank_suspects, select_target, Suspect, SuspectInput};
 pub use config::Cpi2Config;
 pub use correlation::antagonist_correlation;

@@ -8,7 +8,6 @@
 
 use crate::config::Cpi2Config;
 use crate::sample::CpiSample;
-use crate::spec::CpiSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -39,16 +38,17 @@ pub enum Verdict {
 ///     cpu_usage_mean: 1.0, cpi_mean: 1.8, cpi_stddev: 0.16,
 /// };
 /// let config = Cpi2Config::default();
+/// let threshold = spec.outlier_threshold(config.outlier_sigma);
 /// let mut detector = OutlierDetector::new();
 /// let sample = |minute: i64, cpi: f64| CpiSample {
 ///     task: TaskHandle(1), jobname: "svc".into(), platforminfo: "p".into(),
 ///     timestamp: minute * 60_000_000, cpu_usage: 1.0, cpi, l3_mpki: 0.0,
 ///     class: TaskClass::latency_sensitive(),
 /// };
-/// assert_eq!(detector.observe(&sample(0, 1.8), &spec, &config), Verdict::Normal);
-/// assert_eq!(detector.observe(&sample(1, 3.0), &spec, &config), Verdict::Flagged);
-/// assert_eq!(detector.observe(&sample(2, 3.0), &spec, &config), Verdict::Flagged);
-/// assert_eq!(detector.observe(&sample(3, 3.0), &spec, &config), Verdict::Anomalous);
+/// assert_eq!(detector.observe(&sample(0, 1.8), threshold, &config), Verdict::Normal);
+/// assert_eq!(detector.observe(&sample(1, 3.0), threshold, &config), Verdict::Flagged);
+/// assert_eq!(detector.observe(&sample(2, 3.0), threshold, &config), Verdict::Flagged);
+/// assert_eq!(detector.observe(&sample(3, 3.0), threshold, &config), Verdict::Anomalous);
 /// ```
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct OutlierDetector {
@@ -62,34 +62,11 @@ impl OutlierDetector {
         OutlierDetector::default()
     }
 
-    /// Processes one sample against the job's spec.
-    pub fn observe(&mut self, sample: &CpiSample, spec: &CpiSpec, config: &Cpi2Config) -> Verdict {
-        self.observe_with_sigma(sample, spec, config, config.outlier_sigma)
-    }
-
-    /// Like [`OutlierDetector::observe`] but with an explicit outlier
-    /// sigma — the degraded-mode hook: an agent holding a stale spec
-    /// widens the threshold (conservative detection) without touching the
-    /// rest of the window machinery.
-    pub fn observe_with_sigma(
-        &mut self,
-        sample: &CpiSample,
-        spec: &CpiSpec,
-        config: &Cpi2Config,
-        sigma: f64,
-    ) -> Verdict {
-        self.observe_against(sample, spec.outlier_threshold(sigma), config)
-    }
-
-    /// The window machinery itself, against an already-computed outlier
-    /// threshold (the agent keeps a task's spec numbers resolved, so it
-    /// never holds a [`CpiSpec`] on this path).
-    pub(crate) fn observe_against(
-        &mut self,
-        sample: &CpiSample,
-        threshold: f64,
-        config: &Cpi2Config,
-    ) -> Verdict {
+    /// Processes one sample against an outlier threshold, the job's
+    /// [`CpiSpec::outlier_threshold`](crate::CpiSpec::outlier_threshold)
+    /// (the agent keeps it resolved per task, and widens its sigma while
+    /// the spec is stale).
+    pub fn observe(&mut self, sample: &CpiSample, threshold: f64, config: &Cpi2Config) -> Verdict {
         // Evict flags that left the violation window.
         let window_us = config.violation_window_s * 1_000_000;
         while let Some(&t) = self.flags.front() {
@@ -139,6 +116,7 @@ impl OutlierDetector {
 mod tests {
     use super::*;
     use crate::sample::{TaskClass, TaskHandle};
+    use crate::spec::CpiSpec;
 
     fn spec() -> CpiSpec {
         CpiSpec {
@@ -149,6 +127,11 @@ mod tests {
             cpi_mean: 1.8,
             cpi_stddev: 0.16,
         }
+    }
+
+    /// The spec's threshold at the default 2σ: 2.12.
+    fn threshold() -> f64 {
+        spec().outlier_threshold(Cpi2Config::default().outlier_sigma)
     }
 
     fn sample(ts_min: i64, cpi: f64, usage: f64) -> CpiSample {
@@ -167,7 +150,7 @@ mod tests {
     #[test]
     fn normal_sample_passes() {
         let mut d = OutlierDetector::new();
-        let v = d.observe(&sample(0, 1.8, 1.0), &spec(), &Cpi2Config::default());
+        let v = d.observe(&sample(0, 1.8, 1.0), threshold(), &Cpi2Config::default());
         assert_eq!(v, Verdict::Normal);
         assert_eq!(d.flag_count(), 0);
     }
@@ -176,7 +159,7 @@ mod tests {
     fn exactly_at_threshold_is_normal() {
         let mut d = OutlierDetector::new();
         // Threshold is 2.12; "larger than" is required.
-        let v = d.observe(&sample(0, 2.12, 1.0), &spec(), &Cpi2Config::default());
+        let v = d.observe(&sample(0, 2.12, 1.0), threshold(), &Cpi2Config::default());
         assert_eq!(v, Verdict::Normal);
     }
 
@@ -185,15 +168,15 @@ mod tests {
         let mut d = OutlierDetector::new();
         let cfg = Cpi2Config::default();
         assert_eq!(
-            d.observe(&sample(0, 2.5, 1.0), &spec(), &cfg),
+            d.observe(&sample(0, 2.5, 1.0), threshold(), &cfg),
             Verdict::Flagged
         );
         assert_eq!(
-            d.observe(&sample(1, 2.5, 1.0), &spec(), &cfg),
+            d.observe(&sample(1, 2.5, 1.0), threshold(), &cfg),
             Verdict::Flagged
         );
         assert_eq!(
-            d.observe(&sample(2, 2.5, 1.0), &spec(), &cfg),
+            d.observe(&sample(2, 2.5, 1.0), threshold(), &cfg),
             Verdict::Anomalous
         );
     }
@@ -202,10 +185,10 @@ mod tests {
     fn old_flags_age_out() {
         let mut d = OutlierDetector::new();
         let cfg = Cpi2Config::default();
-        d.observe(&sample(0, 2.5, 1.0), &spec(), &cfg);
-        d.observe(&sample(1, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(0, 2.5, 1.0), threshold(), &cfg);
+        d.observe(&sample(1, 2.5, 1.0), threshold(), &cfg);
         // 6 minutes later: the first two flags left the 5-minute window.
-        let v = d.observe(&sample(7, 2.5, 1.0), &spec(), &cfg);
+        let v = d.observe(&sample(7, 2.5, 1.0), threshold(), &cfg);
         assert_eq!(v, Verdict::Flagged);
         assert_eq!(d.flag_count(), 1);
     }
@@ -214,7 +197,7 @@ mod tests {
     fn low_usage_skipped_even_with_huge_cpi() {
         // The Case-3 false-alarm filter: CPI 10 at 0.1 CPU-sec/sec.
         let mut d = OutlierDetector::new();
-        let v = d.observe(&sample(0, 10.0, 0.1), &spec(), &Cpi2Config::default());
+        let v = d.observe(&sample(0, 10.0, 0.1), threshold(), &Cpi2Config::default());
         assert_eq!(v, Verdict::SkippedLowUsage);
         assert_eq!(d.flag_count(), 0);
     }
@@ -223,10 +206,10 @@ mod tests {
     fn interleaved_normals_dont_reset_flags() {
         let mut d = OutlierDetector::new();
         let cfg = Cpi2Config::default();
-        d.observe(&sample(0, 2.5, 1.0), &spec(), &cfg);
-        d.observe(&sample(1, 1.8, 1.0), &spec(), &cfg);
-        d.observe(&sample(2, 2.5, 1.0), &spec(), &cfg);
-        let v = d.observe(&sample(3, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(0, 2.5, 1.0), threshold(), &cfg);
+        d.observe(&sample(1, 1.8, 1.0), threshold(), &cfg);
+        d.observe(&sample(2, 2.5, 1.0), threshold(), &cfg);
+        let v = d.observe(&sample(3, 2.5, 1.0), threshold(), &cfg);
         assert_eq!(v, Verdict::Anomalous);
     }
 
@@ -240,35 +223,35 @@ mod tests {
         let cfg = Cpi2Config::default();
         assert_eq!(cfg.violation_window_s, 300, "test assumes 5-min window");
         assert_eq!(cfg.violations_required, 3, "test assumes 3-violation bar");
-        d.observe(&sample(0, 2.5, 1.0), &spec(), &cfg);
-        d.observe(&sample(1, 2.5, 1.0), &spec(), &cfg);
-        let v = d.observe(&sample(5, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(0, 2.5, 1.0), threshold(), &cfg);
+        d.observe(&sample(1, 2.5, 1.0), threshold(), &cfg);
+        let v = d.observe(&sample(5, 2.5, 1.0), threshold(), &cfg);
         assert_eq!(v, Verdict::Flagged);
         assert_eq!(d.flag_count(), 2);
         // One microsecond inside the window the verdict flips: flags at
         // 1 min and 2 min are both strictly younger than now - 300 s.
         let mut d = OutlierDetector::new();
-        d.observe(&sample(1, 2.5, 1.0), &spec(), &cfg);
-        d.observe(&sample(2, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(1, 2.5, 1.0), threshold(), &cfg);
+        d.observe(&sample(2, 2.5, 1.0), threshold(), &cfg);
         let mut s = sample(6, 2.5, 1.0);
         s.timestamp -= 1; // 359.999999 s: the 60 s flag survives (barely)
-        assert_eq!(d.observe(&s, &spec(), &cfg), Verdict::Anomalous);
+        assert_eq!(d.observe(&s, threshold(), &cfg), Verdict::Anomalous);
     }
 
     #[test]
     fn window_eviction_is_oldest_first() {
         let mut d = OutlierDetector::new();
         let cfg = Cpi2Config::default();
-        d.observe(&sample(0, 2.5, 1.0), &spec(), &cfg);
-        d.observe(&sample(2, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(0, 2.5, 1.0), threshold(), &cfg);
+        d.observe(&sample(2, 2.5, 1.0), threshold(), &cfg);
         assert_eq!(d.first_flag_at(), Some(0));
         // t=6min evicts t=0 (6 min old) but keeps t=2min (4 min old):
         // the front of the window advances monotonically.
-        d.observe(&sample(6, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(6, 2.5, 1.0), threshold(), &cfg);
         assert_eq!(d.first_flag_at(), Some(2 * 60_000_000));
         assert_eq!(d.flag_count(), 2);
         // A later eviction never resurrects older entries.
-        d.observe(&sample(12, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(12, 2.5, 1.0), threshold(), &cfg);
         assert_eq!(d.first_flag_at(), Some(12 * 60_000_000));
         assert_eq!(d.flag_count(), 1);
     }
@@ -278,10 +261,10 @@ mod tests {
         let mut d = OutlierDetector::new();
         let cfg = Cpi2Config::default();
         assert_eq!(d.first_flag_at(), None);
-        d.observe(&sample(3, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(3, 2.5, 1.0), threshold(), &cfg);
         assert_eq!(d.first_flag_at(), Some(3 * 60_000_000));
         // Normal samples don't move the streak entry point.
-        d.observe(&sample(4, 1.8, 1.0), &spec(), &cfg);
+        d.observe(&sample(4, 1.8, 1.0), threshold(), &cfg);
         assert_eq!(d.first_flag_at(), Some(3 * 60_000_000));
         d.reset();
         assert_eq!(d.first_flag_at(), None);
@@ -291,7 +274,7 @@ mod tests {
     fn reset_clears_state() {
         let mut d = OutlierDetector::new();
         let cfg = Cpi2Config::default();
-        d.observe(&sample(0, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(0, 2.5, 1.0), threshold(), &cfg);
         d.reset();
         assert_eq!(d.flag_count(), 0);
     }
@@ -304,13 +287,13 @@ mod tests {
         let cfg = Cpi2Config::default();
         let s = sample(0, 2.5, 1.0);
         assert_eq!(
-            d.observe_with_sigma(&s, &spec(), &cfg, 5.0),
+            d.observe(&s, spec().outlier_threshold(5.0), &cfg),
             Verdict::Normal
         );
         assert_eq!(d.flag_count(), 0);
         // The same sample under the normal sigma is flagged.
         assert_eq!(
-            d.observe_with_sigma(&s, &spec(), &cfg, 2.0),
+            d.observe(&s, spec().outlier_threshold(2.0), &cfg),
             Verdict::Flagged
         );
     }
@@ -325,11 +308,11 @@ mod tests {
         let cfg = Cpi2Config::default();
         let mut d = OutlierDetector::new();
         assert_eq!(
-            d.observe(&sample(0, 2.5, 1.0), &spec(), &cfg),
+            d.observe(&sample(0, 2.5, 1.0), threshold(), &cfg),
             Verdict::Flagged
         );
         assert_eq!(
-            d.observe(&sample(1, 2.5, 1.0), &spec(), &cfg),
+            d.observe(&sample(1, 2.5, 1.0), threshold(), &cfg),
             Verdict::Flagged
         );
         assert_eq!(d.flag_count(), 2);
@@ -339,17 +322,17 @@ mod tests {
         assert_eq!(d.flag_count(), 0);
         assert_eq!(d.first_flag_at(), None);
         assert_eq!(
-            d.observe(&sample(2, 2.5, 1.0), &spec(), &cfg),
+            d.observe(&sample(2, 2.5, 1.0), threshold(), &cfg),
             Verdict::Flagged
         );
         assert_eq!(
-            d.observe(&sample(3, 2.5, 1.0), &spec(), &cfg),
+            d.observe(&sample(3, 2.5, 1.0), threshold(), &cfg),
             Verdict::Flagged
         );
         // Only at the third *post-restart* violation does the anomaly
         // fire: no incident can be blamed on pre-restart violations.
         assert_eq!(
-            d.observe(&sample(4, 2.5, 1.0), &spec(), &cfg),
+            d.observe(&sample(4, 2.5, 1.0), threshold(), &cfg),
             Verdict::Anomalous
         );
         assert_eq!(d.first_flag_at(), Some(2 * 60_000_000));
@@ -362,12 +345,12 @@ mod tests {
         // samples), never corrupted into a premature or missed incident.
         let cfg = Cpi2Config::default();
         let mut d = OutlierDetector::new();
-        d.observe(&sample(0, 2.5, 1.0), &spec(), &cfg);
-        d.observe(&sample(1, 2.5, 1.0), &spec(), &cfg);
+        d.observe(&sample(0, 2.5, 1.0), threshold(), &cfg);
+        d.observe(&sample(1, 2.5, 1.0), threshold(), &cfg);
         let mut d = OutlierDetector::new(); // restart at t≈1.5 min
         let mut verdicts = Vec::new();
         for m in 2..6 {
-            verdicts.push(d.observe(&sample(m, 2.5, 1.0), &spec(), &cfg));
+            verdicts.push(d.observe(&sample(m, 2.5, 1.0), threshold(), &cfg));
         }
         assert_eq!(
             verdicts,

@@ -139,7 +139,7 @@ proptest! {
         let threshold = sp.outlier_threshold(config.outlier_sigma);
         let mut d = OutlierDetector::new();
         for (i, &frac) in cpis.iter().enumerate() {
-            let v = d.observe(&sample(1, i as i64, frac * threshold, 1.0), &sp, &config);
+            let v = d.observe(&sample(1, i as i64, frac * threshold, 1.0), threshold, &config);
             prop_assert!(matches!(v, Verdict::Normal | Verdict::SkippedLowUsage));
         }
         prop_assert_eq!(d.flag_count(), 0);
@@ -153,11 +153,12 @@ proptest! {
     ) {
         let config = Cpi2Config::default();
         let sp = spec(mean, stddev);
-        let outlier_cpi = sp.outlier_threshold(config.outlier_sigma) * 1.5;
+        let threshold = sp.outlier_threshold(config.outlier_sigma);
+        let outlier_cpi = threshold * 1.5;
         let mut d = OutlierDetector::new();
-        let v1 = d.observe(&sample(1, 0, outlier_cpi, 1.0), &sp, &config);
-        let v2 = d.observe(&sample(1, gap, outlier_cpi, 1.0), &sp, &config);
-        let v3 = d.observe(&sample(1, 2 * gap, outlier_cpi, 1.0), &sp, &config);
+        let v1 = d.observe(&sample(1, 0, outlier_cpi, 1.0), threshold, &config);
+        let v2 = d.observe(&sample(1, gap, outlier_cpi, 1.0), threshold, &config);
+        let v3 = d.observe(&sample(1, 2 * gap, outlier_cpi, 1.0), threshold, &config);
         prop_assert_eq!(v1, Verdict::Flagged);
         prop_assert_eq!(v2, Verdict::Flagged);
         prop_assert_eq!(v3, Verdict::Anomalous);
@@ -166,9 +167,9 @@ proptest! {
     #[test]
     fn detector_low_usage_always_skipped(cpi in 0.0..100.0f64, usage in 0.0..0.249f64) {
         let config = Cpi2Config::default();
-        let sp = spec(1.0, 0.1);
+        let threshold = spec(1.0, 0.1).outlier_threshold(config.outlier_sigma);
         let mut d = OutlierDetector::new();
-        let v = d.observe(&sample(1, 0, cpi, usage), &sp, &config);
+        let v = d.observe(&sample(1, 0, cpi, usage), threshold, &config);
         prop_assert_eq!(v, Verdict::SkippedLowUsage);
     }
 

@@ -68,7 +68,9 @@ fn covered_per_file(file: &AnalyzedFile, rule: Rule) -> bool {
     }
 }
 
-/// Resolves entry specs to fn ids, deterministically ordered.
+/// Resolves entry specs to fn ids, deterministically ordered. A spec
+/// that matches no fn adds nothing (`tests/workspace_clean.rs` holds
+/// every workspace entry to a match).
 pub fn find_entries(files: &[AnalyzedFile], specs: &[EntrySpec]) -> Vec<FnId> {
     let mut out = Vec::new();
     for (fi, file) in files.iter().enumerate() {

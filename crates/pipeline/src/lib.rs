@@ -22,5 +22,5 @@ pub mod specstore;
 
 pub use aggregator::Aggregator;
 pub use collector::{Collector, CollectorHandle, RetryQueue};
-pub use query::{Dataset, Query, QueryError, QueryResult, Table, Value};
+pub use query::{Query, QueryError, QueryResult, Value};
 pub use specstore::{SpecSnapshot, SpecStore};

@@ -84,47 +84,13 @@ impl fmt::Display for Value {
 }
 
 /// One record: column → value.
-pub type Row = BTreeMap<String, Value>;
+type Row = BTreeMap<String, Value>;
 
-/// A named table of rows.
-#[derive(Debug, Clone, Default)]
-pub struct Table {
-    /// Table name.
-    pub name: String,
-    /// Rows.
-    pub rows: Vec<Row>,
-}
-
-impl Table {
-    /// Creates an empty table.
-    pub fn new(name: impl Into<String>) -> Self {
-        Table {
-            name: name.into(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Builds a table from serializable records, flattening nested objects
-    /// with dotted column names (`action.cpu_rate`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization failures.
-    pub fn from_records<T: Serialize>(
-        name: impl Into<String>,
-        records: &[T],
-    ) -> Result<Self, serde_json::Error> {
-        let mut rows = Vec::with_capacity(records.len());
-        for r in records {
-            let mut row = Row::new();
-            flatten(String::new(), serde_json::to_value(r)?, &mut row);
-            rows.push(row);
-        }
-        Ok(Table {
-            name: name.into(),
-            rows,
-        })
-    }
+/// Every cell of one record.
+fn full_row(record: &impl Serialize) -> Row {
+    let mut row = Row::new();
+    flatten(String::new(), record.to_value(), &mut row);
+    row
 }
 
 /// Moves `v`'s scalars into `out` under dotted column names; keys and
@@ -872,14 +838,7 @@ impl Query {
     pub fn scan<T: Serialize>(&self, records: impl IntoIterator<Item = T>) -> QueryResult {
         let records = records.into_iter();
         if self.selects_all() {
-            let rows: Vec<Row> = records
-                .map(|r| {
-                    let mut row = Row::new();
-                    flatten(String::new(), r.to_value(), &mut row);
-                    row
-                })
-                .collect();
-            return self.over(&rows);
+            return self.over(&records.map(|r| full_row(&r)).collect::<Vec<_>>());
         }
         let pruned = |r: T| {
             let record = (!self.reads.is_empty()).then(|| r.to_value());
@@ -890,7 +849,8 @@ impl Query {
         self.execute(&[], records.map(pruned))
     }
 
-    /// Answers the statement over rows that hold every column.
+    /// Answers the statement over rows that hold every cell: `*`'s path,
+    /// and the reference the pruned path is held to in the tests.
     fn over(&self, rows: &[Row]) -> QueryResult {
         // `*` is the union of keys across all rows, sorted.
         let mut star = BTreeSet::new();
@@ -968,137 +928,52 @@ impl Query {
     }
 }
 
-/// A registry of named tables that accepts SQL-like queries.
-///
-/// # Examples
-///
-/// ```
-/// use cpi2_pipeline::Dataset;
-/// use serde::Serialize;
-///
-/// #[derive(Serialize)]
-/// struct Incident { victim: &'static str, correlation: f64 }
-///
-/// let mut ds = Dataset::new();
-/// ds.insert_records("incidents", &[
-///     Incident { victim: "websearch", correlation: 0.46 },
-///     Incident { victim: "bigtable", correlation: 0.2 },
-/// ]).unwrap();
-/// let r = ds
-///     .query("SELECT victim FROM incidents WHERE correlation >= 0.35")
-///     .unwrap();
-/// assert_eq!(r.rows.len(), 1);
-/// assert_eq!(r.rows[0][0].to_string(), "websearch");
-/// ```
-#[derive(Debug, Default)]
-pub struct Dataset {
-    tables: BTreeMap<String, Table>,
-}
-
-impl Dataset {
-    /// Creates an empty dataset.
-    pub fn new() -> Self {
-        Dataset::default()
-    }
-
-    /// Registers (or replaces) a table.
-    pub fn insert(&mut self, table: Table) {
-        self.tables.insert(table.name.clone(), table);
-    }
-
-    /// Registers a table built from serializable records.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization failures.
-    pub fn insert_records<T: Serialize>(
-        &mut self,
-        name: &str,
-        records: &[T],
-    ) -> Result<(), serde_json::Error> {
-        self.insert(Table::from_records(name, records)?);
-        Ok(())
-    }
-
-    /// Executes a query.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError`] on syntax errors or unknown tables.
-    pub fn query(&self, sql: &str) -> Result<QueryResult, QueryError> {
-        self.run(&Query::parse(sql)?)
-    }
-
-    /// Executes a parsed query over the stored table its `FROM` names:
-    /// many statements to one set of records ([`Query::scan`] answers one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError::UnknownTable`] if its table is not registered.
-    pub fn run(&self, q: &Query) -> Result<QueryResult, QueryError> {
-        let table = self
-            .tables
-            .get(&q.from)
-            .ok_or_else(|| QueryError::UnknownTable(q.from.clone()))?;
-        Ok(q.over(&table.rows))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::{TestCaseError, TestRng};
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
-    fn sample_dataset() -> Result<Dataset, serde_json::Error> {
-        #[derive(Serialize)]
-        struct Inc {
-            job: &'static str,
-            antagonist: &'static str,
-            correlation: f64,
-            acted: bool,
-        }
-        let recs = vec![
-            Inc {
-                job: "websearch",
-                antagonist: "video",
-                correlation: 0.46,
-                acted: true,
-            },
-            Inc {
-                job: "websearch",
-                antagonist: "mapreduce",
-                correlation: 0.39,
-                acted: true,
-            },
-            Inc {
-                job: "websearch",
-                antagonist: "video",
-                correlation: 0.52,
-                acted: true,
-            },
-            Inc {
-                job: "bigtable",
-                antagonist: "compile",
-                correlation: 0.20,
-                acted: false,
-            },
-            Inc {
-                job: "bigtable",
-                antagonist: "video",
-                correlation: 0.41,
-                acted: true,
-            },
-        ];
-        let mut ds = Dataset::new();
-        ds.insert_records("incidents", &recs)?;
-        Ok(ds)
+    /// Parses `sql` and scans `records` with it.
+    pub(super) fn ask<T: Serialize>(records: &[T], sql: &str) -> Result<QueryResult, QueryError> {
+        Ok(Query::parse(sql)?.scan(records))
+    }
+
+    /// The reference the pruned path is held to: every record flattened
+    /// whole, then the one executor over those full rows.
+    fn full_rows<T: Serialize>(q: &Query, records: &[T]) -> QueryResult {
+        q.over(&records.iter().map(full_row).collect::<Vec<_>>())
+    }
+
+    #[derive(Serialize)]
+    struct Inc {
+        job: &'static str,
+        antagonist: &'static str,
+        correlation: f64,
+        acted: bool,
+    }
+
+    fn incidents() -> Vec<Inc> {
+        let inc = |job, antagonist, correlation, acted| Inc {
+            job,
+            antagonist,
+            correlation,
+            acted,
+        };
+        vec![
+            inc("websearch", "video", 0.46, true),
+            inc("websearch", "mapreduce", 0.39, true),
+            inc("websearch", "video", 0.52, true),
+            inc("bigtable", "compile", 0.20, false),
+            inc("bigtable", "video", 0.41, true),
+        ]
     }
 
     #[test]
     fn select_star() -> TestResult {
-        let ds = sample_dataset()?;
-        let r = ds.query("SELECT * FROM incidents")?;
+        let r = ask(&incidents(), "SELECT * FROM incidents")?;
         assert_eq!(r.rows.len(), 5);
         assert!(r.columns.contains(&"correlation".to_string()));
         Ok(())
@@ -1106,17 +981,15 @@ mod tests {
 
     #[test]
     fn where_filters() -> TestResult {
-        let ds = sample_dataset()?;
-        let r = ds.query("SELECT antagonist FROM incidents WHERE correlation >= 0.4")?;
-        assert_eq!(r.rows.len(), 3);
+        let sql = "SELECT antagonist FROM incidents WHERE correlation >= 0.4";
+        assert_eq!(ask(&incidents(), sql)?.rows.len(), 3);
         Ok(())
     }
 
     #[test]
     fn where_string_and_bool() -> TestResult {
-        let ds = sample_dataset()?;
-        let r =
-            ds.query("SELECT correlation FROM incidents WHERE job = 'bigtable' AND acted = true")?;
+        let sql = "SELECT correlation FROM incidents WHERE job = 'bigtable' AND acted = true";
+        let r = ask(&incidents(), sql)?;
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0][0], Value::Num(0.41));
         Ok(())
@@ -1124,9 +997,9 @@ mod tests {
 
     #[test]
     fn or_precedence() -> TestResult {
-        let ds = sample_dataset()?;
         // AND binds tighter: job='bigtable' OR (job='websearch' AND corr>0.5)
-        let r = ds.query(
+        let r = ask(
+            &incidents(),
             "SELECT job FROM incidents WHERE job = 'bigtable' OR job = 'websearch' AND correlation > 0.5",
         )?;
         assert_eq!(r.rows.len(), 3);
@@ -1136,8 +1009,8 @@ mod tests {
     #[test]
     fn group_by_with_aggregates() -> TestResult {
         // The §5 forensics query: most aggressive antagonists for a job.
-        let ds = sample_dataset()?;
-        let r = ds.query(
+        let r = ask(
+            &incidents(),
             "SELECT antagonist, count(*), avg(correlation) FROM incidents \
              WHERE job = 'websearch' GROUP BY antagonist ORDER BY count(*) DESC",
         )?;
@@ -1153,8 +1026,10 @@ mod tests {
 
     #[test]
     fn global_aggregate_without_group_by() -> TestResult {
-        let ds = sample_dataset()?;
-        let r = ds.query("SELECT count(*), max(correlation) FROM incidents")?;
+        let r = ask(
+            &incidents(),
+            "SELECT count(*), max(correlation) FROM incidents",
+        )?;
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0][0], Value::Num(5.0));
         assert_eq!(r.rows[0][1], Value::Num(0.52));
@@ -1163,8 +1038,8 @@ mod tests {
 
     #[test]
     fn order_and_limit() -> TestResult {
-        let ds = sample_dataset()?;
-        let r = ds.query(
+        let r = ask(
+            &incidents(),
             "SELECT antagonist, correlation FROM incidents ORDER BY correlation DESC LIMIT 2",
         )?;
         assert_eq!(r.rows.len(), 2);
@@ -1175,8 +1050,8 @@ mod tests {
 
     #[test]
     fn min_sum_aggregates() -> TestResult {
-        let ds = sample_dataset()?;
-        let r = ds.query("SELECT min(correlation), sum(correlation) FROM incidents")?;
+        let sql = "SELECT min(correlation), sum(correlation) FROM incidents";
+        let r = ask(&incidents(), sql)?;
         assert_eq!(r.rows[0][0], Value::Num(0.2));
         let Value::Num(s) = r.rows[0][1] else {
             return Err("sum(correlation) should be numeric".into());
@@ -1185,56 +1060,33 @@ mod tests {
         Ok(())
     }
 
+    /// The statement names its table; the caller picks the records.
     #[test]
     fn parse_names_the_table_before_any_is_built() -> TestResult {
         let q = Query::parse("select count(*) from samples where cpi > 2")?;
         assert_eq!(q.table(), "samples");
-        assert_eq!(
-            Dataset::new().run(&q),
-            Err(QueryError::UnknownTable("samples".into()))
-        );
-        let q = Query::parse("SELECT * FROM incidents")?;
-        assert_eq!(sample_dataset()?.run(&q)?.rows.len(), 5);
         Ok(())
     }
 
     #[test]
-    fn unknown_table_error() -> TestResult {
-        let ds = sample_dataset()?;
-        assert_eq!(
-            ds.query("SELECT * FROM nope"),
-            Err(QueryError::UnknownTable("nope".into()))
-        );
-        Ok(())
-    }
-
-    #[test]
-    fn parse_errors() -> TestResult {
-        let ds = sample_dataset()?;
-        assert!(matches!(
-            ds.query("FROM incidents"),
-            Err(QueryError::Parse(_))
-        ));
-        assert!(matches!(
-            ds.query("SELECT * FROM incidents WHERE"),
-            Err(QueryError::Parse(_))
-        ));
-        assert!(matches!(
-            ds.query("SELECT * FROM incidents LIMIT 'x'"),
-            Err(QueryError::Parse(_))
-        ));
-        assert!(matches!(
-            ds.query("SELECT * FROM incidents trailing"),
-            Err(QueryError::Parse(_))
-        ));
-        Ok(())
+    fn parse_errors() {
+        for sql in [
+            "FROM incidents",
+            "SELECT * FROM incidents WHERE",
+            "SELECT * FROM incidents LIMIT 'x'",
+            "SELECT * FROM incidents trailing",
+        ] {
+            assert!(
+                matches!(Query::parse(sql), Err(QueryError::Parse(_))),
+                "{sql}"
+            );
+        }
     }
 
     #[test]
     fn null_columns_excluded_by_where() -> TestResult {
-        let ds = sample_dataset()?;
-        let r = ds.query("SELECT job FROM incidents WHERE nonexistent > 1")?;
-        assert!(r.rows.is_empty());
+        let sql = "SELECT job FROM incidents WHERE nonexistent > 1";
+        assert!(ask(&incidents(), sql)?.rows.is_empty());
         Ok(())
     }
 
@@ -1250,16 +1102,12 @@ mod tests {
         struct Inner {
             x: f64,
         }
-        let mut ds = Dataset::new();
-        ds.insert_records(
-            "t",
-            &[Outer {
-                name: "a",
-                inner: Inner { x: 3.5 },
-                list: vec![7, 8],
-            }],
-        )?;
-        let r = ds.query("SELECT inner.x, list.len, list.0 FROM t")?;
+        let records = [Outer {
+            name: "a",
+            inner: Inner { x: 3.5 },
+            list: vec![7, 8],
+        }];
+        let r = ask(&records, "SELECT inner.x, list.len, list.0 FROM t")?;
         assert_eq!(
             r.rows[0],
             vec![Value::Num(3.5), Value::Num(2.0), Value::Num(7.0)]
@@ -1269,8 +1117,10 @@ mod tests {
 
     #[test]
     fn display_renders_table() -> TestResult {
-        let ds = sample_dataset()?;
-        let r = ds.query("SELECT job, correlation FROM incidents LIMIT 1")?;
+        let r = ask(
+            &incidents(),
+            "SELECT job, correlation FROM incidents LIMIT 1",
+        )?;
         let text = r.to_string();
         assert!(text.contains("job"));
         assert!(text.contains("websearch"));
@@ -1288,7 +1138,7 @@ mod tests {
     /// full of nulls.
     #[test]
     fn statements_once_answered_wrongly_are_refused() -> TestResult {
-        let ds = sample_dataset()?;
+        let recs = incidents();
         for (sql, names) in [
             (
                 "SELECT job FROM incidents ORDER BY correlation DESC",
@@ -1301,21 +1151,18 @@ mod tests {
             ("SELECT *, count(*) FROM incidents", "*"),
             ("SELECT * FROM incidents GROUP BY job", "*"),
         ] {
-            match ds.query(sql) {
+            match ask(&recs, sql) {
                 Err(QueryError::Parse(message)) => assert!(message.contains(names), "{message}"),
                 other => panic!("{sql}: {other:?}"),
             }
         }
         // Under `*` any column is an output column; one that no row has
         // leaves the order alone.
-        let sorted = ds.query("SELECT * FROM incidents ORDER BY correlation DESC")?;
-        assert_eq!(
-            sorted.rows[0],
-            ds.query("SELECT * FROM incidents WHERE correlation > 0.5")?
-                .rows[0]
-        );
-        let untouched = ds.query("SELECT * FROM incidents ORDER BY nowhere DESC")?;
-        assert_eq!(untouched, ds.query("SELECT * FROM incidents")?);
+        let sorted = ask(&recs, "SELECT * FROM incidents ORDER BY correlation DESC")?;
+        let top = ask(&recs, "SELECT * FROM incidents WHERE correlation > 0.5")?;
+        assert_eq!(sorted.rows[0], top.rows[0]);
+        let untouched = ask(&recs, "SELECT * FROM incidents ORDER BY nowhere DESC")?;
+        assert_eq!(untouched, ask(&recs, "SELECT * FROM incidents")?);
         Ok(())
     }
 
@@ -1355,8 +1202,6 @@ mod tests {
     fn a_statement_serialises_and_keeps_only_what_it_names() -> TestResult {
         let calls = std::cell::Cell::new(0);
         let records: Vec<Counted> = (0..512).map(|i| Counted { calls: &calls, i }).collect();
-        let mut ds = Dataset::new();
-        ds.insert_records("samples", &records)?;
         for (sql, serialised, kept) in [
             ("SELECT count(*) FROM samples", 0, vec![]),
             (
@@ -1387,7 +1232,7 @@ mod tests {
             let scanned = q.scan(&records);
             assert_eq!(calls.get(), serialised, "{sql}");
             assert_eq!(q.reads, kept, "{sql}");
-            assert_eq!(scanned, ds.run(&q)?, "{sql}");
+            assert_eq!(scanned, full_rows(&q, &records), "{sql}");
         }
         // `*` reads every cell of every record, as it always did.
         let q = Query::parse("SELECT * FROM samples WHERE cpi > 100")?;
@@ -1409,17 +1254,13 @@ mod tests {
             v: f64,
         }
         let r = |name, v| R { name, v };
-        let mut ds = Dataset::new();
-        ds.insert_records(
-            "t",
-            &[r("x\u{1}", 1.0), r("x", 10.0), r("x", 2.5), r("w", 0.5)],
-        )?;
-        let by_one = ds.query("SELECT name, count(*) FROM t GROUP BY name")?;
+        let records = [r("x\u{1}", 1.0), r("x", 10.0), r("x", 2.5), r("w", 0.5)];
+        let by_one = ask(&records, "SELECT name, count(*) FROM t GROUP BY name")?;
         let names: Vec<String> = by_one.rows.iter().map(|r| r[0].to_string()).collect();
         assert_eq!(names, ["w", "x", "x\u{1}"]);
         // With a second cell the separator does follow `x`, and sorts after
         // U+0001; numbers key as displayed: "10" sorts before "2.5000".
-        let by_two = ds.query("SELECT name, v FROM t GROUP BY name, v")?;
+        let by_two = ask(&records, "SELECT name, v FROM t GROUP BY name, v")?;
         let key = |r: &Vec<Value>| format!("{}|{}", r[0], r[1]);
         let keys: Vec<String> = by_two.rows.iter().map(key).collect();
         assert_eq!(keys, ["w|0.5000", "x\u{1}|1", "x|10", "x|2.5000"]);
@@ -1430,96 +1271,326 @@ mod tests {
     /// value is the toolchain's (`+0.0` before Rust 1.83, `-0.0` since).
     #[test]
     fn an_empty_sum_keeps_its_sign() -> TestResult {
-        let r = sample_dataset()?
-            .query("SELECT sum(correlation), sum(nowhere) FROM incidents WHERE correlation > 9")?;
+        let r = ask(
+            &incidents(),
+            "SELECT sum(correlation), sum(nowhere) FROM incidents WHERE correlation > 9",
+        )?;
         let empty: f64 = std::iter::empty::<f64>().sum();
         for cell in &r.rows[0] {
             assert_eq!(cell.as_num().map(f64::to_bits), Some(empty.to_bits()));
         }
         Ok(())
     }
+
+    // ------------------------------------ the scan equals the full rows --
+
+    #[derive(Debug, Clone, Serialize)]
+    struct Fields {
+        job: String,
+        cpi: f64,
+        acted: bool,
+        note: Option<String>,
+        inner: Nested,
+        list: Vec<Point>,
+    }
+
+    /// [`Fields`], sometimes with two keys that spell a nested cell's name
+    /// outright: `list.len` before `list` and `inner.x` after `inner`. The
+    /// later path wins either way.
+    #[derive(Debug, Clone)]
+    struct Wide {
+        fields: Fields,
+        shadow: Option<f64>,
+    }
+
+    impl Serialize for Wide {
+        fn to_value(&self) -> serde_json::Value {
+            let mut record = self.fields.to_value();
+            if let (serde_json::Value::Object(pairs), Some(shadow)) = (&mut record, self.shadow) {
+                pairs.insert(0, ("list.len".into(), shadow.to_value()));
+                pairs.push(("inner.x".into(), shadow.to_value()));
+            }
+            record
+        }
+    }
+
+    #[derive(Debug, Clone, Serialize)]
+    struct Nested {
+        x: f64,
+        tag: String,
+    }
+
+    #[derive(Debug, Clone, Serialize)]
+    struct Point {
+        w: f64,
+        s: String,
+    }
+
+    /// Strings over the characters an escaper, a LIKE matcher and a group key
+    /// must not trip on: a quote, a backslash, the wildcard, a C0 byte.
+    const TEXT: &str = "[ab\"\\%\u{1}]{0,4}";
+
+    /// Quarter steps, so that equalities and groups are hit.
+    fn quarters() -> impl Strategy<Value = f64> {
+        (0..12u8).prop_map(|q| f64::from(q) * 0.25)
+    }
+
+    fn wide_strategy() -> impl Strategy<Value = Wide> {
+        (
+            TEXT,
+            quarters(),
+            any::<bool>(),
+            prop::option::of(TEXT),
+            (quarters(), TEXT),
+            // 0–7 elements: `.len` and `.0`–`.4` exist, `.5` never does.
+            (
+                prop::collection::vec((quarters(), TEXT), 0..8),
+                prop::option::of(quarters()),
+            ),
+        )
+            .prop_map(|(job, cpi, acted, note, (x, tag), (list, shadow))| Wide {
+                fields: Fields {
+                    job,
+                    cpi,
+                    acted,
+                    note,
+                    inner: Nested { x, tag },
+                    list: list.into_iter().map(|(w, s)| Point { w, s }).collect(),
+                },
+                shadow,
+            })
+    }
+
+    /// Present scalars, dotted and indexed cells, cells only some records
+    /// have, names no record has (two of them a cell's name and more), and
+    /// names of an object and an array (which are not cells).
+    const COLUMNS: [&str; 17] = [
+        "job",
+        "cpi",
+        "acted",
+        "note",
+        "inner.x",
+        "inner.tag",
+        "list.len",
+        "list.0.w",
+        "list.2.s",
+        "list.4.s",
+        "list.5.w",
+        "nowhere",
+        "inner.nowhere",
+        "cpix",
+        "list.length",
+        "inner",
+        "list.0",
+    ];
+
+    fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
+        from[rng.below(from.len() as u64) as usize]
+    }
+
+    fn literal(rng: &mut TestRng) -> String {
+        match rng.below(4) {
+            0 => format!("'{}'", TEXT.generate(rng)),
+            1 => pick(rng, &["TRUE", "false"]).into(),
+            _ => format!("{}", quarters().generate(rng)),
+        }
+    }
+
+    fn condition(rng: &mut TestRng, depth: u32) -> String {
+        let column = pick(rng, &COLUMNS);
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => {
+                let op = pick(rng, &["=", "!=", "<", "<=", ">", ">="]);
+                format!("{column} {op} {}", literal(rng))
+            }
+            1 => format!("{column} >= {}", pick(rng, &COLUMNS)),
+            2 => format!("{column} BETWEEN {} AND {}", literal(rng), literal(rng)),
+            3 => {
+                let parts: Vec<String> = (0..rng.below(4)).map(|_| TEXT.generate(rng)).collect();
+                format!("{column} LIKE '{}'", parts.join("%"))
+            }
+            4 => format!(
+                "{} AND {}",
+                condition(rng, depth - 1),
+                condition(rng, depth - 1)
+            ),
+            _ => format!(
+                "{} OR {}",
+                condition(rng, depth - 1),
+                condition(rng, depth - 1)
+            ),
+        }
+    }
+
+    /// One statement of the grammar over table `t`: plain, aggregate or
+    /// GROUP BY, with or without WHERE, ORDER BY and LIMIT.
+    fn statement(seed: u64) -> String {
+        let rng = &mut TestRng::from_seed(seed);
+        let aggregate = |rng: &mut TestRng| match rng.below(6) {
+            0 => "count(*)".to_string(),
+            _ => {
+                let func = pick(rng, &["count", "sum", "avg", "min", "max"]);
+                format!("{func}({})", pick(rng, &COLUMNS))
+            }
+        };
+        let several = |rng: &mut TestRng, item: &dyn Fn(&mut TestRng) -> String| -> Vec<String> {
+            (0..1 + rng.below(3)).map(|_| item(rng)).collect()
+        };
+        let column = |rng: &mut TestRng| pick(rng, &COLUMNS).to_string();
+        let mut group_by = Vec::new();
+        let (select, sortable) = match rng.below(4) {
+            0 => (vec!["*".to_string()], COLUMNS.map(String::from).to_vec()),
+            1 => {
+                let select = several(rng, &column);
+                (select.clone(), select)
+            }
+            2 => {
+                let select = several(rng, &aggregate);
+                (select.clone(), select)
+            }
+            _ => {
+                group_by = several(rng, &column);
+                let mut select = group_by.clone();
+                select.push(column(rng));
+                select.extend(several(rng, &aggregate));
+                (select.clone(), select)
+            }
+        };
+        let mut sql = format!("SELECT {} FROM t", select.join(", "));
+        if rng.below(3) > 0 {
+            sql += &format!(" WHERE {}", condition(rng, 2));
+        }
+        if !group_by.is_empty() {
+            sql += &format!(" GROUP BY {}", group_by.join(", "));
+        }
+        if rng.below(2) == 0 {
+            let keys: Vec<String> = (0..1 + rng.below(2))
+                .map(|_| {
+                    let key = &sortable[rng.below(sortable.len() as u64) as usize];
+                    format!("{key}{}", pick(rng, &["", " ASC", " DESC"]))
+                })
+                .collect();
+            sql += &format!(" ORDER BY {}", keys.join(", "));
+        }
+        match rng.below(3) {
+            0 => {}
+            1 => sql += " LIMIT 0",
+            _ => sql += &format!(" LIMIT {}", 1 + rng.below(5)),
+        }
+        sql
+    }
+
+    /// A result with its numbers as bit patterns: `-0` is not `0` (an empty
+    /// `sum` has the sign the toolchain gives it) and a NaN equals itself.
+    fn to_bits(r: &QueryResult) -> (Vec<String>, Vec<Vec<String>>) {
+        let cell = |v: &Value| match v {
+            Value::Num(n) => format!("{:#018x}", n.to_bits()),
+            other => format!("{other:?}"),
+        };
+        let rows = r.rows.iter().map(|row| row.iter().map(cell).collect());
+        (r.columns.clone(), rows.collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// `Query::scan` keeps of each record only the cells the statement
+        /// names and may stop early; the reference flattens every record
+        /// whole. Both must give one answer, to the bit: this holds
+        /// `cell_at` to `flatten`.
+        #[test]
+        fn scanning_records_answers_as_the_full_table_does(
+            recs in prop::collection::vec(wide_strategy(), 0..24),
+            seed in any::<u64>(),
+        ) {
+            let sql = statement(seed);
+            let q = match Query::parse(&sql) {
+                Ok(q) => q,
+                Err(e) => return Err(TestCaseError::fail(format!("{sql}: {e}"))),
+            };
+            let (scanned, full) = (q.scan(&recs), full_rows(&q, &recs));
+            prop_assert_eq!(to_bits(&scanned), to_bits(&full), "{}\n{:?}\n{:?}", sql, scanned, full);
+        }
+    }
 }
 
 #[cfg(test)]
 mod like_between_tests {
+    use super::tests::ask;
     use super::*;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
-    fn ds() -> Result<Dataset, serde_json::Error> {
-        #[derive(serde::Serialize)]
-        struct R {
-            job: &'static str,
-            cpi: f64,
-        }
-        let mut ds = Dataset::new();
-        ds.insert_records(
-            "t",
-            &[
-                R {
-                    job: "websearch-leaf",
-                    cpi: 1.0,
-                },
-                R {
-                    job: "websearch-root",
-                    cpi: 2.0,
-                },
-                R {
-                    job: "bigtable",
-                    cpi: 3.0,
-                },
-                R {
-                    job: "search-proxy",
-                    cpi: 4.0,
-                },
-            ],
-        )?;
-        Ok(ds)
+    #[derive(Serialize)]
+    struct R {
+        job: &'static str,
+        cpi: f64,
+    }
+
+    fn recs() -> [R; 4] {
+        [
+            R {
+                job: "websearch-leaf",
+                cpi: 1.0,
+            },
+            R {
+                job: "websearch-root",
+                cpi: 2.0,
+            },
+            R {
+                job: "bigtable",
+                cpi: 3.0,
+            },
+            R {
+                job: "search-proxy",
+                cpi: 4.0,
+            },
+        ]
     }
 
     #[test]
     fn between_inclusive() -> TestResult {
-        let r = ds()?.query("SELECT job FROM t WHERE cpi BETWEEN 2 AND 3")?;
+        let r = ask(&recs(), "SELECT job FROM t WHERE cpi BETWEEN 2 AND 3")?;
         assert_eq!(r.rows.len(), 2);
         Ok(())
     }
 
     #[test]
     fn like_prefix() -> TestResult {
-        let r = ds()?.query("SELECT job FROM t WHERE job LIKE 'websearch%'")?;
+        let r = ask(&recs(), "SELECT job FROM t WHERE job LIKE 'websearch%'")?;
         assert_eq!(r.rows.len(), 2);
         Ok(())
     }
 
     #[test]
     fn like_suffix_and_infix() -> TestResult {
-        let r = ds()?.query("SELECT job FROM t WHERE job LIKE '%leaf'")?;
+        let r = ask(&recs(), "SELECT job FROM t WHERE job LIKE '%leaf'")?;
         assert_eq!(r.rows.len(), 1);
-        let r = ds()?.query("SELECT job FROM t WHERE job LIKE '%search%'")?;
+        let r = ask(&recs(), "SELECT job FROM t WHERE job LIKE '%search%'")?;
         assert_eq!(r.rows.len(), 3);
         Ok(())
     }
 
     #[test]
     fn like_exact_without_wildcard() -> TestResult {
-        let r = ds()?.query("SELECT job FROM t WHERE job LIKE 'bigtable'")?;
+        let r = ask(&recs(), "SELECT job FROM t WHERE job LIKE 'bigtable'")?;
         assert_eq!(r.rows.len(), 1);
-        let r = ds()?.query("SELECT job FROM t WHERE job LIKE 'bigtab'")?;
+        let r = ask(&recs(), "SELECT job FROM t WHERE job LIKE 'bigtab'")?;
         assert_eq!(r.rows.len(), 0);
         Ok(())
     }
 
     #[test]
     fn like_on_number_is_false() -> TestResult {
-        let r = ds()?.query("SELECT job FROM t WHERE cpi LIKE '1%'")?;
+        let r = ask(&recs(), "SELECT job FROM t WHERE cpi LIKE '1%'")?;
         assert!(r.rows.is_empty());
         Ok(())
     }
 
     #[test]
     fn between_in_conjunction() -> TestResult {
-        let r = ds()?.query("SELECT job FROM t WHERE cpi BETWEEN 1 AND 3 AND job LIKE 'web%'")?;
-        assert_eq!(r.rows.len(), 2);
+        let sql = "SELECT job FROM t WHERE cpi BETWEEN 1 AND 3 AND job LIKE 'web%'";
+        assert_eq!(ask(&recs(), sql)?.rows.len(), 2);
         Ok(())
     }
 

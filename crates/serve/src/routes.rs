@@ -603,11 +603,12 @@ mod tests {
         // Fill the ring past capacity with 200-byte details.
         let evicted = 100;
         let pushed = DEFAULT_EVENT_CAPACITY + evicted;
-        for i in 0..pushed {
+        let detail = |i: usize| {
             let head = format!("victim\t{i:>6}\n\u{1} capped — ü ");
-            tel.event("in\"cident", || {
-                format!("{head}{}", "x".repeat(200 - head.len()))
-            });
+            format!("{head}{}", "x".repeat(200 - head.len()))
+        };
+        for i in 0..pushed {
+            tel.event("in\"cident", || detail(i));
         }
         let events = body("/debug/events");
         let metrics = body("/metrics.json");
@@ -638,21 +639,11 @@ mod tests {
         let events: Vec<Event> = serde_json::from_str(&events).expect("/debug/events parses");
         let metrics: Metrics = serde_json::from_str(&metrics).expect("/metrics.json parses");
         // Exactly the retained events, oldest first, read back as recorded.
-        let retained: Vec<Event> = tel
-            .recent_events()
-            .into_iter()
-            .map(|e| Event {
-                at_us: e.at_us,
-                kind: e.kind,
-                detail: e.detail,
-            })
-            .collect();
-        assert_eq!(events, retained);
         assert_eq!(events.len(), DEFAULT_EVENT_CAPACITY);
-        assert!(events[0]
-            .detail
-            .starts_with(&format!("victim\t{evicted:>6}\n")));
-        assert_eq!(events[0].detail.len(), 200);
+        for (event, i) in events.iter().zip(evicted..) {
+            assert_eq!((&*event.kind, &event.detail), ("in\"cident", &detail(i)));
+        }
+        assert!(events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
         assert_eq!(
             metrics.events_total, pushed as u64,
             "counts the evicted too"

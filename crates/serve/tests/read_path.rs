@@ -14,7 +14,7 @@ mod common;
 
 use cpi2::core::CpiSample;
 use cpi2::harness::Cpi2Harness;
-use cpi2::pipeline::query::Dataset;
+use cpi2::pipeline::{Query, QueryError};
 use cpi2::sim::{JobId, SchedClass, SimDuration, TaskId};
 use cpi2_serve::chunked::Chunked;
 use cpi2_serve::http::{self, Body, Framing, ScannedResponse};
@@ -129,8 +129,9 @@ fn rebuild(twin: &Cpi2Harness, samples: &[CpiSample], ticks: u64) -> LiveSnapsho
 
 /// Ticks a served harness and its bare twin through the clean and the
 /// planted phase, checking after every tick that the published snapshot
-/// is the rebuilt one; returns the served harness for further probing.
-fn run_against_oracle() -> ServeHarness {
+/// is the rebuilt one; returns the served harness for further probing
+/// and the last snapshot rebuilt from the twin.
+fn run_against_oracle() -> (ServeHarness, LiveSnapshot) {
     let mut twin = fleet();
     let mut sh = ServeHarness::new(fleet());
     let state = sh.state();
@@ -225,7 +226,8 @@ fn run_against_oracle() -> ServeHarness {
         shared_lists > 1000 && rebuilt_lists > 100,
         "{shared_lists} task lists shared, {rebuilt_lists} rebuilt"
     );
-    sh
+    let ticks = CLEAN_TICKS + PLANTED_TICKS;
+    (sh, rebuild(&twin, &samples, ticks))
 }
 
 #[test]
@@ -344,7 +346,7 @@ fn over_the_wire(response: Response) -> (u16, Vec<u8>) {
 
 #[test]
 fn bodies_are_byte_identical_to_the_serde_path() {
-    let sh = run_against_oracle();
+    let (sh, exact) = run_against_oracle();
     let state = sh.state();
     let router = Router::new(Arc::clone(&state));
     let snap = state.live.snapshot();
@@ -384,17 +386,24 @@ fn bodies_are_byte_identical_to_the_serde_path() {
         assert_eq!(String::from_utf8(body).unwrap(), json_array(&of_job));
     }
 
-    // POST /query: one pass over the snapshot's records, reading what the
-    // statement names, answers as a `Dataset` holding every table whole.
-    let mut all = Dataset::new();
-    all.insert_records("incidents", &views).unwrap();
-    let samples: Vec<_> = snap.samples.iter().collect();
-    all.insert_records("machines", &machines).unwrap();
-    all.insert_records("specs", &snap.specs).unwrap();
-    all.insert_records("samples", &samples).unwrap();
+    // POST /query answers as the same statement scanned over the records
+    // rebuilt from the twin: its incident views, its machines as the
+    // publisher once held them, its specs and its sample tail.
+    let twin_views: Vec<&IncidentView> = exact.incidents.iter().map(|i| &i.view).collect();
+    let twin_machines: Vec<MachineJson> = exact.machine_views().map(MachineJson::of).collect();
+    let answer = |sql: &str| {
+        let q = Query::parse(sql)?;
+        match q.table() {
+            "incidents" => Ok(q.scan(&twin_views)),
+            "machines" => Ok(q.scan(&twin_machines)),
+            "specs" => Ok(q.scan(exact.specs.iter())),
+            "samples" => Ok(q.scan(exact.samples.iter())),
+            other => Err(QueryError::UnknownTable(other.into())),
+        }
+    };
     let reference = |sql: &str| -> (u16, String) {
         // `routes::stream_query_result`'s format, spelled out.
-        match all.query(sql) {
+        match answer(sql) {
             Ok(r) => {
                 let columns: Vec<String> = r
                     .columns

@@ -237,11 +237,6 @@ impl Cluster {
         &self.trace
     }
 
-    /// Records a free-form note in the trace.
-    pub fn note(&mut self, text: impl Into<String>) {
-        self.trace.record(self.now, TraceEvent::Note(text.into()));
-    }
-
     /// Submits a job, placing all of its tasks. `restart_on_exit` controls
     /// whether the cluster respawns tasks that exit on their own (frameworks
     /// like MapReduce that manage their own workers pass `false`).
@@ -492,9 +487,6 @@ impl Cluster {
                 ClusterEvent::KillTask(t) => {
                     self.kill_task(t);
                 }
-                ClusterEvent::MigrateTask(t) => {
-                    let _ = self.migrate_task(t);
-                }
                 ClusterEvent::HardCap {
                     task,
                     cpu_rate,
@@ -502,7 +494,6 @@ impl Cluster {
                 } => {
                     self.apply_hard_cap(task, cpu_rate, until);
                 }
-                ClusterEvent::Note(s) => self.note(s),
             }
         }
 

@@ -22,8 +22,6 @@ pub enum ClusterEvent {
     },
     /// Kill a task.
     KillTask(TaskId),
-    /// Kill a task and restart it elsewhere.
-    MigrateTask(TaskId),
     /// Apply a CPU hard cap.
     HardCap {
         /// Target task.
@@ -33,8 +31,6 @@ pub enum ClusterEvent {
         /// Expiry.
         until: SimTime,
     },
-    /// Record a note in the trace.
-    Note(String),
 }
 
 impl std::fmt::Debug for ClusterEvent {
@@ -45,13 +41,11 @@ impl std::fmt::Debug for ClusterEvent {
                 .field("job", &spec.name)
                 .finish(),
             ClusterEvent::KillTask(t) => f.debug_tuple("KillTask").field(t).finish(),
-            ClusterEvent::MigrateTask(t) => f.debug_tuple("MigrateTask").field(t).finish(),
             ClusterEvent::HardCap { task, cpu_rate, .. } => f
                 .debug_struct("HardCap")
                 .field("task", task)
                 .field("rate", cpu_rate)
                 .finish(),
-            ClusterEvent::Note(s) => f.debug_tuple("Note").field(s).finish(),
         }
     }
 }
@@ -138,22 +132,33 @@ impl std::fmt::Debug for EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobId;
+
+    /// A kill of task `index` of job 0: the events are told apart by it.
+    fn kill(index: u32) -> ClusterEvent {
+        ClusterEvent::KillTask(TaskId {
+            job: JobId(0),
+            index,
+        })
+    }
+
+    /// The task indices of `due` events, in order.
+    fn indices(due: &[ClusterEvent]) -> Vec<u32> {
+        due.iter()
+            .map(|e| match e {
+                ClusterEvent::KillTask(t) => t.index,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
 
     #[test]
     fn due_events_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(30), ClusterEvent::Note("b".into()));
-        q.schedule(SimTime::from_secs(10), ClusterEvent::Note("a".into()));
-        q.schedule(SimTime::from_secs(50), ClusterEvent::Note("c".into()));
-        let due = q.due(SimTime::from_secs(30));
-        let names: Vec<String> = due
-            .iter()
-            .map(|e| match e {
-                ClusterEvent::Note(s) => s.clone(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(names, vec!["a", "b"]);
+        q.schedule(SimTime::from_secs(30), kill(1));
+        q.schedule(SimTime::from_secs(10), kill(0));
+        q.schedule(SimTime::from_secs(50), kill(2));
+        assert_eq!(indices(&q.due(SimTime::from_secs(30))), vec![0, 1]);
         assert_eq!(q.len(), 1);
     }
 
@@ -161,23 +166,16 @@ mod tests {
     fn same_time_preserves_submission_order() {
         let mut q = EventQueue::new();
         for i in 0..5 {
-            q.schedule(SimTime::from_secs(10), ClusterEvent::Note(format!("{i}")));
+            q.schedule(SimTime::from_secs(10), kill(i));
         }
         let due = q.due(SimTime::from_secs(10));
-        let names: Vec<String> = due
-            .iter()
-            .map(|e| match e {
-                ClusterEvent::Note(s) => s.clone(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(names, vec!["0", "1", "2", "3", "4"]);
+        assert_eq!(indices(&due), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn nothing_due_before_time() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), ClusterEvent::Note("x".into()));
+        q.schedule(SimTime::from_secs(10), kill(0));
         assert!(q.due(SimTime::from_secs(9)).is_empty());
         assert!(!q.is_empty());
     }

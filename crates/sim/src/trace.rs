@@ -68,8 +68,6 @@ pub enum TraceEvent {
         /// How many resident tasks died with it.
         tasks_lost: u32,
     },
-    /// Free-form annotation.
-    Note(String),
 }
 
 /// One timestamped trace entry.
@@ -131,11 +129,19 @@ impl Trace {
 mod tests {
     use super::*;
 
+    /// A crash of machine `n`: the entries are told apart by it.
+    fn crash(n: u32) -> TraceEvent {
+        TraceEvent::MachineCrashed {
+            machine: MachineId(n),
+            tasks_lost: 0,
+        }
+    }
+
     #[test]
     fn records_in_order() {
         let mut t = Trace::new(10);
-        t.record(SimTime::from_secs(1), TraceEvent::Note("a".into()));
-        t.record(SimTime::from_secs(2), TraceEvent::Note("b".into()));
+        t.record(SimTime::from_secs(1), crash(0));
+        t.record(SimTime::from_secs(2), crash(1));
         let v: Vec<_> = t.entries().collect();
         assert_eq!(v.len(), 2);
         assert_eq!(v[0].at, SimTime::from_secs(1));
@@ -145,7 +151,7 @@ mod tests {
     fn evicts_oldest_at_capacity() {
         let mut t = Trace::new(2);
         for i in 0..5 {
-            t.record(SimTime::from_secs(i), TraceEvent::Note(format!("{i}")));
+            t.record(SimTime::from_secs(i), crash(i as u32));
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.entries().next().unwrap().at, SimTime::from_secs(3));

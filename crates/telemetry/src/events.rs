@@ -18,17 +18,6 @@ use std::sync::{Mutex, PoisonError};
 /// Default number of events retained by the ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
-/// One recorded event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Microseconds since the owning registry was created.
-    pub at_us: u64,
-    /// Short machine-readable kind, e.g. `"incident"` or `"spec_refresh"`.
-    pub kind: String,
-    /// Free-form human-readable detail.
-    pub detail: String,
-}
-
 /// Bounded ring buffer of recent events.
 #[derive(Debug)]
 pub(crate) struct EventRing {
@@ -41,9 +30,9 @@ pub(crate) struct EventRing {
 
 #[derive(Debug)]
 struct RingState {
-    /// Each event beside its JSON object, rendered once at `push` and
-    /// evicted with it: readers share these bytes instead of re-encoding.
-    buf: VecDeque<(Event, Arc<str>)>,
+    /// Each event as its JSON object, rendered once at `push`: readers
+    /// share these bytes instead of re-encoding.
+    buf: VecDeque<Arc<str>>,
     capacity: usize,
 }
 
@@ -59,28 +48,23 @@ impl EventRing {
         }
     }
 
-    pub(crate) fn push(&self, event: Event) {
+    /// Records one event, `at_us` microseconds after the registry began.
+    pub(crate) fn push(&self, at_us: u64, kind: &str, detail: &str) {
         // Encoded before the lock is taken: a reader waits for a push of
-        // two pointers, not for an escaper.
-        let json = crate::export::event_json(&event);
+        // a pointer, not for an escaper.
+        let json = crate::export::event_json(at_us, kind, detail);
         let mut state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if state.buf.len() == state.capacity {
             state.buf.pop_front();
         }
-        state.buf.push_back((event, json));
+        state.buf.push_back(json);
         self.total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of retained events, oldest first.
-    pub(crate) fn snapshot(&self) -> Vec<Event> {
-        let state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        state.buf.iter().map(|(e, _)| e.clone()).collect()
     }
 
     /// The retained events' JSON objects, oldest first (shared, not copied).
     pub(crate) fn snapshot_json(&self) -> Vec<Arc<str>> {
         let state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        state.buf.iter().map(|(_, json)| Arc::clone(json)).collect()
+        state.buf.iter().map(Arc::clone).collect()
     }
 
     /// Total events ever recorded (including evicted ones); lock-free.
@@ -93,43 +77,40 @@ impl EventRing {
 mod tests {
     use super::*;
 
-    fn ev(kind: &str, n: u64) -> Event {
-        Event {
-            at_us: n,
-            kind: kind.to_string(),
-            detail: format!("event {n}"),
-        }
+    /// Pushes event `n` of kind `t`, stamped `n` µs.
+    fn push(ring: &EventRing, n: u64) {
+        ring.push(n, "t", &format!("event {n}"));
+    }
+
+    fn json(n: u64) -> String {
+        format!(r#"{{"at_us":{n},"kind":"t","detail":"event {n}"}}"#)
     }
 
     #[test]
     fn ring_keeps_most_recent() {
         let ring = EventRing::new(3);
         for i in 0..5 {
-            ring.push(ev("t", i));
+            push(&ring, i);
         }
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].at_us, 2);
-        assert_eq!(snap[2].at_us, 4);
+        let snap = ring.snapshot_json();
+        let kept: Vec<&str> = snap.iter().map(|e| &**e).collect();
+        assert_eq!(kept, [json(2), json(3), json(4)]);
         assert_eq!(ring.total(), 5);
     }
 
     #[test]
     fn encoded_bytes_are_evicted_with_their_event() {
         let ring = EventRing::new(3);
-        ring.push(ev("t", 0));
+        push(&ring, 0);
         let first = ring.snapshot_json().remove(0);
-        assert_eq!(&*first, r#"{"at_us":0,"kind":"t","detail":"event 0"}"#);
+        assert_eq!(*first, json(0));
         for i in 1..10 {
-            ring.push(ev("t", i));
+            push(&ring, i);
         }
         assert_eq!(Arc::strong_count(&first), 1, "the ring let go of it");
         let encoded = ring.snapshot_json();
-        assert_eq!(encoded.len(), 3);
-        for (json, event) in encoded.iter().zip(ring.snapshot()) {
-            assert_eq!(*json, crate::export::event_json(&event));
-        }
-        assert_eq!(ring.snapshot()[0].at_us, 7);
+        let kept: Vec<&str> = encoded.iter().map(|e| &**e).collect();
+        assert_eq!(kept, [json(7), json(8), json(9)]);
         assert_eq!(ring.total(), 10);
     }
 
@@ -138,7 +119,7 @@ mod tests {
     #[test]
     fn json_export_does_not_wait_for_the_ring() {
         let reg = crate::registry::Registry::new();
-        reg.events.push(ev("t", 0));
+        push(&reg.events, 0);
         let held = reg
             .events
             .inner
@@ -158,7 +139,6 @@ mod tests {
     #[test]
     fn empty_ring_snapshots_empty() {
         let ring = EventRing::new(8);
-        assert!(ring.snapshot().is_empty());
         assert!(ring.snapshot_json().is_empty());
         assert_eq!(ring.total(), 0);
     }

@@ -24,7 +24,6 @@ use std::sync::PoisonError;
 
 use serde::Number;
 
-use crate::events::Event;
 use crate::metrics::{CounterCell, GaugeCell, HistoCell};
 use crate::registry::{Family, Labels, Registry, Series};
 
@@ -98,11 +97,11 @@ pub(crate) fn json_key(name: &str, labels: &Labels) -> String {
 }
 
 /// One event as a JSON object: the element `/debug/events` serves.
-pub(crate) fn event_json(e: &Event) -> Arc<str> {
-    let mut out = format!("{{\"at_us\":{},\"kind\":", e.at_us);
-    write_json_string(&mut out, &e.kind);
+pub(crate) fn event_json(at_us: u64, kind: &str, detail: &str) -> Arc<str> {
+    let mut out = format!("{{\"at_us\":{at_us},\"kind\":");
+    write_json_string(&mut out, kind);
     out.push_str(",\"detail\":");
-    write_json_string(&mut out, &e.detail);
+    write_json_string(&mut out, detail);
     out.push('}');
     out.into()
 }

@@ -54,7 +54,7 @@ mod registry;
 
 use std::sync::Arc;
 
-pub use events::{Event, DEFAULT_EVENT_CAPACITY};
+pub use events::DEFAULT_EVENT_CAPACITY;
 pub use export::EXPORT_QUANTILES;
 pub use metrics::{Counter, Gauge, HistTimer, Histo, HIST_BUCKETS};
 
@@ -118,19 +118,7 @@ impl Telemetry {
     /// handle pays only the branch — no formatting, no allocation.
     pub fn event<F: FnOnce() -> String>(&self, kind: &str, detail: F) {
         if let Some(reg) = &self.0 {
-            reg.events.push(Event {
-                at_us: reg.elapsed_us(),
-                kind: kind.to_string(),
-                detail: detail(),
-            });
-        }
-    }
-
-    /// Snapshot of retained events, oldest first (empty when disabled).
-    pub fn recent_events(&self) -> Vec<Event> {
-        match &self.0 {
-            Some(reg) => reg.events.snapshot(),
-            None => Vec::new(),
+            reg.events.push(reg.elapsed_us(), kind, &detail());
         }
     }
 
@@ -202,7 +190,6 @@ mod tests {
             String::new()
         });
         assert!(!called, "event detail closure must not run when disabled");
-        assert!(tel.recent_events().is_empty());
         assert_eq!(tel.recent_events_json(), None);
         assert_eq!(tel.prometheus_text(), None);
         assert_eq!(tel.json_snapshot(), None);
@@ -340,13 +327,20 @@ mod tests {
             kind: String,
             detail: String,
         }
-        for (element, event) in elements.iter().zip(tel.recent_events()) {
-            let p: Parsed = serde_json::from_str(element).expect("valid JSON");
-            assert_eq!(
-                (p.at_us, p.kind, p.detail),
-                (event.at_us, event.kind, event.detail)
-            );
-        }
+        let parsed: Vec<Parsed> = elements
+            .iter()
+            .map(|e| serde_json::from_str(e).expect("valid JSON"))
+            .collect();
+        let read: Vec<(&str, &str)> = parsed.iter().map(|p| (&*p.kind, &*p.detail)).collect();
+        assert_eq!(
+            read,
+            [
+                ("incident", "victim \"job\"\t3\n\u{1} capped — ü"),
+                ("spec_refresh", "")
+            ]
+        );
+        assert!(parsed[0].at_us <= parsed[1].at_us);
+        assert!(parsed[1].at_us <= tel.elapsed_us());
         assert_eq!(tel.events_total(), 2);
     }
 
@@ -411,7 +405,9 @@ mod tests {
         for i in 0..(DEFAULT_EVENT_CAPACITY + 10) {
             tel.event("tick", || format!("{i}"));
         }
-        assert_eq!(tel.recent_events().len(), DEFAULT_EVENT_CAPACITY);
+        let retained = tel.recent_events_json().expect("enabled");
+        assert_eq!(retained.len(), DEFAULT_EVENT_CAPACITY);
+        assert!(retained[0].ends_with(",\"kind\":\"tick\",\"detail\":\"10\"}"));
         assert_eq!(tel.events_total(), (DEFAULT_EVENT_CAPACITY + 10) as u64);
     }
 }

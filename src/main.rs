@@ -7,9 +7,9 @@
 //! cpi2 help
 //! ```
 
-use cpi2::core::{Cpi2Config, Incident};
+use cpi2::core::Cpi2Config;
 use cpi2::harness::Cpi2Harness;
-use cpi2::pipeline::{Dataset, Query};
+use cpi2::pipeline::{Query, QueryError};
 use cpi2::sim::{Cluster, ClusterConfig, JobSpec, Platform, SimDuration};
 use cpi2::workloads::{self, CacheThrasher};
 use std::process::ExitCode;
@@ -245,23 +245,20 @@ fn cmd_forensics(args: &Args) -> Result<ExitCode, String> {
     let default_query = "SELECT victim_job, count(*) FROM incidents \
                          GROUP BY victim_job ORDER BY count(*) DESC LIMIT 10";
     let sql = args.value("--query").unwrap_or(default_query);
-    // A statement that does not parse fails before the day-long run.
+    // A statement that does not parse, or names a table other than the
+    // incident log, fails before the day-long run.
     let query = Query::parse(sql).map_err(|e| format!("--query: {e}"))?;
+    if query.table() != "incidents" {
+        let e = QueryError::UnknownTable(query.table().into());
+        return Err(format!("--query: {e}"));
+    }
     let system = run_system(args)?;
-    let incidents: Vec<Incident> = system
-        .incidents()
-        .iter()
-        .map(|mi| mi.incident.clone())
-        .collect();
+    let incidents = system.incidents();
     println!(
         "{} incidents collected; running:\n  {sql}\n",
         incidents.len()
     );
-    let mut ds = Dataset::new();
-    ds.insert_records("incidents", &incidents)
-        .expect("an incident serializes");
-    let result = ds.run(&query).map_err(|e| format!("--query: {e}"))?;
-    println!("{result}");
+    println!("{}", query.scan(incidents.iter().map(|mi| &mi.incident)));
     Ok(ExitCode::SUCCESS)
 }
 

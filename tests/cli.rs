@@ -78,6 +78,29 @@ fn forensics_answers_sql_over_the_incident_log() {
 }
 
 #[test]
+fn forensics_refuses_an_unknown_table_before_the_run() {
+    // Used to run the whole day, print "… incidents collected", and only
+    // then refuse the table.
+    let args = [
+        "forensics",
+        "--machines",
+        "3",
+        "--minutes",
+        "5",
+        "--query",
+        "SELECT * FROM samples",
+    ];
+    let out = cpi2(&args);
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--query: unknown table: samples"),
+        "{stderr}"
+    );
+    assert!(!stdout.contains("incidents collected"), "{stdout}");
+}
+
+#[test]
 fn thrashers_that_cannot_land_are_an_error() {
     // Used to say "6 thrasher task(s) landed" on an empty cluster and
     // exit 0.

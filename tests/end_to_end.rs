@@ -4,7 +4,7 @@
 
 use cpi2::core::{Cpi2Config, IncidentAction, JobKey};
 use cpi2::harness::Cpi2Harness;
-use cpi2::pipeline::Dataset;
+use cpi2::pipeline::Query;
 use cpi2::sim::ResourceProfile;
 use cpi2::sim::{Cluster, ClusterConfig, JobSpec, Platform, SimDuration, TaskId, TraceEvent};
 use cpi2::workloads::{self, CacheThrasher, LsService, MapReduceWorker};
@@ -237,27 +237,19 @@ fn forensics_queries_run_over_incident_log() {
     system.run_for(SimDuration::from_hours(1));
     assert!(!system.incidents().is_empty());
 
-    // §5: SQL-like forensics over the logged incidents.
-    let incidents: Vec<_> = system
-        .incidents()
-        .iter()
-        .map(|mi| mi.incident.clone())
-        .collect();
-    let mut ds = Dataset::new();
-    ds.insert_records("incidents", &incidents).unwrap();
-    let r = ds
-        .query(
-            "SELECT victim_job, count(*) FROM incidents \
-             GROUP BY victim_job ORDER BY count(*) DESC LIMIT 5",
-        )
-        .unwrap();
+    // §5: SQL-like forensics over the logged incidents, as `cpi2
+    // forensics` answers them.
+    let ask = |sql: &str| {
+        let incidents = system.incidents().iter().map(|mi| &mi.incident);
+        Query::parse(sql).unwrap().scan(incidents)
+    };
+    let r = ask("SELECT victim_job, count(*) FROM incidents \
+         GROUP BY victim_job ORDER BY count(*) DESC LIMIT 5");
     assert_eq!(r.rows[0][0].to_string(), "frontend");
     // Top suspects by correlation.
-    let r = ds
-        .query(
-            "SELECT suspects.0.jobname, max(suspects.0.correlation) FROM incidents \
-             GROUP BY suspects.0.jobname",
-        )
-        .unwrap();
+    let r = ask(
+        "SELECT suspects.0.jobname, max(suspects.0.correlation) FROM incidents \
+         GROUP BY suspects.0.jobname",
+    );
     assert!(!r.rows.is_empty());
 }
