@@ -410,8 +410,9 @@ struct TaskState {
     /// lookup.
     detect_spec: Option<DetectSpec>,
     detector: OutlierDetector,
-    /// The task's samples over the last two correlation windows: the
-    /// victim side of §4.2 reads its CPI, the suspect side its usage.
+    /// The task's samples over the last correlation window plus the
+    /// alignment tolerance (`Agent::history_horizon_us`): the victim
+    /// side of §4.2 reads its CPI, the suspect side its usage.
     history: History,
     /// Newest sample timestamp seen, replays included: a replayed sample
     /// does not make a resident task look gone.
@@ -694,9 +695,22 @@ impl Agent {
 
     /// Ingests one batch of samples (typically all tasks of the machine at
     /// one sampling instant) and returns any commands to execute.
+    ///
+    /// A task stays resident until it goes two correlation windows
+    /// unseen, but its history keeps only the rows within one window plus
+    /// half a sampling period of its newest sample: an analysis reads the
+    /// victim's window, and a suspect row further back than that is more
+    /// than half a period from every row in it, so alignment never pairs
+    /// it. The one input where keeping less can change an answer is a
+    /// victim sample older than a co-resident suspect's newest — a batch
+    /// that spans several instants, or batches out of time order — since
+    /// that suspect has evicted from its own newest row, not from the
+    /// victim's. Batches that each close one sampling instant, in time
+    /// order, are answered as a two-window history would answer them.
     pub fn ingest(&mut self, samples: &[CpiSample]) -> Vec<AgentCommand> {
         let mut commands = Vec::new();
         let window_us = self.config.correlation_window_s * 1_000_000;
+        let horizon_us = self.history_horizon_us();
         let cooldown_us = self.config.incident_cooldown_s * 1_000_000;
         let analysis_interval_us = self.config.analysis_interval_s * 1_000_000;
         let ttl_us = self.config.spec_ttl_hours * 3_600 * 1_000_000;
@@ -715,7 +729,7 @@ impl Agent {
             if new || st.jobname != s.jobname || st.platform != s.platforminfo {
                 st.bind(s, &self.specs);
             }
-            if !st.record(s, 2 * window_us) {
+            if !st.record(s, horizon_us) {
                 replayed.push(i);
             }
         }
@@ -829,8 +843,7 @@ impl Agent {
                 usage: st.history.usage(),
             })
             .collect();
-        // Alignment slack of half a sampling period.
-        let tolerance = self.config.sampling_period_s * 1_000_000 / 2;
+        let tolerance = self.tolerance_us();
         let kind = self.config.identifier;
         self.metrics.identifier_runs.inc();
         let ranked = match kind.panda_params() {
@@ -1007,6 +1020,19 @@ impl Agent {
         command
     }
 
+    /// §4.2's alignment slack, half a sampling period: a victim row pairs
+    /// with the suspect row nearest it when that row is at most this far.
+    fn tolerance_us(&self) -> i64 {
+        self.config.sampling_period_s * 1_000_000 / 2
+    }
+
+    /// How far a task's history reaches back from its newest row: the
+    /// correlation window an analysis reads, plus `Agent::tolerance_us`
+    /// for the suspect rows its oldest victim row can pair with.
+    fn history_horizon_us(&self) -> i64 {
+        self.config.correlation_window_s * 1_000_000 + self.tolerance_us()
+    }
+
     /// Appends a span to the pending buffer and mirrors it into the
     /// telemetry event ring.
     fn push_span(&mut self, span: TraceSpan) {
@@ -1015,10 +1041,11 @@ impl Agent {
     }
 
     /// Computes the §4.2 correlation between a specific victim and suspect
-    /// over the trailing window — the operator-facing "why did you pick
-    /// this one" query. `None` when either task is unknown or the aligned
-    /// window carries no usable signal (empty, constant CPI, non-finite
-    /// samples, zero usage).
+    /// over the victim's retained history — its last correlation window
+    /// plus half a sampling period — aligned whole against the suspect's:
+    /// the operator-facing "why did you pick this one" query. `None` when
+    /// either task is unknown or the aligned window carries no usable
+    /// signal (empty, constant CPI, non-finite samples, zero usage).
     pub fn correlation_between(
         &self,
         victim: TaskHandle,
@@ -1027,7 +1054,7 @@ impl Agent {
     ) -> Option<f64> {
         let v = self.tasks.get(&victim)?;
         let s = self.tasks.get(&suspect)?;
-        let tolerance = self.config.sampling_period_s * 1_000_000 / 2;
+        let tolerance = self.tolerance_us();
         let pairs = v.history.cpi().align(s.history.usage(), tolerance);
         antagonist_correlation(&pairs, cthreshold)
     }

@@ -9,11 +9,18 @@
 //! replayed-batch fix), decided its own way — a per-batch flag from the
 //! history loop — so replayed streams can be compared too.
 //!
-//! The generated streams keep one batch's timestamps within two minutes
-//! of each other. The reference counts a degraded decision *before* it
-//! finds the sample's task evicted (a sample two correlation windows
-//! older than its own batch's newest); the live path, whose resolved spec
-//! lives on the task, cannot and does not.
+//! The reference takes the history horizon as an argument. Run at the
+//! live one (`Agent::history_horizon_us`), it must match over streams
+//! whose batches spread their timestamps over up to two minutes. Run at
+//! two correlation windows, further back than any analysis reads, it must
+//! still match over batches that each carry one timestamp, in time
+//! order: the input shape `Agent::ingest` answers as a two-window
+//! history would.
+//!
+//! The reference counts a degraded decision *before* it finds the
+//! sample's task evicted (a sample two correlation windows older than its
+//! own batch's newest); the live path, whose resolved spec lives on the
+//! task, cannot and does not.
 
 // Redundant with the parent's `#[cfg(test)] mod oracle;` for rustc; it is
 // what tells `cpi2-lint`, which reads one file at a time, that none of
@@ -24,7 +31,7 @@ use super::*;
 use proptest::prelude::*;
 
 impl Agent {
-    fn ingest_reference(&mut self, samples: &[CpiSample]) -> Vec<AgentCommand> {
+    fn ingest_reference(&mut self, samples: &[CpiSample], horizon_us: i64) -> Vec<AgentCommand> {
         let mut commands = Vec::new();
         let window_us = self.config.correlation_window_s * 1_000_000;
         self.metrics.samples.add(samples.len() as u64);
@@ -44,7 +51,7 @@ impl Agent {
             if advances {
                 st.history.push(s.timestamp, s.cpi, s.cpu_usage);
             }
-            st.history.evict_before(s.timestamp - 2 * window_us);
+            st.history.evict_before(s.timestamp - horizon_us);
         }
 
         if let Some(&newest) = samples.iter().map(|s| &s.timestamp).max() {
@@ -177,6 +184,8 @@ struct World {
     now_min: i64,
     bound: [(usize, usize); HANDLES],
     last_batch: Vec<CpiSample>,
+    /// Whether a sample may lag its batch's instant by a minute or two.
+    lagging: bool,
 }
 
 impl World {
@@ -186,6 +195,16 @@ impl World {
             now_min: 600,
             bound: [(0, 0), (2, 0), (1, 0), (3, 0), (0, 1), (2, 1)],
             last_batch: Vec::new(),
+            lagging: true,
+        }
+    }
+
+    /// A world whose every batch carries one timestamp, each no earlier
+    /// than the last.
+    fn in_time_order() -> World {
+        World {
+            lagging: false,
+            ..World::new()
         }
     }
 
@@ -252,7 +271,11 @@ impl World {
                 continue; // absent from this batch
             }
             // Most samples carry the batch instant; a few lag it.
-            let lag_min = [0, 0, 0, 1, 2, 0, 0, 0][(dice >> 2) as usize & 7];
+            let lag_min = if self.lagging {
+                [0, 0, 0, 1, 2, 0, 0, 0][(dice >> 2) as usize & 7]
+            } else {
+                0
+            };
             let victim = job < 2;
             let (cpi, cpu_usage) = match (victim, antagonist_on) {
                 // 1.25 sits between the 2σ and the stale 3σ threshold.
@@ -307,7 +330,11 @@ proptest! {
                     reference.install_spec_at(spec, published_at);
                 }
                 Step::Ingest(batch) => {
-                    prop_assert_eq!(live.ingest(&batch), reference.ingest_reference(&batch));
+                    let horizon_us = reference.history_horizon_us();
+                    prop_assert_eq!(
+                        live.ingest(&batch),
+                        reference.ingest_reference(&batch, horizon_us)
+                    );
                     prop_assert_eq!(live.take_incidents(), reference.take_incidents());
                     prop_assert_eq!(live.take_trace_spans(), reference.take_trace_spans());
                 }
@@ -340,6 +367,41 @@ proptest! {
                     prop_assert_eq!(straight.ingest(&batch), restarted.ingest(&batch));
                     prop_assert_eq!(straight.take_incidents(), restarted.take_incidents());
                     prop_assert_eq!(straight.take_trace_spans(), restarted.take_trace_spans());
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Histories cut to one window plus the alignment tolerance answer
+    /// one-timestamp batches in time order as two windows did: the same
+    /// commands, incidents to the bit and trace spans.
+    #[test]
+    fn one_window_answers_in_order_batches_as_two_windows_did(ops in ops()) {
+        let mut live = Agent::new(config());
+        let mut reference = Agent::new(config());
+        let two_windows_us = 2 * config().correlation_window_s * 1_000_000;
+        let mut world = World::in_time_order();
+        for op in ops {
+            match world.step(op) {
+                Step::Install(spec, published_at) => {
+                    live.install_spec_at(spec.clone(), published_at);
+                    reference.install_spec_at(spec, published_at);
+                }
+                Step::Ingest(batch) => {
+                    prop_assert_eq!(
+                        live.ingest(&batch),
+                        reference.ingest_reference(&batch, two_windows_us)
+                    );
+                    // As JSON, which writes each float's exact value.
+                    prop_assert_eq!(
+                        serde_json::to_string(&live.take_incidents()).unwrap(),
+                        serde_json::to_string(&reference.take_incidents()).unwrap()
+                    );
+                    prop_assert_eq!(live.take_trace_spans(), reference.take_trace_spans());
                 }
             }
         }

@@ -146,7 +146,7 @@ fn warm_ingest_without_an_incident_allocates_nothing() {
             cpi_stddev: 0.1,
         });
     }
-    // Past two correlation windows: every history is at its bound.
+    // Past a history's horizon: every history is at its bound.
     for minute in 0..30 {
         agent.ingest(&batch(&names, &platform, minute));
     }
@@ -159,7 +159,7 @@ fn warm_ingest_without_an_incident_allocates_nothing() {
     assert!(agent.incidents().is_empty());
 }
 
-/// 21 one-minute rows, as a task's history holds two correlation windows.
+/// 21 one-minute rows: ranking allocates twice whatever the length.
 fn history(f: &dyn Fn(i64) -> (f64, f64)) -> History {
     let mut h = History::new();
     for m in 0..21 {
@@ -352,9 +352,11 @@ fn a_warm_cluster_step_allocates_nothing() {
     assert_eq!(tasks, 42);
 }
 
-// What the detection chain holds, in bytes. Before a task's names were one
-// pointer each, an agent held 728 B per resident task here; before a
-// task's CPI and usage were one history of rows, 1 208 B
+// What the detection chain holds, in bytes. Before a task's history kept
+// one correlation window plus half a sampling period, not two windows, an
+// agent held 712 B per resident task here (24 rows for 21 live); before a
+// task's names were one pointer each, 728 B; before a task's CPI and
+// usage were one history of rows, 1 208 B
 // (two 32-point series for 21 live points, each timestamp twice); before
 // agents shared the spec store's copies, 164 B per installed spec (its own
 // key and spec, names included); before an instant's dedup handles were
@@ -373,8 +375,9 @@ fn an_agent_holds_its_resident_tasks_in_bytes() {
         agent
     });
     assert!(agent.incidents().is_empty());
-    // Per task: its handle, its state and 24 rows of 24 B.
-    assert_eq!(bytes, 25 * 712);
+    // Per task: its handle, its state and 12 rows of 24 B (11 live, one
+    // more between a push and its eviction).
+    assert_eq!(bytes, 25 * 424);
 }
 
 /// A record pays one pointer a name. With fat `Arc<str>` names a sample

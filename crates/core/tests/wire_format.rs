@@ -3,8 +3,11 @@
 //! and no-action reasons were owned `String`s: sharing the names (as
 //! `Arc<str>`, then as one-pointer `Name`s) and naming the reasons by
 //! variant changed no byte on the wire, and what was written then reads
-//! now. A counter reading is the one record whose bytes moved: it lost
-//! five fields nothing read, and what it wrote with them still reads.
+//! now. A counter reading lost five fields nothing read, and what it
+//! wrote with them still reads. A checkpoint's histories went from two
+//! correlation windows to one plus the alignment tolerance: what was
+//! written with two windows still reads, and continues as the shorter
+//! form does.
 
 use cpi2_core::{
     Agent, Cpi2Config, CpiSample, CpiSpec, IdentifierKind, Incident, IncidentAction,
@@ -27,9 +30,15 @@ const READING: &str = r#"{"task":{"job":4,"index":2},"job_name":"video","platfor
 /// and its trace spans.
 const CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint.json");
 
-/// The same pattern for 25 minutes: each task's histories hold the 21
-/// points of the last two correlation windows, and two incidents.
+/// The same pattern for 25 minutes: each task's histories hold the 11
+/// points of the last correlation window plus half a sampling period,
+/// and two incidents.
 const EVICTED_CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint_evicted.json");
+
+/// The same state as written while a history kept the 21 points of two
+/// correlation windows: read only.
+const EVICTED_TWO_WINDOW_CHECKPOINT: &str =
+    include_str!("fixtures/agent_checkpoint_evicted_two_windows.json");
 
 /// The 25-minute pattern under the PANDA identifier, written while each
 /// evidence record also carried a `weight` (always 1.0 here).
@@ -131,8 +140,10 @@ fn an_agent_checkpoint_reads_and_writes_as_before() {
     assert_eq!(restored.checkpoint().unwrap(), CHECKPOINT);
 }
 
-/// Past two correlation windows every history has evicted its oldest
-/// points: what a checkpoint holds of a series is its live points alone.
+/// Past its horizon every history has evicted its oldest points: what a
+/// checkpoint holds of a series is its live points alone. The two-window
+/// form restores with the same incidents and, until its tasks' next
+/// samples evict, writes itself back unchanged.
 #[test]
 fn a_checkpoint_after_evictions_reads_and_writes_as_before() {
     let agent = agent_after(25);
@@ -140,12 +151,23 @@ fn a_checkpoint_after_evictions_reads_and_writes_as_before() {
     let restored = Agent::restore(EVICTED_CHECKPOINT).unwrap();
     assert_eq!(restored.incidents(), agent.incidents());
     assert_eq!(restored.checkpoint().unwrap(), EVICTED_CHECKPOINT);
+    let two_windows = Agent::restore(EVICTED_TWO_WINDOW_CHECKPOINT).unwrap();
+    assert_eq!(two_windows.incidents(), agent.incidents());
+    assert_eq!(
+        two_windows.checkpoint().unwrap(),
+        EVICTED_TWO_WINDOW_CHECKPOINT
+    );
 }
 
 /// A warmed agent on a dense machine: 57 specs (32 published hourly, the
 /// rest untimestamped; every fifth not robust), 25 tasks for 40 minutes
 /// of the victim/antagonist pattern beside 23 steady neighbours.
 const WARM_CHECKPOINT: &str = include_str!("fixtures/agent_checkpoint_warm.json");
+
+/// The same agent as written while a history kept two correlation
+/// windows: read only.
+const WARM_TWO_WINDOW_CHECKPOINT: &str =
+    include_str!("fixtures/agent_checkpoint_warm_two_windows.json");
 
 fn warm_agent() -> Agent {
     let mut agent = Agent::new(Cpi2Config::default());
@@ -165,37 +187,42 @@ fn warm_agent() -> Agent {
         }
     }
     for m in 0..40 {
-        let on = m % 2 == 1;
-        let batch: Vec<CpiSample> = (0..25u64)
-            .map(|t| {
-                let job = format!("job-{t:02}");
-                match t {
-                    0 => sample(
-                        t,
-                        &job,
-                        m,
-                        if on { 3.0 } else { 1.0 },
-                        1.0,
-                        TaskClass::latency_sensitive(),
-                    ),
-                    1 => sample(
-                        t,
-                        &job,
-                        m,
-                        1.8,
-                        if on { 6.0 } else { 0.0 },
-                        TaskClass::batch(),
-                    ),
-                    _ => {
-                        let wobble = ((m + t as i64) % 7) as f64 / 16.0;
-                        sample(t, &job, m, 1.0 + wobble, 0.5 + wobble, TaskClass::batch())
-                    }
-                }
-            })
-            .collect();
-        agent.ingest(&batch);
+        agent.ingest(&warm_batch(m));
     }
     agent
+}
+
+/// Minute `m` of the warm machine: the victim, its antagonist and 23
+/// steady neighbours.
+fn warm_batch(m: i64) -> Vec<CpiSample> {
+    let on = m % 2 == 1;
+    (0..25u64)
+        .map(|t| {
+            let job = format!("job-{t:02}");
+            match t {
+                0 => sample(
+                    t,
+                    &job,
+                    m,
+                    if on { 3.0 } else { 1.0 },
+                    1.0,
+                    TaskClass::latency_sensitive(),
+                ),
+                1 => sample(
+                    t,
+                    &job,
+                    m,
+                    1.8,
+                    if on { 6.0 } else { 0.0 },
+                    TaskClass::batch(),
+                ),
+                _ => {
+                    let wobble = ((m + t as i64) % 7) as f64 / 16.0;
+                    sample(t, &job, m, 1.0 + wobble, 0.5 + wobble, TaskClass::batch())
+                }
+            }
+        })
+        .collect()
 }
 
 /// A checkpoint of a warmed 25-task agent holding 57 specs restores and
@@ -208,6 +235,35 @@ fn a_warm_dense_checkpoint_reads_and_writes_as_before() {
     let restored = Agent::restore(WARM_CHECKPOINT).unwrap();
     assert_eq!(restored.incidents(), agent.incidents());
     assert_eq!(restored.checkpoint().unwrap(), WARM_CHECKPOINT);
+}
+
+/// The two-window form of the warm agent restores and carries on as the
+/// form written now does: the next minutes give the same commands and
+/// incidents, and once every task's next sample has evicted its history
+/// to the shorter horizon, the same next checkpoint.
+#[test]
+fn a_two_window_warm_checkpoint_continues_as_the_one_window_form() {
+    let mut two_windows = Agent::restore(WARM_TWO_WINDOW_CHECKPOINT).unwrap();
+    let mut one_window = Agent::restore(WARM_CHECKPOINT).unwrap();
+    assert_eq!(two_windows.incidents(), one_window.incidents());
+    let before = one_window.incidents().len();
+    let mut commands = 0;
+    // Minutes 40 to 45: the ten-minute cooldown puts the victim's next
+    // incident, and its cap, at minute 45.
+    for m in 40..=45 {
+        let batch = warm_batch(m);
+        let issued = one_window.ingest(&batch);
+        assert_eq!(two_windows.ingest(&batch), issued, "minute {m}");
+        commands += issued.len();
+    }
+    // What is compared is a decision, not silence.
+    assert!(commands > 0);
+    assert!(one_window.incidents().len() > before);
+    assert_eq!(two_windows.incidents(), one_window.incidents());
+    assert_eq!(
+        two_windows.checkpoint().unwrap(),
+        one_window.checkpoint().unwrap()
+    );
 }
 
 /// `blob` without its `"weight":<number>,` entries.

@@ -105,11 +105,10 @@ fn a_warm_untimed_harness_step_allocates_as_pinned() {
     // The hour detects and caps, and faults fire in it.
     assert!(system.caps_applied() > before.0, "no cap in the hour");
     assert!(system.shipment_faults() > before.1, "no fault in the hour");
-    // Measured before the tick was split at its seams: 820 allocations of
-    // 135 648 B in all. The seams and their clock add none.
+    // The tick's seams and their clock add none.
     assert_eq!(
         counts,
-        (820, 135_648),
+        (797, 124_704),
         "(allocations, bytes) over an hour of ticks"
     );
 }

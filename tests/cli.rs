@@ -2,7 +2,7 @@
 //! every way its arguments can be wrong. A usage error names what was
 //! wrong on stderr and exits 2.
 
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 
 fn cpi2(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cpi2"))
@@ -55,26 +55,65 @@ fn simulate_reports_specs_thrashers_and_incidents() {
     }
 }
 
-#[test]
-fn forensics_answers_sql_over_the_incident_log() {
-    let query = "SELECT count(*) FROM incidents";
-    let out = cpi2(&[
-        "forensics",
-        "--machines",
-        "3",
-        "--minutes",
-        "5",
-        "--query",
-        query,
-    ]);
+/// Two hours after the warm-up, on three machines: a run whose log holds
+/// incidents (five minutes logs none).
+const FORENSICS_RUN: [&str; 5] = ["forensics", "--machines", "3", "--minutes", "120"];
+
+/// Starts `cpi2 forensics` over [`FORENSICS_RUN`] answering `query`.
+fn forensics(query: &str) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_cpi2"))
+        .args(FORENSICS_RUN)
+        .args(["--query", query])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cpi2")
+}
+
+/// The header's incident count and the answer's rows, cells split on
+/// whitespace, header row first.
+fn answer(query: &str, child: Child) -> (u64, Vec<Vec<String>>) {
+    let out = child.wait_with_output().expect("wait for cpi2");
     let stdout = text(&out.stdout);
     assert!(out.status.success(), "{}", text(&out.stderr));
-    let (_, answer) = stdout
+    let (head, answer) = stdout
         .split_once(&format!(" incidents collected; running:\n  {query}\n\n"))
         .unwrap_or_else(|| panic!("no query header in {stdout}"));
-    let rows: Vec<&str> = answer.lines().map(str::trim_end).collect();
-    assert_eq!(rows[0], "count(*)", "{answer}");
-    assert!(rows[1].parse::<u64>().is_ok(), "{answer}");
+    let collected = head
+        .lines()
+        .last()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no incident count in {stdout}"));
+    let rows = answer
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| l.split_whitespace().map(String::from).collect())
+        .collect();
+    (collected, rows)
+}
+
+#[test]
+fn forensics_answers_sql_over_the_incident_log() {
+    // Both runs at once: each spends most of its time on the warm-up.
+    let (count, by_job) = (
+        "SELECT count(*) FROM incidents",
+        "SELECT victim_job, count(*) FROM incidents GROUP BY victim_job",
+    );
+    let (count_run, by_job_run) = (forensics(count), forensics(by_job));
+
+    let (n, rows) = answer(count, count_run);
+    assert!(n > 0, "the run logged no incident");
+    assert_eq!(rows, [vec!["count(*)".to_string()], vec![n.to_string()]]);
+
+    let (same_n, rows) = answer(by_job, by_job_run);
+    assert_eq!(same_n, n, "one seed, one run");
+    assert_eq!(rows[0], ["victim_job", "count(*)"]);
+    let counts: Vec<u64> = rows[1..]
+        .iter()
+        .map(|row| row[1].parse().expect("a count"))
+        .collect();
+    assert!(counts.iter().all(|&c| c > 0), "{rows:?}");
+    assert_eq!(counts.iter().sum::<u64>(), n, "{rows:?}");
 }
 
 #[test]
