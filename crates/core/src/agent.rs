@@ -23,9 +23,6 @@ use cpi2_telemetry::{Counter, Histo, Telemetry};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::Arc;
 
-#[cfg(test)]
-mod oracle;
-
 /// The agent's maps. A machine holds a handful of tasks and of specs, so
 /// a map is its keys in order in one vector and their values in another:
 /// a binary search to probe, the key order to iterate (the suspect
@@ -1064,6 +1061,23 @@ impl Agent {
     /// for state-bound monitoring and the chaos suite.
     pub fn evidence_pairs(&self) -> usize {
         self.evidence.pairs_tracked()
+    }
+}
+
+#[cfg(test)]
+impl Agent {
+    /// The invariant the live path rests on: every resident task's
+    /// resolved numbers equal a fresh keyed lookup. Here, not beside the
+    /// reference's worlds that call it, because it reads private tables.
+    pub(crate) fn assert_detect_specs_resolved(&self) {
+        for (handle, st) in self.tasks.iter() {
+            let key = JobKey::new(&*st.jobname, &*st.platform);
+            assert_eq!(
+                st.detect_spec,
+                DetectSpec::of(self.specs.get(&key.job, &key.platform)),
+                "task {handle} ({key}) holds a stale resolution"
+            );
+        }
     }
 }
 

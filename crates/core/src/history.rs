@@ -5,7 +5,8 @@
 //! They arrive together, one sample at a time, so they are kept as one
 //! series of rows: each timestamp is stored once, one push and one
 //! eviction serve both, and detection reads either as a borrowed
-//! [`Column`] of it.
+//! [`Column`] of it. Its reference is a plain `Vec` of rows
+//! (`history_matches_a_plain_vector_of_rows` in the property tests).
 
 use serde::{Error, Serialize, Value};
 

@@ -36,6 +36,8 @@ pub mod history;
 pub mod incident;
 pub mod outlier;
 pub mod panda;
+#[cfg(test)]
+mod reference;
 pub mod sample;
 pub mod spec;
 pub mod specbuilder;

@@ -12,9 +12,6 @@ use cpi2_stats::ewma::AgeWeighted;
 use cpi2_stats::summary::RunningStats;
 use std::collections::BTreeMap;
 
-#[cfg(test)]
-mod oracle;
-
 /// Accumulates one aggregation period ("day") of samples for one key.
 #[derive(Debug, Default)]
 struct PeriodAccum {

@@ -5,7 +5,6 @@ use cpi2_core::{
     rank_suspects, Cpi2Config, CpiSample, CpiSpec, EvidenceBook, History, OutlierDetector,
     PandaParams, SpecBuilder, SuspectInput, TaskClass, TaskHandle, Verdict,
 };
-use cpi2_stats::timeseries::TimeSeries;
 use proptest::prelude::*;
 use serde::Serialize;
 
@@ -215,45 +214,76 @@ fn history_ops() -> impl Strategy<Value = Vec<HistoryOp>> {
     prop::collection::vec((0..16u8, 0i64..40, -5.0..5.0f64, -5.0..5.0f64), 1..200)
 }
 
-/// A history of `(t, cpi, usage)` rows and its two single-value series.
-fn history_and_series(rows: &[(i64, f64, f64)]) -> (History, TimeSeries, TimeSeries) {
-    let mut rows = rows.to_vec();
-    rows.sort_by_key(|&(t, _, _)| t);
-    let mut history = History::new();
-    for &(t, cpi, usage) in &rows {
-        history.push(t, cpi, usage);
-    }
-    let series = |f: fn(&(i64, f64, f64)) -> f64| {
-        TimeSeries::from_points(rows.iter().map(|r| (r.0, f(r))).collect())
+/// What a history holds, plainly: its rows, oldest first.
+type Rows = Vec<(i64, f64, f64)>;
+
+/// One value of each row with its timestamp: CPI, or with `usage` CPU usage.
+fn column(rows: &[(i64, f64, f64)], usage: bool) -> Vec<(i64, f64)> {
+    rows.iter()
+        .map(|r| (r.0, if usage { r.2 } else { r.1 }))
+        .collect()
+}
+
+/// Each of `a`'s points paired with the nearest of `b`'s (of two as near,
+/// the later) when that one lies within `tolerance`: a linear scan.
+fn align(a: &[(i64, f64)], b: &[(i64, f64)], tolerance: i64) -> Vec<(f64, f64)> {
+    let nearest = |t: i64| {
+        let mut best: Option<(i64, f64)> = None;
+        for &p in b {
+            let nearer = match best {
+                Some(q) => (p.0 - t).abs() <= (q.0 - t).abs(),
+                None => true,
+            };
+            if nearer {
+                best = Some(p);
+            }
+        }
+        best
     };
-    (history, series(|r| r.1), series(|r| r.2))
+    a.iter()
+        .filter_map(|&(t, v)| {
+            let q = nearest(t)?;
+            ((q.0 - t).abs() <= tolerance).then_some((v, q.1))
+        })
+        .collect()
+}
+
+/// A column as a single-value series writes itself.
+#[derive(Serialize)]
+struct Points {
+    points: Vec<(i64, f64)>,
 }
 
 proptest! {
-    /// A task's history is the two series the agent kept before, one for
-    /// CPI and one for usage, pushed and evicted together: the same
-    /// points, windows, alignments and JSON, in at most
+    /// A task's history is a plain vector of `(t, cpi, usage)` rows pushed
+    /// at the back and evicted from the front: the same points, windows,
+    /// alignments (a linear nearest-row scan, both ways round) and JSON
+    /// (each column as a single-value series), in at most
     /// `max(4, 2 × peak live)` rows of room.
     #[test]
-    fn history_matches_two_single_value_series(
+    fn history_matches_a_plain_vector_of_rows(
         ops in history_ops(),
         other in prop::collection::vec((0i64..400, -5.0..5.0f64, -5.0..5.0f64), 0..20),
     ) {
-        let (other, other_cpi, other_usage) = history_and_series(&other);
+        let mut other_rows = other;
+        other_rows.sort_by_key(|&(t, _, _)| t);
+        let mut other = History::new();
+        for &(t, cpi, usage) in &other_rows {
+            other.push(t, cpi, usage);
+        }
         let mut history = History::new();
-        let (mut cpi, mut usage) = (TimeSeries::new(), TimeSeries::new());
+        let mut model: Rows = Vec::new();
         let mut peak = 0;
         let mut pairs = Vec::new();
         for (kind, n, x, y) in ops {
-            let last = cpi.points().last().map_or(0, |&(t, _)| t);
-            let first = cpi.points().first().map_or(last, |&(t, _)| t);
+            let last = model.last().map_or(0, |r| r.0);
+            let first = model.first().map_or(last, |r| r.0);
             match kind {
                 // Monotone pushes, ties included.
                 0..=7 => {
                     let t = last + n % 4;
                     history.push(t, x, y);
-                    cpi.push(t, x);
-                    usage.push(t, y);
+                    model.push((t, x, y));
                 }
                 // Cutoffs inside the history, behind it, and past it.
                 8 | 9 => {
@@ -262,24 +292,28 @@ proptest! {
                         _ => if n % 2 == 0 { first - n } else { last + 1 + n },
                     };
                     history.evict_before(cutoff);
-                    cpi.evict_before(cutoff);
-                    usage.evict_before(cutoff);
+                    model.retain(|r| r.0 >= cutoff);
                 }
                 10 => {
                     let (start, end) = (first + n - 5, first + n + (x * 4.0) as i64);
                     let window = |c: cpi2_core::Column<'_>| c.window(start, end).points().collect::<Vec<_>>();
-                    let (c, u) = (cpi.window(start, end), usage.window(start, end));
-                    prop_assert_eq!(window(history.cpi()), c.points());
-                    prop_assert_eq!(window(history.usage()), u.points());
+                    let want = |usage| {
+                        column(&model, usage)
+                            .into_iter()
+                            .filter(|&(t, _)| start <= t && t < end)
+                            .collect::<Vec<_>>()
+                    };
+                    prop_assert_eq!(window(history.cpi()), want(false));
+                    prop_assert_eq!(window(history.usage()), want(true));
                 }
                 11 | 12 => {
                     // Both ways round: the victim's CPI against a
                     // suspect's usage, as ranking reads them.
                     let tolerance = n;
                     history.cpi().align_into(other.usage(), tolerance, &mut pairs);
-                    prop_assert_eq!(&pairs, &cpi.align(&other_usage, tolerance));
+                    prop_assert_eq!(&pairs, &align(&column(&model, false), &column(&other_rows, true), tolerance));
                     other.cpi().align_into(history.usage(), tolerance, &mut pairs);
-                    prop_assert_eq!(&pairs, &other_cpi.align(&usage, tolerance));
+                    prop_assert_eq!(&pairs, &align(&column(&other_rows, false), &column(&model, true), tolerance));
                 }
                 13 => history = history.clone(),
                 _ => {
@@ -287,15 +321,16 @@ proptest! {
                     history = History::from_column_values(&c, &u).unwrap();
                 }
             }
-            peak = peak.max(cpi.len());
+            peak = peak.max(model.len());
             let points = |c: cpi2_core::Column<'_>| c.points().collect::<Vec<_>>();
-            prop_assert_eq!(points(history.cpi()), cpi.points());
-            prop_assert_eq!(points(history.usage()), usage.points());
-            prop_assert_eq!(history.len(), cpi.len());
+            prop_assert_eq!(points(history.cpi()), column(&model, false));
+            prop_assert_eq!(points(history.usage()), column(&model, true));
+            prop_assert_eq!(history.len(), model.len());
             let json = |c: cpi2_core::Column<'_>| serde_json::to_string(&c).unwrap();
+            let model_json = |usage| serde_json::to_string(&Points { points: column(&model, usage) }).unwrap();
             prop_assert_eq!(
                 (json(history.cpi()), json(history.usage())),
-                (serde_json::to_string(&cpi).unwrap(), serde_json::to_string(&usage).unwrap())
+                (model_json(false), model_json(true))
             );
             prop_assert!(
                 history.capacity() <= 4.max(2 * peak),

@@ -13,8 +13,6 @@
 //! * [`ewma`] — the 0.9/day age weighting of historical CPI specs.
 //! * [`rng`] — deterministic seedable RNG + samplers so every experiment
 //!   is reproducible.
-//! * [`timeseries`] — time-aligned windows for the §4.2 antagonist
-//!   correlation, one value a point.
 //! * [`name`] — [`Name`], the shared job and platform string every
 //!   record of the detection chain carries.
 
@@ -30,7 +28,6 @@ pub mod optimize;
 pub mod rng;
 pub mod special;
 pub mod summary;
-pub mod timeseries;
 
 pub use correlation::pearson;
 pub use distribution::{ContinuousDist, Gamma, Gev, LogNormal, Normal};
@@ -43,4 +40,3 @@ pub use name::Name;
 pub use optimize::nelder_mead;
 pub use rng::SimRng;
 pub use summary::RunningStats;
-pub use timeseries::TimeSeries;

@@ -6,9 +6,7 @@ use cpi2_stats::ewma::AgeWeighted;
 use cpi2_stats::histogram::Ecdf;
 use cpi2_stats::rng::SimRng;
 use cpi2_stats::summary::RunningStats;
-use cpi2_stats::timeseries::TimeSeries;
 use proptest::prelude::*;
-use serde::Serialize;
 
 fn finite_vec(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6..1e6f64, 2..n)
@@ -118,120 +116,5 @@ proptest! {
         }
         prop_assert!(a.mean() >= lo - 1e-9 && a.mean() <= hi + 1e-9);
         prop_assert!(a.stddev() >= 0.0);
-    }
-
-    #[test]
-    fn timeseries_align_within_tolerance(
-        ts_a in prop::collection::vec((0i64..100_000, -10.0..10.0f64), 1..40),
-        ts_b in prop::collection::vec((0i64..100_000, -10.0..10.0f64), 1..40),
-        tol in 0i64..5_000,
-    ) {
-        let a = TimeSeries::from_points(ts_a);
-        let b = TimeSeries::from_points(ts_b);
-        let pairs = a.align(&b, tol);
-        prop_assert!(pairs.len() <= a.len());
-        // Every emitted pair's values must exist in the inputs.
-        for (va, vb) in &pairs {
-            prop_assert!(a.points().iter().any(|&(_, v)| v == *va));
-            prop_assert!(b.points().iter().any(|&(_, v)| v == *vb));
-        }
-    }
-
-    #[test]
-    fn timeseries_window_subset(pts in prop::collection::vec((0i64..10_000, -5.0..5.0f64), 0..50),
-                                start in 0i64..10_000, len in 0i64..10_000) {
-        let s = TimeSeries::from_points(pts);
-        let w = s.window(start, start + len);
-        prop_assert!(w.len() <= s.len());
-        for &(t, _) in w.points() {
-            prop_assert!(t >= start && t < start + len);
-        }
-    }
-}
-
-/// What a series was before it kept a front offset: a plain vector whose
-/// eviction drains its front. Serialises as the derived `TimeSeries` did.
-#[derive(Serialize)]
-struct PlainSeries {
-    points: Vec<(i64, f64)>,
-}
-
-/// One generated step: `(kind, n, x)`, read by the test below.
-type SeriesOp = (u8, i64, f64);
-
-fn series_ops() -> impl Strategy<Value = Vec<SeriesOp>> {
-    prop::collection::vec((0..16u8, 0i64..40, -5.0..5.0f64), 1..200)
-}
-
-proptest! {
-    #[test]
-    fn timeseries_matches_a_plain_vector(
-        ops in series_ops(),
-        other in prop::collection::vec((0i64..400, -5.0..5.0f64), 0..20),
-    ) {
-        let other = TimeSeries::from_points(other);
-        let mut series = TimeSeries::new();
-        let mut model = PlainSeries { points: Vec::new() };
-        let mut peak = 0;
-        let mut pairs = Vec::new();
-        for (kind, n, x) in ops {
-            let last = model.points.last().map_or(0, |&(t, _)| t);
-            let first = model.points.first().map_or(last, |&(t, _)| t);
-            match kind {
-                // Monotone pushes, ties included.
-                0..=7 => {
-                    let t = last + n % 4;
-                    series.push(t, x);
-                    model.points.push((t, x));
-                }
-                // Cutoffs inside the series, behind it, and past it.
-                8 | 9 => {
-                    let cutoff = match kind {
-                        8 => first + n % (last - first + 2),
-                        _ => if n % 2 == 0 { first - n } else { last + 1 + n },
-                    };
-                    series.evict_before(cutoff);
-                    let lo = model.points.partition_point(|&(t, _)| t < cutoff);
-                    model.points.drain(..lo);
-                }
-                10 => {
-                    let (start, end) = (first + n - 5, first + n + (x * 4.0) as i64);
-                    let want: Vec<_> = model
-                        .points
-                        .iter()
-                        .copied()
-                        .filter(|&(t, _)| start <= t && t < end)
-                        .collect();
-                    let window = series.window(start, end);
-                    prop_assert_eq!(window.points(), &want[..]);
-                }
-                11 | 12 => {
-                    let tolerance = n;
-                    let plain = TimeSeries::from_points(model.points.clone());
-                    series.align_into(&other, tolerance, &mut pairs);
-                    prop_assert_eq!(&pairs, &plain.align(&other, tolerance));
-                    other.align_into(&series, tolerance, &mut pairs);
-                    prop_assert_eq!(&pairs, &other.align(&plain, tolerance));
-                }
-                13 => series = series.clone(),
-                _ => {
-                    let json = serde_json::to_string(&series).unwrap();
-                    series = serde_json::from_str(&json).unwrap();
-                }
-            }
-            peak = peak.max(model.points.len());
-            prop_assert_eq!(series.points(), &model.points[..]);
-            prop_assert_eq!(series.len(), model.points.len());
-            prop_assert_eq!(
-                serde_json::to_string(&series).unwrap(),
-                serde_json::to_string(&model).unwrap()
-            );
-            prop_assert!(
-                series.capacity() <= 4.max(2 * peak),
-                "capacity {} for a peak of {} points",
-                series.capacity(),
-                peak
-            );
-        }
     }
 }
